@@ -200,6 +200,8 @@ def cmd_gen(cfg: ExperimentConfig, config_path: str) -> int:
     gateway = build_gateway(cfg)
     dataset = ingest(cfg.dataset, provider, gateway if cfg.dataset.multi_label else None)
     label_set, patterns_by_label = _load_patterns(cfg)
+    if len(label_set) < 2:
+        raise ConfigError(f"need at least two labels to plan targets, got {label_set}")
     policy = _target_policy(cfg, label_set)
     want_no_vt = "cf_no_vt" in cfg.conditions
     vt_records, novt_records = [], []
@@ -207,11 +209,7 @@ def cmd_gen(cfg: ExperimentConfig, config_path: str) -> int:
     for ex in dataset.examples:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
-        try:
-            targets = plan_targets(ex, label_set, policy)
-        except ValueError:
-            continue
-        for target in targets:
+        for target in plan_targets(ex, label_set, policy):
             for j in range(cfg.per_target):
                 if pattern is not None:
                     try:
@@ -333,9 +331,19 @@ def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
     summary_path = _out(cfg, "summary.csv")
     write_summary_csv(summary_path, results, name)
     _update_manifest(cfg, config_path, "simulate", [results_path, summary_path])
+    failed = []
     for r in results:
         first = r.shots[0]
-        print(f"{r.condition}: F1@{first} = {r.mean[first]:.3f} (sd {r.sd[first]:.3f})")
+        missing = sum(r.scores[first][seed] is None for seed in r.seeds)
+        if r.mean[first] is None:
+            failed.append(r.condition)
+            line = f"{r.condition}: F1@{first} = n/a"
+        else:
+            line = f"{r.condition}: F1@{first} = {r.mean[first]:.3f} (sd {r.sd[first]:.3f})"
+        print(line + (f" ({missing} of {len(r.seeds)} cells missing)" if missing else ""))
+    if failed:
+        print(f"data error: every cell of {', '.join(failed)} failed", file=sys.stderr)
+        return 4
     return 0
 
 

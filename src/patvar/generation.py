@@ -20,6 +20,7 @@ from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon
 from .errors import PatvarError
 from .gateway import Gateway
 from .patterns import (
+    MatchSpan,
     PatternAst,
     SoftAtom,
     find_matches,
@@ -55,7 +56,8 @@ class GenerationTask:
 
     `pattern` is None for the no-pattern rewrite baseline; otherwise it must
     match the original sentence and `matched_phrase` holds the text of the
-    matched span.
+    matched span. `span` is that span with its bindings, kept by `build_task`
+    for `collect_soft_matches`; it is not serialized.
     """
 
     original: AnnotatedSentence
@@ -63,6 +65,7 @@ class GenerationTask:
     target_label: str
     pattern: PatternAst | None = None
     matched_phrase: str = ""
+    span: MatchSpan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.original_label == self.target_label:
@@ -82,7 +85,9 @@ def build_task(
         raise NoPatternMatch(
             f"pattern {render_pattern(pattern)!r} does not match sentence {original.id!r}"
         )
-    return GenerationTask(original, original_label, target_label, pattern, spans[0].text(original))
+    return GenerationTask(
+        original, original_label, target_label, pattern, spans[0].text(original), spans[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -238,13 +243,11 @@ def separate_multilabel(
 def collect_soft_matches(
     task: GenerationTask, lex: SynonymLexicon
 ) -> list[tuple[str, tuple[str, ...]]]:
-    """(matched word, allowed synonyms) for each soft atom bound in the original."""
-    if task.pattern is None:
+    """(matched word, allowed synonyms) for each soft atom bound in the original
+    by the span `build_task` matched; a task without a span has none."""
+    span = task.span
+    if span is None:
         return []
-    spans = find_matches(task.pattern, task.original, lex)
-    if not spans:
-        return []
-    span = spans[0]
     seq = task.pattern.alternatives[span.alternative]
     out = []
     for atom, (lo, hi) in zip(seq, span.bindings):

@@ -12,6 +12,15 @@ a bare POS tag matches by part of speech, and `*` matches any span of zero
 or more tokens. `+` joins atoms into an adjacent sequence; `|` separates
 alternatives. Matching is unanchored: a pattern matches a sentence when some
 alternative matches a contiguous token span anywhere in it.
+
+Matching is bit-parallel (shift-and; Baeza-Yates & Gonnet, CACM 1992). An
+atom's mask over a sentence of n tokens has bit t set when the atom accepts
+token t. A state holds the positions 0..n where a prefix of a sequence can
+end: bits 0..n when unanchored, one bit when anchored at a start. A concrete
+atom maps `state` to `(state & mask) << 1`; `*` sets every bit from the
+lowest set bit up to n; a sequence matches when its final state is non-zero.
+`find_matches` takes the lowest end bit of the anchored pass from each start,
+and a backward reachability pass gives the bindings.
 """
 
 from __future__ import annotations
@@ -233,87 +242,90 @@ def atom_matches_token(atom: Atom, token: Token, lex: SynonymLexicon) -> bool:
     raise TypeError(f"wildcards have no single-token semantics: {atom!r}")
 
 
-def _match_seq_at(
-    seq: Sequence, tokens: tuple[Token, ...], start: int, lex: SynonymLexicon
-) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Shortest match of `seq` anchored at `start`, or None.
-
-    Wildcards expand zero tokens first, so the first success found is the
-    one with the leftmost-shortest wildcard bindings and thus minimal end.
-    """
-
-    def rec(ai: int, ti: int, acc: list[tuple[int, int]]):
-        if ai == len(seq):
-            return ti, tuple(acc)
-        atom = seq[ai]
-        if isinstance(atom, WildcardAtom):
-            for take in range(len(tokens) - ti + 1):
-                acc.append((ti, ti + take))
-                res = rec(ai + 1, ti + take, acc)
-                if res is not None:
-                    return res
-                acc.pop()
-            return None
-        if ti < len(tokens) and atom_matches_token(atom, tokens[ti], lex):
-            acc.append((ti, ti + 1))
-            res = rec(ai + 1, ti + 1, acc)
-            if res is not None:
-                return res
-            acc.pop()
+def atom_mask(atom: Atom, tokens: tuple[Token, ...], lex: SynonymLexicon) -> int | None:
+    """Position bitmask of `atom` over `tokens`: bit t is set iff the atom
+    accepts token t. None for the wildcard, which has no per-token test."""
+    if isinstance(atom, WildcardAtom):
         return None
+    return sum(1 << t for t, token in enumerate(tokens) if atom_matches_token(atom, token, lex))
 
-    return rec(0, start, [])
+
+def advance(state: int, mask: int | None, n: int) -> int:
+    """End positions after one more atom with `mask`, from the end positions
+    `state` before it, in a sentence of `n` tokens."""
+    if mask is not None:
+        return (state & mask) << 1
+    return (1 << (n + 1)) - (state & -state) if state else 0
+
+
+def _forward(state: int, masks, n: int) -> int:
+    for mask in masks:
+        if not state:
+            break
+        state = advance(state, mask, n)
+    return state
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def match_sentence(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> bool:
     """True iff some alternative matches a contiguous span anywhere in `s`."""
-    for start in range(len(s.tokens) + 1):
-        for seq in p.alternatives:
-            if _match_seq_at(seq, s.tokens, start, lex) is not None:
-                return True
-    return False
+    n = len(s.tokens)
+    return any(
+        _forward((1 << (n + 1)) - 1, (atom_mask(atom, s.tokens, lex) for atom in seq), n)
+        for seq in p.alternatives
+    )
+
+
+def _bindings(masks: list[int | None], start: int, end: int) -> tuple[tuple[int, int], ...]:
+    """Bindings of a match from `start` to `end`, each wildcard taking as few
+    tokens as the atoms after it allow (the lexicographically smallest takes)."""
+    # reach[i]: positions from which atoms i.. can end exactly at `end`.
+    reach = [1 << end]
+    for mask in reversed(masks):
+        after = reach[-1]
+        reach.append((1 << after.bit_length()) - 1 if mask is None else (after >> 1) & mask)
+    reach.reverse()
+    bindings, pos = [], start
+    for mask, after in zip(masks, reach[1:]):
+        nxt = pos + 1 if mask is not None else _lowest(after >> pos << pos)
+        bindings.append((pos, nxt))
+        pos = nxt
+    return tuple(bindings)
 
 
 def find_matches(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> list[MatchSpan]:
     """All maximal match spans, leftmost first.
 
     Per start position the shortest match wins (ties go to the earlier
-    alternative); spans strictly contained in another reported span are
-    dropped, and a zero-length match (possible only for all-wildcard
-    alternatives) is reported once, at position 0.
+    alternative, then to the lexicographically smallest wildcard takes);
+    spans strictly contained in another reported span are dropped, and a
+    zero-length match (possible only for all-wildcard alternatives) is
+    reported once, at position 0.
     """
+    n = len(s.tokens)
+    masks = [[atom_mask(atom, s.tokens, lex) for atom in seq] for seq in p.alternatives]
     raw: list[MatchSpan] = []
-    for start in range(len(s.tokens) + 1):
-        best: MatchSpan | None = None
-        for idx, seq in enumerate(p.alternatives):
-            res = _match_seq_at(seq, s.tokens, start, lex)
-            if res is None:
-                continue
-            end, bindings = res
-            if best is None or end < best.end:
-                best = MatchSpan(start, end, idx, bindings)
-        if best is None:
+    for start in range(n + 1):
+        best: tuple[int, int] | None = None
+        for idx, seq_masks in enumerate(masks):
+            state = _forward(1 << start, seq_masks, n)
+            if state and (best is None or _lowest(state) < best[0]):
+                best = (_lowest(state), idx)
+        if best is None or (best[0] == start and start > 0):
             continue
-        if best.end == best.start and best.start > 0:
-            continue
-        raw.append(best)
-    kept = [
-        span
-        for span in raw
-        if not any(
-            other.start <= span.start
-            and span.end <= other.end
-            and (other.start, other.end) != (span.start, span.end)
-            for other in raw
-        )
-    ]
-    return kept
+        end, idx = best
+        raw.append(MatchSpan(start, end, idx, _bindings(masks[idx], start, end)))
+    # Starts are distinct, so a span lies inside another iff an earlier one ends no sooner.
+    return [span for span in raw if not any(o.start < span.start and span.end <= o.end for o in raw)]
 
 
 def brute_force_match(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> bool:
     """Exhaustive matching oracle: try every span and every partition of it.
 
-    Kept deliberately independent of the backtracking matcher so the two can
+    Kept deliberately independent of the bit-parallel matcher so the two can
     check each other. Only valid for small inputs.
     """
     if len(s.tokens) > 12:

@@ -20,6 +20,8 @@ from .patterns import (
     SoftAtom,
     StemAtom,
     WildcardAtom,
+    advance,
+    atom_mask,
     match_sentence,
     render_pattern,
 )
@@ -80,30 +82,6 @@ def enumerate_atoms(s: AnnotatedSentence, lex: SynonymLexicon) -> set[Atom]:
     return atoms
 
 
-def _score(
-    seq: tuple[Atom, ...],
-    positives: list[LabeledExample],
-    negatives: list[LabeledExample],
-    lex: SynonymLexicon,
-) -> ScoredPattern:
-    pattern = PatternAst((seq,))
-    pos_ids = frozenset(
-        ex.sentence.id for ex in positives if match_sentence(pattern, ex.sentence, lex)
-    )
-    neg_ids = frozenset(
-        ex.sentence.id for ex in negatives if match_sentence(pattern, ex.sentence, lex)
-    )
-    hits = len(pos_ids) + len(neg_ids)
-    precision = len(pos_ids) / hits if hits else 0.0
-    recall = len(pos_ids) / len(positives)
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return ScoredPattern(pattern, pos_ids, neg_ids, precision, recall, f1, render_pattern(pattern))
-
-
 def _beam_key(sp: ScoredPattern):
     return (-sp.f1, len(sp.pattern.alternatives[0]), sp.rendered)
 
@@ -113,16 +91,18 @@ def score_pattern(
     positives: list[LabeledExample],
     negatives: list[LabeledExample],
     lex: SynonymLexicon,
+    hits: tuple[frozenset[str], frozenset[str]] | None = None,
 ) -> ScoredPattern:
-    """Score an arbitrary (possibly multi-alternative) pattern against examples."""
-    pos_ids = frozenset(
-        ex.sentence.id for ex in positives if match_sentence(pattern, ex.sentence, lex)
-    )
-    neg_ids = frozenset(
-        ex.sentence.id for ex in negatives if match_sentence(pattern, ex.sentence, lex)
-    )
-    hits = len(pos_ids) + len(neg_ids)
-    precision = len(pos_ids) / hits if hits else 0.0
+    """Score a (possibly multi-alternative) pattern against examples; `hits`,
+    the ids of the matched (positives, negatives), is computed unless given."""
+    if hits is None:
+        hits = tuple(
+            frozenset(ex.sentence.id for ex in group if match_sentence(pattern, ex.sentence, lex))
+            for group in (positives, negatives)
+        )
+    pos_ids, neg_ids = hits
+    matched = len(pos_ids) + len(neg_ids)
+    precision = len(pos_ids) / matched if matched else 0.0
     recall = len(pos_ids) / len(positives) if positives else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return ScoredPattern(pattern, pos_ids, neg_ids, precision, recall, f1, render_pattern(pattern))
@@ -140,6 +120,9 @@ def enumerate_candidates(
     top `beam_width` by F1 (ties: shorter, then lexicographic render).
     Consecutive wildcards are never generated, and a bare wildcard is kept in
     the beam as a seed but never returned as a candidate.
+
+    A child is scored from its parent's end states (`patterns.advance`) on the
+    examples the parent matched: adding an atom never adds a match.
     """
     if not positives:
         raise EmptyPositives("need at least one positive example")
@@ -147,37 +130,41 @@ def enumerate_candidates(
     for ex in positives:
         atom_pool |= enumerate_atoms(ex.sentence, lex)
     atoms = sorted(atom_pool, key=lambda a: (render_pattern(PatternAst(((a,),)))))
+    examples = positives + negatives
+    ids = [ex.sentence.id for ex in examples]
+    sizes = [len(ex.sentence) for ex in examples]
+    masks = {atom: [atom_mask(atom, ex.sentence.tokens, lex) for ex in examples] for atom in atoms}
 
-    def useful(sp: ScoredPattern) -> bool:
-        seq = sp.pattern.alternatives[0]
-        if all(isinstance(a, WildcardAtom) for a in seq):
-            return False
-        return bool(sp.matched_positive_ids)
+    def grow(states: dict[int, int], atom: Atom) -> dict[int, int]:
+        column = masks[atom]
+        return {j: end for j, state in states.items() if (end := advance(state, column[j], sizes[j]))}
 
+    def scored(seq: tuple[Atom, ...], states: dict[int, int]) -> ScoredPattern:
+        pos_ids = frozenset(ids[j] for j in states if j < len(positives))
+        neg_ids = frozenset(ids[j] for j in states if j >= len(positives))
+        return score_pattern(PatternAst((seq,)), positives, negatives, lex, (pos_ids, neg_ids))
+
+    everywhere = {j: (1 << (n + 1)) - 1 for j, n in enumerate(sizes)}
+    beam: list[tuple[tuple[Atom, ...], dict[int, int]]] = [((), everywhere)]
     candidates: dict[str, ScoredPattern] = {}
-    beam = [_score((atom,), positives, negatives, lex) for atom in atoms]
-    beam.sort(key=_beam_key)
-    for sp in beam:
-        if useful(sp):
-            candidates.setdefault(sp.rendered, sp)
-    for _ in range(cfg.max_atoms - 1):
-        beam = beam[: cfg.beam_width]
-        extended: list[ScoredPattern] = []
-        for sp in beam:
+    for _ in range(cfg.max_atoms):
+        # (scored child, its parent's end states, its last atom)
+        layer = [
+            (scored(seq + (atom,), grow(states, atom)), states, atom)
+            for seq, states in beam
+            if states
+            for atom in atoms
+            if not (seq and isinstance(seq[-1], WildcardAtom) and isinstance(atom, WildcardAtom))
+        ]
+        layer.sort(key=lambda item: _beam_key(item[0]))
+        for sp, _, _ in layer:
             seq = sp.pattern.alternatives[0]
-            # A pattern that matches nothing cannot start matching by growing.
-            if not sp.matched_positive_ids and not sp.matched_negative_ids:
-                continue
-            for atom in atoms:
-                if isinstance(atom, WildcardAtom) and isinstance(seq[-1], WildcardAtom):
-                    continue
-                child = _score(seq + (atom,), positives, negatives, lex)
-                extended.append(child)
-                if useful(child):
-                    candidates.setdefault(child.rendered, child)
-        if not extended:
-            break
-        beam = sorted(extended, key=_beam_key)
+            if sp.matched_positive_ids and not all(isinstance(a, WildcardAtom) for a in seq):
+                candidates.setdefault(sp.rendered, sp)
+        beam = [
+            (sp.pattern.alternatives[0], grow(parent, atom))
+            for sp, parent, atom in layer[: cfg.beam_width]
+        ]
     return sorted(candidates.values(), key=_beam_key)
 
 

@@ -14,6 +14,7 @@ from patvar.config import (
     load_config,
 )
 from patvar.errors import ConfigError, ParseError
+from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
 from patvar.learning import RunResult
 from patvar.reports import render_f1_grid, render_quality_table, significance_stars
@@ -341,6 +342,35 @@ def test_cli_exit_codes(tmp_path):
     empty_csv = tmp_path / "data.csv"
     empty_csv.write_text("text,label\n", encoding="utf-8")
     assert main(["synth", "--config", str(config)]) == 4  # empty dataset
+
+
+def test_cli_gen_rejects_single_label(tmp_path, capsys):
+    config = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "patterns.json").write_text(
+        json.dumps({"dataset": "data", "label_set": ["price"], "patterns": {"price": []}}),
+        encoding="utf-8",
+    )
+    assert main(["gen", "--config", str(config)]) == 2
+    assert "need at least two labels" in capsys.readouterr().err
+
+
+def test_cli_simulate_reports_failed_condition(tmp_path, capsys):
+    config = write_config(tmp_path, conditions=["random", "counterfactual"])
+    cfg = load_config(config)
+    dataset = ingest(cfg.dataset, FixtureAnnotationProvider())
+    # Every pool example gets a counterfactual whose label is not in the label set.
+    (tmp_path / "out").mkdir()
+    with open(tmp_path / "out" / "survivors_vt.jsonl", "w", encoding="utf-8") as fh:
+        for ex in dataset.examples:
+            record = {"original": {"id": ex.sentence.id}, "generated_text": "x", "target_label": "bogus"}
+            fh.write(json.dumps(record) + "\n")
+    assert main(["simulate", "--config", str(config)]) == 4
+    out = capsys.readouterr().out
+    assert "counterfactual: F1@5 = n/a (3 of 3 cells missing)" in out
+    assert "random: F1@5 = " in out and "random: F1@5 = n/a" not in out
+    assert (tmp_path / "out" / "results.csv").exists()
+    assert (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

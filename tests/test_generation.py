@@ -1,5 +1,6 @@
 import pytest
 
+from patvar import generation
 from patvar.gateway import ChatMessage, Gateway, MockBackend
 from patvar.generation import (
     AllOthers,
@@ -149,7 +150,9 @@ def test_build_task_requires_match(provider, lexicon):
                    parse_pattern("(cheap)+*+NOUN"), lexicon)
 
 
-def test_collect_soft_matches(price_task, lexicon):
+def test_collect_soft_matches(price_task, lexicon, monkeypatch):
+    # The soft matches come from the span build_task kept, not a second search.
+    monkeypatch.setattr(generation, "find_matches", None)
     info = collect_soft_matches(price_task, lexicon)
     assert len(info) == 1
     word, synonyms = info[0]

@@ -148,6 +148,14 @@ def test_find_matches_running_example(provider, lexicon):
     assert spans[0].bindings == ((1, 2), (2, 3), (3, 4))
 
 
+def test_find_matches_binds_wildcards_shortest_first(provider, lexicon):
+    # Either ADJ before "good" ends the span at 3; the first wildcard takes the fewest tokens.
+    s = annotated(provider, "cheap cheap good good")
+    spans = find_matches(parse_pattern("*+ADJ+*+(good)"), s, lexicon)
+    assert [(m.start, m.end) for m in spans] == [(0, 3), (2, 4)]
+    assert spans[0].bindings == ((0, 0), (0, 1), (1, 2), (2, 3))
+
+
 def test_find_matches_wildcard_only(provider, lexicon):
     spans = find_matches(parse_pattern("*"), annotated(provider, "a b c"), lexicon)
     assert [(m.start, m.end) for m in spans] == [(0, 0)]
