@@ -118,13 +118,9 @@ class SynonymLexicon:
         return len(self._sets)
 
     def synonyms_of(self, lemma: str) -> frozenset[str]:
+        """Synonym set of `lemma`, always containing the lemma itself."""
         key = lemma.lower()
         return frozenset(self._sets.get(key, ())) | {key}
-
-
-def synonyms_of(lemma: str, lexicon: SynonymLexicon) -> frozenset[str]:
-    """Synonym set of `lemma`, always containing the lemma itself."""
-    return lexicon.synonyms_of(lemma)
 
 
 def load_synonyms_file(path) -> SynonymLexicon:

@@ -25,7 +25,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, PatvarError
-from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline, write_audit_log
+from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline
 from .gateway import BackendError, CacheError
 from .generation import (
     AllOthers,
@@ -44,10 +44,12 @@ from .generation import (
     plan_targets,
 )
 from .learning import (
+    CONDITIONS,
     NaiveBayesClassifier,
     RunResult,
     ShotSchedule,
     SimulationDeps,
+    paired_pvalues,
     run_simulation,
 )
 from .patterns import match_sentence, parse_pattern
@@ -59,12 +61,9 @@ from .reports import (
     write_results_csv,
     write_summary_csv,
 )
-from .stats import paired_t_test
-from .synthesis import NoViablePattern, score_pattern, synthesize_patterns
+from .synthesis import NoViablePattern, synthesize_patterns
 
 logger = logging.getLogger(__name__)
-
-ABLATION_ARMS = ("none", "heuristic", "heuristic+symbolic", "heuristic+discriminator", "all")
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +152,16 @@ def cmd_synth(cfg: ExperimentConfig, config_path: str) -> int:
             continue
         syn_cfg = cfg.synthesis
         try:
-            patterns = synthesize_patterns(positives, negatives, syn_cfg, lexicon)
+            scored = synthesize_patterns(positives, negatives, syn_cfg, lexicon)
         except NoViablePattern:
             relaxed = dataclasses.replace(syn_cfg, min_precision=0.8)
             logger.warning("label %r: no pattern at precision %.2f; retrying at 0.8",
                            label, syn_cfg.min_precision)
             try:
-                patterns = synthesize_patterns(positives, negatives, relaxed, lexicon)
+                scored = synthesize_patterns(positives, negatives, relaxed, lexicon)
             except NoViablePattern:
                 logger.warning("label %r: no viable pattern at all", label)
-                patterns = []
-        scored = [score_pattern(p, positives, negatives, lexicon) for p in patterns]
+                scored = []
         payload["patterns"][label] = [
             {"pattern": sp.rendered, "precision": sp.precision, "recall": sp.recall, "f1": sp.f1,
              "covered": sorted(sp.matched_positive_ids)}
@@ -257,7 +255,7 @@ def _filter_candidates(cfg, name, filter_cfg, deps) -> tuple[list, QualityReport
     survivors_path = _out(cfg, f"survivors_{name}.jsonl")
     _write_jsonl(survivors_path, [candidate_to_record(c) for c in survivors])
     audit_path = _out(cfg, f"audit_{name}.jsonl")
-    write_audit_log(audit_path, audit_records)
+    _write_jsonl(audit_path, audit_records)
     return survivors, report, [survivors_path, audit_path]
 
 
@@ -357,34 +355,17 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
     candidates = [candidate_from_record(r) for r in _read_jsonl(cand_path)]
     per_arm: list[RunResult] = []
-    for arm in ABLATION_ARMS:
+    for arm in FilterConfig.ARMS:
         deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
         survivors, _report = run_pipeline(candidates, FilterConfig.from_arm(arm), deps)
         index = _survivors_index([candidate_to_record(c) for c in survivors])
         sim_deps = SimulationDeps(provider=provider, augment_index={"counterfactual": index})
         result = run_simulation(
             dataset, ["counterfactual"], ShotSchedule(cfg.shots), list(cfg.seeds),
-            clf_factory, sim_deps, reference_condition="",
+            clf_factory, sim_deps,
         )[0]
         per_arm.append(dataclasses.replace(result, condition=arm))
-    # p-values of every arm against the full pipeline
-    full = next(r for r in per_arm if r.condition == "all")
-    finished = []
-    for r in per_arm:
-        pvals = {}
-        for shot in r.shots:
-            pvals[shot] = None
-            if r.condition != "all":
-                pairs = [
-                    (r.scores[shot][s], full.scores[shot][s])
-                    for s in r.seeds
-                    if r.scores[shot][s] is not None and full.scores[shot][s] is not None
-                ]
-                if len(pairs) >= 2:
-                    pvals[shot] = paired_t_test([a for a, _ in pairs], [b for _, b in pairs])[1]
-        finished.append(dataclasses.replace(
-            r, p_vs_reference=pvals, reference=None if r.condition == "all" else "all"
-        ))
+    finished = paired_pvalues(per_arm, "all")
     name = _dataset_name(cfg)
     results_path = _out(cfg, "ablation_results.csv")
     write_results_csv(results_path, finished, name)
@@ -394,7 +375,7 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
     with open(md_path, "w", encoding="utf-8") as fh:
         fh.write(render_f1_grid(f"Filter ablation ({name})", finished))
     _update_manifest(cfg, config_path, "ablate", [results_path, summary_path, md_path])
-    print(f"ablation over {len(ABLATION_ARMS)} filter arms -> {summary_path}")
+    print(f"ablation over {len(FilterConfig.ARMS)} filter arms -> {summary_path}")
     return 0
 
 
@@ -425,12 +406,10 @@ def cmd_report(cfg: ExperimentConfig, config_path: str, quality_files=(), extern
         for row in grid_rows:
             by_dataset.setdefault(row["dataset"], []).append(row)
         for ds_name in sorted(by_dataset):
-            results = results_from_rows(by_dataset[ds_name])
-            results.sort(key=_condition_rank)
-            merged = _attach_reference_pvalues(results)
+            results = sorted(results_from_rows(by_dataset[ds_name]), key=_condition_rank)
             sections.append(
                 "## Macro F1 by annotation budget\n\n"
-                + render_f1_grid(f"Macro F1 ({ds_name})", merged)
+                + render_f1_grid(f"Macro F1 ({ds_name})", paired_pvalues(results, "counterfactual"))
             )
     if not sections:
         raise ConfigError("nothing to report: no quality report or results found")
@@ -443,34 +422,8 @@ def cmd_report(cfg: ExperimentConfig, config_path: str, quality_files=(), extern
 
 
 def _condition_rank(r: RunResult):
-    from .learning import CONDITIONS
-
     order = {c: i for i, c in enumerate(CONDITIONS)}
     return (order.get(r.condition, len(order)), r.condition)
-
-
-def _attach_reference_pvalues(results: list[RunResult]) -> list[RunResult]:
-    reference = next((r for r in results if r.condition == "counterfactual"), None)
-    if reference is None:
-        return results
-    out = []
-    for r in results:
-        if r.condition == "counterfactual":
-            out.append(r)
-            continue
-        pvals = {}
-        for shot in r.shots:
-            pvals[shot] = None
-            ref_cell = reference.scores.get(shot, {})
-            pairs = [
-                (r.scores[shot][s], ref_cell.get(s))
-                for s in r.seeds
-                if r.scores[shot].get(s) is not None and ref_cell.get(s) is not None
-            ]
-            if len(pairs) >= 2:
-                pvals[shot] = paired_t_test([a for a, _ in pairs], [b for _, b in pairs])[1]
-        out.append(dataclasses.replace(r, p_vs_reference=pvals, reference="counterfactual"))
-    return out
 
 
 # ---------------------------------------------------------------------------

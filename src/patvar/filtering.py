@@ -12,7 +12,6 @@ left the original. Each rate is computed over its own judged population.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -295,8 +294,3 @@ def run_pipeline(
     survivors = [c for c in processed if not c.failed_any()]
     return survivors, compute_metrics(flags)
 
-
-def write_audit_log(path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=True, sort_keys=True) + "\n")

@@ -12,10 +12,9 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Protocol
 
 from .errors import PatvarError
 
@@ -107,7 +106,7 @@ class Backend(Protocol):
 
 
 class MockBackend:
-    """Table-driven responses plus an optional template fallback.
+    """Table-driven responses plus an optional template mode.
 
     Canned responses are keyed by the digest of the request messages. When no
     canned response exists and template mode is on, the prompt kind is
@@ -122,13 +121,11 @@ class MockBackend:
         table: Mapping[str, str] | None = None,
         label_vocab: Mapping[str, list[str]] | None = None,
         template_mode: bool = True,
-        fallback: Callable[[CompletionRequest], CompletionResponse] | None = None,
         flaw_rate: float = 0.0,
     ):
         self.table: dict[str, str] = dict(table or {})
         self.label_vocab = {k.lower(): list(v) for k, v in (label_vocab or {}).items()}
         self.template_mode = template_mode
-        self.fallback = fallback
         self.flaw_rate = flaw_rate
         self.calls = 0
 
@@ -218,8 +215,6 @@ class MockBackend:
         key = messages_digest(req.messages)
         if key in self.table:
             return CompletionResponse(self.table[key])
-        if self.fallback is not None:
-            return self.fallback(req)
         if self.template_mode:
             return self._template(req)
         raise BackendError(404, "mock has no canned response for this prompt")
@@ -307,8 +302,6 @@ def cached_complete(
     req: CompletionRequest,
     backend: Backend,
     cache_dir,
-    retries: int = 3,
-    backoff: float = 0.5,
 ) -> CompletionResponse:
     """complete() behind a content-addressed file cache.
 
@@ -327,7 +320,7 @@ def cached_complete(
             return CompletionResponse(stored["text"], stored["finish_reason"], from_cache=True)
         except (ValueError, KeyError, TypeError) as exc:
             logger.warning("corrupted cache entry %s treated as a miss: %s", path, exc)
-    resp = complete(req, backend, retries=retries, backoff=backoff)
+    resp = complete(req, backend)
     if resp.finish_reason == "error":
         return resp
     entry = {
@@ -352,18 +345,11 @@ def cached_complete(
 
 @dataclass
 class Gateway:
-    """A backend bound to a model name, cache directory, and request limiter."""
+    """A backend bound to a model name and an optional cache directory."""
 
     backend: Backend
     model: str
     cache_dir: str | None = None
-    retries: int = 3
-    backoff: float = 0.5
-    max_concurrent: int = 4
-    _sem: threading.Semaphore = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._sem = threading.Semaphore(self.max_concurrent)
 
     def request(
         self, messages: Iterable[ChatMessage], max_tokens: int, temperature: float = 0.0
@@ -371,9 +357,6 @@ class Gateway:
         return CompletionRequest(self.model, tuple(messages), temperature, max_tokens)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        with self._sem:
-            if self.cache_dir is not None:
-                return cached_complete(
-                    req, self.backend, self.cache_dir, retries=self.retries, backoff=self.backoff
-                )
-            return complete(req, self.backend, retries=self.retries, backoff=self.backoff)
+        if self.cache_dir is not None:
+            return cached_complete(req, self.backend, self.cache_dir)
+        return complete(req, self.backend)

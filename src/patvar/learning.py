@@ -12,7 +12,7 @@ import hashlib
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -166,19 +166,20 @@ class NaiveBayesClassifier:
 class HashedEmbedder:
     """Deterministic 64-dim hashed bag-of-lemmas embedding, L2-normalized.
 
-    A stand-in for a sentence-embedding provider; any callable mapping text
-    to a fixed-length vector can replace it through SimulationDeps.
+    A stand-in for a sentence-embedding provider; `select_cluster` takes any
+    callable mapping text to a fixed-length vector.
     """
 
-    def __init__(self, provider: AnnotationProvider, dim: int = 64):
+    DIM = 64
+
+    def __init__(self, provider: AnnotationProvider):
         self.provider = provider
-        self.dim = dim
 
     def __call__(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+        vec = np.zeros(self.DIM, dtype=np.float64)
         for token in self.provider.annotate(text).tokens:
             digest = hashlib.sha256(token.lemma.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:4], "big") % self.dim] += 1.0
+            vec[int.from_bytes(digest[:4], "big") % self.DIM] += 1.0
         norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
@@ -309,8 +310,6 @@ def augment_with_counterfactuals(
 class SimulationDeps:
     provider: AnnotationProvider
     augment_index: Mapping[str, SurvivorsIndex] = field(default_factory=dict)
-    embedder: Callable[[str], np.ndarray] | None = None
-    cluster_k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -325,6 +324,67 @@ class RunResult:
     reference: str | None
 
 
+def summarize(
+    condition: str,
+    scores: Mapping[int, Mapping[int, float | None]],
+    shots: Sequence[int],
+    seeds: Sequence[int],
+) -> RunResult:
+    """Per-shot mean and SD over the cells present, in seed order; no p-values.
+
+    `scores` maps shot -> seed -> macro F1; an absent or None cell is missing.
+    """
+    means: dict[int, float | None] = {}
+    sds: dict[int, float | None] = {}
+    for shot in shots:
+        present = [v for seed in seeds if (v := scores[shot].get(seed)) is not None]
+        means[shot] = mean(present) if present else None
+        sds[shot] = sample_sd(present) if present else None
+    return RunResult(
+        condition=condition,
+        shots=tuple(shots),
+        seeds=tuple(seeds),
+        scores=scores,
+        mean=means,
+        sd=sds,
+        p_vs_reference={shot: None for shot in shots},
+        reference=None,
+    )
+
+
+def paired_pvalues(results: Sequence[RunResult], reference: str) -> list[RunResult]:
+    """Paired t-test of every other result against the `reference` condition.
+
+    Each shot pairs the seeds where both cells are present; with fewer than
+    two pairs its p-value is None. The reference's own row is returned as is.
+    Without a `reference` row the results come back unchanged.
+    """
+    ref = next((r for r in results if r.condition == reference), None)
+    if ref is None:
+        return list(results)
+    out = []
+    for r in results:
+        if r.condition == reference:
+            out.append(r)
+            continue
+        pvals: dict[int, float | None] = {}
+        for shot in r.shots:
+            ref_cells = ref.scores.get(shot, {})
+            pairs = [
+                (a, b)
+                for seed in r.seeds
+                if (a := r.scores[shot].get(seed)) is not None
+                and (b := ref_cells.get(seed)) is not None
+            ]
+            pvals[shot] = (
+                paired_t_test([a for a, _ in pairs], [b for _, b in pairs])[1]
+                if len(pairs) >= 2
+                else None
+            )
+        out.append(replace(r, p_vs_reference=pvals, reference=reference))
+    return out
+
+
 def _selection_order(
     condition: str,
     pool: Sequence[LabeledExample],
@@ -335,9 +395,8 @@ def _selection_order(
     if condition in RANDOM_BASE_CONDITIONS:
         return select_random(pool, len(pool), seed)
     if condition == "cluster":
-        embedder = deps.embedder or HashedEmbedder(deps.provider)
-        k = deps.cluster_k or min(len(dataset.label_set), len(pool))
-        return select_cluster(pool, len(pool), k, seed, embedder)
+        k = min(len(dataset.label_set), len(pool))
+        return select_cluster(pool, len(pool), k, seed, HashedEmbedder(deps.provider))
     return None  # uncertainty selects iteratively
 
 
@@ -384,13 +443,12 @@ def run_simulation(
     seeds: Sequence[int],
     clf_factory: Callable[[int], Classifier],
     deps: SimulationDeps,
-    reference_condition: str = "counterfactual",
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean, SD, and p-values.
 
     A failed condition x seed cell is recorded as missing rather than
-    aborting the run. p-values compare each baseline against the reference
-    condition with a paired t-test over seeds.
+    aborting the run. p-values compare each baseline against the
+    counterfactual condition (see `paired_pvalues`).
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -398,7 +456,7 @@ def run_simulation(
     if unknown:
         raise ValueError(f"unknown conditions {unknown}; know {list(CONDITIONS)}")
     schedule.validate_against(len(dataset.examples))
-    grid: dict[str, dict[int, dict[int, float | None]]] = {}
+    summaries = []
     for condition in conditions:
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
@@ -409,40 +467,5 @@ def run_simulation(
                 cell = {}
             for shot in schedule.shots:
                 per_shot[shot][seed] = cell.get(shot)
-        grid[condition] = per_shot
-    reference = reference_condition if reference_condition in conditions else None
-    results = []
-    for condition in conditions:
-        per_shot = grid[condition]
-        means: dict[int, float | None] = {}
-        sds: dict[int, float | None] = {}
-        pvals: dict[int, float | None] = {}
-        for shot in schedule.shots:
-            values = [per_shot[shot][seed] for seed in seeds]
-            present = [v for v in values if v is not None]
-            means[shot] = mean(present) if present else None
-            sds[shot] = sample_sd(present) if present else None
-            pvals[shot] = None
-            if reference is not None and condition != reference:
-                pairs = [
-                    (per_shot[shot][seed], grid[reference][shot][seed])
-                    for seed in seeds
-                    if per_shot[shot][seed] is not None
-                    and grid[reference][shot][seed] is not None
-                ]
-                if len(pairs) >= 2:
-                    _, p = paired_t_test([a for a, _ in pairs], [b for _, b in pairs])
-                    pvals[shot] = p
-        results.append(
-            RunResult(
-                condition=condition,
-                shots=schedule.shots,
-                seeds=tuple(seeds),
-                scores=per_shot,
-                mean=means,
-                sd=sds,
-                p_vs_reference=pvals,
-                reference=None if condition == reference else reference,
-            )
-        )
-    return results
+        summaries.append(summarize(condition, per_shot, schedule.shots, seeds))
+    return paired_pvalues(summaries, "counterfactual")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 from typing import Iterable, Mapping, Sequence
 
-from .learning import RunResult
+from .errors import ConfigError
+from .learning import RunResult, summarize
 
 QUALITY_ROWS = (
     ("pkr", "Pattern Keeping Rate"),
@@ -61,24 +62,25 @@ def render_quality_table(per_dataset: Mapping[str, Mapping[str, float | None]]) 
 
 
 def render_f1_grid(title: str, results: Sequence[RunResult]) -> str:
-    """Macro-F1 grid: methods as rows, shots as columns, bold best per column."""
+    """Macro-F1 grid: methods as rows, the union of their shots as columns,
+    bold best per column; a shot a method lacks renders as n/a."""
     if not results:
         return f"**{title}**\n\n(no results)\n"
-    shots = results[0].shots
+    shots = sorted({shot for r in results for shot in r.shots})
     best_per_shot = {}
     for shot in shots:
-        means = [r.mean[shot] for r in results if r.mean[shot] is not None]
+        means = [m for r in results if (m := r.mean.get(shot)) is not None]
         best_per_shot[shot] = max(means) if means else None
     header = ["Method", *[str(s) for s in shots]]
     rows = []
     for r in results:
         cells = [r.condition]
         for shot in shots:
-            m, sd = r.mean[shot], r.sd[shot]
+            m = r.mean.get(shot)
             if m is None:
                 cells.append("n/a")
                 continue
-            body = f"{_fmt_mean(m)} ({_fmt_mean(sd or 0.0)})"
+            body = f"{_fmt_mean(m)} ({_fmt_mean(r.sd[shot] or 0.0)})"
             if best_per_shot[shot] is not None and m == best_per_shot[shot]:
                 body = f"**{body}**"
             stars = significance_stars(r.p_vs_reference.get(shot))
@@ -127,37 +129,40 @@ def write_summary_csv(path, results: Sequence[RunResult], dataset_name: str) -> 
 
 
 def read_results_csv(path) -> list[dict]:
-    """Rows of the per-seed results schema; also used for external imports."""
+    """Rows of the per-seed results schema; also used for external imports.
+
+    `shot` and `seed` come back as int and `macro_f1` as a float in [0, 1], or
+    None when empty. A missing column or a bad value raises ConfigError naming
+    the file and line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(RESULTS_FIELDS) - set(reader.fieldnames or ())
         if missing:
-            raise ValueError(f"results file {path} lacks columns {sorted(missing)}")
-        return [dict(row) for row in reader]
+            raise ConfigError(f"results file {path} lacks columns {sorted(missing)}")
+        rows = []
+        for row in reader:
+            where = f"results file {path} line {reader.line_num}"
+            if any(row[name] is None for name in RESULTS_FIELDS):
+                raise ConfigError(f"{where}: fewer fields than the header")
+            try:
+                row["shot"], row["seed"] = int(row["shot"]), int(row["seed"])
+                row["macro_f1"] = float(row["macro_f1"]) if row["macro_f1"] else None
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
+            if row["macro_f1"] is not None and not 0.0 <= row["macro_f1"] <= 1.0:
+                raise ConfigError(f"{where}: macro_f1 {row['macro_f1']} is outside [0, 1]")
+            rows.append(row)
+        return rows
 
 
 def results_from_rows(rows: Iterable[dict]) -> list[RunResult]:
-    """Aggregate per-seed rows back into RunResult grids (no p-values)."""
-    from .stats import mean as _mean, sample_sd
-
+    """Aggregate rows of `read_results_csv` back into RunResult grids (no p-values)."""
     by_condition: dict[str, dict[int, dict[int, float | None]]] = {}
     for row in rows:
-        cond = row["condition"]
-        shot = int(row["shot"])
-        seed = int(row["seed"])
-        value = float(row["macro_f1"]) if row["macro_f1"] else None
-        by_condition.setdefault(cond, {}).setdefault(shot, {})[seed] = value
-    results = []
-    for cond, scores in by_condition.items():
-        shots = tuple(sorted(scores))
-        seeds = tuple(sorted({s for cell in scores.values() for s in cell}))
-        means, sds = {}, {}
-        for shot in shots:
-            present = [v for v in scores[shot].values() if v is not None]
-            means[shot] = _mean(present) if present else None
-            sds[shot] = sample_sd(present) if present else None
-        results.append(RunResult(
-            condition=cond, shots=shots, seeds=seeds, scores=scores,
-            mean=means, sd=sds, p_vs_reference={s: None for s in shots}, reference=None,
-        ))
-    return results
+        cells = by_condition.setdefault(row["condition"], {}).setdefault(row["shot"], {})
+        cells[row["seed"]] = row["macro_f1"]
+    return [
+        summarize(cond, scores, sorted(scores), sorted({seed for c in scores.values() for seed in c}))
+        for cond, scores in by_condition.items()
+    ]

@@ -22,7 +22,6 @@ from .patterns import (
     WildcardAtom,
     advance,
     atom_mask,
-    match_sentence,
     render_pattern,
 )
 
@@ -89,17 +88,9 @@ def _beam_key(sp: ScoredPattern):
 def score_pattern(
     pattern: PatternAst,
     positives: list[LabeledExample],
-    negatives: list[LabeledExample],
-    lex: SynonymLexicon,
-    hits: tuple[frozenset[str], frozenset[str]] | None = None,
+    hits: tuple[frozenset[str], frozenset[str]],
 ) -> ScoredPattern:
-    """Score a (possibly multi-alternative) pattern against examples; `hits`,
-    the ids of the matched (positives, negatives), is computed unless given."""
-    if hits is None:
-        hits = tuple(
-            frozenset(ex.sentence.id for ex in group if match_sentence(pattern, ex.sentence, lex))
-            for group in (positives, negatives)
-        )
+    """Score a pattern from `hits`, the ids of the (positives, negatives) it matches."""
     pos_ids, neg_ids = hits
     matched = len(pos_ids) + len(neg_ids)
     precision = len(pos_ids) / matched if matched else 0.0
@@ -142,7 +133,7 @@ def enumerate_candidates(
     def scored(seq: tuple[Atom, ...], states: dict[int, int]) -> ScoredPattern:
         pos_ids = frozenset(ids[j] for j in states if j < len(positives))
         neg_ids = frozenset(ids[j] for j in states if j >= len(positives))
-        return score_pattern(PatternAst((seq,)), positives, negatives, lex, (pos_ids, neg_ids))
+        return score_pattern(PatternAst((seq,)), positives, (pos_ids, neg_ids))
 
     everywhere = {j: (1 << (n + 1)) - 1 for j, n in enumerate(sizes)}
     beam: list[tuple[tuple[Atom, ...], dict[int, int]]] = [((), everywhere)]
@@ -173,8 +164,8 @@ def synthesize_patterns(
     negatives: list[LabeledExample],
     cfg: SynthesisConfig,
     lex: SynonymLexicon,
-) -> list[PatternAst]:
-    """Greedy set cover over the high-precision candidates.
+) -> list[ScoredPattern]:
+    """Greedy set cover over the high-precision candidates, in the order chosen.
 
     Repeatedly picks the candidate covering the most not-yet-covered
     positives (ties: higher F1, then shorter, then lexicographic render)
@@ -189,7 +180,7 @@ def synthesize_patterns(
             f"({len(candidates)} candidates considered)"
         )
     uncovered = {ex.sentence.id for ex in positives}
-    chosen: list[PatternAst] = []
+    chosen: list[ScoredPattern] = []
     while uncovered and len(chosen) < cfg.max_patterns:
         best = min(
             viable,
@@ -202,6 +193,6 @@ def synthesize_patterns(
         )
         if not best.matched_positive_ids & uncovered:
             break
-        chosen.append(best.pattern)
+        chosen.append(best)
         uncovered -= best.matched_positive_ids
     return chosen

@@ -153,7 +153,8 @@ def test_criterion_03_running_example_synthesis(provider, lexicon):
     negatives = [example("The staff was rude.", "service", "n0")]
     cands = enumerate_candidates(positives, negatives, SynthesisConfig(), lexicon)
     renders = {c.rendered for c in cands}
-    patterns = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    chosen = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    patterns = [sp.pattern for sp in chosen]
     covers_all = all(
         any(match_sentence(p, ex.sentence, lexicon) for p in patterns) for ex in positives
     )

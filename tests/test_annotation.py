@@ -10,7 +10,6 @@ from patvar.annotation import (
     load_annotations_file,
     load_synonyms_file,
     sentence_to_record,
-    synonyms_of,
     tokenize,
 )
 from patvar.errors import InvariantViolation, ParseError, ProviderFailure
@@ -138,24 +137,24 @@ def test_annotate_rejects_malformed_provider():
 
 
 def test_synonyms_fixture_groups(lexicon):
-    assert synonyms_of("pricey", lexicon) == {"pricey", "expensive", "costly"}
-    assert synonyms_of("zzz", lexicon) == {"zzz"}
-    assert "pricey" in synonyms_of("expensive", lexicon)
+    assert lexicon.synonyms_of("pricey") == {"pricey", "expensive", "costly"}
+    assert lexicon.synonyms_of("zzz") == {"zzz"}
+    assert "pricey" in lexicon.synonyms_of("expensive")
 
 
 def test_synonyms_symmetric(lexicon):
     lemmas = ["pricey", "amazing", "cheap", "pay", "staff", "zzz", "good"]
     for a in lemmas:
-        for b in synonyms_of(a, lexicon):
-            assert a in synonyms_of(b, lexicon)
+        for b in lexicon.synonyms_of(a):
+            assert a in lexicon.synonyms_of(b)
 
 
 def test_synonyms_file_roundtrip(tmp_path):
     path = tmp_path / "syn.tsv"
     path.write_text("pricey\texpensive,costly\nhot\twarm\n", encoding="utf-8")
     lex = load_synonyms_file(path)
-    assert synonyms_of("costly", lex) == {"pricey", "expensive", "costly"}
-    assert synonyms_of("warm", lex) == {"hot", "warm"}
+    assert lex.synonyms_of("costly") == {"pricey", "expensive", "costly"}
+    assert lex.synonyms_of("warm") == {"hot", "warm"}
     with pytest.raises(ParseError):
         bad = tmp_path / "bad.tsv"
         bad.write_text("no-tab-here\n", encoding="utf-8")
@@ -164,9 +163,9 @@ def test_synonyms_file_roundtrip(tmp_path):
 
 def test_lexicon_symmetry_is_not_transitive():
     lex = SynonymLexicon([("a", "b"), ("b", "c")])
-    assert synonyms_of("a", lex) == {"a", "b"}
-    assert synonyms_of("b", lex) == {"a", "b", "c"}
-    assert synonyms_of("c", lex) == {"b", "c"}
+    assert lex.synonyms_of("a") == {"a", "b"}
+    assert lex.synonyms_of("b") == {"a", "b", "c"}
+    assert lex.synonyms_of("c") == {"b", "c"}
 
 
 def _write_annotations(path, records):

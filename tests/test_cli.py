@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -308,6 +309,56 @@ def test_cli_report_external_import(pipeline_dir):
     assert ".42 (.00)" in text
 
 
+def test_cli_report_external_other_shots(pipeline_dir):
+    tmp_path, config = pipeline_dir
+    external = tmp_path / "other_shots.csv"
+    lines = ["condition,dataset,shot,seed,macro_f1"]
+    lines += [f"alps-import,data,{shot},{seed},0.42" for shot in (5, 7) for seed in (0, 1)]
+    external.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    assert main(["report", "--config", str(config), "--external", str(external)]) == 0
+    text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    rows = {r.split("|")[1].strip(): [c.strip() for c in r.split("|")[2:-1]]
+            for r in text.splitlines() if r.startswith("| ")}
+    assert rows["Method"] == ["5", "7", "10", "20"]
+    assert rows["alps-import"][2:] == ["n/a", "n/a"]
+    assert rows["alps-import"][1] == "**.42 (.00)**"  # the only method at 7 shots
+    assert rows["random"][1] == "n/a" and rows["random"][2] != "n/a"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("condition,dataset,shot,seed,macro_f1\nrandom,data,5,0,abc\n", "line 2"),
+    ("condition,dataset,shot\nrandom,data,5\n", "lacks columns ['macro_f1', 'seed']"),
+    ("condition,dataset,shot,seed,macro_f1\nrandom,data,5,0,0.4\nrandom,data,5,1,nan\n",
+     "line 3: macro_f1 nan is outside [0, 1]"),
+], ids=["bad_value", "missing_columns", "nan_score"])
+def test_cli_report_rejects_malformed_external(tmp_path, capsys, content, message):
+    config = write_config(tmp_path)
+    external = tmp_path / "bad.csv"
+    external.write_text(content, encoding="utf-8")
+    assert main(["report", "--config", str(config), "--external", str(external)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and message in err
+
+
+def test_cli_report_stars_match_summary(pipeline_dir):
+    tmp_path, config = pipeline_dir
+    assert main(["report", "--config", str(config)]) == 0
+    text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("| Method"))
+    table = [l for l in lines[start:] if l.startswith("| ")]
+    shots = [c.strip() for c in table[0].split("|")[2:-1]]
+    stars = {}
+    for line in table[2:]:
+        condition, *cells = [c.strip() for c in line.split("|")[1:-1]]
+        for shot, cell in zip(shots, cells):
+            tail = cell.rpartition(")")[2]  # "**.55 (.08)** **": bold best, then the stars
+            stars[condition, shot] = (tail[2:] if cell.startswith("**") else tail).strip()
+    with open(tmp_path / "out" / "summary.csv", encoding="utf-8", newline="") as fh:
+        summary = {(r["condition"], r["shot"]): r["significance"] for r in csv.DictReader(fh)}
+    assert stars == summary
+
+
 def test_cli_rerun_is_idempotent(pipeline_dir):
     import hashlib
 
@@ -326,9 +377,13 @@ def test_cli_ablate_arms(tmp_path):
     config = write_config(tmp_path, shots=[5, 10], seeds=[0, 1])
     for command in ("synth", "gen", "ablate"):
         assert main([command, "--config", str(config)]) == 0
-    rows = (tmp_path / "out" / "ablation_summary.csv").read_text(encoding="utf-8").splitlines()
-    arms = {line.split(",")[0] for line in rows[1:]}
+    with open(tmp_path / "out" / "ablation_summary.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    arms = {row["condition"] for row in rows}
     assert arms == {"none", "heuristic", "heuristic+symbolic", "heuristic+discriminator", "all"}
+    # every arm is paired against the full pipeline, which has no p-value itself
+    for row in rows:
+        assert (row["p_vs_counterfactual"] == "") == (row["condition"] == "all")
 
 
 def test_cli_exit_codes(tmp_path):

@@ -32,10 +32,13 @@ WORKED_SEPARATOR_REPLY = (
 )
 
 
+class FakeBackend:
+    def __init__(self, respond):
+        self.send = respond
+
+
 def gateway_with(responder=None, **mock_kw):
-    backend = MockBackend(**mock_kw)
-    if responder is not None:
-        backend.fallback = responder
+    backend = MockBackend(**mock_kw) if responder is None else FakeBackend(responder)
     return Gateway(backend=backend, model="mock-model"), backend
 
 

@@ -18,11 +18,14 @@ from patvar.learning import (
     augment_with_counterfactuals,
     inertia,
     kmeans,
+    paired_pvalues,
     run_simulation,
     select_cluster,
     select_random,
     select_uncertainty,
+    summarize,
 )
+from patvar.stats import mean, paired_t_test, sample_sd
 from patvar.synthesis import LabeledExample
 
 
@@ -249,6 +252,37 @@ def test_nb_missing_label_never_predicted(provider):
     clf.train([("good food", "A"), ("rude staff", "B")])
     label, _ = clf.predict("anything here")
     assert label in ("A", "B")
+
+
+# ---------------------------------------------------------------------------
+# Per-shot summaries and the seed pairing
+# ---------------------------------------------------------------------------
+
+
+def test_summarize_over_present_cells():
+    scores = {10: {2: 0.7, 0: 0.5, 1: None}, 20: {0: None}}
+    r = summarize("random", scores, (10, 20), (0, 1, 2))
+    assert r.mean[10] == mean([0.5, 0.7]) and r.sd[10] == sample_sd([0.5, 0.7])
+    assert r.mean[20] is None and r.sd[20] is None
+    assert r.p_vs_reference == {10: None, 20: None} and r.reference is None
+
+
+def test_paired_pvalues_pairs_present_seeds_only():
+    ref = summarize("counterfactual", {
+        10: {0: 0.5, 1: 0.6, 2: None, 3: 0.7},  # seed 2 missing on the reference side
+        20: {0: 0.6, 1: None, 2: None, 3: None},
+    }, (10, 20), (0, 1, 2, 3))
+    base = summarize("random", {
+        10: {0: 0.4, 1: 0.45, 2: 0.5},  # seed 3 missing on the baseline side
+        20: {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5},
+    }, (10, 20), (0, 1, 2, 3))
+    out = paired_pvalues([base, ref], "counterfactual")
+    assert out[1] == ref and out[1].reference is None
+    assert out[0].reference == "counterfactual"
+    assert out[0].p_vs_reference[10] == paired_t_test([0.4, 0.45], [0.5, 0.6])[1]
+    assert out[0].p_vs_reference[20] is None  # one pair only
+    assert (out[0].mean, out[0].sd, out[0].scores) == (base.mean, base.sd, base.scores)
+    assert paired_pvalues([base], "counterfactual") == [base]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 `match_sentence` is checked against `brute_force_match`, `find_matches`
 against an exhaustive span enumeration written from its documented rules,
 and the pruned beam search of `enumerate_candidates` against a beam search
-that scores every candidate with `match_sentence` over every example.
+that scores every candidate with `match_sentence` over every example. Pattern
+parsing is checked for clean errors and render round-trips, and the gateway's
+cache key for stability.
 """
 
 import dataclasses
@@ -13,11 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from patvar.fixtures import FixtureAnnotationProvider
+from patvar.gateway import ROLES, ChatMessage, CompletionRequest, cache_key
 from patvar.patterns import (
     WILDCARD,
     EntityAtom,
     MatchSpan,
     PatternAst,
+    PatternSyntaxError,
     PosAtom,
     SoftAtom,
     StemAtom,
@@ -26,6 +30,7 @@ from patvar.patterns import (
     brute_force_match,
     find_matches,
     match_sentence,
+    parse_pattern,
     render_pattern,
 )
 from patvar.synthesis import (
@@ -235,3 +240,50 @@ def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_ato
     want = reference_candidates(positives, negatives, cfg, lexicon)
     assert [c.rendered for c in got] == [c.rendered for c in want]
     assert got == want
+
+
+# Pattern text: raw characters of the DSL, and runs of its tokens, which parse
+# more often.
+DSL_FRAGMENTS = (
+    *POS_CHOICES, "[food]", "(cheap)", "$date", "$LOCATION", "*", "+", "|", " ",
+    "[", "]", "(", ")", "$", "noun", "x", "-", "_",
+)
+pattern_texts = st.one_of(
+    st.text(alphabet="[]()$*+| _-NOUNVERBADJadjfood01", max_size=30),
+    st.lists(st.sampled_from(DSL_FRAGMENTS), max_size=12).map("".join),
+)
+
+
+@PROPERTY_SETTINGS
+@given(text=pattern_texts)
+def test_parse_pattern_fails_cleanly_or_round_trips(text):
+    try:
+        pattern = parse_pattern(text)
+    except PatternSyntaxError as exc:
+        assert 1 <= exc.column <= max(len(text), 1)
+    else:
+        assert parse_pattern(render_pattern(pattern)) == pattern
+
+
+REQUEST_FIELDS = (
+    st.sampled_from(("mock-model", "other-model")),
+    st.lists(
+        st.builds(
+            ChatMessage, st.sampled_from(ROLES), st.sampled_from(("hi", "Hi", "h\u00e9", "a\nb"))
+        ),
+        min_size=1, max_size=3,
+    ).map(tuple),
+    st.sampled_from((0.0, 0.25, 1.0)),
+    st.sampled_from((1, 64, 256)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cache_key_equal_iff_requests_equal(data):
+    # model, messages, temperature, max_tokens; each field of b is a's or a fresh draw
+    a = [data.draw(field) for field in REQUEST_FIELDS]
+    b = [value if data.draw(st.booleans()) else data.draw(field)
+         for value, field in zip(a, REQUEST_FIELDS)]
+    same_key = cache_key(CompletionRequest(*a)) == cache_key(CompletionRequest(*b))
+    assert same_key == (a == b)

@@ -120,12 +120,21 @@ def test_empty_positives_raises(lexicon):
 
 def test_synthesize_running_example(running_example, lexicon):
     positives, negatives = running_example
-    patterns = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    chosen = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    patterns = [sp.pattern for sp in chosen]
     assert 1 <= len(patterns) <= 5
     for ex in positives:
         assert any(match_sentence(p, ex.sentence, lexicon) for p in patterns)
     for ex in negatives:
         assert not any(match_sentence(p, ex.sentence, lexicon) for p in patterns)
+    # the returned scores are those of matching each pattern again
+    for sp in chosen:
+        assert sp.matched_positive_ids == {
+            ex.sentence.id for ex in positives if match_sentence(sp.pattern, ex.sentence, lexicon)
+        }
+        assert sp.matched_negative_ids == {
+            ex.sentence.id for ex in negatives if match_sentence(sp.pattern, ex.sentence, lexicon)
+        }
 
 
 def test_synthesize_max_patterns_one(provider, lexicon):
@@ -159,7 +168,7 @@ def test_greedy_first_pick_is_coverage_maximal(provider, lexicon):
     viable = [c for c in cands if c.precision >= 1.0]
     best_cover = max(len(c.matched_positive_ids) for c in viable)
     patterns = synthesize_patterns(positives, negatives, cfg, lexicon)
-    first = next(c for c in viable if c.pattern == patterns[0])
+    first = next(c for c in viable if c.pattern == patterns[0].pattern)
     assert len(first.matched_positive_ids) == best_cover
 
 
