@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 
+from .annotation import AnnotationProvider, annotate
 from .config import (
     ExperimentConfig,
     build_gateway,
@@ -48,12 +49,13 @@ from .learning import (
     NaiveBayesClassifier,
     RunResult,
     ShotSchedule,
-    SimulationDeps,
+    SurvivorsIndex,
     paired_pvalues,
     run_simulation,
 )
 from .patterns import match_sentence, parse_pattern
 from .reports import (
+    read_quality_json,
     read_results_csv,
     render_f1_grid,
     render_quality_table,
@@ -289,11 +291,11 @@ def cmd_filter(cfg: ExperimentConfig, config_path: str) -> int:
     return 0
 
 
-def _survivors_index(records) -> dict[str, list[tuple[str, str]]]:
-    index: dict[str, list[tuple[str, str]]] = {}
+def _survivors_index(records, provider: AnnotationProvider) -> SurvivorsIndex:
+    index: dict[str, list] = {}
     for rec in records:
         index.setdefault(rec["original"]["id"], []).append(
-            (rec["generated_text"], rec["target_label"])
+            (annotate(rec["generated_text"], provider), rec["target_label"])
         )
     return index
 
@@ -303,11 +305,7 @@ def _simulation_pieces(cfg: ExperimentConfig):
     dataset = ingest(
         cfg.dataset, provider, build_gateway(cfg) if cfg.dataset.multi_label else None
     )
-
-    def clf_factory(seed: int):
-        return NaiveBayesClassifier(dataset.label_set, provider, seed)
-
-    return provider, dataset, clf_factory
+    return provider, dataset, lambda: NaiveBayesClassifier(dataset.label_set)
 
 
 def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
@@ -318,10 +316,10 @@ def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
         if condition in cfg.conditions:
             if not os.path.exists(path):
                 raise ConfigError(f"{path} not found; run `patvar gen` and `patvar filter` first")
-            augment_index[condition] = _survivors_index(_read_jsonl(path))
-    deps = SimulationDeps(provider=provider, augment_index=augment_index)
+            augment_index[condition] = _survivors_index(_read_jsonl(path), provider)
     results = run_simulation(
-        dataset, list(cfg.conditions), ShotSchedule(cfg.shots), list(cfg.seeds), clf_factory, deps
+        dataset, list(cfg.conditions), ShotSchedule(cfg.shots), list(cfg.seeds), clf_factory,
+        augment_index,
     )
     name = _dataset_name(cfg)
     results_path = _out(cfg, "results.csv")
@@ -358,11 +356,10 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
     for arm in FilterConfig.ARMS:
         deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
         survivors, _report = run_pipeline(candidates, FilterConfig.from_arm(arm), deps)
-        index = _survivors_index([candidate_to_record(c) for c in survivors])
-        sim_deps = SimulationDeps(provider=provider, augment_index={"counterfactual": index})
+        index = _survivors_index([candidate_to_record(c) for c in survivors], provider)
         result = run_simulation(
             dataset, ["counterfactual"], ShotSchedule(cfg.shots), list(cfg.seeds),
-            clf_factory, sim_deps,
+            clf_factory, {"counterfactual": index},
         )[0]
         per_arm.append(dataclasses.replace(result, condition=arm))
     finished = paired_pvalues(per_arm, "all")
@@ -387,30 +384,26 @@ def cmd_report(cfg: ExperimentConfig, config_path: str, quality_files=(), extern
         [default_quality] if os.path.exists(default_quality) else []
     )
     for path in candidates_files:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if "vt" in payload:  # produced by cmd_filter
-            quality_tables[payload.get("dataset", os.path.basename(path))] = payload["vt"]
-        else:  # plain {dataset: {pkr, slfr, lfr}} fixture
-            quality_tables.update(payload)
+        quality_tables.update(read_quality_json(path))
     if quality_tables:
         sections.append("## Counterfactual quality\n\n" + render_quality_table(quality_tables))
-    grid_rows = []
+    by_dataset: dict[str, list[dict]] = {}
+    source: dict[tuple, str] = {}  # (dataset, condition, shot, seed) -> file it came from
     results_path = _out(cfg, "results.csv")
-    if os.path.exists(results_path):
-        grid_rows.extend(read_results_csv(results_path))
-    for path in external:
-        grid_rows.extend(read_results_csv(path))
-    if grid_rows:
-        by_dataset: dict[str, list[dict]] = {}
-        for row in grid_rows:
+    for path in ([results_path] if os.path.exists(results_path) else []) + list(external):
+        for row in read_results_csv(path):
+            cell = (row["dataset"], row["condition"], row["shot"], row["seed"])
+            if cell in source:
+                raise ConfigError("cell dataset={} condition={} shot={} seed={} of {} is "
+                                  "already in {}".format(*cell, path, source[cell]))
+            source[cell] = path
             by_dataset.setdefault(row["dataset"], []).append(row)
-        for ds_name in sorted(by_dataset):
-            results = sorted(results_from_rows(by_dataset[ds_name]), key=_condition_rank)
-            sections.append(
-                "## Macro F1 by annotation budget\n\n"
-                + render_f1_grid(f"Macro F1 ({ds_name})", paired_pvalues(results, "counterfactual"))
-            )
+    for ds_name in sorted(by_dataset):
+        results = sorted(results_from_rows(by_dataset[ds_name]), key=_condition_rank)
+        sections.append(
+            "## Macro F1 by annotation budget\n\n"
+            + render_f1_grid(f"Macro F1 ({ds_name})", paired_pvalues(results, "counterfactual"))
+        )
     if not sections:
         raise ConfigError("nothing to report: no quality report or results found")
     report_path = _out(cfg, "report.md")

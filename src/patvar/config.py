@@ -15,6 +15,7 @@ from .annotation import (
     AnnotatedSentence,
     AnnotationProvider,
     SynonymLexicon,
+    annotate,
     load_annotations_file,
     load_synonyms_file,
 )
@@ -325,14 +326,14 @@ def ingest(
         if len(labels) > 1 and gateway is not None:
             parts = separate_multilabel(text, [""] * len(labels), labels, gateway)
             for k, (part_text, _pattern, part_label) in enumerate(parts):
-                sentence = replace(provider.annotate(part_text), id=f"r{i:05d}#{k}")
+                sentence = replace(annotate(part_text, provider), id=f"r{i:05d}#{k}")
                 examples.append(LabeledExample(sentence, part_label))
             continue
         if len(labels) > 1:
             logger.warning("row %d is multi-labeled but no gateway given; duplicating", i + 1)
         for k, label in enumerate(labels):
             suffix = f"#{k}" if len(labels) > 1 else ""
-            sentence = replace(provider.annotate(text), id=f"r{i:05d}{suffix}")
+            sentence = replace(annotate(text, provider), id=f"r{i:05d}{suffix}")
             examples.append(LabeledExample(sentence, label))
     label_set = tuple(label_order)
     pool, holdout = _stratified_split(examples, spec.holdout_fraction, spec.split_seed, label_set)

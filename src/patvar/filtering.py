@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .annotation import AnnotationProvider, SynonymLexicon, tokenize
+from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
 from .gateway import BackendError, Gateway
 from .generation import (
     STAGES,
@@ -184,7 +184,7 @@ def symbolic_filter(
     if all(isinstance(a, WildcardAtom) for seq in pattern.alternatives for a in seq):
         logger.warning("vacuous pattern %r always passes", render_pattern(pattern))
         return StageVerdict("passed", "vacuous pattern")
-    sentence = provider.annotate(c.generated_text)
+    sentence = annotate(c.generated_text, provider)
     if match_sentence(pattern, sentence, lex):
         return StageVerdict("passed")
     return StageVerdict("failed", f"does not match pattern {render_pattern(pattern)}")

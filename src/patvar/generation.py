@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon
+from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
 from .errors import PatvarError
 from .gateway import Gateway
 from .patterns import (
@@ -284,7 +284,7 @@ def generate_candidate_phrases(
     raw_phrases = [p for p in raw_phrases if p]
     valid = []
     for phrase in raw_phrases:
-        if match_sentence(task.pattern, provider.annotate(phrase), lex):
+        if match_sentence(task.pattern, annotate(phrase, provider), lex):
             valid.append(phrase)
         else:
             logger.warning(

@@ -12,12 +12,12 @@ import hashlib
 import logging
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .annotation import AnnotationProvider
+from .annotation import AnnotatedSentence
 from .errors import PatvarError
 from .stats import macro_f1, mean, paired_t_test, sample_sd
 from .synthesis import LabeledExample
@@ -28,8 +28,8 @@ CONDITIONS = ("random", "cluster", "uncertainty", "cf_no_vt", "counterfactual")
 # Conditions that draw their human-annotated base selection uniformly.
 RANDOM_BASE_CONDITIONS = ("random", "cf_no_vt", "counterfactual")
 
-TrainingItem = tuple[str, str]  # (raw text, label)
-# original example id -> [(generated text, target label), ...]
+TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
+# original example id -> [(generated sentence, target label), ...]
 SurvivorsIndex = Mapping[str, Sequence[TrainingItem]]
 
 
@@ -88,7 +88,7 @@ class ShotSchedule:
 class Classifier(Protocol):
     def train(self, items: Sequence[TrainingItem]) -> None: ...
 
-    def predict(self, text: str) -> tuple[str, float]: ...
+    def predict(self, sentence: AnnotatedSentence) -> tuple[str, float]: ...
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +104,9 @@ class NaiveBayesClassifier:
     order. Confidence is the normalized posterior of the argmax.
     """
 
-    def __init__(self, label_set: Sequence[str], provider: AnnotationProvider, seed: int = 0):
+    def __init__(self, label_set: Sequence[str]):
         self.label_set = tuple(label_set)
-        self.provider = provider
-        self.seed = seed  # unused by this deterministic model; part of the factory contract
         self._trained = False
-
-    def _lemmas(self, text: str) -> list[str]:
-        return [t.lemma for t in self.provider.annotate(text).tokens]
 
     def train(self, items: Sequence[TrainingItem]) -> None:
         if not items:
@@ -120,11 +115,11 @@ class NaiveBayesClassifier:
         self._word_counts: dict[str, dict[str, int]] = {label: {} for label in self.label_set}
         self._total_words = {label: 0 for label in self.label_set}
         vocab: set[str] = set()
-        for text, label in items:
+        for sentence, label in items:
             if label not in self._doc_counts:
                 raise ValueError(f"training label {label!r} not in label set")
             self._doc_counts[label] += 1
-            for lemma in self._lemmas(text):
+            for lemma in sentence.lemmas():
                 vocab.add(lemma)
                 counts = self._word_counts[label]
                 counts[lemma] = counts.get(lemma, 0) + 1
@@ -137,10 +132,10 @@ class NaiveBayesClassifier:
         }
         self._trained = True
 
-    def predict(self, text: str) -> tuple[str, float]:
+    def predict(self, sentence: AnnotatedSentence) -> tuple[str, float]:
         if not self._trained:
             raise UntrainedClassifier("train() must run before predict()")
-        lemmas = [l for l in self._lemmas(text) if l in self._vocab]
+        lemmas = [l for l in sentence.lemmas() if l in self._vocab]
         v = len(self._vocab)
         log_post = []
         for label in self.label_set:
@@ -163,25 +158,18 @@ class NaiveBayesClassifier:
 # ---------------------------------------------------------------------------
 
 
-class HashedEmbedder:
+def hashed_embedding(sentence: AnnotatedSentence) -> np.ndarray:
     """Deterministic 64-dim hashed bag-of-lemmas embedding, L2-normalized.
 
-    A stand-in for a sentence-embedding provider; `select_cluster` takes any
-    callable mapping text to a fixed-length vector.
+    A stand-in for a sentence-embedding model; `select_cluster` takes any
+    callable mapping a sentence to a fixed-length vector.
     """
-
-    DIM = 64
-
-    def __init__(self, provider: AnnotationProvider):
-        self.provider = provider
-
-    def __call__(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.DIM, dtype=np.float64)
-        for token in self.provider.annotate(text).tokens:
-            digest = hashlib.sha256(token.lemma.encode("utf-8")).digest()
-            vec[int.from_bytes(digest[:4], "big") % self.DIM] += 1.0
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else vec
+    vec = np.zeros(64, dtype=np.float64)
+    for lemma in sentence.lemmas():
+        digest = hashlib.sha256(lemma.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % len(vec)] += 1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
 
 
 def kmeans(
@@ -250,12 +238,12 @@ def select_cluster(
     n: int,
     k: int,
     seed: int,
-    embedder: Callable[[str], np.ndarray],
+    embedder: Callable[[AnnotatedSentence], np.ndarray],
 ) -> list[LabeledExample]:
     """Round-robin over k-means clusters, nearest-to-centroid first."""
     if n > len(pool):
         raise NOverPool(f"cannot select {n} from pool of {len(pool)}")
-    vectors = np.stack([embedder(ex.sentence.raw) for ex in pool])
+    vectors = np.stack([embedder(ex.sentence) for ex in pool])
     assignments, centroids = kmeans(vectors, k, seed)
     dists = np.sum((vectors - centroids[assignments]) ** 2, axis=1)
     queues: list[list[int]] = []
@@ -281,7 +269,7 @@ def select_uncertainty(
     """Lowest-confidence-first selection; ties keep pool order."""
     if n > len(pool):
         raise NOverPool(f"cannot select {n} from pool of {len(pool)}")
-    confidences = [clf.predict(ex.sentence.raw)[1] for ex in pool]
+    confidences = [clf.predict(ex.sentence)[1] for ex in pool]
     order = sorted(range(len(pool)), key=lambda i: (confidences[i], i))
     return [pool[i] for i in order[:n]]
 
@@ -294,22 +282,15 @@ def augment_with_counterfactuals(
     Counterfactuals never count against the shot budget; shots are whatever
     `len(selected)` says.
     """
-    items: list[TrainingItem] = [(ex.sentence.raw, ex.label) for ex in selected]
+    items: list[TrainingItem] = [(ex.sentence, ex.label) for ex in selected]
     for ex in selected:
-        for text, label in survivors_index.get(ex.sentence.id, ()):
-            items.append((text, label))
+        items.extend(survivors_index.get(ex.sentence.id, ()))
     return items
 
 
 # ---------------------------------------------------------------------------
 # Simulation grid
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimulationDeps:
-    provider: AnnotationProvider
-    augment_index: Mapping[str, SurvivorsIndex] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -390,13 +371,12 @@ def _selection_order(
     pool: Sequence[LabeledExample],
     dataset: Dataset,
     seed: int,
-    deps: SimulationDeps,
 ) -> list[LabeledExample] | None:
     if condition in RANDOM_BASE_CONDITIONS:
         return select_random(pool, len(pool), seed)
     if condition == "cluster":
         k = min(len(dataset.label_set), len(pool))
-        return select_cluster(pool, len(pool), k, seed, HashedEmbedder(deps.provider))
+        return select_cluster(pool, len(pool), k, seed, hashed_embedding)
     return None  # uncertainty selects iteratively
 
 
@@ -405,12 +385,12 @@ def _run_cell(
     dataset: Dataset,
     schedule: ShotSchedule,
     seed: int,
-    clf_factory: Callable[[int], Classifier],
-    deps: SimulationDeps,
+    clf_factory: Callable[[], Classifier],
+    augment_index: Mapping[str, SurvivorsIndex],
 ) -> dict[int, float]:
     pool = dataset.examples
-    order = _selection_order(condition, pool, dataset, seed, deps)
-    index = deps.augment_index.get(condition, {})
+    order = _selection_order(condition, pool, dataset, seed)
+    index = augment_index.get(condition, {})
     scores: dict[int, float] = {}
     labeled: list[LabeledExample] = []
     prev_clf: Classifier | None = None
@@ -427,10 +407,10 @@ def _run_cell(
         if condition in ("cf_no_vt", "counterfactual"):
             training = augment_with_counterfactuals(labeled, index)
         else:
-            training = [(ex.sentence.raw, ex.label) for ex in labeled]
-        clf = clf_factory(seed)
+            training = [(ex.sentence, ex.label) for ex in labeled]
+        clf = clf_factory()
         clf.train(training)
-        predictions = [(ex.label, clf.predict(ex.sentence.raw)[0]) for ex in dataset.holdout]
+        predictions = [(ex.label, clf.predict(ex.sentence)[0]) for ex in dataset.holdout]
         scores[shot] = macro_f1(predictions, dataset.label_set)
         prev_clf = clf
     return scores
@@ -441,14 +421,16 @@ def run_simulation(
     conditions: Sequence[str],
     schedule: ShotSchedule,
     seeds: Sequence[int],
-    clf_factory: Callable[[int], Classifier],
-    deps: SimulationDeps,
+    clf_factory: Callable[[], Classifier],
+    augment_index: Mapping[str, SurvivorsIndex],
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean, SD, and p-values.
 
-    A failed condition x seed cell is recorded as missing rather than
-    aborting the run. p-values compare each baseline against the
-    counterfactual condition (see `paired_pvalues`).
+    `augment_index` maps an augmented condition to its survivors index; a
+    condition without one trains on the originals only. A failed condition x
+    seed cell is recorded as missing rather than aborting the run. p-values
+    compare each baseline against the counterfactual condition (see
+    `paired_pvalues`).
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -461,7 +443,7 @@ def run_simulation(
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:
-                cell = _run_cell(condition, dataset, schedule, seed, clf_factory, deps)
+                cell = _run_cell(condition, dataset, schedule, seed, clf_factory, augment_index)
             except Exception:
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
                 cell = {}

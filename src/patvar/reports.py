@@ -10,6 +10,8 @@ reports are byte-identical.
 from __future__ import annotations
 
 import csv
+import json
+import os
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -49,6 +51,25 @@ def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str
         return "| " + " | ".join(str(c).ljust(w) for c, w in zip(cells, widths)) + " |"
     sep = "| " + " | ".join("-" * w for w in widths) + " |"
     return "\n".join([line(header), sep, *[line(r) for r in rows]]) + "\n"
+
+
+def read_quality_json(path) -> dict[str, Mapping[str, float | None]]:
+    """Rates by dataset from `filter`'s quality_report.json or a plain
+    `{dataset: {pkr, slfr, lfr}}` file; ConfigError names a malformed file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"quality file {path}: {exc}") from None
+    if isinstance(payload, dict) and "vt" in payload:  # produced by cmd_filter
+        payload = {str(payload.get("dataset", os.path.basename(path))): payload["vt"]}
+    if not isinstance(payload, dict) or not all(
+        isinstance(rates, dict)
+        and all(type(rates.get(key)) in (int, float, type(None)) for key, _ in QUALITY_ROWS)
+        for rates in payload.values()
+    ):
+        raise ConfigError(f"quality file {path} is not {{dataset: {{pkr, slfr, lfr}}}}")
+    return payload
 
 
 def render_quality_table(per_dataset: Mapping[str, Mapping[str, float | None]]) -> str:

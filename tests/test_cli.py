@@ -14,7 +14,7 @@ from patvar.config import (
     ingest,
     load_config,
 )
-from patvar.errors import ConfigError, ParseError
+from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
 from patvar.learning import RunResult
@@ -179,6 +179,34 @@ def test_ingest_multilabel_with_gateway_separates(tmp_path, provider):
     assert labels == ["price", "service"]
 
 
+class OtherTextProvider:
+    """Annotates every text outside `good` as some other text."""
+
+    def __init__(self, good=()):
+        self.good = set(good)
+
+    def annotate(self, raw):
+        return FixtureAnnotationProvider().annotate(raw if raw in self.good else "other text")
+
+
+def test_provider_output_for_other_text_fails(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, conditions=["random", "counterfactual"])
+    cfg = load_config(config)
+    with pytest.raises(ProviderFailure):
+        ingest(cfg.dataset, OtherTextProvider())
+    # Dataset rows annotate correctly; the survivor's generated text does not.
+    with open(cfg.dataset.path, encoding="utf-8", newline="") as fh:
+        texts = [row["text"] for row in csv.DictReader(fh)]
+    dataset = ingest(cfg.dataset, OtherTextProvider(texts))
+    (tmp_path / "out").mkdir()
+    record = {"original": {"id": dataset.examples[0].sentence.id},
+              "generated_text": "the waiter was friendly", "target_label": "service"}
+    (tmp_path / "out" / "survivors_vt.jsonl").write_text(json.dumps(record) + "\n")
+    monkeypatch.setattr("patvar.cli.build_provider", lambda cfg: OtherTextProvider(texts))
+    assert main(["simulate", "--config", str(config)]) == 4
+    assert "does not correspond to the input text" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
@@ -340,6 +368,27 @@ def test_cli_report_rejects_malformed_external(tmp_path, capsys, content, messag
     assert "bad.csv" in err and message in err
 
 
+@pytest.mark.parametrize("content", ["{not json", '{"yelp": [1, 2]}'], ids=["not_json", "not_rates"])
+def test_cli_report_rejects_malformed_quality(tmp_path, capsys, content):
+    config = write_config(tmp_path)
+    quality = tmp_path / "quality.json"
+    quality.write_text(content, encoding="utf-8")
+    assert main(["report", "--config", str(config), "--quality", str(quality)]) == 2
+    assert "quality.json" in capsys.readouterr().err
+
+
+def test_cli_report_rejects_cells_in_two_files(pipeline_dir, capsys):
+    tmp_path, config = pipeline_dir
+    external = tmp_path / "same_cells.csv"
+    lines = ["condition,dataset,shot,seed,macro_f1"]
+    lines += [f"counterfactual,data,5,{seed},0.9" for seed in (0, 1, 2)]
+    external.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    assert main(["report", "--config", str(config), "--external", str(external)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset=data condition=counterfactual shot=5 seed=0" in err
+    assert "same_cells.csv" in err and "results.csv" in err
+
+
 def test_cli_report_stars_match_summary(pipeline_dir):
     tmp_path, config = pipeline_dir
     assert main(["report", "--config", str(config)]) == 0
@@ -371,6 +420,24 @@ def test_cli_rerun_is_idempotent(pipeline_dir):
         assert main([command, "--config", str(config)]) == 0
     after = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
     assert before == after
+
+
+def test_cli_simulate_annotates_each_text_once(pipeline_dir, monkeypatch):
+    tmp_path, config = pipeline_dir
+    calls = []
+    original = FixtureAnnotationProvider.annotate
+
+    def counting(self, raw):
+        calls.append(raw)
+        return original(self, raw)
+
+    monkeypatch.setattr(FixtureAnnotationProvider, "annotate", counting)
+    assert main(["simulate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    rows = len((tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
+    survivors = sum(len((out / f"survivors_{name}.jsonl").read_text().splitlines())
+                    for name in ("vt", "novt"))
+    assert 0 < len(calls) <= rows + survivors
 
 
 def test_cli_ablate_arms(tmp_path):

@@ -7,15 +7,14 @@ import pytest
 from patvar.learning import (
     Dataset,
     EmptyTrainingSet,
-    HashedEmbedder,
     KOverN,
     NaiveBayesClassifier,
     NOverPool,
     RunResult,
     ShotSchedule,
-    SimulationDeps,
     UntrainedClassifier,
     augment_with_counterfactuals,
+    hashed_embedding,
     inertia,
     kmeans,
     paired_pvalues,
@@ -75,7 +74,9 @@ def test_select_random_over_pool(small_pool):
 
 
 def test_embedder_properties(provider):
-    embed = HashedEmbedder(provider)
+    def embed(text):
+        return hashed_embedding(provider.annotate(text))
+
     a = embed("good food")
     b = embed("good food")
     assert np.array_equal(a, b)
@@ -141,24 +142,22 @@ def test_select_cluster_alternates(provider):
         ex(provider, "rude staff waited", "b", "x2"),
         ex(provider, "rude staff arrived", "b", "x3"),
     ]
-    embed = HashedEmbedder(provider)
-    sel = select_cluster(pool, 2, k=2, seed=0, embedder=embed)
+    sel = select_cluster(pool, 2, k=2, seed=0, embedder=hashed_embedding)
     groups = {("x0", "x1"), ("x2", "x3")}
     picked = tuple(sorted(e.sentence.id for e in sel))
     assert not any(set(picked) <= set(g) for g in groups), "must take one from each cluster"
 
 
-def test_select_cluster_whole_pool_and_nesting(small_pool, provider):
-    embed = HashedEmbedder(provider)
-    all_sel = select_cluster(small_pool, len(small_pool), k=2, seed=4, embedder=embed)
+def test_select_cluster_whole_pool_and_nesting(small_pool):
+    all_sel = select_cluster(small_pool, len(small_pool), k=2, seed=4, embedder=hashed_embedding)
     assert len(all_sel) == len(small_pool)
     assert len({e.sentence.id for e in all_sel}) == len(small_pool)
-    prefix = select_cluster(small_pool, 3, k=2, seed=4, embedder=embed)
+    prefix = select_cluster(small_pool, 3, k=2, seed=4, embedder=hashed_embedding)
     assert all_sel[:3] == prefix
-    assert select_cluster(small_pool, 3, k=2, seed=4, embedder=embed) == prefix
+    assert select_cluster(small_pool, 3, k=2, seed=4, embedder=hashed_embedding) == prefix
 
 
-def test_select_uncertainty_ordering(small_pool, provider):
+def test_select_uncertainty_ordering(small_pool):
     class Scripted:
         def __init__(self, confs):
             self.confs = confs
@@ -166,8 +165,8 @@ def test_select_uncertainty_ordering(small_pool, provider):
         def train(self, items):
             pass
 
-        def predict(self, text):
-            return "products", self.confs[text]
+        def predict(self, sentence):
+            return "products", self.confs[sentence.raw]
 
     confs = {e.sentence.raw: c for e, c in zip(small_pool, [0.9, 0.1, 0.5, 0.9, 0.2, 0.9, 0.9, 0.9])}
     sel = select_uncertainty(small_pool, 3, Scripted(confs))
@@ -178,8 +177,8 @@ def test_select_uncertainty_ordering(small_pool, provider):
     assert [e.sentence.id for e in sel] == ["p0", "p1", "p2"]
 
 
-def test_select_uncertainty_untrained(small_pool, provider):
-    clf = NaiveBayesClassifier(["products", "service"], provider)
+def test_select_uncertainty_untrained(small_pool):
+    clf = NaiveBayesClassifier(["products", "service"])
     with pytest.raises(UntrainedClassifier):
         select_uncertainty(small_pool, 2, clf)
 
@@ -189,23 +188,22 @@ def test_select_uncertainty_untrained(small_pool, provider):
 # ---------------------------------------------------------------------------
 
 
-def test_augment_counts_and_order(small_pool):
+def test_augment_counts_and_order(small_pool, provider):
     selected = small_pool[:2]
-    index = {
-        "p0": [("counterfactual one.", "service"), ("counterfactual two.", "service")],
-    }
-    items = augment_with_counterfactuals(selected, index)
+    survivors = [(provider.annotate("counterfactual one."), "service"),
+                 (provider.annotate("counterfactual two."), "service")]
+    items = augment_with_counterfactuals(selected, {"p0": survivors})
     assert len(items) == 4
-    assert items[0] == ("good food here", "products")
-    assert items[1] == ("tasty lobster today", "products")
-    assert items[2][1] == "service"
+    assert items[0] == (small_pool[0].sentence, "products")
+    assert items[1] == (small_pool[1].sentence, "products")
+    assert items[2:] == survivors
     # shot budget is the number of selected originals, independent of survivors
     assert len(selected) == 2
 
 
 def test_augment_without_survivors(small_pool):
     items = augment_with_counterfactuals(small_pool[:3], {})
-    assert items == [(e.sentence.raw, e.label) for e in small_pool[:3]]
+    assert items == [(e.sentence, e.label) for e in small_pool[:3]]
 
 
 # ---------------------------------------------------------------------------
@@ -214,43 +212,47 @@ def test_augment_without_survivors(small_pool):
 
 
 def test_nb_hand_computed_posterior(provider):
-    clf = NaiveBayesClassifier(["A", "B"], provider)
-    clf.train([("good food", "A"), ("rude staff", "B")])
-    label, conf = clf.predict("good")
+    s = provider.annotate
+    clf = NaiveBayesClassifier(["A", "B"])
+    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
+    label, conf = clf.predict(s("good"))
     assert label == "A"
     # add-one smoothing: (2/6 * 0.5) / (2/6 * 0.5 + 1/6 * 0.5) = 2/3
     assert conf == pytest.approx(2 / 3, abs=1e-4)
 
 
 def test_nb_predicts_trained_class(provider):
-    clf = NaiveBayesClassifier(["A", "B"], provider)
-    clf.train([("good food", "A"), ("rude staff", "B")])
-    label, conf = clf.predict("good food")
+    s = provider.annotate
+    clf = NaiveBayesClassifier(["A", "B"])
+    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
+    label, conf = clf.predict(s("good food"))
     assert label == "A"
     assert conf > 0.5
 
 
 def test_nb_unseen_tokens_fall_back_to_prior(provider):
-    clf = NaiveBayesClassifier(["A", "B"], provider)
-    clf.train([("good food", "A"), ("rude staff", "B")])
-    label, conf = clf.predict("xyzzy qwerty")
+    s = provider.annotate
+    clf = NaiveBayesClassifier(["A", "B"])
+    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
+    label, conf = clf.predict(s("xyzzy qwerty"))
     assert label == "A"  # tie broken by label order
     assert conf == pytest.approx(0.5)
-    clf.train([("good food", "A"), ("rude staff", "B"), ("more staff", "B")])
-    label, _ = clf.predict("xyzzy qwerty")
+    clf.train([(s("good food"), "A"), (s("rude staff"), "B"), (s("more staff"), "B")])
+    label, _ = clf.predict(s("xyzzy qwerty"))
     assert label == "B"  # prior argmax
 
 
-def test_nb_empty_training(provider):
-    clf = NaiveBayesClassifier(["A"], provider)
+def test_nb_empty_training():
+    clf = NaiveBayesClassifier(["A"])
     with pytest.raises(EmptyTrainingSet):
         clf.train([])
 
 
 def test_nb_missing_label_never_predicted(provider):
-    clf = NaiveBayesClassifier(["A", "B", "C"], provider)
-    clf.train([("good food", "A"), ("rude staff", "B")])
-    label, _ = clf.predict("anything here")
+    s = provider.annotate
+    clf = NaiveBayesClassifier(["A", "B", "C"])
+    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
+    label, _ = clf.predict(s("anything here"))
     assert label in ("A", "B")
 
 
@@ -311,16 +313,16 @@ def test_run_simulation_shape_and_determinism(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
     index = {
-        e.sentence.id: [(f"the {w} spoke kindly.", "service")]
+        e.sentence.id: [(provider.annotate(f"the {w} spoke kindly."), "service")]
         for e, w in zip(dataset.examples, itertools.cycle(["staff", "waiter"]))
         if e.label == "products"
     }
-    deps = SimulationDeps(provider=provider, augment_index={"counterfactual": index})
+    augment = {"counterfactual": index}
 
-    def factory(seed):
-        return NaiveBayesClassifier(dataset.label_set, provider, seed)
+    def factory():
+        return NaiveBayesClassifier(dataset.label_set)
 
-    results = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, deps)
+    results = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, augment)
     assert [r.condition for r in results] == ["random", "counterfactual"]
     for r in results:
         assert r.shots == (4, 8)
@@ -333,20 +335,19 @@ def test_run_simulation_shape_and_determinism(provider):
     random_result = results[0]
     assert random_result.reference == "counterfactual"
     assert results[1].reference is None
-    again = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, deps)
+    again = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, augment)
     assert again == results
 
 
 def test_run_simulation_all_conditions_run(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
-    deps = SimulationDeps(provider=provider)
 
-    def factory(seed):
-        return NaiveBayesClassifier(dataset.label_set, provider, seed)
+    def factory():
+        return NaiveBayesClassifier(dataset.label_set)
 
     conditions = ["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"]
-    results = run_simulation(dataset, conditions, schedule, [0, 1, 2], factory, deps)
+    results = run_simulation(dataset, conditions, schedule, [0, 1, 2], factory, {})
     for r in results:
         for shot in r.shots:
             assert r.mean[shot] is not None
@@ -354,17 +355,16 @@ def test_run_simulation_all_conditions_run(provider):
 
 def test_run_simulation_rejects_bad_inputs(provider):
     dataset = tiny_dataset(provider)
-    deps = SimulationDeps(provider=provider)
 
-    def factory(seed):
-        return NaiveBayesClassifier(dataset.label_set, provider, seed)
+    def factory():
+        return NaiveBayesClassifier(dataset.label_set)
 
     with pytest.raises(ValueError):
-        run_simulation(dataset, ["bogus"], ShotSchedule((2,)), [0], factory, deps)
+        run_simulation(dataset, ["bogus"], ShotSchedule((2,)), [0], factory, {})
     with pytest.raises(ValueError):
-        run_simulation(dataset, ["random"], ShotSchedule((4, 999)), [0], factory, deps)
+        run_simulation(dataset, ["random"], ShotSchedule((4, 999)), [0], factory, {})
     with pytest.raises(ValueError):
-        run_simulation(dataset, ["random"], ShotSchedule((4,)), [], factory, deps)
+        run_simulation(dataset, ["random"], ShotSchedule((4,)), [], factory, {})
 
 
 def test_shot_schedule_validation():
@@ -388,18 +388,17 @@ def test_dataset_validation(provider):
 def test_nesting_across_shots(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((3, 6, 9))
-    deps = SimulationDeps(provider=provider)
     seen = []
 
     class Spy(NaiveBayesClassifier):
         def train(self, items):
-            seen.append([t for t, _ in items])
+            seen.append([sentence for sentence, _ in items])
             super().train(items)
 
-    def factory(seed):
-        return Spy(dataset.label_set, provider, seed)
+    def factory():
+        return Spy(dataset.label_set)
 
-    run_simulation(dataset, ["random"], schedule, [7], factory, deps)
+    run_simulation(dataset, ["random"], schedule, [7], factory, {})
     assert len(seen) == 3
     assert seen[0] == seen[1][:3]
     assert seen[1] == seen[2][:6]
