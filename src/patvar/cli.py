@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 
-from .annotation import AnnotationProvider, annotate
+from .annotation import AnnotatedSentence, AnnotationProvider, annotate
 from .config import (
     ExperimentConfig,
     build_gateway,
@@ -110,9 +110,17 @@ def _write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, ensure_ascii=True, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path) -> list[dict]:
+def _read_jsonl(path) -> list[tuple[int, object]]:
+    """(line number, record) for each non-blank line; ConfigError on a line that is not JSON."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    records.append((lineno, json.loads(line)))
+                except ValueError as exc:
+                    raise ConfigError(f"{path} line {lineno}: not JSON ({exc})") from None
+    return records
 
 
 def _dataset_name(cfg: ExperimentConfig) -> str:
@@ -186,12 +194,19 @@ def _load_patterns(cfg: ExperimentConfig) -> tuple[list[str], dict[str, list]]:
     path = _out(cfg, "patterns.json")
     if not os.path.exists(path):
         raise ConfigError(f"{path} not found; run `patvar synth` first")
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return payload["label_set"], {
-        label: [parse_pattern(entry["pattern"]) for entry in entries]
-        for label, entries in payload["patterns"].items()
-    }
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        label_set = payload["label_set"]
+        texts = {label: [entry["pattern"] for entry in entries]
+                 for label, entries in payload["patterns"].items()}
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path} is not a patterns file of `patvar synth` ({exc!r})") from None
+    if not isinstance(label_set, list) or not all(
+        isinstance(item, str) for item in [*label_set, *(t for ts in texts.values() for t in ts)]
+    ):
+        raise ConfigError(f"{path}: labels and patterns must be strings")
+    return label_set, {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
 def cmd_gen(cfg: ExperimentConfig, config_path: str) -> int:
@@ -250,7 +265,7 @@ def _filter_candidates(cfg, name, filter_cfg, deps) -> tuple[list, QualityReport
     path = _out(cfg, f"candidates_{name}.jsonl")
     if not os.path.exists(path):
         return [], None, []
-    candidates = [candidate_from_record(r) for r in _read_jsonl(path)]
+    candidates = [candidate_from_record(r) for _, r in _read_jsonl(path)]
     audit_records = []
     deps.audit_sink = audit_records.append
     survivors, report = run_pipeline(candidates, filter_cfg, deps)
@@ -291,13 +306,45 @@ def cmd_filter(cfg: ExperimentConfig, config_path: str) -> int:
     return 0
 
 
-def _survivors_index(records, provider: AnnotationProvider) -> SurvivorsIndex:
+def _survivors_index(entries, provider: AnnotationProvider) -> SurvivorsIndex:
+    """Index (original id, generated text, target label) triples by original id."""
     index: dict[str, list] = {}
-    for rec in records:
-        index.setdefault(rec["original"]["id"], []).append(
-            (annotate(rec["generated_text"], provider), rec["target_label"])
-        )
+    for original_id, text, target in entries:
+        index.setdefault(original_id, []).append((annotate(text, provider), target))
     return index
+
+
+def _read_survivors(path) -> list[tuple[str, str, str]]:
+    """(original id, generated text, target label) of each record of a survivors file."""
+    entries = []
+    for lineno, rec in _read_jsonl(path):
+        try:
+            entry = (rec["original"]["id"], rec["generated_text"], rec["target_label"])
+        except (LookupError, TypeError):
+            entry = None
+        if entry is None or not all(isinstance(field, str) for field in entry):
+            raise ConfigError(f"{path} line {lineno}: a survivor needs string "
+                              "original.id, generated_text and target_label")
+        entries.append(entry)
+    return entries
+
+
+class _AnnotationMemo:
+    """Annotates each distinct text once; scoped to one command.
+
+    Callers still pass every result through `annotation.annotate()`, which
+    validates it.
+    """
+
+    def __init__(self, provider: AnnotationProvider):
+        self._provider = provider
+        self._sentences: dict[str, AnnotatedSentence] = {}
+
+    def annotate(self, raw: str) -> AnnotatedSentence:
+        sentence = self._sentences.get(raw)
+        if sentence is None:
+            sentence = self._sentences[raw] = self._provider.annotate(raw)
+        return sentence
 
 
 def _simulation_pieces(cfg: ExperimentConfig):
@@ -305,7 +352,7 @@ def _simulation_pieces(cfg: ExperimentConfig):
     dataset = ingest(
         cfg.dataset, provider, build_gateway(cfg) if cfg.dataset.multi_label else None
     )
-    return provider, dataset, lambda: NaiveBayesClassifier(dataset.label_set)
+    return provider, dataset, lambda features: NaiveBayesClassifier(dataset.label_set, features)
 
 
 def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
@@ -316,7 +363,7 @@ def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
         if condition in cfg.conditions:
             if not os.path.exists(path):
                 raise ConfigError(f"{path} not found; run `patvar gen` and `patvar filter` first")
-            augment_index[condition] = _survivors_index(_read_jsonl(path), provider)
+            augment_index[condition] = _survivors_index(_read_survivors(path), provider)
     results = run_simulation(
         dataset, list(cfg.conditions), ShotSchedule(cfg.shots), list(cfg.seeds), clf_factory,
         augment_index,
@@ -351,12 +398,15 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
     cand_path = _out(cfg, "candidates_vt.jsonl")
     if not os.path.exists(cand_path):
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
-    candidates = [candidate_from_record(r) for r in _read_jsonl(cand_path)]
+    candidates = [candidate_from_record(r) for _, r in _read_jsonl(cand_path)]
+    memo = _AnnotationMemo(provider)  # the arms share candidates, so they share texts
     per_arm: list[RunResult] = []
     for arm in FilterConfig.ARMS:
-        deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
+        deps = FilterDeps(lex=lexicon, provider=memo, gateway=gateway, label_set=label_set)
         survivors, _report = run_pipeline(candidates, FilterConfig.from_arm(arm), deps)
-        index = _survivors_index([candidate_to_record(c) for c in survivors], provider)
+        index = _survivors_index(
+            [(c.task.original.id, c.generated_text, c.task.target_label) for c in survivors], memo
+        )
         result = run_simulation(
             dataset, ["counterfactual"], ShotSchedule(cfg.shots), list(cfg.seeds),
             clf_factory, {"counterfactual": index},

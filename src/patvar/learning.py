@@ -13,7 +13,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -88,7 +88,88 @@ class ShotSchedule:
 class Classifier(Protocol):
     def train(self, items: Sequence[TrainingItem]) -> None: ...
 
-    def predict(self, sentence: AnnotatedSentence) -> tuple[str, float]: ...
+    def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]: ...
+
+
+# ---------------------------------------------------------------------------
+# Features: lemma ids and hashed embeddings, computed once per run
+# ---------------------------------------------------------------------------
+
+EMBEDDING_DIM = 64
+
+
+def _bucket(lemma: str) -> int:
+    digest = hashlib.sha256(lemma.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") % EMBEDDING_DIM
+
+
+def _unit(buckets: np.ndarray) -> np.ndarray:
+    vec = np.bincount(buckets, minlength=EMBEDDING_DIM).astype(np.float64)
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def hashed_embedding(sentence: AnnotatedSentence) -> np.ndarray:
+    """Deterministic 64-dim hashed bag-of-lemmas embedding, L2-normalized.
+
+    A stand-in for a sentence-embedding model; `select_cluster` takes any
+    callable mapping a sentence to a fixed-length vector.
+    """
+    return _unit(np.array([_bucket(lemma) for lemma in sentence.lemmas()], dtype=np.intp))
+
+
+class LemmaIds:
+    """One run's lemma vocabulary, with each sentence's lemma-id row.
+
+    A sentence is featurized once, on first use, and remembered by identity:
+    the instance keeps every sentence it has seen alive, so no other object
+    can take over its id. Scope one instance to one run.
+    """
+
+    def __init__(self, sentences: Iterable[AnnotatedSentence] = ()):
+        self.vocab: dict[str, int] = {}
+        self._alive: list[AnnotatedSentence] = []
+        self._rows: dict[int, np.ndarray] = {}  # id(sentence) -> lemma ids
+        self._vectors: dict[int, np.ndarray] = {}  # id(sentence) -> embedding
+        self._buckets = np.zeros(0, dtype=np.intp)
+        self.rows(sentences)
+
+    def rows(self, sentences: Iterable[AnnotatedSentence]) -> list[np.ndarray]:
+        """Each sentence's lemma ids, in token order."""
+        sentences = list(sentences)
+        out = list(map(self._rows.get, map(id, sentences)))
+        for i, ids in enumerate(out):
+            if ids is None:
+                out[i] = self._featurize(sentences[i])
+        return out
+
+    def _featurize(self, sentence: AnnotatedSentence) -> np.ndarray:
+        vocab = self.vocab
+        ids = np.array([vocab.setdefault(lemma, len(vocab)) for lemma in sentence.lemmas()],
+                       dtype=np.intp)
+        self._alive.append(sentence)
+        self._rows[id(sentence)] = ids
+        return ids
+
+    def batch(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
+        """The rows as one matrix, padded on the right with `len(vocab)`."""
+        rows = self.rows(sentences)
+        lengths = np.array([len(ids) for ids in rows], dtype=np.intp)
+        out = np.full((len(rows), lengths.max(initial=0)), len(self.vocab), dtype=np.intp)
+        if rows:
+            out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+        return out
+
+    def embedding(self, sentence: AnnotatedSentence) -> np.ndarray:
+        """`hashed_embedding(sentence)`, hashing each distinct lemma once per run."""
+        vec = self._vectors.get(id(sentence))
+        if vec is None:
+            [ids] = self.rows([sentence])
+            if len(self._buckets) < len(self.vocab):
+                fresh = [_bucket(lemma) for lemma in list(self.vocab)[len(self._buckets):]]
+                self._buckets = np.concatenate([self._buckets, np.array(fresh, dtype=np.intp)])
+            vec = self._vectors[id(sentence)] = _unit(self._buckets[ids])
+        return vec
 
 
 # ---------------------------------------------------------------------------
@@ -102,74 +183,73 @@ class NaiveBayesClassifier:
     Out-of-vocabulary tokens are ignored at prediction time, so text made of
     unseen tokens falls back to the prior argmax. Ties break in label_set
     order. Confidence is the normalized posterior of the argmax.
+
+    Works on the lemma-id rows of `features` (a private `LemmaIds` when none
+    is given). Training counts with `np.bincount` and fills a label x lemma
+    table of `math.log((count + 1) / denom)`, one log per distinct count per
+    label; lemmas outside the training vocabulary, and padding, read a 0.0
+    column. `predict` adds the table's columns to the log priors one token
+    position at a time, so each posterior is summed in the order of a
+    per-lemma loop over the sentence and every float equals that loop's.
     """
 
-    def __init__(self, label_set: Sequence[str]):
+    def __init__(self, label_set: Sequence[str], features: LemmaIds | None = None):
         self.label_set = tuple(label_set)
+        self._features = features if features is not None else LemmaIds()
+        self._label_index = {label: i for i, label in enumerate(self.label_set)}
         self._trained = False
 
     def train(self, items: Sequence[TrainingItem]) -> None:
         if not items:
             raise EmptyTrainingSet("classifier needs at least one training item")
-        self._doc_counts = {label: 0 for label in self.label_set}
-        self._word_counts: dict[str, dict[str, int]] = {label: {} for label in self.label_set}
-        self._total_words = {label: 0 for label in self.label_set}
-        vocab: set[str] = set()
-        for sentence, label in items:
-            if label not in self._doc_counts:
-                raise ValueError(f"training label {label!r} not in label set")
-            self._doc_counts[label] += 1
-            for lemma in sentence.lemmas():
-                vocab.add(lemma)
-                counts = self._word_counts[label]
-                counts[lemma] = counts.get(lemma, 0) + 1
-                self._total_words[label] += 1
-        self._vocab = vocab
-        total_docs = sum(self._doc_counts.values())
-        self._log_prior = {
-            label: (math.log(c / total_docs) if c else -math.inf)
-            for label, c in self._doc_counts.items()
-        }
+        try:
+            doc_labels = [self._label_index[label] for _, label in items]
+        except KeyError as exc:
+            raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
+        rows = self._features.rows([sentence for sentence, _ in items])
+        n_labels, width = len(self.label_set), len(self._features.vocab)
+        token_labels = np.repeat(np.array(doc_labels, dtype=np.intp), [len(r) for r in rows])
+        counts = np.bincount(
+            token_labels * width + np.concatenate(rows), minlength=n_labels * width
+        ).reshape(n_labels, width)
+        seen = np.flatnonzero(counts.any(axis=0))
+        # The last column is for padding and for lemmas interned after training.
+        table = np.zeros((n_labels, width + 1))
+        for i, total_words in enumerate(counts.sum(axis=1).tolist()):
+            denom = total_words + len(seen)
+            distinct, inverse = np.unique(counts[i, seen], return_inverse=True)
+            logs = np.array([math.log((c + 1) / denom) for c in distinct.tolist()])
+            table[i, seen] = logs[inverse]
+        self._table = table
+        self._log_prior = np.array([
+            math.log(c / len(items)) if c else -math.inf
+            for c in np.bincount(doc_labels, minlength=n_labels).tolist()
+        ])
         self._trained = True
 
-    def predict(self, sentence: AnnotatedSentence) -> tuple[str, float]:
+    def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]:
+        """(label, confidence) for each sentence, in order."""
         if not self._trained:
             raise UntrainedClassifier("train() must run before predict()")
-        lemmas = [l for l in sentence.lemmas() if l in self._vocab]
-        v = len(self._vocab)
-        log_post = []
-        for label in self.label_set:
-            lp = self._log_prior[label]
-            if not math.isinf(lp):
-                counts = self._word_counts[label]
-                denom = self._total_words[label] + v
-                for lemma in lemmas:
-                    lp += math.log((counts.get(lemma, 0) + 1) / denom)
-            log_post.append(lp)
-        best = max(range(len(self.label_set)), key=lambda i: (log_post[i], -i))
-        peak = log_post[best]
-        weights = [math.exp(lp - peak) if not math.isinf(lp) else 0.0 for lp in log_post]
-        confidence = weights[best] / sum(weights)
-        return self.label_set[best], confidence
+        table = self._table
+        ids = np.minimum(self._features.batch(sentences), table.shape[1] - 1)
+        log_post = np.repeat(self._log_prior[:, None], len(ids), axis=1)
+        for column in ids.T:
+            log_post += table[:, column]
+        best = np.argmax(log_post, axis=0)  # the first maximum: ties go to label_set order
+        cols = np.arange(len(ids))
+        shifted = (log_post - log_post[best, cols]).ravel().tolist()
+        weights = np.array(list(map(math.exp, shifted))).reshape(log_post.shape)
+        total = weights[0].copy()
+        for row in weights[1:]:
+            total += row
+        confidence = weights[best, cols] / total
+        return [(self.label_set[b], c) for b, c in zip(best.tolist(), confidence.tolist())]
 
 
 # ---------------------------------------------------------------------------
-# Embeddings and clustering
+# Clustering
 # ---------------------------------------------------------------------------
-
-
-def hashed_embedding(sentence: AnnotatedSentence) -> np.ndarray:
-    """Deterministic 64-dim hashed bag-of-lemmas embedding, L2-normalized.
-
-    A stand-in for a sentence-embedding model; `select_cluster` takes any
-    callable mapping a sentence to a fixed-length vector.
-    """
-    vec = np.zeros(64, dtype=np.float64)
-    for lemma in sentence.lemmas():
-        digest = hashlib.sha256(lemma.encode("utf-8")).digest()
-        vec[int.from_bytes(digest[:4], "big") % len(vec)] += 1.0
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
 
 
 def kmeans(
@@ -269,7 +349,7 @@ def select_uncertainty(
     """Lowest-confidence-first selection; ties keep pool order."""
     if n > len(pool):
         raise NOverPool(f"cannot select {n} from pool of {len(pool)}")
-    confidences = [clf.predict(ex.sentence)[1] for ex in pool]
+    confidences = [conf for _, conf in clf.predict([ex.sentence for ex in pool])]
     order = sorted(range(len(pool)), key=lambda i: (confidences[i], i))
     return [pool[i] for i in order[:n]]
 
@@ -371,12 +451,13 @@ def _selection_order(
     pool: Sequence[LabeledExample],
     dataset: Dataset,
     seed: int,
+    features: LemmaIds,
 ) -> list[LabeledExample] | None:
     if condition in RANDOM_BASE_CONDITIONS:
         return select_random(pool, len(pool), seed)
     if condition == "cluster":
         k = min(len(dataset.label_set), len(pool))
-        return select_cluster(pool, len(pool), k, seed, hashed_embedding)
+        return select_cluster(pool, len(pool), k, seed, features.embedding)
     return None  # uncertainty selects iteratively
 
 
@@ -385,11 +466,12 @@ def _run_cell(
     dataset: Dataset,
     schedule: ShotSchedule,
     seed: int,
-    clf_factory: Callable[[], Classifier],
+    clf_factory: Callable[[LemmaIds], Classifier],
     augment_index: Mapping[str, SurvivorsIndex],
+    features: LemmaIds,
 ) -> dict[int, float]:
     pool = dataset.examples
-    order = _selection_order(condition, pool, dataset, seed)
+    order = _selection_order(condition, pool, dataset, seed, features)
     index = augment_index.get(condition, {})
     scores: dict[int, float] = {}
     labeled: list[LabeledExample] = []
@@ -408,10 +490,13 @@ def _run_cell(
             training = augment_with_counterfactuals(labeled, index)
         else:
             training = [(ex.sentence, ex.label) for ex in labeled]
-        clf = clf_factory()
+        clf = clf_factory(features)
         clf.train(training)
-        predictions = [(ex.label, clf.predict(ex.sentence)[0]) for ex in dataset.holdout]
-        scores[shot] = macro_f1(predictions, dataset.label_set)
+        predicted = clf.predict([ex.sentence for ex in dataset.holdout])
+        scores[shot] = macro_f1(
+            [(ex.label, label) for ex, (label, _) in zip(dataset.holdout, predicted)],
+            dataset.label_set,
+        )
         prev_clf = clf
     return scores
 
@@ -421,16 +506,19 @@ def run_simulation(
     conditions: Sequence[str],
     schedule: ShotSchedule,
     seeds: Sequence[int],
-    clf_factory: Callable[[], Classifier],
+    clf_factory: Callable[[LemmaIds], Classifier],
     augment_index: Mapping[str, SurvivorsIndex],
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean, SD, and p-values.
 
     `augment_index` maps an augmented condition to its survivors index; a
-    condition without one trains on the originals only. A failed condition x
-    seed cell is recorded as missing rather than aborting the run. p-values
-    compare each baseline against the counterfactual condition (see
-    `paired_pvalues`).
+    condition without one trains on the originals only. Every sentence of the
+    pool, the holdout and the survivors is featurized once, into one
+    `LemmaIds` that `clf_factory(features)` hands to each fresh classifier.
+    A condition x seed cell that fails with a data error (`PatvarError`,
+    `ValueError`) is recorded as missing rather than aborting the run; any
+    other exception propagates. p-values compare each baseline against the
+    counterfactual condition (see `paired_pvalues`).
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -438,13 +526,20 @@ def run_simulation(
     if unknown:
         raise ValueError(f"unknown conditions {unknown}; know {list(CONDITIONS)}")
     schedule.validate_against(len(dataset.examples))
+    features = LemmaIds(
+        [ex.sentence for ex in (*dataset.examples, *dataset.holdout)]
+        + [sentence for index in augment_index.values()
+           for items in index.values() for sentence, _ in items]
+    )
     summaries = []
     for condition in conditions:
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:
-                cell = _run_cell(condition, dataset, schedule, seed, clf_factory, augment_index)
-            except Exception:
+                cell = _run_cell(
+                    condition, dataset, schedule, seed, clf_factory, augment_index, features
+                )
+            except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
                 cell = {}
             for shot in schedule.shots:

@@ -422,8 +422,8 @@ def test_cli_rerun_is_idempotent(pipeline_dir):
     assert before == after
 
 
-def test_cli_simulate_annotates_each_text_once(pipeline_dir, monkeypatch):
-    tmp_path, config = pipeline_dir
+def count_annotations(monkeypatch) -> list:
+    """The texts the fixture provider annotates from now on, one entry per call."""
     calls = []
     original = FixtureAnnotationProvider.annotate
 
@@ -432,12 +432,35 @@ def test_cli_simulate_annotates_each_text_once(pipeline_dir, monkeypatch):
         return original(self, raw)
 
     monkeypatch.setattr(FixtureAnnotationProvider, "annotate", counting)
+    return calls
+
+
+def test_cli_simulate_annotates_each_text_once(pipeline_dir, monkeypatch):
+    tmp_path, config = pipeline_dir
+    calls = count_annotations(monkeypatch)
     assert main(["simulate", "--config", str(config)]) == 0
     out = tmp_path / "out"
     rows = len((tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
     survivors = sum(len((out / f"survivors_{name}.jsonl").read_text().splitlines())
                     for name in ("vt", "novt"))
     assert 0 < len(calls) <= rows + survivors
+
+
+def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch):
+    import shutil
+
+    source, config = pipeline_dir
+    # A copy of the outputs and cache, so the shared pipeline directory stays as it was.
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    shutil.copytree(source / "out", out)
+    shutil.copytree(source / "cache", cache)
+    calls = count_annotations(monkeypatch)
+    assert main(["ablate", "--config", str(config), "--out", str(out),
+                 "--cache-dir", str(cache)]) == 0
+    rows = len((source / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
+    texts = {json.loads(line)["generated_text"]
+             for line in (out / "candidates_vt.jsonl").read_text().splitlines()}
+    assert 0 < len(calls) <= rows + len(texts)
 
 
 def test_cli_ablate_arms(tmp_path):
@@ -475,6 +498,40 @@ def test_cli_gen_rejects_single_label(tmp_path, capsys):
     )
     assert main(["gen", "--config", str(config)]) == 2
     assert "need at least two labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    '{"patterns": {"price": []}}',
+    '{"label_set": ["price", "service"]}',
+    '{"label_set": ["price", "service"], "patterns": {"price": ["price"]}}',
+    '{"label_set": "price", "patterns": {}}',
+], ids=["not_json", "no_label_set", "no_patterns", "entry_not_mapping", "label_set_not_list"])
+def test_cli_gen_rejects_malformed_patterns(tmp_path, capsys, content):
+    config = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "patterns.json").write_text(content, encoding="utf-8")
+    assert main(["gen", "--config", str(config)]) == 2
+    assert "patterns.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    '{"generated_text": "x"}',
+    '{"original": {"id": 3}, "generated_text": "x", "target_label": "price"}',
+    '{"original": "d0", "generated_text": "x", "target_label": "price"}',
+    '["d0", "x", "price"]',
+    "{not json",
+], ids=["missing_keys", "id_not_string", "original_not_mapping", "not_mapping", "not_json"])
+def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, line):
+    config = write_config(tmp_path, conditions=["random", "counterfactual"])
+    (tmp_path / "out").mkdir()
+    good = {"original": {"id": "d0"}, "generated_text": "the staff was rude.",
+            "target_label": "service"}
+    (tmp_path / "out" / "survivors_vt.jsonl").write_text(
+        json.dumps(good) + "\n" + line + "\n", encoding="utf-8"
+    )
+    assert main(["simulate", "--config", str(config), "--seed", "0"]) == 2
+    assert "survivors_vt.jsonl line 2" in capsys.readouterr().err
 
 
 def test_cli_simulate_reports_failed_condition(tmp_path, capsys):

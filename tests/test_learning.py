@@ -1,13 +1,19 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from patvar.annotation import AnnotatedSentence, Token
 from patvar.learning import (
+    CONDITIONS,
     Dataset,
     EmptyTrainingSet,
     KOverN,
+    LemmaIds,
     NaiveBayesClassifier,
     NOverPool,
     RunResult,
@@ -71,6 +77,34 @@ def test_select_random_deterministic_and_nested(small_pool):
 def test_select_random_over_pool(small_pool):
     with pytest.raises(NOverPool):
         select_random(small_pool, len(small_pool) + 1, seed=0)
+
+
+def reference_embedding(sentence):
+    """The sha256-per-lemma loop that `hashed_embedding` is specified by."""
+    vec = np.zeros(64, dtype=np.float64)
+    for lemma in sentence.lemmas():
+        digest = hashlib.sha256(lemma.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % len(vec)] += 1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def sentence_of(words, sentence_id="s"):
+    return AnnotatedSentence(sentence_id, " ".join(words), tuple(Token(w, w) for w in words))
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.lists(st.text("abcé中ß", min_size=1, max_size=4), max_size=8),
+                      max_size=6))
+def test_embeddings_match_sha256_reference(texts):
+    sentences = [sentence_of(words) for words in texts]
+    # Half the sentences are interned up front, like a run's; the rest on first use.
+    features = LemmaIds(sentences[: len(sentences) // 2])
+    for sentence in sentences:
+        expected = reference_embedding(sentence)
+        assert np.array_equal(hashed_embedding(sentence), expected)
+        assert np.array_equal(features.embedding(sentence), expected)
+        assert np.array_equal(features.embedding(sentence), expected)  # the remembered vector
 
 
 def test_embedder_properties(provider):
@@ -165,8 +199,8 @@ def test_select_uncertainty_ordering(small_pool):
         def train(self, items):
             pass
 
-        def predict(self, sentence):
-            return "products", self.confs[sentence.raw]
+        def predict(self, sentences):
+            return [("products", self.confs[sentence.raw]) for sentence in sentences]
 
     confs = {e.sentence.raw: c for e, c in zip(small_pool, [0.9, 0.1, 0.5, 0.9, 0.2, 0.9, 0.9, 0.9])}
     sel = select_uncertainty(small_pool, 3, Scripted(confs))
@@ -215,7 +249,7 @@ def test_nb_hand_computed_posterior(provider):
     s = provider.annotate
     clf = NaiveBayesClassifier(["A", "B"])
     clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    label, conf = clf.predict(s("good"))
+    [(label, conf)] = clf.predict([s("good")])
     assert label == "A"
     # add-one smoothing: (2/6 * 0.5) / (2/6 * 0.5 + 1/6 * 0.5) = 2/3
     assert conf == pytest.approx(2 / 3, abs=1e-4)
@@ -225,7 +259,7 @@ def test_nb_predicts_trained_class(provider):
     s = provider.annotate
     clf = NaiveBayesClassifier(["A", "B"])
     clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    label, conf = clf.predict(s("good food"))
+    [(label, conf)] = clf.predict([s("good food")])
     assert label == "A"
     assert conf > 0.5
 
@@ -234,11 +268,11 @@ def test_nb_unseen_tokens_fall_back_to_prior(provider):
     s = provider.annotate
     clf = NaiveBayesClassifier(["A", "B"])
     clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    label, conf = clf.predict(s("xyzzy qwerty"))
+    [(label, conf)] = clf.predict([s("xyzzy qwerty")])
     assert label == "A"  # tie broken by label order
     assert conf == pytest.approx(0.5)
     clf.train([(s("good food"), "A"), (s("rude staff"), "B"), (s("more staff"), "B")])
-    label, _ = clf.predict(s("xyzzy qwerty"))
+    [(label, _)] = clf.predict([s("xyzzy qwerty")])
     assert label == "B"  # prior argmax
 
 
@@ -252,8 +286,109 @@ def test_nb_missing_label_never_predicted(provider):
     s = provider.annotate
     clf = NaiveBayesClassifier(["A", "B", "C"])
     clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    label, _ = clf.predict(s("anything here"))
+    [(label, _)] = clf.predict([s("anything here")])
     assert label in ("A", "B")
+
+
+class OracleNaiveBayes:
+    """The per-lemma dict classifier that `NaiveBayesClassifier` replaced.
+
+    Same model and arithmetic, one sentence at a time in Python: the
+    reference the array classifier must equal float for float.
+    """
+
+    def __init__(self, label_set):
+        self.label_set = tuple(label_set)
+        self._trained = False
+
+    def train(self, items):
+        if not items:
+            raise EmptyTrainingSet("classifier needs at least one training item")
+        self._doc_counts = {label: 0 for label in self.label_set}
+        self._word_counts = {label: {} for label in self.label_set}
+        self._total_words = {label: 0 for label in self.label_set}
+        vocab = set()
+        for sentence, label in items:
+            if label not in self._doc_counts:
+                raise ValueError(f"training label {label!r} not in label set")
+            self._doc_counts[label] += 1
+            for lemma in sentence.lemmas():
+                vocab.add(lemma)
+                counts = self._word_counts[label]
+                counts[lemma] = counts.get(lemma, 0) + 1
+                self._total_words[label] += 1
+        self._vocab = vocab
+        total_docs = sum(self._doc_counts.values())
+        self._log_prior = {
+            label: (math.log(c / total_docs) if c else -math.inf)
+            for label, c in self._doc_counts.items()
+        }
+        self._trained = True
+
+    def predict(self, sentences):
+        return [self._predict_one(sentence) for sentence in sentences]
+
+    def _predict_one(self, sentence):
+        if not self._trained:
+            raise UntrainedClassifier("train() must run before predict()")
+        lemmas = [l for l in sentence.lemmas() if l in self._vocab]
+        v = len(self._vocab)
+        log_post = []
+        for label in self.label_set:
+            lp = self._log_prior[label]
+            if not math.isinf(lp):
+                counts = self._word_counts[label]
+                denom = self._total_words[label] + v
+                for lemma in lemmas:
+                    lp += math.log((counts.get(lemma, 0) + 1) / denom)
+            log_post.append(lp)
+        best = max(range(len(self.label_set)), key=lambda i: (log_post[i], -i))
+        peak = log_post[best]
+        weights = [math.exp(lp - peak) if not math.isinf(lp) else 0.0 for lp in log_post]
+        return self.label_set[best], weights[best] / sum(weights)
+
+
+NB_WORDS = ("good", "food", "rude", "staff", "cheap", "the", "was", "very")
+NB_UNSEEN = ("xyzzy", "qwerty")  # never trained on: out of vocabulary
+
+
+@st.composite
+def nb_corpora(draw):
+    """A label set, training items (at least one label unused when there are
+    three or more) and query word lists. A small vocabulary makes repeated
+    lemmas and exact ties common."""
+    label_set = draw(st.sampled_from([("A", "B"), ("A", "B", "C"), ("D", "A", "C", "B")]))
+    used = draw(st.lists(st.sampled_from(label_set), min_size=1,
+                         max_size=max(1, len(label_set) - 1), unique=True))
+    words = st.sampled_from(NB_WORDS[: draw(st.integers(1, len(NB_WORDS)))])
+    items = draw(st.lists(st.tuples(st.lists(words, max_size=6), st.sampled_from(used)),
+                          min_size=1, max_size=10))
+    queries = draw(st.lists(st.lists(st.sampled_from(NB_WORDS + NB_UNSEEN), max_size=8),
+                            max_size=8))
+    return label_set, items, queries
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=nb_corpora(), interned_first=st.booleans())
+@example(corpus=(("A", "B"), [(["good"], "A"), (["good"], "B")], [["good"], [], ["xyzzy"]]),
+         interned_first=False)  # an exact tie: both labels score alike
+@example(corpus=(("A", "B", "C"), [([], "B"), (["the", "the"], "A")], [["the"], ["qwerty"]]),
+         interned_first=True)
+def test_nb_matches_per_lemma_oracle(corpus, interned_first):
+    label_set, items, queries = corpus
+    training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
+    query_sentences = [sentence_of(words, f"q{i}") for i, words in enumerate(queries)]
+    # A run interns every sentence before training; a lone classifier meets the
+    # queries' unseen lemmas only when it predicts.
+    features = LemmaIds(
+        [s for s, _ in training] + query_sentences if interned_first else ()
+    )
+    clf = NaiveBayesClassifier(label_set, features)
+    clf.train(training)
+    oracle = OracleNaiveBayes(label_set)
+    oracle.train(training)
+    # == on (label, confidence) tuples: the floats must be equal, not close.
+    assert clf.predict(query_sentences) == oracle.predict(query_sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +454,8 @@ def test_run_simulation_shape_and_determinism(provider):
     }
     augment = {"counterfactual": index}
 
-    def factory():
-        return NaiveBayesClassifier(dataset.label_set)
+    def factory(features):
+        return NaiveBayesClassifier(dataset.label_set, features)
 
     results = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, augment)
     assert [r.condition for r in results] == ["random", "counterfactual"]
@@ -339,12 +474,52 @@ def test_run_simulation_shape_and_determinism(provider):
     assert again == results
 
 
+def test_run_simulation_equal_under_oracle_classifier(provider):
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    survivors = {
+        e.sentence.id: [(provider.annotate(f"the {w} spoke kindly."), "service")]
+        for e, w in zip(dataset.examples, itertools.cycle(["staff", "menu", "waiter"]))
+        if e.label == "products"
+    }
+    augment = {"counterfactual": survivors, "cf_no_vt": dict(list(survivors.items())[::2])}
+    fast = run_simulation(dataset, list(CONDITIONS), schedule, [0, 1, 2],
+                          lambda features: NaiveBayesClassifier(dataset.label_set, features),
+                          augment)
+    slow = run_simulation(dataset, list(CONDITIONS), schedule, [0, 1, 2],
+                          lambda features: OracleNaiveBayes(dataset.label_set), augment)
+    assert fast == slow
+
+
+def _failing_factory(label_set, error):
+    class Failing(NaiveBayesClassifier):
+        def train(self, items):
+            raise error("failing on purpose")
+
+    return lambda features: Failing(label_set, features)
+
+
+def test_run_simulation_programming_error_propagates(provider):
+    dataset = tiny_dataset(provider)
+    with pytest.raises(TypeError, match="failing on purpose"):
+        run_simulation(dataset, ["random"], ShotSchedule((4,)), [0],
+                       _failing_factory(dataset.label_set, TypeError), {})
+
+
+def test_run_simulation_data_error_is_missing_cell(provider):
+    dataset = tiny_dataset(provider)
+    [result] = run_simulation(dataset, ["random"], ShotSchedule((4, 8)), [0, 1],
+                              _failing_factory(dataset.label_set, ValueError), {})
+    assert result.scores == {4: {0: None, 1: None}, 8: {0: None, 1: None}}
+    assert result.mean == {4: None, 8: None}
+
+
 def test_run_simulation_all_conditions_run(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
 
-    def factory():
-        return NaiveBayesClassifier(dataset.label_set)
+    def factory(features):
+        return NaiveBayesClassifier(dataset.label_set, features)
 
     conditions = ["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"]
     results = run_simulation(dataset, conditions, schedule, [0, 1, 2], factory, {})
@@ -356,8 +531,8 @@ def test_run_simulation_all_conditions_run(provider):
 def test_run_simulation_rejects_bad_inputs(provider):
     dataset = tiny_dataset(provider)
 
-    def factory():
-        return NaiveBayesClassifier(dataset.label_set)
+    def factory(features):
+        return NaiveBayesClassifier(dataset.label_set, features)
 
     with pytest.raises(ValueError):
         run_simulation(dataset, ["bogus"], ShotSchedule((2,)), [0], factory, {})
@@ -395,8 +570,8 @@ def test_nesting_across_shots(provider):
             seen.append([sentence for sentence, _ in items])
             super().train(items)
 
-    def factory():
-        return Spy(dataset.label_set)
+    def factory(features):
+        return Spy(dataset.label_set, features)
 
     run_simulation(dataset, ["random"], schedule, [7], factory, {})
     assert len(seen) == 3
