@@ -25,11 +25,12 @@ from .config import (
     ingest,
     load_config,
 )
-from .errors import ConfigError, PatvarError
+from .errors import ConfigError, ParseError, PatvarError
 from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline
 from .gateway import BackendError, CacheError
 from .generation import (
     AllOthers,
+    CounterfactualCandidate,
     NoPatternMatch,
     NoValidPhrases,
     RandomTargets,
@@ -90,6 +91,9 @@ def _update_manifest(cfg: ExperimentConfig, config_path: str, command: str, outp
                 manifest = json.load(fh)
         except ValueError:
             logger.warning("manifest was unreadable; rebuilding")
+        if not isinstance(manifest, dict):
+            logger.warning("manifest was not a JSON object; rebuilding")
+            manifest = {}
     manifest[command] = {
         "config_sha256": _sha256_file(config_path),
         "outputs": {os.path.basename(p): _sha256_file(p) for p in sorted(outputs)},
@@ -121,6 +125,18 @@ def _read_jsonl(path) -> list[tuple[int, object]]:
                 except ValueError as exc:
                     raise ConfigError(f"{path} line {lineno}: not JSON ({exc})") from None
     return records
+
+
+def _read_candidates(path) -> list[CounterfactualCandidate]:
+    """The candidates of a `patvar gen` output file; ConfigError naming the
+    file and line for a record that is not a candidate."""
+    candidates = []
+    for lineno, record in _read_jsonl(path):
+        try:
+            candidates.append(candidate_from_record(record))
+        except ParseError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from None
+    return candidates
 
 
 def _dataset_name(cfg: ExperimentConfig) -> str:
@@ -265,7 +281,7 @@ def _filter_candidates(cfg, name, filter_cfg, deps) -> tuple[list, QualityReport
     path = _out(cfg, f"candidates_{name}.jsonl")
     if not os.path.exists(path):
         return [], None, []
-    candidates = [candidate_from_record(r) for _, r in _read_jsonl(path)]
+    candidates = _read_candidates(path)
     audit_records = []
     deps.audit_sink = audit_records.append
     survivors, report = run_pipeline(candidates, filter_cfg, deps)
@@ -398,7 +414,7 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
     cand_path = _out(cfg, "candidates_vt.jsonl")
     if not os.path.exists(cand_path):
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
-    candidates = [candidate_from_record(r) for _, r in _read_jsonl(cand_path)]
+    candidates = _read_candidates(cand_path)
     memo = _AnnotationMemo(provider)  # the arms share candidates, so they share texts
     per_arm: list[RunResult] = []
     for arm in FilterConfig.ARMS:

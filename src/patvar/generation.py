@@ -16,15 +16,24 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
-from .errors import PatvarError
+from .annotation import (
+    AnnotatedSentence,
+    AnnotationProvider,
+    SynonymLexicon,
+    annotate,
+    record_to_sentence,
+    sentence_to_record,
+)
+from .errors import InvariantViolation, ParseError, PatvarError
 from .gateway import Gateway
 from .patterns import (
     MatchSpan,
     PatternAst,
+    PatternSyntaxError,
     SoftAtom,
     find_matches,
     match_sentence,
+    parse_pattern,
     render_pattern,
 )
 from .prompts import GENERATION_MAX_TOKENS, SEPARATOR_MAX_TOKENS, fill, load_template
@@ -155,8 +164,6 @@ class CounterfactualCandidate:
 
 
 def candidate_to_record(c: CounterfactualCandidate) -> dict:
-    from .annotation import sentence_to_record
-
     return {
         "uid": c.uid,
         "original": sentence_to_record(c.task.original),
@@ -172,26 +179,54 @@ def candidate_to_record(c: CounterfactualCandidate) -> dict:
     }
 
 
-def candidate_from_record(record: Mapping) -> CounterfactualCandidate:
-    from .annotation import record_to_sentence
-    from .patterns import parse_pattern
+_REQUIRED = object()
 
-    task = GenerationTask(
-        original=record_to_sentence(record["original"]),
-        original_label=record["original_label"],
-        target_label=record["target_label"],
-        pattern=parse_pattern(record["pattern"]) if record["pattern"] else None,
-        matched_phrase=record.get("matched_phrase", ""),
-    )
-    return CounterfactualCandidate(
-        uid=record["uid"],
-        task=task,
-        generated_text=record["generated_text"],
-        used_phrase=record.get("used_phrase"),
-        finish_reason=record.get("finish_reason", "stop"),
-        verdicts={s: StageVerdict(v[0], v[1]) for s, v in record.get("verdicts", {}).items()},
-        discriminator_label=record.get("discriminator_label"),
-    )
+
+def candidate_from_record(record: Mapping) -> CounterfactualCandidate:
+    """Rebuild a candidate written by `candidate_to_record`.
+
+    Raises ParseError for a record that is not a mapping, a missing or
+    mistyped field, an unparsable pattern or an inconsistent candidate.
+    """
+    if not isinstance(record, Mapping):
+        raise ParseError(f"a candidate record must be an object, got {type(record).__name__}")
+
+    def get(key, types, default=_REQUIRED):
+        if key not in record:
+            if default is _REQUIRED:
+                raise ParseError(f"candidate record lacks {key!r}")
+            return default
+        value = record[key]
+        if not isinstance(value, types):
+            raise ParseError(f"candidate field {key!r} has type {type(value).__name__}")
+        return value
+
+    verdicts = get("verdicts", Mapping, {})
+    for stage, verdict in verdicts.items():
+        if stage not in STAGES or not (
+            isinstance(verdict, list) and len(verdict) == 2 and all(isinstance(v, str) for v in verdict)
+        ):
+            raise ParseError(f"candidate verdict {stage!r}: {verdict!r} is not a [status, reason] pair")
+    pattern = get("pattern", (str, type(None)))
+    try:
+        task = GenerationTask(
+            original=record_to_sentence(get("original", Mapping)),
+            original_label=get("original_label", str),
+            target_label=get("target_label", str),
+            pattern=parse_pattern(pattern) if pattern else None,
+            matched_phrase=get("matched_phrase", str, ""),
+        )
+        return CounterfactualCandidate(
+            uid=get("uid", str),
+            task=task,
+            generated_text=get("generated_text", str),
+            used_phrase=get("used_phrase", (str, type(None)), None),
+            finish_reason=get("finish_reason", str, "stop"),
+            verdicts={stage: StageVerdict(*verdict) for stage, verdict in verdicts.items()},
+            discriminator_label=get("discriminator_label", (str, type(None)), None),
+        )
+    except (ValueError, TypeError, AttributeError, InvariantViolation, PatternSyntaxError) as exc:
+        raise ParseError(f"not a candidate record: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@ or more tokens. `+` joins atoms into an adjacent sequence; `|` separates
 alternatives. Matching is unanchored: a pattern matches a sentence when some
 alternative matches a contiguous token span anywhere in it.
 
-Matching is bit-parallel (shift-and; Baeza-Yates & Gonnet, CACM 1992). An
-atom's mask over a sentence of n tokens has bit t set when the atom accepts
-token t. A state holds the positions 0..n where a prefix of a sequence can
-end: bits 0..n when unanchored, one bit when anchored at a start. A concrete
-atom maps `state` to `(state & mask) << 1`; `*` sets every bit from the
-lowest set bit up to n; a sequence matches when its final state is non-zero.
+Matching is bit-parallel (shift-and; Baeza-Yates & Gonnet, CACM 1992). A
+sentence's feature table (`sentence_features`, one pass over its tokens)
+maps each POS tag, lemma and entity tag to the bitmask of the tokens that
+carry it; an atom's mask (`atom_mask`) is read from that table and has bit t
+set when the atom accepts token t. A state holds the positions 0..n where a
+prefix of a sequence can end: bits 0..n when unanchored, one bit when
+anchored at a start. A concrete atom maps `state` to `(state & mask) << 1`;
+`*` sets every bit from the lowest set bit up to n; a sequence matches when
+its final state is non-zero. `advance` also steps many sentences packed into
+one integer, which is how synthesis scores a pattern on every example at once.
 `find_matches` takes the lowest end bit of the anchored pass from each start,
 and a backward reachability pass gives the bindings.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .annotation import POS_TAGS, AnnotatedSentence, SynonymLexicon, Token
 from .errors import PatvarError
@@ -242,27 +247,74 @@ def atom_matches_token(atom: Atom, token: Token, lex: SynonymLexicon) -> bool:
     raise TypeError(f"wildcards have no single-token semantics: {atom!r}")
 
 
-def atom_mask(atom: Atom, tokens: tuple[Token, ...], lex: SynonymLexicon) -> int | None:
-    """Position bitmask of `atom` over `tokens`: bit t is set iff the atom
-    accepts token t. None for the wildcard, which has no per-token test."""
+class Features(NamedTuple):
+    """Token bitmasks of a sentence (or of a packed row of sentences) by POS
+    tag, lemma and entity tag: bit t of `lemma["food"]` is set iff token t
+    has lemma "food"."""
+
+    pos: dict[str, int]
+    lemma: dict[str, int]
+    entity: dict[str, int]
+
+
+def sentence_features(tokens: tuple[Token, ...]) -> Features:
+    """The feature table of a sentence, in one pass over its tokens."""
+    pos: dict[str, int] = {}
+    lemma: dict[str, int] = {}
+    entity: dict[str, int] = {}
+    for t, token in enumerate(tokens):
+        bit = 1 << t
+        pos[token.pos] = pos.get(token.pos, 0) | bit
+        lemma[token.lemma] = lemma.get(token.lemma, 0) | bit
+        if token.entity is not None:
+            entity[token.entity] = entity.get(token.entity, 0) | bit
+    return Features(pos, lemma, entity)
+
+
+def atom_mask(atom: Atom, features: Features, lex: SynonymLexicon) -> int | None:
+    """Position bitmask of `atom` over the sentence (or packed row) whose
+    feature table is `features`: bit t is set iff the atom accepts token t.
+    None for the wildcard, which has no per-token test."""
+    if isinstance(atom, PosAtom):
+        return features.pos.get(atom.tag, 0)
+    if isinstance(atom, StemAtom):
+        return features.lemma.get(atom.lemma, 0)
+    if isinstance(atom, SoftAtom):
+        mask = 0
+        for lemma in lex.synonyms_of(atom.lemma):
+            mask |= features.lemma.get(lemma, 0)
+        return mask
+    if isinstance(atom, EntityAtom):
+        return features.entity.get(atom.tag, 0)
     if isinstance(atom, WildcardAtom):
         return None
-    return sum(1 << t for t, token in enumerate(tokens) if atom_matches_token(atom, token, lex))
+    raise TypeError(f"not a pattern atom: {atom!r}")
 
 
-def advance(state: int, mask: int | None, n: int) -> int:
+def advance(state: int, mask: int | None, guard: int, valid: int) -> int:
     """End positions after one more atom with `mask`, from the end positions
-    `state` before it, in a sentence of `n` tokens."""
+    `state` before it.
+
+    A state may pack several sentences: sentence j of n_j tokens owns n_j + 2
+    bits, end positions 0..n_j then a guard bit. `guard` has every guard bit
+    set and `valid` every end position; a lone sentence of n tokens has
+    `guard = 1 << (n + 1)` and `valid = guard - 1`. Masks set token
+    positions only, so a concrete atom's shift never reaches the next
+    sentence; for `*`, each sentence's borrow in `guard - state` stops at its
+    own guard bit, which fills its end positions from its lowest set bit up
+    and leaves an empty sentence empty.
+    """
     if mask is not None:
         return (state & mask) << 1
-    return (1 << (n + 1)) - (state & -state) if state else 0
+    return ((guard - state) | state) & valid
 
 
 def _forward(state: int, masks, n: int) -> int:
+    guard = 1 << (n + 1)
     for mask in masks:
         if not state:
             break
-        state = advance(state, mask, n)
+        state = advance(state, mask, guard, guard - 1)
     return state
 
 
@@ -273,8 +325,9 @@ def _lowest(bits: int) -> int:
 def match_sentence(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> bool:
     """True iff some alternative matches a contiguous span anywhere in `s`."""
     n = len(s.tokens)
+    features = sentence_features(s.tokens)
     return any(
-        _forward((1 << (n + 1)) - 1, (atom_mask(atom, s.tokens, lex) for atom in seq), n)
+        _forward((1 << (n + 1)) - 1, (atom_mask(atom, features, lex) for atom in seq), n)
         for seq in p.alternatives
     )
 
@@ -306,7 +359,8 @@ def find_matches(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> li
     reported once, at position 0.
     """
     n = len(s.tokens)
-    masks = [[atom_mask(atom, s.tokens, lex) for atom in seq] for seq in p.alternatives]
+    features = sentence_features(s.tokens)
+    masks = [[atom_mask(atom, features, lex) for atom in seq] for seq in p.alternatives]
     raw: list[MatchSpan] = []
     for start in range(n + 1):
         best: tuple[int, int] | None = None

@@ -4,6 +4,7 @@ incomplete beta function that backs the t-distribution tail probability."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 from .errors import PatvarError
@@ -133,11 +134,15 @@ def macro_f1(predictions: Sequence[tuple[str, str]], label_set: Sequence[str]) -
     """
     if not predictions:
         raise EmptyPredictions("no predictions to score")
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for (gold, pred), count in Counter(predictions).items():
+        if gold == pred:
+            tp[gold] += count
+        else:
+            fp[pred] += count
+            fn[gold] += count
     total = 0.0
     for label in label_set:
-        tp = sum(1 for gold, pred in predictions if gold == label and pred == label)
-        fp = sum(1 for gold, pred in predictions if gold != label and pred == label)
-        fn = sum(1 for gold, pred in predictions if gold == label and pred != label)
-        denom = 2 * tp + fp + fn
-        total += (2 * tp / denom) if denom else 0.0
+        denom = 2 * tp[label] + fp[label] + fn[label]
+        total += (2 * tp[label] / denom) if denom else 0.0
     return total / len(label_set)

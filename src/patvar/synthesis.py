@@ -15,6 +15,7 @@ from .patterns import (
     WILDCARD,
     Atom,
     EntityAtom,
+    Features,
     PatternAst,
     PosAtom,
     SoftAtom,
@@ -22,7 +23,8 @@ from .patterns import (
     WildcardAtom,
     advance,
     atom_mask,
-    render_pattern,
+    render_atom,
+    sentence_features,
 )
 
 
@@ -85,18 +87,13 @@ def _beam_key(sp: ScoredPattern):
     return (-sp.f1, len(sp.pattern.alternatives[0]), sp.rendered)
 
 
-def score_pattern(
-    pattern: PatternAst,
-    positives: list[LabeledExample],
-    hits: tuple[frozenset[str], frozenset[str]],
-) -> ScoredPattern:
-    """Score a pattern from `hits`, the ids of the (positives, negatives) it matches."""
-    pos_ids, neg_ids = hits
-    matched = len(pos_ids) + len(neg_ids)
-    precision = len(pos_ids) / matched if matched else 0.0
-    recall = len(pos_ids) / len(positives) if positives else 0.0
+def _rates(tp: int, fp: int, n_positives: int) -> tuple[float, float, float]:
+    """(precision, recall, F1) of a pattern matching `tp` of `n_positives`
+    positives and `fp` negatives."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / n_positives
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ScoredPattern(pattern, pos_ids, neg_ids, precision, recall, f1, render_pattern(pattern))
+    return precision, recall, f1
 
 
 def enumerate_candidates(
@@ -112,49 +109,78 @@ def enumerate_candidates(
     Consecutive wildcards are never generated, and a bare wildcard is kept in
     the beam as a seed but never returned as a candidate.
 
-    A child is scored from its parent's end states (`patterns.advance`) on the
-    examples the parent matched: adding an atom never adds a match.
+    All examples, positives first, are packed into one row (`patterns.advance`):
+    one feature table and one mask per atom cover every example, so a child
+    is scored from its parent's end states with a few integer operations.
+    Example j owns `n_j + 2` bits, its end positions then a guard bit; the
+    guard bits of `(state + valid) & guard` are the examples a state matches.
     """
     if not positives:
         raise EmptyPositives("need at least one positive example")
     atom_pool = set()
     for ex in positives:
         atom_pool |= enumerate_atoms(ex.sentence, lex)
-    atoms = sorted(atom_pool, key=lambda a: (render_pattern(PatternAst(((a,),)))))
-    examples = positives + negatives
-    ids = [ex.sentence.id for ex in examples]
-    sizes = [len(ex.sentence) for ex in examples]
-    masks = {atom: [atom_mask(atom, ex.sentence.tokens, lex) for ex in examples] for atom in atoms}
+    atoms = sorted(atom_pool, key=render_atom)
+    features = Features({}, {}, {})
+    guard = positive_guard = valid = offset = 0
+    owner: dict[int, str] = {}  # guard bit position -> example id
+    for j, ex in enumerate(positives + negatives):
+        n = len(ex.sentence)
+        for table, part in zip(features, sentence_features(ex.sentence.tokens)):
+            for key, mask in part.items():
+                table[key] = table.get(key, 0) | mask << offset
+        valid |= ((1 << (n + 1)) - 1) << offset
+        guard |= 1 << (offset + n + 1)
+        if j < len(positives):
+            positive_guard = guard
+        owner[offset + n + 1] = ex.sentence.id
+        offset += n + 2
+    negative_guard = guard ^ positive_guard
+    columns = [(atom, render_atom(atom), atom_mask(atom, features, lex)) for atom in atoms]
 
-    def grow(states: dict[int, int], atom: Atom) -> dict[int, int]:
-        column = masks[atom]
-        return {j: end for j, state in states.items() if (end := advance(state, column[j], sizes[j]))}
+    def ids(bits: int) -> frozenset[str]:
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(owner[low.bit_length() - 1])
+            bits ^= low
+        return frozenset(found)
 
-    def scored(seq: tuple[Atom, ...], states: dict[int, int]) -> ScoredPattern:
-        pos_ids = frozenset(ids[j] for j in states if j < len(positives))
-        neg_ids = frozenset(ids[j] for j in states if j >= len(positives))
-        return score_pattern(PatternAst((seq,)), positives, (pos_ids, neg_ids))
-
-    everywhere = {j: (1 << (n + 1)) - 1 for j, n in enumerate(sizes)}
-    beam: list[tuple[tuple[Atom, ...], dict[int, int]]] = [((), everywhere)]
+    beam: list[tuple[tuple[Atom, ...], str, int]] = [((), "", valid)]
     candidates: dict[str, ScoredPattern] = {}
     for _ in range(cfg.max_atoms):
-        # (scored child, its parent's end states, its last atom)
-        layer = [
-            (scored(seq + (atom,), grow(states, atom)), states, atom)
-            for seq, states in beam
-            if states
-            for atom in atoms
-            if not (seq and isinstance(seq[-1], WildcardAtom) and isinstance(atom, WildcardAtom))
-        ]
-        layer.sort(key=lambda item: _beam_key(item[0]))
-        for sp, _, _ in layer:
-            seq = sp.pattern.alternatives[0]
-            if sp.matched_positive_ids and not all(isinstance(a, WildcardAtom) for a in seq):
-                candidates.setdefault(sp.rendered, sp)
+        # One entry per child: (-F1, render, generation order, parent, atom, mask,
+        # tp, fp). A round's children are equally long, so sorting the entries
+        # orders them by `_beam_key`, ties in generation order.
+        layer = []
+        for parent in beam:
+            seq, text, state = parent
+            if not state:
+                continue
+            after_wildcard = bool(seq) and isinstance(seq[-1], WildcardAtom)
+            for atom, atom_text, mask in columns:
+                if mask is None and after_wildcard:
+                    continue
+                hit = (advance(state, mask, guard, valid) + valid) & guard
+                tp = (hit & positive_guard).bit_count()
+                fp = hit.bit_count() - tp
+                child_text = f"{text}+{atom_text}" if text else atom_text
+                layer.append(
+                    (-_rates(tp, fp, len(positives))[2], child_text, len(layer),
+                     parent, atom, mask, tp, fp)
+                )
+        layer.sort()
+        for _, text, _, (seq, _, state), atom, mask, tp, fp in layer:
+            child = seq + (atom,)
+            if tp and text not in candidates and not all(isinstance(a, WildcardAtom) for a in child):
+                hit = (advance(state, mask, guard, valid) + valid) & guard
+                candidates[text] = ScoredPattern(
+                    PatternAst((child,)), ids(hit & positive_guard), ids(hit & negative_guard),
+                    *_rates(tp, fp, len(positives)), text,
+                )
         beam = [
-            (sp.pattern.alternatives[0], grow(parent, atom))
-            for sp, parent, atom in layer[: cfg.beam_width]
+            (seq + (atom,), text, advance(state, mask, guard, valid))
+            for _, text, _, (seq, _, state), atom, mask, _, _ in layer[: cfg.beam_width]
         ]
     return sorted(candidates.values(), key=_beam_key)
 

@@ -17,7 +17,9 @@ from patvar.config import (
 from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
+from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
 from patvar.learning import RunResult
+from patvar.patterns import parse_pattern
 from patvar.reports import render_f1_grid, render_quality_table, significance_stars
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
 
@@ -532,6 +534,55 @@ def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, line):
     )
     assert main(["simulate", "--config", str(config), "--seed", "0"]) == 2
     assert "survivors_vt.jsonl line 2" in capsys.readouterr().err
+
+
+def write_two_label_patterns(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "patterns.json").write_text(
+        json.dumps({"dataset": "data", "label_set": ["price", "service"],
+                    "patterns": {"price": [{"pattern": "[cheap]"}], "service": []}}),
+        encoding="utf-8",
+    )
+
+
+def malformed_candidate(provider, kind):
+    task = GenerationTask(provider.annotate("the food was cheap"), "price", "service",
+                          parse_pattern("[cheap]"), "cheap")
+    record = candidate_to_record(CounterfactualCandidate("u0", task, "the staff was rude", "rude"))
+    if kind == "empty":
+        return {}
+    if kind == "no_generated_text":
+        del record["generated_text"]
+    elif kind == "uid_not_string":
+        record["uid"] = 3
+    elif kind == "bad_pattern":
+        record["pattern"] = "[cheap"
+    return record
+
+
+@pytest.mark.parametrize("command", ["filter", "ablate"])
+@pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern"])
+def test_cli_rejects_malformed_candidate(tmp_path, capsys, provider, command, kind):
+    config = write_config(tmp_path, seeds=[0])
+    write_two_label_patterns(tmp_path)
+    good = malformed_candidate(provider, "good")
+    lines = [json.dumps(good), json.dumps(malformed_candidate(provider, kind))]
+    (tmp_path / "out" / "candidates_vt.jsonl").write_text(
+        "".join(line + "\n" for line in lines), encoding="utf-8"
+    )
+    assert main([command, "--config", str(config)]) == 2
+    assert "candidates_vt.jsonl line 2" in capsys.readouterr().err
+
+
+def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
+    config = write_config(tmp_path)
+    write_two_label_patterns(tmp_path)
+    (tmp_path / "out" / "manifest.json").write_text("[]", encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        assert main(["synth", "--config", str(config)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == {"synth"}
+    assert "not a JSON object" in caplog.text
 
 
 def test_cli_simulate_reports_failed_condition(tmp_path, capsys):

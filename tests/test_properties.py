@@ -2,10 +2,13 @@
 
 `match_sentence` is checked against `brute_force_match`, `find_matches`
 against an exhaustive span enumeration written from its documented rules,
-and the pruned beam search of `enumerate_candidates` against a beam search
-that scores every candidate with `match_sentence` over every example. Pattern
-parsing is checked for clean errors and render round-trips, and the gateway's
-cache key for stability.
+and the packed beam search of `enumerate_candidates` against a beam search
+that scores every candidate with `match_sentence` over every example. The
+pieces under them are checked too: `atom_mask` read from a sentence's
+feature table against the per-token `atom_matches_token`, and `advance` on
+sentences packed into one integer against `advance` on each sentence alone.
+Pattern parsing is checked for clean errors and render round-trips, and the
+gateway's cache key for stability.
 """
 
 import dataclasses
@@ -14,6 +17,8 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from patvar import patterns
+from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import ROLES, ChatMessage, CompletionRequest, cache_key
 from patvar.patterns import (
@@ -26,12 +31,15 @@ from patvar.patterns import (
     SoftAtom,
     StemAtom,
     WildcardAtom,
+    advance,
+    atom_mask,
     atom_matches_token,
     brute_force_match,
     find_matches,
     match_sentence,
     parse_pattern,
     render_pattern,
+    sentence_features,
 )
 from patvar.synthesis import (
     LabeledExample,
@@ -109,6 +117,92 @@ def cases(draw, max_words, max_atoms=5):
 def test_match_sentence_agrees_with_brute_force(lexicon, case):
     p, s = case
     assert match_sentence(p, s, lexicon) == brute_force_match(p, s, lexicon), render_pattern(p)
+
+
+# ---------------------------------------------------------------------------
+# Feature-table masks and packed states against per-token and per-sentence steps
+# ---------------------------------------------------------------------------
+
+# Symmetric but not transitive: b is a synonym of a and of c, but c is not one of a.
+CHAIN_LEXICON = SynonymLexicon([("a", "b"), ("b", "c")])
+TOKEN_LEMMAS = ("a", "b", "c", "d")
+TOKEN_ENTITIES = (None, "DATE", "ORG")
+
+token_lists = st.lists(
+    st.builds(
+        lambda lemma, pos, entity: Token(lemma, lemma, pos, entity),
+        st.sampled_from(TOKEN_LEMMAS),
+        st.sampled_from((*POS_CHOICES, "OTHER")),
+        st.sampled_from(TOKEN_ENTITIES),
+    ),
+    max_size=10,
+)
+table_atoms = st.one_of(
+    st.sampled_from((*POS_CHOICES, "OTHER")).map(PosAtom),
+    st.sampled_from(TOKEN_LEMMAS).map(StemAtom),
+    st.sampled_from(TOKEN_LEMMAS).map(SoftAtom),
+    st.sampled_from(TOKEN_ENTITIES[1:]).map(EntityAtom),
+)
+
+
+@PROPERTY_SETTINGS
+@given(toks=token_lists, atom=table_atoms)
+def test_atom_mask_agrees_with_per_token_test(toks, atom):
+    s = AnnotatedSentence("s", " ".join(t.surface for t in toks), tuple(toks))
+    want = sum(1 << t for t, token in enumerate(s.tokens) if atom_matches_token(atom, token, CHAIN_LEXICON))
+    assert atom_mask(atom, sentence_features(s.tokens), CHAIN_LEXICON) == want
+    assert atom_mask(WILDCARD, sentence_features(s.tokens), CHAIN_LEXICON) is None
+
+
+@st.composite
+def segments(draw):
+    """(n, end-position state, token mask) of one sentence; states are often empty."""
+    n = draw(st.integers(0, 8))
+    state = draw(st.one_of(st.just(0), st.integers(0, (1 << (n + 1)) - 1)))
+    return n, state, draw(st.integers(0, (1 << n) - 1))
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(segments(), min_size=1, max_size=8), wildcard=st.booleans())
+def test_packed_advance_agrees_with_each_sentence(rows, wildcard):
+    state = mask = guard = valid = offset = 0
+    want = want_hit = 0
+    for n, s_state, s_mask in rows:
+        alone = advance(s_state, None if wildcard else s_mask, 1 << (n + 1), (1 << (n + 1)) - 1)
+        # The single-sentence step by its definition.
+        if wildcard:
+            low = (s_state & -s_state).bit_length() - 1
+            assert alone == (sum(1 << p for p in range(low, n + 1)) if s_state else 0)
+        else:
+            assert alone == sum(1 << (t + 1) for t in range(n) if s_state >> t & s_mask >> t & 1)
+        state |= s_state << offset
+        mask |= s_mask << offset
+        valid |= ((1 << (n + 1)) - 1) << offset
+        guard |= 1 << (offset + n + 1)
+        want |= alone << offset
+        if alone:
+            want_hit |= 1 << (offset + n + 1)
+        offset += n + 2
+    got = advance(state, None if wildcard else mask, guard, valid)
+    assert got == want
+    assert (got + valid) & guard == want_hit
+
+
+def test_synthesis_never_tests_atoms_token_by_token(provider, lexicon, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("atom_matches_token called")
+
+    monkeypatch.setattr(patterns, "atom_matches_token", forbidden)
+    texts = ("Good food with great variety.", "The food was amazing.", "The staff was rude.")
+    examples = [
+        LabeledExample(dataclasses.replace(provider.annotate(raw), id=f"s{i}"), "a" if i < 2 else "b")
+        for i, raw in enumerate(texts)
+    ]
+    cfg = SynthesisConfig(max_atoms=3)
+    assert enumerate_candidates(examples[:2], examples[2:], cfg, lexicon)
+    food_adj = parse_pattern("[food]+*+ADJ|(cheap)|$DATE")
+    assert match_sentence(food_adj, examples[1].sentence, lexicon)
+    assert find_matches(food_adj, examples[1].sentence, lexicon)
 
 
 # ---------------------------------------------------------------------------

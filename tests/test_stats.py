@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patvar.stats import (
     EmptyPredictions,
@@ -57,6 +59,19 @@ def macro_f1_by_confusion(predictions, label_set):
         r = tp / (tp + fn) if tp + fn else 0.0
         score += 2 * p * r / (p + r) if p + r else 0.0
     return score / k
+
+
+def macro_f1_three_scans(predictions, label_set):
+    """Per-label counting oracle: three scans of the predictions per label,
+    with macro_f1's closed-form per-label F1, so results must be equal."""
+    total = 0.0
+    for label in label_set:
+        tp = sum(1 for gold, pred in predictions if gold == label and pred == label)
+        fp = sum(1 for gold, pred in predictions if gold != label and pred == label)
+        fn = sum(1 for gold, pred in predictions if gold == label and pred != label)
+        denom = 2 * tp + fp + fn
+        total += (2 * tp / denom) if denom else 0.0
+    return total / len(label_set)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +180,20 @@ def test_macro_f1_matches_confusion_oracle():
         assert macro_f1(preds, labels) == pytest.approx(
             macro_f1_by_confusion(preds, labels), abs=1e-12
         )
+
+
+# Predictions may hold labels outside the label set, and the set may repeat one.
+LABEL_POOL = ("a", "b", "c", "d", "zz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    predictions=st.lists(st.tuples(st.sampled_from(LABEL_POOL), st.sampled_from(LABEL_POOL)),
+                         min_size=1, max_size=40),
+    label_set=st.lists(st.sampled_from(LABEL_POOL[:4]), min_size=1, max_size=5),
+)
+def test_macro_f1_equals_three_scan_oracle(predictions, label_set):
+    assert macro_f1(predictions, label_set) == macro_f1_three_scans(predictions, label_set)
 
 
 def test_macro_f1_permutation_invariant():
