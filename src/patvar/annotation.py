@@ -163,20 +163,27 @@ def sentence_to_record(sentence: AnnotatedSentence) -> dict:
 
 
 def record_to_sentence(record: Mapping, line: int | None = None) -> AnnotatedSentence:
+    if not isinstance(record, Mapping):
+        raise ParseError(f"a record must be an object, got {type(record).__name__}", line=line)
     unknown = set(record) - _RECORD_FIELDS
     if unknown or not _RECORD_FIELDS <= set(record):
         raise ParseError(
             f"record fields must be exactly id/raw/tokens (got {sorted(record)})", line=line
         )
+    if not isinstance(record["raw"], str) or not isinstance(record["tokens"], list):
+        raise ParseError("record raw must be a string and tokens a list", line=line)
     tokens = []
     for tok in record["tokens"]:
         if not isinstance(tok, Mapping) or not {"surface", "lemma"} <= set(tok) or set(tok) - _TOKEN_FIELDS:
             raise ParseError(f"malformed token record {tok!r}", line=line)
-        pos = tok.get("pos", POS_OTHER)
+        surface, lemma, pos, entity = tok["surface"], tok["lemma"], tok.get("pos", POS_OTHER), tok.get("entity")
+        if not (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)
+                and (entity is None or isinstance(entity, str))):
+            raise ParseError(f"token fields must be strings (entity may be null): {tok!r}", line=line)
         if pos not in ALL_POS:
             logger.warning("record %s: unknown pos %r mapped to OTHER", record["id"], pos)
             pos = POS_OTHER
-        tokens.append(Token(tok["surface"], tok["lemma"], pos, tok.get("entity")))
+        tokens.append(Token(surface, lemma, pos, entity))
     try:
         return AnnotatedSentence(str(record["id"]), record["raw"], tuple(tokens))
     except InvariantViolation as exc:

@@ -26,20 +26,16 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, ParseError, PatvarError
-from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline
+from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError
 from .generation import (
-    AllOthers,
     CounterfactualCandidate,
     NoPatternMatch,
     NoValidPhrases,
-    RandomTargets,
-    RoundRobin,
     build_task,
     candidate_from_record,
     candidate_to_record,
     collect_soft_matches,
-    default_target_policy,
     generate_candidate_phrases,
     generate_counterfactual,
     generate_without_vt,
@@ -143,20 +139,6 @@ def _dataset_name(cfg: ExperimentConfig) -> str:
     return os.path.splitext(os.path.basename(cfg.dataset.path))[0]
 
 
-def _target_policy(cfg: ExperimentConfig, label_set):
-    spec = cfg.target_policy
-    if spec == "default":
-        return default_target_policy(label_set, seed=cfg.seeds[0] if cfg.seeds else 0)
-    if spec == "all_others":
-        return AllOthers()
-    kind, _, arg = spec.partition(":")
-    if kind == "round_robin":
-        return RoundRobin(int(arg or 1))
-    if kind == "random":
-        return RandomTargets(int(arg or 3), seed=cfg.seeds[0] if cfg.seeds else 0)
-    raise ConfigError(f"unknown target_policy {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -222,6 +204,8 @@ def _load_patterns(cfg: ExperimentConfig) -> tuple[list[str], dict[str, list]]:
         isinstance(item, str) for item in [*label_set, *(t for ts in texts.values() for t in ts)]
     ):
         raise ConfigError(f"{path}: labels and patterns must be strings")
+    if len(label_set) < 2:
+        raise ConfigError(f"{path}: need at least two labels, got {label_set}")
     return label_set, {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
@@ -231,38 +215,35 @@ def cmd_gen(cfg: ExperimentConfig, config_path: str) -> int:
     gateway = build_gateway(cfg)
     dataset = ingest(cfg.dataset, provider, gateway if cfg.dataset.multi_label else None)
     label_set, patterns_by_label = _load_patterns(cfg)
-    if len(label_set) < 2:
-        raise ConfigError(f"need at least two labels to plan targets, got {label_set}")
-    policy = _target_policy(cfg, label_set)
+    seed = cfg.seeds[0] if cfg.seeds else 0
     want_no_vt = "cf_no_vt" in cfg.conditions
     vt_records, novt_records = [], []
     skipped = 0
     for ex in dataset.examples:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
-        for target in plan_targets(ex, label_set, policy):
-            for j in range(cfg.per_target):
-                if pattern is not None:
-                    try:
-                        task = build_task(ex.sentence, ex.label, target, pattern, lexicon)
-                        phrases = generate_candidate_phrases(
-                            task, collect_soft_matches(task, lexicon), gateway, provider, lexicon
-                        )
-                        cand = generate_counterfactual(
-                            task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:{j}"
-                        )
-                        vt_records.append(candidate_to_record(cand))
-                    except (NoValidPhrases, NoPatternMatch) as exc:
-                        logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, exc)
-                        skipped += 1
-                else:
-                    skipped += 1
-                if want_no_vt:
-                    cand = generate_without_vt(
-                        ex.sentence, ex.label, target, gateway,
-                        uid=f"{ex.sentence.id}:{target}:novt:{j}",
+        for target in plan_targets(ex, label_set, seed):
+            if pattern is not None:
+                try:
+                    task = build_task(ex.sentence, ex.label, target, pattern, lexicon)
+                    phrases = generate_candidate_phrases(
+                        task, collect_soft_matches(task, lexicon), gateway, provider, lexicon
                     )
-                    novt_records.append(candidate_to_record(cand))
+                    cand = generate_counterfactual(
+                        task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"
+                    )
+                    vt_records.append(candidate_to_record(cand))
+                except (NoValidPhrases, NoPatternMatch) as exc:
+                    logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, exc)
+                    skipped += 1
+            else:
+                skipped += 1
+            if want_no_vt:
+                cand = generate_without_vt(
+                    ex.sentence, ex.label, target, gateway,
+                    uid=f"{ex.sentence.id}:{target}:novt:0",
+                )
+                novt_records.append(candidate_to_record(cand))
     outputs = []
     vt_path = _out(cfg, "candidates_vt.jsonl")
     _write_jsonl(vt_path, vt_records)
@@ -416,10 +397,9 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
     candidates = _read_candidates(cand_path)
     memo = _AnnotationMemo(provider)  # the arms share candidates, so they share texts
+    deps = FilterDeps(lex=lexicon, provider=memo, gateway=gateway, label_set=label_set)
     per_arm: list[RunResult] = []
-    for arm in FilterConfig.ARMS:
-        deps = FilterDeps(lex=lexicon, provider=memo, gateway=gateway, label_set=label_set)
-        survivors, _report = run_pipeline(candidates, FilterConfig.from_arm(arm), deps)
+    for arm, survivors in survivors_by_arm(candidates, deps).items():
         index = _survivors_index(
             [(c.task.original.id, c.generated_text, c.task.target_label) for c in survivors], memo
         )

@@ -76,8 +76,6 @@ class ExperimentConfig:
     annotations: str | None = None
     lexicon: str | None = None
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-    target_policy: str = "default"  # default | all_others | round_robin:K | random:K
-    per_target: int = 1
     filters: FilterConfig = field(default_factory=FilterConfig)
     conditions: tuple[str, ...] = ("random", "counterfactual")
     shots: tuple[int, ...] = (10, 15, 30, 50, 70, 90, 120)
@@ -98,8 +96,6 @@ _SCHEMA = {
     "annotations": None,
     "lexicon": None,
     "synthesis": {"max_patterns", "max_atoms", "min_precision", "beam_width"},
-    "target_policy": None,
-    "per_target": None,
     "filters": {"heuristic", "symbolic", "discriminator"},
     "conditions": None,
     "shots": None,
@@ -171,8 +167,6 @@ def load_config(path) -> ExperimentConfig:
         annotations=resolve(raw.get("annotations")),
         lexicon=resolve(raw.get("lexicon")),
         synthesis=synthesis,
-        target_policy=str(raw.get("target_policy", "default")),
-        per_target=int(raw.get("per_target", 1)),
         filters=filter_cfg,
         conditions=tuple(raw.get("conditions", ("random", "counterfactual"))),
         shots=tuple(int(s) for s in raw.get("shots", (10, 15, 30, 50, 70, 90, 120))),
@@ -192,7 +186,10 @@ def load_config(path) -> ExperimentConfig:
 def build_provider(cfg: ExperimentConfig) -> AnnotationProvider:
     if cfg.annotations is None:
         return FixtureAnnotationProvider()
-    return _FileBackedProvider(cfg.annotations)
+    try:
+        return _FileBackedProvider(cfg.annotations)
+    except ParseError as exc:
+        raise ConfigError(f"{cfg.annotations} {exc}") from None
 
 
 class _FileBackedProvider:

@@ -66,13 +66,6 @@ class FilterConfig:
         "all": (True, True, True),
     }
 
-    @classmethod
-    def from_arm(cls, arm: str) -> "FilterConfig":
-        try:
-            return cls(*cls.ARMS[arm])
-        except KeyError:
-            raise ValueError(f"unknown ablation arm {arm!r} (know {sorted(cls.ARMS)})") from None
-
     def enabled_stages(self) -> tuple[str, ...]:
         flags = (self.enable_heuristic, self.enable_symbolic, self.enable_discriminator)
         return tuple(stage for stage, on in zip(STAGES, flags) if on)
@@ -241,6 +234,31 @@ def audit_record(c: CounterfactualCandidate) -> dict:
     }
 
 
+def judge(
+    c: CounterfactualCandidate, stage: str, deps: FilterDeps
+) -> tuple[StageVerdict, str | None]:
+    """One stage's verdict on one candidate, and the label the discriminator
+    assigned (None for the other stages and when the discriminator failed).
+
+    Provider failures in the symbolic stage and malformed or failed
+    discriminator responses become failed verdicts.
+    """
+    if stage == "heuristic":
+        return heuristic_filter(c), None
+    if stage == "symbolic":
+        try:
+            return symbolic_filter(c, deps.lex, deps.provider), None
+        except Exception as exc:  # provider failures become verdicts
+            return StageVerdict("failed", f"error: {exc}"), None
+    if deps.gateway is None or not deps.label_set:
+        raise ValueError("discriminator stage needs a gateway and label_set")
+    try:
+        verdict, dv = discriminator_filter(c, deps.label_set, deps.gateway)
+    except (ResponseFormatError, BackendError) as exc:
+        return StageVerdict("failed", f"error: {exc}"), None
+    return verdict, dv.predicted
+
+
 def run_pipeline(
     candidates: Sequence[CounterfactualCandidate],
     cfg: FilterConfig,
@@ -252,6 +270,7 @@ def run_pipeline(
     batch. Disabled stages are marked skipped and contribute nothing to any
     metric's population.
     """
+    enabled = cfg.enabled_stages()
     processed: list[CounterfactualCandidate] = []
     flags: list[MetricFlags] = []
     for cand in candidates:
@@ -260,31 +279,22 @@ def run_pipeline(
         verdict_rec: DiscriminatorVerdict | None = None
         alive = True
         for stage in STAGES:
-            if stage not in cfg.enabled_stages():
+            if stage not in enabled:
                 cur = cur.with_verdict(stage, StageVerdict("skipped", "stage disabled"))
                 continue
             if not alive:
                 break
-            if stage == "heuristic":
-                cur = cur.with_verdict(stage, heuristic_filter(cur))
-            elif stage == "symbolic":
-                try:
-                    v = symbolic_filter(cur, deps.lex, deps.provider)
-                except Exception as exc:  # provider failures become verdicts
-                    v = StageVerdict("failed", f"error: {exc}")
+            v, label = judge(cur, stage, deps)
+            if label is None:
                 cur = cur.with_verdict(stage, v)
-                if v.status in ("passed", "failed"):
-                    pattern_kept = v.status == "passed"
             else:
-                if deps.gateway is None or not deps.label_set:
-                    raise ValueError("discriminator stage needs a gateway and label_set")
-                try:
-                    v, dv = discriminator_filter(cur, deps.label_set, deps.gateway)
-                    verdict_rec = dv
-                    cur = cur.with_verdict(stage, v, discriminator_label=dv.predicted)
-                except (ResponseFormatError, BackendError) as exc:
-                    cur = cur.with_verdict(stage, StageVerdict("failed", f"error: {exc}"))
-            alive = cur.verdicts[stage].status != "failed"
+                cur = cur.with_verdict(stage, v, discriminator_label=label)
+                verdict_rec = DiscriminatorVerdict(
+                    predicted=label, target=cur.task.target_label, original=cur.task.original_label
+                )
+            if stage == "symbolic" and v.status in ("passed", "failed"):
+                pattern_kept = v.status == "passed"
+            alive = v.status != "failed"
         if not cur.is_pattern_constrained:
             pattern_kept = None
         processed.append(cur)
@@ -294,3 +304,23 @@ def run_pipeline(
     survivors = [c for c in processed if not c.failed_any()]
     return survivors, compute_metrics(flags)
 
+
+def survivors_by_arm(
+    candidates: Sequence[CounterfactualCandidate], deps: FilterDeps
+) -> dict[str, list[CounterfactualCandidate]]:
+    """The survivors of each arm of `FilterConfig.ARMS`, in input order, as
+    `run_pipeline` would keep them, with each stage judged once per candidate.
+
+    No stage reads another's verdict, so an arm keeps the candidates that no
+    stage of that arm failed. Every arm that runs a later stage runs the
+    heuristic one too, so the later stages judge only the heuristic's passers.
+    """
+    failed: list[set[str]] = []  # per candidate, the stages that failed it
+    for c in candidates:
+        if judge(c, "heuristic", deps)[0].status == "failed":
+            failed.append({"heuristic"})
+        else:
+            failed.append({s for s in STAGES[1:] if judge(c, s, deps)[0].status == "failed"})
+    arms = {arm: FilterConfig(*flags).enabled_stages() for arm, flags in FilterConfig.ARMS.items()}
+    return {arm: [c for c, bad in zip(candidates, failed) if bad.isdisjoint(stages)]
+            for arm, stages in arms.items()}

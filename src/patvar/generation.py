@@ -8,7 +8,6 @@ against the task pattern before it may constrain a counterfactual.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import random
 import re
@@ -400,46 +399,14 @@ def generate_without_vt(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AllOthers:
-    pass
-
-
-@dataclass
-class RoundRobin:
-    k: int
-    _counter: "itertools.count" = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._counter = itertools.count()
-
-
-@dataclass(frozen=True)
-class RandomTargets:
-    k: int
-    seed: int = 0
-
-
-TargetPolicy = AllOthers | RoundRobin | RandomTargets
-
-
-def default_target_policy(label_set: Sequence[str], seed: int = 0) -> TargetPolicy:
-    return AllOthers() if len(label_set) <= 6 else RandomTargets(3, seed)
-
-
-def plan_targets(example, label_set: Sequence[str], policy: TargetPolicy | None = None) -> list[str]:
-    """Target labels to generate counterfactuals toward, per policy."""
+def plan_targets(example, label_set: Sequence[str], seed: int = 0) -> list[str]:
+    """Target labels to generate counterfactuals toward: every other label
+    when there are at most six labels, else three of them, sampled by a
+    generator seeded with `seed`, the example's id and its label."""
     if len(label_set) < 2:
         raise ValueError("need at least two labels to plan targets")
-    policy = policy if policy is not None else default_target_policy(label_set)
     others = [l for l in label_set if l != example.label]
-    if isinstance(policy, AllOthers):
+    if len(label_set) <= 6:
         return others
-    if isinstance(policy, RoundRobin):
-        start = next(policy._counter) % len(others)
-        k = min(policy.k, len(others))
-        return [others[(start + i) % len(others)] for i in range(k)]
-    if isinstance(policy, RandomTargets):
-        rng = random.Random(f"{policy.seed}:{example.sentence.id}:{zlib.crc32(example.label.encode())}")
-        return sorted(rng.sample(others, min(policy.k, len(others))), key=others.index)
-    raise TypeError(f"unknown target policy {policy!r}")
+    rng = random.Random(f"{seed}:{example.sentence.id}:{zlib.crc32(example.label.encode())}")
+    return sorted(rng.sample(others, 3), key=others.index)

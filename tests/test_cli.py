@@ -1,10 +1,14 @@
+import collections
 import csv
 import json
 import os
+import shutil
 
 import pytest
 import yaml
 
+from patvar import filtering
+from patvar.annotation import sentence_to_record
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -448,14 +452,17 @@ def test_cli_simulate_annotates_each_text_once(pipeline_dir, monkeypatch):
     assert 0 < len(calls) <= rows + survivors
 
 
-def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch):
-    import shutil
-
-    source, config = pipeline_dir
-    # A copy of the outputs and cache, so the shared pipeline directory stays as it was.
+def copy_pipeline(source, tmp_path):
+    """A copy of the outputs and cache, so the shared pipeline directory stays as it was."""
     out, cache = tmp_path / "out", tmp_path / "cache"
     shutil.copytree(source / "out", out)
     shutil.copytree(source / "cache", cache)
+    return out, cache
+
+
+def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch):
+    source, config = pipeline_dir
+    out, cache = copy_pipeline(source, tmp_path)
     calls = count_annotations(monkeypatch)
     assert main(["ablate", "--config", str(config), "--out", str(out),
                  "--cache-dir", str(cache)]) == 0
@@ -463,6 +470,27 @@ def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch
     texts = {json.loads(line)["generated_text"]
              for line in (out / "candidates_vt.jsonl").read_text().splitlines()}
     assert 0 < len(calls) <= rows + len(texts)
+
+
+def test_cli_ablate_judges_each_candidate_once_per_stage(pipeline_dir, tmp_path, monkeypatch):
+    source, config = pipeline_dir
+    out, cache = copy_pipeline(source, tmp_path)
+    calls = {}  # stage function -> candidate uid -> calls
+    for name in ("heuristic_filter", "symbolic_filter", "discriminator_filter"):
+        counts = calls[name] = collections.Counter()
+
+        def counting(c, *args, _stage=getattr(filtering, name), _counts=counts):
+            _counts[c.uid] += 1
+            return _stage(c, *args)
+
+        monkeypatch.setattr(filtering, name, counting)
+    assert main(["ablate", "--config", str(config), "--out", str(out),
+                 "--cache-dir", str(cache)]) == 0
+    uids = [json.loads(line)["uid"]
+            for line in (out / "candidates_vt.jsonl").read_text().splitlines()]
+    assert calls["heuristic_filter"] == collections.Counter(uids)
+    for name in ("symbolic_filter", "discriminator_filter"):
+        assert calls[name] and max(calls[name].values()) == 1, name
 
 
 def test_cli_ablate_arms(tmp_path):
@@ -500,6 +528,36 @@ def test_cli_gen_rejects_single_label(tmp_path, capsys):
     )
     assert main(["gen", "--config", str(config)]) == 2
     assert "need at least two labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["filter", "ablate"])
+def test_cli_rejects_empty_label_set(tmp_path, capsys, provider, command):
+    config = write_config(tmp_path, seeds=[0])
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "patterns.json").write_text(
+        json.dumps({"dataset": "data", "label_set": [], "patterns": {}}), encoding="utf-8"
+    )
+    (tmp_path / "out" / "candidates_vt.jsonl").write_text(
+        json.dumps(malformed_candidate(provider, "good")) + "\n", encoding="utf-8"
+    )
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "patterns.json" in err and "need at least two labels" in err
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "a", "raw": "x", "tokens": [{"surface": "x", "lemma": 3}]}',
+    '{"id": "a", "raw": "x", "tokens": 5}',
+    '["a", "x", []]',
+], ids=["lemma_not_string", "tokens_not_list", "not_object"])
+def test_cli_rejects_malformed_annotations(tmp_path, capsys, provider, line):
+    (tmp_path / "ann.jsonl").write_text(
+        json.dumps(sentence_to_record(provider.annotate("The food was cheap."))) + "\n" + line + "\n",
+        encoding="utf-8",
+    )
+    config = write_config(tmp_path, annotations="ann.jsonl")
+    assert main(["synth", "--config", str(config)]) == 2
+    assert "ann.jsonl line 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [

@@ -325,9 +325,9 @@ def test_stage_monotonicity_on_fixed_batch(provider, lexicon):
 def test_filter_config_arms():
     assert set(FilterConfig.ARMS) == {"none", "heuristic", "heuristic+symbolic",
                                       "heuristic+discriminator", "all"}
-    assert FilterConfig.from_arm("heuristic+symbolic") == FilterConfig(True, True, False)
-    with pytest.raises(ValueError):
-        FilterConfig.from_arm("bogus")
+    assert FilterConfig(*FilterConfig.ARMS["heuristic+symbolic"]).enabled_stages() == (
+        "heuristic", "symbolic")
+    assert FilterConfig(*FilterConfig.ARMS["none"]).enabled_stages() == ()
 
 
 def test_audit_record_shape(provider):

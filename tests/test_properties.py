@@ -7,6 +7,8 @@ that scores every candidate with `match_sentence` over every example. The
 pieces under them are checked too: `atom_mask` read from a sentence's
 feature table against the per-token `atom_matches_token`, and `advance` on
 sentences packed into one integer against `advance` on each sentence alone.
+The filter arms that `survivors_by_arm` reads off one verdict table are
+checked against `run_pipeline` run once per arm.
 Pattern parsing is checked for clean errors and render round-trips, and the
 gateway's cache key for stability.
 """
@@ -19,8 +21,10 @@ from hypothesis import strategies as st
 
 from patvar import patterns
 from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token
+from patvar.filtering import FilterConfig, FilterDeps, run_pipeline, survivors_by_arm
 from patvar.fixtures import FixtureAnnotationProvider
-from patvar.gateway import ROLES, ChatMessage, CompletionRequest, cache_key
+from patvar.gateway import ROLES, ChatMessage, CompletionRequest, Gateway, MockBackend, cache_key
+from patvar.generation import CounterfactualCandidate, GenerationTask
 from patvar.patterns import (
     WILDCARD,
     EntityAtom,
@@ -41,6 +45,8 @@ from patvar.patterns import (
     render_pattern,
     sentence_features,
 )
+from patvar.prompts import fill, load_template
+from patvar.synthdata import LABEL_VOCAB
 from patvar.synthesis import (
     LabeledExample,
     ScoredPattern,
@@ -334,6 +340,68 @@ def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_ato
     want = reference_candidates(positives, negatives, cfg, lexicon)
     assert [c.rendered for c in got] == [c.rendered for c in want]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Filter arms from one verdict table against one pipeline run per arm
+# ---------------------------------------------------------------------------
+
+FILTER_LABELS = ("service", "price", "environment", "products")
+FILTER_PATTERNS = ("(cheap)+*+NOUN", "[staff]", None)
+# Refusals, prompt echoes, fragments and texts that keep or miss a pattern;
+# the discriminator answers the last one with something that is not a label.
+FILTER_TEXTS = (
+    "The affordable lobster here is a steal.",
+    "cannot generate counterfactual",
+    "modified text: affordable lobster again.",
+    "Service was slow today",
+    "Nothing matches the pattern here today.",
+    "The affordable staff was rude here.",
+    "The tasty food impressed everyone greatly.",
+    "so cheap",
+    "A cheap deal and a tasty menu around.",
+    "The cheap decor felt cozy tonight.",
+)
+
+
+def filter_deps(lex):
+    backend = MockBackend(label_vocab=LABEL_VOCAB)
+    slots = {"text": FILTER_TEXTS[-1], "labels": ", ".join(FILTER_LABELS)}
+    backend.add_response(fill(load_template("discriminator"), slots), "no idea")
+    gateway = Gateway(backend=backend, model="m")
+    return FilterDeps(lex=lex, provider=ANNOTATOR, gateway=gateway, label_set=FILTER_LABELS)
+
+
+candidate_batches = st.lists(
+    st.tuples(
+        st.permutations(FILTER_LABELS).map(lambda labels: labels[:2]),
+        st.sampled_from(FILTER_PATTERNS),
+        st.sampled_from(FILTER_TEXTS),
+        st.sampled_from(("stop", "length")),
+    ),
+    max_size=8,
+)
+
+
+@PROPERTY_SETTINGS
+@given(batch=candidate_batches)
+def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
+    original = ANNOTATOR.annotate("The staff was rude.")
+    candidates = [
+        CounterfactualCandidate(
+            uid=f"c{i}",
+            task=GenerationTask(original, orig, target, parse_pattern(pattern) if pattern else None,
+                                "affordable lobster" if pattern else ""),
+            generated_text=text, used_phrase=None, finish_reason=finish,
+        )
+        for i, ((orig, target), pattern, text, finish) in enumerate(batch)
+    ]
+    deps = filter_deps(lexicon)
+    by_arm = survivors_by_arm(candidates, deps)
+    assert list(by_arm) == list(FilterConfig.ARMS)
+    for arm, flags in FilterConfig.ARMS.items():
+        want, _ = run_pipeline(candidates, FilterConfig(*flags), deps)
+        assert [c.uid for c in by_arm[arm]] == [c.uid for c in want], arm
 
 
 # Pattern text: raw characters of the DSL, and runs of its tokens, which parse
