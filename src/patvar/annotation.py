@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from .errors import InvariantViolation, ParseError, ProviderFailure
 
@@ -162,8 +162,8 @@ def sentence_to_record(sentence: AnnotatedSentence) -> dict:
     return {"id": sentence.id, "raw": sentence.raw, "tokens": tokens}
 
 
-def record_to_sentence(record: Mapping, line: int | None = None) -> AnnotatedSentence:
-    if not isinstance(record, Mapping):
+def record_to_sentence(record: dict, line: int | None = None) -> AnnotatedSentence:
+    if not isinstance(record, dict):
         raise ParseError(f"a record must be an object, got {type(record).__name__}", line=line)
     unknown = set(record) - _RECORD_FIELDS
     if unknown or not _RECORD_FIELDS <= set(record):
@@ -174,7 +174,7 @@ def record_to_sentence(record: Mapping, line: int | None = None) -> AnnotatedSen
         raise ParseError("record raw must be a string and tokens a list", line=line)
     tokens = []
     for tok in record["tokens"]:
-        if not isinstance(tok, Mapping) or not {"surface", "lemma"} <= set(tok) or set(tok) - _TOKEN_FIELDS:
+        if not isinstance(tok, dict) or not {"surface", "lemma"} <= set(tok) or set(tok) - _TOKEN_FIELDS:
             raise ParseError(f"malformed token record {tok!r}", line=line)
         surface, lemma, pos, entity = tok["surface"], tok["lemma"], tok.get("pos", POS_OTHER), tok.get("entity")
         if not (isinstance(surface, str) and isinstance(lemma, str) and isinstance(pos, str)

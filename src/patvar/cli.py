@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 
-from .annotation import AnnotatedSentence, AnnotationProvider, annotate
+from .annotation import AnnotationProvider, annotate
 from .config import (
     ExperimentConfig,
     build_gateway,
@@ -33,7 +33,7 @@ from .generation import (
     NoPatternMatch,
     NoValidPhrases,
     build_task,
-    candidate_from_record,
+    candidates_from_records,
     candidate_to_record,
     collect_soft_matches,
     generate_candidate_phrases,
@@ -126,13 +126,10 @@ def _read_jsonl(path) -> list[tuple[int, object]]:
 def _read_candidates(path) -> list[CounterfactualCandidate]:
     """The candidates of a `patvar gen` output file; ConfigError naming the
     file and line for a record that is not a candidate."""
-    candidates = []
-    for lineno, record in _read_jsonl(path):
-        try:
-            candidates.append(candidate_from_record(record))
-        except ParseError as exc:
-            raise ConfigError(f"{path} line {lineno}: {exc}") from None
-    return candidates
+    try:
+        return candidates_from_records(_read_jsonl(path))
+    except ParseError as exc:
+        raise ConfigError(f"{path} {exc}") from None
 
 
 def _dataset_name(cfg: ExperimentConfig) -> str:
@@ -326,24 +323,6 @@ def _read_survivors(path) -> list[tuple[str, str, str]]:
     return entries
 
 
-class _AnnotationMemo:
-    """Annotates each distinct text once; scoped to one command.
-
-    Callers still pass every result through `annotation.annotate()`, which
-    validates it.
-    """
-
-    def __init__(self, provider: AnnotationProvider):
-        self._provider = provider
-        self._sentences: dict[str, AnnotatedSentence] = {}
-
-    def annotate(self, raw: str) -> AnnotatedSentence:
-        sentence = self._sentences.get(raw)
-        if sentence is None:
-            sentence = self._sentences[raw] = self._provider.annotate(raw)
-        return sentence
-
-
 def _simulation_pieces(cfg: ExperimentConfig):
     provider = build_provider(cfg)
     dataset = ingest(
@@ -396,12 +375,12 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
     if not os.path.exists(cand_path):
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
     candidates = _read_candidates(cand_path)
-    memo = _AnnotationMemo(provider)  # the arms share candidates, so they share texts
-    deps = FilterDeps(lex=lexicon, provider=memo, gateway=gateway, label_set=label_set)
+    deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
     per_arm: list[RunResult] = []
     for arm, survivors in survivors_by_arm(candidates, deps).items():
         index = _survivors_index(
-            [(c.task.original.id, c.generated_text, c.task.target_label) for c in survivors], memo
+            [(c.task.original.id, c.generated_text, c.task.target_label) for c in survivors],
+            provider,
         )
         result = run_simulation(
             dataset, ["counterfactual"], ShotSchedule(cfg.shots), list(cfg.seeds),

@@ -184,12 +184,31 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_provider(cfg: ExperimentConfig) -> AnnotationProvider:
+    """The command's provider; it annotates each distinct text once."""
     if cfg.annotations is None:
-        return FixtureAnnotationProvider()
+        return _AnnotationMemo(FixtureAnnotationProvider())
     try:
-        return _FileBackedProvider(cfg.annotations)
+        return _AnnotationMemo(_FileBackedProvider(cfg.annotations))
     except ParseError as exc:
         raise ConfigError(f"{cfg.annotations} {exc}") from None
+
+
+class _AnnotationMemo:
+    """Annotates each distinct text once; scoped to one command.
+
+    Callers still pass every result through `annotation.annotate()`, which
+    validates it.
+    """
+
+    def __init__(self, provider: AnnotationProvider):
+        self._provider = provider
+        self._sentences: dict[str, AnnotatedSentence] = {}
+
+    def annotate(self, raw: str) -> AnnotatedSentence:
+        sentence = self._sentences.get(raw)
+        if sentence is None:
+            sentence = self._sentences[raw] = self._provider.annotate(raw)
+        return sentence
 
 
 class _FileBackedProvider:

@@ -3,7 +3,8 @@
 Three pieces: request/response types with a stable content-hash cache key,
 backends (an HTTP client for any chat-completions-compatible server and a
 deterministic mock for offline runs), and `complete`/`cached_complete` which
-add bounded retries and a content-addressed file cache.
+add bounded retries and a content-addressed file cache. `Gateway` binds a
+backend to a model and serves a repeated request from memory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol
 
 from .errors import PatvarError
@@ -306,20 +307,29 @@ def cached_complete(
     """complete() behind a content-addressed file cache.
 
     On a hit the backend is never touched. Entries are one JSON file per key,
-    written atomically; corrupted entries are treated as misses and
-    overwritten. Error responses are never cached.
+    written atomically; an entry that is not JSON, lacks a field, holds a
+    `text` that is not a string or a `finish_reason` other than `stop` or
+    `length` is corrupted: it is treated as a miss and overwritten. Error
+    responses are never cached. Each call reads the disk; `Gateway` reads
+    each distinct key from it at most once.
     """
-    key = cache_key(req)
-    os.makedirs(cache_dir, exist_ok=True)
+    return _cached_complete(req, cache_key(req), backend, cache_dir)
+
+
+def _cached_complete(req: CompletionRequest, key: str, backend: Backend, cache_dir) -> CompletionResponse:
     path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            stored = entry["response"]
-            return CompletionResponse(stored["text"], stored["finish_reason"], from_cache=True)
-        except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("corrupted cache entry %s treated as a miss: %s", path, exc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        stored = entry["response"]
+        text, finish_reason = stored["text"], stored["finish_reason"]
+        if not isinstance(text, str) or finish_reason not in ("stop", "length"):
+            raise TypeError(f"response {stored!r} is not a string text with a stop or length finish")
+        return CompletionResponse(text, finish_reason, from_cache=True)
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    except (ValueError, KeyError, TypeError) as exc:
+        logger.warning("corrupted cache entry %s treated as a miss: %s", path, exc)
     resp = complete(req, backend)
     if resp.finish_reason == "error":
         return resp
@@ -335,6 +345,7 @@ def cached_complete(
     }
     tmp = path + ".tmp"
     try:
+        os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, ensure_ascii=True)
         os.replace(tmp, path)
@@ -345,11 +356,21 @@ def cached_complete(
 
 @dataclass
 class Gateway:
-    """A backend bound to a model name and an optional cache directory."""
+    """A backend bound to a model name and an optional cache directory.
+
+    With a cache directory, the gateway also keeps every response it has
+    served, keyed by `cache_key`: a repeated request is answered from memory
+    with `from_cache=True`, as a disk hit would be, so each distinct key costs
+    at most one disk read per gateway (one per command). Error responses are
+    never kept. Without a cache directory every request reaches the backend.
+    """
 
     backend: Backend
     model: str
     cache_dir: str | None = None
+    _served: dict[str, CompletionResponse] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def request(
         self, messages: Iterable[ChatMessage], max_tokens: int, temperature: float = 0.0
@@ -357,6 +378,12 @@ class Gateway:
         return CompletionRequest(self.model, tuple(messages), temperature, max_tokens)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        if self.cache_dir is not None:
-            return cached_complete(req, self.backend, self.cache_dir)
-        return complete(req, self.backend)
+        if self.cache_dir is None:
+            return complete(req, self.backend)
+        key = cache_key(req)
+        resp = self._served.get(key)
+        if resp is None:
+            resp = _cached_complete(req, key, self.backend, self.cache_dir)
+            if resp.finish_reason != "error":
+                self._served[key] = replace(resp, from_cache=True)
+        return resp

@@ -13,7 +13,7 @@ import random
 import re
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .annotation import (
     AnnotatedSentence,
@@ -181,13 +181,30 @@ def candidate_to_record(c: CounterfactualCandidate) -> dict:
 _REQUIRED = object()
 
 
-def candidate_from_record(record: Mapping) -> CounterfactualCandidate:
-    """Rebuild a candidate written by `candidate_to_record`.
+def candidates_from_records(records: Iterable[tuple[int, object]]) -> list[CounterfactualCandidate]:
+    """Rebuild the candidates of one file written by `candidate_to_record`,
+    given its (line number, record) pairs.
 
-    Raises ParseError for a record that is not a mapping, a missing or
-    mistyped field, an unparsable pattern or an inconsistent candidate.
+    An original equal to one already built shares its AnnotatedSentence, and
+    each distinct pattern string is parsed once. Raises ParseError naming the
+    line of a record that is not an object, lacks or mistypes a field, or
+    holds an unparsable pattern or an inconsistent candidate.
     """
-    if not isinstance(record, Mapping):
+    originals: dict[str, list[tuple[dict, AnnotatedSentence]]] = {}
+    patterns: dict[str, PatternAst] = {}
+    candidates = []
+    for lineno, record in records:
+        try:
+            candidates.append(_candidate(record, originals, patterns))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    return candidates
+
+
+def _candidate(record, originals: dict, patterns: dict) -> CounterfactualCandidate:
+    """One candidate; `originals` (id -> (record, sentence) pairs) and
+    `patterns` (text -> AST) hold what earlier records of the file built."""
+    if not isinstance(record, dict):
         raise ParseError(f"a candidate record must be an object, got {type(record).__name__}")
 
     def get(key, types, default=_REQUIRED):
@@ -200,19 +217,27 @@ def candidate_from_record(record: Mapping) -> CounterfactualCandidate:
             raise ParseError(f"candidate field {key!r} has type {type(value).__name__}")
         return value
 
-    verdicts = get("verdicts", Mapping, {})
+    verdicts = get("verdicts", dict, {})
     for stage, verdict in verdicts.items():
         if stage not in STAGES or not (
             isinstance(verdict, list) and len(verdict) == 2 and all(isinstance(v, str) for v in verdict)
         ):
             raise ParseError(f"candidate verdict {stage!r}: {verdict!r} is not a [status, reason] pair")
-    pattern = get("pattern", (str, type(None)))
+    pattern_text = get("pattern", (str, type(None)))
+    original_record = get("original", dict)
     try:
+        same_id = originals.setdefault(str(original_record.get("id")), [])
+        original = next((s for seen, s in same_id if seen == original_record), None)
+        if original is None:
+            original = record_to_sentence(original_record)
+            same_id.append((original_record, original))
+        if pattern_text and pattern_text not in patterns:
+            patterns[pattern_text] = parse_pattern(pattern_text)
         task = GenerationTask(
-            original=record_to_sentence(get("original", Mapping)),
+            original=original,
             original_label=get("original_label", str),
             target_label=get("target_label", str),
-            pattern=parse_pattern(pattern) if pattern else None,
+            pattern=patterns[pattern_text] if pattern_text else None,
             matched_phrase=get("matched_phrase", str, ""),
         )
         return CounterfactualCandidate(

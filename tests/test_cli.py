@@ -1,13 +1,18 @@
 import collections
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from patvar import filtering
+from patvar import filtering, gateway
 from patvar.annotation import sentence_to_record
 from patvar.cli import main
 from patvar.config import (
@@ -303,7 +308,7 @@ def test_cli_outputs_and_manifest(pipeline_dir):
 def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexicon):
     tmp_path, config = pipeline_dir
     from patvar.filtering import FilterConfig, FilterDeps, run_pipeline
-    from patvar.generation import candidate_from_record
+    from patvar.generation import candidates_from_records
 
     out = tmp_path / "out"
     quality = json.loads((out / "quality_report.json").read_text(encoding="utf-8"))
@@ -312,7 +317,7 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     gw = build_gateway(cfg)
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
                       label_set=list(LABEL_VOCAB))
-    _, report = run_pipeline([candidate_from_record(r) for r in records], FilterConfig(), deps)
+    _, report = run_pipeline(candidates_from_records(enumerate(records, 1)), FilterConfig(), deps)
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
     assert quality["vt"]["lfr"] == report.lfr
@@ -472,6 +477,26 @@ def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch
     assert 0 < len(calls) <= rows + len(texts)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monkeypatch, warm):
+    source, config = pipeline_dir
+    out, cache = copy_pipeline(source, tmp_path)
+    if not warm:
+        shutil.rmtree(cache)
+    opened = collections.Counter()
+
+    def counting_open(path, *args, **kwargs):
+        opened[os.path.basename(path)] += 1
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(gateway, "open", counting_open, raising=False)
+    assert main(["gen", "--config", str(config), "--out", str(out),
+                 "--cache-dir", str(cache)]) == 0
+    reads = {name: n for name, n in opened.items() if name.endswith(".json")}
+    assert reads and max(reads.values()) == 1
+    assert set(reads) <= set(os.listdir(cache))
+
+
 def test_cli_ablate_judges_each_candidate_once_per_stage(pipeline_dir, tmp_path, monkeypatch):
     source, config = pipeline_dir
     out, cache = copy_pipeline(source, tmp_path)
@@ -615,11 +640,14 @@ def malformed_candidate(provider, kind):
         record["uid"] = 3
     elif kind == "bad_pattern":
         record["pattern"] = "[cheap"
+    elif kind == "original_token_mistyped":  # the good record's original, one field off
+        record["original"]["tokens"][0]["lemma"] = 3
     return record
 
 
 @pytest.mark.parametrize("command", ["filter", "ablate"])
-@pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern"])
+@pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern",
+                                  "original_token_mistyped"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, provider, command, kind):
     config = write_config(tmp_path, seeds=[0])
     write_two_label_patterns(tmp_path)
@@ -630,6 +658,69 @@ def test_cli_rejects_malformed_candidate(tmp_path, capsys, provider, command, ki
     )
     assert main([command, "--config", str(config)]) == 2
     assert "candidates_vt.jsonl line 2" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_walkthrough(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
+    for command in ("synth", "gen", "filter", "simulate"):
+        assert main([command, "--config", str(config)]) == 0
+    return tmp_path, config
+
+
+CANDIDATE_FIELDS = ("uid", "original", "original_label", "target_label", "pattern",
+                    "generated_text")
+SURVIVOR_FIELDS = ("original", "generated_text", "target_label")
+# artifact -> (the commands that read it, the fields their reader needs in each record)
+ARTIFACT_READERS = {
+    "patterns.json": (("gen", "filter", "ablate"), ("label_set", "patterns")),
+    "candidates_vt.jsonl": (("filter", "ablate"), CANDIDATE_FIELDS),
+    "candidates_novt.jsonl": (("filter",), CANDIDATE_FIELDS),
+    "survivors_vt.jsonl": (("simulate",), SURVIVOR_FIELDS),
+    "survivors_novt.jsonl": (("simulate",), SURVIVOR_FIELDS),
+    "quality_report.json": (("report",), ("vt",)),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
+    source, config = tiny_walkthrough
+    name = data.draw(st.sampled_from(sorted(ARTIFACT_READERS)), label="artifact")
+    commands, fields = ARTIFACT_READERS[name]
+    command = data.draw(st.sampled_from(commands), label="command")
+    with tempfile.TemporaryDirectory() as work:
+        out = os.path.join(work, "out")
+        shutil.copytree(source / "out", out)
+        path = os.path.join(out, name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        # a .jsonl file is one record per line; a .json file is one record
+        lines = text.splitlines() if name.endswith(".jsonl") else [text.rstrip("\n")]
+        index = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kind = data.draw(st.sampled_from(["truncate", "drop_key", "change_type"]), label="kind")
+        if kind == "truncate":  # no strict prefix of a JSON object is JSON
+            lines[index] = lines[index][: data.draw(st.integers(1, len(lines[index]) - 1))]
+        else:
+            record = json.loads(lines[index])
+            key = data.draw(st.sampled_from(fields), label="key")
+            if kind == "drop_key":
+                del record[key]
+            else:
+                record[key] = data.draw(st.sampled_from([5, 2.5, True]), label="value")
+            lines[index] = json.dumps(record)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(config), "--out", out,
+                         "--cache-dir", str(source / "cache")])
+    assert code in (2, 4)
+    assert name in err.getvalue()
+    if name.endswith(".jsonl"):
+        assert f"line {index + 1}" in err.getvalue()
 
 
 def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):

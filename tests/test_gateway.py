@@ -1,12 +1,21 @@
+import collections
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patvar import gateway
 from patvar.gateway import (
     BackendError,
+    CacheError,
     ChatMessage,
     CompletionRequest,
     CompletionResponse,
+    Gateway,
     GatewayTimeout,
     MockBackend,
     TransientBackendError,
@@ -122,19 +131,45 @@ def test_cache_transparency(tmp_path):
     assert direct.finish_reason == cached_hit.finish_reason
 
 
+CORRUPTED_ENTRIES = [
+    "{not json",
+    "[]",
+    '{"response": ["good", "stop"]}',
+    '{"response": {"text": "good"}}',
+    '{"response": {"text": 5, "finish_reason": "bogus"}}',
+    '{"response": {"text": 5, "finish_reason": "stop"}}',
+    '{"response": {"text": "stale", "finish_reason": "bogus"}}',
+    '{"response": {"text": "stale", "finish_reason": "error"}}',
+]
+
+
 def test_corrupted_cache_entry_is_overwritten(tmp_path, caplog):
+    for i, content in enumerate(CORRUPTED_ENTRIES):
+        backend = MockBackend(template_mode=False)
+        r = req("fragile")
+        backend.add_response(r.messages, "good")
+        cached_complete(r, backend, tmp_path / str(i))
+        path = tmp_path / str(i) / (cache_key(r) + ".json")
+        path.write_text(content, encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            resp = cached_complete(r, backend, tmp_path / str(i))
+        assert (resp.text, resp.from_cache, backend.calls) == ("good", False, 2), content
+        assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "good"
+        assert any("corrupted" in rec.message for rec in caplog.records), content
+
+
+def test_cache_dir_is_created_on_write(tmp_path):
     backend = MockBackend(template_mode=False)
-    r = req("fragile")
-    backend.add_response(r.messages, "good")
-    cached_complete(r, backend, tmp_path)
-    path = tmp_path / (cache_key(r) + ".json")
-    path.write_text("{not json", encoding="utf-8")
-    with caplog.at_level("WARNING"):
-        resp = cached_complete(r, backend, tmp_path)
-    assert resp.text == "good"
-    assert resp.from_cache is False
-    assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "good"
-    assert any("corrupted" in rec.message for rec in caplog.records)
+    r = req("nested")
+    backend.add_response(r.messages, "value")
+    cache_dir = tmp_path / "a" / "b"
+    assert cached_complete(r, backend, cache_dir).from_cache is False
+    assert [p.name for p in cache_dir.iterdir()] == [cache_key(r) + ".json"]
+    blocked = tmp_path / "file"
+    blocked.write_text("", encoding="utf-8")
+    with pytest.raises(CacheError):
+        cached_complete(r, backend, blocked)
 
 
 def test_cache_keys_stable_across_runs(tmp_path):
@@ -167,3 +202,48 @@ def test_mock_template_discriminator():
     )
     resp = backend.send(CompletionRequest("m", messages, 0.0, 16))
     assert resp.text == "price"
+
+
+class Scripted:
+    """Answers by prompt: `error*` gets an error response, `flaky*` fails
+    transiently on its first send, anything else gets a text."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def send(self, r):
+        content = r.messages[0].content
+        self.calls[content] += 1
+        if content.startswith("flaky") and self.calls[content] == 1:
+            raise TransientBackendError(503, "busy")
+        if content.startswith("error"):
+            return CompletionResponse("", "error")
+        return CompletionResponse(f"answer to {content}", "length" if "1" in content else "stop")
+
+
+prompts = st.sampled_from(["a0", "a1", "b0", "flaky0", "flaky1", "error0", "error1"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(warm=st.lists(prompts, max_size=4), sequence=st.lists(prompts, max_size=16))
+def test_gateway_serves_what_fresh_cached_calls_serve(warm, sequence):
+    with tempfile.TemporaryDirectory() as gateway_dir, tempfile.TemporaryDirectory() as fresh_dir, \
+            mock.patch.object(gateway.time, "sleep"):
+        for content in warm:  # entries an earlier command left on disk
+            cached_complete(req(content), Scripted(), gateway_dir)
+            cached_complete(req(content), Scripted(), fresh_dir)
+        caching, fresh, uncached = Scripted(), Scripted(), Scripted()
+        gw = Gateway(caching, "test-model", gateway_dir)
+        plain = Gateway(uncached, "test-model")
+        for content in sequence:
+            r = req(content)
+            got, want = gw.complete(r), cached_complete(r, fresh, fresh_dir)
+            assert (got.text, got.finish_reason, got.from_cache) == (
+                want.text, want.finish_reason, want.from_cache)
+            assert plain.complete(r).from_cache is False
+        assert caching.calls == fresh.calls
+        errors = [c for c in sequence if c.startswith("error")]
+        assert all(caching.calls[c] == errors.count(c) for c in errors)
+        assert sum(uncached.calls.values()) == len(sequence) + len(
+            {c for c in sequence if c.startswith("flaky")})
+        assert sorted(os.listdir(gateway_dir)) == sorted(os.listdir(fresh_dir))

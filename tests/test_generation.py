@@ -1,6 +1,10 @@
+import copy
+from dataclasses import replace
+
 import pytest
 
 from patvar import generation
+from patvar.errors import ParseError
 from patvar.gateway import ChatMessage, Gateway, MockBackend
 from patvar.generation import (
     CandidatePhrases,
@@ -11,6 +15,8 @@ from patvar.generation import (
     ResponseFormatError,
     StageVerdict,
     build_task,
+    candidate_to_record,
+    candidates_from_records,
     collect_soft_matches,
     generate_candidate_phrases,
     generate_counterfactual,
@@ -256,6 +262,30 @@ def test_candidate_verdict_ordering_invariant(provider):
             uid="u", task=task, generated_text="t", used_phrase=None,
             verdicts={"heuristic": StageVerdict("failed", "r"), "symbolic": StageVerdict("passed")},
         )
+
+
+def test_candidates_from_records_share_equal_originals(price_task):
+    records = [
+        candidate_to_record(CounterfactualCandidate(f"u{i}", replace(price_task, target_label=t),
+                                                    f"text {i}", None))
+        for i, t in enumerate(("price", "service", "service"))
+    ]
+    # same id and text, one token tagged differently
+    records[2]["original"]["tokens"][2]["pos"] = "NOUN"
+    candidates = candidates_from_records(enumerate(records, 1))
+    first, second, third = (c.task.original for c in candidates)
+    assert first is second
+    assert third.id == first.id and third != first and third.tokens[2].pos == "NOUN"
+    assert candidates[0].task.pattern is candidates[1].task.pattern
+    assert candidates == [candidates_from_records([(1, r)])[0] for r in records]
+
+
+def test_candidates_from_records_names_the_line(price_task):
+    good = candidate_to_record(CounterfactualCandidate("u0", price_task, "text", None))
+    bad = copy.deepcopy(good)
+    bad["original"]["tokens"][0]["lemma"] = 3
+    with pytest.raises(ParseError, match="line 3"):
+        candidates_from_records(enumerate([good, good, bad], 1))
 
 
 # ---------------------------------------------------------------------------
