@@ -25,7 +25,7 @@ from .config import (
     ingest,
     load_config,
 )
-from .errors import ConfigError, ParseError, PatvarError
+from .errors import ConfigError, ParseError, PatvarError, utf8_lines
 from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError
 from .generation import (
@@ -43,6 +43,7 @@ from .generation import (
 )
 from .learning import (
     CONDITIONS,
+    LemmaIds,
     NaiveBayesClassifier,
     RunResult,
     ShotSchedule,
@@ -111,10 +112,11 @@ def _write_jsonl(path, records) -> None:
 
 
 def _read_jsonl(path) -> list[tuple[int, object]]:
-    """(line number, record) for each non-blank line; ConfigError on a line that is not JSON."""
+    """(line number, record) for each non-blank line; ConfigError on a line
+    that is not UTF-8 or not JSON."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             if line.strip():
                 try:
                     records.append((lineno, json.loads(line)))
@@ -376,6 +378,7 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
     candidates = _read_candidates(cand_path)
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
+    features = LemmaIds()  # the arms share the pool, the holdout and most survivors
     per_arm: list[RunResult] = []
     for arm, survivors in survivors_by_arm(candidates, deps).items():
         index = _survivors_index(
@@ -384,7 +387,7 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
         )
         result = run_simulation(
             dataset, ["counterfactual"], ShotSchedule(cfg.shots), list(cfg.seeds),
-            clf_factory, {"counterfactual": index},
+            clf_factory, {"counterfactual": index}, features=features,
         )[0]
         per_arm.append(dataclasses.replace(result, condition=arm))
     finished = paired_pvalues(per_arm, "all")

@@ -1,5 +1,8 @@
-"""Exceptions shared across more than one module. Module-specific errors live
-next to the code that raises them."""
+"""Exceptions shared across more than one module, and `utf8_lines`, which
+turns a byte of a text file that is not UTF-8 into a ConfigError.
+Module-specific errors live next to the code that raises them."""
+
+import io
 
 
 class PatvarError(Exception):
@@ -26,3 +29,25 @@ class ProviderFailure(PatvarError):
 
 class ConfigError(PatvarError):
     """Experiment configuration is missing, malformed, or inconsistent."""
+
+
+def utf8_lines(fh, path):
+    """The lines of `fh`, a file opened as UTF-8 text. A byte that is not
+    UTF-8 raises ConfigError naming `path` and the byte's line."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> ConfigError:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines end where a file opened in text mode ends them.
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        line = before.count("\n") + 1
+        return ConfigError(f"{path} line {line}: not UTF-8 ({exc.reason} at byte {exc.start})")
+    return ConfigError(f"{path}: not UTF-8")

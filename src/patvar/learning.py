@@ -3,11 +3,13 @@ augmentation, a reference classifier, and the multi-seed run grid.
 
 The whole simulation is a pure function of (dataset, config, seeds, injected
 deps): every random choice is seeded, selection orders are prefix-stable so
-shot levels nest, and a fresh classifier is trained per shot level.
+shot levels nest, and every shot level is scored as a classifier trained
+afresh on that level's items would score it.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import logging
 import math
@@ -27,6 +29,8 @@ logger = logging.getLogger(__name__)
 CONDITIONS = ("random", "cluster", "uncertainty", "cf_no_vt", "counterfactual")
 # Conditions that draw their human-annotated base selection uniformly.
 RANDOM_BASE_CONDITIONS = ("random", "cf_no_vt", "counterfactual")
+# Conditions that add each selected example's counterfactuals to its training set.
+AUGMENTED_CONDITIONS = ("cf_no_vt", "counterfactual")
 
 TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
 # original example id -> [(generated sentence, target label), ...]
@@ -90,6 +94,17 @@ class Classifier(Protocol):
 
     def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]: ...
 
+    def predict_nested(
+        self,
+        items: Sequence[TrainingItem],
+        first_shot: Sequence[int],
+        n_shots: int,
+        sentences: Sequence[AnnotatedSentence],
+    ) -> list[list[str]]:
+        """Per shot k, the labels of `sentences` after training on the items
+        whose first shot is at most k; needs no earlier `train`."""
+        ...
+
 
 # ---------------------------------------------------------------------------
 # Features: lemma ids and hashed embeddings, computed once per run
@@ -123,7 +138,8 @@ class LemmaIds:
 
     A sentence is featurized once, on first use, and remembered by identity:
     the instance keeps every sentence it has seen alive, so no other object
-    can take over its id. Scope one instance to one run.
+    can take over its id. Scope one instance to one run, or to the runs of
+    one command over one dataset.
     """
 
     def __init__(self, sentences: Iterable[AnnotatedSentence] = ()):
@@ -131,6 +147,7 @@ class LemmaIds:
         self._alive: list[AnnotatedSentence] = []
         self._rows: dict[int, np.ndarray] = {}  # id(sentence) -> lemma ids
         self._vectors: dict[int, np.ndarray] = {}  # id(sentence) -> embedding
+        self._batches: dict[int, tuple[tuple, np.ndarray]] = {}  # id(tuple) -> (tuple, batch)
         self._buckets = np.zeros(0, dtype=np.intp)
         self.rows(sentences)
 
@@ -139,8 +156,9 @@ class LemmaIds:
         sentences = list(sentences)
         out = list(map(self._rows.get, map(id, sentences)))
         for i, ids in enumerate(out):
-            if ids is None:
-                out[i] = self._featurize(sentences[i])
+            if ids is None:  # look again: the sentence may be listed twice
+                ids = self._rows.get(id(sentences[i]))
+                out[i] = ids if ids is not None else self._featurize(sentences[i])
         return out
 
     def _featurize(self, sentence: AnnotatedSentence) -> np.ndarray:
@@ -152,12 +170,23 @@ class LemmaIds:
         return ids
 
     def batch(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
-        """The rows as one matrix, padded on the right with `len(vocab)`."""
+        """The rows as one matrix, padded on the right with -1.
+
+        A tuple cannot change, so its matrix is built once and remembered by
+        identity (the instance keeps the tuple alive); it is read-only.
+        """
+        if isinstance(sentences, tuple):
+            known = self._batches.get(id(sentences))
+            if known is not None:
+                return known[1]
         rows = self.rows(sentences)
         lengths = np.array([len(ids) for ids in rows], dtype=np.intp)
-        out = np.full((len(rows), lengths.max(initial=0)), len(self.vocab), dtype=np.intp)
+        out = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.intp)
         if rows:
             out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+        if isinstance(sentences, tuple):
+            out.flags.writeable = False
+            self._batches[id(sentences)] = (sentences, out)
         return out
 
     def embedding(self, sentence: AnnotatedSentence) -> np.ndarray:
@@ -177,6 +206,43 @@ class LemmaIds:
 # ---------------------------------------------------------------------------
 
 
+def _fit(counts: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log tables and log priors of the nested training sets of a schedule.
+
+    `counts[s, l, v]` counts lemma v in the items of label l that train shot
+    s, and `docs[s, l]` counts those items. `table[s, l, v]` is
+    `math.log((count + 1) / denom)` for the lemmas that shot s has seen and
+    0.0 elsewhere, with one more 0.0 column at the end; each distinct ratio
+    is logged once. `log_prior[s, l]` is -inf for a label shot s has no
+    item of.
+    """
+    n_shots, n_labels, width = counts.shape
+    seen = np.broadcast_to(counts.any(axis=1, keepdims=True), counts.shape)
+    denom = counts.sum(axis=2, keepdims=True) + seen[:, :1].sum(axis=2, keepdims=True)
+    ratios = (counts[seen] + 1) / np.broadcast_to(denom, counts.shape)[seen]
+    distinct, inverse = np.unique(ratios, return_inverse=True)
+    table = np.zeros((n_shots, n_labels, width + 1))
+    table[:, :, :width][seen] = np.array([math.log(r) for r in distinct.tolist()])[inverse]
+    log_prior = np.array([
+        [math.log(c / total) if c else -math.inf for c in row]
+        for row, total in zip(docs.tolist(), docs.sum(axis=1).tolist())
+    ])
+    return table, log_prior
+
+
+def _log_posterior(table: np.ndarray, log_prior: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """`log_post[s, l, h]`: the log prior plus the table entries of sentence
+    h's lemma ids, added one token position at a time.
+
+    Padding (-1) and lemma ids beyond the table read its last column, 0.0.
+    """
+    ids = np.minimum(ids, table.shape[2] - 1)
+    log_post = np.repeat(log_prior[:, :, None], len(ids), axis=2)
+    for column in ids.T:
+        log_post += table[:, :, column]
+    return log_post
+
+
 class NaiveBayesClassifier:
     """Bag-of-lemmas multinomial naive Bayes with add-one smoothing.
 
@@ -185,12 +251,13 @@ class NaiveBayesClassifier:
     order. Confidence is the normalized posterior of the argmax.
 
     Works on the lemma-id rows of `features` (a private `LemmaIds` when none
-    is given). Training counts with `np.bincount` and fills a label x lemma
-    table of `math.log((count + 1) / denom)`, one log per distinct count per
-    label; lemmas outside the training vocabulary, and padding, read a 0.0
-    column. `predict` adds the table's columns to the log priors one token
-    position at a time, so each posterior is summed in the order of a
-    per-lemma loop over the sentence and every float equals that loop's.
+    is given). `predict_nested` scores a schedule of nested training sets in
+    one pass: one `np.bincount` over (shot, label, lemma) and a `cumsum`
+    along the shots give every shot's counts, and the log table holds
+    `math.log((count + 1) / denom)`, one log per distinct ratio. Each
+    posterior adds the table's columns to the log prior one token position
+    at a time, in the order of a per-lemma loop over the sentence, so every
+    float equals that loop's. `train` and `predict` are the one-shot case.
     """
 
     def __init__(self, label_set: Sequence[str], features: LemmaIds | None = None):
@@ -200,44 +267,16 @@ class NaiveBayesClassifier:
         self._trained = False
 
     def train(self, items: Sequence[TrainingItem]) -> None:
-        if not items:
-            raise EmptyTrainingSet("classifier needs at least one training item")
-        try:
-            doc_labels = [self._label_index[label] for _, label in items]
-        except KeyError as exc:
-            raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
-        rows = self._features.rows([sentence for sentence, _ in items])
-        n_labels, width = len(self.label_set), len(self._features.vocab)
-        token_labels = np.repeat(np.array(doc_labels, dtype=np.intp), [len(r) for r in rows])
-        counts = np.bincount(
-            token_labels * width + np.concatenate(rows), minlength=n_labels * width
-        ).reshape(n_labels, width)
-        seen = np.flatnonzero(counts.any(axis=0))
-        # The last column is for padding and for lemmas interned after training.
-        table = np.zeros((n_labels, width + 1))
-        for i, total_words in enumerate(counts.sum(axis=1).tolist()):
-            denom = total_words + len(seen)
-            distinct, inverse = np.unique(counts[i, seen], return_inverse=True)
-            logs = np.array([math.log((c + 1) / denom) for c in distinct.tolist()])
-            table[i, seen] = logs[inverse]
-        self._table = table
-        self._log_prior = np.array([
-            math.log(c / len(items)) if c else -math.inf
-            for c in np.bincount(doc_labels, minlength=n_labels).tolist()
-        ])
+        self._table, self._log_prior = _fit(*self._counts(items, [0] * len(items), 1))
         self._trained = True
 
     def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]:
         """(label, confidence) for each sentence, in order."""
         if not self._trained:
             raise UntrainedClassifier("train() must run before predict()")
-        table = self._table
-        ids = np.minimum(self._features.batch(sentences), table.shape[1] - 1)
-        log_post = np.repeat(self._log_prior[:, None], len(ids), axis=1)
-        for column in ids.T:
-            log_post += table[:, column]
+        [log_post] = _log_posterior(self._table, self._log_prior, self._features.batch(sentences))
         best = np.argmax(log_post, axis=0)  # the first maximum: ties go to label_set order
-        cols = np.arange(len(ids))
+        cols = np.arange(log_post.shape[1])
         shifted = (log_post - log_post[best, cols]).ravel().tolist()
         weights = np.array(list(map(math.exp, shifted))).reshape(log_post.shape)
         total = weights[0].copy()
@@ -245,6 +284,45 @@ class NaiveBayesClassifier:
             total += row
         confidence = weights[best, cols] / total
         return [(self.label_set[b], c) for b, c in zip(best.tolist(), confidence.tolist())]
+
+    def predict_nested(
+        self,
+        items: Sequence[TrainingItem],
+        first_shot: Sequence[int],
+        n_shots: int,
+        sentences: Sequence[AnnotatedSentence],
+    ) -> list[list[str]]:
+        """For each shot k < n_shots, the label of each sentence after
+        training on the items whose `first_shot` is at most k: the labels
+        `train` plus `predict` give on each prefix, from one pass."""
+        table, log_prior = _fit(*self._counts(items, first_shot, n_shots))
+        log_post = _log_posterior(table, log_prior, self._features.batch(sentences))
+        best = np.argmax(log_post, axis=1)  # the first maximum: ties go to label_set order
+        return [[self.label_set[b] for b in row] for row in best.tolist()]
+
+    def _counts(self, items, first_shot, n_shots) -> tuple[np.ndarray, np.ndarray]:
+        """The (shot, label, lemma) counts and (shot, label) item counts of
+        the nested training sets, each shot's including the ones before."""
+        if not items:
+            raise EmptyTrainingSet("classifier needs at least one training item")
+        first = np.array(first_shot, dtype=np.intp)
+        if first.shape != (len(items),) or first.min() < 0 or first.max() >= n_shots:
+            raise ValueError(f"need one first shot in 0..{n_shots - 1} per training item")
+        try:
+            doc_labels = [self._label_index[label] for _, label in items]
+        except KeyError as exc:
+            raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
+        rows = self._features.rows([sentence for sentence, _ in items])
+        n_labels, width = len(self.label_set), len(self._features.vocab)
+        slots = first * n_labels + np.array(doc_labels, dtype=np.intp)
+        docs = np.bincount(slots, minlength=n_shots * n_labels).reshape(n_shots, n_labels)
+        if not docs[0].any():
+            raise EmptyTrainingSet("the first shot has no training item")
+        counts = np.bincount(
+            np.repeat(slots, list(map(len, rows))) * width + np.concatenate(rows),
+            minlength=n_shots * n_labels * width,
+        ).reshape(n_shots, n_labels, width)
+        return counts.cumsum(axis=0), docs.cumsum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,38 +545,55 @@ def _run_cell(
     schedule: ShotSchedule,
     seed: int,
     clf_factory: Callable[[LemmaIds], Classifier],
-    augment_index: Mapping[str, SurvivorsIndex],
+    index: SurvivorsIndex,
     features: LemmaIds,
+    holdout: tuple[AnnotatedSentence, ...],
 ) -> dict[int, float]:
-    pool = dataset.examples
-    order = _selection_order(condition, pool, dataset, seed, features)
-    index = augment_index.get(condition, {})
-    scores: dict[int, float] = {}
-    labeled: list[LabeledExample] = []
-    prev_clf: Classifier | None = None
-    for shot in schedule.shots:
-        if order is not None:
-            labeled = order[:shot]
-        else:
-            if prev_clf is None:
-                labeled = select_random(pool, shot, seed)
-            else:
-                have = {ex.sentence.id for ex in labeled}
-                remaining = [ex for ex in pool if ex.sentence.id not in have]
-                labeled = labeled + select_uncertainty(remaining, shot - len(labeled), prev_clf)
-        if condition in ("cf_no_vt", "counterfactual"):
-            training = augment_with_counterfactuals(labeled, index)
-        else:
-            training = [(ex.sentence, ex.label) for ex in labeled]
-        clf = clf_factory(features)
-        clf.train(training)
-        predicted = clf.predict([ex.sentence for ex in dataset.holdout])
-        scores[shot] = macro_f1(
-            [(ex.label, label) for ex, (label, _) in zip(dataset.holdout, predicted)],
-            dataset.label_set,
+    shots = schedule.shots
+    order = _selection_order(condition, dataset.examples, dataset, seed, features)
+    if order is None:
+        predicted = _uncertainty_labels(dataset, shots, seed, clf_factory, features, holdout)
+    else:
+        # The order is fixed, so shot k trains on a prefix of it: each original
+        # (and its counterfactuals) first trains at the first shot past its place.
+        labeled = order[: shots[-1]]
+        first = [bisect.bisect_right(shots, i) for i in range(len(labeled))]
+        first += [k for ex, k in zip(labeled, first) for _ in index.get(ex.sentence.id, ())]
+        predicted = clf_factory(features).predict_nested(
+            augment_with_counterfactuals(labeled, index), first, len(shots), holdout
         )
-        prev_clf = clf
-    return scores
+    return {
+        shot: macro_f1([(ex.label, label) for ex, label in zip(dataset.holdout, labels)],
+                       dataset.label_set)
+        for shot, labels in zip(shots, predicted)
+    }
+
+
+def _uncertainty_labels(
+    dataset: Dataset,
+    shots: Sequence[int],
+    seed: int,
+    clf_factory: Callable[[LemmaIds], Classifier],
+    features: LemmaIds,
+    holdout: tuple[AnnotatedSentence, ...],
+) -> list[list[str]]:
+    """Per shot, the holdout labels of a classifier trained on a random first
+    shot grown by the previous shot's least confident pool examples."""
+    pool = dataset.examples
+    predicted: list[list[str]] = []
+    labeled: list[LabeledExample] = []
+    clf: Classifier | None = None
+    for shot in shots:
+        if clf is None:
+            labeled = select_random(pool, shot, seed)
+        else:
+            have = {ex.sentence.id for ex in labeled}
+            remaining = [ex for ex in pool if ex.sentence.id not in have]
+            labeled = labeled + select_uncertainty(remaining, shot - len(labeled), clf)
+        clf = clf_factory(features)
+        clf.train([(ex.sentence, ex.label) for ex in labeled])
+        predicted.append([label for label, _ in clf.predict(holdout)])
+    return predicted
 
 
 def run_simulation(
@@ -508,13 +603,19 @@ def run_simulation(
     seeds: Sequence[int],
     clf_factory: Callable[[LemmaIds], Classifier],
     augment_index: Mapping[str, SurvivorsIndex],
+    *,
+    features: LemmaIds | None = None,
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean, SD, and p-values.
 
     `augment_index` maps an augmented condition to its survivors index; a
     condition without one trains on the originals only. Every sentence of the
-    pool, the holdout and the survivors is featurized once, into one
-    `LemmaIds` that `clf_factory(features)` hands to each fresh classifier.
+    pool, the holdout and the survivors is featurized once, into `features`
+    (a new `LemmaIds` when None; pass one to share it between runs over the
+    same dataset), which `clf_factory(features)` hands to each fresh
+    classifier. A cell whose selection order is fixed up front (every
+    condition but `uncertainty`) scores all its shots with one
+    `predict_nested`; an `uncertainty` cell trains once per shot.
     A condition x seed cell that fails with a data error (`PatvarError`,
     `ValueError`) is recorded as missing rather than aborting the run; any
     other exception propagates. p-values compare each baseline against the
@@ -526,18 +627,21 @@ def run_simulation(
     if unknown:
         raise ValueError(f"unknown conditions {unknown}; know {list(CONDITIONS)}")
     schedule.validate_against(len(dataset.examples))
-    features = LemmaIds(
-        [ex.sentence for ex in (*dataset.examples, *dataset.holdout)]
+    holdout = tuple(ex.sentence for ex in dataset.holdout)
+    features = features if features is not None else LemmaIds()
+    features.rows(
+        [ex.sentence for ex in dataset.examples] + list(holdout)
         + [sentence for index in augment_index.values()
            for items in index.values() for sentence, _ in items]
     )
     summaries = []
     for condition in conditions:
+        index = augment_index.get(condition, {}) if condition in AUGMENTED_CONDITIONS else {}
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:
                 cell = _run_cell(
-                    condition, dataset, schedule, seed, clf_factory, augment_index, features
+                    condition, dataset, schedule, seed, clf_factory, index, features, holdout
                 )
             except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)

@@ -14,7 +14,7 @@ import json
 import os
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_lines
 from .learning import RunResult, summarize
 
 QUALITY_ROWS = (
@@ -153,11 +153,16 @@ def read_results_csv(path) -> list[dict]:
     """Rows of the per-seed results schema; also used for external imports.
 
     `shot` and `seed` come back as int and `macro_f1` as a float in [0, 1], or
-    None when empty. A missing column or a bad value raises ConfigError naming
-    the file and line.
+    None when empty. A file that cannot be read, a byte that is not UTF-8, a
+    missing column or a bad value raises ConfigError naming the file (and the
+    line, where there is one).
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"results file {path}: {exc.strerror}") from None
+    with fh:
+        reader = csv.DictReader(utf8_lines(fh, path))
         missing = set(RESULTS_FIELDS) - set(reader.fieldnames or ())
         if missing:
             raise ConfigError(f"results file {path} lacks columns {sorted(missing)}")

@@ -27,7 +27,7 @@ from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
 from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
-from patvar.learning import RunResult
+from patvar.learning import LemmaIds, RunResult
 from patvar.patterns import parse_pattern
 from patvar.reports import render_f1_grid, render_quality_table, significance_stars
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
@@ -670,6 +670,25 @@ def tiny_walkthrough(tmp_path_factory):
     return tmp_path, config
 
 
+def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, monkeypatch):
+    source, config = tiny_walkthrough
+    out = tmp_path / "out"
+    shutil.copytree(source / "out", out)
+    featurized = []
+    featurize = LemmaIds._featurize
+
+    def spy(self, sentence):
+        featurized.append(sentence)
+        return featurize(self, sentence)
+
+    monkeypatch.setattr(LemmaIds, "_featurize", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ablate", "--config", str(config), "--out", str(out),
+                     "--cache-dir", str(source / "cache")]) == 0
+    # The five arms share the pool, the holdout and most survivors.
+    assert featurized and len(featurized) == len(set(featurized))
+
+
 CANDIDATE_FIELDS = ("uid", "original", "original_label", "target_label", "pattern",
                     "generated_text")
 SURVIVOR_FIELDS = ("original", "generated_text", "target_label")
@@ -681,10 +700,13 @@ ARTIFACT_READERS = {
     "survivors_vt.jsonl": (("simulate",), SURVIVOR_FIELDS),
     "survivors_novt.jsonl": (("simulate",), SURVIVOR_FIELDS),
     "quality_report.json": (("report",), ("vt",)),
+    # "report --external" reads the file as another run's results. Only
+    # macro_f1 is a field that 5, 2.5 and true each make invalid.
+    "results.csv": (("report", "report --external"), ("macro_f1",)),
 }
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
     source, config = tiny_walkthrough
@@ -695,32 +717,64 @@ def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
         out = os.path.join(work, "out")
         shutil.copytree(source / "out", out)
         path = os.path.join(out, name)
+        extra = []
+        if command == "report --external":
+            path = shutil.move(path, os.path.join(work, "external.csv"))
+            command, extra = "report", ["--external", path]
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        # a .jsonl file is one record per line; a .json file is one record
-        lines = text.splitlines() if name.endswith(".jsonl") else [text.rstrip("\n")]
+        # a .jsonl or .csv file is one record per line; a .json file is one record
+        lines = [text.rstrip("\n")] if name.endswith(".json") else text.splitlines()
         index = data.draw(st.integers(0, len(lines) - 1), label="line")
-        kind = data.draw(st.sampled_from(["truncate", "drop_key", "change_type"]), label="kind")
-        if kind == "truncate":  # no strict prefix of a JSON object is JSON
-            lines[index] = lines[index][: data.draw(st.integers(1, len(lines[index]) - 1))]
-        else:
-            record = json.loads(lines[index])
+        kind = data.draw(st.sampled_from(["truncate", "drop_key", "change_type", "not_utf8"]),
+                         label="kind")
+        if kind == "truncate":
+            # No strict prefix of a JSON object is JSON; a CSV row cut before
+            # its last comma has too few fields.
+            stop = lines[index].rindex(",") if name.endswith(".csv") else len(lines[index]) - 1
+            lines[index] = lines[index][: data.draw(st.integers(1, stop))]
+        elif kind != "not_utf8":
             key = data.draw(st.sampled_from(fields), label="key")
-            if kind == "drop_key":
-                del record[key]
+            value = data.draw(st.sampled_from([5, 2.5, True]), label="value")
+            if name.endswith(".csv"):  # the header row is a record too
+                cells = lines[index].split(",")
+                column = lines[0].split(",").index(key)
+                if kind == "drop_key":
+                    del cells[column]
+                else:
+                    cells[column] = str(value)
+                lines[index] = ",".join(cells)
             else:
-                record[key] = data.draw(st.sampled_from([5, 2.5, True]), label="value")
-            lines[index] = json.dumps(record)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+                record = json.loads(lines[index])
+                if kind == "drop_key":
+                    del record[key]
+                else:
+                    record[key] = value
+                lines[index] = json.dumps(record)
+        encoded = [line.encode("utf-8") for line in lines]
+        if kind == "not_utf8":
+            at = data.draw(st.integers(0, len(encoded[index])), label="byte")
+            encoded[index] = encoded[index][:at] + b"\xff\xfe" + encoded[index][at:]
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(encoded) + b"\n")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", str(config), "--out", out,
-                         "--cache-dir", str(source / "cache")])
+                         "--cache-dir", str(source / "cache"), *extra])
     assert code in (2, 4)
-    assert name in err.getvalue()
-    if name.endswith(".jsonl"):
+    assert os.path.basename(path) in err.getvalue()
+    if name.endswith(".jsonl") or (kind == "not_utf8" and name.endswith(".csv")):
         assert f"line {index + 1}" in err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_report_rejects_unreadable_external(tmp_path, capsys, kind):
+    config = write_config(tmp_path)
+    external = tmp_path / "external.csv"
+    if kind == "directory":
+        external.mkdir()
+    assert main(["report", "--config", str(config), "--external", str(external)]) == 2
+    assert "external.csv" in capsys.readouterr().err
 
 
 def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):

@@ -328,6 +328,15 @@ class OracleNaiveBayes:
     def predict(self, sentences):
         return [self._predict_one(sentence) for sentence in sentences]
 
+    def predict_nested(self, items, first_shot, n_shots, sentences):
+        """Train on each shot's prefix, then predict: the per-shot loop
+        that `predict_nested` must equal."""
+        labels = []
+        for shot in range(n_shots):
+            self.train([item for item, first in zip(items, first_shot) if first <= shot])
+            labels.append([label for label, _ in self.predict(sentences)])
+        return labels
+
     def _predict_one(self, sentence):
         if not self._trained:
             raise UntrainedClassifier("train() must run before predict()")
@@ -389,6 +398,55 @@ def test_nb_matches_per_lemma_oracle(corpus, interned_first):
     oracle.train(training)
     # == on (label, confidence) tuples: the floats must be equal, not close.
     assert clf.predict(query_sentences) == oracle.predict(query_sentences)
+
+
+@st.composite
+def nested_corpora(draw):
+    """`nb_corpora` plus a shot count and each item's first shot; shot 0
+    always trains on something, later shots may add labels and lemmas."""
+    label_set, items, queries = draw(nb_corpora())
+    n_shots = draw(st.integers(1, 4))
+    first = draw(st.lists(st.integers(0, n_shots - 1), min_size=len(items), max_size=len(items)))
+    first[draw(st.integers(0, len(items) - 1))] = 0
+    return label_set, items, first, n_shots, queries
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=nested_corpora(), interning=st.sampled_from(["run", "queries_first", "lazy"]))
+@example(corpus=(("A", "B"), [(["good"], "A"), (["good"], "B")], [0, 1], 2, [["good"], []]),
+         interning="run")  # an exact tie at shot 1; only A exists at shot 0
+@example(corpus=(("A", "B", "C"), [([], "A"), (["the", "food"], "B"), (["food"], "C")],
+                 [0, 1, 2], 3, [["food"], ["the"], [], ["xyzzy"]]),
+         interning="queries_first")  # B and C join late, with lemmas shot 0 never saw
+@example(corpus=(("A", "B"), [(["good"], "A"), (["rude", "rude"], "B")], [0, 0], 1,
+                 [["good", "good"], []]),
+         interning="queries_first")  # padding remembered before "rude" gets its id
+def test_nb_nested_matches_oracle_on_every_prefix(corpus, interning):
+    label_set, items, first, n_shots, queries = corpus
+    training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
+    query_sentences = tuple(sentence_of(words, f"q{i}") for i, words in enumerate(queries))
+    features = LemmaIds([s for s, _ in training] + list(query_sentences)
+                        if interning == "run" else ())
+    if interning == "queries_first":
+        features.batch(query_sentences)  # remembered before training meets its lemmas
+    clf = NaiveBayesClassifier(label_set, features)
+    oracle = OracleNaiveBayes(label_set)
+    expected = oracle.predict_nested(training, first, n_shots, query_sentences)
+    assert clf.predict_nested(training, first, n_shots, query_sentences) == expected
+    assert clf.predict_nested(training, first, n_shots, list(query_sentences)) == expected
+
+
+def test_nb_nested_rejects_bad_first_shots(provider):
+    s = provider.annotate
+    clf = NaiveBayesClassifier(["A", "B"])
+    items = [(s("good food"), "A"), (s("rude staff"), "B")]
+    for first in ([0], [0, 2], [0, -1]):
+        with pytest.raises(ValueError, match="first shot"):
+            clf.predict_nested(items, first, 2, [s("good")])
+    with pytest.raises(EmptyTrainingSet):
+        clf.predict_nested(items, [1, 1], 2, [s("good")])
+    with pytest.raises(ValueError, match="'C' not in label set"):
+        clf.predict_nested([*items, (s("cheap"), "C")], [0, 0, 1], 2, [s("good")])
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +554,9 @@ def _failing_factory(label_set, error):
         def train(self, items):
             raise error("failing on purpose")
 
+        def predict_nested(self, items, first_shot, n_shots, sentences):
+            raise error("failing on purpose")
+
     return lambda features: Failing(label_set, features)
 
 
@@ -563,17 +624,27 @@ def test_dataset_validation(provider):
 def test_nesting_across_shots(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((3, 6, 9))
+    survivors = {e.sentence.id: [(provider.annotate(f"the staff spoke {i}."), "service")]
+                 for i, e in enumerate(dataset.examples)}
     seen = []
 
     class Spy(NaiveBayesClassifier):
-        def train(self, items):
-            seen.append([sentence for sentence, _ in items])
-            super().train(items)
+        def predict_nested(self, items, first_shot, n_shots, sentences):
+            seen.append([[item for item, first in zip(items, first_shot) if first <= shot]
+                         for shot in range(n_shots)])
+            return super().predict_nested(items, first_shot, n_shots, sentences)
 
     def factory(features):
         return Spy(dataset.label_set, features)
 
-    run_simulation(dataset, ["random"], schedule, [7], factory, {})
-    assert len(seen) == 3
-    assert seen[0] == seen[1][:3]
-    assert seen[1] == seen[2][:6]
+    run_simulation(dataset, ["random", "counterfactual"], schedule, [7], factory,
+                   {"counterfactual": survivors})
+    originals, augmented = seen
+    for shot, training in zip(schedule.shots, originals):
+        selected = select_random(dataset.examples, shot, 7)
+        assert training == [(ex.sentence, ex.label) for ex in selected]
+    # Each counterfactual trains from the shot its original first trains at.
+    for shot, training in zip(schedule.shots, augmented):
+        selected = select_random(dataset.examples, shot, 7)
+        assert training == augment_with_counterfactuals(selected, survivors)
+        assert len(training) == 2 * shot
