@@ -4,153 +4,3 @@ examples, LLM-backed counterfactual generation with three-stage filtering,
 and a simulated active-learning harness."""
 
 __version__ = "0.1.0"
-
-from .annotation import (
-    AnnotatedSentence,
-    AnnotationProvider,
-    SynonymLexicon,
-    Token,
-    annotate,
-    load_annotations_file,
-    load_synonyms_file,
-    tokenize,
-)
-from .filtering import (
-    DiscriminatorVerdict,
-    FilterConfig,
-    FilterDeps,
-    QualityReport,
-    compute_metrics,
-    discriminator_filter,
-    heuristic_filter,
-    run_pipeline,
-    symbolic_filter,
-)
-from .fixtures import FixtureAnnotationProvider, fixture_synonyms
-from .gateway import (
-    Backend,
-    ChatMessage,
-    CompletionRequest,
-    CompletionResponse,
-    Gateway,
-    HttpBackend,
-    MockBackend,
-    cache_key,
-    cached_complete,
-    complete,
-)
-from .generation import (
-    CandidatePhrases,
-    CounterfactualCandidate,
-    GenerationTask,
-    StageVerdict,
-    build_task,
-    generate_candidate_phrases,
-    generate_counterfactual,
-    generate_without_vt,
-    plan_targets,
-    separate_multilabel,
-)
-from .learning import (
-    Classifier,
-    Dataset,
-    LemmaIds,
-    NaiveBayesClassifier,
-    RunResult,
-    ShotSchedule,
-    augment_with_counterfactuals,
-    hashed_embedding,
-    kmeans,
-    run_simulation,
-    select_cluster,
-    select_random,
-    select_uncertainty,
-)
-from .patterns import (
-    MatchSpan,
-    PatternAst,
-    brute_force_match,
-    find_matches,
-    match_sentence,
-    parse_pattern,
-    render_pattern,
-)
-from .stats import macro_f1, paired_t_test
-from .synthesis import (
-    LabeledExample,
-    ScoredPattern,
-    SynthesisConfig,
-    enumerate_atoms,
-    enumerate_candidates,
-    synthesize_patterns,
-)
-
-__all__ = [
-    "AnnotatedSentence",
-    "AnnotationProvider",
-    "Backend",
-    "CandidatePhrases",
-    "ChatMessage",
-    "Classifier",
-    "CompletionRequest",
-    "CompletionResponse",
-    "CounterfactualCandidate",
-    "Dataset",
-    "DiscriminatorVerdict",
-    "FilterConfig",
-    "FilterDeps",
-    "FixtureAnnotationProvider",
-    "Gateway",
-    "GenerationTask",
-    "HttpBackend",
-    "LabeledExample",
-    "LemmaIds",
-    "MatchSpan",
-    "MockBackend",
-    "NaiveBayesClassifier",
-    "PatternAst",
-    "QualityReport",
-    "RunResult",
-    "ScoredPattern",
-    "ShotSchedule",
-    "StageVerdict",
-    "SynonymLexicon",
-    "SynthesisConfig",
-    "Token",
-    "annotate",
-    "augment_with_counterfactuals",
-    "brute_force_match",
-    "build_task",
-    "cache_key",
-    "cached_complete",
-    "complete",
-    "compute_metrics",
-    "discriminator_filter",
-    "enumerate_atoms",
-    "enumerate_candidates",
-    "find_matches",
-    "fixture_synonyms",
-    "generate_candidate_phrases",
-    "generate_counterfactual",
-    "generate_without_vt",
-    "hashed_embedding",
-    "heuristic_filter",
-    "kmeans",
-    "load_annotations_file",
-    "load_synonyms_file",
-    "macro_f1",
-    "match_sentence",
-    "paired_t_test",
-    "parse_pattern",
-    "plan_targets",
-    "render_pattern",
-    "run_pipeline",
-    "run_simulation",
-    "select_cluster",
-    "select_random",
-    "select_uncertainty",
-    "separate_multilabel",
-    "symbolic_filter",
-    "synthesize_patterns",
-    "tokenize",
-]

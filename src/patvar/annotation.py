@@ -7,13 +7,12 @@ or from a pre-annotated line-delimited file produced offline by any tagger.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
 
-from .errors import InvariantViolation, ParseError, ProviderFailure
+from .errors import InvariantViolation, ParseError, ProviderFailure, read_jsonl, utf8_lines
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +126,7 @@ def load_synonyms_file(path) -> SynonymLexicon:
     """Load a lexicon from `lemma<TAB>syn1,syn2,...` lines (symmetric closure applied)."""
     lex = SynonymLexicon()
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -191,15 +190,6 @@ def record_to_sentence(record: dict, line: int | None = None) -> AnnotatedSenten
 
 
 def load_annotations_file(path) -> list[AnnotatedSentence]:
-    """Load pre-annotated sentences from line-delimited JSON records."""
-    sentences: list[AnnotatedSentence] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            sentences.append(record_to_sentence(record, line=lineno))
-    return sentences
+    """Load pre-annotated sentences from line-delimited JSON records; a line
+    that is not UTF-8 or not JSON raises ConfigError naming the file and line."""
+    return [record_to_sentence(record, line=lineno) for lineno, record in read_jsonl(path)]

@@ -3,7 +3,8 @@
 Every command reads one YAML config, writes deterministic artifacts into the
 output directory, and records them (with content hashes) in manifest.json.
 Re-running a command against an unchanged cache and config rewrites
-byte-identical outputs.
+byte-identical outputs. Only `simulate` and `ablate` import `learning`, and
+with it numpy, inside the command.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .config import (
     ingest,
     load_config,
 )
-from .errors import ConfigError, ParseError, PatvarError, utf8_lines
+from .errors import ConfigError, ParseError, PatvarError, read_jsonl
+from .experiment import CONDITIONS, RunResult, paired_pvalues
 from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError
 from .generation import (
@@ -40,16 +42,6 @@ from .generation import (
     generate_counterfactual,
     generate_without_vt,
     plan_targets,
-)
-from .learning import (
-    CONDITIONS,
-    LemmaIds,
-    NaiveBayesClassifier,
-    RunResult,
-    ShotSchedule,
-    SurvivorsIndex,
-    paired_pvalues,
-    run_simulation,
 )
 from .patterns import match_sentence, parse_pattern
 from .reports import (
@@ -111,25 +103,11 @@ def _write_jsonl(path, records) -> None:
             fh.write(json.dumps(rec, ensure_ascii=True, sort_keys=True) + "\n")
 
 
-def _read_jsonl(path) -> list[tuple[int, object]]:
-    """(line number, record) for each non-blank line; ConfigError on a line
-    that is not UTF-8 or not JSON."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
-            if line.strip():
-                try:
-                    records.append((lineno, json.loads(line)))
-                except ValueError as exc:
-                    raise ConfigError(f"{path} line {lineno}: not JSON ({exc})") from None
-    return records
-
-
 def _read_candidates(path) -> list[CounterfactualCandidate]:
     """The candidates of a `patvar gen` output file; ConfigError naming the
     file and line for a record that is not a candidate."""
     try:
-        return candidates_from_records(_read_jsonl(path))
+        return candidates_from_records(read_jsonl(path))
     except ParseError as exc:
         raise ConfigError(f"{path} {exc}") from None
 
@@ -302,7 +280,7 @@ def cmd_filter(cfg: ExperimentConfig, config_path: str) -> int:
     return 0
 
 
-def _survivors_index(entries, provider: AnnotationProvider) -> SurvivorsIndex:
+def _survivors_index(entries, provider: AnnotationProvider) -> dict[str, list]:
     """Index (original id, generated text, target label) triples by original id."""
     index: dict[str, list] = {}
     for original_id, text, target in entries:
@@ -313,7 +291,7 @@ def _survivors_index(entries, provider: AnnotationProvider) -> SurvivorsIndex:
 def _read_survivors(path) -> list[tuple[str, str, str]]:
     """(original id, generated text, target label) of each record of a survivors file."""
     entries = []
-    for lineno, rec in _read_jsonl(path):
+    for lineno, rec in read_jsonl(path):
         try:
             entry = (rec["original"]["id"], rec["generated_text"], rec["target_label"])
         except (LookupError, TypeError):
@@ -326,6 +304,8 @@ def _read_survivors(path) -> list[tuple[str, str, str]]:
 
 
 def _simulation_pieces(cfg: ExperimentConfig):
+    from .learning import NaiveBayesClassifier
+
     provider = build_provider(cfg)
     dataset = ingest(
         cfg.dataset, provider, build_gateway(cfg) if cfg.dataset.multi_label else None
@@ -334,6 +314,8 @@ def _simulation_pieces(cfg: ExperimentConfig):
 
 
 def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
+    from .learning import ShotSchedule, run_simulation
+
     provider, dataset, clf_factory = _simulation_pieces(cfg)
     augment_index = {}
     for condition, name in (("counterfactual", "vt"), ("cf_no_vt", "novt")):
@@ -369,6 +351,8 @@ def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
 
 
 def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
+    from .learning import LemmaIds, ShotSchedule, run_simulation
+
     provider, dataset, clf_factory = _simulation_pieces(cfg)
     lexicon = build_lexicon(cfg)
     gateway = build_gateway(cfg)

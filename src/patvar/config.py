@@ -4,7 +4,7 @@ dataset ingestion with a seeded stratified holdout split."""
 from __future__ import annotations
 
 import csv
-import json
+import logging
 import os
 import random
 from dataclasses import dataclass, field, replace
@@ -19,12 +19,15 @@ from .annotation import (
     load_annotations_file,
     load_synonyms_file,
 )
-from .errors import ConfigError, ParseError, PatvarError
+from .errors import ConfigError, ParseError, PatvarError, read_jsonl, utf8_lines
+from .experiment import CONDITIONS, Dataset
 from .filtering import FilterConfig
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
 from .gateway import Gateway, HttpBackend, MockBackend
-from .learning import CONDITIONS, Dataset
+from .generation import separate_multilabel
 from .synthesis import LabeledExample, SynthesisConfig
+
+logger = logging.getLogger(__name__)
 
 
 class EmptyDataset(PatvarError):
@@ -116,11 +119,11 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate the experiment YAML; env vars override credentials."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load("".join(utf8_lines(fh, path))) or {}
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     _check_keys("config", raw, set(_SCHEMA))
@@ -246,7 +249,7 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
     rows: list[tuple[str, list[str]]] = []
     if spec.format == "csv":
         with open(spec.path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(utf8_lines(fh, spec.path))
             for lineno, row in enumerate(reader, start=2):  # header is line 1
                 if spec.text_field not in row or row[spec.text_field] is None:
                     raise ParseError(f"missing field {spec.text_field!r}", line=lineno)
@@ -257,24 +260,18 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
                     labels = [l.strip() for l in row[spec.label_field].split(spec.label_delimiter) if l.strip()]
                 rows.append((row[spec.text_field], labels))
     else:
-        with open(spec.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-                if spec.text_field not in record or spec.label_field not in record:
-                    raise ParseError(
-                        f"record needs fields {spec.text_field!r} and {spec.label_field!r}",
-                        line=lineno,
-                    )
-                value = record[spec.label_field]
-                labels = [str(l) for l in value] if isinstance(value, list) else [str(value)]
-                if spec.multi_label and len(labels) == 1:
-                    labels = [l.strip() for l in labels[0].split(spec.label_delimiter) if l.strip()]
-                rows.append((str(record[spec.text_field]), labels))
+        for lineno, record in read_jsonl(spec.path):
+            fields = {spec.text_field, spec.label_field}
+            if not isinstance(record, dict) or not fields <= record.keys():
+                raise ParseError(
+                    f"record needs fields {spec.text_field!r} and {spec.label_field!r}",
+                    line=lineno,
+                )
+            value = record[spec.label_field]
+            labels = [str(l) for l in value] if isinstance(value, list) else [str(value)]
+            if spec.multi_label and len(labels) == 1:
+                labels = [l.strip() for l in labels[0].split(spec.label_delimiter) if l.strip()]
+            rows.append((str(record[spec.text_field]), labels))
     return rows
 
 
@@ -322,11 +319,6 @@ def ingest(
     holdout split; without a gateway each such row degrades to one duplicate
     example per label (ids `rNNNNN#k`).
     """
-    import logging
-
-    from .generation import separate_multilabel
-
-    logger = logging.getLogger(__name__)
     rows = _read_rows(spec)
     if not rows:
         raise EmptyDataset(f"no rows in {spec.path}")

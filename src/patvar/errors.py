@@ -1,8 +1,10 @@
-"""Exceptions shared across more than one module, and `utf8_lines`, which
-turns a byte of a text file that is not UTF-8 into a ConfigError.
-Module-specific errors live next to the code that raises them."""
+"""Exceptions shared across more than one module, `utf8_lines`, which turns
+a byte of a text file that is not UTF-8 into a ConfigError, and `read_jsonl`,
+the one reader of line-delimited JSON files. Module-specific errors live next
+to the code that raises them."""
 
 import io
+import json
 
 
 class PatvarError(Exception):
@@ -38,6 +40,20 @@ def utf8_lines(fh, path):
         yield from fh
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+
+
+def read_jsonl(path) -> list[tuple[int, object]]:
+    """(line number, record) for each non-blank line; ConfigError naming
+    `path` and the line for a line that is not UTF-8 or not JSON."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(utf8_lines(fh, path), start=1):
+            if line.strip():
+                try:
+                    records.append((lineno, json.loads(line)))
+                except ValueError as exc:
+                    raise ConfigError(f"{path} line {lineno}: not JSON ({exc})") from None
+    return records
 
 
 def _not_utf8(path) -> ConfigError:

@@ -224,21 +224,15 @@ class MockBackend:
 class HttpBackend:
     """Chat-completions HTTP client (OpenAI-style wire format).
 
-    `response_path` locates the completion text in the response JSON, e.g.
-    ("choices", 0, "message", "content").
+    The completion is the first choice's `message.content`, which must be a
+    string; any other reply body is a malformed-body BackendError.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        response_path: tuple = ("choices", 0, "message", "content"),
-        timeout: float = 60.0,
-    ):
+    TIMEOUT_S = 60.0
+
+    def __init__(self, base_url: str, api_key: str | None = None):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self.response_path = response_path
-        self.timeout = timeout
 
     def send(self, req: CompletionRequest) -> CompletionResponse:
         import requests
@@ -254,7 +248,8 @@ class HttpBackend:
         }
         try:
             resp = requests.post(
-                f"{self.base_url}/chat/completions", json=body, headers=headers, timeout=self.timeout
+                f"{self.base_url}/chat/completions", json=body, headers=headers,
+                timeout=self.TIMEOUT_S,
             )
         except requests.Timeout as exc:
             raise TransientBackendError(None, f"timeout: {exc}") from exc
@@ -265,17 +260,16 @@ class HttpBackend:
         if resp.status_code >= 400:
             raise BackendError(resp.status_code, resp.text)
         try:
-            data = resp.json()
-            text = data
-            for step in self.response_path:
-                text = text[step]
-            finish = "stop"
-            choice = data.get("choices", [{}])[0] if isinstance(data, dict) else {}
-            if isinstance(choice, dict) and choice.get("finish_reason") == "length":
-                finish = "length"
-            return CompletionResponse(str(text), finish)
+            choice = resp.json()["choices"][0]
+            text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError(resp.status_code, f"malformed response body: {exc}") from exc
+            raise BackendError(resp.status_code, f"malformed response body: {exc!r}") from exc
+        if not isinstance(text, str):
+            raise BackendError(
+                resp.status_code, f"malformed response body: content is {type(text).__name__}"
+            )
+        finish = "length" if choice.get("finish_reason") == "length" else "stop"
+        return CompletionResponse(text, finish)
 
 
 def complete(

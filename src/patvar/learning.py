@@ -14,19 +14,19 @@ import hashlib
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .annotation import AnnotatedSentence
 from .errors import PatvarError
-from .stats import macro_f1, mean, paired_t_test, sample_sd
+from .experiment import CONDITIONS, Dataset, RunResult, paired_pvalues, summarize
+from .stats import macro_f1
 from .synthesis import LabeledExample
 
 logger = logging.getLogger(__name__)
 
-CONDITIONS = ("random", "cluster", "uncertainty", "cf_no_vt", "counterfactual")
 # Conditions that draw their human-annotated base selection uniformly.
 RANDOM_BASE_CONDITIONS = ("random", "cf_no_vt", "counterfactual")
 # Conditions that add each selected example's counterfactuals to its training set.
@@ -51,26 +51,6 @@ class UntrainedClassifier(PatvarError):
 
 class EmptyTrainingSet(PatvarError):
     pass
-
-
-@dataclass(frozen=True)
-class Dataset:
-    examples: tuple[LabeledExample, ...]
-    label_set: tuple[str, ...]
-    holdout: tuple[LabeledExample, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        object.__setattr__(self, "label_set", tuple(self.label_set))
-        object.__setattr__(self, "holdout", tuple(self.holdout))
-        labels = set(self.label_set)
-        for ex in (*self.examples, *self.holdout):
-            if ex.label not in labels:
-                raise ValueError(f"example {ex.sentence.id!r} has unknown label {ex.label!r}")
-        pool_ids = {ex.sentence.id for ex in self.examples}
-        holdout_ids = {ex.sentence.id for ex in self.holdout}
-        if pool_ids & holdout_ids:
-            raise ValueError("holdout overlaps the pool")
 
 
 @dataclass(frozen=True)
@@ -449,79 +429,6 @@ def augment_with_counterfactuals(
 # ---------------------------------------------------------------------------
 # Simulation grid
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunResult:
-    condition: str
-    shots: tuple[int, ...]
-    seeds: tuple[int, ...]
-    scores: Mapping[int, Mapping[int, float | None]]  # shot -> seed -> macro F1
-    mean: Mapping[int, float | None]
-    sd: Mapping[int, float | None]
-    p_vs_reference: Mapping[int, float | None]
-    reference: str | None
-
-
-def summarize(
-    condition: str,
-    scores: Mapping[int, Mapping[int, float | None]],
-    shots: Sequence[int],
-    seeds: Sequence[int],
-) -> RunResult:
-    """Per-shot mean and SD over the cells present, in seed order; no p-values.
-
-    `scores` maps shot -> seed -> macro F1; an absent or None cell is missing.
-    """
-    means: dict[int, float | None] = {}
-    sds: dict[int, float | None] = {}
-    for shot in shots:
-        present = [v for seed in seeds if (v := scores[shot].get(seed)) is not None]
-        means[shot] = mean(present) if present else None
-        sds[shot] = sample_sd(present) if present else None
-    return RunResult(
-        condition=condition,
-        shots=tuple(shots),
-        seeds=tuple(seeds),
-        scores=scores,
-        mean=means,
-        sd=sds,
-        p_vs_reference={shot: None for shot in shots},
-        reference=None,
-    )
-
-
-def paired_pvalues(results: Sequence[RunResult], reference: str) -> list[RunResult]:
-    """Paired t-test of every other result against the `reference` condition.
-
-    Each shot pairs the seeds where both cells are present; with fewer than
-    two pairs its p-value is None. The reference's own row is returned as is.
-    Without a `reference` row the results come back unchanged.
-    """
-    ref = next((r for r in results if r.condition == reference), None)
-    if ref is None:
-        return list(results)
-    out = []
-    for r in results:
-        if r.condition == reference:
-            out.append(r)
-            continue
-        pvals: dict[int, float | None] = {}
-        for shot in r.shots:
-            ref_cells = ref.scores.get(shot, {})
-            pairs = [
-                (a, b)
-                for seed in r.seeds
-                if (a := r.scores[shot].get(seed)) is not None
-                and (b := ref_cells.get(seed)) is not None
-            ]
-            pvals[shot] = (
-                paired_t_test([a for a, _ in pairs], [b for _, b in pairs])[1]
-                if len(pairs) >= 2
-                else None
-            )
-        out.append(replace(r, p_vs_reference=pvals, reference=reference))
-    return out
 
 
 def _selection_order(

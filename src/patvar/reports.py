@@ -15,7 +15,7 @@ import os
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, utf8_lines
-from .learning import RunResult, summarize
+from .experiment import RunResult, summarize
 
 QUALITY_ROWS = (
     ("pkr", "Pattern Keeping Rate"),

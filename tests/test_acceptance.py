@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 import patvar.cli as cli
+from patvar.experiment import RunResult
 from patvar.filtering import (
     DiscriminatorVerdict,
     FilterConfig,
@@ -29,7 +30,7 @@ from patvar.generation import (
     GenerationTask,
     separate_multilabel,
 )
-from patvar.learning import RunResult, inertia, kmeans
+from patvar.learning import inertia, kmeans
 from patvar.patterns import (
     WILDCARD,
     EntityAtom,

@@ -12,7 +12,7 @@ from patvar.annotation import (
     sentence_to_record,
     tokenize,
 )
-from patvar.errors import InvariantViolation, ParseError, ProviderFailure
+from patvar.errors import ConfigError, InvariantViolation, ParseError, ProviderFailure
 
 TERMINAL = ".,!?;:"
 
@@ -211,10 +211,9 @@ def test_load_annotations_bad_reconstruction(tmp_path):
 
 def test_load_annotations_parse_errors(tmp_path):
     path = tmp_path / "ann.jsonl"
-    path.write_text('{"id": "a"\n', encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
+    path.write_text('\n{"id": "a"\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"ann\.jsonl line 2: not JSON"):
         load_annotations_file(path)
-    assert exc.value.line == 1
 
     _write_annotations(path, [{"id": "a", "raw": "", "tokens": [], "extra": 1}])
     with pytest.raises(ParseError):

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -12,6 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import patvar
 from patvar import filtering, gateway
 from patvar.annotation import sentence_to_record
 from patvar.cli import main
@@ -27,7 +30,8 @@ from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
 from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
-from patvar.learning import LemmaIds, RunResult
+from patvar.experiment import RunResult
+from patvar.learning import LemmaIds
 from patvar.patterns import parse_pattern
 from patvar.reports import render_f1_grid, render_quality_table, significance_stars
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
@@ -777,6 +781,48 @@ def test_cli_report_rejects_unreadable_external(tmp_path, capsys, kind):
     assert "external.csv" in capsys.readouterr().err
 
 
+# input file -> config overrides that make `synth` read it
+INPUT_FILES = {
+    "exp.yaml": {},
+    "data.csv": {},
+    "data.jsonl": {"dataset": {"path": "data.jsonl", "format": "jsonl"}},
+    "annotations.jsonl": {"annotations": "annotations.jsonl"},
+    "lexicon.tsv": {"lexicon": "lexicon.tsv"},
+}
+
+
+@pytest.mark.parametrize("name, kind, message", [
+    ("exp.yaml", "not_utf8", "not UTF-8"),
+    ("data.csv", "not_utf8", "not UTF-8"),
+    ("data.jsonl", "not_utf8", "not UTF-8"),
+    ("data.jsonl", "truncate", "not JSON"),
+    ("annotations.jsonl", "not_utf8", "not UTF-8"),
+    ("annotations.jsonl", "truncate", "not JSON"),
+    ("lexicon.tsv", "not_utf8", "not UTF-8"),
+])
+def test_cli_corrupted_input_exits_2(tmp_path, capsys, name, kind, message):
+    rows = make_rows(40, seed=3)
+    write_csv(tmp_path / "data.csv", rows)
+    with open(tmp_path / "data.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"text": text, "label": label}) + "\n" for text, label in rows)
+    provider = FixtureAnnotationProvider()
+    with open(tmp_path / "annotations.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(sentence_to_record(provider.annotate(text))) + "\n"
+                      for text, _ in rows[:5])
+    (tmp_path / "lexicon.tsv").write_text("pricey\texpensive\ntasty\tdelicious\n", encoding="utf-8")
+    config = write_config(tmp_path, **INPUT_FILES[name])
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines()
+    index = 1  # the second line; a .csv file's first record
+    if kind == "truncate":
+        lines[index] = lines[index][:-1]
+    else:
+        lines[index] = lines[index][:3] + b"\xff\xfe" + lines[index][3:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["synth", "--config", str(config)]) == 2
+    assert f"{name} line {index + 1}: {message}" in capsys.readouterr().err
+
+
 def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
     config = write_config(tmp_path)
     write_two_label_patterns(tmp_path)
@@ -815,3 +861,29 @@ def test_cli_seed_and_out_overrides(tmp_path):
     rows = (alt_out / "results.csv").read_text(encoding="utf-8").splitlines()
     seeds = {line.split(",")[3] for line in rows[1:]}
     assert seeds == {"5"}
+
+
+def test_text_commands_never_import_numpy(tmp_path):
+    """`synth`, `gen`, `filter` and `report` run in a fresh interpreter
+    without importing numpy, and `import patvar` exposes only its version."""
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
+    script = "\n".join([
+        "import json, sys",
+        "import patvar",
+        "exposed = [name for name in vars(patvar) if not name.startswith('__')]",
+        "from patvar.cli import main",
+        "commands = ('synth', 'gen', 'filter', 'report')",
+        "codes = [main([command, '--config', sys.argv[1]]) for command in commands]",
+        "print(json.dumps([exposed, patvar.__version__, codes, 'numpy' in sys.modules]))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(patvar.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config)], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    exposed, version, codes, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert exposed == [] and version == patvar.__version__
+    assert codes == [0, 0, 0, 0]
+    assert not numpy_loaded

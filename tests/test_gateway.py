@@ -5,6 +5,7 @@ import tempfile
 from unittest import mock
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,3 +248,59 @@ def test_gateway_serves_what_fresh_cached_calls_serve(warm, sequence):
         assert sum(uncached.calls.values()) == len(sequence) + len(
             {c for c in sequence if c.startswith("flaky")})
         assert sorted(os.listdir(gateway_dir)) == sorted(os.listdir(fresh_dir))
+
+
+class _FakeReply:
+    def __init__(self, status, body):
+        self.status_code = status
+        self.text = body if isinstance(body, str) else json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def _choice(content, finish="stop"):
+    return {"choices": [{"message": {"role": "assistant", "content": content},
+                         "finish_reason": finish}]}
+
+
+@pytest.mark.parametrize("status, body, expected", [
+    (200, _choice("hi"), CompletionResponse("hi", "stop")),
+    (200, _choice("hi", "length"), CompletionResponse("hi", "length")),
+    (200, _choice(""), CompletionResponse("", "stop")),
+    (200, _choice(None), BackendError),
+    (200, _choice([{"type": "text", "text": "hi"}]), BackendError),
+    (200, _choice(7), BackendError),
+    (200, {"choices": []}, BackendError),
+    (200, {"choices": [{"finish_reason": "stop"}]}, BackendError),
+    (200, ["hi"], BackendError),
+    (200, "not json", BackendError),
+    (404, "no such model", BackendError),
+    (500, "oops", TransientBackendError),
+    (503, _choice("hi"), TransientBackendError),
+    (None, requests.Timeout("read timed out"), TransientBackendError),
+    (None, requests.ConnectionError("refused"), TransientBackendError),
+])
+def test_http_backend_reply_to_response(monkeypatch, status, body, expected):
+    sent = []
+
+    def post(url, **kwargs):
+        sent.append((url, kwargs))
+        if isinstance(body, Exception):
+            raise body
+        return _FakeReply(status, body)
+
+    monkeypatch.setattr(requests, "post", post)
+    backend = gateway.HttpBackend("http://llm.invalid/v1/", api_key="k")
+    if isinstance(expected, CompletionResponse):
+        assert backend.send(req()) == expected
+    else:
+        with pytest.raises(expected) as exc:
+            backend.send(req())
+        assert type(exc.value) is expected
+        assert exc.value.status == status
+    [(url, kwargs)] = sent
+    assert url == "http://llm.invalid/v1/chat/completions"
+    assert kwargs["json"]["messages"] == [{"role": "user", "content": "hello there"}]
+    assert kwargs["headers"]["Authorization"] == "Bearer k"
+    assert kwargs["timeout"] == gateway.HttpBackend.TIMEOUT_S

@@ -8,27 +8,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from patvar.annotation import AnnotatedSentence, Token
+from patvar.experiment import CONDITIONS, Dataset, paired_pvalues, summarize
 from patvar.learning import (
-    CONDITIONS,
-    Dataset,
     EmptyTrainingSet,
     KOverN,
     LemmaIds,
     NaiveBayesClassifier,
     NOverPool,
-    RunResult,
     ShotSchedule,
     UntrainedClassifier,
     augment_with_counterfactuals,
     hashed_embedding,
     inertia,
     kmeans,
-    paired_pvalues,
     run_simulation,
     select_cluster,
     select_random,
     select_uncertainty,
-    summarize,
 )
 from patvar.stats import mean, paired_t_test, sample_sd
 from patvar.synthesis import LabeledExample
