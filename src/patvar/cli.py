@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import os
 import sys
 
-from .annotation import AnnotationProvider, annotate
+from .annotation import AnnotationProvider, SynonymLexicon, annotate
 from .config import (
     ExperimentConfig,
     build_gateway,
@@ -26,10 +27,10 @@ from .config import (
     ingest,
     load_config,
 )
-from .errors import ConfigError, ParseError, PatvarError, read_jsonl
-from .experiment import CONDITIONS, RunResult, paired_pvalues
-from .filtering import FilterConfig, FilterDeps, QualityReport, run_pipeline, survivors_by_arm
-from .gateway import BackendError, CacheError
+from .errors import ConfigError, PatvarError, in_file, read_jsonl
+from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pvalues
+from .filtering import FilterConfig, FilterDeps, run_pipeline, survivors_by_arm
+from .gateway import BackendError, CacheError, Gateway
 from .generation import (
     CounterfactualCandidate,
     NoPatternMatch,
@@ -59,8 +60,61 @@ logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Output bookkeeping
+# The command context and its outputs
 # ---------------------------------------------------------------------------
+
+
+class Context:
+    """One command's config, the pieces built from it on first use (through
+    this module's `build_*` and `ingest` names), and the outputs it writes,
+    which `main` records in manifest.json once the command returns."""
+
+    def __init__(self, cfg: ExperimentConfig, config_path: str):
+        self.cfg = cfg
+        self.config_path = config_path
+        self.outputs: list[str] = []
+
+    @functools.cached_property
+    def provider(self) -> AnnotationProvider:
+        return build_provider(self.cfg)
+
+    @functools.cached_property
+    def lexicon(self) -> SynonymLexicon:
+        return build_lexicon(self.cfg)
+
+    @functools.cached_property
+    def gateway(self) -> Gateway:
+        return build_gateway(self.cfg)
+
+    @functools.cached_property
+    def dataset(self) -> Dataset:
+        """The dataset; multi-labeled rows are separated by the gateway."""
+        spec = self.cfg.dataset
+        with in_file(spec.path):
+            return ingest(spec, self.provider, self.gateway if spec.multi_label else None)
+
+    @property
+    def dataset_name(self) -> str:
+        return os.path.splitext(os.path.basename(self.cfg.dataset.path))[0]
+
+    def schedule(self) -> ShotSchedule:
+        """The config's shots; ConfigError when the largest exceeds the pool."""
+        schedule = ShotSchedule(self.cfg.shots)
+        try:
+            schedule.validate_against(len(self.dataset.examples))
+        except ValueError as exc:
+            raise ConfigError(f"bad shots: {exc}") from None
+        return schedule
+
+    def path(self, name: str) -> str:
+        """The path of `name` in the output directory."""
+        return os.path.join(self.cfg.output_dir, name)
+
+    def output(self, name: str) -> str:
+        """The path of output `name`, recorded as written by this command."""
+        os.makedirs(self.cfg.output_dir, exist_ok=True)
+        self.outputs.append(self.path(name))
+        return self.outputs[-1]
 
 
 def _sha256_file(path) -> str:
@@ -71,8 +125,8 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _update_manifest(cfg: ExperimentConfig, config_path: str, command: str, outputs: list[str]) -> None:
-    manifest_path = os.path.join(cfg.output_dir, "manifest.json")
+def _update_manifest(ctx: Context, command: str) -> None:
+    manifest_path = ctx.path("manifest.json")
     manifest = {}
     if os.path.exists(manifest_path):
         try:
@@ -84,17 +138,16 @@ def _update_manifest(cfg: ExperimentConfig, config_path: str, command: str, outp
             logger.warning("manifest was not a JSON object; rebuilding")
             manifest = {}
     manifest[command] = {
-        "config_sha256": _sha256_file(config_path),
-        "outputs": {os.path.basename(p): _sha256_file(p) for p in sorted(outputs)},
+        "config_sha256": _sha256_file(ctx.config_path),
+        "outputs": {os.path.basename(p): _sha256_file(p) for p in sorted(ctx.outputs)},
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(manifest_path, manifest)
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _out(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
 
 
 def _write_jsonl(path, records) -> None:
@@ -106,14 +159,8 @@ def _write_jsonl(path, records) -> None:
 def _read_candidates(path) -> list[CounterfactualCandidate]:
     """The candidates of a `patvar gen` output file; ConfigError naming the
     file and line for a record that is not a candidate."""
-    try:
+    with in_file(path):
         return candidates_from_records(read_jsonl(path))
-    except ParseError as exc:
-        raise ConfigError(f"{path} {exc}") from None
-
-
-def _dataset_name(cfg: ExperimentConfig) -> str:
-    return os.path.splitext(os.path.basename(cfg.dataset.path))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +168,9 @@ def _dataset_name(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: ExperimentConfig, config_path: str) -> int:
-    provider = build_provider(cfg)
-    lexicon = build_lexicon(cfg)
-    gateway = build_gateway(cfg) if cfg.dataset.multi_label else None
-    dataset = ingest(cfg.dataset, provider, gateway)
-    payload = {"dataset": _dataset_name(cfg), "label_set": list(dataset.label_set), "patterns": {}}
+def cmd_synth(ctx: Context) -> int:
+    cfg, lexicon, dataset = ctx.cfg, ctx.lexicon, ctx.dataset
+    payload = {"dataset": ctx.dataset_name, "label_set": list(dataset.label_set), "patterns": {}}
     lines = []
     for label in dataset.label_set:
         positives = [ex for ex in dataset.examples if ex.label == label]
@@ -153,20 +197,16 @@ def cmd_synth(cfg: ExperimentConfig, config_path: str) -> int:
             for sp in scored
         ]
         lines.extend(f"{label}\t{sp.rendered}" for sp in scored)
-    patterns_json = _out(cfg, "patterns.json")
-    with open(patterns_json, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    patterns_txt = _out(cfg, "patterns.txt")
-    with open(patterns_txt, "w", encoding="utf-8") as fh:
+    patterns_json = ctx.output("patterns.json")
+    _write_json(patterns_json, payload)
+    with open(ctx.output("patterns.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
-    _update_manifest(cfg, config_path, "synth", [patterns_json, patterns_txt])
     print(f"synthesized patterns for {len(payload['patterns'])} labels -> {patterns_json}")
     return 0
 
 
-def _load_patterns(cfg: ExperimentConfig) -> tuple[list[str], dict[str, list]]:
-    path = _out(cfg, "patterns.json")
+def _load_patterns(ctx: Context) -> tuple[list[str], dict[str, list]]:
+    path = ctx.path("patterns.json")
     if not os.path.exists(path):
         raise ConfigError(f"{path} not found; run `patvar synth` first")
     try:
@@ -186,13 +226,17 @@ def _load_patterns(cfg: ExperimentConfig) -> tuple[list[str], dict[str, list]]:
     return label_set, {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
-def cmd_gen(cfg: ExperimentConfig, config_path: str) -> int:
-    provider = build_provider(cfg)
-    lexicon = build_lexicon(cfg)
-    gateway = build_gateway(cfg)
-    dataset = ingest(cfg.dataset, provider, gateway if cfg.dataset.multi_label else None)
-    label_set, patterns_by_label = _load_patterns(cfg)
-    seed = cfg.seeds[0] if cfg.seeds else 0
+def _filter_deps(ctx: Context) -> FilterDeps:
+    label_set, _ = _load_patterns(ctx)
+    return FilterDeps(lex=ctx.lexicon, provider=ctx.provider, gateway=ctx.gateway,
+                      label_set=label_set)
+
+
+def cmd_gen(ctx: Context) -> int:
+    cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
+    dataset = ctx.dataset
+    label_set, patterns_by_label = _load_patterns(ctx)
+    seed = cfg.seeds[0]
     want_no_vt = "cf_no_vt" in cfg.conditions
     vt_records, novt_records = [], []
     skipped = 0
@@ -221,59 +265,38 @@ def cmd_gen(cfg: ExperimentConfig, config_path: str) -> int:
                     uid=f"{ex.sentence.id}:{target}:novt:0",
                 )
                 novt_records.append(candidate_to_record(cand))
-    outputs = []
-    vt_path = _out(cfg, "candidates_vt.jsonl")
-    _write_jsonl(vt_path, vt_records)
-    outputs.append(vt_path)
+    _write_jsonl(ctx.output("candidates_vt.jsonl"), vt_records)
     if want_no_vt:
-        novt_path = _out(cfg, "candidates_novt.jsonl")
-        _write_jsonl(novt_path, novt_records)
-        outputs.append(novt_path)
-    _update_manifest(cfg, config_path, "gen", outputs)
+        _write_jsonl(ctx.output("candidates_novt.jsonl"), novt_records)
     print(f"generated {len(vt_records)} pattern-kept candidates "
           f"(+{len(novt_records)} unconstrained, {skipped} skipped)")
     return 0
 
 
-def _filter_candidates(cfg, name, filter_cfg, deps) -> tuple[list, QualityReport, list[str]]:
-    path = _out(cfg, f"candidates_{name}.jsonl")
+def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
+    path = ctx.path(f"candidates_{name}.jsonl")
     if not os.path.exists(path):
-        return [], None, []
+        return [], None
     candidates = _read_candidates(path)
     audit_records = []
     deps.audit_sink = audit_records.append
-    survivors, report = run_pipeline(candidates, filter_cfg, deps)
-    survivors_path = _out(cfg, f"survivors_{name}.jsonl")
-    _write_jsonl(survivors_path, [candidate_to_record(c) for c in survivors])
-    audit_path = _out(cfg, f"audit_{name}.jsonl")
-    _write_jsonl(audit_path, audit_records)
-    return survivors, report, [survivors_path, audit_path]
+    survivors, report = run_pipeline(candidates, ctx.cfg.filters, deps)
+    _write_jsonl(ctx.output(f"survivors_{name}.jsonl"), [candidate_to_record(c) for c in survivors])
+    _write_jsonl(ctx.output(f"audit_{name}.jsonl"), audit_records)
+    return survivors, report
 
 
-def cmd_filter(cfg: ExperimentConfig, config_path: str) -> int:
-    provider = build_provider(cfg)
-    lexicon = build_lexicon(cfg)
-    gateway = build_gateway(cfg)
-    label_set, _ = _load_patterns(cfg)
-    deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
-    outputs = []
-    quality = {"dataset": _dataset_name(cfg)}
-    vt_survivors, vt_report, paths = _filter_candidates(cfg, "vt", cfg.filters, deps)
-    outputs.extend(paths)
+def cmd_filter(ctx: Context) -> int:
+    deps = _filter_deps(ctx)
+    quality = {"dataset": ctx.dataset_name}
+    vt_survivors, vt_report = _filter_candidates(ctx, "vt", deps)
     if vt_report is not None:
-        quality["vt"] = vt_report.as_dict()
-    novt_survivors, novt_report, paths = _filter_candidates(cfg, "novt", cfg.filters, deps)
-    outputs.extend(paths)
+        quality["vt"] = dataclasses.asdict(vt_report)
+    novt_survivors, novt_report = _filter_candidates(ctx, "novt", deps)
     if novt_report is not None:
-        quality["no_vt"] = novt_report.as_dict()
-    quality_path = _out(cfg, "quality_report.json")
-    with open(quality_path, "w", encoding="utf-8") as fh:
-        json.dump(quality, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(quality_path)
-    _update_manifest(cfg, config_path, "filter", outputs)
-    vt_n = len(vt_survivors)
-    print(f"filter kept {vt_n} pattern-kept survivors"
+        quality["no_vt"] = dataclasses.asdict(novt_report)
+    _write_json(ctx.output("quality_report.json"), quality)
+    print(f"filter kept {len(vt_survivors)} pattern-kept survivors"
           + (f" and {len(novt_survivors)} unconstrained" if novt_report else ""))
     if vt_report is not None:
         print(f"quality: pkr={vt_report.pkr} slfr={vt_report.slfr} lfr={vt_report.lfr}")
@@ -303,37 +326,23 @@ def _read_survivors(path) -> list[tuple[str, str, str]]:
     return entries
 
 
-def _simulation_pieces(cfg: ExperimentConfig):
-    from .learning import NaiveBayesClassifier
+def cmd_simulate(ctx: Context) -> int:
+    from .learning import NaiveBayesClassifier, run_simulation
 
-    provider = build_provider(cfg)
-    dataset = ingest(
-        cfg.dataset, provider, build_gateway(cfg) if cfg.dataset.multi_label else None
-    )
-    return provider, dataset, lambda features: NaiveBayesClassifier(dataset.label_set, features)
-
-
-def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
-    from .learning import ShotSchedule, run_simulation
-
-    provider, dataset, clf_factory = _simulation_pieces(cfg)
+    cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
     augment_index = {}
     for condition, name in (("counterfactual", "vt"), ("cf_no_vt", "novt")):
-        path = _out(cfg, f"survivors_{name}.jsonl")
+        path = ctx.path(f"survivors_{name}.jsonl")
         if condition in cfg.conditions:
             if not os.path.exists(path):
                 raise ConfigError(f"{path} not found; run `patvar gen` and `patvar filter` first")
             augment_index[condition] = _survivors_index(_read_survivors(path), provider)
     results = run_simulation(
-        dataset, list(cfg.conditions), ShotSchedule(cfg.shots), list(cfg.seeds), clf_factory,
-        augment_index,
+        dataset, list(cfg.conditions), ctx.schedule(), list(cfg.seeds),
+        functools.partial(NaiveBayesClassifier, dataset.label_set), augment_index,
     )
-    name = _dataset_name(cfg)
-    results_path = _out(cfg, "results.csv")
-    write_results_csv(results_path, results, name)
-    summary_path = _out(cfg, "summary.csv")
-    write_summary_csv(summary_path, results, name)
-    _update_manifest(cfg, config_path, "simulate", [results_path, summary_path])
+    write_results_csv(ctx.output("results.csv"), results, ctx.dataset_name)
+    write_summary_csv(ctx.output("summary.csv"), results, ctx.dataset_name)
     failed = []
     for r in results:
         first = r.shots[0]
@@ -350,18 +359,16 @@ def cmd_simulate(cfg: ExperimentConfig, config_path: str) -> int:
     return 0
 
 
-def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
-    from .learning import LemmaIds, ShotSchedule, run_simulation
+def cmd_ablate(ctx: Context) -> int:
+    from .learning import LemmaIds, NaiveBayesClassifier, run_simulation
 
-    provider, dataset, clf_factory = _simulation_pieces(cfg)
-    lexicon = build_lexicon(cfg)
-    gateway = build_gateway(cfg)
-    label_set, _ = _load_patterns(cfg)
-    cand_path = _out(cfg, "candidates_vt.jsonl")
+    cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
+    schedule = ctx.schedule()
+    deps = _filter_deps(ctx)
+    cand_path = ctx.path("candidates_vt.jsonl")
     if not os.path.exists(cand_path):
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
     candidates = _read_candidates(cand_path)
-    deps = FilterDeps(lex=lexicon, provider=provider, gateway=gateway, label_set=label_set)
     features = LemmaIds()  # the arms share the pool, the holdout and most survivors
     per_arm: list[RunResult] = []
     for arm, survivors in survivors_by_arm(candidates, deps).items():
@@ -370,28 +377,26 @@ def cmd_ablate(cfg: ExperimentConfig, config_path: str) -> int:
             provider,
         )
         result = run_simulation(
-            dataset, ["counterfactual"], ShotSchedule(cfg.shots), list(cfg.seeds),
-            clf_factory, {"counterfactual": index}, features=features,
+            dataset, ["counterfactual"], schedule, list(cfg.seeds),
+            functools.partial(NaiveBayesClassifier, dataset.label_set),
+            {"counterfactual": index}, features=features,
         )[0]
         per_arm.append(dataclasses.replace(result, condition=arm))
     finished = paired_pvalues(per_arm, "all")
-    name = _dataset_name(cfg)
-    results_path = _out(cfg, "ablation_results.csv")
-    write_results_csv(results_path, finished, name)
-    summary_path = _out(cfg, "ablation_summary.csv")
+    name = ctx.dataset_name
+    write_results_csv(ctx.output("ablation_results.csv"), finished, name)
+    summary_path = ctx.output("ablation_summary.csv")
     write_summary_csv(summary_path, finished, name)
-    md_path = _out(cfg, "ablation.md")
-    with open(md_path, "w", encoding="utf-8") as fh:
+    with open(ctx.output("ablation.md"), "w", encoding="utf-8") as fh:
         fh.write(render_f1_grid(f"Filter ablation ({name})", finished))
-    _update_manifest(cfg, config_path, "ablate", [results_path, summary_path, md_path])
     print(f"ablation over {len(FilterConfig.ARMS)} filter arms -> {summary_path}")
     return 0
 
 
-def cmd_report(cfg: ExperimentConfig, config_path: str, quality_files=(), external=()) -> int:
+def cmd_report(ctx: Context, quality_files=(), external=()) -> int:
     sections = []
     quality_tables: dict[str, dict] = {}
-    default_quality = _out(cfg, "quality_report.json")
+    default_quality = ctx.path("quality_report.json")
     candidates_files = list(quality_files) or (
         [default_quality] if os.path.exists(default_quality) else []
     )
@@ -401,7 +406,7 @@ def cmd_report(cfg: ExperimentConfig, config_path: str, quality_files=(), extern
         sections.append("## Counterfactual quality\n\n" + render_quality_table(quality_tables))
     by_dataset: dict[str, list[dict]] = {}
     source: dict[tuple, str] = {}  # (dataset, condition, shot, seed) -> file it came from
-    results_path = _out(cfg, "results.csv")
+    results_path = ctx.path("results.csv")
     for path in ([results_path] if os.path.exists(results_path) else []) + list(external):
         for row in read_results_csv(path):
             cell = (row["dataset"], row["condition"], row["shot"], row["seed"])
@@ -418,10 +423,9 @@ def cmd_report(cfg: ExperimentConfig, config_path: str, quality_files=(), extern
         )
     if not sections:
         raise ConfigError("nothing to report: no quality report or results found")
-    report_path = _out(cfg, "report.md")
+    report_path = ctx.output("report.md")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("# Experiment report\n\n" + "\n".join(sections))
-    _update_manifest(cfg, config_path, "report", [report_path])
     print(f"report -> {report_path}")
     return 0
 
@@ -471,9 +475,13 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, cache_dir=args.cache_dir)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
+        ctx = Context(cfg, args.config)
         if args.command == "report":
-            return cmd_report(cfg, args.config, args.quality, args.external)
-        return COMMANDS[args.command](cfg, args.config)
+            code = cmd_report(ctx, args.quality, args.external)
+        else:
+            code = COMMANDS[args.command](ctx)
+        _update_manifest(ctx, args.command)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

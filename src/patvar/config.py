@@ -4,9 +4,12 @@ dataset ingestion with a seeded stratified holdout split."""
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import logging
 import os
 import random
+import typing
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -19,8 +22,8 @@ from .annotation import (
     load_annotations_file,
     load_synonyms_file,
 )
-from .errors import ConfigError, ParseError, PatvarError, read_jsonl, utf8_lines
-from .experiment import CONDITIONS, Dataset
+from .errors import ConfigError, ParseError, PatvarError, in_file, read_jsonl, utf8_lines
+from .experiment import CONDITIONS, Dataset, ShotSchedule
 from .filtering import FilterConfig
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
 from .gateway import Gateway, HttpBackend, MockBackend
@@ -51,6 +54,8 @@ class DatasetSpec:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"dataset.format must be csv or jsonl, got {self.format!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -61,8 +66,8 @@ class DatasetSpec:
 class BackendSettings:
     kind: str = "mock"  # mock | http
     model: str = "mock-model"
-    api_base: str | None = None
-    api_key: str | None = None
+    api_base: str | None = field(default_factory=lambda: os.environ.get("LLM_API_BASE"))
+    api_key: str | None = field(default_factory=lambda: os.environ.get("LLM_API_KEY"))
     label_vocab: dict | None = None
     flaw_rate: float = 0.0  # mock only: fraction of template generations made faulty
 
@@ -75,6 +80,9 @@ class BackendSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The whole config file; its fields, and those of the section types, are
+    the config's keys and defaults."""
+
     dataset: DatasetSpec
     annotations: str | None = None
     lexicon: str | None = None
@@ -88,35 +96,51 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key, normalize in (
+            ("conditions", tuple),
+            ("shots", lambda shots: ShotSchedule(tuple(map(int, shots))).shots),
+            ("seeds", lambda seeds: tuple(map(int, seeds))),
+        ):
+            try:
+                object.__setattr__(self, key, normalize(getattr(self, key)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {key}: {exc}") from None
+        if not self.seeds:
+            raise ConfigError("bad seeds: need at least one seed")
         bad = [c for c in self.conditions if c not in CONDITIONS]
         if bad:
             raise ConfigError(f"unknown conditions {bad}; valid: {list(CONDITIONS)}")
 
 
-_SCHEMA = {
-    "dataset": {"path", "format", "text_field", "label_field", "multi_label",
-                "label_delimiter", "holdout_fraction", "split_seed", "labels"},
-    "annotations": None,
-    "lexicon": None,
-    "synthesis": {"max_patterns", "max_atoms", "min_precision", "beam_width"},
-    "filters": {"heuristic", "symbolic", "discriminator"},
-    "conditions": None,
-    "shots": None,
-    "seeds": None,
-    "backend": {"kind", "model", "api_base", "api_key", "label_vocab", "flaw_rate"},
-    "cache_dir": None,
-    "output_dir": None,
-}
+@functools.cache
+def _keys(cls) -> dict[str, type | None]:
+    """Each field of `cls`, with its type when that is a section dataclass."""
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] if dataclasses.is_dataclass(types[f.name]) else None
+            for f in dataclasses.fields(cls)}
 
 
-def _check_keys(section: str, mapping: dict, allowed: set[str]) -> None:
-    unknown = set(mapping) - allowed
+def _section(cls, name: str, raw):
+    """`cls(**raw)`, its sections built the same way; an unknown key, a
+    section that is not a mapping, or a bad value is a ConfigError naming the
+    section."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {name} must be a mapping")
+    keys = _keys(cls)
+    unknown = raw.keys() - keys
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
+    raw = {key: value if keys[key] is None else _section(keys[key], key, value)
+           for key, value in raw.items()}
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate the experiment YAML; env vars override credentials."""
+    """Parse and validate the experiment YAML; env vars override credentials.
+    Relative paths are taken from the config file's directory."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load("".join(utf8_lines(fh, path))) or {}
@@ -124,76 +148,40 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys("config", raw, set(_SCHEMA))
-    for section, allowed in _SCHEMA.items():
-        if allowed is not None and section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"section {section} must be a mapping")
-            _check_keys(section, raw[section], allowed)
-    if "dataset" not in raw or "path" not in raw["dataset"]:
-        raise ConfigError("dataset.path is required")
-
+    cfg = _section(ExperimentConfig, "config", raw)
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p):
+    def resolve(key, p):
+        if p is not None and not isinstance(p, str):
+            raise ConfigError(f"{key} must be a path, got {p!r}")
         return p if p is None or os.path.isabs(p) else os.path.join(base, p)
 
-    ds = dict(raw["dataset"])
-    ds["path"] = resolve(ds["path"])
-    if "labels" in ds and ds["labels"] is not None:
-        ds["labels"] = tuple(ds["labels"])
-    dataset = DatasetSpec(**ds)
-
-    backend_raw = dict(raw.get("backend", {}))
-    backend_raw.setdefault("api_base", os.environ.get("LLM_API_BASE"))
-    backend_raw.setdefault("api_key", os.environ.get("LLM_API_KEY"))
-    if os.environ.get("LLM_MODEL"):
-        backend_raw["model"] = os.environ["LLM_MODEL"]
-    backend = BackendSettings(**backend_raw)
-
-    filters_raw = raw.get("filters", {})
-    filter_cfg = FilterConfig(
-        enable_heuristic=bool(filters_raw.get("heuristic", True)),
-        enable_symbolic=bool(filters_raw.get("symbolic", True)),
-        enable_discriminator=bool(filters_raw.get("discriminator", True)),
+    cfg = replace(
+        cfg,
+        dataset=replace(cfg.dataset, path=resolve("dataset.path", cfg.dataset.path)),
+        annotations=resolve("annotations", cfg.annotations),
+        lexicon=resolve("lexicon", cfg.lexicon),
+        backend=replace(cfg.backend, model=os.environ.get("LLM_MODEL") or cfg.backend.model),
+        cache_dir=resolve("cache_dir", cfg.cache_dir),
+        output_dir=resolve("output_dir", cfg.output_dir),
     )
-
-    try:
-        synthesis = SynthesisConfig(**raw.get("synthesis", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synthesis section: {exc}") from exc
-
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        annotations=resolve(raw.get("annotations")),
-        lexicon=resolve(raw.get("lexicon")),
-        synthesis=synthesis,
-        filters=filter_cfg,
-        conditions=tuple(raw.get("conditions", ("random", "counterfactual"))),
-        shots=tuple(int(s) for s in raw.get("shots", (10, 15, 30, 50, 70, 90, 120))),
-        seeds=tuple(int(s) for s in raw.get("seeds", range(8))),
-        backend=backend,
-        cache_dir=resolve(raw.get("cache_dir", ".patvar-cache")),
-        output_dir=resolve(raw.get("output_dir", "out")),
-    )
-    for label, p in (("dataset.path", cfg.dataset.path),
-                     ("annotations", cfg.annotations),
-                     ("lexicon", cfg.lexicon)):
-        if p is not None and not os.path.exists(p):
-            raise ConfigError(f"{label} does not exist: {p}")
+    for key, p in (("dataset.path", cfg.dataset.path),
+                   ("annotations", cfg.annotations),
+                   ("lexicon", cfg.lexicon)):
+        if p is not None and not os.path.isfile(p):
+            problem = "is not a file" if os.path.exists(p) else "does not exist"
+            raise ConfigError(f"{key} {problem}: {p}")
     return cfg
 
 
 def build_provider(cfg: ExperimentConfig) -> AnnotationProvider:
-    """The command's provider; it annotates each distinct text once."""
-    if cfg.annotations is None:
-        return _AnnotationMemo(FixtureAnnotationProvider())
-    try:
-        return _AnnotationMemo(_FileBackedProvider(cfg.annotations))
-    except ParseError as exc:
-        raise ConfigError(f"{cfg.annotations} {exc}") from None
+    """The command's provider: the `annotations:` file's sentences, and the
+    fixture's annotation of any other text; each distinct text once."""
+    memo = _AnnotationMemo(FixtureAnnotationProvider())
+    if cfg.annotations is not None:
+        with in_file(cfg.annotations):
+            memo.sentences.update((s.raw, s) for s in load_annotations_file(cfg.annotations))
+    return memo
 
 
 class _AnnotationMemo:
@@ -205,29 +193,20 @@ class _AnnotationMemo:
 
     def __init__(self, provider: AnnotationProvider):
         self._provider = provider
-        self._sentences: dict[str, AnnotatedSentence] = {}
+        self.sentences: dict[str, AnnotatedSentence] = {}
 
     def annotate(self, raw: str) -> AnnotatedSentence:
-        sentence = self._sentences.get(raw)
+        sentence = self.sentences.get(raw)
         if sentence is None:
-            sentence = self._sentences[raw] = self._provider.annotate(raw)
+            sentence = self.sentences[raw] = self._provider.annotate(raw)
         return sentence
 
 
-class _FileBackedProvider:
-    """Serves pre-annotated sentences by raw text; falls back to the fixture."""
-
-    def __init__(self, path):
-        self._by_raw = {s.raw: s for s in load_annotations_file(path)}
-        self._fallback = FixtureAnnotationProvider()
-
-    def annotate(self, raw: str) -> AnnotatedSentence:
-        hit = self._by_raw.get(raw)
-        return hit if hit is not None else self._fallback.annotate(raw)
-
-
 def build_lexicon(cfg: ExperimentConfig) -> SynonymLexicon:
-    return fixture_synonyms() if cfg.lexicon is None else load_synonyms_file(cfg.lexicon)
+    if cfg.lexicon is None:
+        return fixture_synonyms()
+    with in_file(cfg.lexicon):
+        return load_synonyms_file(cfg.lexicon)
 
 
 def build_gateway(cfg: ExperimentConfig) -> Gateway:

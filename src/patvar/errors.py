@@ -1,8 +1,10 @@
 """Exceptions shared across more than one module, `utf8_lines`, which turns
-a byte of a text file that is not UTF-8 into a ConfigError, and `read_jsonl`,
-the one reader of line-delimited JSON files. Module-specific errors live next
-to the code that raises them."""
+a byte of a text file that is not UTF-8 into a ConfigError, `read_jsonl`,
+the one reader of line-delimited JSON files, and `in_file`, which names the
+file of a ParseError. Module-specific errors live next to the code that
+raises them."""
 
+import contextlib
 import io
 import json
 
@@ -40,6 +42,15 @@ def utf8_lines(fh, path):
         yield from fh
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+
+
+@contextlib.contextmanager
+def in_file(path):
+    """Re-raise a ParseError of the body as a ConfigError naming `path`."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ConfigError(f"{path} {exc}") from None
 
 
 def read_jsonl(path) -> list[tuple[int, object]]:

@@ -1,7 +1,7 @@
-"""The experiment's conditions, datasets and per-condition results, with the
-per-shot summary and the seed-paired p-values that `simulate`, `ablate` and
-`report` share. Needs no numpy, so the commands that only read or render
-results never import the simulation."""
+"""The experiment's conditions, datasets, shot schedule and per-condition
+results, with the per-shot summary and the seed-paired p-values that
+`simulate`, `ablate` and `report` share. Needs no numpy, so the commands
+that only read or render results never import the simulation."""
 
 from __future__ import annotations
 
@@ -32,6 +32,22 @@ class Dataset:
         holdout_ids = {ex.sentence.id for ex in self.holdout}
         if pool_ids & holdout_ids:
             raise ValueError("holdout overlaps the pool")
+
+
+@dataclass(frozen=True)
+class ShotSchedule:
+    shots: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "shots", tuple(self.shots))
+        if not self.shots or self.shots[0] < 1:
+            raise ValueError("first shot must be >= 1")
+        if any(b <= a for a, b in zip(self.shots, self.shots[1:])):
+            raise ValueError("shots must be strictly increasing")
+
+    def validate_against(self, pool_size: int) -> None:
+        if self.shots[-1] > pool_size:
+            raise ValueError(f"largest shot {self.shots[-1]} exceeds pool size {pool_size}")
 
 
 @dataclass(frozen=True)

@@ -54,9 +54,11 @@ _CLOSING_CHARS = "\"')]}"
 
 @dataclass(frozen=True)
 class FilterConfig:
-    enable_heuristic: bool = True
-    enable_symbolic: bool = True
-    enable_discriminator: bool = True
+    """Which stages run; the field names are the `filters:` keys of the config."""
+
+    heuristic: bool = True
+    symbolic: bool = True
+    discriminator: bool = True
 
     ARMS = {
         "none": (False, False, False),
@@ -66,9 +68,12 @@ class FilterConfig:
         "all": (True, True, True),
     }
 
+    def __post_init__(self):
+        for stage in STAGES:
+            object.__setattr__(self, stage, bool(getattr(self, stage)))
+
     def enabled_stages(self) -> tuple[str, ...]:
-        flags = (self.enable_heuristic, self.enable_symbolic, self.enable_discriminator)
-        return tuple(stage for stage, on in zip(STAGES, flags) if on)
+        return tuple(stage for stage in STAGES if getattr(self, stage))
 
 
 @dataclass(frozen=True)
@@ -101,19 +106,6 @@ class QualityReport:
     pkr: float | None
     slfr: float | None
     lfr: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pattern_n": self.pattern_n,
-            "pattern_kept": self.pattern_kept,
-            "label_n": self.label_n,
-            "soft_flips": self.soft_flips,
-            "hard_flips": self.hard_flips,
-            "pkr": self.pkr,
-            "slfr": self.slfr,
-            "lfr": self.lfr,
-        }
 
 
 def compute_metrics(flags: Iterable[MetricFlags]) -> QualityReport:

@@ -22,7 +22,6 @@ from .errors import PatvarError
 logger = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
-FINISH_REASONS = ("stop", "length", "error")
 
 
 class BackendError(PatvarError):
@@ -225,7 +224,8 @@ class HttpBackend:
     """Chat-completions HTTP client (OpenAI-style wire format).
 
     The completion is the first choice's `message.content`, which must be a
-    string; any other reply body is a malformed-body BackendError.
+    string; any other reply body is a malformed-body BackendError, and so is
+    a `finish_reason` other than `stop`, `length` or null.
     """
 
     TIMEOUT_S = 60.0
@@ -268,8 +268,10 @@ class HttpBackend:
             raise BackendError(
                 resp.status_code, f"malformed response body: content is {type(text).__name__}"
             )
-        finish = "length" if choice.get("finish_reason") == "length" else "stop"
-        return CompletionResponse(text, finish)
+        finish = choice.get("finish_reason")
+        if finish not in ("stop", "length", None):
+            raise BackendError(resp.status_code, f"malformed response body: finish_reason {finish!r}")
+        return CompletionResponse(text, finish or "stop")
 
 
 def complete(
@@ -303,9 +305,9 @@ def cached_complete(
     On a hit the backend is never touched. Entries are one JSON file per key,
     written atomically; an entry that is not JSON, lacks a field, holds a
     `text` that is not a string or a `finish_reason` other than `stop` or
-    `length` is corrupted: it is treated as a miss and overwritten. Error
-    responses are never cached. Each call reads the disk; `Gateway` reads
-    each distinct key from it at most once.
+    `length` is corrupted: it is treated as a miss and overwritten. A backend
+    failure raises, so nothing is cached for it. Each call reads the disk;
+    `Gateway` reads each distinct key from it at most once.
     """
     return _cached_complete(req, cache_key(req), backend, cache_dir)
 
@@ -325,8 +327,6 @@ def _cached_complete(req: CompletionRequest, key: str, backend: Backend, cache_d
     except (ValueError, KeyError, TypeError) as exc:
         logger.warning("corrupted cache entry %s treated as a miss: %s", path, exc)
     resp = complete(req, backend)
-    if resp.finish_reason == "error":
-        return resp
     entry = {
         "request": {
             "model": req.model,
@@ -355,8 +355,9 @@ class Gateway:
     With a cache directory, the gateway also keeps every response it has
     served, keyed by `cache_key`: a repeated request is answered from memory
     with `from_cache=True`, as a disk hit would be, so each distinct key costs
-    at most one disk read per gateway (one per command). Error responses are
-    never kept. Without a cache directory every request reaches the backend.
+    at most one disk read per gateway (one per command). A request whose
+    backend call raised is not kept. Without a cache directory every request
+    reaches the backend.
     """
 
     backend: Backend
@@ -378,6 +379,5 @@ class Gateway:
         resp = self._served.get(key)
         if resp is None:
             resp = _cached_complete(req, key, self.backend, self.cache_dir)
-            if resp.finish_reason != "error":
-                self._served[key] = replace(resp, from_cache=True)
+            self._served[key] = replace(resp, from_cache=True)
         return resp

@@ -14,14 +14,13 @@ import hashlib
 import logging
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .annotation import AnnotatedSentence
 from .errors import PatvarError
-from .experiment import CONDITIONS, Dataset, RunResult, paired_pvalues, summarize
+from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pvalues, summarize
 from .stats import macro_f1
 from .synthesis import LabeledExample
 
@@ -51,22 +50,6 @@ class UntrainedClassifier(PatvarError):
 
 class EmptyTrainingSet(PatvarError):
     pass
-
-
-@dataclass(frozen=True)
-class ShotSchedule:
-    shots: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "shots", tuple(self.shots))
-        if not self.shots or self.shots[0] < 1:
-            raise ValueError("first shot must be >= 1")
-        if any(b <= a for a, b in zip(self.shots, self.shots[1:])):
-            raise ValueError("shots must be strictly increasing")
-
-    def validate_against(self, pool_size: int) -> None:
-        if self.shots[-1] > pool_size:
-            raise ValueError(f"largest shot {self.shots[-1]} exceeds pool size {pool_size}")
 
 
 class Classifier(Protocol):

@@ -54,8 +54,10 @@ class SynthesisConfig:
     beam_width: int = 200
 
     def __post_init__(self):
-        if self.max_patterns < 1 or self.max_atoms < 1:
-            raise ValueError("max_patterns and max_atoms must be >= 1")
+        if self.max_patterns < 1 or self.max_atoms < 1 or self.beam_width < 1:
+            raise ValueError("max_patterns, max_atoms and beam_width must be >= 1")
+        if not 0.0 <= self.min_precision <= 1.0:
+            raise ValueError("min_precision must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -93,21 +93,42 @@ def test_unknown_keys_rejected(tmp_path):
 
 
 def test_missing_paths_rejected(tmp_path):
-    path = write_config(tmp_path, dataset={"path": "nope.csv"})
-    with pytest.raises(ConfigError):
-        load_config(path)
-    path = write_config(tmp_path, lexicon="missing.tsv")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    (tmp_path / "folder").mkdir()
+    for overrides, message in [
+        ({"dataset": {"path": "nope.csv"}}, "dataset.path does not exist"),
+        ({"lexicon": "missing.tsv"}, "lexicon does not exist"),
+        ({"dataset": {"path": "folder"}}, "dataset.path is not a file"),
+        ({"annotations": "folder"}, "annotations is not a file"),
+        ({"lexicon": "folder"}, "lexicon is not a file"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, **overrides))
+        assert message in str(exc.value)
 
 
-def test_bad_values_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, dataset={"path": "data.csv", "holdout_fraction": 1.5}))
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, conditions=["random", "alps"]))
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, backend={"kind": "quantum"}))
+def test_bad_values_rejected(tmp_path, capsys):
+    """A bad value exits 2 from any command, naming its section."""
+    for overrides, section in [
+        ({"dataset": {"holdout_fraction": 1.5}}, "dataset"),
+        ({"dataset": {"holdout_fraction": "abc"}}, "dataset"),
+        ({"conditions": ["random", "alps"]}, "conditions"),
+        ({"backend": {"kind": "quantum"}}, "backend"),
+        ({"backend": {"flaw_rate": "lots"}}, "backend"),
+        ({"shots": ["ten"]}, "shots"),
+        ({"shots": [15, 10]}, "shots"),
+        ({"seeds": 3}, "seeds"),
+        ({"seeds": []}, "seeds"),
+        ({"synthesis": "beam"}, "synthesis"),
+        ({"synthesis": {"beam_width": "x"}}, "synthesis"),
+        ({"synthesis": {"min_precision": 2}}, "synthesis"),
+        ({"cache_dir": 5}, "cache_dir"),
+    ]:
+        config = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as exc:
+            load_config(config)
+        assert section in str(exc.value), overrides
+        assert main(["synth", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {exc.value}")
 
 
 def test_env_overrides_backend_only(tmp_path, monkeypatch):
@@ -295,18 +316,37 @@ def pipeline_dir(tmp_path_factory):
     return tmp_path, config
 
 
-def test_cli_outputs_and_manifest(pipeline_dir):
-    tmp_path, config = pipeline_dir
+# command -> the files it writes with this file's configs
+WRITERS = {
+    "synth": {"patterns.json", "patterns.txt"},
+    "gen": {"candidates_vt.jsonl", "candidates_novt.jsonl"},
+    "filter": {"survivors_vt.jsonl", "audit_vt.jsonl", "survivors_novt.jsonl",
+               "audit_novt.jsonl", "quality_report.json"},
+    "simulate": {"results.csv", "summary.csv"},
+    "ablate": {"ablation_results.csv", "ablation_summary.csv", "ablation.md"},
+    "report": {"report.md"},
+}
+
+
+def test_cli_outputs_and_manifest(tmp_path):
+    import hashlib
+
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
+    for command in WRITERS:
+        assert main([command, "--config", str(config)]) == 0
+
+    def sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
     out = tmp_path / "out"
-    for name in ("patterns.json", "candidates_vt.jsonl", "candidates_novt.jsonl",
-                 "survivors_vt.jsonl", "audit_vt.jsonl", "quality_report.json",
-                 "results.csv", "summary.csv", "manifest.json"):
-        assert (out / name).exists(), name
+    assert set(os.listdir(out)) == set().union(*WRITERS.values()) | {"manifest.json"}
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert set(manifest) == {"synth", "gen", "filter", "simulate"}
-    for entry in manifest.values():
-        assert entry["outputs"]
-        assert all(len(h) == 64 for h in entry["outputs"].values())
+    assert manifest == {
+        command: {"config_sha256": sha256(config),
+                  "outputs": {name: sha256(out / name) for name in names}}
+        for command, names in WRITERS.items()
+    }
 
 
 def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexicon):
@@ -799,6 +839,9 @@ INPUT_FILES = {
     ("annotations.jsonl", "not_utf8", "not UTF-8"),
     ("annotations.jsonl", "truncate", "not JSON"),
     ("lexicon.tsv", "not_utf8", "not UTF-8"),
+    ("data.csv", "malformed", "missing field 'label'"),
+    ("data.jsonl", "malformed", "record needs fields 'text' and 'label'"),
+    ("lexicon.tsv", "malformed", "expected `lemma<TAB>synonyms` format"),
 ])
 def test_cli_corrupted_input_exits_2(tmp_path, capsys, name, kind, message):
     rows = make_rows(40, seed=3)
@@ -816,11 +859,20 @@ def test_cli_corrupted_input_exits_2(tmp_path, capsys, name, kind, message):
     index = 1  # the second line; a .csv file's first record
     if kind == "truncate":
         lines[index] = lines[index][:-1]
+    elif kind == "malformed":  # a line without its label or its tab
+        lines[index] = b'{"text": "notab"}' if name.endswith(".jsonl") else b"notab"
     else:
         lines[index] = lines[index][:3] + b"\xff\xfe" + lines[index][3:]
     path.write_bytes(b"\n".join(lines) + b"\n")
     assert main(["synth", "--config", str(config)]) == 2
     assert f"{name} line {index + 1}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_cli_rejects_shot_above_pool(tmp_path, capsys, command):
+    config = write_config(tmp_path, conditions=["random"], shots=[5, 10, 500])
+    assert main([command, "--config", str(config)]) == 2
+    assert "config error: bad shots: largest shot 500 exceeds pool size 90" in capsys.readouterr().err
 
 
 def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
@@ -848,8 +900,8 @@ def test_cli_simulate_reports_failed_condition(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "counterfactual: F1@5 = n/a (3 of 3 cells missing)" in out
     assert "random: F1@5 = " in out and "random: F1@5 = n/a" not in out
-    assert (tmp_path / "out" / "results.csv").exists()
-    assert (tmp_path / "out" / "summary.csv").exists()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["simulate"]["outputs"]) == {"results.csv", "summary.csv"}
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -188,11 +188,15 @@ def test_cache_keys_stable_across_runs(tmp_path):
 def test_error_responses_not_cached(tmp_path):
     class Erroring:
         def send(self, r):
-            return CompletionResponse("", "error")
+            raise BackendError(400, "refused")
 
-    resp = cached_complete(req("boom"), Erroring(), tmp_path)
-    assert resp.finish_reason == "error"
+    with pytest.raises(BackendError):
+        cached_complete(req("boom"), Erroring(), tmp_path)
+    gw = Gateway(Erroring(), "test-model", str(tmp_path))
+    with pytest.raises(BackendError):
+        gw.complete(req("boom"))
     assert list(tmp_path.iterdir()) == []
+    assert gw._served == {}
 
 
 def test_mock_template_discriminator():
@@ -206,7 +210,7 @@ def test_mock_template_discriminator():
 
 
 class Scripted:
-    """Answers by prompt: `error*` gets an error response, `flaky*` fails
+    """Answers by prompt: `error*` raises a BackendError, `flaky*` fails
     transiently on its first send, anything else gets a text."""
 
     def __init__(self):
@@ -218,7 +222,7 @@ class Scripted:
         if content.startswith("flaky") and self.calls[content] == 1:
             raise TransientBackendError(503, "busy")
         if content.startswith("error"):
-            return CompletionResponse("", "error")
+            raise BackendError(400, "refused")
         return CompletionResponse(f"answer to {content}", "length" if "1" in content else "stop")
 
 
@@ -231,23 +235,35 @@ def test_gateway_serves_what_fresh_cached_calls_serve(warm, sequence):
     with tempfile.TemporaryDirectory() as gateway_dir, tempfile.TemporaryDirectory() as fresh_dir, \
             mock.patch.object(gateway.time, "sleep"):
         for content in warm:  # entries an earlier command left on disk
-            cached_complete(req(content), Scripted(), gateway_dir)
-            cached_complete(req(content), Scripted(), fresh_dir)
+            outcome(cached_complete, req(content), Scripted(), gateway_dir)
+            outcome(cached_complete, req(content), Scripted(), fresh_dir)
         caching, fresh, uncached = Scripted(), Scripted(), Scripted()
         gw = Gateway(caching, "test-model", gateway_dir)
         plain = Gateway(uncached, "test-model")
         for content in sequence:
             r = req(content)
-            got, want = gw.complete(r), cached_complete(r, fresh, fresh_dir)
-            assert (got.text, got.finish_reason, got.from_cache) == (
-                want.text, want.finish_reason, want.from_cache)
-            assert plain.complete(r).from_cache is False
+            got = outcome(gw.complete, r)
+            assert got == outcome(cached_complete, r, fresh, fresh_dir)
+            assert outcome(plain.complete, r)[2] in (False, None)
         assert caching.calls == fresh.calls
         errors = [c for c in sequence if c.startswith("error")]
         assert all(caching.calls[c] == errors.count(c) for c in errors)
         assert sum(uncached.calls.values()) == len(sequence) + len(
             {c for c in sequence if c.startswith("flaky")})
         assert sorted(os.listdir(gateway_dir)) == sorted(os.listdir(fresh_dir))
+        error_keys = {cache_key(req(c)) for c in errors}
+        assert not error_keys & set(gw._served)
+        assert not {k + ".json" for k in error_keys} & set(os.listdir(gateway_dir))
+
+
+def outcome(call, *args):
+    """(text, finish_reason, from_cache) of a completion, or the class of the
+    BackendError it raised, padded to the same shape."""
+    try:
+        resp = call(*args)
+    except BackendError as exc:
+        return (type(exc), exc.status, None)
+    return (resp.text, resp.finish_reason, resp.from_cache)
 
 
 class _FakeReply:
@@ -280,6 +296,8 @@ def _choice(content, finish="stop"):
     (503, _choice("hi"), TransientBackendError),
     (None, requests.Timeout("read timed out"), TransientBackendError),
     (None, requests.ConnectionError("refused"), TransientBackendError),
+    (200, _choice("hi", None), CompletionResponse("hi", "stop")),
+    (200, _choice("hi", "content_filter"), BackendError),
 ])
 def test_http_backend_reply_to_response(monkeypatch, status, body, expected):
     sent = []
