@@ -97,6 +97,11 @@ class Context:
     def dataset_name(self) -> str:
         return os.path.splitext(os.path.basename(self.cfg.dataset.path))[0]
 
+    def close(self) -> None:
+        """Close the gateway's cache files, if the command built a gateway."""
+        if "gateway" in vars(self):
+            self.gateway.close()
+
     def schedule(self) -> ShotSchedule:
         """The config's shots; ConfigError when the largest exceeds the pool."""
         schedule = ShotSchedule(self.cfg.shots)
@@ -476,10 +481,13 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
         ctx = Context(cfg, args.config)
-        if args.command == "report":
-            code = cmd_report(ctx, args.quality, args.external)
-        else:
-            code = COMMANDS[args.command](ctx)
+        try:
+            if args.command == "report":
+                code = cmd_report(ctx, args.quality, args.external)
+            else:
+                code = COMMANDS[args.command](ctx)
+        finally:
+            ctx.close()
         _update_manifest(ctx, args.command)
         return code
     except ConfigError as exc:

@@ -9,6 +9,7 @@ import functools
 import logging
 import os
 import random
+import types
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -113,27 +114,45 @@ class ExperimentConfig:
 
 
 @functools.cache
-def _keys(cls) -> dict[str, type | None]:
-    """Each field of `cls`, with its type when that is a section dataclass."""
-    types = typing.get_type_hints(cls)
-    return {f.name: types[f.name] if dataclasses.is_dataclass(types[f.name]) else None
-            for f in dataclasses.fields(cls)}
+def _keys(cls) -> dict[str, type | tuple[type, ...] | None]:
+    """Each field of `cls`, with its type when that is a section dataclass,
+    or the classes its value may have when it is a plain class or an
+    optional one (an int is a float too); None leaves a generic type such as
+    `tuple[int, ...]` to the section's own checks."""
+    hints, keys = typing.get_type_hints(cls), {}
+    for name in (f.name for f in dataclasses.fields(cls)):
+        hint = hints[name]
+        members = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if dataclasses.is_dataclass(hint):
+            keys[name] = hint
+        elif all(isinstance(m, type) and not typing.get_args(m) for m in members):
+            keys[name] = members + ((int,) if float in members else ())
+        else:
+            keys[name] = None
+    return keys
 
 
 def _section(cls, name: str, raw):
     """`cls(**raw)`, its sections built the same way; an unknown key, a
-    section that is not a mapping, or a bad value is a ConfigError naming the
-    section."""
+    section that is not a mapping, a value of the wrong class, or a value the
+    section rejects is a ConfigError naming the section."""
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name} must be a mapping")
     keys = _keys(cls)
     unknown = raw.keys() - keys
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
-    raw = {key: value if keys[key] is None else _section(keys[key], key, value)
-           for key, value in raw.items()}
+    built = {}
+    for key, value in raw.items():
+        expected = keys[key]
+        if isinstance(expected, tuple) and (
+            not isinstance(value, expected) or isinstance(value, bool) and bool not in expected
+        ):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in expected)
+            raise ConfigError(f"bad {name} section: {key} must be {names}, got {value!r}")
+        built[key] = _section(expected, key, value) if isinstance(expected, type) else value
     try:
-        return cls(**raw)
+        return cls(**built)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from None
 
@@ -151,19 +170,17 @@ def load_config(path) -> ExperimentConfig:
     cfg = _section(ExperimentConfig, "config", raw)
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(key, p):
-        if p is not None and not isinstance(p, str):
-            raise ConfigError(f"{key} must be a path, got {p!r}")
+    def resolve(p):
         return p if p is None or os.path.isabs(p) else os.path.join(base, p)
 
     cfg = replace(
         cfg,
-        dataset=replace(cfg.dataset, path=resolve("dataset.path", cfg.dataset.path)),
-        annotations=resolve("annotations", cfg.annotations),
-        lexicon=resolve("lexicon", cfg.lexicon),
+        dataset=replace(cfg.dataset, path=resolve(cfg.dataset.path)),
+        annotations=resolve(cfg.annotations),
+        lexicon=resolve(cfg.lexicon),
         backend=replace(cfg.backend, model=os.environ.get("LLM_MODEL") or cfg.backend.model),
-        cache_dir=resolve("cache_dir", cfg.cache_dir),
-        output_dir=resolve("output_dir", cfg.output_dir),
+        cache_dir=resolve(cfg.cache_dir),
+        output_dir=resolve(cfg.output_dir),
     )
     for key, p in (("dataset.path", cfg.dataset.path),
                    ("annotations", cfg.annotations),

@@ -2,20 +2,23 @@
 
 Three pieces: request/response types with a stable content-hash cache key,
 backends (an HTTP client for any chat-completions-compatible server and a
-deterministic mock for offline runs), and `complete`/`cached_complete` which
-add bounded retries and a content-addressed file cache. `Gateway` binds a
-backend to a model and serves a repeated request from memory.
+deterministic mock for offline runs), and `complete`, which adds bounded
+retries. `Gateway` binds a backend to a model, keeps the responses of a
+cache directory in append-only segment files, and serves a repeated request
+from memory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Protocol
+from typing import BinaryIO, Iterable, Mapping, Protocol
 
 from .errors import PatvarError
 
@@ -32,7 +35,14 @@ class BackendError(PatvarError):
 
 
 class TransientBackendError(BackendError):
-    """Retryable failure (5xx, connection trouble)."""
+    """Retryable failure (429, 5xx, connection trouble). `retry_after` is the
+    delay in seconds the server asked for, when it gave one."""
+
+    MAX_RETRY_AFTER_S = 60.0
+
+    def __init__(self, status: int | None, body: str, retry_after: float | None = None):
+        super().__init__(status, body)
+        self.retry_after = retry_after
 
 
 class GatewayTimeout(BackendError):
@@ -225,7 +235,8 @@ class HttpBackend:
 
     The completion is the first choice's `message.content`, which must be a
     string; any other reply body is a malformed-body BackendError, and so is
-    a `finish_reason` other than `stop`, `length` or null.
+    a `finish_reason` other than `stop`, `length` or null. A 429 or 5xx reply
+    is transient and carries its `Retry-After` when that is given in seconds.
     """
 
     TIMEOUT_S = 60.0
@@ -255,8 +266,11 @@ class HttpBackend:
             raise TransientBackendError(None, f"timeout: {exc}") from exc
         except requests.ConnectionError as exc:
             raise TransientBackendError(None, f"connection error: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransientBackendError(resp.status_code, resp.text)
+        if resp.status_code == 429 or resp.status_code >= 500:
+            retry_after = resp.headers.get("Retry-After", "").strip()
+            raise TransientBackendError(
+                resp.status_code, resp.text, float(retry_after) if retry_after.isdecimal() else None
+            )
         if resp.status_code >= 400:
             raise BackendError(resp.status_code, resp.text)
         try:
@@ -280,7 +294,11 @@ def complete(
     retries: int = 3,
     backoff: float = 0.5,
 ) -> CompletionResponse:
-    """Single completion with bounded retry on transient failures only."""
+    """Single completion with bounded retry on transient failures only.
+
+    Before a retry it sleeps the delay the server asked for, capped at
+    `TransientBackendError.MAX_RETRY_AFTER_S`, or else the exponential backoff.
+    """
     attempt = 0
     while True:
         try:
@@ -289,75 +307,39 @@ def complete(
             attempt += 1
             if attempt > retries:
                 raise GatewayTimeout(f"gave up after {retries} retries: {exc.body}") from exc
-            delay = backoff * (2 ** (attempt - 1))
+            if exc.retry_after is None:
+                delay = backoff * (2 ** (attempt - 1))
+            else:
+                delay = min(exc.retry_after, TransientBackendError.MAX_RETRY_AFTER_S)
             logger.warning("transient backend failure (attempt %d/%d): %s", attempt, retries, exc)
             if delay:
                 time.sleep(delay)
 
 
-def cached_complete(
-    req: CompletionRequest,
-    backend: Backend,
-    cache_dir,
-) -> CompletionResponse:
-    """complete() behind a content-addressed file cache.
-
-    On a hit the backend is never touched. Entries are one JSON file per key,
-    written atomically; an entry that is not JSON, lacks a field, holds a
-    `text` that is not a string or a `finish_reason` other than `stop` or
-    `length` is corrupted: it is treated as a miss and overwritten. A backend
-    failure raises, so nothing is cached for it. Each call reads the disk;
-    `Gateway` reads each distinct key from it at most once.
-    """
-    return _cached_complete(req, cache_key(req), backend, cache_dir)
-
-
-def _cached_complete(req: CompletionRequest, key: str, backend: Backend, cache_dir) -> CompletionResponse:
-    path = os.path.join(cache_dir, key + ".json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        stored = entry["response"]
-        text, finish_reason = stored["text"], stored["finish_reason"]
-        if not isinstance(text, str) or finish_reason not in ("stop", "length"):
-            raise TypeError(f"response {stored!r} is not a string text with a stop or length finish")
-        return CompletionResponse(text, finish_reason, from_cache=True)
-    except (FileNotFoundError, NotADirectoryError):
-        pass
-    except (ValueError, KeyError, TypeError) as exc:
-        logger.warning("corrupted cache entry %s treated as a miss: %s", path, exc)
-    resp = complete(req, backend)
-    entry = {
-        "request": {
-            "model": req.model,
-            "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        },
-        "response": {"text": resp.text, "finish_reason": resp.finish_reason},
-        "timestamp": time.time(),
-    }
-    tmp = path + ".tmp"
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, ensure_ascii=True)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise CacheError(f"cannot write cache entry {path}: {exc}") from exc
-    return resp
+SEGMENT_SUFFIX = ".log"
+_ENTRY_HEAD = re.compile(rb"[0-9a-f]{64} ")
+_segment_numbers = itertools.count()
 
 
 @dataclass
 class Gateway:
     """A backend bound to a model name and an optional cache directory.
 
-    With a cache directory, the gateway also keeps every response it has
-    served, keyed by `cache_key`: a repeated request is answered from memory
-    with `from_cache=True`, as a disk hit would be, so each distinct key costs
-    at most one disk read per gateway (one per command). A request whose
-    backend call raised is not kept. Without a cache directory every request
-    reaches the backend.
+    Without a cache directory every request reaches the backend through
+    `complete`. With one, the cache is a set of append-only segment files
+    (`*.log`), one per gateway that missed, so one per command. Each line is
+    `<cache_key> <entry JSON>`, and a later line for a key, in segment-name
+    order, supersedes an earlier one. On its first request the gateway
+    indexes every segment (key -> file and byte offset), and on a hit it
+    reads and validates that one line. A line that is torn or not JSON, or
+    whose response lacks a string `text` or a `stop`/`length` finish, is
+    corrupted: a warned miss whose fresh response supersedes it. A miss
+    appends its entry to this gateway's own segment, created on the first
+    miss, before the response is returned; a backend failure appends
+    nothing. Every served response is also kept in memory by key, so a
+    repeated request is answered with `from_cache=True` and each key is read
+    from disk at most once. Per-key `*.json` files of older versions are not
+    read.
     """
 
     backend: Backend
@@ -366,6 +348,11 @@ class Gateway:
     _served: dict[str, CompletionResponse] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _index: dict[str, tuple[BinaryIO, int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _readers: list[BinaryIO] = field(default_factory=list, init=False, repr=False, compare=False)
+    _segment: BinaryIO | None = field(default=None, init=False, repr=False, compare=False)
 
     def request(
         self, messages: Iterable[ChatMessage], max_tokens: int, temperature: float = 0.0
@@ -378,6 +365,94 @@ class Gateway:
         key = cache_key(req)
         resp = self._served.get(key)
         if resp is None:
-            resp = _cached_complete(req, key, self.backend, self.cache_dir)
+            resp = self._read(key)
+            if resp is None:
+                resp = complete(req, self.backend)
+                self._append(key, req, resp)
             self._served[key] = replace(resp, from_cache=True)
         return resp
+
+    def close(self) -> None:
+        """Close the segment files; a later request indexes the cache again."""
+        for fh in self._readers:
+            fh.close()
+        if self._segment is not None:
+            self._segment.close()
+        self._index, self._readers, self._segment = None, [], None
+
+    def _build_index(self) -> dict[str, tuple[BinaryIO, int]]:
+        try:
+            names = sorted(os.listdir(self.cache_dir))
+        except (FileNotFoundError, NotADirectoryError):
+            return {}
+        except OSError as exc:
+            raise CacheError(f"cannot list cache directory {self.cache_dir}: {exc}") from exc
+        legacy = sum(name.endswith(".json") for name in names)
+        if legacy:
+            logger.warning("%d per-key cache files (*.json) in %s are not read",
+                           legacy, self.cache_dir)
+        index: dict[str, tuple[BinaryIO, int]] = {}
+        for name in names:
+            if not name.endswith(SEGMENT_SUFFIX):
+                continue
+            path = os.path.join(self.cache_dir, name)
+            try:
+                reader = open(path, "rb")
+                self._readers.append(reader)
+                offset = 0
+                for lineno, line in enumerate(reader, start=1):
+                    if _ENTRY_HEAD.match(line):
+                        index[line[:64].decode("ascii")] = (reader, offset)
+                    else:
+                        logger.warning("cache line %s:%d has no key; ignored", path, lineno)
+                    offset += len(line)
+            except OSError as exc:
+                raise CacheError(f"cannot read cache segment {path}: {exc}") from exc
+        return index
+
+    def _read(self, key: str) -> CompletionResponse | None:
+        """The response of `key`'s last cache line, or None for a miss."""
+        if self._index is None:
+            self._index = self._build_index()
+        if key not in self._index:
+            return None
+        reader, offset = self._index[key]
+        try:
+            reader.seek(offset)
+            line = reader.readline()
+        except OSError as exc:
+            raise CacheError(f"cannot read cache segment {reader.name}: {exc}") from exc
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("torn line")
+            stored = json.loads(line[65:])["response"]
+            text, finish_reason = stored["text"], stored["finish_reason"]
+            if not isinstance(text, str) or finish_reason not in ("stop", "length"):
+                raise TypeError(f"response {stored!r} is not a string text with a stop or length finish")
+        except (ValueError, KeyError, TypeError) as exc:
+            logger.warning("corrupted cache entry %s at byte %d treated as a miss: %s",
+                           reader.name, offset, exc)
+            return None
+        return CompletionResponse(text, finish_reason, from_cache=True)
+
+    def _append(self, key: str, req: CompletionRequest, resp: CompletionResponse) -> None:
+        entry = {
+            "request": {
+                "model": req.model,
+                "messages": [{"role": m.role, "content": m.content} for m in req.messages],
+                "temperature": req.temperature,
+                "max_tokens": req.max_tokens,
+            },
+            "response": {"text": resp.text, "finish_reason": resp.finish_reason},
+            "timestamp": time.time(),
+        }
+        line = f"{key} {json.dumps(entry, ensure_ascii=True)}\n".encode("ascii")
+        try:
+            if self._segment is None:
+                os.makedirs(self.cache_dir, exist_ok=True)
+                name = f"{time.time_ns():020d}-{os.getpid()}-{next(_segment_numbers)}"
+                self._segment = open(os.path.join(self.cache_dir, name + SEGMENT_SUFFIX), "xb")
+            self._segment.write(line)
+            self._segment.flush()
+        except OSError as exc:
+            raise CacheError(f"cannot write cache entry to {self.cache_dir}: {exc}") from exc

@@ -122,6 +122,10 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"synthesis": {"beam_width": "x"}}, "synthesis"),
         ({"synthesis": {"min_precision": 2}}, "synthesis"),
         ({"cache_dir": 5}, "cache_dir"),
+        ({"dataset": {"split_seed": [1]}}, "dataset"),
+        ({"dataset": {"multi_label": True, "label_delimiter": 5}}, "dataset"),
+        ({"backend": {"label_vocab": ["a"]}}, "backend"),
+        ({"filters": {"heuristic": "no"}}, "filters"),
     ]:
         config = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -362,6 +366,7 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
                       label_set=list(LABEL_VOCAB))
     _, report = run_pipeline(candidates_from_records(enumerate(records, 1)), FilterConfig(), deps)
+    gw.close()
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
     assert quality["vt"]["lfr"] == report.lfr
@@ -523,10 +528,12 @@ def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monkeypatch, warm):
+    """A warm gen opens each segment once and creates none; a cold gen creates one."""
     source, config = pipeline_dir
     out, cache = copy_pipeline(source, tmp_path)
     if not warm:
         shutil.rmtree(cache)
+    before = set(os.listdir(cache)) if warm else set()
     opened = collections.Counter()
 
     def counting_open(path, *args, **kwargs):
@@ -536,9 +543,11 @@ def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monk
     monkeypatch.setattr(gateway, "open", counting_open, raising=False)
     assert main(["gen", "--config", str(config), "--out", str(out),
                  "--cache-dir", str(cache)]) == 0
-    reads = {name: n for name, n in opened.items() if name.endswith(".json")}
-    assert reads and max(reads.values()) == 1
-    assert set(reads) <= set(os.listdir(cache))
+    after = set(os.listdir(cache))
+    assert after >= before and len(after - before) == (0 if warm else 1)
+    assert all(name.endswith(gateway.SEGMENT_SUFFIX) for name in after)
+    assert opened and max(opened.values()) == 1
+    assert set(opened) == after
 
 
 def test_cli_ablate_judges_each_candidate_once_per_stage(pipeline_dir, tmp_path, monkeypatch):

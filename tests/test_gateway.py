@@ -1,7 +1,9 @@
 import collections
+import contextlib
 import json
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,7 +23,6 @@ from patvar.gateway import (
     MockBackend,
     TransientBackendError,
     cache_key,
-    cached_complete,
     complete,
 )
 
@@ -104,21 +105,58 @@ def test_client_errors_never_retry():
     assert backend.calls == 1
 
 
-def test_cached_complete_hit_and_miss(tmp_path):
+def served(r, backend, cache_dir):
+    """The response of a fresh gateway, as a new command would get it."""
+    with contextlib.closing(Gateway(backend, r.model, str(cache_dir))) as gw:
+        return gw.complete(r)
+
+
+def segments(cache_dir):
+    return sorted(p for p in os.listdir(cache_dir) if p.endswith(gateway.SEGMENT_SUFFIX))
+
+
+def cache_lines(cache_dir, names=None):
+    """(key, entry) of every line of the named segments, all by default, in
+    segment order."""
+    lines = []
+    for name in sorted(segments(cache_dir) if names is None else names):
+        with open(os.path.join(cache_dir, name), encoding="ascii") as fh:
+            for line in fh:
+                key, _, entry = line.partition(" ")
+                lines.append((key, json.loads(entry)))
+    return lines
+
+
+def new_keys(cache_dir, old):
+    """How often each key was appended to the segments not in `old`."""
+    return collections.Counter(
+        key for key, _ in cache_lines(cache_dir, set(os.listdir(cache_dir)) - old))
+
+
+def entry_line(r, text, finish_reason="stop"):
+    entry = {"request": {"model": r.model,
+                         "messages": [{"role": m.role, "content": m.content} for m in r.messages],
+                         "temperature": r.temperature, "max_tokens": r.max_tokens},
+             "response": {"text": text, "finish_reason": finish_reason}, "timestamp": 0.0}
+    return f"{cache_key(r)} {json.dumps(entry)}\n"
+
+
+def test_cache_hit_and_miss(tmp_path):
     backend = MockBackend(template_mode=False)
     r = req("cache me")
     backend.add_response(r.messages, "value")
-    first = cached_complete(r, backend, tmp_path)
+    first = served(r, backend, tmp_path)
     assert (first.text, first.from_cache) == ("value", False)
-    second = cached_complete(r, backend, tmp_path)
+    second = served(r, backend, tmp_path)
     assert (second.text, second.from_cache) == ("value", True)
     assert backend.calls == 1
 
     other = req("cache me", temperature=0.7)
     backend.add_response(other.messages, "value")
-    third = cached_complete(other, backend, tmp_path)
+    third = served(other, backend, tmp_path)
     assert third.from_cache is False
     assert backend.calls == 2
+    assert [key for key, _ in cache_lines(tmp_path)] == [cache_key(r), cache_key(other)]
 
 
 def test_cache_transparency(tmp_path):
@@ -126,8 +164,8 @@ def test_cache_transparency(tmp_path):
     r = req("transparent")
     backend.add_response(r.messages, "same answer")
     direct = complete(r, backend)
-    cached_miss = cached_complete(r, backend, tmp_path)
-    cached_hit = cached_complete(r, backend, tmp_path)
+    cached_miss = served(r, backend, tmp_path)
+    cached_hit = served(r, backend, tmp_path)
     assert direct.text == cached_miss.text == cached_hit.text
     assert direct.finish_reason == cached_hit.finish_reason
 
@@ -145,19 +183,24 @@ CORRUPTED_ENTRIES = [
 
 
 def test_corrupted_cache_entry_is_overwritten(tmp_path, caplog):
-    for i, content in enumerate(CORRUPTED_ENTRIES):
+    r = req("fragile")
+    torn = [entry_line(r, "stale")[:cut] for cut in (65, 100, -1)]
+    for i, line in enumerate([f"{cache_key(r)} {c}\n" for c in CORRUPTED_ENTRIES] + torn):
+        cache_dir = tmp_path / str(i)
+        cache_dir.mkdir()
+        (cache_dir / "0-old.log").write_text(entry_line(r, "stale") + line, encoding="ascii")
         backend = MockBackend(template_mode=False)
-        r = req("fragile")
         backend.add_response(r.messages, "good")
-        cached_complete(r, backend, tmp_path / str(i))
-        path = tmp_path / str(i) / (cache_key(r) + ".json")
-        path.write_text(content, encoding="utf-8")
         caplog.clear()
         with caplog.at_level("WARNING"):
-            resp = cached_complete(r, backend, tmp_path / str(i))
-        assert (resp.text, resp.from_cache, backend.calls) == ("good", False, 2), content
-        assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "good"
-        assert any("corrupted" in rec.message for rec in caplog.records), content
+            resp = served(r, backend, cache_dir)
+        assert (resp.text, resp.from_cache, backend.calls) == ("good", False, 1), line
+        assert any("corrupted" in rec.message for rec in caplog.records), line
+        [old, new] = segments(cache_dir)
+        assert old == "0-old.log"
+        assert (cache_dir / new).read_text(encoding="ascii").startswith(cache_key(r) + " ")
+        resp = served(r, backend, cache_dir)
+        assert (resp.text, resp.from_cache, backend.calls) == ("good", True, 1), line
 
 
 def test_cache_dir_is_created_on_write(tmp_path):
@@ -165,24 +208,39 @@ def test_cache_dir_is_created_on_write(tmp_path):
     r = req("nested")
     backend.add_response(r.messages, "value")
     cache_dir = tmp_path / "a" / "b"
-    assert cached_complete(r, backend, cache_dir).from_cache is False
-    assert [p.name for p in cache_dir.iterdir()] == [cache_key(r) + ".json"]
+    assert served(r, backend, cache_dir).from_cache is False
+    [name] = os.listdir(cache_dir)
+    assert name.endswith(gateway.SEGMENT_SUFFIX)
+    assert [key for key, _ in cache_lines(cache_dir)] == [cache_key(r)]
     blocked = tmp_path / "file"
     blocked.write_text("", encoding="utf-8")
     with pytest.raises(CacheError):
-        cached_complete(r, backend, blocked)
+        served(r, backend, blocked)
 
 
 def test_cache_keys_stable_across_runs(tmp_path):
     # Key depends only on request content, not process state.
     assert cache_key(req("stable")) == "{}".format(cache_key(req("stable")))
-    entry_names = set()
     backend = MockBackend(template_mode=False)
     r = req("stable")
     backend.add_response(r.messages, "x")
-    cached_complete(r, backend, tmp_path)
-    entry_names = {p.name for p in tmp_path.iterdir()}
-    assert entry_names == {cache_key(r) + ".json"}
+    served(r, backend, tmp_path)
+    [(key, entry)] = cache_lines(tmp_path)
+    assert key == cache_key(r)
+    assert entry["response"] == {"text": "x", "finish_reason": "stop"}
+
+
+def test_per_key_files_are_not_read(tmp_path, caplog):
+    backend = MockBackend(template_mode=False)
+    r = req("legacy")
+    backend.add_response(r.messages, "fresh")
+    legacy = tmp_path / (cache_key(r) + ".json")
+    legacy.write_text(entry_line(r, "old").partition(" ")[2], encoding="ascii")
+    with caplog.at_level("WARNING"):
+        assert served(r, backend, tmp_path).text == "fresh"
+    assert [rec.message for rec in caplog.records if "not read" in rec.message] == [
+        f"1 per-key cache files (*.json) in {tmp_path} are not read"]
+    assert legacy.read_text(encoding="ascii") == entry_line(r, "old").partition(" ")[2]
 
 
 def test_error_responses_not_cached(tmp_path):
@@ -191,7 +249,7 @@ def test_error_responses_not_cached(tmp_path):
             raise BackendError(400, "refused")
 
     with pytest.raises(BackendError):
-        cached_complete(req("boom"), Erroring(), tmp_path)
+        served(req("boom"), Erroring(), tmp_path)
     gw = Gateway(Erroring(), "test-model", str(tmp_path))
     with pytest.raises(BackendError):
         gw.complete(req("boom"))
@@ -227,33 +285,68 @@ class Scripted:
 
 
 prompts = st.sampled_from(["a0", "a1", "b0", "flaky0", "flaky1", "error0", "error1"])
+# A line of an earlier command's segment: a stored answer (None) or a corrupted entry.
+old_lines = st.tuples(prompts, st.sampled_from([None, *CORRUPTED_ENTRIES]))
+# A segment: its lines, and perhaps a last line torn after `cut` characters.
+old_segments = st.tuples(st.lists(old_lines, max_size=4),
+                         st.none() | st.tuples(prompts, st.integers(1, 10_000)))
+
+
+def write_segments(cache_dir, drawn):
+    """Writes the drawn segments and returns, for each prompt that has a
+    line, whether its last line is bad."""
+    bad = {}
+    for i, (lines, torn) in enumerate(drawn):
+        text = ""
+        for content, corrupted in lines:
+            r = req(content)
+            text += entry_line(r, f"stored {content}") if corrupted is None else \
+                f"{cache_key(r)} {corrupted}\n"
+            bad[content] = corrupted is not None
+        if torn is not None:
+            content, cut = torn
+            line = entry_line(req(content), f"stored {content}")
+            cut = cut % (len(line) - 1) + 1
+            text += line[:cut]
+            if cut > 64:  # the key and its space survived, so the key's last line is bad
+                bad[content] = True
+        (cache_dir / f"{i:020d}-0-0.log").write_text(text, encoding="ascii")
+    return bad
 
 
 @settings(max_examples=150, deadline=None)
-@given(warm=st.lists(prompts, max_size=4), sequence=st.lists(prompts, max_size=16))
-def test_gateway_serves_what_fresh_cached_calls_serve(warm, sequence):
+@given(drawn=st.lists(old_segments, max_size=3), sequence=st.lists(prompts, max_size=16))
+def test_gateway_serves_what_fresh_gateways_serve(drawn, sequence):
     with tempfile.TemporaryDirectory() as gateway_dir, tempfile.TemporaryDirectory() as fresh_dir, \
             mock.patch.object(gateway.time, "sleep"):
-        for content in warm:  # entries an earlier command left on disk
-            outcome(cached_complete, req(content), Scripted(), gateway_dir)
-            outcome(cached_complete, req(content), Scripted(), fresh_dir)
+        bad = write_segments(Path(gateway_dir), drawn)
+        assert write_segments(Path(fresh_dir), drawn) == bad
+        old = set(os.listdir(gateway_dir))
         caching, fresh, uncached = Scripted(), Scripted(), Scripted()
         gw = Gateway(caching, "test-model", gateway_dir)
         plain = Gateway(uncached, "test-model")
         for content in sequence:
             r = req(content)
             got = outcome(gw.complete, r)
-            assert got == outcome(cached_complete, r, fresh, fresh_dir)
+            assert got == outcome(served, r, fresh, fresh_dir)
             assert outcome(plain.complete, r)[2] in (False, None)
         assert caching.calls == fresh.calls
-        errors = [c for c in sequence if c.startswith("error")]
-        assert all(caching.calls[c] == errors.count(c) for c in errors)
+        stored = {c for c in sequence if c in bad and not bad[c]}
+        for c in set(sequence):
+            expected = (0 if c in stored else sequence.count(c) if c.startswith("error")
+                        else 2 if c.startswith("flaky") else 1)
+            assert caching.calls[c] == expected, c
         assert sum(uncached.calls.values()) == len(sequence) + len(
             {c for c in sequence if c.startswith("flaky")})
-        assert sorted(os.listdir(gateway_dir)) == sorted(os.listdir(fresh_dir))
-        error_keys = {cache_key(req(c)) for c in errors}
+        appended = {c for c in sequence if c not in stored and not c.startswith("error")}
+        new = set(os.listdir(gateway_dir)) - old
+        assert len(new) == (1 if appended else 0)
+        # read before close: each entry was flushed before its response was returned
+        assert new_keys(gateway_dir, old) == new_keys(fresh_dir, old) == collections.Counter(
+            cache_key(req(c)) for c in appended)
+        gw.close()
+        error_keys = {cache_key(req(c)) for c in sequence if c.startswith("error") and c not in stored}
         assert not error_keys & set(gw._served)
-        assert not {k + ".json" for k in error_keys} & set(os.listdir(gateway_dir))
 
 
 def outcome(call, *args):
@@ -267,9 +360,10 @@ def outcome(call, *args):
 
 
 class _FakeReply:
-    def __init__(self, status, body):
+    def __init__(self, status, body, headers=None):
         self.status_code = status
         self.text = body if isinstance(body, str) else json.dumps(body)
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         return json.loads(self.text)
@@ -298,6 +392,7 @@ def _choice(content, finish="stop"):
     (None, requests.ConnectionError("refused"), TransientBackendError),
     (200, _choice("hi", None), CompletionResponse("hi", "stop")),
     (200, _choice("hi", "content_filter"), BackendError),
+    (429, "slow down", TransientBackendError),
 ])
 def test_http_backend_reply_to_response(monkeypatch, status, body, expected):
     sent = []
@@ -322,3 +417,45 @@ def test_http_backend_reply_to_response(monkeypatch, status, body, expected):
     assert kwargs["json"]["messages"] == [{"role": "user", "content": "hello there"}]
     assert kwargs["headers"]["Authorization"] == "Bearer k"
     assert kwargs["timeout"] == gateway.HttpBackend.TIMEOUT_S
+
+
+def replying(monkeypatch, *replies):
+    """Makes `requests.post` answer with `replies`, the last one forever."""
+    queue = list(replies)
+
+    def post(url, **kwargs):
+        return queue.pop(0) if len(queue) > 1 else queue[0]
+
+    monkeypatch.setattr(requests, "post", post)
+
+
+@pytest.mark.parametrize("retry_after, slept", [
+    ("2", [2.0]),
+    (" 7 ", [7.0]),
+    ("86400", [TransientBackendError.MAX_RETRY_AFTER_S]),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5]),
+    ("1.5", [0.5]),
+    (None, [0.5]),
+])
+def test_http_429_sleeps_its_capped_retry_after(monkeypatch, tmp_path, retry_after, slept):
+    headers = {} if retry_after is None else {"retry-after": retry_after}
+    replying(monkeypatch, _FakeReply(429, "slow down", headers), _FakeReply(200, _choice("hi")))
+    gw = Gateway(gateway.HttpBackend("http://llm.invalid/v1"), "test-model", str(tmp_path))
+    with mock.patch.object(gateway.time, "sleep") as sleep:
+        resp = gw.complete(req())
+    gw.close()
+    assert resp == CompletionResponse("hi", "stop")
+    assert [c.args[0] for c in sleep.call_args_list] == slept
+    [(key, entry)] = cache_lines(tmp_path)
+    assert (key, entry["response"]["text"]) == (cache_key(req()), "hi")
+
+
+def test_http_429_forever_times_out_uncached(monkeypatch, tmp_path):
+    replying(monkeypatch, _FakeReply(429, "slow down", {"Retry-After": "3"}))
+    gw = Gateway(gateway.HttpBackend("http://llm.invalid/v1"), "test-model", str(tmp_path))
+    with mock.patch.object(gateway.time, "sleep") as sleep, pytest.raises(GatewayTimeout):
+        gw.complete(req())
+    gw.close()
+    assert [c.args[0] for c in sleep.call_args_list] == [3.0, 3.0, 3.0]
+    assert list(tmp_path.iterdir()) == []
+    assert gw._served == {}
