@@ -44,7 +44,7 @@ from .generation import (
     generate_without_vt,
     plan_targets,
 )
-from .patterns import match_sentence, parse_pattern
+from .patterns import find_matches, match_sentence, parse_pattern
 from .reports import (
     read_quality_json,
     read_results_csv,
@@ -248,10 +248,11 @@ def cmd_gen(ctx: Context) -> int:
     for ex in dataset.examples:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
+        spans = find_matches(pattern, ex.sentence, lexicon) if pattern is not None else []
         for target in plan_targets(ex, label_set, seed):
             if pattern is not None:
                 try:
-                    task = build_task(ex.sentence, ex.label, target, pattern, lexicon)
+                    task = build_task(ex.sentence, ex.label, target, pattern, lexicon, spans)
                     phrases = generate_candidate_phrases(
                         task, collect_soft_matches(task, lexicon), gateway, provider, lexicon
                     )

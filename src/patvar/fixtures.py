@@ -127,6 +127,7 @@ for _org in ("google", "amazon", "openai", "yelp", "spotify", "netflix", "starbu
     ENTITY_PHRASES[(_org,)] = "ORG"
 
 _MAX_PHRASE_LEN = max(len(p) for p in ENTITY_PHRASES)
+_PHRASE_STARTS = frozenset(p[0] for p in ENTITY_PHRASES)
 
 SYNONYM_GROUPS: tuple[tuple[str, ...], ...] = (
     ("pricey", "expensive", "costly"),
@@ -196,7 +197,14 @@ def pos_of(lemma: str) -> str:
 
 
 class FixtureAnnotationProvider:
-    """Deterministic provider backed by the hand-written tables above."""
+    """Deterministic provider backed by the hand-written tables above.
+
+    Each distinct (surface, entity) pair becomes one Token, built and
+    validated when it is first seen and shared by every later sentence.
+    """
+
+    def __init__(self):
+        self._tokens: dict[tuple[str, str | None], Token] = {}
 
     def annotate(self, raw: str) -> AnnotatedSentence:
         surfaces = tokenize(raw)
@@ -204,20 +212,21 @@ class FixtureAnnotationProvider:
         entities: list[str | None] = [None] * len(surfaces)
         i = 0
         while i < len(surfaces):
-            matched = False
-            for span in range(min(_MAX_PHRASE_LEN, len(surfaces) - i), 0, -1):
-                tag = ENTITY_PHRASES.get(tuple(lowered[i : i + span]))
-                if tag is not None:
-                    for j in range(i, i + span):
-                        entities[j] = tag
-                    i += span
-                    matched = True
-                    break
-            if not matched:
-                i += 1
+            step = 1
+            if lowered[i] in _PHRASE_STARTS:
+                for span in range(min(_MAX_PHRASE_LEN, len(surfaces) - i), 0, -1):
+                    tag = ENTITY_PHRASES.get(tuple(lowered[i : i + span]))
+                    if tag is not None:
+                        entities[i : i + span] = [tag] * span
+                        step = span
+                        break
+            i += step
         tokens = []
-        for surface, entity in zip(surfaces, entities):
-            lemma = lemmatize(surface)
-            tokens.append(Token(surface, lemma, pos_of(lemma), entity))
+        for key in zip(surfaces, entities):
+            token = self._tokens.get(key)
+            if token is None:
+                lemma = lemmatize(key[0])
+                token = self._tokens[key] = Token(key[0], lemma, pos_of(lemma), key[1])
+            tokens.append(token)
         sid = "fx-" + hashlib.sha1(raw.encode("utf-8")).hexdigest()[:12]
         return AnnotatedSentence(sid, raw, tuple(tokens))

@@ -86,9 +86,15 @@ def build_task(
     target_label: str,
     pattern: PatternAst,
     lex: SynonymLexicon,
+    spans: list[MatchSpan] | None = None,
 ) -> GenerationTask:
-    """Construct a pattern-constrained task, extracting the matched phrase."""
-    spans = find_matches(pattern, original, lex)
+    """Construct a pattern-constrained task, extracting the matched phrase.
+
+    `spans` are `find_matches(pattern, original, lex)` when the caller has
+    them already, as for an example with several targets.
+    """
+    if spans is None:
+        spans = find_matches(pattern, original, lex)
     if not spans:
         raise NoPatternMatch(
             f"pattern {render_pattern(pattern)!r} does not match sentence {original.id!r}"

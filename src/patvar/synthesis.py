@@ -8,6 +8,7 @@ and negative examples, followed by a greedy set cover that picks up to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .annotation import AnnotatedSentence, SynonymLexicon
 from .errors import PatvarError
@@ -85,10 +86,6 @@ def enumerate_atoms(s: AnnotatedSentence, lex: SynonymLexicon) -> set[Atom]:
     return atoms
 
 
-def _beam_key(sp: ScoredPattern):
-    return (-sp.f1, len(sp.pattern.alternatives[0]), sp.rendered)
-
-
 def _rates(tp: int, fp: int, n_positives: int) -> tuple[float, float, float]:
     """(precision, recall, F1) of a pattern matching `tp` of `n_positives`
     positives and `fp` negatives."""
@@ -98,18 +95,42 @@ def _rates(tp: int, fp: int, n_positives: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+class Candidate(NamedTuple):
+    """A beam candidate; its hits are guard bits of `enumerate_candidates`' packed row."""
+    rendered: str
+    atoms: tuple[Atom, ...]
+    positive_hits: int
+    negative_hits: int
+    tp: int
+    fp: int
+
+
+def scored(
+    cand: Candidate, positives: list[LabeledExample], negatives: list[LabeledExample]
+) -> ScoredPattern:
+    """The ScoredPattern of a candidate enumerated over these examples."""
+    matched, end = ([], []), 0
+    for j, ex in enumerate(positives + negatives):
+        end += len(ex.sentence) + 2  # one past example j's guard bit
+        if (cand.positive_hits | cand.negative_hits) >> (end - 1) & 1:
+            matched[j >= len(positives)].append(ex.sentence.id)
+    return ScoredPattern(PatternAst((cand.atoms,)), frozenset(matched[0]), frozenset(matched[1]),
+                         *_rates(cand.tp, cand.fp, len(positives)), cand.rendered)
+
+
 def enumerate_candidates(
     positives: list[LabeledExample],
     negatives: list[LabeledExample],
     cfg: SynthesisConfig,
     lex: SynonymLexicon,
-) -> list[ScoredPattern]:
-    """Beam-searched single-sequence candidates that match at least one positive.
+) -> list[Candidate]:
+    """Beam-searched single-sequence candidates that match at least one positive,
+    best F1 first (ties: shorter, then lexicographic render).
 
     Sequences grow one atom per round up to `max_atoms`; each round keeps the
-    top `beam_width` by F1 (ties: shorter, then lexicographic render).
-    Consecutive wildcards are never generated, and a bare wildcard is kept in
-    the beam as a seed but never returned as a candidate.
+    top `beam_width` in that order, ties in generation order. Consecutive
+    wildcards are never generated, and a bare wildcard is kept in the beam as
+    a seed but never returned as a candidate. Example ids must be unique.
 
     All examples, positives first, are packed into one row (`patterns.advance`):
     one feature table and one mask per atom cover every example, so a child
@@ -124,8 +145,11 @@ def enumerate_candidates(
         atom_pool |= enumerate_atoms(ex.sentence, lex)
     atoms = sorted(atom_pool, key=render_atom)
     features = Features({}, {}, {})
+    ids = [ex.sentence.id for ex in positives + negatives]
+    if len(set(ids)) < len(ids):
+        shared = next(i for i in ids if ids.count(i) > 1)
+        raise ValueError(f"two examples share the id {shared!r}")
     guard = positive_guard = valid = offset = 0
-    owner: dict[int, str] = {}  # guard bit position -> example id
     for j, ex in enumerate(positives + negatives):
         n = len(ex.sentence)
         for table, part in zip(features, sentence_features(ex.sentence.tokens)):
@@ -135,25 +159,15 @@ def enumerate_candidates(
         guard |= 1 << (offset + n + 1)
         if j < len(positives):
             positive_guard = guard
-        owner[offset + n + 1] = ex.sentence.id
         offset += n + 2
     negative_guard = guard ^ positive_guard
     columns = [(atom, render_atom(atom), atom_mask(atom, features, lex)) for atom in atoms]
 
-    def ids(bits: int) -> frozenset[str]:
-        found = []
-        while bits:
-            low = bits & -bits
-            found.append(owner[low.bit_length() - 1])
-            bits ^= low
-        return frozenset(found)
-
     beam: list[tuple[tuple[Atom, ...], str, int]] = [((), "", valid)]
-    candidates: dict[str, ScoredPattern] = {}
-    for _ in range(cfg.max_atoms):
-        # One entry per child: (-F1, render, generation order, parent, atom, mask,
-        # tp, fp). A round's children are equally long, so sorting the entries
-        # orders them by `_beam_key`, ties in generation order.
+    candidates: dict[str, tuple] = {}  # render -> ((-F1, length, render), candidate)
+    for length in range(1, cfg.max_atoms + 1):
+        # One entry per child: (-F1, render, generation order, parent, atom, mask, tp, fp);
+        # sorted, they are in candidate order (all are equally long), ties in generation order.
         layer = []
         for parent in beam:
             seq, text, state = parent
@@ -167,24 +181,19 @@ def enumerate_candidates(
                 tp = (hit & positive_guard).bit_count()
                 fp = hit.bit_count() - tp
                 child_text = f"{text}+{atom_text}" if text else atom_text
-                layer.append(
-                    (-_rates(tp, fp, len(positives))[2], child_text, len(layer),
-                     parent, atom, mask, tp, fp)
-                )
+                neg_f1 = -_rates(tp, fp, len(positives))[2]
+                layer.append((neg_f1, child_text, len(layer), parent, atom, mask, tp, fp))
         layer.sort()
-        for _, text, _, (seq, _, state), atom, mask, tp, fp in layer:
+        for neg_f1, text, _, (seq, _, state), atom, mask, tp, fp in layer:
             child = seq + (atom,)
             if tp and text not in candidates and not all(isinstance(a, WildcardAtom) for a in child):
                 hit = (advance(state, mask, guard, valid) + valid) & guard
-                candidates[text] = ScoredPattern(
-                    PatternAst((child,)), ids(hit & positive_guard), ids(hit & negative_guard),
-                    *_rates(tp, fp, len(positives)), text,
+                candidates[text] = (neg_f1, length, text), Candidate(
+                    text, child, hit & positive_guard, hit & negative_guard, tp, fp
                 )
-        beam = [
-            (seq + (atom,), text, advance(state, mask, guard, valid))
-            for _, text, _, (seq, _, state), atom, mask, _, _ in layer[: cfg.beam_width]
-        ]
-    return sorted(candidates.values(), key=_beam_key)
+        beam = [(seq + (atom,), text, advance(state, mask, guard, valid))
+                for _, text, _, (seq, _, state), atom, mask, _, _ in layer[: cfg.beam_width]]
+    return [cand for _, cand in sorted(candidates.values())]
 
 
 def synthesize_patterns(
@@ -198,29 +207,20 @@ def synthesize_patterns(
     Repeatedly picks the candidate covering the most not-yet-covered
     positives (ties: higher F1, then shorter, then lexicographic render)
     until the positives are covered, nothing adds coverage, or
-    `max_patterns` is reached.
+    `max_patterns` is reached; only the chosen candidates are decoded.
     """
     candidates = enumerate_candidates(positives, negatives, cfg, lex)
-    viable = [sp for sp in candidates if sp.precision >= cfg.min_precision - 1e-12]
+    floor = cfg.min_precision - 1e-12
+    viable = [c for c in candidates if _rates(c.tp, c.fp, len(positives))[0] >= floor]
     if not viable:
-        raise NoViablePattern(
-            f"no candidate reaches precision {cfg.min_precision} "
-            f"({len(candidates)} candidates considered)"
-        )
-    uncovered = {ex.sentence.id for ex in positives}
-    chosen: list[ScoredPattern] = []
-    while uncovered and len(chosen) < cfg.max_patterns:
-        best = min(
-            viable,
-            key=lambda sp: (
-                -len(sp.matched_positive_ids & uncovered),
-                -sp.f1,
-                len(sp.pattern.alternatives[0]),
-                sp.rendered,
-            ),
-        )
-        if not best.matched_positive_ids & uncovered:
+        raise NoViablePattern(f"no candidate reaches precision {cfg.min_precision} "
+                              f"({len(candidates)} candidates considered)")
+    chosen, uncovered = [], -1  # uncovered: the bits of examples no chosen pattern matches
+    while len(chosen) < cfg.max_patterns:
+        # The candidates come in tie order, and max() returns the first of the best.
+        best = max(viable, key=lambda c: (c.positive_hits & uncovered).bit_count())
+        if not best.positive_hits & uncovered:
             break
-        chosen.append(best)
-        uncovered -= best.matched_positive_ids
+        chosen.append(scored(best, positives, negatives))
+        uncovered &= ~best.positive_hits
     return chosen

@@ -2,8 +2,11 @@
 
 `match_sentence` is checked against `brute_force_match`, `find_matches`
 against an exhaustive span enumeration written from its documented rules,
-and the packed beam search of `enumerate_candidates` against a beam search
-that scores every candidate with `match_sentence` over every example. The
+the packed beam search of `enumerate_candidates` against a beam search
+that scores every candidate with `match_sentence` over every example, and
+the packed set cover of `synthesize_patterns` against a cover that counts
+distinct example ids. The fixture provider's shared tokens and its entity
+scan are checked against a fresh provider and a scan of every span. The
 pieces under them are checked too: `atom_mask` read from a sentence's
 feature table against the per-token `atom_matches_token`, and `advance` on
 sentences packed into one integer against `advance` on each sentence alone.
@@ -16,13 +19,14 @@ gateway's cache key for stability.
 import dataclasses
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from patvar import patterns
-from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token
+from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token, tokenize
 from patvar.filtering import FilterConfig, FilterDeps, run_pipeline, survivors_by_arm
-from patvar.fixtures import FixtureAnnotationProvider
+from patvar.fixtures import ENTITY_PHRASES, FixtureAnnotationProvider
 from patvar.gateway import ROLES, ChatMessage, CompletionRequest, Gateway, MockBackend, cache_key
 from patvar.generation import CounterfactualCandidate, GenerationTask
 from patvar.patterns import (
@@ -49,10 +53,13 @@ from patvar.prompts import fill, load_template
 from patvar.synthdata import LABEL_VOCAB
 from patvar.synthesis import (
     LabeledExample,
+    NoViablePattern,
     ScoredPattern,
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
+    scored,
+    synthesize_patterns,
 )
 
 POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
@@ -320,13 +327,8 @@ def reference_candidates(positives, negatives, cfg, lex):
     return sorted(candidates.values(), key=key)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    corpus=st.lists(st.tuples(raw_sentences(6), st.booleans()), min_size=1, max_size=6),
-    max_atoms=st.integers(1, 3),
-    beam_width=st.integers(1, 6),
-)
-def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_atoms, beam_width):
+def labeled(provider, corpus):
+    """Positives and negatives from drawn (text, is positive) pairs; at least one positive."""
     examples = [
         LabeledExample(dataclasses.replace(provider.annotate(raw), id=f"s{i}"), "a" if positive else "b")
         for i, (raw, positive) in enumerate(corpus)
@@ -335,11 +337,125 @@ def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_ato
     negatives = [ex for ex in examples if ex.label == "b"]
     if not positives:
         positives, negatives = negatives[:1], negatives[1:]
+    return positives, negatives
+
+
+def decoded_candidates(positives, negatives, cfg, lex):
+    return [scored(c, positives, negatives) for c in enumerate_candidates(positives, negatives, cfg, lex)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpus=st.lists(st.tuples(raw_sentences(6), st.booleans()), min_size=1, max_size=6),
+    max_atoms=st.integers(1, 3),
+    beam_width=st.integers(1, 6),
+)
+def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_atoms, beam_width):
+    positives, negatives = labeled(provider, corpus)
     cfg = SynthesisConfig(max_atoms=max_atoms, beam_width=beam_width)
-    got = enumerate_candidates(positives, negatives, cfg, lexicon)
+    got = decoded_candidates(positives, negatives, cfg, lexicon)
     want = reference_candidates(positives, negatives, cfg, lexicon)
     assert [c.rendered for c in got] == [c.rendered for c in want]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The packed set cover against a cover over decoded id sets
+# ---------------------------------------------------------------------------
+
+
+def reference_cover(candidates, positives, cfg):
+    """Greedy cover of decoded candidates that counts distinct positive ids."""
+    viable = [sp for sp in candidates if sp.precision >= cfg.min_precision - 1e-12]
+    if not viable:
+        raise NoViablePattern(f"no candidate reaches precision {cfg.min_precision}")
+    uncovered = {ex.sentence.id for ex in positives}
+    chosen = []
+    while uncovered and len(chosen) < cfg.max_patterns:
+        best = min(
+            viable,
+            key=lambda sp: (
+                -len(sp.matched_positive_ids & uncovered),
+                -sp.f1,
+                len(sp.pattern.alternatives[0]),
+                sp.rendered,
+            ),
+        )
+        if not best.matched_positive_ids & uncovered:
+            break
+        chosen.append(best)
+        uncovered -= best.matched_positive_ids
+    return chosen
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpus=st.lists(st.tuples(raw_sentences(6), st.booleans()), min_size=1, max_size=8),
+    max_atoms=st.integers(1, 3),
+    min_precision=st.sampled_from((1.0, 0.8, 0.5)),
+    max_patterns=st.integers(1, 5),
+)
+def test_packed_cover_matches_id_set_cover(provider, lexicon, corpus, max_atoms, min_precision, max_patterns):
+    positives, negatives = labeled(provider, corpus)
+    cfg = SynthesisConfig(max_patterns=max_patterns, max_atoms=max_atoms, min_precision=min_precision)
+    try:
+        want = reference_cover(decoded_candidates(positives, negatives, cfg, lexicon), positives, cfg)
+    except NoViablePattern:
+        with pytest.raises(NoViablePattern):
+            synthesize_patterns(positives, negatives, cfg, lexicon)
+        return
+    got = synthesize_patterns(positives, negatives, cfg, lexicon)
+    assert [sp.rendered for sp in got] == [sp.rendered for sp in want]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The fixture provider's shared tokens and entity scan against fresh, full ones
+# ---------------------------------------------------------------------------
+
+# Table words, inflections the lemmatizer resolves, unknown words, numbers and
+# every first word of an entity phrase, in mixed case.
+FIXTURE_WORDS = (
+    "food", "Foods", "played", "playing", "amazing", "Cheaper", "went", "children",
+    "prices", "tries", "xyzzy", "5", "3.50", "the", "was", "Monday", "next", "last",
+    "week", "New", "york", "city", "taylor", "Swift", "TX", "Google", "today",
+)
+ENTITY_TEXTS = ("new york city", "New York", "next monday", "last Friday", "next week",
+                "taylor swift", "Houston, TX")
+
+fixture_texts = st.lists(
+    st.tuples(st.sampled_from(FIXTURE_WORDS + ENTITY_TEXTS), st.sampled_from(("", ".", ",", "!?"))).map(
+        "".join
+    ),
+    max_size=10,
+).map(" ".join)
+
+
+def reference_entities(surfaces):
+    """The entity scan that tries every phrase length at every position."""
+    lowered = [s.lower() for s in surfaces]
+    entities, i = [None] * len(surfaces), 0
+    while i < len(surfaces):
+        for span in range(len(surfaces) - i, 0, -1):
+            tag = ENTITY_PHRASES.get(tuple(lowered[i : i + span]))
+            if tag is not None:
+                entities[i : i + span] = [tag] * span
+                i += span
+                break
+        else:
+            i += 1
+    return entities
+
+
+@PROPERTY_SETTINGS
+@given(earlier=st.lists(fixture_texts, max_size=5), text=fixture_texts)
+def test_shared_tokens_annotate_like_a_fresh_provider(earlier, text):
+    provider = FixtureAnnotationProvider()
+    for raw in earlier:
+        provider.annotate(raw)
+    got = provider.annotate(text)
+    assert got == FixtureAnnotationProvider().annotate(text)
+    assert [t.entity for t in got.tokens] == reference_entities(tokenize(text))
 
 
 # ---------------------------------------------------------------------------

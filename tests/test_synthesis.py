@@ -19,6 +19,7 @@ from patvar.synthesis import (
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
+    scored,
     synthesize_patterns,
 )
 
@@ -28,6 +29,11 @@ def example(provider, raw, label, id=None):
     if id is not None:
         s = dataclasses.replace(s, id=id)
     return LabeledExample(s, label)
+
+
+def decoded_candidates(positives, negatives, cfg, lexicon):
+    return [scored(c, positives, negatives)
+            for c in enumerate_candidates(positives, negatives, cfg, lexicon)]
 
 
 @pytest.fixture
@@ -58,7 +64,7 @@ def test_enumerate_atoms_empty_and_num(provider, lexicon):
 
 def test_candidates_contain_paper_patterns(running_example, lexicon):
     positives, negatives = running_example
-    cands = enumerate_candidates(positives, negatives, SynthesisConfig(), lexicon)
+    cands = decoded_candidates(positives, negatives, SynthesisConfig(), lexicon)
     by_render = {c.rendered: c for c in cands}
     for wanted in ("[food]+*+ADJ", "(amazing)+*"):
         assert wanted in by_render, wanted
@@ -71,7 +77,7 @@ def test_candidates_contain_paper_patterns(running_example, lexicon):
 def test_identical_positive_and_negative_sentences(provider, lexicon):
     positives = [example(provider, "the same sentence", "a", "p0")]
     negatives = [example(provider, "the same sentence", "b", "n0")]
-    cands = enumerate_candidates(positives, negatives, SynthesisConfig(max_atoms=2), lexicon)
+    cands = decoded_candidates(positives, negatives, SynthesisConfig(max_atoms=2), lexicon)
     assert cands
     assert all(c.precision <= 0.5 for c in cands)
 
@@ -105,7 +111,7 @@ def test_beam_reaches_exhaustive_optimum(provider, lexicon):
     positives = [example(provider, "play a song", "audio", "p0")]
     negatives = [example(provider, "book a flight", "transport", "n0")]
     cfg = SynthesisConfig(max_atoms=2)
-    cands = enumerate_candidates(positives, negatives, cfg, lexicon)
+    cands = decoded_candidates(positives, negatives, cfg, lexicon)
     top = max(c.f1 for c in cands)
     assert top == pytest.approx(exhaustive_best_f1(positives, negatives, lexicon, 2))
     best = cands[0]
@@ -116,6 +122,16 @@ def test_beam_reaches_exhaustive_optimum(provider, lexicon):
 def test_empty_positives_raises(lexicon):
     with pytest.raises(EmptyPositives):
         enumerate_candidates([], [], SynthesisConfig(), lexicon)
+
+
+def test_shared_example_id_raises(provider, lexicon):
+    # The cover counts examples, so two examples under one id would count twice.
+    positives = [example(provider, "good food", "x", "p0"), example(provider, "tasty lobster", "x", "d")]
+    negatives = [example(provider, "rude staff", "y", "d")]
+    with pytest.raises(ValueError, match="'d'"):
+        enumerate_candidates(positives, negatives, SynthesisConfig(max_atoms=1), lexicon)
+    with pytest.raises(ValueError, match="'d'"):
+        synthesize_patterns(positives, negatives, SynthesisConfig(max_atoms=1), lexicon)
 
 
 def test_synthesize_running_example(running_example, lexicon):
@@ -164,7 +180,7 @@ def test_greedy_first_pick_is_coverage_maximal(provider, lexicon):
     ]
     negatives = [example(provider, "rude staff", "y", "n0")]
     cfg = SynthesisConfig(max_atoms=2)
-    cands = enumerate_candidates(positives, negatives, cfg, lexicon)
+    cands = decoded_candidates(positives, negatives, cfg, lexicon)
     viable = [c for c in cands if c.precision >= 1.0]
     best_cover = max(len(c.matched_positive_ids) for c in viable)
     patterns = synthesize_patterns(positives, negatives, cfg, lexicon)
