@@ -32,12 +32,13 @@ from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pva
 from .filtering import FilterConfig, FilterDeps, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
+    JSON_LINE,
     CounterfactualCandidate,
     NoPatternMatch,
     NoValidPhrases,
     build_task,
+    candidate_lines,
     candidates_from_records,
-    candidate_to_record,
     collect_soft_matches,
     generate_candidate_phrases,
     generate_counterfactual,
@@ -155,10 +156,11 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_jsonl(path, records) -> None:
+def _write_lines(path, lines) -> None:
+    """Write each line as it comes; a file's text is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=True, sort_keys=True) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _read_candidates(path) -> list[CounterfactualCandidate]:
@@ -243,7 +245,7 @@ def cmd_gen(ctx: Context) -> int:
     label_set, patterns_by_label = _load_patterns(ctx)
     seed = cfg.seeds[0]
     want_no_vt = "cf_no_vt" in cfg.conditions
-    vt_records, novt_records = [], []
+    vt_candidates, novt_candidates = [], []
     skipped = 0
     for ex in dataset.examples:
         patterns = patterns_by_label.get(ex.label, [])
@@ -259,7 +261,7 @@ def cmd_gen(ctx: Context) -> int:
                     cand = generate_counterfactual(
                         task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"
                     )
-                    vt_records.append(candidate_to_record(cand))
+                    vt_candidates.append(cand)
                 except (NoValidPhrases, NoPatternMatch) as exc:
                     logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, exc)
                     skipped += 1
@@ -270,12 +272,12 @@ def cmd_gen(ctx: Context) -> int:
                     ex.sentence, ex.label, target, gateway,
                     uid=f"{ex.sentence.id}:{target}:novt:0",
                 )
-                novt_records.append(candidate_to_record(cand))
-    _write_jsonl(ctx.output("candidates_vt.jsonl"), vt_records)
+                novt_candidates.append(cand)
+    _write_lines(ctx.output("candidates_vt.jsonl"), candidate_lines(vt_candidates))
     if want_no_vt:
-        _write_jsonl(ctx.output("candidates_novt.jsonl"), novt_records)
-    print(f"generated {len(vt_records)} pattern-kept candidates "
-          f"(+{len(novt_records)} unconstrained, {skipped} skipped)")
+        _write_lines(ctx.output("candidates_novt.jsonl"), candidate_lines(novt_candidates))
+    print(f"generated {len(vt_candidates)} pattern-kept candidates "
+          f"(+{len(novt_candidates)} unconstrained, {skipped} skipped)")
     return 0
 
 
@@ -287,8 +289,8 @@ def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
     audit_records = []
     deps.audit_sink = audit_records.append
     survivors, report = run_pipeline(candidates, ctx.cfg.filters, deps)
-    _write_jsonl(ctx.output(f"survivors_{name}.jsonl"), [candidate_to_record(c) for c in survivors])
-    _write_jsonl(ctx.output(f"audit_{name}.jsonl"), audit_records)
+    _write_lines(ctx.output(f"survivors_{name}.jsonl"), candidate_lines(survivors))
+    _write_lines(ctx.output(f"audit_{name}.jsonl"), map(JSON_LINE.encode, audit_records))
     return survivors, report
 
 

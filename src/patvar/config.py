@@ -33,6 +33,9 @@ from .synthesis import LabeledExample, SynthesisConfig
 
 logger = logging.getLogger(__name__)
 
+# libyaml's loader when PyYAML was built with it; it gives the same objects.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class EmptyDataset(PatvarError):
     pass
@@ -162,7 +165,8 @@ def load_config(path) -> ExperimentConfig:
     Relative paths are taken from the config file's directory."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load("".join(utf8_lines(fh, path))) or {}
+            text = "".join(utf8_lines(fh, path))
+        raw = yaml.load(text, Loader=_YAML_LOADER) or {}
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:

@@ -13,7 +13,7 @@ left the original. Each rate is computed over its own judged population.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
@@ -266,27 +266,30 @@ def run_pipeline(
     processed: list[CounterfactualCandidate] = []
     flags: list[MetricFlags] = []
     for cand in candidates:
-        cur = cand
+        # No stage reads a verdict or the assigned label, so the stages judge
+        # the input candidate and the processed one is built once.
+        verdicts = dict(cand.verdicts)
+        assigned = cand.discriminator_label
         pattern_kept: bool | None = None
         verdict_rec: DiscriminatorVerdict | None = None
         alive = True
         for stage in STAGES:
             if stage not in enabled:
-                cur = cur.with_verdict(stage, StageVerdict("skipped", "stage disabled"))
+                verdicts[stage] = StageVerdict("skipped", "stage disabled")
                 continue
             if not alive:
                 break
-            v, label = judge(cur, stage, deps)
-            if label is None:
-                cur = cur.with_verdict(stage, v)
-            else:
-                cur = cur.with_verdict(stage, v, discriminator_label=label)
+            v, label = judge(cand, stage, deps)
+            verdicts[stage] = v
+            if label is not None:
+                assigned = label
                 verdict_rec = DiscriminatorVerdict(
-                    predicted=label, target=cur.task.target_label, original=cur.task.original_label
+                    predicted=label, target=cand.task.target_label, original=cand.task.original_label
                 )
             if stage == "symbolic" and v.status in ("passed", "failed"):
                 pattern_kept = v.status == "passed"
             alive = v.status != "failed"
+        cur = replace(cand, verdicts=verdicts, discriminator_label=assigned)
         if not cur.is_pattern_constrained:
             pattern_kept = None
         processed.append(cur)

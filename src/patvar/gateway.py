@@ -95,18 +95,18 @@ def messages_digest(messages: Iterable[ChatMessage]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
 def cache_key(req: CompletionRequest) -> str:
     """Stable digest over the full request; any field change changes the key."""
-    payload = json.dumps(
+    payload = _KEY_ENCODER.encode(
         {
             "model": req.model,
             "messages": [[m.role, m.content] for m in req.messages],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
-        },
-        sort_keys=True,
-        ensure_ascii=True,
-        separators=(",", ":"),
+        }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -365,11 +365,13 @@ class Gateway:
         key = cache_key(req)
         resp = self._served.get(key)
         if resp is None:
-            resp = self._read(key)
+            resp = self._read(key)  # a disk hit is already from_cache
             if resp is None:
                 resp = complete(req, self.backend)
                 self._append(key, req, resp)
-            self._served[key] = replace(resp, from_cache=True)
+                self._served[key] = replace(resp, from_cache=True)
+            else:
+                self._served[key] = resp
         return resp
 
     def close(self) -> None:

@@ -8,12 +8,13 @@ against the task pattern before it may constrain a counterfactual.
 
 from __future__ import annotations
 
+import json
 import logging
 import random
 import re
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .annotation import (
     AnnotatedSentence,
@@ -150,11 +151,6 @@ class CounterfactualCandidate:
                 raise ValueError(f"stage {stage} passed after an earlier stage failed")
             failed = failed or status == "failed"
 
-    def with_verdict(self, stage: str, verdict: StageVerdict, **extra) -> "CounterfactualCandidate":
-        verdicts = dict(self.verdicts)
-        verdicts[stage] = verdict
-        return replace(self, verdicts=verdicts, **extra)
-
     def failed_any(self, stages: Sequence[str] = STAGES) -> bool:
         return any(self.verdicts[s].status == "failed" for s in stages)
 
@@ -168,20 +164,50 @@ class CounterfactualCandidate:
 # ---------------------------------------------------------------------------
 
 
-def candidate_to_record(c: CounterfactualCandidate) -> dict:
-    return {
-        "uid": c.uid,
-        "original": sentence_to_record(c.task.original),
-        "original_label": c.task.original_label,
-        "target_label": c.task.target_label,
-        "pattern": render_pattern(c.task.pattern) if c.task.pattern else None,
-        "matched_phrase": c.task.matched_phrase,
-        "generated_text": c.generated_text,
-        "used_phrase": c.used_phrase,
-        "finish_reason": c.finish_reason,
-        "verdicts": {s: [v.status, v.reason] for s, v in c.verdicts.items()},
+# The encoder of every line of the candidates, survivors and audit files.
+JSON_LINE = json.JSONEncoder(ensure_ascii=True, sort_keys=True)
+
+
+def _fields_around_original(c: CounterfactualCandidate) -> tuple[dict, dict]:
+    """The fields of `candidate_to_record` whose keys sort before "original",
+    and those whose keys sort after it."""
+    before = {
         "discriminator_label": c.discriminator_label,
+        "finish_reason": c.finish_reason,
+        "generated_text": c.generated_text,
+        "matched_phrase": c.task.matched_phrase,
     }
+    after = {
+        "original_label": c.task.original_label,
+        "pattern": render_pattern(c.task.pattern) if c.task.pattern else None,
+        "target_label": c.task.target_label,
+        "uid": c.uid,
+        "used_phrase": c.used_phrase,
+        "verdicts": {s: [v.status, v.reason] for s, v in c.verdicts.items()},
+    }
+    return before, after
+
+
+def candidate_to_record(c: CounterfactualCandidate) -> dict:
+    before, after = _fields_around_original(c)
+    return {**before, "original": sentence_to_record(c.task.original), **after}
+
+
+def candidate_lines(candidates: Iterable[CounterfactualCandidate]) -> Iterator[str]:
+    """Each candidate's line, `JSON_LINE.encode(candidate_to_record(c))`.
+
+    An original sentence is encoded once per call, however many candidates
+    share it: the line is spliced from the fields that sort before
+    "original", the original, and the fields that sort after it.
+    """
+    originals: dict[int, tuple[AnnotatedSentence, str]] = {}  # id -> (kept alive, JSON)
+    for c in candidates:
+        known = originals.get(id(c.task.original))
+        if known is None:
+            encoded = JSON_LINE.encode(sentence_to_record(c.task.original))
+            known = originals[id(c.task.original)] = (c.task.original, encoded)
+        before, after = map(JSON_LINE.encode, _fields_around_original(c))
+        yield before[:-1] + ', "original": ' + known[1] + ", " + after[1:]
 
 
 _REQUIRED = object()

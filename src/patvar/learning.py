@@ -416,17 +416,41 @@ def augment_with_counterfactuals(
 
 def _selection_order(
     condition: str,
-    pool: Sequence[LabeledExample],
     dataset: Dataset,
+    shots: Sequence[int],
     seed: int,
+    clf_factory: Callable[[LemmaIds], Classifier],
     features: LemmaIds,
-) -> list[LabeledExample] | None:
+) -> list[LabeledExample]:
+    """The order in which the cell labels pool examples; shot k labels its
+    first `shots[k]` examples."""
+    pool = dataset.examples
     if condition in RANDOM_BASE_CONDITIONS:
         return select_random(pool, len(pool), seed)
     if condition == "cluster":
         k = min(len(dataset.label_set), len(pool))
         return select_cluster(pool, len(pool), k, seed, features.embedding)
-    return None  # uncertainty selects iteratively
+    return _uncertainty_order(pool, shots, seed, clf_factory, features)
+
+
+def _uncertainty_order(
+    pool: Sequence[LabeledExample],
+    shots: Sequence[int],
+    seed: int,
+    clf_factory: Callable[[LemmaIds], Classifier],
+    features: LemmaIds,
+) -> list[LabeledExample]:
+    """A random first shot, grown at each later shot by the remaining pool
+    examples that a classifier trained on the previous shot is least
+    confident about: `len(shots) - 1` trainings."""
+    labeled = select_random(pool, shots[0], seed)
+    for shot in shots[1:]:
+        clf = clf_factory(features)
+        clf.train([(ex.sentence, ex.label) for ex in labeled])
+        have = {ex.sentence.id for ex in labeled}
+        remaining = [ex for ex in pool if ex.sentence.id not in have]
+        labeled = labeled + select_uncertainty(remaining, shot - len(labeled), clf)
+    return labeled
 
 
 def _run_cell(
@@ -440,50 +464,19 @@ def _run_cell(
     holdout: tuple[AnnotatedSentence, ...],
 ) -> dict[int, float]:
     shots = schedule.shots
-    order = _selection_order(condition, dataset.examples, dataset, seed, features)
-    if order is None:
-        predicted = _uncertainty_labels(dataset, shots, seed, clf_factory, features, holdout)
-    else:
-        # The order is fixed, so shot k trains on a prefix of it: each original
-        # (and its counterfactuals) first trains at the first shot past its place.
-        labeled = order[: shots[-1]]
-        first = [bisect.bisect_right(shots, i) for i in range(len(labeled))]
-        first += [k for ex, k in zip(labeled, first) for _ in index.get(ex.sentence.id, ())]
-        predicted = clf_factory(features).predict_nested(
-            augment_with_counterfactuals(labeled, index), first, len(shots), holdout
-        )
+    # Shot k trains on a prefix of the order: each original (and its
+    # counterfactuals) first trains at the first shot past its place.
+    labeled = _selection_order(condition, dataset, shots, seed, clf_factory, features)[: shots[-1]]
+    first = [bisect.bisect_right(shots, i) for i in range(len(labeled))]
+    first += [k for ex, k in zip(labeled, first) for _ in index.get(ex.sentence.id, ())]
+    predicted = clf_factory(features).predict_nested(
+        augment_with_counterfactuals(labeled, index), first, len(shots), holdout
+    )
     return {
         shot: macro_f1([(ex.label, label) for ex, label in zip(dataset.holdout, labels)],
                        dataset.label_set)
         for shot, labels in zip(shots, predicted)
     }
-
-
-def _uncertainty_labels(
-    dataset: Dataset,
-    shots: Sequence[int],
-    seed: int,
-    clf_factory: Callable[[LemmaIds], Classifier],
-    features: LemmaIds,
-    holdout: tuple[AnnotatedSentence, ...],
-) -> list[list[str]]:
-    """Per shot, the holdout labels of a classifier trained on a random first
-    shot grown by the previous shot's least confident pool examples."""
-    pool = dataset.examples
-    predicted: list[list[str]] = []
-    labeled: list[LabeledExample] = []
-    clf: Classifier | None = None
-    for shot in shots:
-        if clf is None:
-            labeled = select_random(pool, shot, seed)
-        else:
-            have = {ex.sentence.id for ex in labeled}
-            remaining = [ex for ex in pool if ex.sentence.id not in have]
-            labeled = labeled + select_uncertainty(remaining, shot - len(labeled), clf)
-        clf = clf_factory(features)
-        clf.train([(ex.sentence, ex.label) for ex in labeled])
-        predicted.append([label for label, _ in clf.predict(holdout)])
-    return predicted
 
 
 def run_simulation(
@@ -503,9 +496,9 @@ def run_simulation(
     pool, the holdout and the survivors is featurized once, into `features`
     (a new `LemmaIds` when None; pass one to share it between runs over the
     same dataset), which `clf_factory(features)` hands to each fresh
-    classifier. A cell whose selection order is fixed up front (every
-    condition but `uncertainty`) scores all its shots with one
-    `predict_nested`; an `uncertainty` cell trains once per shot.
+    classifier. Every cell scores all its shots with one `predict_nested`
+    over its selection order; an `uncertainty` cell first trains once per
+    shot but the last to grow that order.
     A condition x seed cell that fails with a data error (`PatvarError`,
     `ValueError`) is recorded as missing rather than aborting the run; any
     other exception propagates. p-values compare each baseline against the

@@ -81,6 +81,23 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.backend.kind == "mock"
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_config_loads_alike_with_and_without_libyaml(tmp_path, capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    texts = [readme.split("`exp.yaml`:\n\n```yaml\n", 1)[1].split("```", 1)[0]]
+    for overrides in ({}, {"dataset": {"holdout_fraction": 1 / 3}, "filters": {"symbolic": False}},
+                      {"backend": {"flaw_rate": 0.25, "label_vocab": {"caf\u00e9": ["cr\u00e8me"]}}}):
+        texts.append(write_config(tmp_path, **overrides).read_text(encoding="utf-8"))
+    for text in texts:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert "label_vocab" in texts[0]
+    config = tmp_path / "exp.yaml"
+    config.write_text("dataset: [data.csv\n", encoding="utf-8")
+    assert main(["synth", "--config", str(config)]) == 2
+    assert "is not valid YAML" in capsys.readouterr().err
+
+
 def test_unknown_keys_rejected(tmp_path):
     path = write_config(tmp_path, typo_section={"a": 1})
     with pytest.raises(ConfigError) as exc:

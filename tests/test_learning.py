@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -583,6 +584,30 @@ def test_run_simulation_all_conditions_run(provider):
     for r in results:
         for shot in r.shots:
             assert r.mean[shot] is not None
+
+
+def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider):
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    calls = collections.Counter()
+
+    class Spy(NaiveBayesClassifier):
+        def train(self, items):
+            calls["train"] += 1
+            super().train(items)
+
+        def predict(self, sentences):
+            calls["predict"] += 1
+            return super().predict(sentences)
+
+        def predict_nested(self, items, first_shot, n_shots, sentences):
+            calls["predict_nested"] += 1
+            return super().predict_nested(items, first_shot, n_shots, sentences)
+
+    run_simulation(dataset, ["uncertainty"], schedule, [0],
+                   lambda features: Spy(dataset.label_set, features), {})
+    # One training per shot but the last picks the next shot's examples.
+    assert calls == {"train": 2, "predict": 2, "predict_nested": 1}
 
 
 def test_run_simulation_rejects_bad_inputs(provider):
