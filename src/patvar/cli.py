@@ -37,7 +37,7 @@ from .generation import (
     NoPatternMatch,
     NoValidPhrases,
     build_task,
-    candidate_lines,
+    candidate_to_record,
     candidates_from_records,
     collect_soft_matches,
     generate_candidate_phrases,
@@ -163,11 +163,17 @@ def _write_lines(path, lines) -> None:
             fh.write(line + "\n")
 
 
-def _read_candidates(path) -> list[CounterfactualCandidate]:
-    """The candidates of a `patvar gen` output file; ConfigError naming the
-    file and line for a record that is not a candidate."""
+def _write_candidates(path, candidates) -> None:
+    _write_lines(path, (JSON_LINE.encode(candidate_to_record(c)) for c in candidates))
+
+
+def _read_candidates(ctx: Context, path) -> list[CounterfactualCandidate]:
+    """The candidates of a candidates or survivors file, joined to the
+    dataset's pool by `original_id`; ConfigError naming the file and line for
+    a record that is not a candidate of this pool."""
+    pool = {ex.sentence.id: ex.sentence for ex in ctx.dataset.examples}
     with in_file(path):
-        return candidates_from_records(read_jsonl(path))
+        return candidates_from_records(read_jsonl(path), pool)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +279,9 @@ def cmd_gen(ctx: Context) -> int:
                     uid=f"{ex.sentence.id}:{target}:novt:0",
                 )
                 novt_candidates.append(cand)
-    _write_lines(ctx.output("candidates_vt.jsonl"), candidate_lines(vt_candidates))
+    _write_candidates(ctx.output("candidates_vt.jsonl"), vt_candidates)
     if want_no_vt:
-        _write_lines(ctx.output("candidates_novt.jsonl"), candidate_lines(novt_candidates))
+        _write_candidates(ctx.output("candidates_novt.jsonl"), novt_candidates)
     print(f"generated {len(vt_candidates)} pattern-kept candidates "
           f"(+{len(novt_candidates)} unconstrained, {skipped} skipped)")
     return 0
@@ -285,12 +291,12 @@ def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
     path = ctx.path(f"candidates_{name}.jsonl")
     if not os.path.exists(path):
         return [], None
-    candidates = _read_candidates(path)
-    audit_records = []
-    deps.audit_sink = audit_records.append
+    candidates = _read_candidates(ctx, path)
+    audited = []
+    deps.audit_sink = audited.append
     survivors, report = run_pipeline(candidates, ctx.cfg.filters, deps)
-    _write_lines(ctx.output(f"survivors_{name}.jsonl"), candidate_lines(survivors))
-    _write_lines(ctx.output(f"audit_{name}.jsonl"), map(JSON_LINE.encode, audit_records))
+    _write_candidates(ctx.output(f"survivors_{name}.jsonl"), survivors)
+    _write_candidates(ctx.output(f"audit_{name}.jsonl"), audited)
     return survivors, report
 
 
@@ -311,27 +317,13 @@ def cmd_filter(ctx: Context) -> int:
     return 0
 
 
-def _survivors_index(entries, provider: AnnotationProvider) -> dict[str, list]:
-    """Index (original id, generated text, target label) triples by original id."""
+def _survivors_index(survivors, provider: AnnotationProvider) -> dict[str, list]:
+    """Each survivor's annotated text and target label, indexed by its original's id."""
     index: dict[str, list] = {}
-    for original_id, text, target in entries:
-        index.setdefault(original_id, []).append((annotate(text, provider), target))
+    for c in survivors:
+        index.setdefault(c.task.original.id, []).append(
+            (annotate(c.generated_text, provider), c.task.target_label))
     return index
-
-
-def _read_survivors(path) -> list[tuple[str, str, str]]:
-    """(original id, generated text, target label) of each record of a survivors file."""
-    entries = []
-    for lineno, rec in read_jsonl(path):
-        try:
-            entry = (rec["original"]["id"], rec["generated_text"], rec["target_label"])
-        except (LookupError, TypeError):
-            entry = None
-        if entry is None or not all(isinstance(field, str) for field in entry):
-            raise ConfigError(f"{path} line {lineno}: a survivor needs string "
-                              "original.id, generated_text and target_label")
-        entries.append(entry)
-    return entries
 
 
 def cmd_simulate(ctx: Context) -> int:
@@ -344,7 +336,7 @@ def cmd_simulate(ctx: Context) -> int:
         if condition in cfg.conditions:
             if not os.path.exists(path):
                 raise ConfigError(f"{path} not found; run `patvar gen` and `patvar filter` first")
-            augment_index[condition] = _survivors_index(_read_survivors(path), provider)
+            augment_index[condition] = _survivors_index(_read_candidates(ctx, path), provider)
     results = run_simulation(
         dataset, list(cfg.conditions), ctx.schedule(), list(cfg.seeds),
         functools.partial(NaiveBayesClassifier, dataset.label_set), augment_index,
@@ -376,14 +368,11 @@ def cmd_ablate(ctx: Context) -> int:
     cand_path = ctx.path("candidates_vt.jsonl")
     if not os.path.exists(cand_path):
         raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
-    candidates = _read_candidates(cand_path)
+    candidates = _read_candidates(ctx, cand_path)
     features = LemmaIds()  # the arms share the pool, the holdout and most survivors
     per_arm: list[RunResult] = []
     for arm, survivors in survivors_by_arm(candidates, deps).items():
-        index = _survivors_index(
-            [(c.task.original.id, c.generated_text, c.task.target_label) for c in survivors],
-            provider,
-        )
+        index = _survivors_index(survivors, provider)
         result = run_simulation(
             dataset, ["counterfactual"], schedule, list(cfg.seeds),
             functools.partial(NaiveBayesClassifier, dataset.label_set),

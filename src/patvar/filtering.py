@@ -208,22 +208,7 @@ class FilterDeps:
     provider: AnnotationProvider
     gateway: Gateway | None = None
     label_set: Sequence[str] = ()
-    audit_sink: Callable[[dict], None] | None = None
-
-
-def audit_record(c: CounterfactualCandidate) -> dict:
-    return {
-        "uid": c.uid,
-        "original_id": c.task.original.id,
-        "original_text": c.task.original.raw,
-        "original_label": c.task.original_label,
-        "target_label": c.task.target_label,
-        "pattern": render_pattern(c.task.pattern) if c.task.pattern else None,
-        "generated_text": c.generated_text,
-        "used_phrase": c.used_phrase,
-        "verdicts": {s: {"status": v.status, "reason": v.reason} for s, v in c.verdicts.items()},
-        "discriminator_label": c.discriminator_label,
-    }
+    audit_sink: Callable[[CounterfactualCandidate], None] | None = None
 
 
 def judge(
@@ -258,6 +243,8 @@ def run_pipeline(
 ) -> tuple[list[CounterfactualCandidate], QualityReport]:
     """Apply the enabled stages in order; return survivors and batch metrics.
 
+    Each candidate is judged from no verdicts and no assigned label, whatever
+    it was read with, and `deps.audit_sink` receives it processed.
     Per-candidate errors become failed verdicts instead of aborting the
     batch. Disabled stages are marked skipped and contribute nothing to any
     metric's population.
@@ -268,8 +255,8 @@ def run_pipeline(
     for cand in candidates:
         # No stage reads a verdict or the assigned label, so the stages judge
         # the input candidate and the processed one is built once.
-        verdicts = dict(cand.verdicts)
-        assigned = cand.discriminator_label
+        verdicts: dict[str, StageVerdict] = {}
+        assigned = None
         pattern_kept: bool | None = None
         verdict_rec: DiscriminatorVerdict | None = None
         alive = True
@@ -295,7 +282,7 @@ def run_pipeline(
         processed.append(cur)
         flags.append(MetricFlags(pattern_kept=pattern_kept, verdict=verdict_rec))
         if deps.audit_sink is not None:
-            deps.audit_sink(audit_record(cur))
+            deps.audit_sink(cur)
     survivors = [c for c in processed if not c.failed_any()]
     return survivors, compute_metrics(flags)
 

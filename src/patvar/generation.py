@@ -14,17 +14,10 @@ import random
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .annotation import (
-    AnnotatedSentence,
-    AnnotationProvider,
-    SynonymLexicon,
-    annotate,
-    record_to_sentence,
-    sentence_to_record,
-)
-from .errors import InvariantViolation, ParseError, PatvarError
+from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
+from .errors import ParseError, PatvarError
 from .gateway import Gateway
 from .patterns import (
     MatchSpan,
@@ -123,6 +116,8 @@ class StageVerdict:
     def __post_init__(self):
         if self.status not in ("pending", "passed", "failed", "skipped"):
             raise ValueError(f"unknown verdict status {self.status!r}")
+        if not isinstance(self.reason, str):
+            raise ValueError(f"verdict reason {self.reason!r} is not a string")
 
 
 PENDING = StageVerdict("pending")
@@ -168,61 +163,41 @@ class CounterfactualCandidate:
 JSON_LINE = json.JSONEncoder(ensure_ascii=True, sort_keys=True)
 
 
-def _fields_around_original(c: CounterfactualCandidate) -> tuple[dict, dict]:
-    """The fields of `candidate_to_record` whose keys sort before "original",
-    and those whose keys sort after it."""
-    before = {
+def candidate_to_record(c: CounterfactualCandidate) -> dict:
+    """The record of a candidate's line in a candidates, survivors or audit
+    file. It names the original by id and text; the dataset holds its
+    annotation."""
+    return {
         "discriminator_label": c.discriminator_label,
         "finish_reason": c.finish_reason,
         "generated_text": c.generated_text,
         "matched_phrase": c.task.matched_phrase,
-    }
-    after = {
+        "original_id": c.task.original.id,
         "original_label": c.task.original_label,
+        "original_text": c.task.original.raw,
         "pattern": render_pattern(c.task.pattern) if c.task.pattern else None,
         "target_label": c.task.target_label,
         "uid": c.uid,
         "used_phrase": c.used_phrase,
-        "verdicts": {s: [v.status, v.reason] for s, v in c.verdicts.items()},
+        "verdicts": {s: {"status": v.status, "reason": v.reason} for s, v in c.verdicts.items()},
     }
-    return before, after
-
-
-def candidate_to_record(c: CounterfactualCandidate) -> dict:
-    before, after = _fields_around_original(c)
-    return {**before, "original": sentence_to_record(c.task.original), **after}
-
-
-def candidate_lines(candidates: Iterable[CounterfactualCandidate]) -> Iterator[str]:
-    """Each candidate's line, `JSON_LINE.encode(candidate_to_record(c))`.
-
-    An original sentence is encoded once per call, however many candidates
-    share it: the line is spliced from the fields that sort before
-    "original", the original, and the fields that sort after it.
-    """
-    originals: dict[int, tuple[AnnotatedSentence, str]] = {}  # id -> (kept alive, JSON)
-    for c in candidates:
-        known = originals.get(id(c.task.original))
-        if known is None:
-            encoded = JSON_LINE.encode(sentence_to_record(c.task.original))
-            known = originals[id(c.task.original)] = (c.task.original, encoded)
-        before, after = map(JSON_LINE.encode, _fields_around_original(c))
-        yield before[:-1] + ', "original": ' + known[1] + ", " + after[1:]
 
 
 _REQUIRED = object()
 
 
-def candidates_from_records(records: Iterable[tuple[int, object]]) -> list[CounterfactualCandidate]:
+def candidates_from_records(
+    records: Iterable[tuple[int, object]], originals: Mapping[str, AnnotatedSentence]
+) -> list[CounterfactualCandidate]:
     """Rebuild the candidates of one file written by `candidate_to_record`,
-    given its (line number, record) pairs.
+    given its (line number, record) pairs and the dataset's pool sentences
+    by id, which each record's `original_id` names.
 
-    An original equal to one already built shares its AnnotatedSentence, and
-    each distinct pattern string is parsed once. Raises ParseError naming the
-    line of a record that is not an object, lacks or mistypes a field, or
-    holds an unparsable pattern or an inconsistent candidate.
+    Each distinct pattern string is parsed once. Raises ParseError naming the
+    line of a record that is not an object, lacks or mistypes a field, names
+    an original the pool does not hold or gives it another text, or holds an
+    unparsable pattern or an inconsistent candidate.
     """
-    originals: dict[str, list[tuple[dict, AnnotatedSentence]]] = {}
     patterns: dict[str, PatternAst] = {}
     candidates = []
     for lineno, record in records:
@@ -233,9 +208,9 @@ def candidates_from_records(records: Iterable[tuple[int, object]]) -> list[Count
     return candidates
 
 
-def _candidate(record, originals: dict, patterns: dict) -> CounterfactualCandidate:
-    """One candidate; `originals` (id -> (record, sentence) pairs) and
-    `patterns` (text -> AST) hold what earlier records of the file built."""
+def _candidate(record, originals: Mapping, patterns: dict) -> CounterfactualCandidate:
+    """One candidate; `patterns` (text -> AST) holds the patterns that
+    earlier records of the file parsed."""
     if not isinstance(record, dict):
         raise ParseError(f"a candidate record must be an object, got {type(record).__name__}")
 
@@ -250,19 +225,16 @@ def _candidate(record, originals: dict, patterns: dict) -> CounterfactualCandida
         return value
 
     verdicts = get("verdicts", dict, {})
-    for stage, verdict in verdicts.items():
-        if stage not in STAGES or not (
-            isinstance(verdict, list) and len(verdict) == 2 and all(isinstance(v, str) for v in verdict)
-        ):
-            raise ParseError(f"candidate verdict {stage!r}: {verdict!r} is not a [status, reason] pair")
+    if not verdicts.keys() <= set(STAGES):
+        raise ParseError(f"candidate verdicts name stages {sorted(verdicts)}, not some of {STAGES}")
+    original_id = get("original_id", str)
+    original = originals.get(original_id)
+    if original is None:
+        raise ParseError(f"original_id {original_id!r} is no example of the dataset's pool")
+    if get("original_text", str) != original.raw:
+        raise ParseError(f"original_text differs from the text of dataset example {original_id!r}")
     pattern_text = get("pattern", (str, type(None)))
-    original_record = get("original", dict)
     try:
-        same_id = originals.setdefault(str(original_record.get("id")), [])
-        original = next((s for seen, s in same_id if seen == original_record), None)
-        if original is None:
-            original = record_to_sentence(original_record)
-            same_id.append((original_record, original))
         if pattern_text and pattern_text not in patterns:
             patterns[pattern_text] = parse_pattern(pattern_text)
         task = GenerationTask(
@@ -278,10 +250,10 @@ def _candidate(record, originals: dict, patterns: dict) -> CounterfactualCandida
             generated_text=get("generated_text", str),
             used_phrase=get("used_phrase", (str, type(None)), None),
             finish_reason=get("finish_reason", str, "stop"),
-            verdicts={stage: StageVerdict(*verdict) for stage, verdict in verdicts.items()},
+            verdicts={stage: StageVerdict(**verdict) for stage, verdict in verdicts.items()},
             discriminator_label=get("discriminator_label", (str, type(None)), None),
         )
-    except (ValueError, TypeError, AttributeError, InvariantViolation, PatternSyntaxError) as exc:
+    except (ValueError, TypeError, PatternSyntaxError) as exc:  # TypeError: a verdict's fields
         raise ParseError(f"not a candidate record: {exc}") from None
 
 

@@ -29,7 +29,7 @@ from patvar.config import (
 from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
-from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
+from patvar.generation import STAGES, CounterfactualCandidate, GenerationTask, candidate_to_record
 from patvar.experiment import RunResult
 from patvar.learning import LemmaIds
 from patvar.patterns import parse_pattern
@@ -256,8 +256,7 @@ def test_provider_output_for_other_text_fails(tmp_path, monkeypatch, capsys):
         texts = [row["text"] for row in csv.DictReader(fh)]
     dataset = ingest(cfg.dataset, OtherTextProvider(texts))
     (tmp_path / "out").mkdir()
-    record = {"original": {"id": dataset.examples[0].sentence.id},
-              "generated_text": "the waiter was friendly", "target_label": "service"}
+    record = {**pool_candidate(dataset), "generated_text": "the waiter was friendly"}
     (tmp_path / "out" / "survivors_vt.jsonl").write_text(json.dumps(record) + "\n")
     monkeypatch.setattr("patvar.cli.build_provider", lambda cfg: OtherTextProvider(texts))
     assert main(["simulate", "--config", str(config)]) == 4
@@ -379,10 +378,12 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     quality = json.loads((out / "quality_report.json").read_text(encoding="utf-8"))
     records = [json.loads(l) for l in (out / "candidates_vt.jsonl").read_text().splitlines()]
     cfg = load_config(config)
+    pool = {ex.sentence.id: ex.sentence for ex in ingest(cfg.dataset, provider).examples}
     gw = build_gateway(cfg)
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
                       label_set=list(LABEL_VOCAB))
-    _, report = run_pipeline(candidates_from_records(enumerate(records, 1)), FilterConfig(), deps)
+    candidates = candidates_from_records(enumerate(records, 1), pool)
+    _, report = run_pipeline(candidates, FilterConfig(), deps)
     gw.close()
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
@@ -626,14 +627,14 @@ def test_cli_gen_rejects_single_label(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["filter", "ablate"])
-def test_cli_rejects_empty_label_set(tmp_path, capsys, provider, command):
+def test_cli_rejects_empty_label_set(tmp_path, capsys, command):
     config = write_config(tmp_path, seeds=[0])
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "patterns.json").write_text(
         json.dumps({"dataset": "data", "label_set": [], "patterns": {}}), encoding="utf-8"
     )
     (tmp_path / "out" / "candidates_vt.jsonl").write_text(
-        json.dumps(malformed_candidate(provider, "good")) + "\n", encoding="utf-8"
+        json.dumps(malformed_candidate(config, "good")) + "\n", encoding="utf-8"
     )
     assert main([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -670,18 +671,36 @@ def test_cli_gen_rejects_malformed_patterns(tmp_path, capsys, content):
     assert "patterns.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", [
-    '{"generated_text": "x"}',
-    '{"original": {"id": 3}, "generated_text": "x", "target_label": "price"}',
-    '{"original": "d0", "generated_text": "x", "target_label": "price"}',
-    '["d0", "x", "price"]',
-    "{not json",
-], ids=["missing_keys", "id_not_string", "original_not_mapping", "not_mapping", "not_json"])
-def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, line):
+def pool_dataset(config):
+    return ingest(load_config(config).dataset, FixtureAnnotationProvider())
+
+
+def pool_candidate(dataset) -> dict:
+    """The record of a candidate of the first `price` example of the pool."""
+    ex = next(ex for ex in dataset.examples if ex.label == "price")
+    task = GenerationTask(ex.sentence, "price", "service", parse_pattern("[cheap]"), "cheap")
+    return candidate_to_record(CounterfactualCandidate("u0", task, "the staff was rude.", "rude"))
+
+
+@pytest.mark.parametrize("kind", ["missing_keys", "id_not_string", "text_not_string",
+                                  "not_mapping", "not_json", "holdout_id", "unknown_id",
+                                  "original_text_differs"])
+def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
+    dataset = pool_dataset(config)
+    good = pool_candidate(dataset)
+    held_out = dataset.holdout[0].sentence
+    bad = {
+        "missing_keys": {"generated_text": "x"},
+        "id_not_string": {**good, "original_id": 3},
+        "text_not_string": {**good, "original_text": None},
+        "not_mapping": [good["original_id"], good["generated_text"], good["target_label"]],
+        "holdout_id": {**good, "original_id": held_out.id, "original_text": held_out.raw},
+        "unknown_id": {**good, "original_id": "r99999"},
+        "original_text_differs": {**good, "original_text": good["original_text"] + " x"},
+    }
+    line = "{not json" if kind == "not_json" else json.dumps(bad[kind])
     (tmp_path / "out").mkdir()
-    good = {"original": {"id": "d0"}, "generated_text": "the staff was rude.",
-            "target_label": "service"}
     (tmp_path / "out" / "survivors_vt.jsonl").write_text(
         json.dumps(good) + "\n" + line + "\n", encoding="utf-8"
     )
@@ -698,10 +717,8 @@ def write_two_label_patterns(tmp_path):
     )
 
 
-def malformed_candidate(provider, kind):
-    task = GenerationTask(provider.annotate("the food was cheap"), "price", "service",
-                          parse_pattern("[cheap]"), "cheap")
-    record = candidate_to_record(CounterfactualCandidate("u0", task, "the staff was rude", "rude"))
+def malformed_candidate(config, kind):
+    record = pool_candidate(pool_dataset(config))
     if kind == "empty":
         return {}
     if kind == "no_generated_text":
@@ -710,19 +727,21 @@ def malformed_candidate(provider, kind):
         record["uid"] = 3
     elif kind == "bad_pattern":
         record["pattern"] = "[cheap"
-    elif kind == "original_token_mistyped":  # the good record's original, one field off
-        record["original"]["tokens"][0]["lemma"] = 3
+    elif kind == "unknown_original_id":
+        record["original_id"] = "r99999"
+    elif kind == "original_text_differs":
+        record["original_text"] = record["original_text"].upper()
     return record
 
 
 @pytest.mark.parametrize("command", ["filter", "ablate"])
 @pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern",
-                                  "original_token_mistyped"])
-def test_cli_rejects_malformed_candidate(tmp_path, capsys, provider, command, kind):
+                                  "unknown_original_id", "original_text_differs"])
+def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
     config = write_config(tmp_path, seeds=[0])
     write_two_label_patterns(tmp_path)
-    good = malformed_candidate(provider, "good")
-    lines = [json.dumps(good), json.dumps(malformed_candidate(provider, kind))]
+    good = malformed_candidate(config, "good")
+    lines = [json.dumps(good), json.dumps(malformed_candidate(config, kind))]
     (tmp_path / "out" / "candidates_vt.jsonl").write_text(
         "".join(line + "\n" for line in lines), encoding="utf-8"
     )
@@ -759,9 +778,9 @@ def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, mo
     assert featurized and len(featurized) == len(set(featurized))
 
 
-CANDIDATE_FIELDS = ("uid", "original", "original_label", "target_label", "pattern",
-                    "generated_text")
-SURVIVOR_FIELDS = ("original", "generated_text", "target_label")
+CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "target_label",
+                    "pattern", "generated_text")
+SURVIVOR_FIELDS = ("original_id", "original_text", "generated_text", "target_label")
 # artifact -> (the commands that read it, the fields their reader needs in each record)
 ARTIFACT_READERS = {
     "patterns.json": (("gen", "filter", "ablate"), ("label_set", "patterns")),
@@ -835,6 +854,47 @@ def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
     assert os.path.basename(path) in err.getvalue()
     if name.endswith(".jsonl") or (kind == "not_utf8" and name.endswith(".csv")):
         assert f"line {index + 1}" in err.getvalue()
+
+
+def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path):
+    source, config = tiny_walkthrough
+    out = tmp_path / "out"
+    shutil.copytree(source / "out", out)
+    for name in ("vt", "novt"):
+        path = out / f"candidates_{name}.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            record["verdicts"] = {stage: {"status": "passed", "reason": ""} for stage in STAGES}
+            record["discriminator_label"] = record["original_label"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["filter", "--config", str(config), "--out", str(out),
+                     "--cache-dir", str(source / "cache")]) == 0
+    for name in ("survivors_vt.jsonl", "audit_vt.jsonl", "survivors_novt.jsonl", "audit_novt.jsonl"):
+        assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+
+
+def test_cli_multilabel_parts_join_and_survive(tmp_path):
+    """Candidates of the separated parts of multi-labeled rows (ids
+    `rNNNNN#k`) are read back by `filter` and `simulate` through the dataset."""
+    rows = make_rows(160, seed=3)
+    pairs = zip(rows[::2], rows[1::2])  # labels are round-robin: each pair has two
+    write_csv(tmp_path / "data.csv", [
+        (f"{a} {b}", f"{label_a}|{label_b}") if i % 4 == 0 else (a, label_a)
+        for i, ((a, label_a), (b, label_b)) in enumerate(pairs)
+    ])
+    config = write_config(tmp_path, dataset={"multi_label": True})
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("synth", "gen", "filter", "simulate"):
+            assert main([command, "--config", str(config)]) == 0, command
+    parts = {ex.sentence.id: ex.sentence.raw for ex in pool_dataset(config).examples
+             if "#" in ex.sentence.id}
+    for name in ("vt", "novt"):
+        survivors = [json.loads(line) for line in
+                     (tmp_path / "out" / f"survivors_{name}.jsonl").read_text().splitlines()]
+        joined = [s for s in survivors if s["original_id"] in parts]
+        assert joined, name
+        assert all(s["original_text"] == parts[s["original_id"]] for s in joined)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -914,14 +974,13 @@ def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
 
 def test_cli_simulate_reports_failed_condition(tmp_path, capsys):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
-    cfg = load_config(config)
-    dataset = ingest(cfg.dataset, FixtureAnnotationProvider())
     # Every pool example gets a counterfactual whose label is not in the label set.
     (tmp_path / "out").mkdir()
     with open(tmp_path / "out" / "survivors_vt.jsonl", "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            record = {"original": {"id": ex.sentence.id}, "generated_text": "x", "target_label": "bogus"}
-            fh.write(json.dumps(record) + "\n")
+        for i, ex in enumerate(pool_dataset(config).examples):
+            task = GenerationTask(ex.sentence, ex.label, "bogus")
+            fh.write(json.dumps(candidate_to_record(
+                CounterfactualCandidate(f"u{i}", task, "x", None))) + "\n")
     assert main(["simulate", "--config", str(config)]) == 4
     out = capsys.readouterr().out
     assert "counterfactual: F1@5 = n/a (3 of 3 cells missing)" in out

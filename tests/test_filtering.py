@@ -9,7 +9,6 @@ from patvar.filtering import (
     FilterDeps,
     MetricFlags,
     QualityReport,
-    audit_record,
     compute_metrics,
     discriminator_filter,
     heuristic_filter,
@@ -17,7 +16,13 @@ from patvar.filtering import (
     symbolic_filter,
 )
 from patvar.gateway import CompletionResponse, Gateway, MockBackend
-from patvar.generation import CounterfactualCandidate, GenerationTask, ResponseFormatError
+from patvar.generation import (
+    STAGES,
+    CounterfactualCandidate,
+    GenerationTask,
+    ResponseFormatError,
+    candidate_to_record,
+)
 from patvar.patterns import parse_pattern
 
 
@@ -285,14 +290,15 @@ def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, lexicon):
 
 
 def test_run_pipeline_audit_log(provider, lexicon):
-    records = []
-    deps, _ = deps_for(provider, lexicon, audit=records.append)
-    run_pipeline(batch(provider), FilterConfig(), deps)
-    assert len(records) == 4
-    by_uid = {r["uid"]: r for r in records}
-    assert by_uid["refused"]["verdicts"]["heuristic"]["reason"] == "refusal"
-    assert by_uid["keep"]["discriminator_label"] == "price"
-    assert by_uid["pattern-lost"]["verdicts"]["discriminator"]["status"] == "pending"
+    audited = []
+    deps, _ = deps_for(provider, lexicon, audit=audited.append)
+    survivors, _ = run_pipeline(batch(provider), FilterConfig(), deps)
+    assert len(audited) == 4
+    by_uid = {c.uid: c for c in audited}
+    assert by_uid["refused"].verdicts["heuristic"].reason == "refusal"
+    assert by_uid["keep"].discriminator_label == "price"
+    assert by_uid["pattern-lost"].verdicts["discriminator"].status == "pending"
+    assert survivors == [by_uid["keep"]]
 
 
 def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
@@ -330,8 +336,18 @@ def test_filter_config_arms():
     assert FilterConfig(*FilterConfig.ARMS["none"]).enabled_stages() == ()
 
 
-def test_audit_record_shape(provider):
-    cand = make_candidate(provider, "The affordable lobster deal is unbeatable.")
-    rec = audit_record(cand)
-    assert rec["pattern"] == "(cheap)+*+NOUN"
-    assert set(rec["verdicts"]) == {"heuristic", "symbolic", "discriminator"}
+def test_audit_record_shape(provider, lexicon):
+    audited = []
+    deps, _ = deps_for(provider, lexicon, audit=audited.append)
+    run_pipeline(batch(provider), FilterConfig(), deps)
+    for rec in map(candidate_to_record, audited):
+        assert set(rec) == {
+            "discriminator_label", "finish_reason", "generated_text", "matched_phrase",
+            "original_id", "original_label", "original_text", "pattern", "target_label", "uid",
+            "used_phrase", "verdicts",
+        }
+        assert rec["original_id"] == audited[0].task.original.id
+        assert rec["original_text"] == "The staff was rude."
+        assert rec["pattern"] == "(cheap)+*+NOUN"
+        assert list(rec["verdicts"]) == list(STAGES)
+        assert all(set(v) == {"status", "reason"} for v in rec["verdicts"].values())

@@ -1,4 +1,3 @@
-import copy
 from dataclasses import replace
 
 import pytest
@@ -264,28 +263,19 @@ def test_candidate_verdict_ordering_invariant(provider):
         )
 
 
-def test_candidates_from_records_share_equal_originals(price_task):
-    records = [
-        candidate_to_record(CounterfactualCandidate(f"u{i}", replace(price_task, target_label=t),
-                                                    f"text {i}", None))
-        for i, t in enumerate(("price", "service", "service"))
-    ]
-    # same id and text, one token tagged differently
-    records[2]["original"]["tokens"][2]["pos"] = "NOUN"
-    candidates = candidates_from_records(enumerate(records, 1))
-    first, second, third = (c.task.original for c in candidates)
-    assert first is second
-    assert third.id == first.id and third != first and third.tokens[2].pos == "NOUN"
-    assert candidates[0].task.pattern is candidates[1].task.pattern
-    assert candidates == [candidates_from_records([(1, r)])[0] for r in records]
-
-
 def test_candidates_from_records_names_the_line(price_task):
-    good = candidate_to_record(CounterfactualCandidate("u0", price_task, "text", None))
-    bad = copy.deepcopy(good)
-    bad["original"]["tokens"][0]["lemma"] = 3
-    with pytest.raises(ParseError, match="line 3"):
-        candidates_from_records(enumerate([good, good, bad], 1))
+    pool = {price_task.original.id: price_task.original}
+    cand = CounterfactualCandidate("u0", price_task, "text", None, "length",
+                                   {"heuristic": StageVerdict("failed", "refusal")}, "price")
+    good = candidate_to_record(cand)
+    (back,) = candidates_from_records([(1, good)], pool)
+    assert back == cand and back.task.original is price_task.original
+    for key, value in (("original_id", "r99999"), ("original_text", "They have lobster"),
+                       ("verdicts", {"heuristic": ["failed", "refusal"]}),
+                       ("verdicts", {"heuristic": {"status": "failed", "reason": 5}}),
+                       ("verdicts", {"lexical": {"status": "failed", "reason": ""}})):
+        with pytest.raises(ParseError, match="line 3"):
+            candidates_from_records(enumerate([good, good, {**good, key: value}], 1), pool)
 
 
 # ---------------------------------------------------------------------------
