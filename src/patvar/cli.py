@@ -171,7 +171,7 @@ def _read_candidates(ctx: Context, path) -> list[CounterfactualCandidate]:
     """The candidates of a candidates or survivors file, joined to the
     dataset's pool by `original_id`; ConfigError naming the file and line for
     a record that is not a candidate of this pool."""
-    pool = {ex.sentence.id: ex.sentence for ex in ctx.dataset.examples}
+    pool = {ex.sentence.id: ex for ex in ctx.dataset.examples}
     with in_file(path):
         return candidates_from_records(read_jsonl(path), pool)
 
@@ -291,12 +291,11 @@ def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
     path = ctx.path(f"candidates_{name}.jsonl")
     if not os.path.exists(path):
         return [], None
-    candidates = _read_candidates(ctx, path)
-    audited = []
-    deps.audit_sink = audited.append
-    survivors, report = run_pipeline(candidates, ctx.cfg.filters, deps)
-    _write_candidates(ctx.output(f"survivors_{name}.jsonl"), survivors)
-    _write_candidates(ctx.output(f"audit_{name}.jsonl"), audited)
+    survivors, report, rows = run_pipeline(_read_candidates(ctx, path), ctx.cfg.filters, deps)
+    lines = [JSON_LINE.encode(row.record()) for row in rows]
+    _write_lines(ctx.output(f"survivors_{name}.jsonl"),
+                 (line for line, row in zip(lines, rows) if row.survived))
+    _write_lines(ctx.output(f"audit_{name}.jsonl"), lines)
     return survivors, report
 
 

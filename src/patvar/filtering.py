@@ -13,17 +13,12 @@ left the original. Each rate is computed over its own judged population.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
 from .gateway import BackendError, Gateway
-from .generation import (
-    STAGES,
-    CounterfactualCandidate,
-    ResponseFormatError,
-    StageVerdict,
-)
+from .generation import CounterfactualCandidate, ResponseFormatError, candidate_to_record
 from .patterns import WildcardAtom, match_sentence, render_pattern
 from .prompts import DISCRIMINATOR_MAX_TOKENS, fill, load_template
 
@@ -50,6 +45,21 @@ SCAFFOLD_MARKERS = (
 
 _TERMINAL_CHARS = ".!?"
 _CLOSING_CHARS = "\"')]}"
+
+STAGES = ("heuristic", "symbolic", "discriminator")
+
+
+@dataclass(frozen=True)
+class StageVerdict:
+    status: str  # pending | passed | failed | skipped
+    reason: str = ""
+
+    def __post_init__(self):
+        if self.status not in ("pending", "passed", "failed", "skipped"):
+            raise ValueError(f"unknown verdict status {self.status!r}")
+
+
+PENDING = StageVerdict("pending")  # enabled, but an earlier stage failed the candidate
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,29 @@ class FilterDeps:
     provider: AnnotationProvider
     gateway: Gateway | None = None
     label_set: Sequence[str] = ()
-    audit_sink: Callable[[CounterfactualCandidate], None] | None = None
+
+
+class FilterRow(NamedTuple):
+    """One candidate as `run_pipeline` judged it: a verdict per stage, in
+    `STAGES` order, and the label the discriminator assigned (None when it
+    did not run or failed)."""
+
+    candidate: CounterfactualCandidate
+    verdicts: dict[str, StageVerdict]
+    discriminator_label: str | None
+
+    @property
+    def survived(self) -> bool:
+        return all(v.status != "failed" for v in self.verdicts.values())
+
+    def record(self) -> dict:
+        """The row's line in a survivors or audit file: the candidate's
+        record plus its verdicts and assigned label."""
+        return {
+            **candidate_to_record(self.candidate),
+            "discriminator_label": self.discriminator_label,
+            "verdicts": {s: {"status": v.status, "reason": v.reason} for s, v in self.verdicts.items()},
+        }
 
 
 def judge(
@@ -240,51 +272,45 @@ def run_pipeline(
     candidates: Sequence[CounterfactualCandidate],
     cfg: FilterConfig,
     deps: FilterDeps,
-) -> tuple[list[CounterfactualCandidate], QualityReport]:
-    """Apply the enabled stages in order; return survivors and batch metrics.
+) -> tuple[list[CounterfactualCandidate], QualityReport, list[FilterRow]]:
+    """Apply the enabled stages in order; return the survivors, the batch
+    metrics, and one row per candidate in input order.
 
-    Each candidate is judged from no verdicts and no assigned label, whatever
-    it was read with, and `deps.audit_sink` receives it processed.
-    Per-candidate errors become failed verdicts instead of aborting the
-    batch. Disabled stages are marked skipped and contribute nothing to any
-    metric's population.
+    A disabled stage reads skipped; an enabled stage after the candidate's
+    first failure is not run and reads pending. Per-candidate errors become
+    failed verdicts instead of aborting the batch. Skipped and pending stages
+    contribute nothing to any metric's population.
     """
     enabled = cfg.enabled_stages()
-    processed: list[CounterfactualCandidate] = []
+    rows: list[FilterRow] = []
     flags: list[MetricFlags] = []
     for cand in candidates:
-        # No stage reads a verdict or the assigned label, so the stages judge
-        # the input candidate and the processed one is built once.
         verdicts: dict[str, StageVerdict] = {}
         assigned = None
         pattern_kept: bool | None = None
-        verdict_rec: DiscriminatorVerdict | None = None
         alive = True
         for stage in STAGES:
             if stage not in enabled:
                 verdicts[stage] = StageVerdict("skipped", "stage disabled")
                 continue
             if not alive:
-                break
+                verdicts[stage] = PENDING
+                continue
             v, label = judge(cand, stage, deps)
             verdicts[stage] = v
             if label is not None:
                 assigned = label
-                verdict_rec = DiscriminatorVerdict(
-                    predicted=label, target=cand.task.target_label, original=cand.task.original_label
-                )
+            # An unconstrained candidate's symbolic verdict is always skipped.
             if stage == "symbolic" and v.status in ("passed", "failed"):
                 pattern_kept = v.status == "passed"
             alive = v.status != "failed"
-        cur = replace(cand, verdicts=verdicts, discriminator_label=assigned)
-        if not cur.is_pattern_constrained:
-            pattern_kept = None
-        processed.append(cur)
+        rows.append(FilterRow(cand, verdicts, assigned))
+        verdict_rec = None if assigned is None else DiscriminatorVerdict(
+            predicted=assigned, target=cand.task.target_label, original=cand.task.original_label
+        )
         flags.append(MetricFlags(pattern_kept=pattern_kept, verdict=verdict_rec))
-        if deps.audit_sink is not None:
-            deps.audit_sink(cur)
-    survivors = [c for c in processed if not c.failed_any()]
-    return survivors, compute_metrics(flags)
+    survivors = [row.candidate for row in rows if row.survived]
+    return survivors, compute_metrics(flags), rows
 
 
 def survivors_by_arm(

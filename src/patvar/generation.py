@@ -30,10 +30,9 @@ from .patterns import (
     render_pattern,
 )
 from .prompts import GENERATION_MAX_TOKENS, SEPARATOR_MAX_TOKENS, fill, load_template
+from .synthesis import LabeledExample
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("heuristic", "symbolic", "discriminator")
 
 
 class ResponseFormatError(PatvarError):
@@ -109,49 +108,14 @@ class CandidatePhrases:
 
 
 @dataclass(frozen=True)
-class StageVerdict:
-    status: str  # pending | passed | failed | skipped
-    reason: str = ""
-
-    def __post_init__(self):
-        if self.status not in ("pending", "passed", "failed", "skipped"):
-            raise ValueError(f"unknown verdict status {self.status!r}")
-        if not isinstance(self.reason, str):
-            raise ValueError(f"verdict reason {self.reason!r} is not a string")
-
-
-PENDING = StageVerdict("pending")
-
-
-@dataclass(frozen=True)
 class CounterfactualCandidate:
+    """What `gen` made for one task; `filtering` judges it."""
+
     uid: str
     task: GenerationTask
     generated_text: str
     used_phrase: str | None
     finish_reason: str = "stop"
-    verdicts: Mapping[str, StageVerdict] = None  # type: ignore[assignment]
-    discriminator_label: str | None = None
-
-    def __post_init__(self):
-        verdicts = dict(self.verdicts or {})
-        for stage in STAGES:
-            verdicts.setdefault(stage, PENDING)
-        object.__setattr__(self, "verdicts", verdicts)
-        # A later stage may not have passed while an earlier one failed.
-        failed = False
-        for stage in STAGES:
-            status = verdicts[stage].status
-            if failed and status == "passed":
-                raise ValueError(f"stage {stage} passed after an earlier stage failed")
-            failed = failed or status == "failed"
-
-    def failed_any(self, stages: Sequence[str] = STAGES) -> bool:
-        return any(self.verdicts[s].status == "failed" for s in stages)
-
-    @property
-    def is_pattern_constrained(self) -> bool:
-        return self.task.pattern is not None
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +128,10 @@ JSON_LINE = json.JSONEncoder(ensure_ascii=True, sort_keys=True)
 
 
 def candidate_to_record(c: CounterfactualCandidate) -> dict:
-    """The record of a candidate's line in a candidates, survivors or audit
-    file. It names the original by id and text; the dataset holds its
-    annotation."""
+    """The record of a candidate's line in a candidates file, to which a
+    survivors or audit line adds the filter's verdicts. It names the original
+    by id and text; the dataset holds its annotation."""
     return {
-        "discriminator_label": c.discriminator_label,
         "finish_reason": c.finish_reason,
         "generated_text": c.generated_text,
         "matched_phrase": c.task.matched_phrase,
@@ -179,7 +142,6 @@ def candidate_to_record(c: CounterfactualCandidate) -> dict:
         "target_label": c.task.target_label,
         "uid": c.uid,
         "used_phrase": c.used_phrase,
-        "verdicts": {s: {"status": v.status, "reason": v.reason} for s, v in c.verdicts.items()},
     }
 
 
@@ -187,28 +149,30 @@ _REQUIRED = object()
 
 
 def candidates_from_records(
-    records: Iterable[tuple[int, object]], originals: Mapping[str, AnnotatedSentence]
+    records: Iterable[tuple[int, object]], examples: Mapping[str, LabeledExample]
 ) -> list[CounterfactualCandidate]:
     """Rebuild the candidates of one file written by `candidate_to_record`,
-    given its (line number, record) pairs and the dataset's pool sentences
-    by id, which each record's `original_id` names.
+    given its (line number, record) pairs and the dataset's pool examples by
+    id, which each record's `original_id` names.
 
-    Each distinct pattern string is parsed once. Raises ParseError naming the
-    line of a record that is not an object, lacks or mistypes a field, names
-    an original the pool does not hold or gives it another text, or holds an
-    unparsable pattern or an inconsistent candidate.
+    Each distinct pattern string is parsed once; keys the record does not
+    need (the verdicts of a survivors or audit line) are ignored. Raises
+    ParseError naming the line of a record that is not an object, lacks or
+    mistypes a field, names an original the pool does not hold or gives it
+    another text or label, or holds an unparsable pattern or an inconsistent
+    task.
     """
     patterns: dict[str, PatternAst] = {}
     candidates = []
     for lineno, record in records:
         try:
-            candidates.append(_candidate(record, originals, patterns))
+            candidates.append(_candidate(record, examples, patterns))
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
     return candidates
 
 
-def _candidate(record, originals: Mapping, patterns: dict) -> CounterfactualCandidate:
+def _candidate(record, examples: Mapping, patterns: dict) -> CounterfactualCandidate:
     """One candidate; `patterns` (text -> AST) holds the patterns that
     earlier records of the file parsed."""
     if not isinstance(record, dict):
@@ -224,37 +188,36 @@ def _candidate(record, originals: Mapping, patterns: dict) -> CounterfactualCand
             raise ParseError(f"candidate field {key!r} has type {type(value).__name__}")
         return value
 
-    verdicts = get("verdicts", dict, {})
-    if not verdicts.keys() <= set(STAGES):
-        raise ParseError(f"candidate verdicts name stages {sorted(verdicts)}, not some of {STAGES}")
     original_id = get("original_id", str)
-    original = originals.get(original_id)
-    if original is None:
+    example = examples.get(original_id)
+    if example is None:
         raise ParseError(f"original_id {original_id!r} is no example of the dataset's pool")
-    if get("original_text", str) != original.raw:
+    if get("original_text", str) != example.sentence.raw:
         raise ParseError(f"original_text differs from the text of dataset example {original_id!r}")
+    original_label = get("original_label", str)
+    if original_label != example.label:
+        raise ParseError(f"original_label {original_label!r} differs from the label "
+                         f"{example.label!r} of dataset example {original_id!r}")
     pattern_text = get("pattern", (str, type(None)))
     try:
         if pattern_text and pattern_text not in patterns:
             patterns[pattern_text] = parse_pattern(pattern_text)
         task = GenerationTask(
-            original=original,
-            original_label=get("original_label", str),
+            original=example.sentence,
+            original_label=original_label,
             target_label=get("target_label", str),
             pattern=patterns[pattern_text] if pattern_text else None,
             matched_phrase=get("matched_phrase", str, ""),
         )
-        return CounterfactualCandidate(
-            uid=get("uid", str),
-            task=task,
-            generated_text=get("generated_text", str),
-            used_phrase=get("used_phrase", (str, type(None)), None),
-            finish_reason=get("finish_reason", str, "stop"),
-            verdicts={stage: StageVerdict(**verdict) for stage, verdict in verdicts.items()},
-            discriminator_label=get("discriminator_label", (str, type(None)), None),
-        )
-    except (ValueError, TypeError, PatternSyntaxError) as exc:  # TypeError: a verdict's fields
+    except (ValueError, PatternSyntaxError) as exc:
         raise ParseError(f"not a candidate record: {exc}") from None
+    return CounterfactualCandidate(
+        uid=get("uid", str),
+        task=task,
+        generated_text=get("generated_text", str),
+        used_phrase=get("used_phrase", (str, type(None)), None),
+        finish_reason=get("finish_reason", str, "stop"),
+    )
 
 
 # ---------------------------------------------------------------------------

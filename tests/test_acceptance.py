@@ -256,7 +256,7 @@ def test_criterion_05_filter_monotonicity(provider, lexicon):
             ))
         survivors_by_cfg = {}
         for cfg in configs:
-            survivors, _ = run_pipeline(batch, cfg, deps)
+            survivors, _, _ = run_pipeline(batch, cfg, deps)
             survivors_by_cfg[cfg] = {c.uid for c in survivors}
         for small in configs:
             for big in configs:

@@ -29,7 +29,8 @@ from patvar.config import (
 from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import Gateway, MockBackend
-from patvar.generation import STAGES, CounterfactualCandidate, GenerationTask, candidate_to_record
+from patvar.filtering import STAGES
+from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
 from patvar.experiment import RunResult
 from patvar.learning import LemmaIds
 from patvar.patterns import parse_pattern
@@ -378,12 +379,12 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     quality = json.loads((out / "quality_report.json").read_text(encoding="utf-8"))
     records = [json.loads(l) for l in (out / "candidates_vt.jsonl").read_text().splitlines()]
     cfg = load_config(config)
-    pool = {ex.sentence.id: ex.sentence for ex in ingest(cfg.dataset, provider).examples}
+    pool = {ex.sentence.id: ex for ex in ingest(cfg.dataset, provider).examples}
     gw = build_gateway(cfg)
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
                       label_set=list(LABEL_VOCAB))
     candidates = candidates_from_records(enumerate(records, 1), pool)
-    _, report = run_pipeline(candidates, FilterConfig(), deps)
+    _, report, _ = run_pipeline(candidates, FilterConfig(), deps)
     gw.close()
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
@@ -684,7 +685,7 @@ def pool_candidate(dataset) -> dict:
 
 @pytest.mark.parametrize("kind", ["missing_keys", "id_not_string", "text_not_string",
                                   "not_mapping", "not_json", "holdout_id", "unknown_id",
-                                  "original_text_differs"])
+                                  "original_text_differs", "original_label_differs"])
 def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
     dataset = pool_dataset(config)
@@ -698,6 +699,7 @@ def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
         "holdout_id": {**good, "original_id": held_out.id, "original_text": held_out.raw},
         "unknown_id": {**good, "original_id": "r99999"},
         "original_text_differs": {**good, "original_text": good["original_text"] + " x"},
+        "original_label_differs": {**good, "original_label": "environment"},
     }
     line = "{not json" if kind == "not_json" else json.dumps(bad[kind])
     (tmp_path / "out").mkdir()
@@ -731,12 +733,15 @@ def malformed_candidate(config, kind):
         record["original_id"] = "r99999"
     elif kind == "original_text_differs":
         record["original_text"] = record["original_text"].upper()
+    elif kind == "original_label_differs":
+        record["original_label"] = "environment"
     return record
 
 
 @pytest.mark.parametrize("command", ["filter", "ablate"])
 @pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern",
-                                  "unknown_original_id", "original_text_differs"])
+                                  "unknown_original_id", "original_text_differs",
+                                  "original_label_differs"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
     config = write_config(tmp_path, seeds=[0])
     write_two_label_patterns(tmp_path)
@@ -872,6 +877,20 @@ def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path
                      "--cache-dir", str(source / "cache")]) == 0
     for name in ("survivors_vt.jsonl", "audit_vt.jsonl", "survivors_novt.jsonl", "audit_novt.jsonl"):
         assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+
+
+def test_cli_audit_line_is_its_candidate_line_plus_the_verdicts(tiny_walkthrough):
+    source, _ = tiny_walkthrough
+    for name in ("vt", "novt"):
+        candidates, audit = (
+            [json.loads(line) for line in (source / "out" / f"{kind}_{name}.jsonl").read_text().splitlines()]
+            for kind in ("candidates", "audit")
+        )
+        assert candidates and [r["uid"] for r in audit] == [r["uid"] for r in candidates]
+        for cand, judged in zip(candidates, audit):
+            assert "verdicts" not in cand and "discriminator_label" not in cand
+            del judged["verdicts"], judged["discriminator_label"]
+            assert judged == cand, cand["uid"]
 
 
 def test_cli_multilabel_parts_join_and_survive(tmp_path):

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from patvar.filtering import (
+    STAGES,
     DiscriminatorVerdict,
     FilterConfig,
     FilterDeps,
     MetricFlags,
     QualityReport,
+    StageVerdict,
     compute_metrics,
     discriminator_filter,
     heuristic_filter,
@@ -17,7 +19,6 @@ from patvar.filtering import (
 )
 from patvar.gateway import CompletionResponse, Gateway, MockBackend
 from patvar.generation import (
-    STAGES,
     CounterfactualCandidate,
     GenerationTask,
     ResponseFormatError,
@@ -238,14 +239,14 @@ def batch(provider):
     ]
 
 
-def deps_for(provider, lexicon, audit=None):
+def deps_for(provider, lexicon):
     gw, backend = label_gateway()
-    return FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS, audit_sink=audit), backend
+    return FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS), backend
 
 
 def test_run_pipeline_full(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
-    survivors, report = run_pipeline(batch(provider), FilterConfig(), deps)
+    survivors, report, _ = run_pipeline(batch(provider), FilterConfig(), deps)
     assert [c.uid for c in survivors] == ["keep"]
     assert report.n == 4
     # refused candidate never reached the symbolic or discriminator stage
@@ -259,7 +260,7 @@ def test_run_pipeline_full(provider, lexicon):
 def test_run_pipeline_all_disabled_is_identity(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
     cands = batch(provider)
-    survivors, report = run_pipeline(cands, FilterConfig(False, False, False), deps)
+    survivors, report, _ = run_pipeline(cands, FilterConfig(False, False, False), deps)
     assert [c.uid for c in survivors] == [c.uid for c in cands]
     assert report.n == 4
     assert report.pkr is None and report.lfr is None and report.slfr is None
@@ -273,7 +274,7 @@ def test_run_pipeline_pkr_formula(provider, lexicon):
         make_candidate(provider, "A cheap deal arrived this morning.", uid="c"),
         make_candidate(provider, "Nothing relevant happened here today sadly.", uid="d"),
     ]
-    _, report = run_pipeline(cands, FilterConfig(True, True, False), deps)
+    _, report, _ = run_pipeline(cands, FilterConfig(True, True, False), deps)
     assert report.pattern_n == 4
     assert report.pkr == pytest.approx(0.75)
     assert report.label_n == 0
@@ -282,23 +283,36 @@ def test_run_pipeline_pkr_formula(provider, lexicon):
 def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
     cand = make_candidate(provider, "The affordable lobster deal is unbeatable.", pattern=None, uid="novt")
-    survivors, report = run_pipeline([cand], FilterConfig(), deps)
-    assert [c.uid for c in survivors] == ["novt"]
-    assert survivors[0].verdicts["symbolic"].status == "skipped"
+    survivors, report, (row,) = run_pipeline([cand], FilterConfig(), deps)
+    assert survivors == [cand]
+    assert row.verdicts["symbolic"].status == "skipped"
     assert report.pattern_n == 0 and report.pkr is None
     assert report.label_n == 1
 
 
 def test_run_pipeline_audit_log(provider, lexicon):
-    audited = []
-    deps, _ = deps_for(provider, lexicon, audit=audited.append)
-    survivors, _ = run_pipeline(batch(provider), FilterConfig(), deps)
-    assert len(audited) == 4
-    by_uid = {c.uid: c for c in audited}
+    deps, _ = deps_for(provider, lexicon)
+    cands = batch(provider)
+    survivors, _, rows = run_pipeline(cands, FilterConfig(), deps)
+    assert [row.candidate for row in rows] == cands
+    by_uid = {row.candidate.uid: row for row in rows}
     assert by_uid["refused"].verdicts["heuristic"].reason == "refusal"
     assert by_uid["keep"].discriminator_label == "price"
     assert by_uid["pattern-lost"].verdicts["discriminator"].status == "pending"
-    assert survivors == [by_uid["keep"]]
+    assert survivors == [row.candidate for row in rows if row.survived] == [by_uid["keep"].candidate]
+
+
+def test_run_pipeline_disabled_stage_reads_skipped_after_a_failure(provider, lexicon):
+    deps, _ = deps_for(provider, lexicon)
+    refused = [make_candidate(provider, "cannot generate counterfactual", uid="refused")]
+    pending, disabled = StageVerdict("pending"), StageVerdict("skipped", "stage disabled")
+    for flags, later in (((True, True, True), (pending, pending)),
+                         ((True, True, False), (pending, disabled)),
+                         ((True, False, True), (disabled, pending)),
+                         ((True, False, False), (disabled, disabled))):
+        _, _, (row,) = run_pipeline(refused, FilterConfig(*flags), deps)
+        want = (StageVerdict("failed", "refusal"), *later)
+        assert list(row.verdicts.items()) == list(zip(STAGES, want)), flags
 
 
 def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
@@ -306,7 +320,7 @@ def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
     gw = Gateway(backend=backend, model="m")
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS)
     cands = [make_candidate(provider, "The affordable lobster deal is unbeatable.", uid="x")]
-    survivors, report = run_pipeline(cands, FilterConfig(), deps)
+    survivors, report, _ = run_pipeline(cands, FilterConfig(), deps)
     assert survivors == []
     assert report.label_n == 0
 
@@ -322,7 +336,7 @@ def test_stage_monotonicity_on_fixed_batch(provider, lexicon):
     ]
     survivor_sets = []
     for cfg in nested:
-        survivors, _ = run_pipeline(cands, cfg, deps)
+        survivors, _, _ = run_pipeline(cands, cfg, deps)
         survivor_sets.append({c.uid for c in survivors})
     for bigger, smaller in zip(survivor_sets, survivor_sets[1:]):
         assert smaller <= bigger
@@ -337,16 +351,16 @@ def test_filter_config_arms():
 
 
 def test_audit_record_shape(provider, lexicon):
-    audited = []
-    deps, _ = deps_for(provider, lexicon, audit=audited.append)
-    run_pipeline(batch(provider), FilterConfig(), deps)
-    for rec in map(candidate_to_record, audited):
-        assert set(rec) == {
-            "discriminator_label", "finish_reason", "generated_text", "matched_phrase",
-            "original_id", "original_label", "original_text", "pattern", "target_label", "uid",
-            "used_phrase", "verdicts",
+    deps, _ = deps_for(provider, lexicon)
+    _, _, rows = run_pipeline(batch(provider), FilterConfig(), deps)
+    for row in rows:
+        rec, made = row.record(), candidate_to_record(row.candidate)
+        assert set(made) == {
+            "finish_reason", "generated_text", "matched_phrase", "original_id", "original_label",
+            "original_text", "pattern", "target_label", "uid", "used_phrase",
         }
-        assert rec["original_id"] == audited[0].task.original.id
+        assert rec == {**made, "discriminator_label": row.discriminator_label, "verdicts": rec["verdicts"]}
+        assert rec["original_id"] == row.candidate.task.original.id
         assert rec["original_text"] == "The staff was rude."
         assert rec["pattern"] == "(cheap)+*+NOUN"
         assert list(rec["verdicts"]) == list(STAGES)

@@ -12,7 +12,6 @@ from patvar.generation import (
     LabelMismatch,
     NoValidPhrases,
     ResponseFormatError,
-    StageVerdict,
     build_task,
     candidate_to_record,
     candidates_from_records,
@@ -229,7 +228,6 @@ def test_generate_counterfactual_detects_used_phrase(price_task):
     cand = generate_counterfactual(price_task, phrases, gw)
     assert cand.generated_text == reply
     assert cand.used_phrase == "affordable lobster"
-    assert all(v.status == "pending" for v in cand.verdicts.values())
 
 
 def test_generate_counterfactual_refusal_still_yields_candidate(price_task):
@@ -254,26 +252,17 @@ def test_generate_without_vt(provider):
         generate_without_vt(original, "service", "service", gw)
 
 
-def test_candidate_verdict_ordering_invariant(provider):
-    task = GenerationTask(provider.annotate("x y z."), "a", "b")
-    with pytest.raises(ValueError):
-        CounterfactualCandidate(
-            uid="u", task=task, generated_text="t", used_phrase=None,
-            verdicts={"heuristic": StageVerdict("failed", "r"), "symbolic": StageVerdict("passed")},
-        )
-
-
 def test_candidates_from_records_names_the_line(price_task):
-    pool = {price_task.original.id: price_task.original}
-    cand = CounterfactualCandidate("u0", price_task, "text", None, "length",
-                                   {"heuristic": StageVerdict("failed", "refusal")}, "price")
+    pool = {price_task.original.id: LabeledExample(price_task.original, price_task.original_label)}
+    cand = CounterfactualCandidate("u0", price_task, "text", None, "length")
     good = candidate_to_record(cand)
     (back,) = candidates_from_records([(1, good)], pool)
     assert back == cand and back.task.original is price_task.original
+    # The verdicts of a survivors or audit line are not the candidate's.
+    judged = {**good, "discriminator_label": 5, "verdicts": {"lexical": ["failed"]}}
+    assert candidates_from_records([(1, judged)], pool) == [cand]
     for key, value in (("original_id", "r99999"), ("original_text", "They have lobster"),
-                       ("verdicts", {"heuristic": ["failed", "refusal"]}),
-                       ("verdicts", {"heuristic": {"status": "failed", "reason": 5}}),
-                       ("verdicts", {"lexical": {"status": "failed", "reason": ""}})):
+                       ("original_label", "environment")):
         with pytest.raises(ParseError, match="line 3"):
             candidates_from_records(enumerate([good, good, {**good, key: value}], 1), pool)
 

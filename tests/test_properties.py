@@ -28,10 +28,13 @@ from hypothesis import strategies as st
 from patvar import patterns
 from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token, tokenize
 from patvar.filtering import (
+    STAGES,
     DiscriminatorVerdict,
     FilterConfig,
     FilterDeps,
+    FilterRow,
     MetricFlags,
+    StageVerdict,
     compute_metrics,
     judge,
     run_pipeline,
@@ -39,12 +42,7 @@ from patvar.filtering import (
 )
 from patvar.fixtures import ENTITY_PHRASES, FixtureAnnotationProvider
 from patvar.gateway import ROLES, ChatMessage, CompletionRequest, Gateway, MockBackend, cache_key
-from patvar.generation import (
-    STAGES,
-    CounterfactualCandidate,
-    GenerationTask,
-    StageVerdict,
-)
+from patvar.generation import CounterfactualCandidate, GenerationTask
 from patvar.patterns import (
     WILDCARD,
     EntityAtom,
@@ -515,11 +513,9 @@ candidate_batches = st.lists(
 )
 
 
-@PROPERTY_SETTINGS
-@given(batch=candidate_batches)
-def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
+def filter_candidates(batch):
     original = ANNOTATOR.annotate("The staff was rude.")
-    candidates = [
+    return [
         CounterfactualCandidate(
             uid=f"c{i}",
             task=GenerationTask(original, orig, target, parse_pattern(pattern) if pattern else None,
@@ -528,93 +524,60 @@ def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
         )
         for i, ((orig, target), pattern, text, finish) in enumerate(batch)
     ]
+
+
+@PROPERTY_SETTINGS
+@given(batch=candidate_batches)
+def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
+    candidates = filter_candidates(batch)
     deps = filter_deps(lexicon)
     by_arm = survivors_by_arm(candidates, deps)
     assert list(by_arm) == list(FilterConfig.ARMS)
     for arm, flags in FilterConfig.ARMS.items():
-        want, _ = run_pipeline(candidates, FilterConfig(*flags), deps)
+        want, _, _ = run_pipeline(candidates, FilterConfig(*flags), deps)
         assert [c.uid for c in by_arm[arm]] == [c.uid for c in want], arm
 
 
-def with_verdict(c, stage, verdict, **extra):
-    return dataclasses.replace(c, verdicts={**c.verdicts, stage: verdict}, **extra)
-
-
 def reference_pipeline(candidates, cfg, deps):
-    """`run_pipeline` as it was, from fresh verdicts: a new candidate after
-    every stage, so each intermediate verdict state passes
-    `CounterfactualCandidate`'s check."""
+    """`run_pipeline` spelled out: judge a candidate's enabled stages up to
+    its first failure, then fill in each disabled stage as skipped and each
+    enabled stage left unjudged as pending."""
     enabled = cfg.enabled_stages()
-    processed, flags = [], []
+    rows, flags = [], []
     for cand in candidates:
-        cur = dataclasses.replace(cand, verdicts={}, discriminator_label=None)
-        pattern_kept = None
-        verdict_rec = None
-        alive = True
-        for stage in STAGES:
-            if stage not in enabled:
-                cur = with_verdict(cur, stage, StageVerdict("skipped", "stage disabled"))
-                continue
-            if not alive:
+        judged, label = {}, None
+        for stage in enabled:
+            judged[stage], assigned = judge(cand, stage, deps)
+            label = label if assigned is None else assigned
+            if judged[stage].status == "failed":
                 break
-            v, label = judge(cur, stage, deps)
-            if label is None:
-                cur = with_verdict(cur, stage, v)
-            else:
-                cur = with_verdict(cur, stage, v, discriminator_label=label)
-                verdict_rec = DiscriminatorVerdict(
-                    predicted=label, target=cur.task.target_label, original=cur.task.original_label
-                )
-            if stage == "symbolic" and v.status in ("passed", "failed"):
-                pattern_kept = v.status == "passed"
-            alive = v.status != "failed"
-        if not cur.is_pattern_constrained:
-            pattern_kept = None
-        processed.append(cur)
+        verdicts = {
+            stage: judged.get(stage, StageVerdict("pending")) if stage in enabled
+            else StageVerdict("skipped", "stage disabled")
+            for stage in STAGES
+        }
+        symbolic = judged.get("symbolic")
+        pattern_kept = None
+        if cand.task.pattern is not None and symbolic and symbolic.status in ("passed", "failed"):
+            pattern_kept = symbolic.status == "passed"
+        verdict_rec = None if label is None else DiscriminatorVerdict(
+            predicted=label, target=cand.task.target_label, original=cand.task.original_label
+        )
+        rows.append(FilterRow(cand, verdicts, label))
         flags.append(MetricFlags(pattern_kept=pattern_kept, verdict=verdict_rec))
-        if deps.audit_sink is not None:
-            deps.audit_sink(cur)
-    return [c for c in processed if not c.failed_any()], compute_metrics(flags)
-
-
-# Verdict triples a candidate may be read with: no stage passed after one failed.
-READ_VERDICTS = [
-    triple for triple in itertools.product(("pending", "passed", "failed", "skipped"), repeat=3)
-    if "failed" not in triple or "passed" not in triple[triple.index("failed"):]
-]
+    survivors = [row.candidate for row in rows
+                 if all(v.status != "failed" for v in row.verdicts.values())]
+    return survivors, compute_metrics(flags), rows
 
 
 @PROPERTY_SETTINGS
-@given(
-    batch=candidate_batches,
-    read=st.lists(st.tuples(st.sampled_from(READ_VERDICTS),
-                            st.sampled_from((None, *FILTER_LABELS))), min_size=8, max_size=8),
-)
-def test_run_pipeline_agrees_with_a_candidate_per_stage(lexicon, batch, read):
-    original = ANNOTATOR.annotate("The staff was rude.")
-    candidates = [
-        CounterfactualCandidate(
-            uid=f"c{i}",
-            task=GenerationTask(original, orig, target, parse_pattern(pattern) if pattern else None,
-                                "affordable lobster" if pattern else ""),
-            generated_text=text, used_phrase=None, finish_reason=finish,
-            verdicts={stage: StageVerdict(status, "read") for stage, status in zip(STAGES, statuses)},
-            discriminator_label=label,
-        )
-        for i, (((orig, target), pattern, text, finish), (statuses, label))
-        in enumerate(zip(batch, read))
-    ]
+@given(batch=candidate_batches)
+def test_run_pipeline_agrees_with_the_reference_pipeline(lexicon, batch):
+    candidates = filter_candidates(batch)
     deps = filter_deps(lexicon)
-
-    def outcome(pipeline, batch, cfg):
-        audit = []
-        deps.audit_sink = audit.append
-        return (*pipeline(batch, cfg, deps), audit)
-
     for flags in FilterConfig.ARMS.values():
         cfg = FilterConfig(*flags)
-        got = outcome(run_pipeline, candidates, cfg)
-        assert got == outcome(reference_pipeline, candidates, cfg), flags
+        assert run_pipeline(candidates, cfg, deps) == reference_pipeline(candidates, cfg, deps), flags
 
 
 # Pattern text: raw characters of the DSL, and runs of its tokens, which parse
