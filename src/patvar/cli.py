@@ -29,11 +29,10 @@ from .config import (
 )
 from .errors import ConfigError, PatvarError, in_file, read_jsonl
 from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pvalues
-from .filtering import FilterConfig, FilterDeps, run_pipeline, survivors_by_arm
+from .filtering import FilterConfig, FilterDeps, rows_from_audit, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
     JSON_LINE,
-    CounterfactualCandidate,
     NoPatternMatch,
     NoValidPhrases,
     build_task,
@@ -167,13 +166,16 @@ def _write_candidates(path, candidates) -> None:
     _write_lines(path, (JSON_LINE.encode(candidate_to_record(c)) for c in candidates))
 
 
-def _read_candidates(ctx: Context, path) -> list[CounterfactualCandidate]:
-    """The candidates of a candidates or survivors file, joined to the
-    dataset's pool by `original_id`; ConfigError naming the file and line for
-    a record that is not a candidate of this pool."""
+def _read_candidates(ctx: Context, name: str, writer: str, reader=candidates_from_records) -> list:
+    """The candidates of output `name`, a candidates or survivors file (an audit
+    file's rows with `rows_from_audit`), joined to the pool by `original_id`;
+    ConfigError naming the file if it is missing, or the line of a bad record."""
+    path = ctx.path(name)
+    if not os.path.exists(path):
+        raise ConfigError(f"{path} not found; run {writer} first")
     pool = {ex.sentence.id: ex for ex in ctx.dataset.examples}
     with in_file(path):
-        return candidates_from_records(read_jsonl(path), pool)
+        return reader(read_jsonl(path), pool)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +241,6 @@ def _load_patterns(ctx: Context) -> tuple[list[str], dict[str, list]]:
     return label_set, {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
-def _filter_deps(ctx: Context) -> FilterDeps:
-    label_set, _ = _load_patterns(ctx)
-    return FilterDeps(lex=ctx.lexicon, provider=ctx.provider, gateway=ctx.gateway,
-                      label_set=label_set)
-
-
 def cmd_gen(ctx: Context) -> int:
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
     dataset = ctx.dataset
@@ -288,31 +284,25 @@ def cmd_gen(ctx: Context) -> int:
 
 
 def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
-    path = ctx.path(f"candidates_{name}.jsonl")
-    if not os.path.exists(path):
-        return [], None
-    survivors, report, rows = run_pipeline(_read_candidates(ctx, path), ctx.cfg.filters, deps)
+    candidates = _read_candidates(ctx, f"candidates_{name}.jsonl", "`patvar gen`")
+    survivors, report, rows = run_pipeline(candidates, ctx.cfg.filters, deps)
     lines = [JSON_LINE.encode(row.record()) for row in rows]
     _write_lines(ctx.output(f"survivors_{name}.jsonl"),
                  (line for line, row in zip(lines, rows) if row.survived))
     _write_lines(ctx.output(f"audit_{name}.jsonl"), lines)
-    return survivors, report
+    print(f"filter kept {len(survivors)} of {len(rows)} {name} candidates: "
+          f"pkr={report.pkr} slfr={report.slfr} lfr={report.lfr}")
+    return report
 
 
 def cmd_filter(ctx: Context) -> int:
-    deps = _filter_deps(ctx)
+    deps = FilterDeps(label_set=_load_patterns(ctx)[0], lex=ctx.lexicon, provider=ctx.provider,
+                      gateway=ctx.gateway)
     quality = {"dataset": ctx.dataset_name}
-    vt_survivors, vt_report = _filter_candidates(ctx, "vt", deps)
-    if vt_report is not None:
-        quality["vt"] = dataclasses.asdict(vt_report)
-    novt_survivors, novt_report = _filter_candidates(ctx, "novt", deps)
-    if novt_report is not None:
-        quality["no_vt"] = dataclasses.asdict(novt_report)
+    for name, key in (("vt", "vt"), ("novt", "no_vt")):
+        if os.path.exists(ctx.path(f"candidates_{name}.jsonl")):
+            quality[key] = dataclasses.asdict(_filter_candidates(ctx, name, deps))
     _write_json(ctx.output("quality_report.json"), quality)
-    print(f"filter kept {len(vt_survivors)} pattern-kept survivors"
-          + (f" and {len(novt_survivors)} unconstrained" if novt_report else ""))
-    if vt_report is not None:
-        print(f"quality: pkr={vt_report.pkr} slfr={vt_report.slfr} lfr={vt_report.lfr}")
     return 0
 
 
@@ -331,11 +321,10 @@ def cmd_simulate(ctx: Context) -> int:
     cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
     augment_index = {}
     for condition, name in (("counterfactual", "vt"), ("cf_no_vt", "novt")):
-        path = ctx.path(f"survivors_{name}.jsonl")
         if condition in cfg.conditions:
-            if not os.path.exists(path):
-                raise ConfigError(f"{path} not found; run `patvar gen` and `patvar filter` first")
-            augment_index[condition] = _survivors_index(_read_candidates(ctx, path), provider)
+            survivors = _read_candidates(ctx, f"survivors_{name}.jsonl",
+                                         "`patvar gen` and `patvar filter`")
+            augment_index[condition] = _survivors_index(survivors, provider)
     results = run_simulation(
         dataset, list(cfg.conditions), ctx.schedule(), list(cfg.seeds),
         functools.partial(NaiveBayesClassifier, dataset.label_set), augment_index,
@@ -363,14 +352,11 @@ def cmd_ablate(ctx: Context) -> int:
 
     cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
     schedule = ctx.schedule()
-    deps = _filter_deps(ctx)
-    cand_path = ctx.path("candidates_vt.jsonl")
-    if not os.path.exists(cand_path):
-        raise ConfigError(f"{cand_path} not found; run `patvar gen` first")
-    candidates = _read_candidates(ctx, cand_path)
+    arms = survivors_by_arm(
+        _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit))
     features = LemmaIds()  # the arms share the pool, the holdout and most survivors
     per_arm: list[RunResult] = []
-    for arm, survivors in survivors_by_arm(candidates, deps).items():
+    for arm, survivors in arms.items():
         index = _survivors_index(survivors, provider)
         result = run_simulation(
             dataset, ["counterfactual"], schedule, list(cfg.seeds),

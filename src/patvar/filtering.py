@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
 from .gateway import BackendError, Gateway
-from .generation import CounterfactualCandidate, ResponseFormatError, candidate_to_record
+from .errors import ParseError
+from .generation import (
+    CounterfactualCandidate,
+    ResponseFormatError,
+    candidate_to_record,
+    candidates_from_records,
+)
 from .patterns import WildcardAtom, match_sentence, render_pattern
 from .prompts import DISCRIMINATOR_MAX_TOKENS, fill, load_template
 
@@ -57,9 +63,6 @@ class StageVerdict:
     def __post_init__(self):
         if self.status not in ("pending", "passed", "failed", "skipped"):
             raise ValueError(f"unknown verdict status {self.status!r}")
-
-
-PENDING = StageVerdict("pending")  # enabled, but an earlier stage failed the candidate
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,14 @@ def discriminator_filter(
 class FilterDeps:
     lex: SynonymLexicon
     provider: AnnotationProvider
-    gateway: Gateway | None = None
-    label_set: Sequence[str] = ()
+    gateway: Gateway
+    label_set: Sequence[str]
 
 
 class FilterRow(NamedTuple):
     """One candidate as `run_pipeline` judged it: a verdict per stage, in
     `STAGES` order, and the label the discriminator assigned (None when it
-    did not run or failed)."""
+    did not run or failed, or when an earlier stage failed the candidate)."""
 
     candidate: CounterfactualCandidate
     verdicts: dict[str, StageVerdict]
@@ -232,6 +235,14 @@ class FilterRow(NamedTuple):
     @property
     def survived(self) -> bool:
         return all(v.status != "failed" for v in self.verdicts.values())
+
+    def metric_flags(self) -> MetricFlags:
+        """What compute_metrics counts: a judged symbolic verdict, the assigned label."""
+        symbolic, task = self.verdicts["symbolic"].status, self.candidate.task
+        return MetricFlags(
+            pattern_kept=symbolic == "passed" if symbolic in ("passed", "failed") else None,
+            verdict=None if self.discriminator_label is None else DiscriminatorVerdict(
+                self.discriminator_label, task.target_label, task.original_label))
 
     def record(self) -> dict:
         """The row's line in a survivors or audit file: the candidate's
@@ -259,8 +270,6 @@ def judge(
             return symbolic_filter(c, deps.lex, deps.provider), None
         except Exception as exc:  # provider failures become verdicts
             return StageVerdict("failed", f"error: {exc}"), None
-    if deps.gateway is None or not deps.label_set:
-        raise ValueError("discriminator stage needs a gateway and label_set")
     try:
         verdict, dv = discriminator_filter(c, deps.label_set, deps.gateway)
     except (ResponseFormatError, BackendError) as exc:
@@ -276,59 +285,64 @@ def run_pipeline(
     """Apply the enabled stages in order; return the survivors, the batch
     metrics, and one row per candidate in input order.
 
-    A disabled stage reads skipped; an enabled stage after the candidate's
-    first failure is not run and reads pending. Per-candidate errors become
-    failed verdicts instead of aborting the batch. Skipped and pending stages
-    contribute nothing to any metric's population.
-    """
+    A disabled stage reads skipped. An enabled stage judges every candidate
+    that the heuristic stage did not fail, and reads pending after a
+    heuristic failure. Per-candidate errors become failed verdicts instead of
+    aborting the batch. The assigned label, and so each metric, counts a
+    verdict only where no earlier stage failed the candidate."""
     enabled = cfg.enabled_stages()
     rows: list[FilterRow] = []
-    flags: list[MetricFlags] = []
     for cand in candidates:
         verdicts: dict[str, StageVerdict] = {}
         assigned = None
-        pattern_kept: bool | None = None
-        alive = True
         for stage in STAGES:
             if stage not in enabled:
                 verdicts[stage] = StageVerdict("skipped", "stage disabled")
-                continue
-            if not alive:
-                verdicts[stage] = PENDING
-                continue
-            v, label = judge(cand, stage, deps)
-            verdicts[stage] = v
-            if label is not None:
-                assigned = label
-            # An unconstrained candidate's symbolic verdict is always skipped.
-            if stage == "symbolic" and v.status in ("passed", "failed"):
-                pattern_kept = v.status == "passed"
-            alive = v.status != "failed"
+            elif stage != "heuristic" and verdicts["heuristic"].status == "failed":
+                verdicts[stage] = StageVerdict("pending")
+            else:
+                alive = all(v.status != "failed" for v in verdicts.values())
+                verdicts[stage], label = judge(cand, stage, deps)
+                if alive and label is not None:
+                    assigned = label
         rows.append(FilterRow(cand, verdicts, assigned))
-        verdict_rec = None if assigned is None else DiscriminatorVerdict(
-            predicted=assigned, target=cand.task.target_label, original=cand.task.original_label
-        )
-        flags.append(MetricFlags(pattern_kept=pattern_kept, verdict=verdict_rec))
     survivors = [row.candidate for row in rows if row.survived]
-    return survivors, compute_metrics(flags), rows
+    return survivors, compute_metrics(row.metric_flags() for row in rows), rows
 
 
-def survivors_by_arm(
-    candidates: Sequence[CounterfactualCandidate], deps: FilterDeps
-) -> dict[str, list[CounterfactualCandidate]]:
-    """The survivors of each arm of `FilterConfig.ARMS`, in input order, as
-    `run_pipeline` would keep them, with each stage judged once per candidate.
-
-    No stage reads another's verdict, so an arm keeps the candidates that no
-    stage of that arm failed. Every arm that runs a later stage runs the
-    heuristic one too, so the later stages judge only the heuristic's passers.
-    """
-    failed: list[set[str]] = []  # per candidate, the stages that failed it
-    for c in candidates:
-        if judge(c, "heuristic", deps)[0].status == "failed":
-            failed.append({"heuristic"})
-        else:
-            failed.append({s for s in STAGES[1:] if judge(c, s, deps)[0].status == "failed"})
+def survivors_by_arm(rows: Sequence[FilterRow]) -> dict[str, list[CounterfactualCandidate]]:
+    """The survivors of each arm of `FilterConfig.ARMS`, in input order, read
+    off the rows of an all-stage `run_pipeline`: as no stage reads another's
+    verdict, an arm keeps the candidates that no stage of it failed. Only a
+    heuristic failure leaves a stage pending, and every arm that runs a
+    later stage runs the heuristic one."""
     arms = {arm: FilterConfig(*flags).enabled_stages() for arm, flags in FilterConfig.ARMS.items()}
-    return {arm: [c for c, bad in zip(candidates, failed) if bad.isdisjoint(stages)]
+    return {arm: [row.candidate for row in rows
+                  if all(row.verdicts[stage].status != "failed" for stage in stages)]
             for arm, stages in arms.items()}
+
+
+def rows_from_audit(records: Sequence[tuple[int, object]], examples: Mapping) -> list[FilterRow]:
+    """The inverse of `FilterRow.record()` for the (line number, record) pairs
+    of an audit file, given the pool examples by id. ParseError names the line
+    of a record `candidates_from_records` rejects, with malformed verdicts or
+    label, or whose heuristic passer has a stage neither passed nor failed
+    (from an older `filter`, or a `filters:` config that disabled a stage)."""
+    rows = []
+    for (lineno, record), cand in zip(records, candidates_from_records(records, examples)):
+        raw, label = record.get("verdicts"), record.get("discriminator_label")
+        try:
+            verdicts = {s: StageVerdict(raw[s]["status"], raw[s]["reason"]) for s in STAGES}
+            if set(raw) != set(STAGES) or not all(isinstance(v.reason, str) for v in verdicts.values()):
+                raise ValueError
+        except (TypeError, KeyError, ValueError):
+            raise ParseError(f"verdicts must be an object over the stages {', '.join(STAGES)}, "
+                             "each a known status with a string reason", line=lineno) from None
+        if "discriminator_label" not in record or not isinstance(label, (str, type(None))):
+            raise ParseError("discriminator_label must be a string or null", line=lineno)
+        unjudged = [s for s, v in verdicts.items() if v.status not in ("passed", "failed")]
+        if unjudged and verdicts["heuristic"].status != "failed":
+            raise ParseError(f"the {unjudged[0]} stage reads {verdicts[unjudged[0]].status!r}; "
+                             "run `patvar filter` again with every stage enabled", line=lineno)
+        rows.append(FilterRow(cand, verdicts, label))
+    return rows

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import patvar
-from patvar import filtering, gateway
+from patvar import cli, filtering, gateway
 from patvar.annotation import sentence_to_record
 from patvar.cli import main
 from patvar.config import (
@@ -569,11 +569,15 @@ def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monk
     assert set(opened) == after
 
 
-def test_cli_ablate_judges_each_candidate_once_per_stage(pipeline_dir, tmp_path, monkeypatch):
+STAGE_FUNCTIONS = ("heuristic_filter", "symbolic_filter", "discriminator_filter")
+
+
+def test_cli_filter_judges_each_stage_at_most_once_per_candidate(pipeline_dir, tmp_path,
+                                                                 monkeypatch):
     source, config = pipeline_dir
     out, cache = copy_pipeline(source, tmp_path)
     calls = {}  # stage function -> candidate uid -> calls
-    for name in ("heuristic_filter", "symbolic_filter", "discriminator_filter"):
+    for name in STAGE_FUNCTIONS:
         counts = calls[name] = collections.Counter()
 
         def counting(c, *args, _stage=getattr(filtering, name), _counts=counts):
@@ -581,18 +585,34 @@ def test_cli_ablate_judges_each_candidate_once_per_stage(pipeline_dir, tmp_path,
             return _stage(c, *args)
 
         monkeypatch.setattr(filtering, name, counting)
+    assert main(["filter", "--config", str(config), "--out", str(out),
+                 "--cache-dir", str(cache)]) == 0
+    uids = [json.loads(line)["uid"] for name in ("vt", "novt")
+            for line in (out / f"candidates_{name}.jsonl").read_text().splitlines()]
+    assert calls["heuristic_filter"] == collections.Counter(uids)
+    for name in STAGE_FUNCTIONS[1:]:
+        assert calls[name] and max(calls[name].values()) == 1, name
+
+
+def test_cli_ablate_judges_nothing_and_builds_no_gateway(pipeline_dir, tmp_path, monkeypatch):
+    source, config = pipeline_dir
+    out, cache = copy_pipeline(source, tmp_path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ablate judged a candidate or built a gateway")
+
+    for name in (*STAGE_FUNCTIONS, "judge"):
+        monkeypatch.setattr(filtering, name, forbidden)
+    monkeypatch.setattr(cli, "build_gateway", forbidden)
+    before = sorted(os.listdir(cache))
     assert main(["ablate", "--config", str(config), "--out", str(out),
                  "--cache-dir", str(cache)]) == 0
-    uids = [json.loads(line)["uid"]
-            for line in (out / "candidates_vt.jsonl").read_text().splitlines()]
-    assert calls["heuristic_filter"] == collections.Counter(uids)
-    for name in ("symbolic_filter", "discriminator_filter"):
-        assert calls[name] and max(calls[name].values()) == 1, name
+    assert sorted(os.listdir(cache)) == before
 
 
 def test_cli_ablate_arms(tmp_path):
     config = write_config(tmp_path, shots=[5, 10], seeds=[0, 1])
-    for command in ("synth", "gen", "ablate"):
+    for command in ("synth", "gen", "filter", "ablate"):
         assert main([command, "--config", str(config)]) == 0
     with open(tmp_path / "out" / "ablation_summary.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -627,7 +647,7 @@ def test_cli_gen_rejects_single_label(tmp_path, capsys):
     assert "need at least two labels" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["filter", "ablate"])
+@pytest.mark.parametrize("command", ["filter"])
 def test_cli_rejects_empty_label_set(tmp_path, capsys, command):
     config = write_config(tmp_path, seeds=[0])
     (tmp_path / "out").mkdir()
@@ -743,15 +763,56 @@ def malformed_candidate(config, kind):
                                   "unknown_original_id", "original_text_differs",
                                   "original_label_differs"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
+    """`filter` reads the candidates file, `ablate` the audit file."""
     config = write_config(tmp_path, seeds=[0])
     write_two_label_patterns(tmp_path)
-    good = malformed_candidate(config, "good")
-    lines = [json.dumps(good), json.dumps(malformed_candidate(config, kind))]
-    (tmp_path / "out" / "candidates_vt.jsonl").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
+    name, judged = "candidates_vt.jsonl", {}
+    if command == "ablate":
+        name, judged = "audit_vt.jsonl", audit_fields()
+    records = [malformed_candidate(config, "good"), malformed_candidate(config, kind)]
+    (tmp_path / "out" / name).write_text(
+        "".join(json.dumps({**record, **judged}) + "\n" for record in records), encoding="utf-8"
     )
     assert main([command, "--config", str(config)]) == 2
-    assert "candidates_vt.jsonl line 2" in capsys.readouterr().err
+    assert f"{name} line 2" in capsys.readouterr().err
+
+
+def audit_fields():
+    """The fields `filter` adds to a candidate's record in the audit file."""
+    return {"discriminator_label": "service",
+            "verdicts": {stage: {"status": "passed", "reason": ""} for stage in STAGES}}
+
+
+def test_cli_ablate_needs_the_audit(tmp_path, capsys):
+    config = write_config(tmp_path, seeds=[0])
+    assert main(["ablate", "--config", str(config)]) == 2
+    assert "audit_vt.jsonl not found; run `patvar filter` first" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["verdicts_not_object", "stage_missing", "unknown_status",
+                                  "reason_missing", "reason_not_string", "label_missing",
+                                  "label_not_string"])
+def test_cli_ablate_rejects_malformed_verdicts(tmp_path, capsys, kind):
+    config = write_config(tmp_path, seeds=[0])
+    good = {**malformed_candidate(config, "good"), **audit_fields()}
+    verdicts = good["verdicts"]
+    bad = {
+        "verdicts_not_object": {**good, "verdicts": ["passed", "passed", "passed"]},
+        "stage_missing": {**good, "verdicts": {s: verdicts[s] for s in STAGES[:2]}},
+        "unknown_status": {**good, "verdicts": {**verdicts, "symbolic": {"status": "kept",
+                                                                         "reason": ""}}},
+        "reason_missing": {**good, "verdicts": {**verdicts, "heuristic": {"status": "passed"}}},
+        "reason_not_string": {**good, "verdicts": {**verdicts, "heuristic": {"status": "passed",
+                                                                             "reason": None}}},
+        "label_missing": {k: v for k, v in good.items() if k != "discriminator_label"},
+        "label_not_string": {**good, "discriminator_label": 5},
+    }[kind]
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "audit_vt.jsonl").write_text(
+        json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8"
+    )
+    assert main(["ablate", "--config", str(config)]) == 2
+    assert "audit_vt.jsonl line 2" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -788,8 +849,9 @@ CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "ta
 SURVIVOR_FIELDS = ("original_id", "original_text", "generated_text", "target_label")
 # artifact -> (the commands that read it, the fields their reader needs in each record)
 ARTIFACT_READERS = {
-    "patterns.json": (("gen", "filter", "ablate"), ("label_set", "patterns")),
-    "candidates_vt.jsonl": (("filter", "ablate"), CANDIDATE_FIELDS),
+    "patterns.json": (("gen", "filter"), ("label_set", "patterns")),
+    "candidates_vt.jsonl": (("filter",), CANDIDATE_FIELDS),
+    "audit_vt.jsonl": (("ablate",), (*CANDIDATE_FIELDS, "verdicts", "discriminator_label")),
     "candidates_novt.jsonl": (("filter",), CANDIDATE_FIELDS),
     "survivors_vt.jsonl": (("simulate",), SURVIVOR_FIELDS),
     "survivors_novt.jsonl": (("simulate",), SURVIVOR_FIELDS),
@@ -877,6 +939,38 @@ def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path
                      "--cache-dir", str(source / "cache")]) == 0
     for name in ("survivors_vt.jsonl", "audit_vt.jsonl", "survivors_novt.jsonl", "audit_novt.jsonl"):
         assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("filters", [None, {"heuristic": False}, {"symbolic": False},
+                                     {"discriminator": False}],
+                         ids=["older_filter", "no_heuristic", "no_symbolic", "no_discriminator"])
+def test_cli_ablate_rejects_an_audit_with_unjudged_stages(tiny_walkthrough, tmp_path, capsys,
+                                                          filters):
+    """An audit whose heuristic passer has a stage that is neither passed nor
+    failed, from a `filter` that stopped at a candidate's first failure or
+    from a `filters:` config that disabled a stage, exits 2 in `ablate`."""
+    source, _ = tiny_walkthrough
+    shutil.copy(source / "data.csv", tmp_path / "data.csv")
+    out, _ = copy_pipeline(source, tmp_path)
+    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0],
+                          **({"filters": filters} if filters else {}))
+    audit = out / "audit_vt.jsonl"
+    if filters:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["filter", "--config", str(config)]) == 0
+    else:  # a symbolic failure as a filter that stopped at the first failure wrote it
+        records = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+        records[2]["discriminator_label"] = None
+        records[2]["verdicts"].update(symbolic={"status": "failed", "reason": "no match"},
+                                      discriminator={"status": "pending", "reason": ""})
+        audit.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    verdicts = [json.loads(line)["verdicts"]
+                for line in audit.read_text(encoding="utf-8").splitlines()]
+    first = next(i for i, v in enumerate(verdicts, 1) if v["heuristic"]["status"] != "failed"
+                 and any(v[stage]["status"] not in ("passed", "failed") for stage in STAGES))
+    assert main(["ablate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"audit_vt.jsonl line {first}: " in err and "every stage enabled" in err
 
 
 def test_cli_audit_line_is_its_candidate_line_plus_the_verdicts(tiny_walkthrough):

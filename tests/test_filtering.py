@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from patvar.filtering import (
     compute_metrics,
     discriminator_filter,
     heuristic_filter,
+    rows_from_audit,
     run_pipeline,
     symbolic_filter,
 )
@@ -21,10 +23,12 @@ from patvar.gateway import CompletionResponse, Gateway, MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
+    JSON_LINE,
     ResponseFormatError,
     candidate_to_record,
 )
 from patvar.patterns import parse_pattern
+from patvar.synthesis import LabeledExample
 
 
 def make_candidate(provider, text, *, original="The staff was rude.", pattern="(cheap)+*+NOUN",
@@ -298,8 +302,23 @@ def test_run_pipeline_audit_log(provider, lexicon):
     by_uid = {row.candidate.uid: row for row in rows}
     assert by_uid["refused"].verdicts["heuristic"].reason == "refusal"
     assert by_uid["keep"].discriminator_label == "price"
-    assert by_uid["pattern-lost"].verdicts["discriminator"].status == "pending"
+    # Only a heuristic failure leaves the later stages pending.
+    assert [v.status for v in by_uid["refused"].verdicts.values()] == ["failed", "pending", "pending"]
+    lost = by_uid["pattern-lost"]
+    assert lost.verdicts["symbolic"].status == "failed"
+    assert lost.verdicts["discriminator"].status in ("passed", "failed")
+    # A label counts for the metrics only where no earlier stage failed.
+    assert lost.discriminator_label is None
     assert survivors == [row.candidate for row in rows if row.survived] == [by_uid["keep"].candidate]
+
+
+def test_rows_from_audit_inverts_record(provider, lexicon):
+    deps, _ = deps_for(provider, lexicon)
+    _, _, rows = run_pipeline(batch(provider), FilterConfig(), deps)
+    pool = {row.candidate.task.original.id: LabeledExample(row.candidate.task.original, "service")
+            for row in rows}
+    records = [(i, json.loads(JSON_LINE.encode(row.record()))) for i, row in enumerate(rows, 1)]
+    assert rows_from_audit(records, pool) == rows
 
 
 def test_run_pipeline_disabled_stage_reads_skipped_after_a_failure(provider, lexicon):

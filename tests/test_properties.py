@@ -10,10 +10,11 @@ scan are checked against a fresh provider and a scan of every span. The
 pieces under them are checked too: `atom_mask` read from a sentence's
 feature table against the per-token `atom_matches_token`, and `advance` on
 sentences packed into one integer against `advance` on each sentence alone.
-The filter arms that `survivors_by_arm` reads off one verdict table are
-checked against `run_pipeline` run once per arm, and `run_pipeline`, which
-builds each processed candidate once, against the loop that replaced the
-candidate after every stage.
+The filter arms that `survivors_by_arm` reads off the rows of one
+all-stage `run_pipeline` are checked against `run_pipeline` run once per arm
+and against `judged_survivors_by_arm`, which judges each stage once per
+candidate, and `run_pipeline` against `reference_pipeline`, which judges a
+candidate's enabled stages one `judge` call at a time.
 Pattern parsing is checked for clean errors and render round-trips, and the
 gateway's cache key for stability.
 """
@@ -526,12 +527,29 @@ def filter_candidates(batch):
     ]
 
 
+def judged_survivors_by_arm(candidates, deps):
+    """The survivors of each arm of `FilterConfig.ARMS`, judging the
+    heuristic stage on every candidate and the two later stages on every
+    heuristic passer: an arm keeps the candidates no stage of it failed."""
+    failed = []  # per candidate, the stages that failed it
+    for c in candidates:
+        if judge(c, "heuristic", deps)[0].status == "failed":
+            failed.append({"heuristic"})
+        else:
+            failed.append({s for s in STAGES[1:] if judge(c, s, deps)[0].status == "failed"})
+    arms = {arm: FilterConfig(*flags).enabled_stages() for arm, flags in FilterConfig.ARMS.items()}
+    return {arm: [c for c, bad in zip(candidates, failed) if bad.isdisjoint(stages)]
+            for arm, stages in arms.items()}
+
+
 @PROPERTY_SETTINGS
 @given(batch=candidate_batches)
 def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
     candidates = filter_candidates(batch)
     deps = filter_deps(lexicon)
-    by_arm = survivors_by_arm(candidates, deps)
+    _, _, rows = run_pipeline(candidates, FilterConfig(), deps)
+    by_arm = survivors_by_arm(rows)
+    assert by_arm == judged_survivors_by_arm(candidates, deps)
     assert list(by_arm) == list(FilterConfig.ARMS)
     for arm, flags in FilterConfig.ARMS.items():
         want, _, _ = run_pipeline(candidates, FilterConfig(*flags), deps)
@@ -539,17 +557,20 @@ def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
 
 
 def reference_pipeline(candidates, cfg, deps):
-    """`run_pipeline` spelled out: judge a candidate's enabled stages up to
-    its first failure, then fill in each disabled stage as skipped and each
-    enabled stage left unjudged as pending."""
+    """`run_pipeline` spelled out: judge a candidate's enabled stages, all of
+    them unless the heuristic stage fails it, then fill in each disabled
+    stage as skipped and each enabled stage left unjudged as pending. The
+    discriminator's label counts only when no earlier stage failed."""
     enabled = cfg.enabled_stages()
     rows, flags = [], []
     for cand in candidates:
         judged, label = {}, None
         for stage in enabled:
+            earlier_failed = any(v.status == "failed" for v in judged.values())
             judged[stage], assigned = judge(cand, stage, deps)
-            label = label if assigned is None else assigned
-            if judged[stage].status == "failed":
+            if not earlier_failed:
+                label = label if assigned is None else assigned
+            if stage == "heuristic" and judged[stage].status == "failed":
                 break
         verdicts = {
             stage: judged.get(stage, StageVerdict("pending")) if stage in enabled
