@@ -29,7 +29,7 @@ from .config import (
 )
 from .errors import ConfigError, PatvarError, in_file, read_jsonl
 from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pvalues
-from .filtering import FilterConfig, FilterDeps, rows_from_audit, run_pipeline, survivors_by_arm
+from .filtering import FilterDeps, rows_from_audit, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
     JSON_LINE,
@@ -285,7 +285,7 @@ def cmd_gen(ctx: Context) -> int:
 
 def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
     candidates = _read_candidates(ctx, f"candidates_{name}.jsonl", "`patvar gen`")
-    survivors, report, rows = run_pipeline(candidates, ctx.cfg.filters, deps)
+    survivors, report, rows = run_pipeline(candidates, deps)
     lines = [JSON_LINE.encode(row.record()) for row in rows]
     _write_lines(ctx.output(f"survivors_{name}.jsonl"),
                  (line for line, row in zip(lines, rows) if row.survived))
@@ -348,30 +348,25 @@ def cmd_simulate(ctx: Context) -> int:
 
 
 def cmd_ablate(ctx: Context) -> int:
-    from .learning import LemmaIds, NaiveBayesClassifier, run_simulation
+    from .learning import NaiveBayesClassifier, run_simulation
 
     cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
     schedule = ctx.schedule()
     arms = survivors_by_arm(
         _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit))
-    features = LemmaIds()  # the arms share the pool, the holdout and most survivors
-    per_arm: list[RunResult] = []
-    for arm, survivors in arms.items():
-        index = _survivors_index(survivors, provider)
-        result = run_simulation(
-            dataset, ["counterfactual"], schedule, list(cfg.seeds),
-            functools.partial(NaiveBayesClassifier, dataset.label_set),
-            {"counterfactual": index}, features=features,
-        )[0]
-        per_arm.append(dataclasses.replace(result, condition=arm))
-    finished = paired_pvalues(per_arm, "all")
+    results = run_simulation(
+        dataset, list(arms), schedule, list(cfg.seeds),
+        functools.partial(NaiveBayesClassifier, dataset.label_set),
+        {arm: _survivors_index(survivors, provider) for arm, survivors in arms.items()},
+    )
+    finished = paired_pvalues(results, "all")
     name = ctx.dataset_name
     write_results_csv(ctx.output("ablation_results.csv"), finished, name)
     summary_path = ctx.output("ablation_summary.csv")
     write_summary_csv(summary_path, finished, name)
     with open(ctx.output("ablation.md"), "w", encoding="utf-8") as fh:
         fh.write(render_f1_grid(f"Filter ablation ({name})", finished))
-    print(f"ablation over {len(FilterConfig.ARMS)} filter arms -> {summary_path}")
+    print(f"ablation over {len(arms)} filter arms -> {summary_path}")
     return 0
 
 

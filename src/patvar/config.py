@@ -25,7 +25,6 @@ from .annotation import (
 )
 from .errors import ConfigError, ParseError, PatvarError, in_file, read_jsonl, utf8_lines
 from .experiment import CONDITIONS, Dataset, ShotSchedule
-from .filtering import FilterConfig
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
 from .gateway import Gateway, HttpBackend, MockBackend
 from .generation import separate_multilabel
@@ -91,7 +90,6 @@ class ExperimentConfig:
     annotations: str | None = None
     lexicon: str | None = None
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
-    filters: FilterConfig = field(default_factory=FilterConfig)
     conditions: tuple[str, ...] = ("random", "counterfactual")
     shots: tuple[int, ...] = (10, 15, 30, 50, 70, 90, 120)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7)
@@ -109,8 +107,13 @@ class ExperimentConfig:
                 object.__setattr__(self, key, normalize(getattr(self, key)))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {key}: {exc}") from None
-        if not self.seeds:
-            raise ConfigError("bad seeds: need at least one seed")
+        for key in ("conditions", "seeds"):
+            values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"bad {key}: need at least one {key[:-1]}")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"bad {key}: {repeated} listed more than once")
         bad = [c for c in self.conditions if c not in CONDITIONS]
         if bad:
             raise ConfigError(f"unknown conditions {bad}; valid: {list(CONDITIONS)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
 from .gateway import BackendError, Gateway
@@ -65,47 +65,15 @@ class StageVerdict:
             raise ValueError(f"unknown verdict status {self.status!r}")
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Which stages run; the field names are the `filters:` keys of the config."""
-
-    heuristic: bool = True
-    symbolic: bool = True
-    discriminator: bool = True
-
-    ARMS = {
-        "none": (False, False, False),
-        "heuristic": (True, False, False),
-        "heuristic+symbolic": (True, True, False),
-        "heuristic+discriminator": (True, False, True),
-        "all": (True, True, True),
-    }
-
-    def __post_init__(self):
-        for stage in STAGES:
-            object.__setattr__(self, stage, bool(getattr(self, stage)))
-
-    def enabled_stages(self) -> tuple[str, ...]:
-        return tuple(stage for stage in STAGES if getattr(self, stage))
-
-
-@dataclass(frozen=True)
-class DiscriminatorVerdict:
-    predicted: str  # label the discriminator assigned
-    target: str  # label the counterfactual aimed for
-    original: str  # label of the source example
-
-    def __post_init__(self):
-        if not (self.predicted and self.target and self.original):
-            raise ValueError("all three labels must be non-empty")
-
-
-@dataclass(frozen=True)
-class MetricFlags:
-    """Per-candidate inputs to compute_metrics."""
-
-    pattern_kept: bool | None = None
-    verdict: DiscriminatorVerdict | None = None
+# The stages of each ablation arm; every arm that runs a later stage runs
+# the heuristic one.
+ARMS = {
+    "none": (),
+    "heuristic": ("heuristic",),
+    "heuristic+symbolic": ("heuristic", "symbolic"),
+    "heuristic+discriminator": ("heuristic", "discriminator"),
+    "all": STAGES,
+}
 
 
 @dataclass(frozen=True)
@@ -121,16 +89,18 @@ class QualityReport:
     lfr: float | None
 
 
-def compute_metrics(flags: Iterable[MetricFlags]) -> QualityReport:
-    """PKR / SLFR / LFR over the candidates judged on each dimension."""
-    flags = list(flags)
-    pattern_judged = [f for f in flags if f.pattern_kept is not None]
-    label_judged = [f.verdict for f in flags if f.verdict is not None]
-    kept = sum(1 for f in pattern_judged if f.pattern_kept)
-    hard = sum(1 for v in label_judged if v.predicted == v.target)
-    soft = sum(1 for v in label_judged if v.predicted != v.original)
+def compute_metrics(rows: Sequence[FilterRow]) -> QualityReport:
+    """PKR / SLFR / LFR over the rows judged on each dimension: a symbolic
+    verdict that passed or failed, and an assigned discriminator label."""
+    pattern_judged = [r.verdicts["symbolic"].status for r in rows
+                      if r.verdicts["symbolic"].status in ("passed", "failed")]
+    label_judged = [(r.discriminator_label, r.candidate.task) for r in rows
+                    if r.discriminator_label is not None]
+    kept = pattern_judged.count("passed")
+    hard = sum(1 for label, task in label_judged if label == task.target_label)
+    soft = sum(1 for label, task in label_judged if label != task.original_label)
     return QualityReport(
-        n=len(flags),
+        n=len(rows),
         pattern_n=len(pattern_judged),
         pattern_kept=kept,
         label_n=len(label_judged),
@@ -190,8 +160,9 @@ def symbolic_filter(
 
 def discriminator_filter(
     c: CounterfactualCandidate, label_set: Sequence[str], gateway: Gateway
-) -> tuple[StageVerdict, DiscriminatorVerdict]:
-    """Ask the discriminator for one label; pass only if it hits the target."""
+) -> tuple[StageVerdict, str]:
+    """Ask the discriminator for one label; pass only if it hits the target.
+    Returns the verdict and the label the discriminator assigned."""
     slots = {"text": c.generated_text, "labels": ", ".join(label_set)}
     messages = fill(load_template("discriminator"), slots)
     resp = gateway.complete(gateway.request(messages, DISCRIMINATOR_MAX_TOKENS))
@@ -200,14 +171,11 @@ def discriminator_filter(
     if answer not in by_lower:
         raise ResponseFormatError(f"discriminator answered {resp.text!r}, not a known label")
     predicted = by_lower[answer]
-    verdict = DiscriminatorVerdict(
-        predicted=predicted, target=c.task.target_label, original=c.task.original_label
-    )
     if predicted == c.task.target_label:
-        return StageVerdict("passed"), verdict
+        return StageVerdict("passed"), predicted
     if predicted == c.task.original_label:
-        return StageVerdict("failed", "kept original label"), verdict
-    return StageVerdict("failed", f"missed target (got {predicted!r})"), verdict
+        return StageVerdict("failed", "kept original label"), predicted
+    return StageVerdict("failed", f"missed target (got {predicted!r})"), predicted
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +204,6 @@ class FilterRow(NamedTuple):
     def survived(self) -> bool:
         return all(v.status != "failed" for v in self.verdicts.values())
 
-    def metric_flags(self) -> MetricFlags:
-        """What compute_metrics counts: a judged symbolic verdict, the assigned label."""
-        symbolic, task = self.verdicts["symbolic"].status, self.candidate.task
-        return MetricFlags(
-            pattern_kept=symbolic == "passed" if symbolic in ("passed", "failed") else None,
-            verdict=None if self.discriminator_label is None else DiscriminatorVerdict(
-                self.discriminator_label, task.target_label, task.original_label))
-
     def record(self) -> dict:
         """The row's line in a survivors or audit file: the candidate's
         record plus its verdicts and assigned label."""
@@ -271,34 +231,28 @@ def judge(
         except Exception as exc:  # provider failures become verdicts
             return StageVerdict("failed", f"error: {exc}"), None
     try:
-        verdict, dv = discriminator_filter(c, deps.label_set, deps.gateway)
+        return discriminator_filter(c, deps.label_set, deps.gateway)
     except (ResponseFormatError, BackendError) as exc:
         return StageVerdict("failed", f"error: {exc}"), None
-    return verdict, dv.predicted
 
 
 def run_pipeline(
-    candidates: Sequence[CounterfactualCandidate],
-    cfg: FilterConfig,
-    deps: FilterDeps,
+    candidates: Sequence[CounterfactualCandidate], deps: FilterDeps
 ) -> tuple[list[CounterfactualCandidate], QualityReport, list[FilterRow]]:
-    """Apply the enabled stages in order; return the survivors, the batch
-    metrics, and one row per candidate in input order.
+    """Apply the stages in order; return the survivors, the batch metrics,
+    and one row per candidate in input order.
 
-    A disabled stage reads skipped. An enabled stage judges every candidate
-    that the heuristic stage did not fail, and reads pending after a
-    heuristic failure. Per-candidate errors become failed verdicts instead of
-    aborting the batch. The assigned label, and so each metric, counts a
-    verdict only where no earlier stage failed the candidate."""
-    enabled = cfg.enabled_stages()
+    Every stage judges every candidate that the heuristic stage did not
+    fail; after a heuristic failure the later stages read pending.
+    Per-candidate errors become failed verdicts instead of aborting the
+    batch. The assigned label, and so each metric, counts a verdict only
+    where no earlier stage failed the candidate."""
     rows: list[FilterRow] = []
     for cand in candidates:
         verdicts: dict[str, StageVerdict] = {}
         assigned = None
         for stage in STAGES:
-            if stage not in enabled:
-                verdicts[stage] = StageVerdict("skipped", "stage disabled")
-            elif stage != "heuristic" and verdicts["heuristic"].status == "failed":
+            if stage != "heuristic" and verdicts["heuristic"].status == "failed":
                 verdicts[stage] = StageVerdict("pending")
             else:
                 alive = all(v.status != "failed" for v in verdicts.values())
@@ -307,19 +261,18 @@ def run_pipeline(
                     assigned = label
         rows.append(FilterRow(cand, verdicts, assigned))
     survivors = [row.candidate for row in rows if row.survived]
-    return survivors, compute_metrics(row.metric_flags() for row in rows), rows
+    return survivors, compute_metrics(rows), rows
 
 
 def survivors_by_arm(rows: Sequence[FilterRow]) -> dict[str, list[CounterfactualCandidate]]:
-    """The survivors of each arm of `FilterConfig.ARMS`, in input order, read
-    off the rows of an all-stage `run_pipeline`: as no stage reads another's
-    verdict, an arm keeps the candidates that no stage of it failed. Only a
-    heuristic failure leaves a stage pending, and every arm that runs a
-    later stage runs the heuristic one."""
-    arms = {arm: FilterConfig(*flags).enabled_stages() for arm, flags in FilterConfig.ARMS.items()}
+    """The survivors of each arm of `ARMS`, in input order, read off the rows
+    of `run_pipeline`: as no stage reads another's verdict, an arm keeps the
+    candidates that no stage of it failed. Only a heuristic failure leaves a
+    stage pending, and every arm that runs a later stage runs the heuristic
+    one."""
     return {arm: [row.candidate for row in rows
                   if all(row.verdicts[stage].status != "failed" for stage in stages)]
-            for arm, stages in arms.items()}
+            for arm, stages in ARMS.items()}
 
 
 def rows_from_audit(records: Sequence[tuple[int, object]], examples: Mapping) -> list[FilterRow]:
@@ -327,7 +280,7 @@ def rows_from_audit(records: Sequence[tuple[int, object]], examples: Mapping) ->
     of an audit file, given the pool examples by id. ParseError names the line
     of a record `candidates_from_records` rejects, with malformed verdicts or
     label, or whose heuristic passer has a stage neither passed nor failed
-    (from an older `filter`, or a `filters:` config that disabled a stage)."""
+    (from an older `filter`)."""
     rows = []
     for (lineno, record), cand in zip(records, candidates_from_records(records, examples)):
         raw, label = record.get("verdicts"), record.get("discriminator_label")
@@ -343,6 +296,6 @@ def rows_from_audit(records: Sequence[tuple[int, object]], examples: Mapping) ->
         unjudged = [s for s, v in verdicts.items() if v.status not in ("passed", "failed")]
         if unjudged and verdicts["heuristic"].status != "failed":
             raise ParseError(f"the {unjudged[0]} stage reads {verdicts[unjudged[0]].status!r}; "
-                             "run `patvar filter` again with every stage enabled", line=lineno)
+                             "run `patvar filter` again", line=lineno)
         rows.append(FilterRow(cand, verdicts, label))
     return rows

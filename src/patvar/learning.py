@@ -26,11 +26,6 @@ from .synthesis import LabeledExample
 
 logger = logging.getLogger(__name__)
 
-# Conditions that draw their human-annotated base selection uniformly.
-RANDOM_BASE_CONDITIONS = ("random", "cf_no_vt", "counterfactual")
-# Conditions that add each selected example's counterfactuals to its training set.
-AUGMENTED_CONDITIONS = ("cf_no_vt", "counterfactual")
-
 TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
 # original example id -> [(generated sentence, target label), ...]
 SurvivorsIndex = Mapping[str, Sequence[TrainingItem]]
@@ -101,8 +96,7 @@ class LemmaIds:
 
     A sentence is featurized once, on first use, and remembered by identity:
     the instance keeps every sentence it has seen alive, so no other object
-    can take over its id. Scope one instance to one run, or to the runs of
-    one command over one dataset.
+    can take over its id. Scope one instance to one run.
     """
 
     def __init__(self, sentences: Iterable[AnnotatedSentence] = ()):
@@ -423,14 +417,15 @@ def _selection_order(
     features: LemmaIds,
 ) -> list[LabeledExample]:
     """The order in which the cell labels pool examples; shot k labels its
-    first `shots[k]` examples."""
+    first `shots[k]` examples. `cluster` and `uncertainty` pick their own
+    order; every other condition labels in random order."""
     pool = dataset.examples
-    if condition in RANDOM_BASE_CONDITIONS:
-        return select_random(pool, len(pool), seed)
     if condition == "cluster":
         k = min(len(dataset.label_set), len(pool))
         return select_cluster(pool, len(pool), k, seed, features.embedding)
-    return _uncertainty_order(pool, shots, seed, clf_factory, features)
+    if condition == "uncertainty":
+        return _uncertainty_order(pool, shots, seed, clf_factory, features)
+    return select_random(pool, len(pool), seed)
 
 
 def _uncertainty_order(
@@ -486,19 +481,18 @@ def run_simulation(
     seeds: Sequence[int],
     clf_factory: Callable[[LemmaIds], Classifier],
     augment_index: Mapping[str, SurvivorsIndex],
-    *,
-    features: LemmaIds | None = None,
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean, SD, and p-values.
 
-    `augment_index` maps an augmented condition to its survivors index; a
-    condition without one trains on the originals only. Every sentence of the
-    pool, the holdout and the survivors is featurized once, into `features`
-    (a new `LemmaIds` when None; pass one to share it between runs over the
-    same dataset), which `clf_factory(features)` hands to each fresh
-    classifier. Every cell scores all its shots with one `predict_nested`
-    over its selection order; an `uncertainty` cell first trains once per
-    shot but the last to grow that order.
+    A condition is a name in `CONDITIONS` or a key of `augment_index`, which
+    maps a condition to its survivors index; a condition trains on its
+    index's counterfactuals as well as its originals, and on the originals
+    only when it has none. Every sentence of the pool, the holdout and the
+    survivors is featurized once, into the run's `LemmaIds`, which
+    `clf_factory(features)` hands to each fresh classifier. Every cell scores
+    all its shots with one `predict_nested` over its selection order; an
+    `uncertainty` cell first trains once per shot but the last to grow that
+    order.
     A condition x seed cell that fails with a data error (`PatvarError`,
     `ValueError`) is recorded as missing rather than aborting the run; any
     other exception propagates. p-values compare each baseline against the
@@ -506,20 +500,19 @@ def run_simulation(
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    unknown = [c for c in conditions if c not in CONDITIONS]
+    unknown = [c for c in conditions if c not in CONDITIONS and c not in augment_index]
     if unknown:
         raise ValueError(f"unknown conditions {unknown}; know {list(CONDITIONS)}")
     schedule.validate_against(len(dataset.examples))
     holdout = tuple(ex.sentence for ex in dataset.holdout)
-    features = features if features is not None else LemmaIds()
-    features.rows(
+    features = LemmaIds(
         [ex.sentence for ex in dataset.examples] + list(holdout)
         + [sentence for index in augment_index.values()
            for items in index.values() for sentence, _ in items]
     )
     summaries = []
     for condition in conditions:
-        index = augment_index.get(condition, {}) if condition in AUGMENTED_CONDITIONS else {}
+        index = augment_index.get(condition, {})
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:

@@ -17,12 +17,13 @@ import yaml
 import patvar.cli as cli
 from patvar.experiment import RunResult
 from patvar.filtering import (
-    DiscriminatorVerdict,
-    FilterConfig,
+    ARMS,
     FilterDeps,
-    MetricFlags,
+    FilterRow,
+    StageVerdict,
     compute_metrics,
     run_pipeline,
+    survivors_by_arm,
 )
 from patvar.gateway import Gateway, MockBackend
 from patvar.generation import (
@@ -175,37 +176,46 @@ def test_criterion_03_running_example_synthesis(provider, lexicon):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_04_metric_exactness():
-    def dv(pred, target, orig):
-        return DiscriminatorVerdict(pred, target, orig)
+def test_criterion_04_metric_exactness(provider):
+    original = provider.annotate("The staff was rude.")
+
+    def row(pattern_kept, pred, target, orig):
+        """A judged row: the symbolic verdict passed, failed or (None) skipped,
+        and `pred` the label the discriminator assigned."""
+        cand = CounterfactualCandidate(uid="c", task=GenerationTask(original, orig, target),
+                                       generated_text="Some rewrite.", used_phrase=None)
+        symbolic = {True: "passed", False: "failed", None: "skipped"}[pattern_kept]
+        verdicts = {"heuristic": StageVerdict("passed"), "symbolic": StageVerdict(symbolic),
+                    "discriminator": StageVerdict("passed" if pred == target else "failed")}
+        return FilterRow(cand, verdicts, pred)
 
     batches = [
         # kept 3/4 patterns; all 4 hit their target
-        ([MetricFlags(True, dv("B", "B", "A")), MetricFlags(True, dv("B", "B", "A")),
-          MetricFlags(True, dv("B", "B", "A")), MetricFlags(False, dv("B", "B", "A"))],
+        ([row(True, "B", "B", "A"), row(True, "B", "B", "A"),
+          row(True, "B", "B", "A"), row(False, "B", "B", "A")],
          (0.75, 1.0, 1.0)),
         # kept 2/4 judged; hits 2/5; soft flips 4/5
-        ([MetricFlags(True, dv("B", "B", "A")), MetricFlags(False, dv("A", "B", "A")),
-          MetricFlags(None, dv("C", "B", "A")), MetricFlags(True, dv("B", "B", "A")),
-          MetricFlags(False, dv("C", "B", "A"))],
+        ([row(True, "B", "B", "A"), row(False, "A", "B", "A"),
+          row(None, "C", "B", "A"), row(True, "B", "B", "A"),
+          row(False, "C", "B", "A")],
          (0.5, 0.8, 0.4)),
         # kept 1/2; hits 0/2; soft flips 1/2
-        ([MetricFlags(True, dv("A", "C", "B")), MetricFlags(False, dv("B", "C", "B"))],
+        ([row(True, "A", "C", "B"), row(False, "B", "C", "B")],
          (0.5, 0.5, 0.0)),
     ]
     worst = 0.0
-    for flags, (pkr, slfr, lfr) in batches:
-        report = compute_metrics(flags)
+    for rows, (pkr, slfr, lfr) in batches:
+        report = compute_metrics(rows)
         worst = max(worst, abs(report.pkr - pkr), abs(report.slfr - slfr), abs(report.lfr - lfr))
     rng = random.Random(20240504)
     labels = ["a", "b", "c", "d"]
     violations = 0
     for _ in range(1000):
-        flags = []
+        rows = []
         for _ in range(rng.randint(1, 10)):
             orig, target = rng.sample(labels, 2)
-            flags.append(MetricFlags(None, dv(rng.choice(labels), target, orig)))
-        report = compute_metrics(flags)
+            rows.append(row(None, rng.choice(labels), target, orig))
+        report = compute_metrics(rows)
         if report.lfr > report.slfr:
             violations += 1
     check(4, worst <= 1e-9 and violations == 0,
@@ -234,10 +244,6 @@ def test_criterion_05_filter_monotonicity(provider, lexicon):
     labels = ["service", "price", "environment", "products"]
     gw = Gateway(backend=MockBackend(label_vocab=LABEL_VOCAB), model="m")
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=labels)
-    configs = [FilterConfig(*flags) for flags in
-               ((False, False, False), (True, False, False), (False, True, False),
-                (False, False, True), (True, True, False), (True, False, True),
-                (False, True, True), (True, True, True))]
     rng = random.Random(20240505)
     violations = 0
     for batch_no in range(200):
@@ -254,17 +260,15 @@ def test_criterion_05_filter_monotonicity(provider, lexicon):
                 uid=f"b{batch_no}c{i}", task=task,
                 generated_text=rng.choice(texts), used_phrase=None,
             ))
-        survivors_by_cfg = {}
-        for cfg in configs:
-            survivors, _, _ = run_pipeline(batch, cfg, deps)
-            survivors_by_cfg[cfg] = {c.uid for c in survivors}
-        for small in configs:
-            for big in configs:
-                if set(small.enabled_stages()) <= set(big.enabled_stages()):
-                    if not survivors_by_cfg[big] <= survivors_by_cfg[small]:
+        _, _, rows = run_pipeline(batch, deps)
+        survivors = {arm: {c.uid for c in kept} for arm, kept in survivors_by_arm(rows).items()}
+        for small in ARMS:
+            for big in ARMS:
+                if set(ARMS[small]) <= set(ARMS[big]):
+                    if not survivors[big] <= survivors[small]:
                         violations += 1
     check(5, violations == 0,
-          f"survivors(C2) subset of survivors(C1) for nested configs over 200 batches: "
+          f"survivors(C2) subset of survivors(C1) for nested arms over 200 batches: "
           f"{violations} violations")
 
 

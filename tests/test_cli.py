@@ -87,7 +87,7 @@ def test_config_loads_alike_with_and_without_libyaml(tmp_path, capsys):
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     texts = [readme.split("`exp.yaml`:\n\n```yaml\n", 1)[1].split("```", 1)[0]]
-    for overrides in ({}, {"dataset": {"holdout_fraction": 1 / 3}, "filters": {"symbolic": False}},
+    for overrides in ({}, {"dataset": {"holdout_fraction": 1 / 3}, "synthesis": {"beam_width": 3}},
                       {"backend": {"flaw_rate": 0.25, "label_vocab": {"caf\u00e9": ["cr\u00e8me"]}}}):
         texts.append(write_config(tmp_path, **overrides).read_text(encoding="utf-8"))
     for text in texts:
@@ -136,6 +136,10 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"shots": [15, 10]}, "shots"),
         ({"seeds": 3}, "seeds"),
         ({"seeds": []}, "seeds"),
+        ({"seeds": [0, 0, 1]}, "bad seeds: [0] listed more than once"),
+        ({"conditions": ["random", "random", "counterfactual"]},
+         "bad conditions: ['random'] listed more than once"),
+        ({"conditions": []}, "bad conditions: need at least one condition"),
         ({"synthesis": "beam"}, "synthesis"),
         ({"synthesis": {"beam_width": "x"}}, "synthesis"),
         ({"synthesis": {"min_precision": 2}}, "synthesis"),
@@ -143,7 +147,7 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"dataset": {"split_seed": [1]}}, "dataset"),
         ({"dataset": {"multi_label": True, "label_delimiter": 5}}, "dataset"),
         ({"backend": {"label_vocab": ["a"]}}, "backend"),
-        ({"filters": {"heuristic": "no"}}, "filters"),
+        ({"filters": {"heuristic": "no"}}, "unknown key(s) in config: ['filters']"),
     ]:
         config = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -372,7 +376,7 @@ def test_cli_outputs_and_manifest(tmp_path):
 
 def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexicon):
     tmp_path, config = pipeline_dir
-    from patvar.filtering import FilterConfig, FilterDeps, run_pipeline
+    from patvar.filtering import FilterDeps, run_pipeline
     from patvar.generation import candidates_from_records
 
     out = tmp_path / "out"
@@ -384,7 +388,7 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
                       label_set=list(LABEL_VOCAB))
     candidates = candidates_from_records(enumerate(records, 1), pool)
-    _, report, _ = run_pipeline(candidates, FilterConfig(), deps)
+    _, report, _ = run_pipeline(candidates, deps)
     gw.close()
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
@@ -941,36 +945,33 @@ def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path
         assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("filters", [None, {"heuristic": False}, {"symbolic": False},
-                                     {"discriminator": False}],
+@pytest.mark.parametrize("skipped", [None, "heuristic", "symbolic", "discriminator"],
                          ids=["older_filter", "no_heuristic", "no_symbolic", "no_discriminator"])
 def test_cli_ablate_rejects_an_audit_with_unjudged_stages(tiny_walkthrough, tmp_path, capsys,
-                                                          filters):
+                                                          skipped):
     """An audit whose heuristic passer has a stage that is neither passed nor
-    failed, from a `filter` that stopped at a candidate's first failure or
-    from a `filters:` config that disabled a stage, exits 2 in `ablate`."""
+    failed exits 2 in `ablate`: one from a `filter` that stopped at a
+    candidate's first failure, or from one whose config could disable a
+    stage, which it wrote as skipped."""
     source, _ = tiny_walkthrough
     shutil.copy(source / "data.csv", tmp_path / "data.csv")
     out, _ = copy_pipeline(source, tmp_path)
-    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0],
-                          **({"filters": filters} if filters else {}))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
     audit = out / "audit_vt.jsonl"
-    if filters:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["filter", "--config", str(config)]) == 0
+    records = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    if skipped:
+        records[2]["verdicts"][skipped] = {"status": "skipped", "reason": "stage disabled"}
     else:  # a symbolic failure as a filter that stopped at the first failure wrote it
-        records = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
         records[2]["discriminator_label"] = None
         records[2]["verdicts"].update(symbolic={"status": "failed", "reason": "no match"},
                                       discriminator={"status": "pending", "reason": ""})
-        audit.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    verdicts = [json.loads(line)["verdicts"]
-                for line in audit.read_text(encoding="utf-8").splitlines()]
+    audit.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    verdicts = [r["verdicts"] for r in records]
     first = next(i for i, v in enumerate(verdicts, 1) if v["heuristic"]["status"] != "failed"
                  and any(v[stage]["status"] not in ("passed", "failed") for stage in STAGES))
     assert main(["ablate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"audit_vt.jsonl line {first}: " in err and "every stage enabled" in err
+    assert f"audit_vt.jsonl line {first}: " in err and "run `patvar filter` again" in err
 
 
 def test_cli_audit_line_is_its_candidate_line_plus_the_verdicts(tiny_walkthrough):

@@ -5,11 +5,10 @@ import random
 import pytest
 
 from patvar.filtering import (
+    ARMS,
     STAGES,
-    DiscriminatorVerdict,
-    FilterConfig,
     FilterDeps,
-    MetricFlags,
+    FilterRow,
     QualityReport,
     StageVerdict,
     compute_metrics,
@@ -17,6 +16,7 @@ from patvar.filtering import (
     heuristic_filter,
     rows_from_audit,
     run_pipeline,
+    survivors_by_arm,
     symbolic_filter,
 )
 from patvar.gateway import CompletionResponse, Gateway, MockBackend
@@ -137,27 +137,27 @@ def test_symbolic_skips_unconstrained(provider, lexicon):
 def test_discriminator_hits_target(provider):
     gw, _ = label_gateway()
     cand = make_candidate(provider, "The affordable lobster deal is unbeatable.")
-    v, dv = discriminator_filter(cand, LABELS, gw)
+    v, label = discriminator_filter(cand, LABELS, gw)
     assert v.status == "passed"
-    assert dv == DiscriminatorVerdict("price", "price", "service")
+    assert label == "price"
 
 
 def test_discriminator_kept_original(provider):
     gw, _ = label_gateway()
     cand = make_candidate(provider, "The affordable staff was rude here.")
-    v, dv = discriminator_filter(cand, LABELS, gw)
+    v, label = discriminator_filter(cand, LABELS, gw)
     assert v.status == "failed"
     assert "kept original" in v.reason
-    assert dv.predicted == "service"
+    assert label == "service"
 
 
 def test_discriminator_missed_target_is_soft_flip(provider):
     gw, _ = label_gateway()
     cand = make_candidate(provider, "The tasty food impressed everyone.")
-    v, dv = discriminator_filter(cand, LABELS, gw)
+    v, label = discriminator_filter(cand, LABELS, gw)
     assert v.status == "failed"
-    assert dv.predicted == "products"
-    assert dv.predicted != dv.original
+    assert "missed target" in v.reason
+    assert label == "products"
 
 
 def test_discriminator_format_error(provider):
@@ -177,21 +177,31 @@ def test_discriminator_format_error(provider):
 # ---------------------------------------------------------------------------
 
 
-def test_compute_metrics_all_perfect():
-    flags = [MetricFlags(True, DiscriminatorVerdict("b", "b", "a")) for _ in range(5)]
-    report = compute_metrics(flags)
+def judged_row(provider, pattern_kept, predicted, target, original):
+    """A row as `compute_metrics` reads it: its symbolic verdict passed, failed
+    or (for None) skipped, and the label the discriminator assigned."""
+    cand = make_candidate(provider, "Some rewrite.", original_label=original, target_label=target)
+    symbolic = {True: "passed", False: "failed", None: "skipped"}[pattern_kept]
+    verdicts = {"heuristic": StageVerdict("passed"), "symbolic": StageVerdict(symbolic),
+                "discriminator": StageVerdict("passed" if predicted == target else "failed")}
+    return FilterRow(cand, verdicts, predicted)
+
+
+def test_compute_metrics_all_perfect(provider):
+    rows = [judged_row(provider, True, "b", "b", "a") for _ in range(5)]
+    report = compute_metrics(rows)
     assert (report.pkr, report.slfr, report.lfr) == (1.0, 1.0, 1.0)
 
 
-def test_compute_metrics_hand_counts():
+def test_compute_metrics_hand_counts(provider):
     # predicted/target/original triples (A,B,A),(B,B,A),(C,B,A):
     # hits-target = 1 -> lfr 1/3; left-original = 2 -> slfr 2/3
-    flags = [
-        MetricFlags(None, DiscriminatorVerdict("A", "B", "A")),
-        MetricFlags(None, DiscriminatorVerdict("B", "B", "A")),
-        MetricFlags(None, DiscriminatorVerdict("C", "B", "A")),
+    rows = [
+        judged_row(provider, None, "A", "B", "A"),
+        judged_row(provider, None, "B", "B", "A"),
+        judged_row(provider, None, "C", "B", "A"),
     ]
-    report = compute_metrics(flags)
+    report = compute_metrics(rows)
     assert report.lfr == pytest.approx(0.3333, abs=1e-4)
     assert report.slfr == pytest.approx(0.6667, abs=1e-4)
     assert report.pkr is None
@@ -203,29 +213,26 @@ def test_compute_metrics_empty():
     assert report.pkr is None and report.slfr is None and report.lfr is None
 
 
-def test_compute_metrics_permutation_invariant():
+def test_compute_metrics_permutation_invariant(provider):
     rng = random.Random(4)
     labels = ["a", "b", "c"]
-    flags = [
-        MetricFlags(rng.random() < 0.5,
-                    DiscriminatorVerdict(rng.choice(labels), "b", "a"))
-        for _ in range(40)
-    ]
-    shuffled = flags[:]
+    rows = [judged_row(provider, rng.random() < 0.5, rng.choice(labels), "b", "a")
+            for _ in range(40)]
+    shuffled = rows[:]
     rng.shuffle(shuffled)
-    assert compute_metrics(flags) == compute_metrics(shuffled)
+    assert compute_metrics(rows) == compute_metrics(shuffled)
 
 
-def test_lfr_never_exceeds_slfr_when_labels_differ():
+def test_lfr_never_exceeds_slfr_when_labels_differ(provider):
     rng = random.Random(99)
     labels = ["a", "b", "c", "d"]
     for _ in range(1000):
         n = rng.randint(1, 12)
-        flags = []
+        rows = []
         for _ in range(n):
             original, target = rng.sample(labels, 2)
-            flags.append(MetricFlags(None, DiscriminatorVerdict(rng.choice(labels), target, original)))
-        report = compute_metrics(flags)
+            rows.append(judged_row(provider, None, rng.choice(labels), target, original))
+        report = compute_metrics(rows)
         assert report.lfr <= report.slfr
 
 
@@ -250,7 +257,7 @@ def deps_for(provider, lexicon):
 
 def test_run_pipeline_full(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
-    survivors, report, _ = run_pipeline(batch(provider), FilterConfig(), deps)
+    survivors, report, _ = run_pipeline(batch(provider), deps)
     assert [c.uid for c in survivors] == ["keep"]
     assert report.n == 4
     # refused candidate never reached the symbolic or discriminator stage
@@ -261,13 +268,11 @@ def test_run_pipeline_full(provider, lexicon):
     assert report.slfr == pytest.approx(1 / 2)
 
 
-def test_run_pipeline_all_disabled_is_identity(provider, lexicon):
+def test_none_arm_is_identity(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
     cands = batch(provider)
-    survivors, report, _ = run_pipeline(cands, FilterConfig(False, False, False), deps)
-    assert [c.uid for c in survivors] == [c.uid for c in cands]
-    assert report.n == 4
-    assert report.pkr is None and report.lfr is None and report.slfr is None
+    _, _, rows = run_pipeline(cands, deps)
+    assert survivors_by_arm(rows)["none"] == cands
 
 
 def test_run_pipeline_pkr_formula(provider, lexicon):
@@ -278,16 +283,16 @@ def test_run_pipeline_pkr_formula(provider, lexicon):
         make_candidate(provider, "A cheap deal arrived this morning.", uid="c"),
         make_candidate(provider, "Nothing relevant happened here today sadly.", uid="d"),
     ]
-    _, report, _ = run_pipeline(cands, FilterConfig(True, True, False), deps)
+    _, report, rows = run_pipeline(cands, deps)
     assert report.pattern_n == 4
     assert report.pkr == pytest.approx(0.75)
-    assert report.label_n == 0
+    assert [c.uid for c in survivors_by_arm(rows)["heuristic+symbolic"]] == ["a", "b", "c"]
 
 
 def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
     cand = make_candidate(provider, "The affordable lobster deal is unbeatable.", pattern=None, uid="novt")
-    survivors, report, (row,) = run_pipeline([cand], FilterConfig(), deps)
+    survivors, report, (row,) = run_pipeline([cand], deps)
     assert survivors == [cand]
     assert row.verdicts["symbolic"].status == "skipped"
     assert report.pattern_n == 0 and report.pkr is None
@@ -297,7 +302,7 @@ def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, lexicon):
 def test_run_pipeline_audit_log(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
     cands = batch(provider)
-    survivors, _, rows = run_pipeline(cands, FilterConfig(), deps)
+    survivors, _, rows = run_pipeline(cands, deps)
     assert [row.candidate for row in rows] == cands
     by_uid = {row.candidate.uid: row for row in rows}
     assert by_uid["refused"].verdicts["heuristic"].reason == "refusal"
@@ -314,24 +319,11 @@ def test_run_pipeline_audit_log(provider, lexicon):
 
 def test_rows_from_audit_inverts_record(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
-    _, _, rows = run_pipeline(batch(provider), FilterConfig(), deps)
+    _, _, rows = run_pipeline(batch(provider), deps)
     pool = {row.candidate.task.original.id: LabeledExample(row.candidate.task.original, "service")
             for row in rows}
     records = [(i, json.loads(JSON_LINE.encode(row.record()))) for i, row in enumerate(rows, 1)]
     assert rows_from_audit(records, pool) == rows
-
-
-def test_run_pipeline_disabled_stage_reads_skipped_after_a_failure(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
-    refused = [make_candidate(provider, "cannot generate counterfactual", uid="refused")]
-    pending, disabled = StageVerdict("pending"), StageVerdict("skipped", "stage disabled")
-    for flags, later in (((True, True, True), (pending, pending)),
-                         ((True, True, False), (pending, disabled)),
-                         ((True, False, True), (disabled, pending)),
-                         ((True, False, False), (disabled, disabled))):
-        _, _, (row,) = run_pipeline(refused, FilterConfig(*flags), deps)
-        want = (StageVerdict("failed", "refusal"), *later)
-        assert list(row.verdicts.items()) == list(zip(STAGES, want)), flags
 
 
 def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
@@ -339,39 +331,33 @@ def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
     gw = Gateway(backend=backend, model="m")
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS)
     cands = [make_candidate(provider, "The affordable lobster deal is unbeatable.", uid="x")]
-    survivors, report, _ = run_pipeline(cands, FilterConfig(), deps)
+    survivors, report, _ = run_pipeline(cands, deps)
     assert survivors == []
     assert report.label_n == 0
 
 
 def test_stage_monotonicity_on_fixed_batch(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
-    cands = batch(provider)
-    nested = [
-        FilterConfig(False, False, False),
-        FilterConfig(True, False, False),
-        FilterConfig(True, True, False),
-        FilterConfig(True, True, True),
-    ]
-    survivor_sets = []
-    for cfg in nested:
-        survivors, _, _ = run_pipeline(cands, cfg, deps)
-        survivor_sets.append({c.uid for c in survivors})
+    _, _, rows = run_pipeline(batch(provider), deps)
+    by_arm = survivors_by_arm(rows)
+    nested = ["none", "heuristic", "heuristic+symbolic", "all"]
+    survivor_sets = [{c.uid for c in by_arm[arm]} for arm in nested]
     for bigger, smaller in zip(survivor_sets, survivor_sets[1:]):
         assert smaller <= bigger
+    assert survivor_sets[-1] == {"keep"}
 
 
 def test_filter_config_arms():
-    assert set(FilterConfig.ARMS) == {"none", "heuristic", "heuristic+symbolic",
-                                      "heuristic+discriminator", "all"}
-    assert FilterConfig(*FilterConfig.ARMS["heuristic+symbolic"]).enabled_stages() == (
-        "heuristic", "symbolic")
-    assert FilterConfig(*FilterConfig.ARMS["none"]).enabled_stages() == ()
+    assert list(ARMS) == ["none", "heuristic", "heuristic+symbolic",
+                          "heuristic+discriminator", "all"]
+    assert ARMS["heuristic+symbolic"] == ("heuristic", "symbolic")
+    assert ARMS["none"] == ()
+    assert ARMS["all"] == STAGES
 
 
 def test_audit_record_shape(provider, lexicon):
     deps, _ = deps_for(provider, lexicon)
-    _, _, rows = run_pipeline(batch(provider), FilterConfig(), deps)
+    _, _, rows = run_pipeline(batch(provider), deps)
     for row in rows:
         rec, made = row.record(), candidate_to_record(row.candidate)
         assert set(made) == {

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -544,6 +545,36 @@ def test_run_simulation_equal_under_oracle_classifier(provider):
     slow = run_simulation(dataset, list(CONDITIONS), schedule, [0, 1, 2],
                           lambda features: OracleNaiveBayes(dataset.label_set), augment)
     assert fast == slow
+
+
+def test_arm_named_conditions_equal_single_counterfactual_runs(provider):
+    """One run over survivor indexes named by ablation arm equals, float for
+    float, a `counterfactual` run over each index alone, renamed to its arm."""
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    products = [e.sentence.id for e in dataset.examples if e.label == "products"]
+    words = itertools.cycle(["staff", "menu", "waiter", "server"])
+    full = {i: [(provider.annotate(f"the {next(words)} spoke kindly."), "service")]
+            for i in products}
+    indexes = {
+        "none": full,
+        "heuristic": dict(list(full.items())[:7]),
+        "heuristic+symbolic": dict(list(full.items())[:4]),
+        "heuristic+discriminator": dict(list(full.items())[1:6:2]),
+        "all": {},
+    }
+
+    def factory(features):
+        return NaiveBayesClassifier(dataset.label_set, features)
+
+    together = run_simulation(dataset, list(indexes), schedule, [0, 1, 2], factory, indexes)
+    alone = [
+        dataclasses.replace(run_simulation(dataset, ["counterfactual"], schedule, [0, 1, 2],
+                                           factory, {"counterfactual": index})[0], condition=arm)
+        for arm, index in indexes.items()
+    ]
+    assert together == alone
+    assert len({tuple(r.mean.values()) for r in together}) > 1  # the indexes do differ
 
 
 def _failing_factory(label_set, error):

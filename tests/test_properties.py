@@ -11,10 +11,10 @@ pieces under them are checked too: `atom_mask` read from a sentence's
 feature table against the per-token `atom_matches_token`, and `advance` on
 sentences packed into one integer against `advance` on each sentence alone.
 The filter arms that `survivors_by_arm` reads off the rows of one
-all-stage `run_pipeline` are checked against `run_pipeline` run once per arm
-and against `judged_survivors_by_arm`, which judges each stage once per
-candidate, and `run_pipeline` against `reference_pipeline`, which judges a
-candidate's enabled stages one `judge` call at a time.
+`run_pipeline` are checked against `judged_survivors_by_arm`, which judges
+each stage once per candidate, and `run_pipeline` against
+`reference_pipeline`, which judges a candidate's stages one `judge` call at
+a time.
 Pattern parsing is checked for clean errors and render round-trips, and the
 gateway's cache key for stability.
 """
@@ -29,12 +29,10 @@ from hypothesis import strategies as st
 from patvar import patterns
 from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token, tokenize
 from patvar.filtering import (
+    ARMS,
     STAGES,
-    DiscriminatorVerdict,
-    FilterConfig,
     FilterDeps,
     FilterRow,
-    MetricFlags,
     StageVerdict,
     compute_metrics,
     judge,
@@ -528,7 +526,7 @@ def filter_candidates(batch):
 
 
 def judged_survivors_by_arm(candidates, deps):
-    """The survivors of each arm of `FilterConfig.ARMS`, judging the
+    """The survivors of each arm of `ARMS`, judging the
     heuristic stage on every candidate and the two later stages on every
     heuristic passer: an arm keeps the candidates no stage of it failed."""
     failed = []  # per candidate, the stages that failed it
@@ -537,9 +535,8 @@ def judged_survivors_by_arm(candidates, deps):
             failed.append({"heuristic"})
         else:
             failed.append({s for s in STAGES[1:] if judge(c, s, deps)[0].status == "failed"})
-    arms = {arm: FilterConfig(*flags).enabled_stages() for arm, flags in FilterConfig.ARMS.items()}
     return {arm: [c for c, bad in zip(candidates, failed) if bad.isdisjoint(stages)]
-            for arm, stages in arms.items()}
+            for arm, stages in ARMS.items()}
 
 
 @PROPERTY_SETTINGS
@@ -547,48 +544,32 @@ def judged_survivors_by_arm(candidates, deps):
 def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
     candidates = filter_candidates(batch)
     deps = filter_deps(lexicon)
-    _, _, rows = run_pipeline(candidates, FilterConfig(), deps)
+    _, _, rows = run_pipeline(candidates, deps)
     by_arm = survivors_by_arm(rows)
     assert by_arm == judged_survivors_by_arm(candidates, deps)
-    assert list(by_arm) == list(FilterConfig.ARMS)
-    for arm, flags in FilterConfig.ARMS.items():
-        want, _, _ = run_pipeline(candidates, FilterConfig(*flags), deps)
-        assert [c.uid for c in by_arm[arm]] == [c.uid for c in want], arm
+    assert list(by_arm) == list(ARMS)
 
 
-def reference_pipeline(candidates, cfg, deps):
-    """`run_pipeline` spelled out: judge a candidate's enabled stages, all of
-    them unless the heuristic stage fails it, then fill in each disabled
-    stage as skipped and each enabled stage left unjudged as pending. The
-    discriminator's label counts only when no earlier stage failed."""
-    enabled = cfg.enabled_stages()
-    rows, flags = [], []
+def reference_pipeline(candidates, deps):
+    """`run_pipeline` spelled out: judge every stage of a candidate unless the
+    heuristic stage fails it, then fill in each stage left unjudged as
+    pending. The discriminator's label counts only when no earlier stage
+    failed."""
+    rows = []
     for cand in candidates:
         judged, label = {}, None
-        for stage in enabled:
+        for stage in STAGES:
             earlier_failed = any(v.status == "failed" for v in judged.values())
             judged[stage], assigned = judge(cand, stage, deps)
             if not earlier_failed:
                 label = label if assigned is None else assigned
             if stage == "heuristic" and judged[stage].status == "failed":
                 break
-        verdicts = {
-            stage: judged.get(stage, StageVerdict("pending")) if stage in enabled
-            else StageVerdict("skipped", "stage disabled")
-            for stage in STAGES
-        }
-        symbolic = judged.get("symbolic")
-        pattern_kept = None
-        if cand.task.pattern is not None and symbolic and symbolic.status in ("passed", "failed"):
-            pattern_kept = symbolic.status == "passed"
-        verdict_rec = None if label is None else DiscriminatorVerdict(
-            predicted=label, target=cand.task.target_label, original=cand.task.original_label
-        )
+        verdicts = {stage: judged.get(stage, StageVerdict("pending")) for stage in STAGES}
         rows.append(FilterRow(cand, verdicts, label))
-        flags.append(MetricFlags(pattern_kept=pattern_kept, verdict=verdict_rec))
     survivors = [row.candidate for row in rows
                  if all(v.status != "failed" for v in row.verdicts.values())]
-    return survivors, compute_metrics(flags), rows
+    return survivors, compute_metrics(rows), rows
 
 
 @PROPERTY_SETTINGS
@@ -596,9 +577,7 @@ def reference_pipeline(candidates, cfg, deps):
 def test_run_pipeline_agrees_with_the_reference_pipeline(lexicon, batch):
     candidates = filter_candidates(batch)
     deps = filter_deps(lexicon)
-    for flags in FilterConfig.ARMS.values():
-        cfg = FilterConfig(*flags)
-        assert run_pipeline(candidates, cfg, deps) == reference_pipeline(candidates, cfg, deps), flags
+    assert run_pipeline(candidates, deps) == reference_pipeline(candidates, deps)
 
 
 # Pattern text: raw characters of the DSL, and runs of its tokens, which parse
