@@ -173,9 +173,8 @@ def _read_candidates(ctx: Context, name: str, writer: str, reader=candidates_fro
     path = ctx.path(name)
     if not os.path.exists(path):
         raise ConfigError(f"{path} not found; run {writer} first")
-    pool = {ex.sentence.id: ex for ex in ctx.dataset.examples}
     with in_file(path):
-        return reader(read_jsonl(path), pool)
+        return reader(read_jsonl(path), ctx.dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -315,59 +314,52 @@ def _survivors_index(survivors, provider: AnnotationProvider) -> dict[str, list]
     return index
 
 
-def cmd_simulate(ctx: Context) -> int:
+def _run_grid(ctx: Context, survivors_by_condition: dict[str, list], reference: str,
+              prefix: str) -> tuple[int, list[RunResult]]:
+    """Simulate every condition of `survivors_by_condition`, each trained on
+    its survivors as well as its originals, pair the results against
+    `reference`, write `<prefix>results.csv` and `<prefix>summary.csv`, and
+    print each condition's first shot with its missing cells. Returns the
+    exit code, 4 when every cell of some condition failed, and the results."""
     from .learning import NaiveBayesClassifier, run_simulation
 
-    cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
-    augment_index = {}
-    for condition, name in (("counterfactual", "vt"), ("cf_no_vt", "novt")):
-        if condition in cfg.conditions:
-            survivors = _read_candidates(ctx, f"survivors_{name}.jsonl",
-                                         "`patvar gen` and `patvar filter`")
-            augment_index[condition] = _survivors_index(survivors, provider)
-    results = run_simulation(
-        dataset, list(cfg.conditions), ctx.schedule(), list(cfg.seeds),
-        functools.partial(NaiveBayesClassifier, dataset.label_set), augment_index,
-    )
-    write_results_csv(ctx.output("results.csv"), results, ctx.dataset_name)
-    write_summary_csv(ctx.output("summary.csv"), results, ctx.dataset_name)
-    failed = []
+    dataset = ctx.dataset
+    index = {condition: _survivors_index(survivors, ctx.provider)
+             for condition, survivors in survivors_by_condition.items()}
+    results = paired_pvalues(run_simulation(
+        dataset, list(index), ctx.schedule(), list(ctx.cfg.seeds),
+        functools.partial(NaiveBayesClassifier, dataset.label_set), index,
+    ), reference)
+    write_results_csv(ctx.output(f"{prefix}results.csv"), results, ctx.dataset_name)
+    write_summary_csv(ctx.output(f"{prefix}summary.csv"), results, ctx.dataset_name, reference)
     for r in results:
         first = r.shots[0]
         missing = sum(r.scores[first][seed] is None for seed in r.seeds)
-        if r.mean[first] is None:
-            failed.append(r.condition)
-            line = f"{r.condition}: F1@{first} = n/a"
-        else:
-            line = f"{r.condition}: F1@{first} = {r.mean[first]:.3f} (sd {r.sd[first]:.3f})"
-        print(line + (f" ({missing} of {len(r.seeds)} cells missing)" if missing else ""))
+        f1 = "n/a" if r.mean[first] is None else f"{r.mean[first]:.3f} (sd {r.sd[first]:.3f})"
+        print(f"{r.condition}: F1@{first} = {f1}"
+              + (f" ({missing} of {len(r.seeds)} cells missing)" if missing else ""))
+    failed = [r.condition for r in results if r.mean[r.shots[0]] is None]
     if failed:
         print(f"data error: every cell of {', '.join(failed)} failed", file=sys.stderr)
-        return 4
-    return 0
+    return (4 if failed else 0), results
+
+
+def cmd_simulate(ctx: Context) -> int:
+    files = {"counterfactual": "vt", "cf_no_vt": "novt"}
+    return _run_grid(ctx, {
+        c: _read_candidates(ctx, f"survivors_{files[c]}.jsonl", "`patvar gen` and `patvar filter`")
+        if c in files else [] for c in ctx.cfg.conditions
+    }, "counterfactual", "")[0]
 
 
 def cmd_ablate(ctx: Context) -> int:
-    from .learning import NaiveBayesClassifier, run_simulation
-
-    cfg, provider, dataset = ctx.cfg, ctx.provider, ctx.dataset
-    schedule = ctx.schedule()
+    ctx.schedule()  # a shot above the pool exits 2 before the audit is read
     arms = survivors_by_arm(
         _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit))
-    results = run_simulation(
-        dataset, list(arms), schedule, list(cfg.seeds),
-        functools.partial(NaiveBayesClassifier, dataset.label_set),
-        {arm: _survivors_index(survivors, provider) for arm, survivors in arms.items()},
-    )
-    finished = paired_pvalues(results, "all")
-    name = ctx.dataset_name
-    write_results_csv(ctx.output("ablation_results.csv"), finished, name)
-    summary_path = ctx.output("ablation_summary.csv")
-    write_summary_csv(summary_path, finished, name)
+    code, results = _run_grid(ctx, arms, "all", "ablation_")
     with open(ctx.output("ablation.md"), "w", encoding="utf-8") as fh:
-        fh.write(render_f1_grid(f"Filter ablation ({name})", finished))
-    print(f"ablation over {len(arms)} filter arms -> {summary_path}")
-    return 0
+        fh.write(render_f1_grid(f"Filter ablation ({ctx.dataset_name})", results))
+    return code
 
 
 def cmd_report(ctx: Context, quality_files=(), external=()) -> int:

@@ -103,8 +103,11 @@ class ExperimentConfig:
             ("shots", lambda shots: ShotSchedule(tuple(map(int, shots))).shots),
             ("seeds", lambda seeds: tuple(map(int, seeds))),
         ):
+            value = getattr(self, key)
             try:
-                object.__setattr__(self, key, normalize(getattr(self, key)))
+                if isinstance(value, str):  # a string is an iterable of its characters
+                    raise TypeError(f"need a list, got the string {value!r}")
+                object.__setattr__(self, key, normalize(value))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {key}: {exc}") from None
         for key in ("conditions", "seeds"):

@@ -59,7 +59,6 @@ class RunResult:
     mean: Mapping[int, float | None]
     sd: Mapping[int, float | None]
     p_vs_reference: Mapping[int, float | None]
-    reference: str | None
 
 
 def summarize(
@@ -86,7 +85,6 @@ def summarize(
         mean=means,
         sd=sds,
         p_vs_reference={shot: None for shot in shots},
-        reference=None,
     )
 
 
@@ -119,5 +117,5 @@ def paired_pvalues(results: Sequence[RunResult], reference: str) -> list[RunResu
                 if len(pairs) >= 2
                 else None
             )
-        out.append(replace(r, p_vs_reference=pvals, reference=reference))
+        out.append(replace(r, p_vs_reference=pvals))
     return out

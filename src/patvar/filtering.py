@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
 from .gateway import BackendError, Gateway
 from .errors import ParseError
+from .experiment import Dataset
 from .generation import (
     CounterfactualCandidate,
     ResponseFormatError,
@@ -275,14 +276,14 @@ def survivors_by_arm(rows: Sequence[FilterRow]) -> dict[str, list[Counterfactual
             for arm, stages in ARMS.items()}
 
 
-def rows_from_audit(records: Sequence[tuple[int, object]], examples: Mapping) -> list[FilterRow]:
+def rows_from_audit(records: Sequence[tuple[int, object]], dataset: Dataset) -> list[FilterRow]:
     """The inverse of `FilterRow.record()` for the (line number, record) pairs
-    of an audit file, given the pool examples by id. ParseError names the line
+    of an audit file, given the dataset. ParseError names the line
     of a record `candidates_from_records` rejects, with malformed verdicts or
     label, or whose heuristic passer has a stage neither passed nor failed
     (from an older `filter`)."""
     rows = []
-    for (lineno, record), cand in zip(records, candidates_from_records(records, examples)):
+    for (lineno, record), cand in zip(records, candidates_from_records(records, dataset)):
         raw, label = record.get("verdicts"), record.get("discriminator_label")
         try:
             verdicts = {s: StageVerdict(raw[s]["status"], raw[s]["reason"]) for s in STAGES}

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
 from .errors import ParseError, PatvarError
+from .experiment import Dataset
 from .gateway import Gateway
 from .patterns import (
     MatchSpan,
@@ -30,7 +31,6 @@ from .patterns import (
     render_pattern,
 )
 from .prompts import GENERATION_MAX_TOKENS, SEPARATOR_MAX_TOKENS, fill, load_template
-from .synthesis import LabeledExample
 
 logger = logging.getLogger(__name__)
 
@@ -149,30 +149,31 @@ _REQUIRED = object()
 
 
 def candidates_from_records(
-    records: Iterable[tuple[int, object]], examples: Mapping[str, LabeledExample]
+    records: Iterable[tuple[int, object]], dataset: Dataset
 ) -> list[CounterfactualCandidate]:
     """Rebuild the candidates of one file written by `candidate_to_record`,
-    given its (line number, record) pairs and the dataset's pool examples by
-    id, which each record's `original_id` names.
+    given its (line number, record) pairs and the dataset, whose pool example
+    each record's `original_id` names.
 
     Each distinct pattern string is parsed once; keys the record does not
     need (the verdicts of a survivors or audit line) are ignored. Raises
     ParseError naming the line of a record that is not an object, lacks or
     mistypes a field, names an original the pool does not hold or gives it
-    another text or label, or holds an unparsable pattern or an inconsistent
-    task.
+    another text or label, targets a label the dataset does not have, or
+    holds an unparsable pattern or an inconsistent task.
     """
+    examples = {ex.sentence.id: ex for ex in dataset.examples}
     patterns: dict[str, PatternAst] = {}
     candidates = []
     for lineno, record in records:
         try:
-            candidates.append(_candidate(record, examples, patterns))
+            candidates.append(_candidate(record, examples, dataset.label_set, patterns))
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
     return candidates
 
 
-def _candidate(record, examples: Mapping, patterns: dict) -> CounterfactualCandidate:
+def _candidate(record, examples: Mapping, labels, patterns: dict) -> CounterfactualCandidate:
     """One candidate; `patterns` (text -> AST) holds the patterns that
     earlier records of the file parsed."""
     if not isinstance(record, dict):
@@ -198,6 +199,9 @@ def _candidate(record, examples: Mapping, patterns: dict) -> CounterfactualCandi
     if original_label != example.label:
         raise ParseError(f"original_label {original_label!r} differs from the label "
                          f"{example.label!r} of dataset example {original_id!r}")
+    target_label = get("target_label", str)
+    if target_label not in labels:
+        raise ParseError(f"target_label {target_label!r} is no label of the dataset")
     pattern_text = get("pattern", (str, type(None)))
     try:
         if pattern_text and pattern_text not in patterns:
@@ -205,7 +209,7 @@ def _candidate(record, examples: Mapping, patterns: dict) -> CounterfactualCandi
         task = GenerationTask(
             original=example.sentence,
             original_label=original_label,
-            target_label=get("target_label", str),
+            target_label=target_label,
             pattern=patterns[pattern_text] if pattern_text else None,
             matched_phrase=get("matched_phrase", str, ""),
         )

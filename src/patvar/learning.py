@@ -10,7 +10,9 @@ afresh on that level's items would score it.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
+import itertools
 import logging
 import math
 import random
@@ -20,7 +22,7 @@ import numpy as np
 
 from .annotation import AnnotatedSentence
 from .errors import PatvarError
-from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pvalues, summarize
+from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, summarize
 from .stats import macro_f1
 from .synthesis import LabeledExample
 
@@ -92,39 +94,33 @@ def hashed_embedding(sentence: AnnotatedSentence) -> np.ndarray:
 
 
 class LemmaIds:
-    """One run's lemma vocabulary, with each sentence's lemma-id row.
+    """One run's lemma vocabulary and the lemma-id row of each of its sentences.
 
-    A sentence is featurized once, on first use, and remembered by identity:
-    the instance keeps every sentence it has seen alive, so no other object
-    can take over its id. Scope one instance to one run.
+    Each distinct sentence is featurized once, when the instance is built,
+    and looked up by identity: the instance keeps its sentences alive, so no
+    other object can take over their ids. Scope one instance to one run.
     """
 
-    def __init__(self, sentences: Iterable[AnnotatedSentence] = ()):
+    def __init__(self, sentences: Iterable[AnnotatedSentence]):
         self.vocab: dict[str, int] = {}
         self._alive: list[AnnotatedSentence] = []
         self._rows: dict[int, np.ndarray] = {}  # id(sentence) -> lemma ids
         self._vectors: dict[int, np.ndarray] = {}  # id(sentence) -> embedding
         self._batches: dict[int, tuple[tuple, np.ndarray]] = {}  # id(tuple) -> (tuple, batch)
-        self._buckets = np.zeros(0, dtype=np.intp)
-        self.rows(sentences)
+        for sentence in sentences:
+            if id(sentence) not in self._rows:
+                self._alive.append(sentence)
+                self._rows[id(sentence)] = np.array(
+                    [self.vocab.setdefault(lemma, len(self.vocab)) for lemma in sentence.lemmas()],
+                    dtype=np.intp)
 
     def rows(self, sentences: Iterable[AnnotatedSentence]) -> list[np.ndarray]:
-        """Each sentence's lemma ids, in token order."""
-        sentences = list(sentences)
-        out = list(map(self._rows.get, map(id, sentences)))
-        for i, ids in enumerate(out):
-            if ids is None:  # look again: the sentence may be listed twice
-                ids = self._rows.get(id(sentences[i]))
-                out[i] = ids if ids is not None else self._featurize(sentences[i])
-        return out
-
-    def _featurize(self, sentence: AnnotatedSentence) -> np.ndarray:
-        vocab = self.vocab
-        ids = np.array([vocab.setdefault(lemma, len(vocab)) for lemma in sentence.lemmas()],
-                       dtype=np.intp)
-        self._alive.append(sentence)
-        self._rows[id(sentence)] = ids
-        return ids
+        """Each sentence's lemma ids, in token order; ValueError for a
+        sentence the instance was not built from."""
+        try:
+            return list(map(self._rows.__getitem__, map(id, sentences)))
+        except KeyError:
+            raise ValueError("a sentence outside the run's LemmaIds") from None
 
     def batch(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
         """The rows as one matrix, padded on the right with -1.
@@ -146,14 +142,16 @@ class LemmaIds:
             self._batches[id(sentences)] = (sentences, out)
         return out
 
+    @functools.cached_property
+    def _buckets(self) -> np.ndarray:
+        """Each lemma's embedding bucket, by lemma id."""
+        return np.array([_bucket(lemma) for lemma in self.vocab], dtype=np.intp)
+
     def embedding(self, sentence: AnnotatedSentence) -> np.ndarray:
         """`hashed_embedding(sentence)`, hashing each distinct lemma once per run."""
         vec = self._vectors.get(id(sentence))
         if vec is None:
             [ids] = self.rows([sentence])
-            if len(self._buckets) < len(self.vocab):
-                fresh = [_bucket(lemma) for lemma in list(self.vocab)[len(self._buckets):]]
-                self._buckets = np.concatenate([self._buckets, np.array(fresh, dtype=np.intp)])
             vec = self._vectors[id(sentence)] = _unit(self._buckets[ids])
         return vec
 
@@ -191,9 +189,8 @@ def _log_posterior(table: np.ndarray, log_prior: np.ndarray, ids: np.ndarray) ->
     """`log_post[s, l, h]`: the log prior plus the table entries of sentence
     h's lemma ids, added one token position at a time.
 
-    Padding (-1) and lemma ids beyond the table read its last column, 0.0.
+    Padding (-1) reads the table's last column, 0.0.
     """
-    ids = np.minimum(ids, table.shape[2] - 1)
     log_post = np.repeat(log_prior[:, :, None], len(ids), axis=2)
     for column in ids.T:
         log_post += table[:, :, column]
@@ -207,19 +204,19 @@ class NaiveBayesClassifier:
     unseen tokens falls back to the prior argmax. Ties break in label_set
     order. Confidence is the normalized posterior of the argmax.
 
-    Works on the lemma-id rows of `features` (a private `LemmaIds` when none
-    is given). `predict_nested` scores a schedule of nested training sets in
-    one pass: one `np.bincount` over (shot, label, lemma) and a `cumsum`
-    along the shots give every shot's counts, and the log table holds
-    `math.log((count + 1) / denom)`, one log per distinct ratio. Each
-    posterior adds the table's columns to the log prior one token position
-    at a time, in the order of a per-lemma loop over the sentence, so every
-    float equals that loop's. `train` and `predict` are the one-shot case.
+    Works on the lemma-id rows of the run's `features`. `predict_nested`
+    scores a schedule of nested training sets in one pass: one `np.bincount`
+    over (shot, label, lemma) and a `cumsum` along the shots give every
+    shot's counts, and the log table holds `math.log((count + 1) / denom)`,
+    one log per distinct ratio. Each posterior adds the table's columns to
+    the log prior one token position at a time, in the order of a per-lemma
+    loop over the sentence, so every float equals that loop's. `train` and
+    `predict` are the one-shot case.
     """
 
-    def __init__(self, label_set: Sequence[str], features: LemmaIds | None = None):
+    def __init__(self, label_set: Sequence[str], features: LemmaIds):
         self.label_set = tuple(label_set)
-        self._features = features if features is not None else LemmaIds()
+        self._features = features
         self._label_index = {label: i for i, label in enumerate(self.label_set)}
         self._trained = False
 
@@ -287,9 +284,10 @@ class NaiveBayesClassifier:
 # ---------------------------------------------------------------------------
 
 
-def kmeans(
-    vectors: np.ndarray, k: int, seed: int, max_iter: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+KMEANS_MAX_ITER = 100
+
+
+def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ plus Lloyd iterations to an assignment fixpoint.
 
     Empty clusters are repaired by stealing the point farthest from the
@@ -311,7 +309,7 @@ def kmeans(
             centroids[j] = x[rng.choice(n, p=closest_sq / total)]
         closest_sq = np.minimum(closest_sq, np.sum((x - centroids[j]) ** 2, axis=1))
     assignments = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_assignments = np.argmin(dists, axis=1)
         for j in range(k):
@@ -339,25 +337,21 @@ def inertia(vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-def select_random(pool: Sequence[LabeledExample], n: int, seed: int) -> list[LabeledExample]:
-    """Uniform selection without replacement; prefix-stable across n."""
-    if n > len(pool):
-        raise NOverPool(f"cannot select {n} from pool of {len(pool)}")
+def select_random(pool: Sequence[LabeledExample], seed: int) -> list[LabeledExample]:
+    """The whole pool in a uniform random order; a budget of n takes the first n."""
     order = list(range(len(pool)))
     random.Random(seed).shuffle(order)
-    return [pool[i] for i in order[:n]]
+    return [pool[i] for i in order]
 
 
 def select_cluster(
     pool: Sequence[LabeledExample],
-    n: int,
     k: int,
     seed: int,
     embedder: Callable[[AnnotatedSentence], np.ndarray],
 ) -> list[LabeledExample]:
-    """Round-robin over k-means clusters, nearest-to-centroid first."""
-    if n > len(pool):
-        raise NOverPool(f"cannot select {n} from pool of {len(pool)}")
+    """The whole pool, round-robin over k-means clusters, nearest-to-centroid
+    first; a budget of n takes its first n."""
     vectors = np.stack([embedder(ex.sentence) for ex in pool])
     assignments, centroids = kmeans(vectors, k, seed)
     dists = np.sum((vectors - centroids[assignments]) ** 2, axis=1)
@@ -366,16 +360,7 @@ def select_cluster(
         members = [int(i) for i in np.flatnonzero(assignments == j)]
         members.sort(key=lambda i: (dists[i], i))
         queues.append(members)
-    chosen: list[LabeledExample] = []
-    while len(chosen) < n:
-        progressed = False
-        for queue in queues:
-            if queue and len(chosen) < n:
-                chosen.append(pool[queue.pop(0)])
-                progressed = True
-        if not progressed:
-            break
-    return chosen
+    return [pool[i] for turn in itertools.zip_longest(*queues) for i in turn if i is not None]
 
 
 def select_uncertainty(
@@ -422,10 +407,10 @@ def _selection_order(
     pool = dataset.examples
     if condition == "cluster":
         k = min(len(dataset.label_set), len(pool))
-        return select_cluster(pool, len(pool), k, seed, features.embedding)
+        return select_cluster(pool, k, seed, features.embedding)
     if condition == "uncertainty":
         return _uncertainty_order(pool, shots, seed, clf_factory, features)
-    return select_random(pool, len(pool), seed)
+    return select_random(pool, seed)
 
 
 def _uncertainty_order(
@@ -438,7 +423,7 @@ def _uncertainty_order(
     """A random first shot, grown at each later shot by the remaining pool
     examples that a classifier trained on the previous shot is least
     confident about: `len(shots) - 1` trainings."""
-    labeled = select_random(pool, shots[0], seed)
+    labeled = select_random(pool, seed)[: shots[0]]
     for shot in shots[1:]:
         clf = clf_factory(features)
         clf.train([(ex.sentence, ex.label) for ex in labeled])
@@ -482,7 +467,8 @@ def run_simulation(
     clf_factory: Callable[[LemmaIds], Classifier],
     augment_index: Mapping[str, SurvivorsIndex],
 ) -> list[RunResult]:
-    """Full condition x seed x shot grid with per-shot mean, SD, and p-values.
+    """Full condition x seed x shot grid with per-shot mean and SD, one
+    unpaired summary per condition, in order.
 
     A condition is a name in `CONDITIONS` or a key of `augment_index`, which
     maps a condition to its survivors index; a condition trains on its
@@ -495,8 +481,8 @@ def run_simulation(
     order.
     A condition x seed cell that fails with a data error (`PatvarError`,
     `ValueError`) is recorded as missing rather than aborting the run; any
-    other exception propagates. p-values compare each baseline against the
-    counterfactual condition (see `paired_pvalues`).
+    other exception propagates. The caller pairs the summaries against its
+    reference condition (`experiment.paired_pvalues`).
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -525,4 +511,4 @@ def run_simulation(
             for shot in schedule.shots:
                 per_shot[shot][seed] = cell.get(shot)
         summaries.append(summarize(condition, per_shot, schedule.shots, seeds))
-    return paired_pvalues(summaries, "counterfactual")
+    return summaries

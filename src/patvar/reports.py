@@ -115,7 +115,6 @@ def render_f1_grid(title: str, results: Sequence[RunResult]) -> str:
 # ---------------------------------------------------------------------------
 
 RESULTS_FIELDS = ("condition", "dataset", "shot", "seed", "macro_f1")
-SUMMARY_FIELDS = ("condition", "dataset", "shot", "mean", "sd", "p_vs_counterfactual", "significance")
 
 
 def write_results_csv(path, results: Sequence[RunResult], dataset_name: str) -> None:
@@ -132,10 +131,13 @@ def write_results_csv(path, results: Sequence[RunResult], dataset_name: str) -> 
                     ])
 
 
-def write_summary_csv(path, results: Sequence[RunResult], dataset_name: str) -> None:
+def write_summary_csv(path, results: Sequence[RunResult], dataset_name: str, reference: str) -> None:
+    """Per-shot mean, SD and p-value of each result; the p column is named
+    after the `reference` condition the results were paired against."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
+        writer.writerow(("condition", "dataset", "shot", "mean", "sd", f"p_vs_{reference}",
+                         "significance"))
         for r in results:
             for shot in r.shots:
                 mean_v, sd_v = r.mean[shot], r.sd[shot]

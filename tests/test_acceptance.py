@@ -511,7 +511,6 @@ def test_criterion_11_report_fidelity():
             scores={s: {} for s in shots},
             mean=dict(zip(shots, means)), sd=dict(zip(shots, (0.05, 0.06, 0.07))),
             p_vs_reference=dict(zip(shots, ps)),
-            reference="counterfactual" if any(p is not None for p in ps) else None,
         )
 
     grid = render_f1_grid("Macro F1 (YELP)", [

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import patvar
-from patvar import cli, filtering, gateway
+from patvar import cli, filtering, gateway, learning
 from patvar.annotation import sentence_to_record
 from patvar.cli import main
 from patvar.config import (
@@ -137,6 +137,9 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"seeds": 3}, "seeds"),
         ({"seeds": []}, "seeds"),
         ({"seeds": [0, 0, 1]}, "bad seeds: [0] listed more than once"),
+        ({"seeds": "12"}, "bad seeds: need a list, got the string '12'"),
+        ({"shots": "59"}, "bad shots: need a list, got the string '59'"),
+        ({"conditions": "random"}, "bad conditions: need a list, got the string 'random'"),
         ({"conditions": ["random", "random", "counterfactual"]},
          "bad conditions: ['random'] listed more than once"),
         ({"conditions": []}, "bad conditions: need at least one condition"),
@@ -306,7 +309,6 @@ def fixture_result(condition, means, sds, ps=None):
         mean={s: means[i] for i, s in enumerate(shots)},
         sd={s: sds[i] for i, s in enumerate(shots)},
         p_vs_reference={s: (ps[i] if ps else None) for i, s in enumerate(shots)},
-        reference="counterfactual" if ps else None,
     )
 
 
@@ -383,11 +385,10 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     quality = json.loads((out / "quality_report.json").read_text(encoding="utf-8"))
     records = [json.loads(l) for l in (out / "candidates_vt.jsonl").read_text().splitlines()]
     cfg = load_config(config)
-    pool = {ex.sentence.id: ex for ex in ingest(cfg.dataset, provider).examples}
     gw = build_gateway(cfg)
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
                       label_set=list(LABEL_VOCAB))
-    candidates = candidates_from_records(enumerate(records, 1), pool)
+    candidates = candidates_from_records(enumerate(records, 1), ingest(cfg.dataset, provider))
     _, report, _ = run_pipeline(candidates, deps)
     gw.close()
     assert quality["vt"]["pkr"] == report.pkr
@@ -624,7 +625,7 @@ def test_cli_ablate_arms(tmp_path):
     assert arms == {"none", "heuristic", "heuristic+symbolic", "heuristic+discriminator", "all"}
     # every arm is paired against the full pipeline, which has no p-value itself
     for row in rows:
-        assert (row["p_vs_counterfactual"] == "") == (row["condition"] == "all")
+        assert (row["p_vs_all"] == "") == (row["condition"] == "all")
 
 
 def test_cli_exit_codes(tmp_path):
@@ -709,7 +710,8 @@ def pool_candidate(dataset) -> dict:
 
 @pytest.mark.parametrize("kind", ["missing_keys", "id_not_string", "text_not_string",
                                   "not_mapping", "not_json", "holdout_id", "unknown_id",
-                                  "original_text_differs", "original_label_differs"])
+                                  "original_text_differs", "original_label_differs",
+                                  "target_label_unknown"])
 def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
     dataset = pool_dataset(config)
@@ -724,6 +726,7 @@ def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
         "unknown_id": {**good, "original_id": "r99999"},
         "original_text_differs": {**good, "original_text": good["original_text"] + " x"},
         "original_label_differs": {**good, "original_label": "environment"},
+        "target_label_unknown": {**good, "target_label": "bogus"},
     }
     line = "{not json" if kind == "not_json" else json.dumps(bad[kind])
     (tmp_path / "out").mkdir()
@@ -759,13 +762,15 @@ def malformed_candidate(config, kind):
         record["original_text"] = record["original_text"].upper()
     elif kind == "original_label_differs":
         record["original_label"] = "environment"
+    elif kind == "target_label_unknown":
+        record["target_label"] = "bogus"
     return record
 
 
 @pytest.mark.parametrize("command", ["filter", "ablate"])
 @pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern",
                                   "unknown_original_id", "original_text_differs",
-                                  "original_label_differs"])
+                                  "original_label_differs", "target_label_unknown"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
     """`filter` reads the candidates file, `ablate` the audit file."""
     config = write_config(tmp_path, seeds=[0])
@@ -833,19 +838,25 @@ def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, mo
     source, config = tiny_walkthrough
     out = tmp_path / "out"
     shutil.copytree(source / "out", out)
-    featurized = []
-    featurize = LemmaIds._featurize
+    built = []
+    init = LemmaIds.__init__
 
-    def spy(self, sentence):
-        featurized.append(sentence)
-        return featurize(self, sentence)
+    def spy(self, sentences):
+        init(self, sentences)
+        built.append(self)
 
-    monkeypatch.setattr(LemmaIds, "_featurize", spy)
+    monkeypatch.setattr(LemmaIds, "__init__", spy)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["ablate", "--config", str(config), "--out", str(out),
                      "--cache-dir", str(source / "cache")]) == 0
-    # The five arms share the pool, the holdout and most survivors.
-    assert featurized and len(featurized) == len(set(featurized))
+    # One LemmaIds for the run, with one row per distinct sentence: the five
+    # arms share the pool, the holdout and the annotation of each survivor
+    # text (the `none` arm keeps every line of the audit).
+    [features] = built
+    dataset = pool_dataset(config)
+    texts = {json.loads(line)["generated_text"]
+             for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()}
+    assert len(features._rows) == len(dataset.examples) + len(dataset.holdout) + len(texts)
 
 
 CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "target_label",
@@ -1086,21 +1097,62 @@ def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
     assert "not a JSON object" in caplog.text
 
 
-def test_cli_simulate_reports_failed_condition(tmp_path, capsys):
+UNTRAINABLE = "a counterfactual the classifier cannot train on"
+
+
+def write_untrainable_counterfactuals(config, name, monkeypatch, **fields):
+    """Write output `name` with one counterfactual of every pool example, each
+    record updated by `fields`, and make every cell that trains on one fail
+    with a data error."""
+    class Failing(learning.NaiveBayesClassifier):
+        def predict_nested(self, items, first_shot, n_shots, sentences):
+            if any(sentence.raw == UNTRAINABLE for sentence, _ in items):
+                raise ValueError("failing on purpose")
+            return super().predict_nested(items, first_shot, n_shots, sentences)
+
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
+    dataset = pool_dataset(config)
+    out = config.parent / "out"
+    out.mkdir()
+    with open(out / name, "w", encoding="utf-8") as fh:
+        for i, ex in enumerate(dataset.examples):
+            target = next(label for label in dataset.label_set if label != ex.label)
+            task = GenerationTask(ex.sentence, ex.label, target)
+            record = candidate_to_record(CounterfactualCandidate(f"u{i}", task, UNTRAINABLE, None))
+            fh.write(json.dumps({**record, **fields}) + "\n")
+    return out
+
+
+def test_cli_simulate_reports_failed_condition(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
-    # Every pool example gets a counterfactual whose label is not in the label set.
-    (tmp_path / "out").mkdir()
-    with open(tmp_path / "out" / "survivors_vt.jsonl", "w", encoding="utf-8") as fh:
-        for i, ex in enumerate(pool_dataset(config).examples):
-            task = GenerationTask(ex.sentence, ex.label, "bogus")
-            fh.write(json.dumps(candidate_to_record(
-                CounterfactualCandidate(f"u{i}", task, "x", None))) + "\n")
+    out = write_untrainable_counterfactuals(config, "survivors_vt.jsonl", monkeypatch)
     assert main(["simulate", "--config", str(config)]) == 4
-    out = capsys.readouterr().out
-    assert "counterfactual: F1@5 = n/a (3 of 3 cells missing)" in out
-    assert "random: F1@5 = " in out and "random: F1@5 = n/a" not in out
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    printed = capsys.readouterr().out
+    assert "counterfactual: F1@5 = n/a (3 of 3 cells missing)" in printed
+    assert "random: F1@5 = " in printed and "random: F1@5 = n/a" not in printed
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["simulate"]["outputs"]) == {"results.csv", "summary.csv"}
+
+
+def test_cli_ablate_reports_failed_arm(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    # The heuristic stage failed every candidate: only the `none` arm trains on them.
+    verdicts = {stage: {"status": "pending", "reason": ""} for stage in STAGES}
+    verdicts["heuristic"] = {"status": "failed", "reason": "refusal"}
+    out = write_untrainable_counterfactuals(config, "audit_vt.jsonl", monkeypatch,
+                                            verdicts=verdicts, discriminator_label=None)
+    assert main(["ablate", "--config", str(config)]) == 4
+    captured = capsys.readouterr()
+    assert "none: F1@5 = n/a (3 of 3 cells missing)" in captured.out
+    for arm in ("heuristic", "heuristic+symbolic", "heuristic+discriminator", "all"):
+        assert f"{arm}: F1@5 = " in captured.out and f"{arm}: F1@5 = n/a" not in captured.out
+    assert "every cell of none failed" in captured.err
+    names = {"ablation_results.csv", "ablation_summary.csv", "ablation.md"}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["ablate"]["outputs"]) == names
+    [none_row] = [line for line in (out / "ablation.md").read_text(encoding="utf-8").splitlines()
+                  if line.startswith("| none ")]
+    assert "n/a" in none_row
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

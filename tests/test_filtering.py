@@ -19,6 +19,7 @@ from patvar.filtering import (
     survivors_by_arm,
     symbolic_filter,
 )
+from patvar.experiment import Dataset
 from patvar.gateway import CompletionResponse, Gateway, MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
@@ -323,7 +324,7 @@ def test_rows_from_audit_inverts_record(provider, lexicon):
     pool = {row.candidate.task.original.id: LabeledExample(row.candidate.task.original, "service")
             for row in rows}
     records = [(i, json.loads(JSON_LINE.encode(row.record()))) for i, row in enumerate(rows, 1)]
-    assert rows_from_audit(records, pool) == rows
+    assert rows_from_audit(records, Dataset(tuple(pool.values()), LABELS, ())) == rows
 
 
 def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):

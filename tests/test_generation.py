@@ -4,6 +4,7 @@ import pytest
 
 from patvar import generation
 from patvar.errors import ParseError
+from patvar.experiment import Dataset
 from patvar.gateway import ChatMessage, Gateway, MockBackend
 from patvar.generation import (
     CandidatePhrases,
@@ -253,18 +254,19 @@ def test_generate_without_vt(provider):
 
 
 def test_candidates_from_records_names_the_line(price_task):
-    pool = {price_task.original.id: LabeledExample(price_task.original, price_task.original_label)}
+    dataset = Dataset((LabeledExample(price_task.original, price_task.original_label),),
+                      ("products", "price", "environment"), ())
     cand = CounterfactualCandidate("u0", price_task, "text", None, "length")
     good = candidate_to_record(cand)
-    (back,) = candidates_from_records([(1, good)], pool)
+    (back,) = candidates_from_records([(1, good)], dataset)
     assert back == cand and back.task.original is price_task.original
     # The verdicts of a survivors or audit line are not the candidate's.
     judged = {**good, "discriminator_label": 5, "verdicts": {"lexical": ["failed"]}}
-    assert candidates_from_records([(1, judged)], pool) == [cand]
+    assert candidates_from_records([(1, judged)], dataset) == [cand]
     for key, value in (("original_id", "r99999"), ("original_text", "They have lobster"),
-                       ("original_label", "environment")):
+                       ("original_label", "environment"), ("target_label", "service")):
         with pytest.raises(ParseError, match="line 3"):
-            candidates_from_records(enumerate([good, good, {**good, key: value}], 1), pool)
+            candidates_from_records(enumerate([good, good, {**good, key: value}], 1), dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from patvar.learning import (
     KOverN,
     LemmaIds,
     NaiveBayesClassifier,
-    NOverPool,
     ShotSchedule,
     UntrainedClassifier,
     augment_with_counterfactuals,
@@ -59,22 +58,17 @@ def small_pool(provider):
 
 
 def test_select_random_whole_pool(small_pool):
-    sel = select_random(small_pool, len(small_pool), seed=3)
+    sel = select_random(small_pool, seed=3)
     assert sorted(e.sentence.id for e in sel) == sorted(e.sentence.id for e in small_pool)
 
 
 def test_select_random_deterministic_and_nested(small_pool):
-    a = select_random(small_pool, 5, seed=11)
-    b = select_random(small_pool, 5, seed=11)
-    assert a == b
-    bigger = select_random(small_pool, 7, seed=11)
-    assert bigger[:5] == a
-    assert select_random(small_pool, 5, seed=12) != a or True  # other seeds may differ
-
-
-def test_select_random_over_pool(small_pool):
-    with pytest.raises(NOverPool):
-        select_random(small_pool, len(small_pool) + 1, seed=0)
+    """A seed gives one order of the whole pool; a budget of n labels its
+    first n examples, so the budgets nest."""
+    order = select_random(small_pool, seed=11)
+    assert select_random(small_pool, seed=11) == order
+    assert len(order) == len(small_pool)
+    assert select_random(small_pool, seed=12) != order
 
 
 def reference_embedding(sentence):
@@ -96,13 +90,26 @@ def sentence_of(words, sentence_id="s"):
                       max_size=6))
 def test_embeddings_match_sha256_reference(texts):
     sentences = [sentence_of(words) for words in texts]
-    # Half the sentences are interned up front, like a run's; the rest on first use.
-    features = LemmaIds(sentences[: len(sentences) // 2])
+    features = LemmaIds(sentences)
     for sentence in sentences:
         expected = reference_embedding(sentence)
         assert np.array_equal(hashed_embedding(sentence), expected)
         assert np.array_equal(features.embedding(sentence), expected)
         assert np.array_equal(features.embedding(sentence), expected)  # the remembered vector
+
+
+def test_lemma_ids_know_only_their_own_sentences():
+    good = sentence_of(["good", "food", "good"])
+    twin = sentence_of(["good", "food", "good"])  # equal to `good`, but another object
+    features = LemmaIds([good, good])
+    assert [ids.tolist() for ids in features.rows([good, good])] == [[0, 1, 0], [0, 1, 0]]
+    for sentences in ([twin], [good, twin]):
+        with pytest.raises(ValueError, match="outside the run's LemmaIds"):
+            features.rows(sentences)
+        with pytest.raises(ValueError, match="outside the run's LemmaIds"):
+            features.batch(tuple(sentences))
+    with pytest.raises(ValueError, match="outside the run's LemmaIds"):
+        features.embedding(twin)
 
 
 def test_embedder_properties(provider):
@@ -174,19 +181,24 @@ def test_select_cluster_alternates(provider):
         ex(provider, "rude staff waited", "b", "x2"),
         ex(provider, "rude staff arrived", "b", "x3"),
     ]
-    sel = select_cluster(pool, 2, k=2, seed=0, embedder=hashed_embedding)
+    sel = select_cluster(pool, k=2, seed=0, embedder=hashed_embedding)[:2]
     groups = {("x0", "x1"), ("x2", "x3")}
     picked = tuple(sorted(e.sentence.id for e in sel))
     assert not any(set(picked) <= set(g) for g in groups), "must take one from each cluster"
 
 
 def test_select_cluster_whole_pool_and_nesting(small_pool):
-    all_sel = select_cluster(small_pool, len(small_pool), k=2, seed=4, embedder=hashed_embedding)
-    assert len(all_sel) == len(small_pool)
-    assert len({e.sentence.id for e in all_sel}) == len(small_pool)
-    prefix = select_cluster(small_pool, 3, k=2, seed=4, embedder=hashed_embedding)
-    assert all_sel[:3] == prefix
-    assert select_cluster(small_pool, 3, k=2, seed=4, embedder=hashed_embedding) == prefix
+    """The order holds the whole pool once, taking each cluster's next
+    nearest member in turn; a budget of n labels its first n."""
+    order = select_cluster(small_pool, k=2, seed=4, embedder=hashed_embedding)
+    assert len({e.sentence.id for e in order}) == len(order) == len(small_pool)
+    assert select_cluster(small_pool, k=2, seed=4, embedder=hashed_embedding) == order
+    vectors = np.stack([hashed_embedding(e.sentence) for e in small_pool])
+    assignments, _ = kmeans(vectors, 2, seed=4)
+    cluster = {e.sentence.id: int(a) for e, a in zip(small_pool, assignments)}
+    turns = [cluster[e.sentence.id] for e in order]
+    smaller = min(collections.Counter(turns).values())
+    assert turns[: 2 * smaller] == [turns[0], 1 - turns[0]] * smaller
 
 
 def test_select_uncertainty_ordering(small_pool):
@@ -210,7 +222,7 @@ def test_select_uncertainty_ordering(small_pool):
 
 
 def test_select_uncertainty_untrained(small_pool):
-    clf = NaiveBayesClassifier(["products", "service"])
+    clf = NaiveBayesClassifier(["products", "service"], LemmaIds(e.sentence for e in small_pool))
     with pytest.raises(UntrainedClassifier):
         select_uncertainty(small_pool, 2, clf)
 
@@ -243,11 +255,18 @@ def test_augment_without_survivors(small_pool):
 # ---------------------------------------------------------------------------
 
 
+def run_nb(label_set, items, queries):
+    """A classifier whose run-wide `LemmaIds` holds the training and query
+    sentences, as `run_simulation` builds it."""
+    return NaiveBayesClassifier(label_set, LemmaIds([s for s, _ in items] + list(queries)))
+
+
 def test_nb_hand_computed_posterior(provider):
     s = provider.annotate
-    clf = NaiveBayesClassifier(["A", "B"])
-    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    [(label, conf)] = clf.predict([s("good")])
+    items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("good")
+    clf = run_nb(["A", "B"], items, [query])
+    clf.train(items)
+    [(label, conf)] = clf.predict([query])
     assert label == "A"
     # add-one smoothing: (2/6 * 0.5) / (2/6 * 0.5 + 1/6 * 0.5) = 2/3
     assert conf == pytest.approx(2 / 3, abs=1e-4)
@@ -255,36 +274,40 @@ def test_nb_hand_computed_posterior(provider):
 
 def test_nb_predicts_trained_class(provider):
     s = provider.annotate
-    clf = NaiveBayesClassifier(["A", "B"])
-    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    [(label, conf)] = clf.predict([s("good food")])
+    items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("good food")
+    clf = run_nb(["A", "B"], items, [query])
+    clf.train(items)
+    [(label, conf)] = clf.predict([query])
     assert label == "A"
     assert conf > 0.5
 
 
 def test_nb_unseen_tokens_fall_back_to_prior(provider):
     s = provider.annotate
-    clf = NaiveBayesClassifier(["A", "B"])
-    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    [(label, conf)] = clf.predict([s("xyzzy qwerty")])
+    items = [(s("good food"), "A"), (s("rude staff"), "B"), (s("more staff"), "B")]
+    query = s("xyzzy qwerty")
+    clf = run_nb(["A", "B"], items, [query])
+    clf.train(items[:2])
+    [(label, conf)] = clf.predict([query])
     assert label == "A"  # tie broken by label order
     assert conf == pytest.approx(0.5)
-    clf.train([(s("good food"), "A"), (s("rude staff"), "B"), (s("more staff"), "B")])
-    [(label, _)] = clf.predict([s("xyzzy qwerty")])
+    clf.train(items)
+    [(label, _)] = clf.predict([query])
     assert label == "B"  # prior argmax
 
 
 def test_nb_empty_training():
-    clf = NaiveBayesClassifier(["A"])
+    clf = NaiveBayesClassifier(["A"], LemmaIds([]))
     with pytest.raises(EmptyTrainingSet):
         clf.train([])
 
 
 def test_nb_missing_label_never_predicted(provider):
     s = provider.annotate
-    clf = NaiveBayesClassifier(["A", "B", "C"])
-    clf.train([(s("good food"), "A"), (s("rude staff"), "B")])
-    [(label, _)] = clf.predict([s("anything here")])
+    items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("anything here")
+    clf = run_nb(["A", "B", "C"], items, [query])
+    clf.train(items)
+    [(label, _)] = clf.predict([query])
     assert label in ("A", "B")
 
 
@@ -376,21 +399,16 @@ def nb_corpora(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(corpus=nb_corpora(), interned_first=st.booleans())
-@example(corpus=(("A", "B"), [(["good"], "A"), (["good"], "B")], [["good"], [], ["xyzzy"]]),
-         interned_first=False)  # an exact tie: both labels score alike
-@example(corpus=(("A", "B", "C"), [([], "B"), (["the", "the"], "A")], [["the"], ["qwerty"]]),
-         interned_first=True)
-def test_nb_matches_per_lemma_oracle(corpus, interned_first):
+@given(corpus=nb_corpora())
+@example(corpus=(("A", "B"), [(["good"], "A"), (["good"], "B")], [["good"], [], ["xyzzy"]]))
+# an exact tie: both labels score alike
+@example(corpus=(("A", "B", "C"), [([], "B"), (["the", "the"], "A")], [["the"], ["qwerty"]]))
+def test_nb_matches_per_lemma_oracle(corpus):
     label_set, items, queries = corpus
     training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
     query_sentences = [sentence_of(words, f"q{i}") for i, words in enumerate(queries)]
-    # A run interns every sentence before training; a lone classifier meets the
-    # queries' unseen lemmas only when it predicts.
-    features = LemmaIds(
-        [s for s, _ in training] + query_sentences if interned_first else ()
-    )
-    clf = NaiveBayesClassifier(label_set, features)
+    # Like a run's, the vocabulary holds the queries' unseen lemmas too.
+    clf = run_nb(label_set, training, query_sentences)
     clf.train(training)
     oracle = OracleNaiveBayes(label_set)
     oracle.train(training)
@@ -410,24 +428,20 @@ def nested_corpora(draw):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(corpus=nested_corpora(), interning=st.sampled_from(["run", "queries_first", "lazy"]))
-@example(corpus=(("A", "B"), [(["good"], "A"), (["good"], "B")], [0, 1], 2, [["good"], []]),
-         interning="run")  # an exact tie at shot 1; only A exists at shot 0
+@given(corpus=nested_corpora())
+# an exact tie at shot 1; only A exists at shot 0
+@example(corpus=(("A", "B"), [(["good"], "A"), (["good"], "B")], [0, 1], 2, [["good"], []]))
+# B and C join late, with lemmas shot 0 never saw
 @example(corpus=(("A", "B", "C"), [([], "A"), (["the", "food"], "B"), (["food"], "C")],
-                 [0, 1, 2], 3, [["food"], ["the"], [], ["xyzzy"]]),
-         interning="queries_first")  # B and C join late, with lemmas shot 0 never saw
+                 [0, 1, 2], 3, [["food"], ["the"], [], ["xyzzy"]]))
+# a padded query batch
 @example(corpus=(("A", "B"), [(["good"], "A"), (["rude", "rude"], "B")], [0, 0], 1,
-                 [["good", "good"], []]),
-         interning="queries_first")  # padding remembered before "rude" gets its id
-def test_nb_nested_matches_oracle_on_every_prefix(corpus, interning):
+                 [["good", "good"], []]))
+def test_nb_nested_matches_oracle_on_every_prefix(corpus):
     label_set, items, first, n_shots, queries = corpus
     training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
     query_sentences = tuple(sentence_of(words, f"q{i}") for i, words in enumerate(queries))
-    features = LemmaIds([s for s, _ in training] + list(query_sentences)
-                        if interning == "run" else ())
-    if interning == "queries_first":
-        features.batch(query_sentences)  # remembered before training meets its lemmas
-    clf = NaiveBayesClassifier(label_set, features)
+    clf = run_nb(label_set, training, query_sentences)
     oracle = OracleNaiveBayes(label_set)
     expected = oracle.predict_nested(training, first, n_shots, query_sentences)
     assert clf.predict_nested(training, first, n_shots, query_sentences) == expected
@@ -436,15 +450,15 @@ def test_nb_nested_matches_oracle_on_every_prefix(corpus, interning):
 
 def test_nb_nested_rejects_bad_first_shots(provider):
     s = provider.annotate
-    clf = NaiveBayesClassifier(["A", "B"])
-    items = [(s("good food"), "A"), (s("rude staff"), "B")]
+    items, query = [(s("good food"), "A"), (s("rude staff"), "B"), (s("cheap"), "C")], s("good")
+    clf = run_nb(["A", "B"], items, [query])
     for first in ([0], [0, 2], [0, -1]):
         with pytest.raises(ValueError, match="first shot"):
-            clf.predict_nested(items, first, 2, [s("good")])
+            clf.predict_nested(items[:2], first, 2, [query])
     with pytest.raises(EmptyTrainingSet):
-        clf.predict_nested(items, [1, 1], 2, [s("good")])
+        clf.predict_nested(items[:2], [1, 1], 2, [query])
     with pytest.raises(ValueError, match="'C' not in label set"):
-        clf.predict_nested([*items, (s("cheap"), "C")], [0, 0, 1], 2, [s("good")])
+        clf.predict_nested(items, [0, 0, 1], 2, [query])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +471,7 @@ def test_summarize_over_present_cells():
     r = summarize("random", scores, (10, 20), (0, 1, 2))
     assert r.mean[10] == mean([0.5, 0.7]) and r.sd[10] == sample_sd([0.5, 0.7])
     assert r.mean[20] is None and r.sd[20] is None
-    assert r.p_vs_reference == {10: None, 20: None} and r.reference is None
+    assert r.p_vs_reference == {10: None, 20: None}
 
 
 def test_paired_pvalues_pairs_present_seeds_only():
@@ -470,8 +484,7 @@ def test_paired_pvalues_pairs_present_seeds_only():
         20: {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5},
     }, (10, 20), (0, 1, 2, 3))
     out = paired_pvalues([base, ref], "counterfactual")
-    assert out[1] == ref and out[1].reference is None
-    assert out[0].reference == "counterfactual"
+    assert out[1] == ref
     assert out[0].p_vs_reference[10] == paired_t_test([0.4, 0.45], [0.5, 0.6])[1]
     assert out[0].p_vs_reference[20] is None  # one pair only
     assert (out[0].mean, out[0].sd, out[0].scores) == (base.mean, base.sd, base.scores)
@@ -523,9 +536,11 @@ def test_run_simulation_shape_and_determinism(provider):
         for shot in r.shots:
             assert 0.0 <= r.mean[shot] <= 1.0
             assert r.sd[shot] >= 0.0
-    random_result = results[0]
-    assert random_result.reference == "counterfactual"
-    assert results[1].reference is None
+    # The summaries come back unpaired; the caller names the reference.
+    assert all(p is None for r in results for p in r.p_vs_reference.values())
+    paired = paired_pvalues(results, "counterfactual")
+    assert all(p is not None for p in paired[0].p_vs_reference.values())
+    assert paired[1] == results[1]
     again = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, augment)
     assert again == results
 
@@ -692,11 +707,11 @@ def test_nesting_across_shots(provider):
     run_simulation(dataset, ["random", "counterfactual"], schedule, [7], factory,
                    {"counterfactual": survivors})
     originals, augmented = seen
+    order = select_random(dataset.examples, 7)
     for shot, training in zip(schedule.shots, originals):
-        selected = select_random(dataset.examples, shot, 7)
-        assert training == [(ex.sentence, ex.label) for ex in selected]
+        assert training == [(ex.sentence, ex.label) for ex in order[:shot]]
     # Each counterfactual trains from the shot its original first trains at.
     for shot, training in zip(schedule.shots, augmented):
-        selected = select_random(dataset.examples, shot, 7)
+        selected = order[:shot]
         assert training == augment_with_counterfactuals(selected, survivors)
         assert len(training) == 2 * shot
