@@ -251,6 +251,24 @@ def build_gateway(cfg: ExperimentConfig) -> Gateway:
 # ---------------------------------------------------------------------------
 
 
+def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
+    """A row's labels: a list (JSONL, under `multi_label` only) or one value,
+    which `multi_label` splits at the delimiter. After splitting they must be
+    a non-empty list of non-empty strings; ParseError naming the line if not."""
+    if isinstance(value, list) and not spec.multi_label:
+        raise ParseError(f"field {spec.label_field!r} is a list; that needs multi_label: true",
+                         line=lineno)
+    values = value if isinstance(value, list) else [value]
+    if None in values:
+        raise ParseError(f"field {spec.label_field!r} holds a null label", line=lineno)
+    labels = [str(v) for v in values]
+    if spec.multi_label and len(labels) == 1:
+        labels = [l.strip() for l in labels[0].split(spec.label_delimiter)]
+    if not labels or not all(l.strip() for l in labels):
+        raise ParseError(f"field {spec.label_field!r} holds an empty label", line=lineno)
+    return labels
+
+
 def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
     rows: list[tuple[str, list[str]]] = []
     if spec.format == "csv":
@@ -261,10 +279,8 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
                     raise ParseError(f"missing field {spec.text_field!r}", line=lineno)
                 if spec.label_field not in row or not (row[spec.label_field] or "").strip():
                     raise ParseError(f"missing field {spec.label_field!r}", line=lineno)
-                labels = [row[spec.label_field].strip()]
-                if spec.multi_label:
-                    labels = [l.strip() for l in row[spec.label_field].split(spec.label_delimiter) if l.strip()]
-                rows.append((row[spec.text_field], labels))
+                rows.append((row[spec.text_field],
+                             _labels(row[spec.label_field].strip(), spec, lineno)))
     else:
         for lineno, record in read_jsonl(spec.path):
             fields = {spec.text_field, spec.label_field}
@@ -273,11 +289,10 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
                     f"record needs fields {spec.text_field!r} and {spec.label_field!r}",
                     line=lineno,
                 )
-            value = record[spec.label_field]
-            labels = [str(l) for l in value] if isinstance(value, list) else [str(value)]
-            if spec.multi_label and len(labels) == 1:
-                labels = [l.strip() for l in labels[0].split(spec.label_delimiter) if l.strip()]
-            rows.append((str(record[spec.text_field]), labels))
+            if record[spec.text_field] is None:
+                raise ParseError(f"field {spec.text_field!r} is null", line=lineno)
+            rows.append((str(record[spec.text_field]),
+                         _labels(record[spec.label_field], spec, lineno)))
     return rows
 
 

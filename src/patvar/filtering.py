@@ -118,18 +118,17 @@ def compute_metrics(rows: Sequence[FilterRow]) -> QualityReport:
 # ---------------------------------------------------------------------------
 
 
-def heuristic_filter(c: CounterfactualCandidate, finish_reason: str | None = None) -> StageVerdict:
+def heuristic_filter(c: CounterfactualCandidate) -> StageVerdict:
     """Reject refusals, prompt echoes, incomplete text, and trivial output."""
     text = c.generated_text
     lowered = text.lower()
-    finish = finish_reason if finish_reason is not None else c.finish_reason
     if REFUSAL_TEXT in lowered:
         return StageVerdict("failed", "refusal")
     for marker in SCAFFOLD_MARKERS:
         if marker in lowered:
             return StageVerdict("failed", f"prompt echo ({marker!r})")
     n_tokens = len(tokenize(text))
-    if finish == "length":
+    if c.finish_reason == "length":
         return StageVerdict("failed", "incomplete (truncated)")
     stripped = text.rstrip()
     while stripped and stripped[-1] in _CLOSING_CHARS:

@@ -354,10 +354,9 @@ class Gateway:
     _readers: list[BinaryIO] = field(default_factory=list, init=False, repr=False, compare=False)
     _segment: BinaryIO | None = field(default=None, init=False, repr=False, compare=False)
 
-    def request(
-        self, messages: Iterable[ChatMessage], max_tokens: int, temperature: float = 0.0
-    ) -> CompletionRequest:
-        return CompletionRequest(self.model, tuple(messages), temperature, max_tokens)
+    def request(self, messages: Iterable[ChatMessage], max_tokens: int) -> CompletionRequest:
+        """A request for this gateway's model, at temperature 0."""
+        return CompletionRequest(self.model, tuple(messages), 0.0, max_tokens)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         if self.cache_dir is None:

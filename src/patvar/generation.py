@@ -98,16 +98,6 @@ def build_task(
 
 
 @dataclass(frozen=True)
-class CandidatePhrases:
-    task: GenerationTask
-    phrases: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.phrases:
-            raise ValueError("phrases must be non-empty")
-
-
-@dataclass(frozen=True)
 class CounterfactualCandidate:
     """What `gen` made for one task; `filtering` judges it."""
 
@@ -293,8 +283,9 @@ def generate_candidate_phrases(
     gateway: Gateway,
     provider: AnnotationProvider,
     lex: SynonymLexicon,
-) -> CandidatePhrases:
-    """Ask for pattern-matching phrases and keep only the ones that verify."""
+) -> tuple[str, ...]:
+    """Ask for pattern-matching phrases and return the ones that verify;
+    NoValidPhrases when none does."""
     if task.pattern is None:
         raise ValueError("candidate phrases need a pattern-constrained task")
     slots = {
@@ -327,7 +318,7 @@ def generate_candidate_phrases(
             f"no returned phrase matches {render_pattern(task.pattern)!r} "
             f"(got {len(raw_phrases)} phrases)"
         )
-    return CandidatePhrases(task, tuple(valid))
+    return tuple(valid)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +336,12 @@ def _find_used_phrase(text: str, phrases: Sequence[str]) -> str | None:
 
 def generate_counterfactual(
     task: GenerationTask,
-    phrases: CandidatePhrases,
+    phrases: Sequence[str],
     gateway: Gateway,
-    uid: str | None = None,
+    uid: str,
 ) -> CounterfactualCandidate:
     """Generate one phrase-anchored counterfactual; filtering judges the text."""
-    joined = ", ".join(phrases.phrases)
+    joined = ", ".join(phrases)
     slots = {
         "text": task.original.raw,
         "label": task.original_label,
@@ -361,10 +352,10 @@ def generate_counterfactual(
     resp = gateway.complete(gateway.request(messages, GENERATION_MAX_TOKENS))
     text = resp.text.strip()
     return CounterfactualCandidate(
-        uid=uid or f"{task.original.id}:{task.target_label}",
+        uid=uid,
         task=task,
         generated_text=text,
-        used_phrase=_find_used_phrase(text, phrases.phrases),
+        used_phrase=_find_used_phrase(text, phrases),
         finish_reason=resp.finish_reason,
     )
 
@@ -374,7 +365,7 @@ def generate_without_vt(
     original_label: str,
     target_label: str,
     gateway: Gateway,
-    uid: str | None = None,
+    uid: str,
 ) -> CounterfactualCandidate:
     """Unconstrained rewrite baseline: no pattern, no phrase anchor."""
     task = GenerationTask(original, original_label, target_label, pattern=None)
@@ -382,7 +373,7 @@ def generate_without_vt(
     messages = fill(load_template("counterfactual_no_vt"), slots)
     resp = gateway.complete(gateway.request(messages, GENERATION_MAX_TOKENS))
     return CounterfactualCandidate(
-        uid=uid or f"{original.id}:{target_label}:novt",
+        uid=uid,
         task=task,
         generated_text=resp.text.strip(),
         used_phrase=None,

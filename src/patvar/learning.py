@@ -1,6 +1,11 @@
 """Simulated active learning: selection strategies, counterfactual
 augmentation, a reference classifier, and the multi-seed run grid.
 
+A run featurizes its sentences once, into one `LemmaIds`: a lemma-id matrix
+with a row per distinct sentence, padded with -1. The classifier's training
+counts, its holdout and pool batches, and the `cluster` embeddings are all
+slices of that matrix.
+
 The whole simulation is a pure function of (dataset, config, seeds, injected
 deps): every random choice is seeded, selection orders are prefix-stable so
 shot levels nest, and every shot level is scored as a classifier trained
@@ -16,7 +21,7 @@ import itertools
 import logging
 import math
 import random
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,25 +54,8 @@ class EmptyTrainingSet(PatvarError):
     pass
 
 
-class Classifier(Protocol):
-    def train(self, items: Sequence[TrainingItem]) -> None: ...
-
-    def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]: ...
-
-    def predict_nested(
-        self,
-        items: Sequence[TrainingItem],
-        first_shot: Sequence[int],
-        n_shots: int,
-        sentences: Sequence[AnnotatedSentence],
-    ) -> list[list[str]]:
-        """Per shot k, the labels of `sentences` after training on the items
-        whose first shot is at most k; needs no earlier `train`."""
-        ...
-
-
 # ---------------------------------------------------------------------------
-# Features: lemma ids and hashed embeddings, computed once per run
+# Features: one lemma-id matrix per run
 # ---------------------------------------------------------------------------
 
 EMBEDDING_DIM = 64
@@ -78,82 +66,59 @@ def _bucket(lemma: str) -> int:
     return int.from_bytes(digest[:4], "big") % EMBEDDING_DIM
 
 
-def _unit(buckets: np.ndarray) -> np.ndarray:
-    vec = np.bincount(buckets, minlength=EMBEDDING_DIM).astype(np.float64)
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
-
-
-def hashed_embedding(sentence: AnnotatedSentence) -> np.ndarray:
-    """Deterministic 64-dim hashed bag-of-lemmas embedding, L2-normalized.
-
-    A stand-in for a sentence-embedding model; `select_cluster` takes any
-    callable mapping a sentence to a fixed-length vector.
-    """
-    return _unit(np.array([_bucket(lemma) for lemma in sentence.lemmas()], dtype=np.intp))
-
-
 class LemmaIds:
-    """One run's lemma vocabulary and the lemma-id row of each of its sentences.
+    """One run's lemma vocabulary and one lemma-id matrix: a row per distinct
+    sentence, in token order, padded on the right with -1.
 
     Each distinct sentence is featurized once, when the instance is built,
-    and looked up by identity: the instance keeps its sentences alive, so no
-    other object can take over their ids. Scope one instance to one run.
+    and its row is found by identity: the instance keeps its sentences alive,
+    so no other object can take over their ids. Scope one instance to one run.
     """
 
     def __init__(self, sentences: Iterable[AnnotatedSentence]):
         self.vocab: dict[str, int] = {}
         self._alive: list[AnnotatedSentence] = []
-        self._rows: dict[int, np.ndarray] = {}  # id(sentence) -> lemma ids
-        self._vectors: dict[int, np.ndarray] = {}  # id(sentence) -> embedding
-        self._batches: dict[int, tuple[tuple, np.ndarray]] = {}  # id(tuple) -> (tuple, batch)
+        self._row: dict[int, int] = {}  # id(sentence) -> row of the matrix
+        rows = []
         for sentence in sentences:
-            if id(sentence) not in self._rows:
+            if id(sentence) not in self._row:
+                self._row[id(sentence)] = len(self._alive)
                 self._alive.append(sentence)
-                self._rows[id(sentence)] = np.array(
-                    [self.vocab.setdefault(lemma, len(self.vocab)) for lemma in sentence.lemmas()],
-                    dtype=np.intp)
-
-    def rows(self, sentences: Iterable[AnnotatedSentence]) -> list[np.ndarray]:
-        """Each sentence's lemma ids, in token order; ValueError for a
-        sentence the instance was not built from."""
-        try:
-            return list(map(self._rows.__getitem__, map(id, sentences)))
-        except KeyError:
-            raise ValueError("a sentence outside the run's LemmaIds") from None
+                rows.append([self.vocab.setdefault(lemma, len(self.vocab))
+                             for lemma in sentence.lemmas()])
+        self._lengths = np.array(list(map(len, rows)), dtype=np.intp)
+        self._matrix = np.full((len(rows), self._lengths.max(initial=0)), -1, dtype=np.intp)
+        self._matrix[np.arange(self._matrix.shape[1]) < self._lengths[:, None]] = list(
+            itertools.chain.from_iterable(rows))
 
     def batch(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
-        """The rows as one matrix, padded on the right with -1.
-
-        A tuple cannot change, so its matrix is built once and remembered by
-        identity (the instance keeps the tuple alive); it is read-only.
-        """
-        if isinstance(sentences, tuple):
-            known = self._batches.get(id(sentences))
-            if known is not None:
-                return known[1]
-        rows = self.rows(sentences)
-        lengths = np.array([len(ids) for ids in rows], dtype=np.intp)
-        out = np.full((len(rows), lengths.max(initial=0)), -1, dtype=np.intp)
-        if rows:
-            out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
-        if isinstance(sentences, tuple):
-            out.flags.writeable = False
-            self._batches[id(sentences)] = (sentences, out)
-        return out
+        """The sentences' rows, cut to the longest of them; ValueError for a
+        sentence the instance was not built from."""
+        try:
+            rows = list(map(self._row.__getitem__, map(id, sentences)))
+        except KeyError:
+            raise ValueError("a sentence outside the run's LemmaIds") from None
+        return self._matrix[rows, : self._lengths[rows].max(initial=0)]
 
     @functools.cached_property
     def _buckets(self) -> np.ndarray:
         """Each lemma's embedding bucket, by lemma id."""
         return np.array([_bucket(lemma) for lemma in self.vocab], dtype=np.intp)
 
-    def embedding(self, sentence: AnnotatedSentence) -> np.ndarray:
-        """`hashed_embedding(sentence)`, hashing each distinct lemma once per run."""
-        vec = self._vectors.get(id(sentence))
-        if vec is None:
-            [ids] = self.rows([sentence])
-            vec = self._vectors[id(sentence)] = _unit(self._buckets[ids])
-        return vec
+    def embeddings(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
+        """Deterministic 64-dim hashed bag-of-lemmas embeddings, L2-normalized,
+        one row per sentence; an empty sentence embeds as zeros.
+
+        A stand-in for a sentence-embedding model: lemma v counts in bucket
+        `sha256(v)[:4] % 64`. The counts are integers, so each norm is exact.
+        """
+        ids = self.batch(sentences)
+        tokens = ids >= 0
+        slots = np.nonzero(tokens)[0] * EMBEDDING_DIM + self._buckets[ids[tokens]]
+        counts = np.bincount(slots, minlength=len(ids) * EMBEDDING_DIM).reshape(
+            len(ids), EMBEDDING_DIM).astype(np.float64)
+        norms = np.sqrt((counts * counts).sum(axis=1, keepdims=True))
+        return counts / np.where(norms > 0, norms, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +169,7 @@ class NaiveBayesClassifier:
     unseen tokens falls back to the prior argmax. Ties break in label_set
     order. Confidence is the normalized posterior of the argmax.
 
-    Works on the lemma-id rows of the run's `features`. `predict_nested`
+    Reads lemma ids as batches of the run's `features` matrix. `predict_nested`
     scores a schedule of nested training sets in one pass: one `np.bincount`
     over (shot, label, lemma) and a `cumsum` along the shots give every
     shot's counts, and the log table holds `math.log((count + 1) / denom)`,
@@ -266,15 +231,15 @@ class NaiveBayesClassifier:
             doc_labels = [self._label_index[label] for _, label in items]
         except KeyError as exc:
             raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
-        rows = self._features.rows([sentence for sentence, _ in items])
+        ids = self._features.batch([sentence for sentence, _ in items])
         n_labels, width = len(self.label_set), len(self._features.vocab)
         slots = first * n_labels + np.array(doc_labels, dtype=np.intp)
         docs = np.bincount(slots, minlength=n_shots * n_labels).reshape(n_shots, n_labels)
         if not docs[0].any():
             raise EmptyTrainingSet("the first shot has no training item")
+        # Row-major over the padded batch: each item's tokens, in token order.
         counts = np.bincount(
-            np.repeat(slots, list(map(len, rows))) * width + np.concatenate(rows),
-            minlength=n_shots * n_labels * width,
+            (slots[:, None] * width + ids)[ids >= 0], minlength=n_shots * n_labels * width
         ).reshape(n_shots, n_labels, width)
         return counts.cumsum(axis=0), docs.cumsum(axis=0)
 
@@ -297,16 +262,15 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     if not 1 <= k <= n:
         raise KOverN(f"k={k} outside 1..{n}")
     x = np.asarray(vectors, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[rng.integers(n)]
+    centroids[0] = x[rng.randrange(n)]
     closest_sq = np.sum((x - centroids[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = closest_sq.sum()
-        if total <= 0:
-            centroids[j] = x[rng.integers(n)]
+        if closest_sq.sum() <= 0:
+            centroids[j] = x[rng.randrange(n)]
         else:
-            centroids[j] = x[rng.choice(n, p=closest_sq / total)]
+            centroids[j] = x[rng.choices(range(n), weights=closest_sq.tolist())[0]]
         closest_sq = np.minimum(closest_sq, np.sum((x - centroids[j]) ** 2, axis=1))
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
@@ -348,11 +312,12 @@ def select_cluster(
     pool: Sequence[LabeledExample],
     k: int,
     seed: int,
-    embedder: Callable[[AnnotatedSentence], np.ndarray],
+    embed: Callable[[Sequence[AnnotatedSentence]], np.ndarray],
 ) -> list[LabeledExample]:
     """The whole pool, round-robin over k-means clusters, nearest-to-centroid
-    first; a budget of n takes its first n."""
-    vectors = np.stack([embedder(ex.sentence) for ex in pool])
+    first; a budget of n takes its first n. `embed` maps sentences to the
+    rows of a matrix of vectors."""
+    vectors = embed([ex.sentence for ex in pool])
     assignments, centroids = kmeans(vectors, k, seed)
     dists = np.sum((vectors - centroids[assignments]) ** 2, axis=1)
     queues: list[list[int]] = []
@@ -364,7 +329,7 @@ def select_cluster(
 
 
 def select_uncertainty(
-    pool: Sequence[LabeledExample], n: int, clf: Classifier
+    pool: Sequence[LabeledExample], n: int, clf: NaiveBayesClassifier
 ) -> list[LabeledExample]:
     """Lowest-confidence-first selection; ties keep pool order."""
     if n > len(pool):
@@ -398,7 +363,7 @@ def _selection_order(
     dataset: Dataset,
     shots: Sequence[int],
     seed: int,
-    clf_factory: Callable[[LemmaIds], Classifier],
+    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
     features: LemmaIds,
 ) -> list[LabeledExample]:
     """The order in which the cell labels pool examples; shot k labels its
@@ -407,7 +372,7 @@ def _selection_order(
     pool = dataset.examples
     if condition == "cluster":
         k = min(len(dataset.label_set), len(pool))
-        return select_cluster(pool, k, seed, features.embedding)
+        return select_cluster(pool, k, seed, features.embeddings)
     if condition == "uncertainty":
         return _uncertainty_order(pool, shots, seed, clf_factory, features)
     return select_random(pool, seed)
@@ -417,7 +382,7 @@ def _uncertainty_order(
     pool: Sequence[LabeledExample],
     shots: Sequence[int],
     seed: int,
-    clf_factory: Callable[[LemmaIds], Classifier],
+    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
     features: LemmaIds,
 ) -> list[LabeledExample]:
     """A random first shot, grown at each later shot by the remaining pool
@@ -438,10 +403,9 @@ def _run_cell(
     dataset: Dataset,
     schedule: ShotSchedule,
     seed: int,
-    clf_factory: Callable[[LemmaIds], Classifier],
+    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
     index: SurvivorsIndex,
     features: LemmaIds,
-    holdout: tuple[AnnotatedSentence, ...],
 ) -> dict[int, float]:
     shots = schedule.shots
     # Shot k trains on a prefix of the order: each original (and its
@@ -450,7 +414,8 @@ def _run_cell(
     first = [bisect.bisect_right(shots, i) for i in range(len(labeled))]
     first += [k for ex, k in zip(labeled, first) for _ in index.get(ex.sentence.id, ())]
     predicted = clf_factory(features).predict_nested(
-        augment_with_counterfactuals(labeled, index), first, len(shots), holdout
+        augment_with_counterfactuals(labeled, index), first, len(shots),
+        [ex.sentence for ex in dataset.holdout],
     )
     return {
         shot: macro_f1([(ex.label, label) for ex, label in zip(dataset.holdout, labels)],
@@ -464,7 +429,7 @@ def run_simulation(
     conditions: Sequence[str],
     schedule: ShotSchedule,
     seeds: Sequence[int],
-    clf_factory: Callable[[LemmaIds], Classifier],
+    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
     augment_index: Mapping[str, SurvivorsIndex],
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean and SD, one
@@ -474,7 +439,7 @@ def run_simulation(
     maps a condition to its survivors index; a condition trains on its
     index's counterfactuals as well as its originals, and on the originals
     only when it has none. Every sentence of the pool, the holdout and the
-    survivors is featurized once, into the run's `LemmaIds`, which
+    survivors is featurized once, into the run's `LemmaIds` matrix, which
     `clf_factory(features)` hands to each fresh classifier. Every cell scores
     all its shots with one `predict_nested` over its selection order; an
     `uncertainty` cell first trains once per shot but the last to grow that
@@ -490,9 +455,8 @@ def run_simulation(
     if unknown:
         raise ValueError(f"unknown conditions {unknown}; know {list(CONDITIONS)}")
     schedule.validate_against(len(dataset.examples))
-    holdout = tuple(ex.sentence for ex in dataset.holdout)
     features = LemmaIds(
-        [ex.sentence for ex in dataset.examples] + list(holdout)
+        [ex.sentence for ex in dataset.examples + dataset.holdout]
         + [sentence for index in augment_index.values()
            for items in index.values() for sentence, _ in items]
     )
@@ -502,9 +466,7 @@ def run_simulation(
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:
-                cell = _run_cell(
-                    condition, dataset, schedule, seed, clf_factory, index, features, holdout
-                )
+                cell = _run_cell(condition, dataset, schedule, seed, clf_factory, index, features)
             except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
                 cell = {}

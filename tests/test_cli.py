@@ -856,7 +856,7 @@ def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, mo
     dataset = pool_dataset(config)
     texts = {json.loads(line)["generated_text"]
              for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()}
-    assert len(features._rows) == len(dataset.examples) + len(dataset.holdout) + len(texts)
+    assert len(features._row) == len(dataset.examples) + len(dataset.holdout) + len(texts)
 
 
 CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "target_label",
@@ -1079,6 +1079,35 @@ def test_cli_corrupted_input_exits_2(tmp_path, capsys, name, kind, message):
     assert f"{name} line {index + 1}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, multi_label, line, message", [
+    ("data.jsonl", False, b'{"text": "good food", "label": ""}', "field 'label' holds an empty label"),
+    ("data.jsonl", True, b'{"text": "good food", "label": []}', "field 'label' holds an empty label"),
+    ("data.jsonl", False, b'{"text": "good food", "label": null}', "field 'label' holds a null label"),
+    ("data.jsonl", True, b'{"text": "good food", "label": [null]}', "field 'label' holds a null label"),
+    ("data.jsonl", False, b'{"text": "good food", "label": ["products", "service"]}',
+     "field 'label' is a list; that needs multi_label: true"),
+    ("data.jsonl", False, b'{"text": null, "label": "products"}', "field 'text' is null"),
+    ("data.csv", True, b"good food,|", "field 'label' holds an empty label"),
+    ("data.csv", True, b"good food,products|", "field 'label' holds an empty label"),
+], ids=["empty", "empty_list", "null", "null_in_list", "list_without_multi_label", "null_text",
+        "csv_only_delimiter", "csv_empty_part"])
+def test_cli_malformed_labels_exit_2(tmp_path, capsys, name, multi_label, line, message):
+    """A row's labels must be a non-empty list of non-empty strings after
+    splitting; the text and labels of a JSONL row may not be null."""
+    rows = make_rows(40, seed=3)
+    write_csv(tmp_path / "data.csv", rows)
+    with open(tmp_path / "data.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"text": text, "label": label}) + "\n" for text, label in rows)
+    dataset = {**INPUT_FILES[name].get("dataset", {}), "multi_label": multi_label}
+    config = write_config(tmp_path, dataset=dataset)
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines()
+    lines[2] = line
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["synth", "--config", str(config)]) == 2
+    assert f"{name} line 3: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "ablate"])
 def test_cli_rejects_shot_above_pool(tmp_path, capsys, command):
     config = write_config(tmp_path, conditions=["random"], shots=[5, 10, 500])
@@ -1190,3 +1219,22 @@ def test_text_commands_never_import_numpy(tmp_path):
     assert exposed == [] and version == patvar.__version__
     assert codes == [0, 0, 0, 0]
     assert not numpy_loaded
+
+
+def test_cluster_simulation_never_imports_numpy_random(tmp_path):
+    """k-means++ draws its seeds from `random.Random`, so a `cluster`
+    simulation in a fresh interpreter leaves `numpy.random` unloaded."""
+    config = write_config(tmp_path, conditions=["cluster"], shots=[3, 6], seeds=[0, 1])
+    script = "\n".join([
+        "import json, sys",
+        "from patvar.cli import main",
+        "code = main(['simulate', '--config', sys.argv[1]])",
+        "print(json.dumps([code, 'numpy' in sys.modules, 'numpy.random' in sys.modules]))",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(patvar.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config)], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, True, False]

@@ -7,7 +7,6 @@ from patvar.errors import ParseError
 from patvar.experiment import Dataset
 from patvar.gateway import ChatMessage, Gateway, MockBackend
 from patvar.generation import (
-    CandidatePhrases,
     CounterfactualCandidate,
     GenerationTask,
     LabelMismatch,
@@ -174,7 +173,7 @@ def test_candidate_phrases_validated(price_task, provider, lexicon):
     phrases = generate_candidate_phrases(
         price_task, collect_soft_matches(price_task, lexicon), gw, provider, lexicon
     )
-    assert phrases.phrases == ("affordable lobster", "reasonable price", "budget-friendly menu")
+    assert phrases == ("affordable lobster", "reasonable price", "budget-friendly menu")
 
 
 def test_candidate_phrases_drop_nonmatching(price_task, provider, lexicon, caplog):
@@ -184,7 +183,7 @@ def test_candidate_phrases_drop_nonmatching(price_task, provider, lexicon, caplo
     gw, _ = gateway_with(responder=lambda req: CompletionResponse(reply))
     with caplog.at_level("WARNING"):
         phrases = generate_candidate_phrases(price_task, [], gw, provider, lexicon)
-    assert phrases.phrases == ("affordable lobster",)
+    assert phrases == ("affordable lobster",)
     assert any("completely unrelated" in r.message for r in caplog.records)
 
 
@@ -225,8 +224,9 @@ def test_generate_counterfactual_detects_used_phrase(price_task):
 
     reply = "The affordable lobster here makes this spot unbeatable."
     gw, _ = gateway_with(responder=lambda req: CompletionResponse(reply))
-    phrases = CandidatePhrases(price_task, ("affordable lobster", "reasonable price"))
-    cand = generate_counterfactual(price_task, phrases, gw)
+    phrases = ("affordable lobster", "reasonable price")
+    cand = generate_counterfactual(price_task, phrases, gw, "r1:price:0")
+    assert cand.uid == "r1:price:0"
     assert cand.generated_text == reply
     assert cand.used_phrase == "affordable lobster"
 
@@ -235,8 +235,7 @@ def test_generate_counterfactual_refusal_still_yields_candidate(price_task):
     from patvar.gateway import CompletionResponse
 
     gw, _ = gateway_with(responder=lambda req: CompletionResponse("cannot generate counterfactual"))
-    phrases = CandidatePhrases(price_task, ("affordable lobster",))
-    cand = generate_counterfactual(price_task, phrases, gw)
+    cand = generate_counterfactual(price_task, ("affordable lobster",), gw, "r1:price:0")
     assert cand.used_phrase is None
     assert cand.generated_text == "cannot generate counterfactual"
 
@@ -246,11 +245,12 @@ def test_generate_without_vt(provider):
 
     gw, _ = gateway_with(responder=lambda req: CompletionResponse("The deal was all about cheap."))
     original = provider.annotate("The staff was rude.")
-    cand = generate_without_vt(original, "service", "price", gw)
+    cand = generate_without_vt(original, "service", "price", gw, "r2:price:novt:0")
+    assert cand.uid == "r2:price:novt:0"
     assert cand.task.pattern is None
     assert cand.used_phrase is None
     with pytest.raises(ValueError):
-        generate_without_vt(original, "service", "service", gw)
+        generate_without_vt(original, "service", "service", gw, "r2:service:novt:0")
 
 
 def test_candidates_from_records_names_the_line(price_task):

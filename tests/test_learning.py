@@ -19,7 +19,6 @@ from patvar.learning import (
     ShotSchedule,
     UntrainedClassifier,
     augment_with_counterfactuals,
-    hashed_embedding,
     inertia,
     kmeans,
     run_simulation,
@@ -72,7 +71,7 @@ def test_select_random_deterministic_and_nested(small_pool):
 
 
 def reference_embedding(sentence):
-    """The sha256-per-lemma loop that `hashed_embedding` is specified by."""
+    """The sha256-per-lemma loop that `LemmaIds.embeddings` is specified by."""
     vec = np.zeros(64, dtype=np.float64)
     for lemma in sentence.lemmas():
         digest = hashlib.sha256(lemma.encode("utf-8")).digest()
@@ -92,29 +91,58 @@ def test_embeddings_match_sha256_reference(texts):
     sentences = [sentence_of(words) for words in texts]
     features = LemmaIds(sentences)
     for sentence in sentences:
-        expected = reference_embedding(sentence)
-        assert np.array_equal(hashed_embedding(sentence), expected)
-        assert np.array_equal(features.embedding(sentence), expected)
-        assert np.array_equal(features.embedding(sentence), expected)  # the remembered vector
+        [vector] = features.embeddings([sentence])
+        assert np.array_equal(vector, reference_embedding(sentence))
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.lists(st.sampled_from(["a", "b", "c", "é", "中"]), max_size=5),
+                      min_size=1, max_size=6),
+       data=st.data())
+def test_lemma_ids_batches_and_embeddings_match_dict_reference(texts, data):
+    """A batch of any of the run's sentences, repeated or not, in any order,
+    as a list or a tuple, is each sentence's lemma ids padded with -1; one
+    embeddings call over sentences of mixed lengths, empty ones too, equals
+    the per-sentence reference row by row."""
+    distinct = [sentence_of(words, f"s{i}") for i, words in enumerate(texts)]
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=6))
+    built = data.draw(st.permutations(distinct + repeats))
+    picked = data.draw(st.lists(st.integers(0, len(distinct) - 1), max_size=8))
+    as_tuple = data.draw(st.booleans())
+    vocab = {}
+    ids = {id(s): [vocab.setdefault(lemma, len(vocab)) for lemma in s.lemmas()] for s in built}
+    subset = [distinct[i] for i in picked]
+    width = max((len(ids[id(s)]) for s in subset), default=0)
+    expected = [ids[id(s)] + [-1] * (width - len(ids[id(s)])) for s in subset]
+    features = LemmaIds(built)
+    query = tuple(subset) if as_tuple else subset
+    assert features.vocab == vocab
+    assert features.batch(query).tolist() == expected
+    vectors = features.embeddings(query)
+    assert vectors.shape == (len(subset), 64)
+    for vector, sentence in zip(vectors, subset):
+        assert np.array_equal(vector, reference_embedding(sentence))
 
 
 def test_lemma_ids_know_only_their_own_sentences():
     good = sentence_of(["good", "food", "good"])
     twin = sentence_of(["good", "food", "good"])  # equal to `good`, but another object
     features = LemmaIds([good, good])
-    assert [ids.tolist() for ids in features.rows([good, good])] == [[0, 1, 0], [0, 1, 0]]
+    assert features.batch([good, good]).tolist() == [[0, 1, 0], [0, 1, 0]]
     for sentences in ([twin], [good, twin]):
         with pytest.raises(ValueError, match="outside the run's LemmaIds"):
-            features.rows(sentences)
+            features.batch(sentences)
         with pytest.raises(ValueError, match="outside the run's LemmaIds"):
             features.batch(tuple(sentences))
-    with pytest.raises(ValueError, match="outside the run's LemmaIds"):
-        features.embedding(twin)
+        with pytest.raises(ValueError, match="outside the run's LemmaIds"):
+            features.embeddings(sentences)
 
 
 def test_embedder_properties(provider):
     def embed(text):
-        return hashed_embedding(provider.annotate(text))
+        sentence = provider.annotate(text)
+        [vector] = LemmaIds([sentence]).embeddings([sentence])
+        return vector
 
     a = embed("good food")
     b = embed("good food")
@@ -181,7 +209,8 @@ def test_select_cluster_alternates(provider):
         ex(provider, "rude staff waited", "b", "x2"),
         ex(provider, "rude staff arrived", "b", "x3"),
     ]
-    sel = select_cluster(pool, k=2, seed=0, embedder=hashed_embedding)[:2]
+    embed = LemmaIds(e.sentence for e in pool).embeddings
+    sel = select_cluster(pool, k=2, seed=0, embed=embed)[:2]
     groups = {("x0", "x1"), ("x2", "x3")}
     picked = tuple(sorted(e.sentence.id for e in sel))
     assert not any(set(picked) <= set(g) for g in groups), "must take one from each cluster"
@@ -190,10 +219,11 @@ def test_select_cluster_alternates(provider):
 def test_select_cluster_whole_pool_and_nesting(small_pool):
     """The order holds the whole pool once, taking each cluster's next
     nearest member in turn; a budget of n labels its first n."""
-    order = select_cluster(small_pool, k=2, seed=4, embedder=hashed_embedding)
+    embed = LemmaIds(e.sentence for e in small_pool).embeddings
+    order = select_cluster(small_pool, k=2, seed=4, embed=embed)
     assert len({e.sentence.id for e in order}) == len(order) == len(small_pool)
-    assert select_cluster(small_pool, k=2, seed=4, embedder=hashed_embedding) == order
-    vectors = np.stack([hashed_embedding(e.sentence) for e in small_pool])
+    assert select_cluster(small_pool, k=2, seed=4, embed=embed) == order
+    vectors = embed([e.sentence for e in small_pool])
     assignments, _ = kmeans(vectors, 2, seed=4)
     cluster = {e.sentence.id: int(a) for e, a in zip(small_pool, assignments)}
     turns = [cluster[e.sentence.id] for e in order]
