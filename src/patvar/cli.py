@@ -38,7 +38,6 @@ from .generation import (
     build_task,
     candidate_to_record,
     candidates_from_records,
-    collect_soft_matches,
     generate_candidate_phrases,
     generate_counterfactual,
     generate_without_vt,
@@ -182,6 +181,9 @@ def _read_candidates(ctx: Context, name: str, writer: str, reader=candidates_fro
 # ---------------------------------------------------------------------------
 
 
+RELAXED_PRECISION = 0.8
+
+
 def cmd_synth(ctx: Context) -> int:
     cfg, lexicon, dataset = ctx.cfg, ctx.lexicon, ctx.dataset
     payload = {"dataset": ctx.dataset_name, "label_set": list(dataset.label_set), "patterns": {}}
@@ -193,18 +195,21 @@ def cmd_synth(ctx: Context) -> int:
             logger.warning("label %r has no pool examples; skipping", label)
             payload["patterns"][label] = []
             continue
-        syn_cfg = cfg.synthesis
-        try:
-            scored = synthesize_patterns(positives, negatives, syn_cfg, lexicon)
-        except NoViablePattern:
-            relaxed = dataclasses.replace(syn_cfg, min_precision=0.8)
-            logger.warning("label %r: no pattern at precision %.2f; retrying at 0.8",
-                           label, syn_cfg.min_precision)
+        # A floor above RELAXED_PRECISION that no pattern reaches is retried there.
+        floors = [cfg.synthesis.min_precision]
+        if floors[0] > RELAXED_PRECISION:
+            floors.append(RELAXED_PRECISION)
+        for floor in floors:
             try:
-                scored = synthesize_patterns(positives, negatives, relaxed, lexicon)
+                scored = synthesize_patterns(
+                    positives, negatives, dataclasses.replace(cfg.synthesis, min_precision=floor),
+                    lexicon)
+                break
             except NoViablePattern:
-                logger.warning("label %r: no viable pattern at all", label)
-                scored = []
+                logger.warning("label %r: no pattern at precision %.2f", label, floor)
+        else:
+            logger.warning("label %r: no viable pattern at all", label)
+            scored = []
         payload["patterns"][label] = [
             {"pattern": sp.rendered, "precision": sp.precision, "recall": sp.recall, "f1": sp.f1,
              "covered": sorted(sp.matched_positive_ids)}
@@ -256,9 +261,7 @@ def cmd_gen(ctx: Context) -> int:
             if pattern is not None:
                 try:
                     task = build_task(ex.sentence, ex.label, target, pattern, lexicon, spans)
-                    phrases = generate_candidate_phrases(
-                        task, collect_soft_matches(task, lexicon), gateway, provider, lexicon
-                    )
+                    phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
                     cand = generate_counterfactual(
                         task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"
                     )
@@ -297,10 +300,10 @@ def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
 def cmd_filter(ctx: Context) -> int:
     deps = FilterDeps(label_set=_load_patterns(ctx)[0], lex=ctx.lexicon, provider=ctx.provider,
                       gateway=ctx.gateway)
-    quality = {"dataset": ctx.dataset_name}
-    for name, key in (("vt", "vt"), ("novt", "no_vt")):
-        if os.path.exists(ctx.path(f"candidates_{name}.jsonl")):
-            quality[key] = dataclasses.asdict(_filter_candidates(ctx, name, deps))
+    quality = {"dataset": ctx.dataset_name,
+               "vt": dataclasses.asdict(_filter_candidates(ctx, "vt", deps))}
+    if "cf_no_vt" in ctx.cfg.conditions:  # the rule by which `gen` writes candidates_novt.jsonl
+        quality["no_vt"] = dataclasses.asdict(_filter_candidates(ctx, "novt", deps))
     _write_json(ctx.output("quality_report.json"), quality)
     return 0
 
@@ -327,8 +330,8 @@ def _run_grid(ctx: Context, survivors_by_condition: dict[str, list], reference: 
     index = {condition: _survivors_index(survivors, ctx.provider)
              for condition, survivors in survivors_by_condition.items()}
     results = paired_pvalues(run_simulation(
-        dataset, list(index), ctx.schedule(), list(ctx.cfg.seeds),
-        functools.partial(NaiveBayesClassifier, dataset.label_set), index,
+        dataset, index, ctx.schedule(), list(ctx.cfg.seeds),
+        functools.partial(NaiveBayesClassifier, dataset.label_set),
     ), reference)
     write_results_csv(ctx.output(f"{prefix}results.csv"), results, ctx.dataset_name)
     write_summary_csv(ctx.output(f"{prefix}summary.csv"), results, ctx.dataset_name, reference)

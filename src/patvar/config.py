@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
-import logging
 import os
 import random
 import types
@@ -29,8 +28,6 @@ from .fixtures import FixtureAnnotationProvider, fixture_synonyms
 from .gateway import Gateway, HttpBackend, MockBackend
 from .generation import separate_multilabel
 from .synthesis import LabeledExample, SynthesisConfig
-
-logger = logging.getLogger(__name__)
 
 # libyaml's loader when PyYAML was built with it; it gives the same objects.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -269,6 +266,13 @@ def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
     return labels
 
 
+def _text(value: str, spec: DatasetSpec, lineno: int) -> str:
+    """A row's text; ParseError naming the line if it is empty or blank."""
+    if not value.strip():
+        raise ParseError(f"field {spec.text_field!r} is blank", line=lineno)
+    return value
+
+
 def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
     rows: list[tuple[str, list[str]]] = []
     if spec.format == "csv":
@@ -279,7 +283,7 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
                     raise ParseError(f"missing field {spec.text_field!r}", line=lineno)
                 if spec.label_field not in row or not (row[spec.label_field] or "").strip():
                     raise ParseError(f"missing field {spec.label_field!r}", line=lineno)
-                rows.append((row[spec.text_field],
+                rows.append((_text(row[spec.text_field], spec, lineno),
                              _labels(row[spec.label_field].strip(), spec, lineno)))
     else:
         for lineno, record in read_jsonl(spec.path):
@@ -291,7 +295,7 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
                 )
             if record[spec.text_field] is None:
                 raise ParseError(f"field {spec.text_field!r} is null", line=lineno)
-            rows.append((str(record[spec.text_field]),
+            rows.append((_text(str(record[spec.text_field]), spec, lineno),
                          _labels(record[spec.label_field], spec, lineno)))
     return rows
 
@@ -335,11 +339,12 @@ def ingest(
 ) -> Dataset:
     """Parse, validate, annotate, and split a dataset file.
 
-    When the dataset is flagged multi-label and a gateway is provided,
-    multi-labeled rows are separated into single-labeled parts before the
-    holdout split; without a gateway each such row degrades to one duplicate
-    example per label (ids `rNNNNN#k`).
+    A multi-label dataset needs the gateway: its multi-labeled rows are
+    separated into single-labeled parts (ids `rNNNNN#k`) before the holdout
+    split.
     """
+    if spec.multi_label and gateway is None:
+        raise ValueError("a multi-label dataset needs a gateway to separate its rows")
     rows = _read_rows(spec)
     if not rows:
         raise EmptyDataset(f"no rows in {spec.path}")
@@ -352,18 +357,14 @@ def ingest(
                 raise UnknownLabel(f"row {i + 1}: label {label!r} not in declared labels")
             if not declared and label not in label_order:
                 label_order.append(label)
-        if len(labels) > 1 and gateway is not None:
+        if len(labels) > 1:
             parts = separate_multilabel(text, [""] * len(labels), labels, gateway)
             for k, (part_text, _pattern, part_label) in enumerate(parts):
                 sentence = replace(annotate(part_text, provider), id=f"r{i:05d}#{k}")
                 examples.append(LabeledExample(sentence, part_label))
-            continue
-        if len(labels) > 1:
-            logger.warning("row %d is multi-labeled but no gateway given; duplicating", i + 1)
-        for k, label in enumerate(labels):
-            suffix = f"#{k}" if len(labels) > 1 else ""
-            sentence = replace(annotate(text, provider), id=f"r{i:05d}{suffix}")
-            examples.append(LabeledExample(sentence, label))
+        else:
+            sentence = replace(annotate(text, provider), id=f"r{i:05d}")
+            examples.append(LabeledExample(sentence, labels[0]))
     label_set = tuple(label_order)
     pool, holdout = _stratified_split(examples, spec.holdout_fraction, spec.split_seed, label_set)
     return Dataset(tuple(pool), label_set, tuple(holdout))

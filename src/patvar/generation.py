@@ -249,6 +249,8 @@ def separate_multilabel(
         text, pattern, label = m.group(1), m.group(2), m.group(3)
         if label not in labels:
             raise LabelMismatch(f"separator returned unknown label {label!r}")
+        if not text.strip():
+            raise ResponseFormatError(f"separator returned a blank text for label {label!r}")
         parts.append((text, pattern, label))
     if not parts:
         raise ResponseFormatError("separator returned no parts")
@@ -279,12 +281,12 @@ def collect_soft_matches(
 
 def generate_candidate_phrases(
     task: GenerationTask,
-    soft_match_info: Sequence[tuple[str, Sequence[str]]],
     gateway: Gateway,
     provider: AnnotationProvider,
     lex: SynonymLexicon,
 ) -> tuple[str, ...]:
-    """Ask for pattern-matching phrases and return the ones that verify;
+    """Ask for pattern-matching phrases, noting the synonyms allowed for each
+    soft match of the task's span, and return the ones that verify;
     NoValidPhrases when none does."""
     if task.pattern is None:
         raise ValueError("candidate phrases need a pattern-constrained task")
@@ -296,7 +298,7 @@ def generate_candidate_phrases(
     }
     messages = fill(load_template("candidate_phrases"), slots)
     note = load_template("soft_match_constraint")
-    for word, synonyms in soft_match_info:
+    for word, synonyms in collect_soft_matches(task, lex):
         messages.extend(
             fill(note, {"match": word, "soft-match_words": ", ".join(synonyms)})
         )

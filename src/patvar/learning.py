@@ -1,5 +1,5 @@
-"""Simulated active learning: selection strategies, counterfactual
-augmentation, a reference classifier, and the multi-seed run grid.
+"""Simulated active learning: selection strategies, a reference classifier,
+and the multi-seed run grid, whose arms train on counterfactuals as well.
 
 A run featurizes its sentences once, into one `LemmaIds`: a lemma-id matrix
 with a row per distinct sentence, padded with -1. The classifier's training
@@ -27,7 +27,7 @@ import numpy as np
 
 from .annotation import AnnotatedSentence
 from .errors import PatvarError
-from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, summarize
+from .experiment import Dataset, RunResult, ShotSchedule, summarize
 from .stats import macro_f1
 from .synthesis import LabeledExample
 
@@ -339,20 +339,6 @@ def select_uncertainty(
     return [pool[i] for i in order[:n]]
 
 
-def augment_with_counterfactuals(
-    selected: Sequence[LabeledExample], survivors_index: SurvivorsIndex
-) -> list[TrainingItem]:
-    """Originals first, then counterfactuals grouped by their original.
-
-    Counterfactuals never count against the shot budget; shots are whatever
-    `len(selected)` says.
-    """
-    items: list[TrainingItem] = [(ex.sentence, ex.label) for ex in selected]
-    for ex in selected:
-        items.extend(survivors_index.get(ex.sentence.id, ()))
-    return items
-
-
 # ---------------------------------------------------------------------------
 # Simulation grid
 # ---------------------------------------------------------------------------
@@ -408,15 +394,18 @@ def _run_cell(
     features: LemmaIds,
 ) -> dict[int, float]:
     shots = schedule.shots
-    # Shot k trains on a prefix of the order: each original (and its
-    # counterfactuals) first trains at the first shot past its place.
+    # Shot k trains on a prefix of the order: each original and its
+    # counterfactuals first train at the first shot past its place.
+    # Counterfactuals never count against the shot budget.
     labeled = _selection_order(condition, dataset, shots, seed, clf_factory, features)[: shots[-1]]
-    first = [bisect.bisect_right(shots, i) for i in range(len(labeled))]
-    first += [k for ex, k in zip(labeled, first) for _ in index.get(ex.sentence.id, ())]
+    items: list[TrainingItem] = []
+    first: list[int] = []
+    for place, ex in enumerate(labeled):
+        group = [(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
+        items += group
+        first += [bisect.bisect_right(shots, place)] * len(group)
     predicted = clf_factory(features).predict_nested(
-        augment_with_counterfactuals(labeled, index), first, len(shots),
-        [ex.sentence for ex in dataset.holdout],
-    )
+        items, first, len(shots), [ex.sentence for ex in dataset.holdout])
     return {
         shot: macro_f1([(ex.label, label) for ex, label in zip(dataset.holdout, labels)],
                        dataset.label_set)
@@ -426,20 +415,19 @@ def _run_cell(
 
 def run_simulation(
     dataset: Dataset,
-    conditions: Sequence[str],
+    conditions: Mapping[str, SurvivorsIndex],
     schedule: ShotSchedule,
     seeds: Sequence[int],
     clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
-    augment_index: Mapping[str, SurvivorsIndex],
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean and SD, one
-    unpaired summary per condition, in order.
+    unpaired summary per condition, in the mapping's order.
 
-    A condition is a name in `CONDITIONS` or a key of `augment_index`, which
-    maps a condition to its survivors index; a condition trains on its
-    index's counterfactuals as well as its originals, and on the originals
-    only when it has none. Every sentence of the pool, the holdout and the
-    survivors is featurized once, into the run's `LemmaIds` matrix, which
+    `conditions` maps each arm's name to the survivors index it trains on,
+    `{}` for an arm that trains on its originals only. `cluster` and
+    `uncertainty` pick their own selection order; every other name labels in
+    random order. Every sentence of the pool, the holdout and the survivors
+    is featurized once, into the run's `LemmaIds` matrix, which
     `clf_factory(features)` hands to each fresh classifier. Every cell scores
     all its shots with one `predict_nested` over its selection order; an
     `uncertainty` cell first trains once per shot but the last to grow that
@@ -451,18 +439,14 @@ def run_simulation(
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    unknown = [c for c in conditions if c not in CONDITIONS and c not in augment_index]
-    if unknown:
-        raise ValueError(f"unknown conditions {unknown}; know {list(CONDITIONS)}")
     schedule.validate_against(len(dataset.examples))
     features = LemmaIds(
         [ex.sentence for ex in dataset.examples + dataset.holdout]
-        + [sentence for index in augment_index.values()
+        + [sentence for index in conditions.values()
            for items in index.values() for sentence, _ in items]
     )
     summaries = []
-    for condition in conditions:
-        index = augment_index.get(condition, {})
+    for condition, index in conditions.items():
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:

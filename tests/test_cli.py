@@ -219,17 +219,45 @@ def test_ingest_jsonl(tmp_path, provider):
     assert {e.label for e in (*ds.examples, *ds.holdout)} == {"products", "service"}
 
 
-def test_ingest_multilabel_without_gateway_duplicates(tmp_path, provider, caplog):
+def test_ingest_multilabel_needs_a_gateway(tmp_path, provider):
     path = tmp_path / "d.csv"
-    path.write_text(
-        "text,label\nGreat service and fair prices,service|price\nonly service here,service\n",
-        encoding="utf-8",
-    )
+    path.write_text("text,label\nonly service here,service\n", encoding="utf-8")
     spec = DatasetSpec(path=str(path), multi_label=True, holdout_fraction=0.4)
-    with caplog.at_level("WARNING"):
-        ds = ingest(spec, provider)
-    ids = sorted(e.sentence.id for e in (*ds.examples, *ds.holdout))
-    assert ids == ["r00000#0", "r00000#1", "r00001"]
+    with pytest.raises(ValueError, match="needs a gateway"):
+        ingest(spec, provider)
+
+
+class RepliesWith:
+    """A backend that answers every request with `text`."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def send(self, req):
+        return gateway.CompletionResponse(self.text)
+
+
+@pytest.mark.parametrize("name, content, overrides, code, message", [
+    ("data.csv", "text,label\ngood food,products\n,products\n", {}, 2,
+     "data.csv line 3: field 'text' is blank"),
+    ("data.csv", 'text,label\ngood food,products\n"   ",service\n', {}, 2,
+     "data.csv line 3: field 'text' is blank"),
+    ("data.jsonl", '{"text": "good food", "label": "products"}\n{"text": "", "label": "service"}\n',
+     {"dataset": {"path": "data.jsonl", "format": "jsonl"}}, 2,
+     "data.jsonl line 2: field 'text' is blank"),
+    ("data.csv", "text,label\nGreat service and fair prices,service|price\n",
+     {"dataset": {"multi_label": True}}, 4, "separator returned a blank text for label 'price'"),
+], ids=["csv_empty", "csv_spaces", "jsonl_empty", "separator_part"])
+def test_blank_texts_rejected(tmp_path, capsys, monkeypatch, name, content, overrides, code,
+                              message):
+    """A dataset text, or a separated part's text, that is empty or blank
+    would become an example with no token; ingesting it fails instead."""
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    config = write_config(tmp_path, **overrides)
+    separator = RepliesWith("'Great service' + '' + 'service'; '   ' + '' + 'price'")
+    monkeypatch.setattr(cli, "build_gateway", lambda cfg: Gateway(backend=separator, model="m"))
+    assert main(["synth", "--config", str(config)]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_ingest_multilabel_with_gateway_separates(tmp_path, provider):
@@ -641,6 +669,50 @@ def test_cli_exit_codes(tmp_path):
     assert main(["synth", "--config", str(config)]) == 4  # empty dataset
 
 
+def test_cli_filter_without_candidates_exits_2(tmp_path, capsys):
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1})
+    assert main(["synth", "--config", str(config)]) == 0
+    assert main(["filter", "--config", str(config)]) == 2
+    assert "candidates_vt.jsonl not found; run `patvar gen` first" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "quality_report.json").exists()
+
+
+def test_cli_filter_reads_novt_only_under_cf_no_vt(tmp_path):
+    """`filter` reads the candidate sets `gen` writes for the configured
+    conditions, and leaves a stale `candidates_novt.jsonl` alone."""
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1},
+                          conditions=["random", "counterfactual"])
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("synth", "gen"):
+            assert main([command, "--config", str(config)]) == 0
+        shutil.copy(out / "candidates_vt.jsonl", out / "candidates_novt.jsonl")
+        assert main(["filter", "--config", str(config)]) == 0
+    quality = json.loads((out / "quality_report.json").read_text(encoding="utf-8"))
+    assert sorted(quality) == ["dataset", "vt"]
+    assert not (out / "survivors_novt.jsonl").exists()
+    assert not (out / "audit_novt.jsonl").exists()
+
+
+@pytest.mark.parametrize("min_precision, floors", [(0.5, [0.5]), (1.0, [1.0, 0.8])])
+def test_cli_synth_retries_only_a_floor_above_the_relaxed_one(tmp_path, monkeypatch,
+                                                             min_precision, floors):
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"min_precision": min_precision})
+    tried = collections.defaultdict(list)
+
+    def finds_nothing(positives, negatives, cfg, lex):
+        tried[positives[0].label].append(cfg.min_precision)
+        raise cli.NoViablePattern("no pattern")
+
+    monkeypatch.setattr(cli, "synthesize_patterns", finds_nothing)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(config)]) == 0
+    assert tried and all(t == floors for t in tried.values())
+
+
 def test_cli_gen_rejects_single_label(tmp_path, capsys):
     config = write_config(tmp_path)
     (tmp_path / "out").mkdir()
@@ -698,7 +770,12 @@ def test_cli_gen_rejects_malformed_patterns(tmp_path, capsys, content):
 
 
 def pool_dataset(config):
-    return ingest(load_config(config).dataset, FixtureAnnotationProvider())
+    """The dataset as a command ingests it: a multi-label one through the gateway."""
+    ctx = cli.Context(load_config(config), str(config))
+    try:
+        return ctx.dataset
+    finally:
+        ctx.close()
 
 
 def pool_candidate(dataset) -> dict:

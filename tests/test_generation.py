@@ -170,9 +170,7 @@ def test_candidate_phrases_validated(price_task, provider, lexicon):
 
     reply = "affordable lobster, reasonable price, budget-friendly menu"
     gw, backend = gateway_with(responder=lambda req: CompletionResponse(reply))
-    phrases = generate_candidate_phrases(
-        price_task, collect_soft_matches(price_task, lexicon), gw, provider, lexicon
-    )
+    phrases = generate_candidate_phrases(price_task, gw, provider, lexicon)
     assert phrases == ("affordable lobster", "reasonable price", "budget-friendly menu")
 
 
@@ -182,7 +180,7 @@ def test_candidate_phrases_drop_nonmatching(price_task, provider, lexicon, caplo
     reply = "affordable lobster, completely unrelated"
     gw, _ = gateway_with(responder=lambda req: CompletionResponse(reply))
     with caplog.at_level("WARNING"):
-        phrases = generate_candidate_phrases(price_task, [], gw, provider, lexicon)
+        phrases = generate_candidate_phrases(price_task, gw, provider, lexicon)
     assert phrases == ("affordable lobster",)
     assert any("completely unrelated" in r.message for r in caplog.records)
 
@@ -192,7 +190,7 @@ def test_candidate_phrases_all_invalid(price_task, provider, lexicon):
 
     gw, _ = gateway_with(responder=lambda req: CompletionResponse("completely unrelated"))
     with pytest.raises(NoValidPhrases):
-        generate_candidate_phrases(price_task, [], gw, provider, lexicon)
+        generate_candidate_phrases(price_task, gw, provider, lexicon)
 
 
 def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexicon):
@@ -205,9 +203,7 @@ def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexic
         return CompletionResponse("affordable lobster")
 
     gw, _ = gateway_with(responder=responder)
-    generate_candidate_phrases(
-        price_task, collect_soft_matches(price_task, lexicon), gw, provider, lexicon
-    )
+    generate_candidate_phrases(price_task, gw, provider, lexicon)
     assert "generate as many diverse example phrases" in seen["prompt"]
     assert "you can only use" in seen["prompt"]
     assert "affordable" in seen["prompt"]

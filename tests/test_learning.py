@@ -18,7 +18,6 @@ from patvar.learning import (
     NaiveBayesClassifier,
     ShotSchedule,
     UntrainedClassifier,
-    augment_with_counterfactuals,
     inertia,
     kmeans,
     run_simulation,
@@ -255,29 +254,6 @@ def test_select_uncertainty_untrained(small_pool):
     clf = NaiveBayesClassifier(["products", "service"], LemmaIds(e.sentence for e in small_pool))
     with pytest.raises(UntrainedClassifier):
         select_uncertainty(small_pool, 2, clf)
-
-
-# ---------------------------------------------------------------------------
-# Augmentation
-# ---------------------------------------------------------------------------
-
-
-def test_augment_counts_and_order(small_pool, provider):
-    selected = small_pool[:2]
-    survivors = [(provider.annotate("counterfactual one."), "service"),
-                 (provider.annotate("counterfactual two."), "service")]
-    items = augment_with_counterfactuals(selected, {"p0": survivors})
-    assert len(items) == 4
-    assert items[0] == (small_pool[0].sentence, "products")
-    assert items[1] == (small_pool[1].sentence, "products")
-    assert items[2:] == survivors
-    # shot budget is the number of selected originals, independent of survivors
-    assert len(selected) == 2
-
-
-def test_augment_without_survivors(small_pool):
-    items = augment_with_counterfactuals(small_pool[:3], {})
-    assert items == [(e.sentence, e.label) for e in small_pool[:3]]
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +527,12 @@ def test_run_simulation_shape_and_determinism(provider):
         for e, w in zip(dataset.examples, itertools.cycle(["staff", "waiter"]))
         if e.label == "products"
     }
-    augment = {"counterfactual": index}
+    conditions = {"random": {}, "counterfactual": index}
 
     def factory(features):
         return NaiveBayesClassifier(dataset.label_set, features)
 
-    results = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, augment)
+    results = run_simulation(dataset, conditions, schedule, [0, 1], factory)
     assert [r.condition for r in results] == ["random", "counterfactual"]
     for r in results:
         assert r.shots == (4, 8)
@@ -571,7 +547,7 @@ def test_run_simulation_shape_and_determinism(provider):
     paired = paired_pvalues(results, "counterfactual")
     assert all(p is not None for p in paired[0].p_vs_reference.values())
     assert paired[1] == results[1]
-    again = run_simulation(dataset, ["random", "counterfactual"], schedule, [0, 1], factory, augment)
+    again = run_simulation(dataset, conditions, schedule, [0, 1], factory)
     assert again == results
 
 
@@ -584,11 +560,11 @@ def test_run_simulation_equal_under_oracle_classifier(provider):
         if e.label == "products"
     }
     augment = {"counterfactual": survivors, "cf_no_vt": dict(list(survivors.items())[::2])}
-    fast = run_simulation(dataset, list(CONDITIONS), schedule, [0, 1, 2],
-                          lambda features: NaiveBayesClassifier(dataset.label_set, features),
-                          augment)
-    slow = run_simulation(dataset, list(CONDITIONS), schedule, [0, 1, 2],
-                          lambda features: OracleNaiveBayes(dataset.label_set), augment)
+    conditions = {c: augment.get(c, {}) for c in CONDITIONS}
+    fast = run_simulation(dataset, conditions, schedule, [0, 1, 2],
+                          lambda features: NaiveBayesClassifier(dataset.label_set, features))
+    slow = run_simulation(dataset, conditions, schedule, [0, 1, 2],
+                          lambda features: OracleNaiveBayes(dataset.label_set))
     assert fast == slow
 
 
@@ -612,10 +588,10 @@ def test_arm_named_conditions_equal_single_counterfactual_runs(provider):
     def factory(features):
         return NaiveBayesClassifier(dataset.label_set, features)
 
-    together = run_simulation(dataset, list(indexes), schedule, [0, 1, 2], factory, indexes)
+    together = run_simulation(dataset, indexes, schedule, [0, 1, 2], factory)
     alone = [
-        dataclasses.replace(run_simulation(dataset, ["counterfactual"], schedule, [0, 1, 2],
-                                           factory, {"counterfactual": index})[0], condition=arm)
+        dataclasses.replace(run_simulation(dataset, {"counterfactual": index}, schedule, [0, 1, 2],
+                                           factory)[0], condition=arm)
         for arm, index in indexes.items()
     ]
     assert together == alone
@@ -636,14 +612,14 @@ def _failing_factory(label_set, error):
 def test_run_simulation_programming_error_propagates(provider):
     dataset = tiny_dataset(provider)
     with pytest.raises(TypeError, match="failing on purpose"):
-        run_simulation(dataset, ["random"], ShotSchedule((4,)), [0],
-                       _failing_factory(dataset.label_set, TypeError), {})
+        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [0],
+                       _failing_factory(dataset.label_set, TypeError))
 
 
 def test_run_simulation_data_error_is_missing_cell(provider):
     dataset = tiny_dataset(provider)
-    [result] = run_simulation(dataset, ["random"], ShotSchedule((4, 8)), [0, 1],
-                              _failing_factory(dataset.label_set, ValueError), {})
+    [result] = run_simulation(dataset, {"random": {}}, ShotSchedule((4, 8)), [0, 1],
+                              _failing_factory(dataset.label_set, ValueError))
     assert result.scores == {4: {0: None, 1: None}, 8: {0: None, 1: None}}
     assert result.mean == {4: None, 8: None}
 
@@ -655,8 +631,8 @@ def test_run_simulation_all_conditions_run(provider):
     def factory(features):
         return NaiveBayesClassifier(dataset.label_set, features)
 
-    conditions = ["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"]
-    results = run_simulation(dataset, conditions, schedule, [0, 1, 2], factory, {})
+    conditions = dict.fromkeys(["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"], {})
+    results = run_simulation(dataset, conditions, schedule, [0, 1, 2], factory)
     for r in results:
         for shot in r.shots:
             assert r.mean[shot] is not None
@@ -680,8 +656,8 @@ def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider):
             calls["predict_nested"] += 1
             return super().predict_nested(items, first_shot, n_shots, sentences)
 
-    run_simulation(dataset, ["uncertainty"], schedule, [0],
-                   lambda features: Spy(dataset.label_set, features), {})
+    run_simulation(dataset, {"uncertainty": {}}, schedule, [0],
+                   lambda features: Spy(dataset.label_set, features))
     # One training per shot but the last picks the next shot's examples.
     assert calls == {"train": 2, "predict": 2, "predict_nested": 1}
 
@@ -693,11 +669,9 @@ def test_run_simulation_rejects_bad_inputs(provider):
         return NaiveBayesClassifier(dataset.label_set, features)
 
     with pytest.raises(ValueError):
-        run_simulation(dataset, ["bogus"], ShotSchedule((2,)), [0], factory, {})
+        run_simulation(dataset, {"random": {}}, ShotSchedule((4, 999)), [0], factory)
     with pytest.raises(ValueError):
-        run_simulation(dataset, ["random"], ShotSchedule((4, 999)), [0], factory, {})
-    with pytest.raises(ValueError):
-        run_simulation(dataset, ["random"], ShotSchedule((4,)), [], factory, {})
+        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [], factory)
 
 
 def test_shot_schedule_validation():
@@ -734,14 +708,14 @@ def test_nesting_across_shots(provider):
     def factory(features):
         return Spy(dataset.label_set, features)
 
-    run_simulation(dataset, ["random", "counterfactual"], schedule, [7], factory,
-                   {"counterfactual": survivors})
+    run_simulation(dataset, {"random": {}, "counterfactual": survivors}, schedule, [7], factory)
     originals, augmented = seen
     order = select_random(dataset.examples, 7)
     for shot, training in zip(schedule.shots, originals):
         assert training == [(ex.sentence, ex.label) for ex in order[:shot]]
-    # Each counterfactual trains from the shot its original first trains at.
+    # Each original is followed by its counterfactuals, which train from the
+    # shot the original first trains at and do not count against the budget.
     for shot, training in zip(schedule.shots, augmented):
-        selected = order[:shot]
-        assert training == augment_with_counterfactuals(selected, survivors)
+        assert training == [item for ex in order[:shot]
+                            for item in [(ex.sentence, ex.label), *survivors[ex.sentence.id]]]
         assert len(training) == 2 * shot
