@@ -2,10 +2,10 @@
 
 Three pieces: request/response types with a stable content-hash cache key,
 backends (an HTTP client for any chat-completions-compatible server and a
-deterministic mock for offline runs), and `complete`, which adds bounded
-retries. `Gateway` binds a backend to a model, keeps the responses of a
-cache directory in append-only segment files, and serves a repeated request
-from memory.
+deterministic mock for offline runs), and `complete`, which retries a
+transient failure `RETRIES` times. `Gateway` binds a backend to a model,
+keeps the responses of a cache directory in append-only segment files, and
+serves a repeated request from memory.
 """
 
 from __future__ import annotations
@@ -88,13 +88,6 @@ class CompletionResponse:
     from_cache: bool = False
 
 
-def messages_digest(messages: Iterable[ChatMessage]) -> str:
-    payload = json.dumps(
-        [[m.role, m.content] for m in messages], ensure_ascii=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
 
@@ -116,31 +109,19 @@ class Backend(Protocol):
 
 
 class MockBackend:
-    """Table-driven responses plus an optional template mode.
+    """Deterministic template answers, enough to drive the whole pipeline
+    offline.
 
-    Canned responses are keyed by the digest of the request messages. When no
-    canned response exists and template mode is on, the prompt kind is
-    recognized from its instruction text and a deterministic echo-style
-    answer is synthesized, which is enough to drive the whole pipeline
-    offline. `label_vocab` (label -> indicative words) makes the template
-    counterfactual generator and discriminator label-aware.
+    The prompt kind is recognized from its instruction text and an
+    echo-style answer is synthesized. `label_vocab` (label -> indicative
+    words) makes the counterfactual generator and discriminator label-aware;
+    `flaw_rate` is the share of generation prompts answered with a flaw.
     """
 
-    def __init__(
-        self,
-        table: Mapping[str, str] | None = None,
-        label_vocab: Mapping[str, list[str]] | None = None,
-        template_mode: bool = True,
-        flaw_rate: float = 0.0,
-    ):
-        self.table: dict[str, str] = dict(table or {})
+    def __init__(self, label_vocab: Mapping[str, list[str]] | None = None, flaw_rate: float = 0.0):
         self.label_vocab = {k.lower(): list(v) for k, v in (label_vocab or {}).items()}
-        self.template_mode = template_mode
         self.flaw_rate = flaw_rate
         self.calls = 0
-
-    def add_response(self, messages: Iterable[ChatMessage], text: str) -> None:
-        self.table[messages_digest(messages)] = text
 
     # -- template helpers ---------------------------------------------------
 
@@ -169,7 +150,8 @@ class MockBackend:
             return None
         return self._FLAWS[bucket // 10_000 % len(self._FLAWS)]
 
-    def _template(self, req: CompletionRequest) -> CompletionResponse:
+    def send(self, req: CompletionRequest) -> CompletionResponse:
+        self.calls += 1
         system = req.messages[0].content if req.messages else ""
         prompt = "\n".join(m.content for m in req.messages if m.role == "user")
         if "separate the given multi-labeled sentences" in system:
@@ -218,16 +200,7 @@ class MockBackend:
                 if score > best_score:
                     best, best_score = label, score
             return CompletionResponse(best)
-        raise BackendError(400, f"mock has no canned response and no template for: {system[:80]}")
-
-    def send(self, req: CompletionRequest) -> CompletionResponse:
-        self.calls += 1
-        key = messages_digest(req.messages)
-        if key in self.table:
-            return CompletionResponse(self.table[key])
-        if self.template_mode:
-            return self._template(req)
-        raise BackendError(404, "mock has no canned response for this prompt")
+        raise BackendError(400, f"mock has no template for: {system[:80]}")
 
 
 class HttpBackend:
@@ -288,16 +261,16 @@ class HttpBackend:
         return CompletionResponse(text, finish or "stop")
 
 
-def complete(
-    req: CompletionRequest,
-    backend: Backend,
-    retries: int = 3,
-    backoff: float = 0.5,
-) -> CompletionResponse:
-    """Single completion with bounded retry on transient failures only.
+RETRIES = 3
+BACKOFF_S = 0.5
+
+
+def complete(req: CompletionRequest, backend: Backend) -> CompletionResponse:
+    """Single completion with up to `RETRIES` retries on transient failures only.
 
     Before a retry it sleeps the delay the server asked for, capped at
-    `TransientBackendError.MAX_RETRY_AFTER_S`, or else the exponential backoff.
+    `TransientBackendError.MAX_RETRY_AFTER_S`, or else the exponential backoff
+    `BACKOFF_S * 2 ** (retry - 1)`.
     """
     attempt = 0
     while True:
@@ -305,13 +278,13 @@ def complete(
             return backend.send(req)
         except TransientBackendError as exc:
             attempt += 1
-            if attempt > retries:
-                raise GatewayTimeout(f"gave up after {retries} retries: {exc.body}") from exc
+            if attempt > RETRIES:
+                raise GatewayTimeout(f"gave up after {RETRIES} retries: {exc.body}") from exc
             if exc.retry_after is None:
-                delay = backoff * (2 ** (attempt - 1))
+                delay = BACKOFF_S * (2 ** (attempt - 1))
             else:
                 delay = min(exc.retry_after, TransientBackendError.MAX_RETRY_AFTER_S)
-            logger.warning("transient backend failure (attempt %d/%d): %s", attempt, retries, exc)
+            logger.warning("transient backend failure (attempt %d/%d): %s", attempt, RETRIES, exc)
             if delay:
                 time.sleep(delay)
 
@@ -323,11 +296,10 @@ _segment_numbers = itertools.count()
 
 @dataclass
 class Gateway:
-    """A backend bound to a model name and an optional cache directory.
+    """A backend bound to a model name and a cache directory.
 
-    Without a cache directory every request reaches the backend through
-    `complete`. With one, the cache is a set of append-only segment files
-    (`*.log`), one per gateway that missed, so one per command. Each line is
+    The cache is a set of append-only segment files (`*.log`), one per
+    gateway that missed, so one per command. Each line is
     `<cache_key> <entry JSON>`, and a later line for a key, in segment-name
     order, supersedes an earlier one. On its first request the gateway
     indexes every segment (key -> file and byte offset), and on a hit it
@@ -344,7 +316,7 @@ class Gateway:
 
     backend: Backend
     model: str
-    cache_dir: str | None = None
+    cache_dir: str
     _served: dict[str, CompletionResponse] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -359,8 +331,6 @@ class Gateway:
         return CompletionRequest(self.model, tuple(messages), 0.0, max_tokens)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        if self.cache_dir is None:
-            return complete(req, self.backend)
         key = cache_key(req)
         resp = self._served.get(key)
         if resp is None:

@@ -135,9 +135,6 @@ def candidate_to_record(c: CounterfactualCandidate) -> dict:
     }
 
 
-_REQUIRED = object()
-
-
 def candidates_from_records(
     records: Iterable[tuple[int, object]], dataset: Dataset
 ) -> list[CounterfactualCandidate]:
@@ -169,11 +166,9 @@ def _candidate(record, examples: Mapping, labels, patterns: dict) -> Counterfact
     if not isinstance(record, dict):
         raise ParseError(f"a candidate record must be an object, got {type(record).__name__}")
 
-    def get(key, types, default=_REQUIRED):
+    def get(key, types):
         if key not in record:
-            if default is _REQUIRED:
-                raise ParseError(f"candidate record lacks {key!r}")
-            return default
+            raise ParseError(f"candidate record lacks {key!r}")
         value = record[key]
         if not isinstance(value, types):
             raise ParseError(f"candidate field {key!r} has type {type(value).__name__}")
@@ -194,14 +189,14 @@ def _candidate(record, examples: Mapping, labels, patterns: dict) -> Counterfact
         raise ParseError(f"target_label {target_label!r} is no label of the dataset")
     pattern_text = get("pattern", (str, type(None)))
     try:
-        if pattern_text and pattern_text not in patterns:
+        if pattern_text is not None and pattern_text not in patterns:
             patterns[pattern_text] = parse_pattern(pattern_text)
         task = GenerationTask(
             original=example.sentence,
             original_label=original_label,
             target_label=target_label,
-            pattern=patterns[pattern_text] if pattern_text else None,
-            matched_phrase=get("matched_phrase", str, ""),
+            pattern=None if pattern_text is None else patterns[pattern_text],
+            matched_phrase=get("matched_phrase", str),
         )
     except (ValueError, PatternSyntaxError) as exc:
         raise ParseError(f"not a candidate record: {exc}") from None
@@ -209,8 +204,8 @@ def _candidate(record, examples: Mapping, labels, patterns: dict) -> Counterfact
         uid=get("uid", str),
         task=task,
         generated_text=get("generated_text", str),
-        used_phrase=get("used_phrase", (str, type(None)), None),
-        finish_reason=get("finish_reason", str, "stop"),
+        used_phrase=get("used_phrase", (str, type(None))),
+        finish_reason=get("finish_reason", str),
     )
 
 

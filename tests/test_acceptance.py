@@ -25,7 +25,7 @@ from patvar.filtering import (
     run_pipeline,
     survivors_by_arm,
 )
-from patvar.gateway import Gateway, MockBackend
+from patvar.gateway import MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
@@ -228,7 +228,7 @@ def test_criterion_04_metric_exactness(provider):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_05_filter_monotonicity(provider, lexicon):
+def test_criterion_05_filter_monotonicity(provider, lexicon, gateway_for):
     texts = [
         "The affordable lobster here is a steal.",
         "cannot generate counterfactual",
@@ -242,7 +242,7 @@ def test_criterion_05_filter_monotonicity(provider, lexicon):
     ]
     patterns = ["(cheap)+*+NOUN", "[staff]", None]
     labels = ["service", "price", "environment", "products"]
-    gw = Gateway(backend=MockBackend(label_vocab=LABEL_VOCAB), model="m")
+    gw = gateway_for(MockBackend(label_vocab=LABEL_VOCAB))
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=labels)
     rng = random.Random(20240505)
     violations = 0
@@ -277,7 +277,7 @@ def test_criterion_05_filter_monotonicity(provider, lexicon):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_06_prompt_fidelity():
+def test_criterion_06_prompt_fidelity(canned, gateway_for):
     anchors = {
         "multilabel_separator": "separate the given multi-labeled sentences",
         "candidate_phrases": "generate as many diverse example phrases",
@@ -292,14 +292,12 @@ def test_criterion_06_prompt_fidelity():
         "'reasonable prices, ' + '(pay)|(sale)' + 'price'; "
         "'and a chill atmosphere.' + '(environment)' + 'environment' "
     )
-    backend = MockBackend(template_mode=False)
-    gw = Gateway(backend=backend, model="m")
     messages = fill(load_template("multilabel_separator"), {
         "text": "Great customer service, reasonable prices, and a chill atmosphere.",
         "pattern": "['(customer)+*+[service]', '(pay)|(sale)', '(environment)']",
         "label": "price, service, environment",
     })
-    backend.add_response(tuple(messages), reply)
+    gw = gateway_for(canned({tuple(messages): reply}))
     parts = separate_multilabel(
         "Great customer service, reasonable prices, and a chill atmosphere.",
         ["(customer)+*+[service]", "(pay)|(sale)", "(environment)"],

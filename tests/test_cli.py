@@ -28,7 +28,7 @@ from patvar.config import (
 )
 from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
-from patvar.gateway import Gateway, MockBackend
+from patvar.gateway import MockBackend
 from patvar.filtering import STAGES
 from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
 from patvar.experiment import RunResult
@@ -248,26 +248,25 @@ class RepliesWith:
     ("data.csv", "text,label\nGreat service and fair prices,service|price\n",
      {"dataset": {"multi_label": True}}, 4, "separator returned a blank text for label 'price'"),
 ], ids=["csv_empty", "csv_spaces", "jsonl_empty", "separator_part"])
-def test_blank_texts_rejected(tmp_path, capsys, monkeypatch, name, content, overrides, code,
-                              message):
+def test_blank_texts_rejected(tmp_path, capsys, monkeypatch, gateway_for, name, content, overrides,
+                              code, message):
     """A dataset text, or a separated part's text, that is empty or blank
     would become an example with no token; ingesting it fails instead."""
     (tmp_path / name).write_text(content, encoding="utf-8")
     config = write_config(tmp_path, **overrides)
     separator = RepliesWith("'Great service' + '' + 'service'; '   ' + '' + 'price'")
-    monkeypatch.setattr(cli, "build_gateway", lambda cfg: Gateway(backend=separator, model="m"))
+    monkeypatch.setattr(cli, "build_gateway", lambda cfg: gateway_for(separator))
     assert main(["synth", "--config", str(config)]) == code
     assert message in capsys.readouterr().err
 
 
-def test_ingest_multilabel_with_gateway_separates(tmp_path, provider):
+def test_ingest_multilabel_with_gateway_separates(tmp_path, provider, gateway_for):
     path = tmp_path / "d.csv"
     path.write_text(
         "text,label\nGreat service and fair prices,service|price\n", encoding="utf-8"
     )
     spec = DatasetSpec(path=str(path), multi_label=True, holdout_fraction=0.4)
-    gw = Gateway(backend=MockBackend(label_vocab=LABEL_VOCAB), model="m")
-    ds = ingest(spec, provider, gw)
+    ds = ingest(spec, provider, gateway_for(MockBackend(label_vocab=LABEL_VOCAB)))
     labels = sorted(e.label for e in (*ds.examples, *ds.holdout))
     assert labels == ["price", "service"]
 
@@ -788,7 +787,8 @@ def pool_candidate(dataset) -> dict:
 @pytest.mark.parametrize("kind", ["missing_keys", "id_not_string", "text_not_string",
                                   "not_mapping", "not_json", "holdout_id", "unknown_id",
                                   "original_text_differs", "original_label_differs",
-                                  "target_label_unknown"])
+                                  "target_label_unknown", "empty_pattern", "no_matched_phrase",
+                                  "no_used_phrase", "no_finish_reason"])
 def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
     dataset = pool_dataset(config)
@@ -804,6 +804,9 @@ def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
         "original_text_differs": {**good, "original_text": good["original_text"] + " x"},
         "original_label_differs": {**good, "original_label": "environment"},
         "target_label_unknown": {**good, "target_label": "bogus"},
+        "empty_pattern": {**good, "pattern": ""},
+        **{f"no_{key}": {k: v for k, v in good.items() if k != key}
+           for key in ("matched_phrase", "used_phrase", "finish_reason")},
     }
     line = "{not json" if kind == "not_json" else json.dumps(bad[kind])
     (tmp_path / "out").mkdir()
@@ -833,6 +836,10 @@ def malformed_candidate(config, kind):
         record["uid"] = 3
     elif kind == "bad_pattern":
         record["pattern"] = "[cheap"
+    elif kind == "empty_pattern":
+        record["pattern"] = ""
+    elif kind in ("no_matched_phrase", "no_used_phrase", "no_finish_reason"):
+        del record[kind[len("no_"):]]
     elif kind == "unknown_original_id":
         record["original_id"] = "r99999"
     elif kind == "original_text_differs":
@@ -847,7 +854,9 @@ def malformed_candidate(config, kind):
 @pytest.mark.parametrize("command", ["filter", "ablate"])
 @pytest.mark.parametrize("kind", ["empty", "no_generated_text", "uid_not_string", "bad_pattern",
                                   "unknown_original_id", "original_text_differs",
-                                  "original_label_differs", "target_label_unknown"])
+                                  "original_label_differs", "target_label_unknown",
+                                  "empty_pattern", "no_matched_phrase", "no_used_phrase",
+                                  "no_finish_reason"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
     """`filter` reads the candidates file, `ablate` the audit file."""
     config = write_config(tmp_path, seeds=[0])

@@ -20,7 +20,7 @@ from patvar.filtering import (
     symbolic_filter,
 )
 from patvar.experiment import Dataset
-from patvar.gateway import CompletionResponse, Gateway, MockBackend
+from patvar.gateway import MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
@@ -51,14 +51,14 @@ def make_candidate(provider, text, *, original="The staff was rude.", pattern="(
 LABELS = ["service", "price", "environment", "products"]
 
 
-def label_gateway(label_vocab=None):
-    backend = MockBackend(label_vocab=label_vocab or {
+@pytest.fixture
+def label_gateway(gateway_for):
+    return gateway_for(MockBackend(label_vocab={
         "price": ["affordable", "cheap", "lobster", "deal"],
         "service": ["staff", "rude", "friendly"],
         "environment": ["cozy", "decor"],
         "products": ["food", "tasty"],
-    })
-    return Gateway(backend=backend, model="mock-model"), backend
+    }))
 
 
 # ---------------------------------------------------------------------------
@@ -135,40 +135,35 @@ def test_symbolic_skips_unconstrained(provider, lexicon):
 # ---------------------------------------------------------------------------
 
 
-def test_discriminator_hits_target(provider):
-    gw, _ = label_gateway()
+def test_discriminator_hits_target(provider, label_gateway):
     cand = make_candidate(provider, "The affordable lobster deal is unbeatable.")
-    v, label = discriminator_filter(cand, LABELS, gw)
+    v, label = discriminator_filter(cand, LABELS, label_gateway)
     assert v.status == "passed"
     assert label == "price"
 
 
-def test_discriminator_kept_original(provider):
-    gw, _ = label_gateway()
+def test_discriminator_kept_original(provider, label_gateway):
     cand = make_candidate(provider, "The affordable staff was rude here.")
-    v, label = discriminator_filter(cand, LABELS, gw)
+    v, label = discriminator_filter(cand, LABELS, label_gateway)
     assert v.status == "failed"
     assert "kept original" in v.reason
     assert label == "service"
 
 
-def test_discriminator_missed_target_is_soft_flip(provider):
-    gw, _ = label_gateway()
+def test_discriminator_missed_target_is_soft_flip(provider, label_gateway):
     cand = make_candidate(provider, "The tasty food impressed everyone.")
-    v, label = discriminator_filter(cand, LABELS, gw)
+    v, label = discriminator_filter(cand, LABELS, label_gateway)
     assert v.status == "failed"
     assert "missed target" in v.reason
     assert label == "products"
 
 
-def test_discriminator_format_error(provider):
-    backend = MockBackend(template_mode=False)
-    gw = Gateway(backend=backend, model="m")
+def test_discriminator_format_error(provider, canned, gateway_for):
     cand = make_candidate(provider, "whatever text.")
     from patvar.filtering import fill, load_template  # build the exact request the filter sends
 
     messages = fill(load_template("discriminator"), {"text": cand.generated_text, "labels": ", ".join(LABELS)})
-    backend.add_response(tuple(messages), "not-a-label")
+    gw = gateway_for(canned({tuple(messages): "not-a-label"}))
     with pytest.raises(ResponseFormatError):
         discriminator_filter(cand, LABELS, gw)
 
@@ -251,13 +246,12 @@ def batch(provider):
     ]
 
 
-def deps_for(provider, lexicon):
-    gw, backend = label_gateway()
-    return FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS), backend
+@pytest.fixture
+def deps(provider, lexicon, label_gateway):
+    return FilterDeps(lex=lexicon, provider=provider, gateway=label_gateway, label_set=LABELS)
 
 
-def test_run_pipeline_full(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_run_pipeline_full(provider, deps):
     survivors, report, _ = run_pipeline(batch(provider), deps)
     assert [c.uid for c in survivors] == ["keep"]
     assert report.n == 4
@@ -269,15 +263,13 @@ def test_run_pipeline_full(provider, lexicon):
     assert report.slfr == pytest.approx(1 / 2)
 
 
-def test_none_arm_is_identity(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_none_arm_is_identity(provider, deps):
     cands = batch(provider)
     _, _, rows = run_pipeline(cands, deps)
     assert survivors_by_arm(rows)["none"] == cands
 
 
-def test_run_pipeline_pkr_formula(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_run_pipeline_pkr_formula(provider, deps):
     cands = [
         make_candidate(provider, "The affordable lobster deal is unbeatable.", uid="a"),
         make_candidate(provider, "Another affordable menu item appears today.", uid="b"),
@@ -290,8 +282,7 @@ def test_run_pipeline_pkr_formula(provider, lexicon):
     assert [c.uid for c in survivors_by_arm(rows)["heuristic+symbolic"]] == ["a", "b", "c"]
 
 
-def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, deps):
     cand = make_candidate(provider, "The affordable lobster deal is unbeatable.", pattern=None, uid="novt")
     survivors, report, (row,) = run_pipeline([cand], deps)
     assert survivors == [cand]
@@ -300,8 +291,7 @@ def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, lexicon):
     assert report.label_n == 1
 
 
-def test_run_pipeline_audit_log(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_run_pipeline_audit_log(provider, deps):
     cands = batch(provider)
     survivors, _, rows = run_pipeline(cands, deps)
     assert [row.candidate for row in rows] == cands
@@ -318,8 +308,7 @@ def test_run_pipeline_audit_log(provider, lexicon):
     assert survivors == [row.candidate for row in rows if row.survived] == [by_uid["keep"].candidate]
 
 
-def test_rows_from_audit_inverts_record(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_rows_from_audit_inverts_record(provider, deps):
     _, _, rows = run_pipeline(batch(provider), deps)
     pool = {row.candidate.task.original.id: LabeledExample(row.candidate.task.original, "service")
             for row in rows}
@@ -327,9 +316,8 @@ def test_rows_from_audit_inverts_record(provider, lexicon):
     assert rows_from_audit(records, Dataset(tuple(pool.values()), LABELS, ())) == rows
 
 
-def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
-    backend = MockBackend(template_mode=False)  # no canned responses: every call errors
-    gw = Gateway(backend=backend, model="m")
+def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon, canned, gateway_for):
+    gw = gateway_for(canned({}))  # no canned replies: every call errors
     deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS)
     cands = [make_candidate(provider, "The affordable lobster deal is unbeatable.", uid="x")]
     survivors, report, _ = run_pipeline(cands, deps)
@@ -337,8 +325,7 @@ def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon):
     assert report.label_n == 0
 
 
-def test_stage_monotonicity_on_fixed_batch(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_stage_monotonicity_on_fixed_batch(provider, deps):
     _, _, rows = run_pipeline(batch(provider), deps)
     by_arm = survivors_by_arm(rows)
     nested = ["none", "heuristic", "heuristic+symbolic", "all"]
@@ -356,8 +343,7 @@ def test_filter_config_arms():
     assert ARMS["all"] == STAGES
 
 
-def test_audit_record_shape(provider, lexicon):
-    deps, _ = deps_for(provider, lexicon)
+def test_audit_record_shape(provider, deps):
     _, _, rows = run_pipeline(batch(provider), deps)
     for row in rows:
         rec, made = row.record(), candidate_to_record(row.candidate)

@@ -53,21 +53,6 @@ def test_cache_key_sensitivity():
     assert cache_key(base) != cache_key(req("hello  there"))
 
 
-def test_mock_table_response():
-    backend = MockBackend(template_mode=False)
-    r = req("ping")
-    backend.add_response(r.messages, "canned")
-    resp = complete(r, backend)
-    assert resp == CompletionResponse("canned", "stop", from_cache=False)
-    assert backend.calls == 1
-
-
-def test_mock_without_entry_errors():
-    backend = MockBackend(template_mode=False)
-    with pytest.raises(BackendError):
-        complete(req("unknown"), backend)
-
-
 def test_transient_errors_retry_then_timeout():
     class Flaky:
         def __init__(self, failures):
@@ -81,13 +66,16 @@ def test_transient_errors_retry_then_timeout():
             return CompletionResponse("late but fine")
 
     flaky = Flaky(failures=2)
-    assert complete(req(), flaky, retries=3, backoff=0).text == "late but fine"
+    with mock.patch.object(gateway.time, "sleep") as sleep:
+        assert complete(req(), flaky).text == "late but fine"
+    assert [c.args[0] for c in sleep.call_args_list] == [0.5, 1.0]
     assert flaky.calls == 3
 
     dead = Flaky(failures=99)
-    with pytest.raises(GatewayTimeout):
-        complete(req(), dead, retries=3, backoff=0)
-    assert dead.calls == 4  # initial call plus three retries
+    with mock.patch.object(gateway.time, "sleep") as sleep, pytest.raises(GatewayTimeout):
+        complete(req(), dead)
+    assert [c.args[0] for c in sleep.call_args_list] == [0.5, 1.0, 2.0]
+    assert dead.calls == 1 + gateway.RETRIES == 4
 
 
 def test_client_errors_never_retry():
@@ -100,9 +88,10 @@ def test_client_errors_never_retry():
             raise BackendError(401, "unauthorized")
 
     backend = Rejecting()
-    with pytest.raises(BackendError):
-        complete(req(), backend, retries=3, backoff=0)
+    with mock.patch.object(gateway.time, "sleep") as sleep, pytest.raises(BackendError):
+        complete(req(), backend)
     assert backend.calls == 1
+    sleep.assert_not_called()
 
 
 def served(r, backend, cache_dir):
@@ -141,10 +130,9 @@ def entry_line(r, text, finish_reason="stop"):
     return f"{cache_key(r)} {json.dumps(entry)}\n"
 
 
-def test_cache_hit_and_miss(tmp_path):
-    backend = MockBackend(template_mode=False)
+def test_cache_hit_and_miss(tmp_path, canned):
     r = req("cache me")
-    backend.add_response(r.messages, "value")
+    backend = canned({r.messages: "value"})
     first = served(r, backend, tmp_path)
     assert (first.text, first.from_cache) == ("value", False)
     second = served(r, backend, tmp_path)
@@ -152,17 +140,15 @@ def test_cache_hit_and_miss(tmp_path):
     assert backend.calls == 1
 
     other = req("cache me", temperature=0.7)
-    backend.add_response(other.messages, "value")
     third = served(other, backend, tmp_path)
     assert third.from_cache is False
     assert backend.calls == 2
     assert [key for key, _ in cache_lines(tmp_path)] == [cache_key(r), cache_key(other)]
 
 
-def test_cache_transparency(tmp_path):
-    backend = MockBackend(template_mode=False)
+def test_cache_transparency(tmp_path, canned):
     r = req("transparent")
-    backend.add_response(r.messages, "same answer")
+    backend = canned({r.messages: "same answer"})
     direct = complete(r, backend)
     cached_miss = served(r, backend, tmp_path)
     cached_hit = served(r, backend, tmp_path)
@@ -182,15 +168,14 @@ CORRUPTED_ENTRIES = [
 ]
 
 
-def test_corrupted_cache_entry_is_overwritten(tmp_path, caplog):
+def test_corrupted_cache_entry_is_overwritten(tmp_path, caplog, canned):
     r = req("fragile")
     torn = [entry_line(r, "stale")[:cut] for cut in (65, 100, -1)]
     for i, line in enumerate([f"{cache_key(r)} {c}\n" for c in CORRUPTED_ENTRIES] + torn):
         cache_dir = tmp_path / str(i)
         cache_dir.mkdir()
         (cache_dir / "0-old.log").write_text(entry_line(r, "stale") + line, encoding="ascii")
-        backend = MockBackend(template_mode=False)
-        backend.add_response(r.messages, "good")
+        backend = canned({r.messages: "good"})
         caplog.clear()
         with caplog.at_level("WARNING"):
             resp = served(r, backend, cache_dir)
@@ -203,10 +188,9 @@ def test_corrupted_cache_entry_is_overwritten(tmp_path, caplog):
         assert (resp.text, resp.from_cache, backend.calls) == ("good", True, 1), line
 
 
-def test_cache_dir_is_created_on_write(tmp_path):
-    backend = MockBackend(template_mode=False)
+def test_cache_dir_is_created_on_write(tmp_path, canned):
     r = req("nested")
-    backend.add_response(r.messages, "value")
+    backend = canned({r.messages: "value"})
     cache_dir = tmp_path / "a" / "b"
     assert served(r, backend, cache_dir).from_cache is False
     [name] = os.listdir(cache_dir)
@@ -218,22 +202,20 @@ def test_cache_dir_is_created_on_write(tmp_path):
         served(r, backend, blocked)
 
 
-def test_cache_keys_stable_across_runs(tmp_path):
+def test_cache_keys_stable_across_runs(tmp_path, canned):
     # Key depends only on request content, not process state.
     assert cache_key(req("stable")) == "{}".format(cache_key(req("stable")))
-    backend = MockBackend(template_mode=False)
     r = req("stable")
-    backend.add_response(r.messages, "x")
+    backend = canned({r.messages: "x"})
     served(r, backend, tmp_path)
     [(key, entry)] = cache_lines(tmp_path)
     assert key == cache_key(r)
     assert entry["response"] == {"text": "x", "finish_reason": "stop"}
 
 
-def test_per_key_files_are_not_read(tmp_path, caplog):
-    backend = MockBackend(template_mode=False)
+def test_per_key_files_are_not_read(tmp_path, caplog, canned):
     r = req("legacy")
-    backend.add_response(r.messages, "fresh")
+    backend = canned({r.messages: "fresh"})
     legacy = tmp_path / (cache_key(r) + ".json")
     legacy.write_text(entry_line(r, "old").partition(" ")[2], encoding="ascii")
     with caplog.at_level("WARNING"):
@@ -265,6 +247,8 @@ def test_mock_template_discriminator():
     )
     resp = backend.send(CompletionRequest("m", messages, 0.0, 16))
     assert resp.text == "price"
+    with pytest.raises(BackendError):  # no template for this prompt
+        backend.send(req("an instruction the mock does not know"))
 
 
 class Scripted:
@@ -322,22 +306,22 @@ def test_gateway_serves_what_fresh_gateways_serve(drawn, sequence):
         bad = write_segments(Path(gateway_dir), drawn)
         assert write_segments(Path(fresh_dir), drawn) == bad
         old = set(os.listdir(gateway_dir))
-        caching, fresh, uncached = Scripted(), Scripted(), Scripted()
+        caching, fresh = Scripted(), Scripted()
         gw = Gateway(caching, "test-model", gateway_dir)
-        plain = Gateway(uncached, "test-model")
+        stored = {c for c in sequence if c in bad and not bad[c]}
+        answered = set()
         for content in sequence:
             r = req(content)
             got = outcome(gw.complete, r)
             assert got == outcome(served, r, fresh, fresh_dir)
-            assert outcome(plain.complete, r)[2] in (False, None)
+            if got[2] is not None:  # a hit when the prompt was stored or answered before
+                assert got[2] == (content in stored or content in answered), content
+                answered.add(content)
         assert caching.calls == fresh.calls
-        stored = {c for c in sequence if c in bad and not bad[c]}
         for c in set(sequence):
             expected = (0 if c in stored else sequence.count(c) if c.startswith("error")
                         else 2 if c.startswith("flaky") else 1)
             assert caching.calls[c] == expected, c
-        assert sum(uncached.calls.values()) == len(sequence) + len(
-            {c for c in sequence if c.startswith("flaky")})
         appended = {c for c in sequence if c not in stored and not c.startswith("error")}
         new = set(os.listdir(gateway_dir)) - old
         assert len(new) == (1 if appended else 0)

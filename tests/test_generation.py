@@ -5,7 +5,7 @@ import pytest
 from patvar import generation
 from patvar.errors import ParseError
 from patvar.experiment import Dataset
-from patvar.gateway import ChatMessage, Gateway, MockBackend
+from patvar.gateway import MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
@@ -38,9 +38,10 @@ class FakeBackend:
         self.send = respond
 
 
-def gateway_with(responder=None, **mock_kw):
-    backend = MockBackend(**mock_kw) if responder is None else FakeBackend(responder)
-    return Gateway(backend=backend, model="mock-model"), backend
+@pytest.fixture
+def gateway_with(gateway_for):
+    """Builds a gateway whose backend answers a request with `respond(request)`."""
+    return lambda respond: gateway_for(FakeBackend(respond), "mock-model")
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +88,10 @@ def test_counterfactual_prompt_slots_and_escape_clause(provider):
 # ---------------------------------------------------------------------------
 
 
-def test_separator_parses_worked_example():
+def test_separator_parses_worked_example(gateway_with):
     from patvar.gateway import CompletionResponse
 
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse(WORKED_SEPARATOR_REPLY))
+    gw = gateway_with(lambda req: CompletionResponse(WORKED_SEPARATOR_REPLY))
     parts = separate_multilabel(
         "Great customer service, reasonable prices, and a chill atmosphere.",
         ["(customer)+*+[service]", "(pay)|(sale)", "(environment)"],
@@ -104,28 +105,28 @@ def test_separator_parses_worked_example():
     ]
 
 
-def test_separator_single_label_passthrough():
+def test_separator_single_label_passthrough(gateway_with):
     from patvar.gateway import CompletionResponse
 
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse("'some text' + '' + 'price'"))
+    gw = gateway_with(lambda req: CompletionResponse("'some text' + '' + 'price'"))
     parts = separate_multilabel("some text", [""], ["price"], gw)
     assert parts == [("some text", "", "price")]
 
 
-def test_separator_format_and_label_errors():
+def test_separator_format_and_label_errors(gateway_with):
     from patvar.gateway import CompletionResponse
 
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse("prose without separators"))
+    gw = gateway_with(lambda req: CompletionResponse("prose without separators"))
     with pytest.raises(ResponseFormatError):
         separate_multilabel("text", [""], ["price"], gw)
 
-    gw2, _ = gateway_with(responder=lambda req: CompletionResponse("'t' + '' + 'bogus'"))
+    gw2 = gateway_with(lambda req: CompletionResponse("'t' + '' + 'bogus'"))
     with pytest.raises(LabelMismatch):
         separate_multilabel("text", [""], ["price"], gw2)
 
 
-def test_separator_template_mock_round_trips():
-    gw, _ = gateway_with(label_vocab={})
+def test_separator_template_mock_round_trips(gateway_for):
+    gw = gateway_for(MockBackend(label_vocab={}))
     parts = separate_multilabel("Great service and fair prices.", ["", ""], ["service", "price"], gw)
     assert [p[2] for p in parts] == ["service", "price"]
     assert all(p[0] == "Great service and fair prices." for p in parts)
@@ -165,35 +166,35 @@ def test_collect_soft_matches(price_task, lexicon, monkeypatch):
                              "inexpensive", "economical"}
 
 
-def test_candidate_phrases_validated(price_task, provider, lexicon):
+def test_candidate_phrases_validated(price_task, provider, lexicon, gateway_with):
     from patvar.gateway import CompletionResponse
 
     reply = "affordable lobster, reasonable price, budget-friendly menu"
-    gw, backend = gateway_with(responder=lambda req: CompletionResponse(reply))
+    gw = gateway_with(lambda req: CompletionResponse(reply))
     phrases = generate_candidate_phrases(price_task, gw, provider, lexicon)
     assert phrases == ("affordable lobster", "reasonable price", "budget-friendly menu")
 
 
-def test_candidate_phrases_drop_nonmatching(price_task, provider, lexicon, caplog):
+def test_candidate_phrases_drop_nonmatching(price_task, provider, lexicon, caplog, gateway_with):
     from patvar.gateway import CompletionResponse
 
     reply = "affordable lobster, completely unrelated"
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse(reply))
+    gw = gateway_with(lambda req: CompletionResponse(reply))
     with caplog.at_level("WARNING"):
         phrases = generate_candidate_phrases(price_task, gw, provider, lexicon)
     assert phrases == ("affordable lobster",)
     assert any("completely unrelated" in r.message for r in caplog.records)
 
 
-def test_candidate_phrases_all_invalid(price_task, provider, lexicon):
+def test_candidate_phrases_all_invalid(price_task, provider, lexicon, gateway_with):
     from patvar.gateway import CompletionResponse
 
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse("completely unrelated"))
+    gw = gateway_with(lambda req: CompletionResponse("completely unrelated"))
     with pytest.raises(NoValidPhrases):
         generate_candidate_phrases(price_task, gw, provider, lexicon)
 
 
-def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexicon):
+def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexicon, gateway_with):
     from patvar.gateway import CompletionResponse
 
     seen = {}
@@ -202,7 +203,7 @@ def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexic
         seen["prompt"] = "\n".join(m.content for m in req.messages)
         return CompletionResponse("affordable lobster")
 
-    gw, _ = gateway_with(responder=responder)
+    gw = gateway_with(responder)
     generate_candidate_phrases(price_task, gw, provider, lexicon)
     assert "generate as many diverse example phrases" in seen["prompt"]
     assert "you can only use" in seen["prompt"]
@@ -215,11 +216,11 @@ def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexic
 # ---------------------------------------------------------------------------
 
 
-def test_generate_counterfactual_detects_used_phrase(price_task):
+def test_generate_counterfactual_detects_used_phrase(price_task, gateway_with):
     from patvar.gateway import CompletionResponse
 
     reply = "The affordable lobster here makes this spot unbeatable."
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse(reply))
+    gw = gateway_with(lambda req: CompletionResponse(reply))
     phrases = ("affordable lobster", "reasonable price")
     cand = generate_counterfactual(price_task, phrases, gw, "r1:price:0")
     assert cand.uid == "r1:price:0"
@@ -227,19 +228,19 @@ def test_generate_counterfactual_detects_used_phrase(price_task):
     assert cand.used_phrase == "affordable lobster"
 
 
-def test_generate_counterfactual_refusal_still_yields_candidate(price_task):
+def test_generate_counterfactual_refusal_still_yields_candidate(price_task, gateway_with):
     from patvar.gateway import CompletionResponse
 
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse("cannot generate counterfactual"))
+    gw = gateway_with(lambda req: CompletionResponse("cannot generate counterfactual"))
     cand = generate_counterfactual(price_task, ("affordable lobster",), gw, "r1:price:0")
     assert cand.used_phrase is None
     assert cand.generated_text == "cannot generate counterfactual"
 
 
-def test_generate_without_vt(provider):
+def test_generate_without_vt(provider, gateway_with):
     from patvar.gateway import CompletionResponse
 
-    gw, _ = gateway_with(responder=lambda req: CompletionResponse("The deal was all about cheap."))
+    gw = gateway_with(lambda req: CompletionResponse("The deal was all about cheap."))
     original = provider.annotate("The staff was rude.")
     cand = generate_without_vt(original, "service", "price", gw, "r2:price:novt:0")
     assert cand.uid == "r2:price:novt:0"

@@ -15,15 +15,19 @@ The filter arms that `survivors_by_arm` reads off the rows of one
 each stage once per candidate, and `run_pipeline` against
 `reference_pipeline`, which judges a candidate's stages one `judge` call at
 a time.
-Pattern parsing is checked for clean errors and render round-trips, and the
-gateway's cache key for stability.
+Pattern parsing is checked for clean errors and render round-trips, the
+gateway's cache key for stability, and `fill` for putting each slot value
+into a prompt verbatim.
 """
 
+import contextlib
 import dataclasses
 import itertools
+import re
+import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from patvar import patterns
@@ -493,12 +497,17 @@ FILTER_TEXTS = (
 )
 
 
-def filter_deps(lex):
-    backend = MockBackend(label_vocab=LABEL_VOCAB)
+@contextlib.contextmanager
+def filter_deps(lex, canned):
+    """Filter dependencies whose gateway, over a temporary cache directory,
+    asks the mock backend, except for the discriminator prompt of the last
+    text."""
     slots = {"text": FILTER_TEXTS[-1], "labels": ", ".join(FILTER_LABELS)}
-    backend.add_response(fill(load_template("discriminator"), slots), "no idea")
-    gateway = Gateway(backend=backend, model="m")
-    return FilterDeps(lex=lex, provider=ANNOTATOR, gateway=gateway, label_set=FILTER_LABELS)
+    backend = canned({tuple(fill(load_template("discriminator"), slots)): "no idea"},
+                     fallback=MockBackend(label_vocab=LABEL_VOCAB))
+    with tempfile.TemporaryDirectory() as cache_dir, \
+            contextlib.closing(Gateway(backend, "m", cache_dir)) as gateway:
+        yield FilterDeps(lex=lex, provider=ANNOTATOR, gateway=gateway, label_set=FILTER_LABELS)
 
 
 candidate_batches = st.lists(
@@ -541,12 +550,12 @@ def judged_survivors_by_arm(candidates, deps):
 
 @PROPERTY_SETTINGS
 @given(batch=candidate_batches)
-def test_survivors_by_arm_agree_with_run_pipeline(lexicon, batch):
+def test_survivors_by_arm_agree_with_run_pipeline(lexicon, canned, batch):
     candidates = filter_candidates(batch)
-    deps = filter_deps(lexicon)
-    _, _, rows = run_pipeline(candidates, deps)
-    by_arm = survivors_by_arm(rows)
-    assert by_arm == judged_survivors_by_arm(candidates, deps)
+    with filter_deps(lexicon, canned) as deps:
+        _, _, rows = run_pipeline(candidates, deps)
+        by_arm = survivors_by_arm(rows)
+        assert by_arm == judged_survivors_by_arm(candidates, deps)
     assert list(by_arm) == list(ARMS)
 
 
@@ -574,10 +583,10 @@ def reference_pipeline(candidates, deps):
 
 @PROPERTY_SETTINGS
 @given(batch=candidate_batches)
-def test_run_pipeline_agrees_with_the_reference_pipeline(lexicon, batch):
+def test_run_pipeline_agrees_with_the_reference_pipeline(lexicon, canned, batch):
     candidates = filter_candidates(batch)
-    deps = filter_deps(lexicon)
-    assert run_pipeline(candidates, deps) == reference_pipeline(candidates, deps)
+    with filter_deps(lexicon, canned) as deps:
+        assert run_pipeline(candidates, deps) == reference_pipeline(candidates, deps)
 
 
 # Pattern text: raw characters of the DSL, and runs of its tokens, which parse
@@ -625,3 +634,45 @@ def test_cache_key_equal_iff_requests_equal(data):
          for value, field in zip(a, REQUEST_FIELDS)]
     same_key = cache_key(CompletionRequest(*a)) == cache_key(CompletionRequest(*b))
     assert same_key == (a == b)
+
+
+TEMPLATE_NAMES = ("candidate_phrases", "counterfactual_generator", "counterfactual_no_vt",
+                  "discriminator", "multilabel_separator", "soft_match_constraint")
+PLACEHOLDER = re.compile(r"\{([^{}]*)\}")
+
+
+def placeholders(content):
+    return PLACEHOLDER.findall(content)
+
+
+# Slot values built from placeholder text, stray braces and plain words.
+slot_values = st.lists(
+    st.sampled_from(("{label}", "{labels}", "{target_label}", "{text}", "{pattern}",
+                     "{match}", "{", "}", "{}", "cheap", " ", ", ")),
+    max_size=5,
+).map("".join)
+# A template and values for some of its slots.
+templates_and_slots = st.sampled_from(TEMPLATE_NAMES).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.dictionaries(
+        st.sampled_from(sorted({p for m in load_template(name) for p in placeholders(m.content)})),
+        slot_values,
+    ),
+))
+
+
+@PROPERTY_SETTINGS
+@given(drawn=templates_and_slots)
+@example(drawn=("discriminator", {"text": "Great {labels} here.", "labels": "price, service"}))
+def test_fill_puts_each_slot_value_in_verbatim(drawn):
+    name, slots = drawn
+    template = load_template(name)
+    filled = fill(template, slots)
+    assert [m.role for m in filled] == [m.role for m in template]
+    for msg, out in zip(template, filled):
+        names = placeholders(msg.content)
+        for slot in names:
+            assert (slots[slot] if slot in slots else "{" + slot + "}") in out.content
+        # Only the placeholders were replaced, each by its value.
+        assert len(out.content) == len(msg.content) + sum(
+            len(slots[slot]) - len(slot) - 2 for slot in names if slot in slots)
