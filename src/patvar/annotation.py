@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol
 
 from .errors import InvariantViolation, ParseError, ProviderFailure, read_jsonl, utf8_lines
 
@@ -85,7 +85,6 @@ class AnnotatedSentence:
         return [t.lemma for t in self.tokens]
 
 
-@runtime_checkable
 class AnnotationProvider(Protocol):
     """Anything that deterministically turns raw text into an AnnotatedSentence."""
 

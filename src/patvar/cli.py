@@ -102,7 +102,11 @@ class Context:
             self.gateway.close()
 
     def schedule(self) -> ShotSchedule:
-        """The config's shots; ConfigError when the largest exceeds the pool."""
+        """The config's shots; ConfigError when the largest exceeds the pool
+        or when the holdout, which scores every shot, is empty."""
+        if not self.dataset.holdout:
+            raise ConfigError(f"dataset.holdout_fraction {self.cfg.dataset.holdout_fraction} "
+                              "leaves the holdout empty")
         schedule = ShotSchedule(self.cfg.shots)
         try:
             schedule.validate_against(len(self.dataset.examples))
@@ -324,15 +328,12 @@ def _run_grid(ctx: Context, survivors_by_condition: dict[str, list], reference: 
     `reference`, write `<prefix>results.csv` and `<prefix>summary.csv`, and
     print each condition's first shot with its missing cells. Returns the
     exit code, 4 when every cell of some condition failed, and the results."""
-    from .learning import NaiveBayesClassifier, run_simulation
+    from .learning import run_simulation
 
-    dataset = ctx.dataset
     index = {condition: _survivors_index(survivors, ctx.provider)
              for condition, survivors in survivors_by_condition.items()}
-    results = paired_pvalues(run_simulation(
-        dataset, index, ctx.schedule(), list(ctx.cfg.seeds),
-        functools.partial(NaiveBayesClassifier, dataset.label_set),
-    ), reference)
+    results = paired_pvalues(
+        run_simulation(ctx.dataset, index, ctx.schedule(), list(ctx.cfg.seeds)), reference)
     write_results_csv(ctx.output(f"{prefix}results.csv"), results, ctx.dataset_name)
     write_summary_csv(ctx.output(f"{prefix}summary.csv"), results, ctx.dataset_name, reference)
     for r in results:

@@ -88,6 +88,9 @@ class CompletionResponse:
     from_cache: bool = False
 
 
+FINISH_REASONS = ("stop", "length")  # every finish reason a response may carry
+
+
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
 
@@ -256,7 +259,7 @@ class HttpBackend:
                 resp.status_code, f"malformed response body: content is {type(text).__name__}"
             )
         finish = choice.get("finish_reason")
-        if finish not in ("stop", "length", None):
+        if finish not in (*FINISH_REASONS, None):
             raise BackendError(resp.status_code, f"malformed response body: finish_reason {finish!r}")
         return CompletionResponse(text, finish or "stop")
 
@@ -398,7 +401,7 @@ class Gateway:
                 raise ValueError("torn line")
             stored = json.loads(line[65:])["response"]
             text, finish_reason = stored["text"], stored["finish_reason"]
-            if not isinstance(text, str) or finish_reason not in ("stop", "length"):
+            if not isinstance(text, str) or finish_reason not in FINISH_REASONS:
                 raise TypeError(f"response {stored!r} is not a string text with a stop or length finish")
         except (ValueError, KeyError, TypeError) as exc:
             logger.warning("corrupted cache entry %s at byte %d treated as a miss: %s",

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
 from .errors import ParseError, PatvarError
 from .experiment import Dataset
-from .gateway import Gateway
+from .gateway import FINISH_REASONS, Gateway
 from .patterns import (
     MatchSpan,
     PatternAst,
@@ -200,12 +200,15 @@ def _candidate(record, examples: Mapping, labels, patterns: dict) -> Counterfact
         )
     except (ValueError, PatternSyntaxError) as exc:
         raise ParseError(f"not a candidate record: {exc}") from None
+    finish_reason = get("finish_reason", str)
+    if finish_reason not in FINISH_REASONS:
+        raise ParseError(f"finish_reason {finish_reason!r} is neither 'stop' nor 'length'")
     return CounterfactualCandidate(
         uid=get("uid", str),
         task=task,
         generated_text=get("generated_text", str),
         used_phrase=get("used_phrase", (str, type(None))),
-        finish_reason=get("finish_reason", str),
+        finish_reason=finish_reason,
     )
 
 

@@ -6,10 +6,11 @@ with a row per distinct sentence, padded with -1. The classifier's training
 counts, its holdout and pool batches, and the `cluster` embeddings are all
 slices of that matrix.
 
-The whole simulation is a pure function of (dataset, config, seeds, injected
-deps): every random choice is seeded, selection orders are prefix-stable so
-shot levels nest, and every shot level is scored as a classifier trained
-afresh on that level's items would score it.
+The whole simulation is a pure function of (dataset, config, seeds): every
+random choice is seeded, selection orders are prefix-stable so shot levels
+nest, and every shot level is scored as a classifier trained afresh on that
+level's items would score it. A run builds its one classifier from the
+module-level name `NaiveBayesClassifier`, the seam tests patch to swap it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ logger = logging.getLogger(__name__)
 TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
 # original example id -> [(generated sentence, target label), ...]
 SurvivorsIndex = Mapping[str, Sequence[TrainingItem]]
-
-
-class NOverPool(PatvarError):
-    pass
 
 
 class KOverN(PatvarError):
@@ -332,8 +329,6 @@ def select_uncertainty(
     pool: Sequence[LabeledExample], n: int, clf: NaiveBayesClassifier
 ) -> list[LabeledExample]:
     """Lowest-confidence-first selection; ties keep pool order."""
-    if n > len(pool):
-        raise NOverPool(f"cannot select {n} from pool of {len(pool)}")
     confidences = [conf for _, conf in clf.predict([ex.sentence for ex in pool])]
     order = sorted(range(len(pool)), key=lambda i: (confidences[i], i))
     return [pool[i] for i in order[:n]]
@@ -344,39 +339,14 @@ def select_uncertainty(
 # ---------------------------------------------------------------------------
 
 
-def _selection_order(
-    condition: str,
-    dataset: Dataset,
-    shots: Sequence[int],
-    seed: int,
-    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
-    features: LemmaIds,
-) -> list[LabeledExample]:
-    """The order in which the cell labels pool examples; shot k labels its
-    first `shots[k]` examples. `cluster` and `uncertainty` pick their own
-    order; every other condition labels in random order."""
-    pool = dataset.examples
-    if condition == "cluster":
-        k = min(len(dataset.label_set), len(pool))
-        return select_cluster(pool, k, seed, features.embeddings)
-    if condition == "uncertainty":
-        return _uncertainty_order(pool, shots, seed, clf_factory, features)
-    return select_random(pool, seed)
-
-
 def _uncertainty_order(
-    pool: Sequence[LabeledExample],
-    shots: Sequence[int],
-    seed: int,
-    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
-    features: LemmaIds,
+    pool: Sequence[LabeledExample], shots: Sequence[int], seed: int, clf: NaiveBayesClassifier
 ) -> list[LabeledExample]:
     """A random first shot, grown at each later shot by the remaining pool
-    examples that a classifier trained on the previous shot is least
-    confident about: `len(shots) - 1` trainings."""
+    examples that `clf`, trained on the previous shot, is least confident
+    about: `len(shots) - 1` trainings."""
     labeled = select_random(pool, seed)[: shots[0]]
     for shot in shots[1:]:
-        clf = clf_factory(features)
         clf.train([(ex.sentence, ex.label) for ex in labeled])
         have = {ex.sentence.id for ex in labeled}
         remaining = [ex for ex in pool if ex.sentence.id not in have]
@@ -387,25 +357,32 @@ def _uncertainty_order(
 def _run_cell(
     condition: str,
     dataset: Dataset,
-    schedule: ShotSchedule,
+    shots: Sequence[int],
     seed: int,
-    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
     index: SurvivorsIndex,
-    features: LemmaIds,
+    clf: NaiveBayesClassifier,
+    embed: Callable[[Sequence[AnnotatedSentence]], np.ndarray],
 ) -> dict[int, float]:
-    shots = schedule.shots
-    # Shot k trains on a prefix of the order: each original and its
-    # counterfactuals first train at the first shot past its place.
-    # Counterfactuals never count against the shot budget.
-    labeled = _selection_order(condition, dataset, shots, seed, clf_factory, features)[: shots[-1]]
+    """Macro-F1 at each shot; shot k labels the first `shots[k]` pool
+    examples of the cell's order. `cluster` and `uncertainty` pick their own
+    order; every other condition labels in random order."""
+    pool = dataset.examples
+    if condition == "cluster":
+        order = select_cluster(pool, min(len(dataset.label_set), len(pool)), seed, embed)
+    elif condition == "uncertainty":
+        order = _uncertainty_order(pool, shots, seed, clf)
+    else:
+        order = select_random(pool, seed)
+    # Each original and its counterfactuals first train at the first shot
+    # past its place. Counterfactuals never count against the shot budget.
     items: list[TrainingItem] = []
     first: list[int] = []
-    for place, ex in enumerate(labeled):
+    for place, ex in enumerate(order[: shots[-1]]):
         group = [(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
         items += group
         first += [bisect.bisect_right(shots, place)] * len(group)
-    predicted = clf_factory(features).predict_nested(
-        items, first, len(shots), [ex.sentence for ex in dataset.holdout])
+    predicted = clf.predict_nested(items, first, len(shots),
+                                   [ex.sentence for ex in dataset.holdout])
     return {
         shot: macro_f1([(ex.label, label) for ex, label in zip(dataset.holdout, labels)],
                        dataset.label_set)
@@ -418,7 +395,6 @@ def run_simulation(
     conditions: Mapping[str, SurvivorsIndex],
     schedule: ShotSchedule,
     seeds: Sequence[int],
-    clf_factory: Callable[[LemmaIds], NaiveBayesClassifier],
 ) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean and SD, one
     unpaired summary per condition, in the mapping's order.
@@ -427,11 +403,12 @@ def run_simulation(
     `{}` for an arm that trains on its originals only. `cluster` and
     `uncertainty` pick their own selection order; every other name labels in
     random order. Every sentence of the pool, the holdout and the survivors
-    is featurized once, into the run's `LemmaIds` matrix, which
-    `clf_factory(features)` hands to each fresh classifier. Every cell scores
-    all its shots with one `predict_nested` over its selection order; an
-    `uncertainty` cell first trains once per shot but the last to grow that
-    order.
+    is featurized once, into the run's `LemmaIds` matrix, and the run builds
+    one classifier over it from the module-level name `NaiveBayesClassifier`,
+    the seam tests patch to swap the classifier. Every cell scores all its
+    shots with one `predict_nested` over its selection order; an
+    `uncertainty` cell first trains the same classifier once per shot but
+    the last to grow that order.
     A condition x seed cell that fails with a data error (`PatvarError`,
     `ValueError`) is recorded as missing rather than aborting the run; any
     other exception propagates. The caller pairs the summaries against its
@@ -445,12 +422,14 @@ def run_simulation(
         + [sentence for index in conditions.values()
            for items in index.values() for sentence, _ in items]
     )
+    clf = NaiveBayesClassifier(dataset.label_set, features)
     summaries = []
     for condition, index in conditions.items():
         per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
         for seed in seeds:
             try:
-                cell = _run_cell(condition, dataset, schedule, seed, clf_factory, index, features)
+                cell = _run_cell(condition, dataset, schedule.shots, seed, index, clf,
+                                 features.embeddings)
             except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
                 cell = {}

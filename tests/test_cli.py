@@ -788,7 +788,7 @@ def pool_candidate(dataset) -> dict:
                                   "not_mapping", "not_json", "holdout_id", "unknown_id",
                                   "original_text_differs", "original_label_differs",
                                   "target_label_unknown", "empty_pattern", "no_matched_phrase",
-                                  "no_used_phrase", "no_finish_reason"])
+                                  "no_used_phrase", "no_finish_reason", "bad_finish_reason"])
 def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
     dataset = pool_dataset(config)
@@ -805,6 +805,7 @@ def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
         "original_label_differs": {**good, "original_label": "environment"},
         "target_label_unknown": {**good, "target_label": "bogus"},
         "empty_pattern": {**good, "pattern": ""},
+        "bad_finish_reason": {**good, "finish_reason": "bogus"},
         **{f"no_{key}": {k: v for k, v in good.items() if k != key}
            for key in ("matched_phrase", "used_phrase", "finish_reason")},
     }
@@ -848,6 +849,8 @@ def malformed_candidate(config, kind):
         record["original_label"] = "environment"
     elif kind == "target_label_unknown":
         record["target_label"] = "bogus"
+    elif kind == "bad_finish_reason":
+        record["finish_reason"] = "bogus"
     return record
 
 
@@ -856,7 +859,7 @@ def malformed_candidate(config, kind):
                                   "unknown_original_id", "original_text_differs",
                                   "original_label_differs", "target_label_unknown",
                                   "empty_pattern", "no_matched_phrase", "no_used_phrase",
-                                  "no_finish_reason"])
+                                  "no_finish_reason", "bad_finish_reason"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
     """`filter` reads the candidates file, `ablate` the audit file."""
     config = write_config(tmp_path, seeds=[0])
@@ -876,6 +879,17 @@ def audit_fields():
     """The fields `filter` adds to a candidate's record in the audit file."""
     return {"discriminator_label": "service",
             "verdicts": {stage: {"status": "passed", "reason": ""} for stage in STAGES}}
+
+
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_cli_grid_rejects_an_empty_holdout(tmp_path, capsys, command):
+    write_csv(tmp_path / "data.csv", make_rows(12, seed=3))
+    config = write_config(tmp_path, dataset={"holdout_fraction": 0.02}, conditions=["random"],
+                          shots=[2, 4], seeds=[0])
+    assert main([command, "--config", str(config)]) == 2
+    assert "config error: dataset.holdout_fraction 0.02 leaves the holdout empty" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 def test_cli_ablate_needs_the_audit(tmp_path, capsys):

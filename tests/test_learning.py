@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from patvar import learning
 from patvar.annotation import AnnotatedSentence, Token
 from patvar.experiment import CONDITIONS, Dataset, paired_pvalues, summarize
 from patvar.learning import (
@@ -528,11 +529,7 @@ def test_run_simulation_shape_and_determinism(provider):
         if e.label == "products"
     }
     conditions = {"random": {}, "counterfactual": index}
-
-    def factory(features):
-        return NaiveBayesClassifier(dataset.label_set, features)
-
-    results = run_simulation(dataset, conditions, schedule, [0, 1], factory)
+    results = run_simulation(dataset, conditions, schedule, [0, 1])
     assert [r.condition for r in results] == ["random", "counterfactual"]
     for r in results:
         assert r.shots == (4, 8)
@@ -547,11 +544,11 @@ def test_run_simulation_shape_and_determinism(provider):
     paired = paired_pvalues(results, "counterfactual")
     assert all(p is not None for p in paired[0].p_vs_reference.values())
     assert paired[1] == results[1]
-    again = run_simulation(dataset, conditions, schedule, [0, 1], factory)
+    again = run_simulation(dataset, conditions, schedule, [0, 1])
     assert again == results
 
 
-def test_run_simulation_equal_under_oracle_classifier(provider):
+def test_run_simulation_equal_under_oracle_classifier(provider, monkeypatch):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((2, 4, 8))
     survivors = {
@@ -561,10 +558,10 @@ def test_run_simulation_equal_under_oracle_classifier(provider):
     }
     augment = {"counterfactual": survivors, "cf_no_vt": dict(list(survivors.items())[::2])}
     conditions = {c: augment.get(c, {}) for c in CONDITIONS}
-    fast = run_simulation(dataset, conditions, schedule, [0, 1, 2],
-                          lambda features: NaiveBayesClassifier(dataset.label_set, features))
-    slow = run_simulation(dataset, conditions, schedule, [0, 1, 2],
-                          lambda features: OracleNaiveBayes(dataset.label_set))
+    fast = run_simulation(dataset, conditions, schedule, [0, 1, 2])
+    monkeypatch.setattr(learning, "NaiveBayesClassifier",
+                        lambda label_set, features: OracleNaiveBayes(label_set))
+    slow = run_simulation(dataset, conditions, schedule, [0, 1, 2])
     assert fast == slow
 
 
@@ -584,21 +581,17 @@ def test_arm_named_conditions_equal_single_counterfactual_runs(provider):
         "heuristic+discriminator": dict(list(full.items())[1:6:2]),
         "all": {},
     }
-
-    def factory(features):
-        return NaiveBayesClassifier(dataset.label_set, features)
-
-    together = run_simulation(dataset, indexes, schedule, [0, 1, 2], factory)
+    together = run_simulation(dataset, indexes, schedule, [0, 1, 2])
     alone = [
-        dataclasses.replace(run_simulation(dataset, {"counterfactual": index}, schedule, [0, 1, 2],
-                                           factory)[0], condition=arm)
+        dataclasses.replace(
+            run_simulation(dataset, {"counterfactual": index}, schedule, [0, 1, 2])[0], condition=arm)
         for arm, index in indexes.items()
     ]
     assert together == alone
     assert len({tuple(r.mean.values()) for r in together}) > 1  # the indexes do differ
 
 
-def _failing_factory(label_set, error):
+def _patch_failing(monkeypatch, error):
     class Failing(NaiveBayesClassifier):
         def train(self, items):
             raise error("failing on purpose")
@@ -606,20 +599,20 @@ def _failing_factory(label_set, error):
         def predict_nested(self, items, first_shot, n_shots, sentences):
             raise error("failing on purpose")
 
-    return lambda features: Failing(label_set, features)
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
 
 
-def test_run_simulation_programming_error_propagates(provider):
+def test_run_simulation_programming_error_propagates(provider, monkeypatch):
     dataset = tiny_dataset(provider)
+    _patch_failing(monkeypatch, TypeError)
     with pytest.raises(TypeError, match="failing on purpose"):
-        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [0],
-                       _failing_factory(dataset.label_set, TypeError))
+        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [0])
 
 
-def test_run_simulation_data_error_is_missing_cell(provider):
+def test_run_simulation_data_error_is_missing_cell(provider, monkeypatch):
     dataset = tiny_dataset(provider)
-    [result] = run_simulation(dataset, {"random": {}}, ShotSchedule((4, 8)), [0, 1],
-                              _failing_factory(dataset.label_set, ValueError))
+    _patch_failing(monkeypatch, ValueError)
+    [result] = run_simulation(dataset, {"random": {}}, ShotSchedule((4, 8)), [0, 1])
     assert result.scores == {4: {0: None, 1: None}, 8: {0: None, 1: None}}
     assert result.mean == {4: None, 8: None}
 
@@ -627,18 +620,14 @@ def test_run_simulation_data_error_is_missing_cell(provider):
 def test_run_simulation_all_conditions_run(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
-
-    def factory(features):
-        return NaiveBayesClassifier(dataset.label_set, features)
-
     conditions = dict.fromkeys(["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"], {})
-    results = run_simulation(dataset, conditions, schedule, [0, 1, 2], factory)
+    results = run_simulation(dataset, conditions, schedule, [0, 1, 2])
     for r in results:
         for shot in r.shots:
             assert r.mean[shot] is not None
 
 
-def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider):
+def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider, monkeypatch):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((2, 4, 8))
     calls = collections.Counter()
@@ -656,22 +645,36 @@ def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider):
             calls["predict_nested"] += 1
             return super().predict_nested(items, first_shot, n_shots, sentences)
 
-    run_simulation(dataset, {"uncertainty": {}}, schedule, [0],
-                   lambda features: Spy(dataset.label_set, features))
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
+    run_simulation(dataset, {"uncertainty": {}}, schedule, [0])
     # One training per shot but the last picks the next shot's examples.
     assert calls == {"train": 2, "predict": 2, "predict_nested": 1}
 
 
+def test_run_simulation_builds_one_classifier_per_run(provider, monkeypatch):
+    dataset = tiny_dataset(provider)
+    built = []
+
+    class Counting(NaiveBayesClassifier):
+        def __init__(self, label_set, features):
+            built.append(label_set)
+            super().__init__(label_set, features)
+
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", Counting)
+    results = run_simulation(dataset, {"random": {}, "uncertainty": {}}, ShotSchedule((2, 4, 8)),
+                             [0, 1])
+    # Both cells of both conditions and every training of the uncertainty
+    # orders share it.
+    assert built == [dataset.label_set]
+    assert all(r.mean[shot] is not None for r in results for shot in r.shots)
+
+
 def test_run_simulation_rejects_bad_inputs(provider):
     dataset = tiny_dataset(provider)
-
-    def factory(features):
-        return NaiveBayesClassifier(dataset.label_set, features)
-
     with pytest.raises(ValueError):
-        run_simulation(dataset, {"random": {}}, ShotSchedule((4, 999)), [0], factory)
+        run_simulation(dataset, {"random": {}}, ShotSchedule((4, 999)), [0])
     with pytest.raises(ValueError):
-        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [], factory)
+        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [])
 
 
 def test_shot_schedule_validation():
@@ -692,7 +695,7 @@ def test_dataset_validation(provider):
         Dataset((good,), ("a",), (good,))
 
 
-def test_nesting_across_shots(provider):
+def test_nesting_across_shots(provider, monkeypatch):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((3, 6, 9))
     survivors = {e.sentence.id: [(provider.annotate(f"the staff spoke {i}."), "service")]
@@ -705,10 +708,8 @@ def test_nesting_across_shots(provider):
                          for shot in range(n_shots)])
             return super().predict_nested(items, first_shot, n_shots, sentences)
 
-    def factory(features):
-        return Spy(dataset.label_set, features)
-
-    run_simulation(dataset, {"random": {}, "counterfactual": survivors}, schedule, [7], factory)
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
+    run_simulation(dataset, {"random": {}, "counterfactual": survivors}, schedule, [7])
     originals, augmented = seen
     order = select_random(dataset.examples, 7)
     for shot, training in zip(schedule.shots, originals):
