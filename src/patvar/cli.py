@@ -120,7 +120,11 @@ class Context:
 
     def output(self, name: str) -> str:
         """The path of output `name`, recorded as written by this command."""
-        os.makedirs(self.cfg.output_dir, exist_ok=True)
+        try:
+            os.makedirs(self.cfg.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {self.cfg.output_dir}: "
+                              f"{exc.strerror}") from None
         self.outputs.append(self.path(name))
         return self.outputs[-1]
 
@@ -228,31 +232,37 @@ def cmd_synth(ctx: Context) -> int:
     return 0
 
 
-def _load_patterns(ctx: Context) -> tuple[list[str], dict[str, list]]:
+def _load_patterns(ctx: Context) -> dict[str, list]:
+    """The patterns of patterns.json by label; ConfigError unless the dataset
+    has two labels or more and the file was synthesized for its label set."""
+    label_set = ctx.dataset.label_set
+    if len(label_set) < 2:
+        raise ConfigError(f"need at least two labels, the dataset has {list(label_set)}")
     path = ctx.path("patterns.json")
     if not os.path.exists(path):
         raise ConfigError(f"{path} not found; run `patvar synth` first")
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        label_set = payload["label_set"]
+        labels = payload["label_set"]
         texts = {label: [entry["pattern"] for entry in entries]
                  for label, entries in payload["patterns"].items()}
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path} is not a patterns file of `patvar synth` ({exc!r})") from None
-    if not isinstance(label_set, list) or not all(
-        isinstance(item, str) for item in [*label_set, *(t for ts in texts.values() for t in ts)]
+    if not isinstance(labels, list) or not all(
+        isinstance(item, str) for item in [*labels, *(t for ts in texts.values() for t in ts)]
     ):
         raise ConfigError(f"{path}: labels and patterns must be strings")
-    if len(label_set) < 2:
-        raise ConfigError(f"{path}: need at least two labels, got {label_set}")
-    return label_set, {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
+    if set(labels) != set(label_set):
+        raise ConfigError(f"{path} is for the labels {labels}, not the dataset's "
+                          f"{list(label_set)}; run `patvar synth` again")
+    return {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
 def cmd_gen(ctx: Context) -> int:
+    patterns_by_label = _load_patterns(ctx)
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
     dataset = ctx.dataset
-    label_set, patterns_by_label = _load_patterns(ctx)
     seed = cfg.seeds[0]
     want_no_vt = "cf_no_vt" in cfg.conditions
     vt_candidates, novt_candidates = [], []
@@ -261,10 +271,10 @@ def cmd_gen(ctx: Context) -> int:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
         spans = find_matches(pattern, ex.sentence, lexicon) if pattern is not None else []
-        for target in plan_targets(ex, label_set, seed):
+        for target in plan_targets(ex, dataset.label_set, seed):
             if pattern is not None:
                 try:
-                    task = build_task(ex.sentence, ex.label, target, pattern, lexicon, spans)
+                    task = build_task(ex.sentence, ex.label, target, pattern, spans)
                     phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
                     cand = generate_counterfactual(
                         task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"
@@ -302,7 +312,7 @@ def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
 
 
 def cmd_filter(ctx: Context) -> int:
-    deps = FilterDeps(label_set=_load_patterns(ctx)[0], lex=ctx.lexicon, provider=ctx.provider,
+    deps = FilterDeps(label_set=ctx.dataset.label_set, lex=ctx.lexicon, provider=ctx.provider,
                       gateway=ctx.gateway)
     quality = {"dataset": ctx.dataset_name,
                "vt": dataclasses.asdict(_filter_candidates(ctx, "vt", deps))}
@@ -373,8 +383,13 @@ def cmd_report(ctx: Context, quality_files=(), external=()) -> int:
     candidates_files = list(quality_files) or (
         [default_quality] if os.path.exists(default_quality) else []
     )
+    quality_source: dict[str, str] = {}  # dataset -> quality file it came from
     for path in candidates_files:
-        quality_tables.update(read_quality_json(path))
+        for ds_name, table in read_quality_json(path).items():
+            if ds_name in quality_tables:
+                raise ConfigError(f"quality of dataset {ds_name} in {path} is already in "
+                                  f"{quality_source[ds_name]}")
+            quality_tables[ds_name], quality_source[ds_name] = table, path
     if quality_tables:
         sections.append("## Counterfactual quality\n\n" + render_quality_table(quality_tables))
     by_dataset: dict[str, list[dict]] = {}

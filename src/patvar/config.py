@@ -76,6 +76,12 @@ class BackendSettings:
             raise ConfigError(f"backend.kind must be mock or http, got {self.kind!r}")
         if not 0.0 <= self.flaw_rate < 1.0:
             raise ConfigError("backend.flaw_rate must be in [0, 1)")
+        vocab = self.label_vocab or {}
+        if not all(isinstance(label, str) and isinstance(words, list)
+                   and all(isinstance(w, str) and w for w in words)
+                   for label, words in vocab.items()):
+            raise ConfigError("backend.label_vocab must map each label to a list of non-empty "
+                              f"strings, got {self.label_vocab!r}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,15 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, normalize in (
             ("conditions", tuple),
-            ("shots", lambda shots: ShotSchedule(tuple(map(int, shots))).shots),
-            ("seeds", lambda seeds: tuple(map(int, seeds))),
+            ("shots", lambda shots: ShotSchedule(shots).shots),
+            ("seeds", tuple),
         ):
             value = getattr(self, key)
             try:
                 if isinstance(value, str):  # a string is an iterable of its characters
                     raise TypeError(f"need a list, got the string {value!r}")
+                if key != "conditions" and not all(type(v) is int for v in value):  # no bool
+                    raise TypeError(f"need whole numbers, got {value!r}")
                 object.__setattr__(self, key, normalize(value))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {key}: {exc}") from None

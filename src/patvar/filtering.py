@@ -214,51 +214,35 @@ class FilterRow(NamedTuple):
         }
 
 
-def judge(
-    c: CounterfactualCandidate, stage: str, deps: FilterDeps
-) -> tuple[StageVerdict, str | None]:
-    """One stage's verdict on one candidate, and the label the discriminator
-    assigned (None for the other stages and when the discriminator failed).
-
-    Provider failures in the symbolic stage and malformed or failed
-    discriminator responses become failed verdicts.
-    """
-    if stage == "heuristic":
-        return heuristic_filter(c), None
-    if stage == "symbolic":
-        try:
-            return symbolic_filter(c, deps.lex, deps.provider), None
-        except Exception as exc:  # provider failures become verdicts
-            return StageVerdict("failed", f"error: {exc}"), None
-    try:
-        return discriminator_filter(c, deps.label_set, deps.gateway)
-    except (ResponseFormatError, BackendError) as exc:
-        return StageVerdict("failed", f"error: {exc}"), None
-
-
 def run_pipeline(
     candidates: Sequence[CounterfactualCandidate], deps: FilterDeps
 ) -> tuple[list[CounterfactualCandidate], QualityReport, list[FilterRow]]:
     """Apply the stages in order; return the survivors, the batch metrics,
     and one row per candidate in input order.
 
-    Every stage judges every candidate that the heuristic stage did not
-    fail; after a heuristic failure the later stages read pending.
-    Per-candidate errors become failed verdicts instead of aborting the
+    The symbolic and discriminator stages judge every candidate that the
+    heuristic stage did not fail; after a heuristic failure they read
+    pending. Provider failures in the symbolic stage and malformed or failed
+    discriminator responses become failed verdicts instead of aborting the
     batch. The assigned label, and so each metric, counts a verdict only
     where no earlier stage failed the candidate."""
     rows: list[FilterRow] = []
     for cand in candidates:
-        verdicts: dict[str, StageVerdict] = {}
+        heuristic = heuristic_filter(cand)
+        symbolic = discriminator = StageVerdict("pending")
         assigned = None
-        for stage in STAGES:
-            if stage != "heuristic" and verdicts["heuristic"].status == "failed":
-                verdicts[stage] = StageVerdict("pending")
-            else:
-                alive = all(v.status != "failed" for v in verdicts.values())
-                verdicts[stage], label = judge(cand, stage, deps)
-                if alive and label is not None:
-                    assigned = label
+        if heuristic.status != "failed":
+            try:
+                symbolic = symbolic_filter(cand, deps.lex, deps.provider)
+            except Exception as exc:  # provider failures become verdicts
+                symbolic = StageVerdict("failed", f"error: {exc}")
+            try:
+                discriminator, assigned = discriminator_filter(cand, deps.label_set, deps.gateway)
+            except (ResponseFormatError, BackendError) as exc:
+                discriminator = StageVerdict("failed", f"error: {exc}")
+            if symbolic.status == "failed":
+                assigned = None
+        verdicts = {"heuristic": heuristic, "symbolic": symbolic, "discriminator": discriminator}
         rows.append(FilterRow(cand, verdicts, assigned))
     survivors = [row.candidate for row in rows if row.survived]
     return survivors, compute_metrics(rows), rows

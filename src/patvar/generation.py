@@ -25,7 +25,6 @@ from .patterns import (
     PatternAst,
     PatternSyntaxError,
     SoftAtom,
-    find_matches,
     match_sentence,
     parse_pattern,
     render_pattern,
@@ -78,16 +77,11 @@ def build_task(
     original_label: str,
     target_label: str,
     pattern: PatternAst,
-    lex: SynonymLexicon,
-    spans: list[MatchSpan] | None = None,
+    spans: Sequence[MatchSpan],
 ) -> GenerationTask:
-    """Construct a pattern-constrained task, extracting the matched phrase.
-
-    `spans` are `find_matches(pattern, original, lex)` when the caller has
-    them already, as for an example with several targets.
-    """
-    if spans is None:
-        spans = find_matches(pattern, original, lex)
+    """Construct a pattern-constrained task from `spans`, the
+    `find_matches(pattern, original, lex)` of its original, extracting the
+    matched phrase of the first."""
     if not spans:
         raise NoPatternMatch(
             f"pattern {render_pattern(pattern)!r} does not match sentence {original.id!r}"
@@ -334,21 +328,14 @@ def _find_used_phrase(text: str, phrases: Sequence[str]) -> str | None:
     return None
 
 
-def generate_counterfactual(
-    task: GenerationTask,
-    phrases: Sequence[str],
-    gateway: Gateway,
-    uid: str,
+def _rewrite(
+    template: str, task: GenerationTask, gateway: Gateway, uid: str, phrases: Sequence[str] = ()
 ) -> CounterfactualCandidate:
-    """Generate one phrase-anchored counterfactual; filtering judges the text."""
-    joined = ", ".join(phrases)
-    slots = {
-        "text": task.original.raw,
-        "label": task.original_label,
-        "target_label": task.target_label,
-        "generated_phrases": joined,
-    }
-    messages = fill(load_template("counterfactual_generator"), slots)
+    """One rewrite of the task's original by the prompt `template`, which may
+    ask it to use one of `phrases`."""
+    slots = {"text": task.original.raw, "label": task.original_label,
+             "target_label": task.target_label, "generated_phrases": ", ".join(phrases)}
+    messages = fill(load_template(template), slots)
     resp = gateway.complete(gateway.request(messages, GENERATION_MAX_TOKENS))
     text = resp.text.strip()
     return CounterfactualCandidate(
@@ -360,6 +347,16 @@ def generate_counterfactual(
     )
 
 
+def generate_counterfactual(
+    task: GenerationTask,
+    phrases: Sequence[str],
+    gateway: Gateway,
+    uid: str,
+) -> CounterfactualCandidate:
+    """Generate one phrase-anchored counterfactual; filtering judges the text."""
+    return _rewrite("counterfactual_generator", task, gateway, uid, phrases)
+
+
 def generate_without_vt(
     original: AnnotatedSentence,
     original_label: str,
@@ -369,16 +366,7 @@ def generate_without_vt(
 ) -> CounterfactualCandidate:
     """Unconstrained rewrite baseline: no pattern, no phrase anchor."""
     task = GenerationTask(original, original_label, target_label, pattern=None)
-    slots = {"text": original.raw, "label": original_label, "target_label": target_label}
-    messages = fill(load_template("counterfactual_no_vt"), slots)
-    resp = gateway.complete(gateway.request(messages, GENERATION_MAX_TOKENS))
-    return CounterfactualCandidate(
-        uid=uid,
-        task=task,
-        generated_text=resp.text.strip(),
-        used_phrase=None,
-        finish_reason=resp.finish_reason,
-    )
+    return _rewrite("counterfactual_no_vt", task, gateway, uid)
 
 
 # ---------------------------------------------------------------------------

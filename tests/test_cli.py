@@ -137,6 +137,10 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"seeds": 3}, "seeds"),
         ({"seeds": []}, "seeds"),
         ({"seeds": [0, 0, 1]}, "bad seeds: [0] listed more than once"),
+        ({"shots": [10.7, 20]}, "bad shots: need whole numbers, got [10.7, 20]"),
+        ({"shots": ["10", "20"]}, "bad shots: need whole numbers, got ['10', '20']"),
+        ({"seeds": [True, 1]}, "bad seeds: need whole numbers, got [True, 1]"),
+        ({"seeds": [0, 1.0]}, "bad seeds: need whole numbers, got [0, 1.0]"),
         ({"seeds": "12"}, "bad seeds: need a list, got the string '12'"),
         ({"shots": "59"}, "bad shots: need a list, got the string '59'"),
         ({"conditions": "random"}, "bad conditions: need a list, got the string 'random'"),
@@ -158,6 +162,18 @@ def test_bad_values_rejected(tmp_path, capsys):
         assert section in str(exc.value), overrides
         assert main(["synth", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {exc.value}")
+
+
+@pytest.mark.parametrize("vocab", [
+    {"price": 5}, {"service": "staff"}, {"price": ["cheap", ""]}, {"price": ["cheap", 3]},
+    {5: ["cheap"]}, {"price": None},
+], ids=["number", "string", "empty_word", "number_word", "number_label", "null_words"])
+def test_bad_label_vocab_rejected(tmp_path, capsys, vocab):
+    config = write_config(tmp_path, backend={"label_vocab": vocab})
+    with pytest.raises(ConfigError, match="backend.label_vocab"):
+        load_config(config)
+    assert main(["gen", "--config", str(config)]) == 2
+    assert "backend.label_vocab" in capsys.readouterr().err
 
 
 def test_env_overrides_backend_only(tmp_path, monkeypatch):
@@ -500,6 +516,17 @@ def test_cli_report_rejects_cells_in_two_files(pipeline_dir, capsys):
     assert "same_cells.csv" in err and "results.csv" in err
 
 
+def test_cli_report_rejects_two_quality_files_for_one_dataset(pipeline_dir, capsys):
+    tmp_path, config = pipeline_dir
+    other = tmp_path / "q2.json"
+    other.write_text(json.dumps({"data": {"pkr": 0.12, "slfr": 0.5, "lfr": 0.4}}), encoding="utf-8")
+    first = tmp_path / "out" / "quality_report.json"
+    assert main(["report", "--config", str(config), "--quality", str(first),
+                 "--quality", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset data" in err and "q2.json" in err and "quality_report.json" in err
+
+
 def test_cli_report_stars_match_summary(pipeline_dir):
     tmp_path, config = pipeline_dir
     assert main(["report", "--config", str(config)]) == 0
@@ -633,7 +660,7 @@ def test_cli_ablate_judges_nothing_and_builds_no_gateway(pipeline_dir, tmp_path,
     def forbidden(*args, **kwargs):
         raise AssertionError("ablate judged a candidate or built a gateway")
 
-    for name in (*STAGE_FUNCTIONS, "judge"):
+    for name in STAGE_FUNCTIONS:
         monkeypatch.setattr(filtering, name, forbidden)
     monkeypatch.setattr(cli, "build_gateway", forbidden)
     before = sorted(os.listdir(cache))
@@ -712,30 +739,50 @@ def test_cli_synth_retries_only_a_floor_above_the_relaxed_one(tmp_path, monkeypa
     assert tried and all(t == floors for t in tried.values())
 
 
-def test_cli_gen_rejects_single_label(tmp_path, capsys):
+def forbid_backend_requests(monkeypatch):
+    def forbidden(self, req):
+        raise AssertionError("a request reached the backend")
+
+    monkeypatch.setattr(gateway.MockBackend, "send", forbidden)
+
+
+def test_cli_gen_rejects_single_label(tmp_path, capsys, monkeypatch):
+    rows = [row for row in make_rows(120, seed=3) if row[1] == "price"]
+    write_csv(tmp_path / "data.csv", rows)
     config = write_config(tmp_path)
-    (tmp_path / "out").mkdir()
-    (tmp_path / "out" / "patterns.json").write_text(
-        json.dumps({"dataset": "data", "label_set": ["price"], "patterns": {"price": []}}),
-        encoding="utf-8",
-    )
+    assert main(["synth", "--config", str(config)]) == 0
+    forbid_backend_requests(monkeypatch)
     assert main(["gen", "--config", str(config)]) == 2
-    assert "need at least two labels" in capsys.readouterr().err
+    assert "need at least two labels, the dataset has ['price']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["filter"])
-def test_cli_rejects_empty_label_set(tmp_path, capsys, command):
+@pytest.mark.parametrize("label_set", [[], ["price"], [*LABEL_VOCAB, "extra"], ["a", "b"]],
+                         ids=["empty", "single", "extra", "other"])
+def test_cli_gen_rejects_patterns_for_other_labels(tmp_path, capsys, monkeypatch, label_set):
     config = write_config(tmp_path, seeds=[0])
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "patterns.json").write_text(
-        json.dumps({"dataset": "data", "label_set": [], "patterns": {}}), encoding="utf-8"
+        json.dumps({"dataset": "data", "label_set": label_set,
+                    "patterns": {label: [] for label in label_set}}), encoding="utf-8"
     )
-    (tmp_path / "out" / "candidates_vt.jsonl").write_text(
-        json.dumps(malformed_candidate(config, "good")) + "\n", encoding="utf-8"
-    )
-    assert main([command, "--config", str(config)]) == 2
+    forbid_backend_requests(monkeypatch)
+    assert main(["gen", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert "patterns.json" in err and "need at least two labels" in err
+    assert "patterns.json is for the labels" in err and "run `patvar synth` again" in err
+    assert not (tmp_path / "out" / "candidates_vt.jsonl").exists()
+
+
+def test_cli_gen_compares_the_patterns_labels_as_a_set(pipeline_dir, tmp_path):
+    source, config = pipeline_dir
+    out, cache = copy_pipeline(source, tmp_path)
+    payload = json.loads((out / "patterns.json").read_text(encoding="utf-8"))
+    payload["label_set"].reverse()
+    (out / "patterns.json").write_text(json.dumps(payload), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(config), "--out", str(out),
+                     "--cache-dir", str(cache)]) == 0
+    for name in WRITERS["gen"]:
+        assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("line", [
@@ -964,7 +1011,7 @@ CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "ta
 SURVIVOR_FIELDS = ("original_id", "original_text", "generated_text", "target_label")
 # artifact -> (the commands that read it, the fields their reader needs in each record)
 ARTIFACT_READERS = {
-    "patterns.json": (("gen", "filter"), ("label_set", "patterns")),
+    "patterns.json": (("gen",), ("label_set", "patterns")),
     "candidates_vt.jsonl": (("filter",), CANDIDATE_FIELDS),
     "audit_vt.jsonl": (("ablate",), (*CANDIDATE_FIELDS, "verdicts", "discriminator_label")),
     "candidates_novt.jsonl": (("filter",), CANDIDATE_FIELDS),
@@ -1036,6 +1083,26 @@ def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
     assert os.path.basename(path) in err.getvalue()
     if name.endswith(".jsonl") or (kind == "not_utf8" and name.endswith(".csv")):
         assert f"line {index + 1}" in err.getvalue()
+
+
+def test_cli_filter_needs_no_patterns_file(tiny_walkthrough, tmp_path):
+    source, config = tiny_walkthrough
+    out, cache = copy_pipeline(source, tmp_path)
+    (out / "patterns.json").unlink()
+    before = sorted(os.listdir(cache))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["filter", "--config", str(config), "--out", str(out),
+                     "--cache-dir", str(cache)]) == 0
+    assert sorted(os.listdir(cache)) == before
+    for name in WRITERS["filter"]:
+        assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+
+
+def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, synthesis={"max_atoms": 1})
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "afile")]) == 2
+    assert "cannot create the output directory" in capsys.readouterr().err
 
 
 def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path):

@@ -22,7 +22,7 @@ from patvar.generation import (
     plan_targets,
     separate_multilabel,
 )
-from patvar.patterns import parse_pattern
+from patvar.patterns import find_matches, parse_pattern
 from patvar.prompts import fill, load_template
 from patvar.synthesis import LabeledExample
 
@@ -140,7 +140,9 @@ def test_separator_template_mock_round_trips(gateway_for):
 @pytest.fixture
 def price_task(provider, lexicon):
     original = provider.annotate("They have affordable lobster here")
-    return build_task(original, "products", "price", parse_pattern("(cheap)+*+NOUN"), lexicon)
+    pattern = parse_pattern("(cheap)+*+NOUN")
+    return build_task(original, "products", "price", pattern,
+                      find_matches(pattern, original, lexicon))
 
 
 def test_build_task_extracts_matched_phrase(price_task):
@@ -150,14 +152,14 @@ def test_build_task_extracts_matched_phrase(price_task):
 def test_build_task_requires_match(provider, lexicon):
     from patvar.generation import NoPatternMatch
 
+    original, pattern = provider.annotate("Service was slow."), parse_pattern("(cheap)+*+NOUN")
     with pytest.raises(NoPatternMatch):
-        build_task(provider.annotate("Service was slow."), "service", "price",
-                   parse_pattern("(cheap)+*+NOUN"), lexicon)
+        build_task(original, "service", "price", pattern, find_matches(pattern, original, lexicon))
 
 
-def test_collect_soft_matches(price_task, lexicon, monkeypatch):
+def test_collect_soft_matches(price_task, lexicon):
     # The soft matches come from the span build_task kept, not a second search.
-    monkeypatch.setattr(generation, "find_matches", None)
+    assert not hasattr(generation, "find_matches")
     info = collect_soft_matches(price_task, lexicon)
     assert len(info) == 1
     word, synonyms = info[0]

@@ -14,7 +14,8 @@ The filter arms that `survivors_by_arm` reads off the rows of one
 `run_pipeline` are checked against `judged_survivors_by_arm`, which judges
 each stage once per candidate, and `run_pipeline` against
 `reference_pipeline`, which judges a candidate's stages one `judge` call at
-a time.
+a time; `judge` calls the stage functions itself and turns their errors
+into failed verdicts.
 Pattern parsing is checked for clean errors and render round-trips, the
 gateway's cache key for stability, and `fill` for putting each slot value
 into a prompt verbatim.
@@ -39,13 +40,23 @@ from patvar.filtering import (
     FilterRow,
     StageVerdict,
     compute_metrics,
-    judge,
+    discriminator_filter,
+    heuristic_filter,
     run_pipeline,
     survivors_by_arm,
+    symbolic_filter,
 )
 from patvar.fixtures import ENTITY_PHRASES, FixtureAnnotationProvider
-from patvar.gateway import ROLES, ChatMessage, CompletionRequest, Gateway, MockBackend, cache_key
-from patvar.generation import CounterfactualCandidate, GenerationTask
+from patvar.gateway import (
+    ROLES,
+    BackendError,
+    ChatMessage,
+    CompletionRequest,
+    Gateway,
+    MockBackend,
+    cache_key,
+)
+from patvar.generation import CounterfactualCandidate, GenerationTask, ResponseFormatError
 from patvar.patterns import (
     WILDCARD,
     EntityAtom,
@@ -532,6 +543,24 @@ def filter_candidates(batch):
         )
         for i, ((orig, target), pattern, text, finish) in enumerate(batch)
     ]
+
+
+def judge(c, stage, deps):
+    """One stage's verdict on one candidate, and the label the discriminator
+    assigned (None for the other stages and when the discriminator failed):
+    a provider failure in the symbolic stage and a malformed or failed
+    discriminator response read as failed verdicts."""
+    if stage == "heuristic":
+        return heuristic_filter(c), None
+    if stage == "symbolic":
+        try:
+            return symbolic_filter(c, deps.lex, deps.provider), None
+        except Exception as exc:
+            return StageVerdict("failed", f"error: {exc}"), None
+    try:
+        return discriminator_filter(c, deps.label_set, deps.gateway)
+    except (ResponseFormatError, BackendError) as exc:
+        return StageVerdict("failed", f"error: {exc}"), None
 
 
 def judged_survivors_by_arm(candidates, deps):
