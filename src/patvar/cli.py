@@ -193,6 +193,7 @@ RELAXED_PRECISION = 0.8
 
 
 def cmd_synth(ctx: Context) -> int:
+    patterns_json, patterns_txt = ctx.output("patterns.json"), ctx.output("patterns.txt")
     cfg, lexicon, dataset = ctx.cfg, ctx.lexicon, ctx.dataset
     payload = {"dataset": ctx.dataset_name, "label_set": list(dataset.label_set), "patterns": {}}
     lines = []
@@ -224,9 +225,8 @@ def cmd_synth(ctx: Context) -> int:
             for sp in scored
         ]
         lines.extend(f"{label}\t{sp.rendered}" for sp in scored)
-    patterns_json = ctx.output("patterns.json")
     _write_json(patterns_json, payload)
-    with open(ctx.output("patterns.txt"), "w", encoding="utf-8") as fh:
+    with open(patterns_txt, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
     print(f"synthesized patterns for {len(payload['patterns'])} labels -> {patterns_json}")
     return 0
@@ -256,41 +256,38 @@ def _load_patterns(ctx: Context) -> dict[str, list]:
     if set(labels) != set(label_set):
         raise ConfigError(f"{path} is for the labels {labels}, not the dataset's "
                           f"{list(label_set)}; run `patvar synth` again")
+    missing, extra = sorted(set(label_set) - set(texts)), sorted(set(texts) - set(label_set))
+    if missing or extra:
+        raise ConfigError(f"{path} misses the patterns of the labels {missing} and has extra "
+                          f"ones for {extra}; run `patvar synth` again")
     return {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
 def cmd_gen(ctx: Context) -> int:
     patterns_by_label = _load_patterns(ctx)
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
-    dataset = ctx.dataset
-    seed = cfg.seeds[0]
-    want_no_vt = "cf_no_vt" in cfg.conditions
+    dataset, want_no_vt = ctx.dataset, "cf_no_vt" in cfg.conditions
     vt_candidates, novt_candidates = [], []
     skipped = 0
     for ex in dataset.examples:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
         spans = find_matches(pattern, ex.sentence, lexicon) if pattern is not None else []
-        for target in plan_targets(ex, dataset.label_set, seed):
+        for target in plan_targets(ex, dataset.label_set, cfg.seeds[0]):
             if pattern is not None:
                 try:
                     task = build_task(ex.sentence, ex.label, target, pattern, spans)
                     phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
-                    cand = generate_counterfactual(
-                        task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"
-                    )
-                    vt_candidates.append(cand)
+                    vt_candidates.append(generate_counterfactual(
+                        task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"))
                 except (NoValidPhrases, NoPatternMatch) as exc:
                     logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, exc)
                     skipped += 1
             else:
                 skipped += 1
             if want_no_vt:
-                cand = generate_without_vt(
-                    ex.sentence, ex.label, target, gateway,
-                    uid=f"{ex.sentence.id}:{target}:novt:0",
-                )
-                novt_candidates.append(cand)
+                novt_candidates.append(generate_without_vt(ex.sentence, ex.label, target, gateway,
+                                                           uid=f"{ex.sentence.id}:{target}:novt:0"))
     _write_candidates(ctx.output("candidates_vt.jsonl"), vt_candidates)
     if want_no_vt:
         _write_candidates(ctx.output("candidates_novt.jsonl"), novt_candidates)

@@ -1,16 +1,12 @@
 """Simulated active learning: selection strategies, a reference classifier,
 and the multi-seed run grid, whose arms train on counterfactuals as well.
-
-A run featurizes its sentences once, into one `LemmaIds`: a lemma-id matrix
-with a row per distinct sentence, padded with -1. The classifier's training
-counts, its holdout and pool batches, and the `cluster` embeddings are all
-slices of that matrix.
+A run featurizes its sentences once, into one lemma-id matrix (`LemmaIds`).
 
 The whole simulation is a pure function of (dataset, config, seeds): every
 random choice is seeded, selection orders are prefix-stable so shot levels
 nest, and every shot level is scored as a classifier trained afresh on that
-level's items would score it. A run builds its one classifier from the
-module-level name `NaiveBayesClassifier`, the seam tests patch to swap it.
+level's items would score it. Each seed scores every condition at every shot
+with one `predict_nested` call and one integer-confusion `macro_f1s`.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import numpy as np
 from .annotation import AnnotatedSentence
 from .errors import PatvarError
 from .experiment import Dataset, RunResult, ShotSchedule, summarize
-from .stats import macro_f1
+from .stats import EmptyPredictions
 from .synthesis import LabeledExample
 
 logger = logging.getLogger(__name__)
@@ -167,13 +163,13 @@ class NaiveBayesClassifier:
     order. Confidence is the normalized posterior of the argmax.
 
     Reads lemma ids as batches of the run's `features` matrix. `predict_nested`
-    scores a schedule of nested training sets in one pass: one `np.bincount`
-    over (shot, label, lemma) and a `cumsum` along the shots give every
-    shot's counts, and the log table holds `math.log((count + 1) / denom)`,
-    one log per distinct ratio. Each posterior adds the table's columns to
-    the log prior one token position at a time, in the order of a per-lemma
-    loop over the sentence, so every float equals that loop's. `train` and
-    `predict` are the one-shot case.
+    scores the nested training sets of several runs in one pass: one
+    `np.bincount` over (run, shot, label, lemma) and a `cumsum` along the
+    shots give every shot's counts, and the log table holds `math.log((count
+    + 1) / denom)`, one log per distinct ratio. Each posterior adds the
+    table's columns to the log prior one token position at a time, in the
+    order of a per-lemma loop over the sentence, so every float equals that
+    loop's. `train` and `predict` are the one-run, one-shot case.
     """
 
     def __init__(self, label_set: Sequence[str], features: LemmaIds):
@@ -183,7 +179,7 @@ class NaiveBayesClassifier:
         self._trained = False
 
     def train(self, items: Sequence[TrainingItem]) -> None:
-        self._table, self._log_prior = _fit(*self._counts(items, [0] * len(items), 1))
+        self._table, self._log_prior = _fit(*self._counts([(items, [0] * len(items))], 1))
         self._trained = True
 
     def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]:
@@ -201,44 +197,48 @@ class NaiveBayesClassifier:
         confidence = weights[best, cols] / total
         return [(self.label_set[b], c) for b, c in zip(best.tolist(), confidence.tolist())]
 
-    def predict_nested(
-        self,
-        items: Sequence[TrainingItem],
-        first_shot: Sequence[int],
-        n_shots: int,
-        sentences: Sequence[AnnotatedSentence],
-    ) -> list[list[str]]:
-        """For each shot k < n_shots, the label of each sentence after
-        training on the items whose `first_shot` is at most k: the labels
-        `train` plus `predict` give on each prefix, from one pass."""
-        table, log_prior = _fit(*self._counts(items, first_shot, n_shots))
+    def predict_nested(self, runs: Sequence[tuple[Sequence[TrainingItem], Sequence[int]]],
+                       n_shots: int, sentences: Sequence[AnnotatedSentence]) -> list:
+        """For each run (items, first_shot) and each shot k < n_shots, the
+        label of each sentence after training on the run's items whose
+        `first_shot` is at most k: the labels `train` plus `predict` give on
+        each prefix, from one pass over every run."""
+        table, log_prior = _fit(*self._counts(runs, n_shots))
         log_post = _log_posterior(table, log_prior, self._features.batch(sentences))
         best = np.argmax(log_post, axis=1)  # the first maximum: ties go to label_set order
-        return [[self.label_set[b] for b in row] for row in best.tolist()]
+        labels = np.array(self.label_set, dtype=object)
+        return labels[best.reshape(len(runs), n_shots, len(sentences))].tolist()
 
-    def _counts(self, items, first_shot, n_shots) -> tuple[np.ndarray, np.ndarray]:
-        """The (shot, label, lemma) counts and (shot, label) item counts of
-        the nested training sets, each shot's including the ones before."""
-        if not items:
-            raise EmptyTrainingSet("classifier needs at least one training item")
-        first = np.array(first_shot, dtype=np.intp)
-        if first.shape != (len(items),) or first.min() < 0 or first.max() >= n_shots:
-            raise ValueError(f"need one first shot in 0..{n_shots - 1} per training item")
-        try:
-            doc_labels = [self._label_index[label] for _, label in items]
-        except KeyError as exc:
-            raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
-        ids = self._features.batch([sentence for sentence, _ in items])
+    def _counts(self, runs, n_shots) -> tuple[np.ndarray, np.ndarray]:
+        """The (run x shot, label, lemma) and (run x shot, label) item counts
+        of each run's nested training sets, each shot's including earlier ones."""
         n_labels, width = len(self.label_set), len(self._features.vocab)
-        slots = first * n_labels + np.array(doc_labels, dtype=np.intp)
-        docs = np.bincount(slots, minlength=n_shots * n_labels).reshape(n_shots, n_labels)
-        if not docs[0].any():
+        slots, sentences = [], []
+        for run, (items, first_shot) in enumerate(runs):
+            if not items:
+                raise EmptyTrainingSet("classifier needs at least one training item")
+            first = np.array(first_shot, dtype=np.intp)
+            if first.shape != (len(items),) or first.min() < 0 or first.max() >= n_shots:
+                raise ValueError(f"need one first shot in 0..{n_shots - 1} per training item")
+            run_sentences, labels = zip(*items)
+            try:
+                doc_labels = list(map(self._label_index.__getitem__, labels))
+            except KeyError as exc:
+                raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
+            slots.append((run * n_shots + first) * n_labels + np.array(doc_labels, dtype=np.intp))
+            sentences += run_sentences
+        slots = np.concatenate(slots)
+        ids = self._features.batch(sentences)
+        n_rows = len(runs) * n_shots
+        docs = np.bincount(slots, minlength=n_rows * n_labels).reshape(len(runs), n_shots, n_labels)
+        if not docs[:, 0].any(axis=1).all():
             raise EmptyTrainingSet("the first shot has no training item")
         # Row-major over the padded batch: each item's tokens, in token order.
         counts = np.bincount(
-            (slots[:, None] * width + ids)[ids >= 0], minlength=n_shots * n_labels * width
-        ).reshape(n_shots, n_labels, width)
-        return counts.cumsum(axis=0), docs.cumsum(axis=0)
+            (slots[:, None] * width + ids)[ids >= 0], minlength=n_rows * n_labels * width
+        ).reshape(len(runs), n_shots, n_labels, width)
+        return (counts.cumsum(axis=1).reshape(n_rows, n_labels, width),
+                docs.cumsum(axis=1).reshape(n_rows, n_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +339,11 @@ def select_uncertainty(
 # ---------------------------------------------------------------------------
 
 
-def _uncertainty_order(
-    pool: Sequence[LabeledExample], shots: Sequence[int], seed: int, clf: NaiveBayesClassifier
-) -> list[LabeledExample]:
-    """A random first shot, grown at each later shot by the remaining pool
-    examples that `clf`, trained on the previous shot, is least confident
-    about: `len(shots) - 1` trainings."""
-    labeled = select_random(pool, seed)[: shots[0]]
+def _uncertainty_order(pool: Sequence[LabeledExample], shots: Sequence[int],
+                       first: Sequence[LabeledExample], clf: NaiveBayesClassifier) -> list:
+    """`first`, grown at each later shot by the remaining pool examples that `clf`,
+    trained on the previous shot, is least confident about: `len(shots) - 1` trainings."""
+    labeled = list(first)
     for shot in shots[1:]:
         clf.train([(ex.sentence, ex.label) for ex in labeled])
         have = {ex.sentence.id for ex in labeled}
@@ -354,86 +352,91 @@ def _uncertainty_order(
     return labeled
 
 
-def _run_cell(
-    condition: str,
-    dataset: Dataset,
-    shots: Sequence[int],
-    seed: int,
-    index: SurvivorsIndex,
-    clf: NaiveBayesClassifier,
-    embed: Callable[[Sequence[AnnotatedSentence]], np.ndarray],
-) -> dict[int, float]:
-    """Macro-F1 at each shot; shot k labels the first `shots[k]` pool
-    examples of the cell's order. `cluster` and `uncertainty` pick their own
-    order; every other condition labels in random order."""
-    pool = dataset.examples
-    if condition == "cluster":
-        order = select_cluster(pool, min(len(dataset.label_set), len(pool)), seed, embed)
-    elif condition == "uncertainty":
-        order = _uncertainty_order(pool, shots, seed, clf)
-    else:
-        order = select_random(pool, seed)
-    # Each original and its counterfactuals first train at the first shot
-    # past its place. Counterfactuals never count against the shot budget.
-    items: list[TrainingItem] = []
-    first: list[int] = []
-    for place, ex in enumerate(order[: shots[-1]]):
-        group = [(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
-        items += group
-        first += [bisect.bisect_right(shots, place)] * len(group)
-    predicted = clf.predict_nested(items, first, len(shots),
-                                   [ex.sentence for ex in dataset.holdout])
-    return {
-        shot: macro_f1([(ex.label, label) for ex, label in zip(dataset.holdout, labels)],
-                       dataset.label_set)
-        for shot, labels in zip(shots, predicted)
-    }
+def macro_f1s(gold: Sequence[str], predicted: Sequence[Sequence[Sequence[str]]],
+              label_set: Sequence[str]) -> list[list[float]]:
+    """`stats.macro_f1` of the labels `predicted[run][shot]` against `gold`,
+    for every run and shot, from one `np.bincount` of integer confusion
+    counts. The float steps are `macro_f1`'s: `2 * tp / denom` per label (0.0
+    where denom is 0), added in label_set order, then divided by its size."""
+    if not gold:
+        raise EmptyPredictions("no predictions to score")
+    n, index = len(label_set), {label: i for i, label in enumerate(label_set)}
+    rows = np.array([index[label] for run in predicted for shot in run for label in shot],
+                    dtype=np.intp).reshape(-1, len(gold))
+    gold_ids = np.array([index[label] for label in gold], dtype=np.intp)
+    cells = (np.arange(len(rows))[:, None] * n + gold_ids) * n + rows
+    confusion = np.bincount(cells.ravel(), minlength=len(rows) * n * n).reshape(-1, n, n)
+    denom = confusion.sum(axis=1) + confusion.sum(axis=2)  # 2 tp + fp + fn
+    per_label = 2 * np.diagonal(confusion, axis1=1, axis2=2) / np.maximum(denom, 1)
+    total = np.zeros(len(rows))
+    for column in per_label.T:
+        total += column
+    return (total / n).reshape(len(predicted), -1).tolist()
 
 
-def run_simulation(
-    dataset: Dataset,
-    conditions: Mapping[str, SurvivorsIndex],
-    schedule: ShotSchedule,
-    seeds: Sequence[int],
-) -> list[RunResult]:
+def run_simulation(dataset: Dataset, conditions: Mapping[str, SurvivorsIndex],
+                   schedule: ShotSchedule, seeds: Sequence[int]) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean and SD, one
-    unpaired summary per condition, in the mapping's order.
+    unpaired summary per condition, in the mapping's order; the caller pairs
+    them against its reference (`experiment.paired_pvalues`).
 
-    `conditions` maps each arm's name to the survivors index it trains on,
-    `{}` for an arm that trains on its originals only. `cluster` and
-    `uncertainty` pick their own selection order; every other name labels in
-    random order. Every sentence of the pool, the holdout and the survivors
-    is featurized once, into the run's `LemmaIds` matrix, and the run builds
-    one classifier over it from the module-level name `NaiveBayesClassifier`,
-    the seam tests patch to swap the classifier. Every cell scores all its
-    shots with one `predict_nested` over its selection order; an
-    `uncertainty` cell first trains the same classifier once per shot but
-    the last to grow that order.
-    A condition x seed cell that fails with a data error (`PatvarError`,
-    `ValueError`) is recorded as missing rather than aborting the run; any
-    other exception propagates. The caller pairs the summaries against its
-    reference condition (`experiment.paired_pvalues`).
+    `conditions` maps each arm's name to the survivors index it trains on
+    (`{}` for originals only). `cluster` and `uncertainty` pick their own
+    order; every other name labels in the seed's one `select_random` order,
+    whose first shot also starts the `uncertainty` order. One classifier,
+    from the module-level name `NaiveBayesClassifier` (the seam tests patch),
+    serves the whole grid: seed by seed, one `predict_nested` call labels
+    every condition's (items, first_shot) run at every shot.
+    A data error (`PatvarError`, `ValueError`) while building a condition's
+    order makes that condition x seed cell missing. When the seed's call
+    fails with one, each run is scored alone through `predict_nested`, and
+    only those that fail again are missing. Other exceptions propagate.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     schedule.validate_against(len(dataset.examples))
-    features = LemmaIds(
-        [ex.sentence for ex in dataset.examples + dataset.holdout]
-        + [sentence for index in conditions.values()
-           for items in index.values() for sentence, _ in items]
-    )
+    survivors = [sentence for index in conditions.values() for items in index.values()
+                 for sentence, _ in items]
+    features = LemmaIds([ex.sentence for ex in dataset.examples + dataset.holdout] + survivors)
     clf = NaiveBayesClassifier(dataset.label_set, features)
-    summaries = []
-    for condition, index in conditions.items():
-        per_shot: dict[int, dict[int, float | None]] = {s: {} for s in schedule.shots}
-        for seed in seeds:
+    pool, shots, holdout = dataset.examples, schedule.shots, [ex.sentence for ex in dataset.holdout]
+    gold = [ex.label for ex in dataset.holdout]
+    # Place p's example and its counterfactuals (outside the budget) join at shot firsts[p].
+    firsts = [bisect.bisect_right(shots, place) for place in range(shots[-1])]
+
+    def score(runs) -> list[list[float]]:
+        return macro_f1s(gold, clf.predict_nested(runs, len(shots), holdout), dataset.label_set)
+
+    scores = {condition: {shot: dict.fromkeys(seeds) for shot in shots} for condition in conditions}
+    for seed in seeds:
+        random_order = select_random(pool, seed)
+        runs = {}
+        for condition, index in conditions.items():
             try:
-                cell = _run_cell(condition, dataset, schedule.shots, seed, index, clf,
-                                 features.embeddings)
+                if condition == "cluster":
+                    order = select_cluster(pool, min(len(dataset.label_set), len(pool)), seed,
+                                           features.embeddings)
+                elif condition == "uncertainty":
+                    order = _uncertainty_order(pool, shots, random_order[: shots[0]], clf)
+                else:
+                    order = random_order
+                groups = [[(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
+                          for ex in order[: shots[-1]]]
+                runs[condition] = ([item for group in groups for item in group],
+                                   [shot for group, shot in zip(groups, firsts) for _ in group])
             except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
-                cell = {}
-            for shot in schedule.shots:
-                per_shot[shot][seed] = cell.get(shot)
-        summaries.append(summarize(condition, per_shot, schedule.shots, seeds))
-    return summaries
+        try:
+            f1s = dict(zip(runs, score(list(runs.values())))) if runs else {}
+        except (PatvarError, ValueError):  # score each run alone
+            f1s = {}
+            for condition, run in runs.items():
+                try:
+                    [f1s[condition]] = score([run])
+                except (PatvarError, ValueError):
+                    logger.exception("cell %s/seed %d failed; recording as missing",
+                                     condition, seed)
+        for condition, f1 in f1s.items():
+            for shot, value in zip(shots, f1):
+                scores[condition][shot][seed] = value
+    return [summarize(condition, scores[condition], shots, seeds) for condition in conditions]

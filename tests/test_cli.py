@@ -785,6 +785,27 @@ def test_cli_gen_compares_the_patterns_labels_as_a_set(pipeline_dir, tmp_path):
         assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("missing, extra", [(["price"], ["bogus"]), (["price"], []),
+                                            ([], ["bogus"])], ids=["both", "missing", "extra"])
+def test_cli_gen_rejects_patterns_keyed_by_other_labels(pipeline_dir, tmp_path, capsys,
+                                                        monkeypatch, missing, extra):
+    source, config = pipeline_dir
+    out, cache = copy_pipeline(source, tmp_path)
+    payload = json.loads((out / "patterns.json").read_text(encoding="utf-8"))
+    for label in missing:
+        del payload["patterns"][label]
+    payload["patterns"].update({label: [] for label in extra})
+    (out / "patterns.json").write_text(json.dumps(payload), encoding="utf-8")
+    (out / "candidates_vt.jsonl").unlink()
+    forbid_backend_requests(monkeypatch)
+    assert main(["gen", "--config", str(config), "--out", str(out),
+                 "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{out / 'patterns.json'} misses the patterns of the labels {missing} and has extra "
+            f"ones for {extra}; run `patvar synth` again") in err
+    assert not (out / "candidates_vt.jsonl").exists()
+
+
 @pytest.mark.parametrize("line", [
     '{"id": "a", "raw": "x", "tokens": [{"surface": "x", "lemma": 3}]}',
     '{"id": "a", "raw": "x", "tokens": 5}',
@@ -1105,6 +1126,18 @@ def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys):
     assert "cannot create the output directory" in capsys.readouterr().err
 
 
+def test_cli_synth_checks_the_output_directory_before_the_search(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+
+    def search(*args):
+        raise AssertionError("the pattern search ran")
+
+    monkeypatch.setattr(cli, "synthesize_patterns", search)
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "afile")]) == 2
+    assert "cannot create the output directory" in capsys.readouterr().err
+
+
 def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path):
     source, config = tiny_walkthrough
     out = tmp_path / "out"
@@ -1301,10 +1334,10 @@ def write_untrainable_counterfactuals(config, name, monkeypatch, **fields):
     record updated by `fields`, and make every cell that trains on one fail
     with a data error."""
     class Failing(learning.NaiveBayesClassifier):
-        def predict_nested(self, items, first_shot, n_shots, sentences):
-            if any(sentence.raw == UNTRAINABLE for sentence, _ in items):
+        def predict_nested(self, runs, n_shots, sentences):
+            if any(sentence.raw == UNTRAINABLE for items, _ in runs for sentence, _ in items):
                 raise ValueError("failing on purpose")
-            return super().predict_nested(items, first_shot, n_shots, sentences)
+            return super().predict_nested(runs, n_shots, sentences)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
     dataset = pool_dataset(config)

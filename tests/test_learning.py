@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from patvar.learning import (
     select_random,
     select_uncertainty,
 )
-from patvar.stats import mean, paired_t_test, sample_sd
+from patvar.stats import EmptyPredictions, macro_f1, mean, paired_t_test, sample_sd
 from patvar.synthesis import LabeledExample
 
 
@@ -356,13 +357,15 @@ class OracleNaiveBayes:
     def predict(self, sentences):
         return [self._predict_one(sentence) for sentence in sentences]
 
-    def predict_nested(self, items, first_shot, n_shots, sentences):
-        """Train on each shot's prefix, then predict: the per-shot loop
-        that `predict_nested` must equal."""
+    def predict_nested(self, runs, n_shots, sentences):
+        """Train on each shot's prefix of each run, then predict: the
+        per-run, per-shot loop that `predict_nested` must equal."""
         labels = []
-        for shot in range(n_shots):
-            self.train([item for item, first in zip(items, first_shot) if first <= shot])
-            labels.append([label for label, _ in self.predict(sentences)])
+        for items, first_shot in runs:
+            labels.append([])
+            for shot in range(n_shots):
+                self.train([item for item, first in zip(items, first_shot) if first <= shot])
+                labels[-1].append([label for label, _ in self.predict(sentences)])
         return labels
 
     def _predict_one(self, sentence):
@@ -450,9 +453,71 @@ def test_nb_nested_matches_oracle_on_every_prefix(corpus):
     query_sentences = tuple(sentence_of(words, f"q{i}") for i, words in enumerate(queries))
     clf = run_nb(label_set, training, query_sentences)
     oracle = OracleNaiveBayes(label_set)
-    expected = oracle.predict_nested(training, first, n_shots, query_sentences)
-    assert clf.predict_nested(training, first, n_shots, query_sentences) == expected
-    assert clf.predict_nested(training, first, n_shots, list(query_sentences)) == expected
+    expected = oracle.predict_nested([(training, first)], n_shots, query_sentences)
+    assert clf.predict_nested([(training, first)], n_shots, query_sentences) == expected
+    assert clf.predict_nested([(training, first)], n_shots, list(query_sentences)) == expected
+
+
+@st.composite
+def run_batches(draw):
+    """`nb_corpora` plus a shot count and one to four runs, each a non-empty
+    subset of the items with first shots that train something at shot 0."""
+    label_set, items, queries = draw(nb_corpora())
+    n_shots = draw(st.integers(1, 4))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        picked = draw(st.lists(st.integers(0, len(items) - 1), min_size=1, max_size=len(items)))
+        first = draw(st.lists(st.integers(0, n_shots - 1), min_size=len(picked),
+                              max_size=len(picked)))
+        first[draw(st.integers(0, len(picked) - 1))] = 0
+        runs.append((picked, first))
+    return label_set, items, runs, n_shots, queries
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=run_batches())
+def test_nb_nested_over_runs_equals_each_run_alone(batch):
+    label_set, items, picks, n_shots, queries = batch
+    training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
+    query_sentences = [sentence_of(words, f"q{i}") for i, words in enumerate(queries)]
+    runs = [([training[i] for i in picked], first) for picked, first in picks]
+    clf = run_nb(label_set, training, query_sentences)
+    together = clf.predict_nested(runs, n_shots, query_sentences)
+    assert together == [clf.predict_nested([run], n_shots, query_sentences)[0] for run in runs]
+    assert together == OracleNaiveBayes(label_set).predict_nested(runs, n_shots, query_sentences)
+
+
+@st.composite
+def confusions(draw):
+    """A label set, gold labels and a (run, shot) grid of predicted labels;
+    small holdouts often leave labels out of the gold labels or the
+    predictions."""
+    label_set = draw(st.sampled_from([("A",), ("A", "B"), ("D", "A", "C"), ("D", "A", "C", "B")]))
+    n = draw(st.integers(1, 10))
+    n_runs, n_shots = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    holdout = st.lists(st.sampled_from(label_set), min_size=n, max_size=n)
+    gold = draw(holdout)
+    predicted = draw(st.lists(st.lists(holdout, min_size=n_shots, max_size=n_shots),
+                              min_size=n_runs, max_size=n_runs))
+    return label_set, gold, predicted
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=confusions())
+@example(case=(("A",), ["A"], [[["A"]]]))  # one label, one holdout sentence
+@example(case=(("A", "B", "C"), ["B", "B"], [[["B", "B"], ["A", "C"]]]))  # a one-label holdout
+@example(case=(("D", "A", "C", "B"), ["D", "A", "C", "B"], [[["D"] * 4]]))  # labels never predicted
+def test_macro_f1s_equal_stats_macro_f1(case):
+    label_set, gold, predicted = case
+    # == on floats: each must equal the oracle's, not be close to it.
+    assert learning.macro_f1s(gold, predicted, label_set) == [
+        [macro_f1(list(zip(gold, labels)), label_set) for labels in shots] for shots in predicted
+    ]
+
+
+def test_macro_f1s_need_a_holdout():
+    with pytest.raises(EmptyPredictions):
+        learning.macro_f1s([], [[[], []]], ("A", "B"))
 
 
 def test_nb_nested_rejects_bad_first_shots(provider):
@@ -461,11 +526,11 @@ def test_nb_nested_rejects_bad_first_shots(provider):
     clf = run_nb(["A", "B"], items, [query])
     for first in ([0], [0, 2], [0, -1]):
         with pytest.raises(ValueError, match="first shot"):
-            clf.predict_nested(items[:2], first, 2, [query])
+            clf.predict_nested([(items[:2], first)], 2, [query])
     with pytest.raises(EmptyTrainingSet):
-        clf.predict_nested(items[:2], [1, 1], 2, [query])
+        clf.predict_nested([(items[:2], [1, 1])], 2, [query])
     with pytest.raises(ValueError, match="'C' not in label set"):
-        clf.predict_nested(items, [0, 0, 1], 2, [query])
+        clf.predict_nested([(items, [0, 0, 1])], 2, [query])
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +661,7 @@ def _patch_failing(monkeypatch, error):
         def train(self, items):
             raise error("failing on purpose")
 
-        def predict_nested(self, items, first_shot, n_shots, sentences):
+        def predict_nested(self, runs, n_shots, sentences):
             raise error("failing on purpose")
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
@@ -615,6 +680,62 @@ def test_run_simulation_data_error_is_missing_cell(provider, monkeypatch):
     [result] = run_simulation(dataset, {"random": {}}, ShotSchedule((4, 8)), [0, 1])
     assert result.scores == {4: {0: None, 1: None}, 8: {0: None, 1: None}}
     assert result.mean == {4: None, 8: None}
+
+
+def failure_grid(provider):
+    """A grid whose two augmented arms give every pool example a
+    counterfactual of its own."""
+    dataset = tiny_dataset(provider)
+    flip = dict(zip(dataset.label_set, reversed(dataset.label_set)))
+    augment = {
+        condition: {e.sentence.id: [(provider.annotate(f"{word} {i}"), flip[e.label])]
+                    for i, e in enumerate(dataset.examples)}
+        for condition, word in (("cf_no_vt", "menu"), ("counterfactual", "staff"))
+    }
+    return dataset, {c: augment.get(c, {}) for c in CONDITIONS}, ShotSchedule((2, 4, 8))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True), data=st.data())
+def test_a_data_error_in_one_run_misses_only_its_cell(provider, seeds, data):
+    dataset, conditions, schedule = failure_grid(provider)
+    calls = []
+
+    class Recording(NaiveBayesClassifier):
+        def predict_nested(self, runs, n_shots, sentences):
+            calls.append(list(runs))
+            return super().predict_nested(runs, n_shots, sentences)
+
+    with mock.patch.object(learning, "NaiveBayesClassifier", Recording):
+        whole = run_simulation(dataset, conditions, schedule, seeds)
+    # One call per seed, over every condition's run in the mapping's order.
+    assert [len(runs) for runs in calls] == [len(conditions)] * len(seeds)
+    seed = data.draw(st.sampled_from(seeds))
+    condition = data.draw(st.sampled_from(list(conditions)))
+    target = calls[seeds.index(seed)][list(conditions).index(condition)]
+
+    class Failing(NaiveBayesClassifier):
+        def predict_nested(self, runs, n_shots, sentences):
+            if any(run == target for run in runs):
+                raise ValueError("failing on purpose")
+            return super().predict_nested(runs, n_shots, sentences)
+
+    with mock.patch.object(learning, "NaiveBayesClassifier", Failing):
+        results = run_simulation(dataset, conditions, schedule, seeds)
+    # A run equal to the target fails too: on this small pool two orders of
+    # one seed may happen to agree.
+    failing = {(c, s) for s, runs in zip(seeds, calls) for c, run in zip(conditions, runs)
+               if run == target}
+    assert (condition, seed) in failing
+    for got, expected in zip(results, whole):
+        for s in seeds:
+            alone = run_simulation(dataset, {got.condition: conditions[got.condition]}, schedule,
+                                   [s])[0]
+            for shot in schedule.shots:
+                assert got.scores[shot][s] == (
+                    None if (got.condition, s) in failing else alone.scores[shot][s])
+                if (got.condition, s) not in failing:
+                    assert got.scores[shot][s] == expected.scores[shot][s]
 
 
 def test_run_simulation_all_conditions_run(provider):
@@ -641,9 +762,9 @@ def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider, mon
             calls["predict"] += 1
             return super().predict(sentences)
 
-        def predict_nested(self, items, first_shot, n_shots, sentences):
+        def predict_nested(self, runs, n_shots, sentences):
             calls["predict_nested"] += 1
-            return super().predict_nested(items, first_shot, n_shots, sentences)
+            return super().predict_nested(runs, n_shots, sentences)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
     run_simulation(dataset, {"uncertainty": {}}, schedule, [0])
@@ -703,10 +824,10 @@ def test_nesting_across_shots(provider, monkeypatch):
     seen = []
 
     class Spy(NaiveBayesClassifier):
-        def predict_nested(self, items, first_shot, n_shots, sentences):
-            seen.append([[item for item, first in zip(items, first_shot) if first <= shot]
-                         for shot in range(n_shots)])
-            return super().predict_nested(items, first_shot, n_shots, sentences)
+        def predict_nested(self, runs, n_shots, sentences):
+            seen.extend([[item for item, first in zip(items, first_shot) if first <= shot]
+                         for shot in range(n_shots)] for items, first_shot in runs)
+            return super().predict_nested(runs, n_shots, sentences)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
     run_simulation(dataset, {"random": {}, "counterfactual": survivors}, schedule, [7])
