@@ -101,19 +101,6 @@ class Context:
         if "gateway" in vars(self):
             self.gateway.close()
 
-    def schedule(self) -> ShotSchedule:
-        """The config's shots; ConfigError when the largest exceeds the pool
-        or when the holdout, which scores every shot, is empty."""
-        if not self.dataset.holdout:
-            raise ConfigError(f"dataset.holdout_fraction {self.cfg.dataset.holdout_fraction} "
-                              "leaves the holdout empty")
-        schedule = ShotSchedule(self.cfg.shots)
-        try:
-            schedule.validate_against(len(self.dataset.examples))
-        except ValueError as exc:
-            raise ConfigError(f"bad shots: {exc}") from None
-        return schedule
-
     def path(self, name: str) -> str:
         """The path of `name` in the output directory."""
         return os.path.join(self.cfg.output_dir, name)
@@ -263,10 +250,15 @@ def _load_patterns(ctx: Context) -> dict[str, list]:
     return {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
 
 
+def _wants_novt(ctx: Context) -> bool:
+    """Whether `gen` writes, and `filter` reads, the `novt` set: some condition trains on it."""
+    return any(CONDITIONS[c][1] == "novt" for c in ctx.cfg.conditions)
+
+
 def cmd_gen(ctx: Context) -> int:
     patterns_by_label = _load_patterns(ctx)
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
-    dataset, want_no_vt = ctx.dataset, "cf_no_vt" in cfg.conditions
+    dataset, want_no_vt = ctx.dataset, _wants_novt(ctx)
     vt_candidates, novt_candidates = [], []
     skipped = 0
     for ex in dataset.examples:
@@ -313,7 +305,7 @@ def cmd_filter(ctx: Context) -> int:
                       gateway=ctx.gateway)
     quality = {"dataset": ctx.dataset_name,
                "vt": dataclasses.asdict(_filter_candidates(ctx, "vt", deps))}
-    if "cf_no_vt" in ctx.cfg.conditions:  # the rule by which `gen` writes candidates_novt.jsonl
+    if _wants_novt(ctx):
         quality["no_vt"] = dataclasses.asdict(_filter_candidates(ctx, "novt", deps))
     _write_json(ctx.output("quality_report.json"), quality)
     return 0
@@ -328,19 +320,26 @@ def _survivors_index(survivors, provider: AnnotationProvider) -> dict[str, list]
     return index
 
 
-def _run_grid(ctx: Context, survivors_by_condition: dict[str, list], reference: str,
-              prefix: str) -> tuple[int, list[RunResult]]:
-    """Simulate every condition of `survivors_by_condition`, each trained on
-    its survivors as well as its originals, pair the results against
-    `reference`, write `<prefix>results.csv` and `<prefix>summary.csv`, and
-    print each condition's first shot with its missing cells. Returns the
-    exit code, 4 when every cell of some condition failed, and the results."""
+def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> tuple[int, list[RunResult]]:
+    """Check the shots and the holdout, which scores them, before any survivors are
+    read, then simulate each arm of `read_arms()`, a name -> (order, survivors)
+    mapping; pair the results against `reference`, write `<prefix>results.csv` and
+    `<prefix>summary.csv`, and print each arm's first shot with its missing cells.
+    Returns the exit code, 4 when every cell of some arm failed, and the results."""
     from .learning import run_simulation
 
-    index = {condition: _survivors_index(survivors, ctx.provider)
-             for condition, survivors in survivors_by_condition.items()}
+    if not ctx.dataset.holdout:
+        raise ConfigError(f"dataset.holdout_fraction {ctx.cfg.dataset.holdout_fraction} "
+                          "leaves the holdout empty")
+    schedule = ShotSchedule(ctx.cfg.shots)
+    try:
+        schedule.validate_against(len(ctx.dataset.examples))
+    except ValueError as exc:
+        raise ConfigError(f"bad shots: {exc}") from None
+    arms = {name: (order, _survivors_index(survivors, ctx.provider))
+            for name, (order, survivors) in read_arms().items()}
     results = paired_pvalues(
-        run_simulation(ctx.dataset, index, ctx.schedule(), list(ctx.cfg.seeds)), reference)
+        run_simulation(ctx.dataset, arms, schedule, list(ctx.cfg.seeds)), reference)
     write_results_csv(ctx.output(f"{prefix}results.csv"), results, ctx.dataset_name)
     write_summary_csv(ctx.output(f"{prefix}summary.csv"), results, ctx.dataset_name, reference)
     for r in results:
@@ -356,18 +355,21 @@ def _run_grid(ctx: Context, survivors_by_condition: dict[str, list], reference: 
 
 
 def cmd_simulate(ctx: Context) -> int:
-    files = {"counterfactual": "vt", "cf_no_vt": "novt"}
-    return _run_grid(ctx, {
-        c: _read_candidates(ctx, f"survivors_{files[c]}.jsonl", "`patvar gen` and `patvar filter`")
-        if c in files else [] for c in ctx.cfg.conditions
-    }, "counterfactual", "")[0]
+    def read_arms():
+        arms = {c: CONDITIONS[c] for c in ctx.cfg.conditions}
+        return {c: (order, _read_candidates(ctx, f"survivors_{file}.jsonl",
+                                            "`patvar gen` and `patvar filter`") if file else [])
+                for c, (order, file) in arms.items()}
+
+    return _run_grid(ctx, read_arms, "counterfactual", "")[0]
 
 
 def cmd_ablate(ctx: Context) -> int:
-    ctx.schedule()  # a shot above the pool exits 2 before the audit is read
-    arms = survivors_by_arm(
-        _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit))
-    code, results = _run_grid(ctx, arms, "all", "ablation_")
+    def read_arms():
+        audit = _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit)
+        return {arm: ("random", survivors) for arm, survivors in survivors_by_arm(audit).items()}
+
+    code, results = _run_grid(ctx, read_arms, "all", "ablation_")
     with open(ctx.output("ablation.md"), "w", encoding="utf-8") as fh:
         fh.write(render_f1_grid(f"Filter ablation ({ctx.dataset_name})", results))
     return code
@@ -400,8 +402,10 @@ def cmd_report(ctx: Context, quality_files=(), external=()) -> int:
                                   "already in {}".format(*cell, path, source[cell]))
             source[cell] = path
             by_dataset.setdefault(row["dataset"], []).append(row)
+    rank = {c: i for i, c in enumerate(CONDITIONS)}  # the table's order, then other names
     for ds_name in sorted(by_dataset):
-        results = sorted(results_from_rows(by_dataset[ds_name]), key=_condition_rank)
+        results = sorted(results_from_rows(by_dataset[ds_name]),
+                         key=lambda r: (rank.get(r.condition, len(rank)), r.condition))
         sections.append(
             "## Macro F1 by annotation budget\n\n"
             + render_f1_grid(f"Macro F1 ({ds_name})", paired_pvalues(results, "counterfactual"))
@@ -413,11 +417,6 @@ def cmd_report(ctx: Context, quality_files=(), external=()) -> int:
         fh.write("# Experiment report\n\n" + "\n".join(sections))
     print(f"report -> {report_path}")
     return 0
-
-
-def _condition_rank(r: RunResult):
-    order = {c: i for i, c in enumerate(CONDITIONS)}
-    return (order.get(r.condition, len(order)), r.condition)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,15 @@ from typing import Mapping, Sequence
 from .stats import mean, paired_t_test, sample_sd
 from .synthesis import LabeledExample
 
-CONDITIONS = ("random", "cluster", "uncertainty", "cf_no_vt", "counterfactual")
+# Each condition's selection order and the survivors file it also trains on
+# (`survivors_<file>.jsonl`; None for originals only), in report row order.
+CONDITIONS: dict[str, tuple[str, str | None]] = {
+    "random": ("random", None),
+    "cluster": ("cluster", None),
+    "uncertainty": ("uncertainty", None),
+    "cf_no_vt": ("random", "novt"),
+    "counterfactual": ("random", "vt"),
+}
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,15 @@ class CompletionRequest:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
+    def body(self) -> dict:
+        """The chat-completions request body: what a backend posts and a cache line records."""
+        return {
+            "model": self.model,
+            "messages": [{"role": m.role, "content": m.content} for m in self.messages],
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
+        }
+
 
 @dataclass(frozen=True)
 class CompletionResponse:
@@ -227,15 +236,9 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        body = {
-            "model": req.model,
-            "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-        }
         try:
             resp = requests.post(
-                f"{self.base_url}/chat/completions", json=body, headers=headers,
+                f"{self.base_url}/chat/completions", json=req.body(), headers=headers,
                 timeout=self.TIMEOUT_S,
             )
         except requests.Timeout as exc:
@@ -411,12 +414,7 @@ class Gateway:
 
     def _append(self, key: str, req: CompletionRequest, resp: CompletionResponse) -> None:
         entry = {
-            "request": {
-                "model": req.model,
-                "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-                "temperature": req.temperature,
-                "max_tokens": req.max_tokens,
-            },
+            "request": req.body(),
             "response": {"text": resp.text, "finish_reason": resp.finish_reason},
             "timestamp": time.time(),
         }

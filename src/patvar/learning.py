@@ -340,12 +340,13 @@ def select_uncertainty(
 
 
 def _uncertainty_order(pool: Sequence[LabeledExample], shots: Sequence[int],
-                       first: Sequence[LabeledExample], clf: NaiveBayesClassifier) -> list:
+                       first: Sequence[LabeledExample], clf: NaiveBayesClassifier,
+                       items: Callable[[list[LabeledExample]], list[TrainingItem]]) -> list:
     """`first`, grown at each later shot by the remaining pool examples that `clf`,
-    trained on the previous shot, is least confident about: `len(shots) - 1` trainings."""
+    trained on the previous shot's `items`, is least confident about: `len(shots) - 1` trainings."""
     labeled = list(first)
     for shot in shots[1:]:
-        clf.train([(ex.sentence, ex.label) for ex in labeled])
+        clf.train(items(labeled))
         have = {ex.sentence.id for ex in labeled}
         remaining = [ex for ex in pool if ex.sentence.id not in have]
         labeled = labeled + select_uncertainty(remaining, shot - len(labeled), clf)
@@ -374,19 +375,19 @@ def macro_f1s(gold: Sequence[str], predicted: Sequence[Sequence[Sequence[str]]],
     return (total / n).reshape(len(predicted), -1).tolist()
 
 
-def run_simulation(dataset: Dataset, conditions: Mapping[str, SurvivorsIndex],
+def run_simulation(dataset: Dataset, conditions: Mapping[str, tuple[str, SurvivorsIndex]],
                    schedule: ShotSchedule, seeds: Sequence[int]) -> list[RunResult]:
     """Full condition x seed x shot grid with per-shot mean and SD, one
     unpaired summary per condition, in the mapping's order; the caller pairs
     them against its reference (`experiment.paired_pvalues`).
 
-    `conditions` maps each arm's name to the survivors index it trains on
-    (`{}` for originals only). `cluster` and `uncertainty` pick their own
-    order; every other name labels in the seed's one `select_random` order,
-    whose first shot also starts the `uncertainty` order. One classifier,
-    from the module-level name `NaiveBayesClassifier` (the seam tests patch),
-    serves the whole grid: seed by seed, one `predict_nested` call labels
-    every condition's (items, first_shot) run at every shot.
+    `conditions` maps each arm's name to its (order, index); the name picks
+    nothing. The order is `random` (the seed's one `select_random` order),
+    `cluster`, or `uncertainty` (grown from that order's first shot, training
+    on the arm's items); the index holds the arm's survivors (`{}` for none).
+    One classifier, from the module-level name `NaiveBayesClassifier` (the seam
+    tests patch), serves the whole grid: seed by seed, one `predict_nested`
+    call labels every condition's (items, first_shot) run at every shot.
     A data error (`PatvarError`, `ValueError`) while building a condition's
     order makes that condition x seed cell missing. When the seed's call
     fails with one, each run is scored alone through `predict_nested`, and
@@ -394,8 +395,11 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, SurvivorsIndex],
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    unknown = {order for order, _ in conditions.values()} - {"random", "cluster", "uncertainty"}
+    if unknown:
+        raise ValueError(f"unknown orders {sorted(unknown)}")
     schedule.validate_against(len(dataset.examples))
-    survivors = [sentence for index in conditions.values() for items in index.values()
+    survivors = [sentence for _, index in conditions.values() for items in index.values()
                  for sentence, _ in items]
     features = LemmaIds([ex.sentence for ex in dataset.examples + dataset.holdout] + survivors)
     clf = NaiveBayesClassifier(dataset.label_set, features)
@@ -404,6 +408,12 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, SurvivorsIndex],
     # Place p's example and its counterfactuals (outside the budget) join at shot firsts[p].
     firsts = [bisect.bisect_right(shots, place) for place in range(shots[-1])]
 
+    def run_of(order, index) -> tuple[list[TrainingItem], list[int]]:
+        groups = [[(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
+                  for ex in order[: shots[-1]]]
+        return ([item for group in groups for item in group],
+                [shot for group, shot in zip(groups, firsts) for _ in group])
+
     def score(runs) -> list[list[float]]:
         return macro_f1s(gold, clf.predict_nested(runs, len(shots), holdout), dataset.label_set)
 
@@ -411,19 +421,17 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, SurvivorsIndex],
     for seed in seeds:
         random_order = select_random(pool, seed)
         runs = {}
-        for condition, index in conditions.items():
+        for condition, (order, index) in conditions.items():
             try:
-                if condition == "cluster":
-                    order = select_cluster(pool, min(len(dataset.label_set), len(pool)), seed,
-                                           features.embeddings)
-                elif condition == "uncertainty":
-                    order = _uncertainty_order(pool, shots, random_order[: shots[0]], clf)
+                if order == "cluster":
+                    examples = select_cluster(pool, min(len(dataset.label_set), len(pool)), seed,
+                                              features.embeddings)
+                elif order == "uncertainty":
+                    examples = _uncertainty_order(pool, shots, random_order[: shots[0]], clf,
+                                                  lambda labeled: run_of(labeled, index)[0])
                 else:
-                    order = random_order
-                groups = [[(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
-                          for ex in order[: shots[-1]]]
-                runs[condition] = ([item for group in groups for item in group],
-                                   [shot for group, shot in zip(groups, firsts) for _ in group])
+                    examples = random_order
+                runs[condition] = run_of(examples, index)
             except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
         try:

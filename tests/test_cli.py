@@ -1315,6 +1315,17 @@ def test_cli_rejects_shot_above_pool(tmp_path, capsys, command):
     assert "config error: bad shots: largest shot 500 exceeds pool size 90" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "ablate"])
+def test_cli_checks_shots_before_reading_survivors(tmp_path, capsys, command):
+    """A bad shot exits 2 naming the shot before any survivors or audit file
+    is read, so it is named even when those files do not exist."""
+    config = write_config(tmp_path, shots=[10, 999])
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad shots: largest shot 999 exceeds pool size 90" in err
+    assert "not found" not in err
+
+
 def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
     config = write_config(tmp_path)
     write_two_label_patterns(tmp_path)

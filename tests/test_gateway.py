@@ -378,7 +378,7 @@ def _choice(content, finish="stop"):
     (200, _choice("hi", "content_filter"), BackendError),
     (429, "slow down", TransientBackendError),
 ])
-def test_http_backend_reply_to_response(monkeypatch, status, body, expected):
+def test_http_backend_reply_to_response(monkeypatch, tmp_path, status, body, expected):
     sent = []
 
     def post(url, **kwargs):
@@ -401,6 +401,14 @@ def test_http_backend_reply_to_response(monkeypatch, status, body, expected):
     assert kwargs["json"]["messages"] == [{"role": "user", "content": "hello there"}]
     assert kwargs["headers"]["Authorization"] == "Bearer k"
     assert kwargs["timeout"] == gateway.HttpBackend.TIMEOUT_S
+    if isinstance(expected, CompletionResponse):
+        # The body the backend posts is the request its cache line records.
+        gw = Gateway(backend, "test-model", str(tmp_path))
+        assert gw.complete(req()) == expected
+        gw.close()
+        [(key, entry)] = cache_lines(tmp_path)
+        assert key == cache_key(req())
+        assert entry["request"] == sent[-1][1]["json"] == req().body()
 
 
 def replying(monkeypatch, *replies):

@@ -593,7 +593,7 @@ def test_run_simulation_shape_and_determinism(provider):
         for e, w in zip(dataset.examples, itertools.cycle(["staff", "waiter"]))
         if e.label == "products"
     }
-    conditions = {"random": {}, "counterfactual": index}
+    conditions = {"random": ("random", {}), "counterfactual": ("random", index)}
     results = run_simulation(dataset, conditions, schedule, [0, 1])
     assert [r.condition for r in results] == ["random", "counterfactual"]
     for r in results:
@@ -622,7 +622,7 @@ def test_run_simulation_equal_under_oracle_classifier(provider, monkeypatch):
         if e.label == "products"
     }
     augment = {"counterfactual": survivors, "cf_no_vt": dict(list(survivors.items())[::2])}
-    conditions = {c: augment.get(c, {}) for c in CONDITIONS}
+    conditions = {c: (order, augment.get(c, {})) for c, (order, _) in CONDITIONS.items()}
     fast = run_simulation(dataset, conditions, schedule, [0, 1, 2])
     monkeypatch.setattr(learning, "NaiveBayesClassifier",
                         lambda label_set, features: OracleNaiveBayes(label_set))
@@ -646,10 +646,11 @@ def test_arm_named_conditions_equal_single_counterfactual_runs(provider):
         "heuristic+discriminator": dict(list(full.items())[1:6:2]),
         "all": {},
     }
-    together = run_simulation(dataset, indexes, schedule, [0, 1, 2])
+    together = run_simulation(dataset, {arm: ("random", index) for arm, index in indexes.items()},
+                              schedule, [0, 1, 2])
     alone = [
-        dataclasses.replace(
-            run_simulation(dataset, {"counterfactual": index}, schedule, [0, 1, 2])[0], condition=arm)
+        dataclasses.replace(run_simulation(dataset, {"counterfactual": ("random", index)}, schedule,
+                                           [0, 1, 2])[0], condition=arm)
         for arm, index in indexes.items()
     ]
     assert together == alone
@@ -671,13 +672,13 @@ def test_run_simulation_programming_error_propagates(provider, monkeypatch):
     dataset = tiny_dataset(provider)
     _patch_failing(monkeypatch, TypeError)
     with pytest.raises(TypeError, match="failing on purpose"):
-        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [0])
+        run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [0])
 
 
 def test_run_simulation_data_error_is_missing_cell(provider, monkeypatch):
     dataset = tiny_dataset(provider)
     _patch_failing(monkeypatch, ValueError)
-    [result] = run_simulation(dataset, {"random": {}}, ShotSchedule((4, 8)), [0, 1])
+    [result] = run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4, 8)), [0, 1])
     assert result.scores == {4: {0: None, 1: None}, 8: {0: None, 1: None}}
     assert result.mean == {4: None, 8: None}
 
@@ -692,7 +693,8 @@ def failure_grid(provider):
                     for i, e in enumerate(dataset.examples)}
         for condition, word in (("cf_no_vt", "menu"), ("counterfactual", "staff"))
     }
-    return dataset, {c: augment.get(c, {}) for c in CONDITIONS}, ShotSchedule((2, 4, 8))
+    conditions = {c: (order, augment.get(c, {})) for c, (order, _) in CONDITIONS.items()}
+    return dataset, conditions, ShotSchedule((2, 4, 8))
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -741,7 +743,8 @@ def test_a_data_error_in_one_run_misses_only_its_cell(provider, seeds, data):
 def test_run_simulation_all_conditions_run(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
-    conditions = dict.fromkeys(["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"], {})
+    conditions = {c: (order, {}) for c, (order, _) in CONDITIONS.items()}
+    assert list(conditions) == ["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"]
     results = run_simulation(dataset, conditions, schedule, [0, 1, 2])
     for r in results:
         for shot in r.shots:
@@ -767,7 +770,7 @@ def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider, mon
             return super().predict_nested(runs, n_shots, sentences)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
-    run_simulation(dataset, {"uncertainty": {}}, schedule, [0])
+    run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, schedule, [0])
     # One training per shot but the last picks the next shot's examples.
     assert calls == {"train": 2, "predict": 2, "predict_nested": 1}
 
@@ -782,20 +785,89 @@ def test_run_simulation_builds_one_classifier_per_run(provider, monkeypatch):
             super().__init__(label_set, features)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Counting)
-    results = run_simulation(dataset, {"random": {}, "uncertainty": {}}, ShotSchedule((2, 4, 8)),
-                             [0, 1])
+    results = run_simulation(dataset, {"random": ("random", {}), "uncertainty": ("uncertainty", {})},
+                             ShotSchedule((2, 4, 8)), [0, 1])
     # Both cells of both conditions and every training of the uncertainty
     # orders share it.
     assert built == [dataset.label_set]
     assert all(r.mean[shot] is not None for r in results for shot in r.shots)
 
 
+def test_an_arm_name_picks_no_order(provider):
+    """The order comes from the (order, index) pair: an arm named `cluster`
+    that follows the random order scores cell for cell like `random`."""
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    [named] = run_simulation(dataset, {"cluster": ("random", {})}, schedule, [0, 1, 2])
+    [plain] = run_simulation(dataset, {"random": ("random", {})}, schedule, [0, 1, 2])
+    assert named.condition == "cluster"
+    assert named.scores == plain.scores
+    [clustered] = run_simulation(dataset, {"cluster": ("cluster", {})}, schedule, [0, 1, 2])
+    assert clustered.scores != plain.scores  # the cluster order does differ here
+
+
+def test_uncertainty_order_trains_on_its_arms_items(provider, monkeypatch):
+    """Every training that grows an ("uncertainty", index) order holds the
+    examples labeled so far, each followed by its counterfactuals in the index."""
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    flip = dict(zip(dataset.label_set, reversed(dataset.label_set)))
+    index = {e.sentence.id: [(provider.annotate(f"the staff spoke {i}."), flip[e.label])]
+             for i, e in enumerate(dataset.examples) if i % 3}
+    pool = {id(e.sentence) for e in dataset.examples}
+    trained = []
+
+    class Spy(NaiveBayesClassifier):
+        def train(self, items):
+            trained.append(list(items))
+            super().train(items)
+
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
+    [result] = run_simulation(dataset, {"uncertainty": ("uncertainty", index)}, schedule, [0, 1])
+    assert len(trained) == 2 * (len(schedule.shots) - 1)
+    for items, shot in zip(trained, itertools.cycle(schedule.shots[:-1])):
+        labeled = [(sentence, label) for sentence, label in items if id(sentence) in pool]
+        assert len(labeled) == shot
+        assert items == [item for sentence, label in labeled
+                         for item in [(sentence, label), *index.get(sentence.id, ())]]
+    assert any(len(items) > len(schedule.shots) for items in trained)
+    assert all(result.mean[shot] is not None for shot in schedule.shots)
+
+
+def test_uncertainty_arm_without_survivors_scores_as_before(provider):
+    """("uncertainty", {}) equals the per-shot reference: grow the order from
+    the seed's random first shot by least confidence, train a fresh oracle
+    classifier on each shot's examples and score the holdout."""
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    seeds = [0, 1, 2]
+    [result] = run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, schedule, seeds)
+    holdout = [e.sentence for e in dataset.holdout]
+    for seed in seeds:
+        labeled = select_random(dataset.examples, seed)[: schedule.shots[0]]
+        for shot in schedule.shots:
+            if shot > len(labeled):
+                have = {e.sentence.id for e in labeled}
+                remaining = [e for e in dataset.examples if e.sentence.id not in have]
+                confidences = [conf for _, conf in clf.predict([e.sentence for e in remaining])]
+                ranked = sorted(range(len(remaining)), key=lambda i: (confidences[i], i))
+                labeled = labeled + [remaining[i] for i in ranked[: shot - len(labeled)]]
+            clf = OracleNaiveBayes(dataset.label_set)
+            clf.train([(e.sentence, e.label) for e in labeled])
+            predicted = [label for label, _ in clf.predict(holdout)]
+            expected = macro_f1([(e.label, p) for e, p in zip(dataset.holdout, predicted)],
+                                dataset.label_set)
+            assert result.scores[shot][seed] == expected
+
+
 def test_run_simulation_rejects_bad_inputs(provider):
     dataset = tiny_dataset(provider)
     with pytest.raises(ValueError):
-        run_simulation(dataset, {"random": {}}, ShotSchedule((4, 999)), [0])
+        run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4, 999)), [0])
     with pytest.raises(ValueError):
-        run_simulation(dataset, {"random": {}}, ShotSchedule((4,)), [])
+        run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [])
+    with pytest.raises(ValueError, match=r"unknown orders \['randm'\]"):
+        run_simulation(dataset, {"random": ("randm", {})}, ShotSchedule((4,)), [0])
 
 
 def test_shot_schedule_validation():
@@ -830,7 +902,8 @@ def test_nesting_across_shots(provider, monkeypatch):
             return super().predict_nested(runs, n_shots, sentences)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
-    run_simulation(dataset, {"random": {}, "counterfactual": survivors}, schedule, [7])
+    run_simulation(dataset, {"random": ("random", {}), "counterfactual": ("random", survivors)},
+                   schedule, [7])
     originals, augmented = seen
     order = select_random(dataset.examples, 7)
     for shot, training in zip(schedule.shots, originals):
