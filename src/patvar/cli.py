@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 
-from .annotation import AnnotationProvider, SynonymLexicon, annotate
+from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
 from .config import (
     ExperimentConfig,
     build_gateway,
@@ -311,13 +311,21 @@ def cmd_filter(ctx: Context) -> int:
     return 0
 
 
-def _survivors_index(survivors, provider: AnnotationProvider) -> dict[str, list]:
-    """Each survivor's annotated text and target label, indexed by its original's id."""
-    index: dict[str, list] = {}
-    for c in survivors:
-        index.setdefault(c.task.original.id, []).append(
-            (annotate(c.generated_text, provider), c.task.target_label))
-    return index
+def _survivors_index(arms, provider: AnnotationProvider) -> dict[str, tuple[str, dict]]:
+    """Each arm of `arms`, a name -> (order, survivors) mapping, as (order,
+    index): each survivor's annotated text and target label, indexed by its
+    original's id. A survivor in several arms (each of ablate's is in `none`)
+    is annotated once."""
+    sentences: dict[int, AnnotatedSentence] = {}  # id(survivor) -> its annotated text
+    indexed = {}
+    for name, (order, survivors) in arms.items():
+        index: dict[str, list] = {}
+        for c in survivors:
+            if id(c) not in sentences:
+                sentences[id(c)] = annotate(c.generated_text, provider)
+            index.setdefault(c.task.original.id, []).append((sentences[id(c)], c.task.target_label))
+        indexed[name] = (order, index)
+    return indexed
 
 
 def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> tuple[int, list[RunResult]]:
@@ -336,8 +344,7 @@ def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> tuple[int
         schedule.validate_against(len(ctx.dataset.examples))
     except ValueError as exc:
         raise ConfigError(f"bad shots: {exc}") from None
-    arms = {name: (order, _survivors_index(survivors, ctx.provider))
-            for name, (order, survivors) in read_arms().items()}
+    arms = _survivors_index(read_arms(), ctx.provider)
     results = paired_pvalues(
         run_simulation(ctx.dataset, arms, schedule, list(ctx.cfg.seeds)), reference)
     write_results_csv(ctx.output(f"{prefix}results.csv"), results, ctx.dataset_name)

@@ -1,6 +1,9 @@
 """Simulated active learning: selection strategies, a reference classifier,
 and the multi-seed run grid, whose arms train on counterfactuals as well.
-A run featurizes its sentences once, into one lemma-id matrix (`LemmaIds`).
+A run featurizes its sentences once, into one lemma-id matrix (`LemmaIds`),
+and from then on handles only integer arrays: sentences as rows of that
+matrix, labels as indexes into the label set, selection orders as pool
+positions.
 
 The whole simulation is a pure function of (dataset, config, seeds): every
 random choice is seeded, selection orders are prefix-stable so shot levels
@@ -18,7 +21,7 @@ import itertools
 import logging
 import math
 import random
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +36,9 @@ logger = logging.getLogger(__name__)
 TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
 # original example id -> [(generated sentence, target label), ...]
 SurvivorsIndex = Mapping[str, Sequence[TrainingItem]]
+# A run's training items, in order: their `LemmaIds` rows, their label ids
+# and the first shot (an index into the schedule) each item trains at.
+Run = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class KOverN(PatvarError):
@@ -63,20 +69,21 @@ class LemmaIds:
     """One run's lemma vocabulary and one lemma-id matrix: a row per distinct
     sentence, in token order, padded on the right with -1.
 
-    Each distinct sentence is featurized once, when the instance is built,
-    and its row is found by identity: the instance keeps its sentences alive,
-    so no other object can take over their ids. Scope one instance to one run.
+    Each distinct sentence is featurized once, when the instance is built.
+    `rows` finds sentences' rows by identity, and everything else takes rows:
+    the instance keeps its sentences alive (`sentences[row]`), so no other
+    object can take over their ids. Scope one instance to one run.
     """
 
     def __init__(self, sentences: Iterable[AnnotatedSentence]):
         self.vocab: dict[str, int] = {}
-        self._alive: list[AnnotatedSentence] = []
+        self.sentences: list[AnnotatedSentence] = []  # by row
         self._row: dict[int, int] = {}  # id(sentence) -> row of the matrix
         rows = []
         for sentence in sentences:
             if id(sentence) not in self._row:
-                self._row[id(sentence)] = len(self._alive)
-                self._alive.append(sentence)
+                self._row[id(sentence)] = len(self.sentences)
+                self.sentences.append(sentence)
                 rows.append([self.vocab.setdefault(lemma, len(self.vocab))
                              for lemma in sentence.lemmas()])
         self._lengths = np.array(list(map(len, rows)), dtype=np.intp)
@@ -84,13 +91,16 @@ class LemmaIds:
         self._matrix[np.arange(self._matrix.shape[1]) < self._lengths[:, None]] = list(
             itertools.chain.from_iterable(rows))
 
-    def batch(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
-        """The sentences' rows, cut to the longest of them; ValueError for a
-        sentence the instance was not built from."""
+    def rows(self, sentences: Iterable[AnnotatedSentence]) -> np.ndarray:
+        """The sentences' rows; ValueError for a sentence the instance was not
+        built from."""
         try:
-            rows = list(map(self._row.__getitem__, map(id, sentences)))
+            return np.array(list(map(self._row.__getitem__, map(id, sentences))), dtype=np.intp)
         except KeyError:
             raise ValueError("a sentence outside the run's LemmaIds") from None
+
+    def batch(self, rows: np.ndarray) -> np.ndarray:
+        """The lemma ids of the rows, cut to the longest of them."""
         return self._matrix[rows, : self._lengths[rows].max(initial=0)]
 
     @functools.cached_property
@@ -98,14 +108,14 @@ class LemmaIds:
         """Each lemma's embedding bucket, by lemma id."""
         return np.array([_bucket(lemma) for lemma in self.vocab], dtype=np.intp)
 
-    def embeddings(self, sentences: Sequence[AnnotatedSentence]) -> np.ndarray:
+    def embeddings(self, rows: np.ndarray) -> np.ndarray:
         """Deterministic 64-dim hashed bag-of-lemmas embeddings, L2-normalized,
-        one row per sentence; an empty sentence embeds as zeros.
+        one per row's sentence; an empty sentence embeds as zeros.
 
         A stand-in for a sentence-embedding model: lemma v counts in bucket
         `sha256(v)[:4] % 64`. The counts are integers, so each norm is exact.
         """
-        ids = self.batch(sentences)
+        ids = self.batch(rows)
         tokens = ids >= 0
         slots = np.nonzero(tokens)[0] * EMBEDDING_DIM + self._buckets[ids[tokens]]
         counts = np.bincount(slots, minlength=len(ids) * EMBEDDING_DIM).reshape(
@@ -162,31 +172,32 @@ class NaiveBayesClassifier:
     unseen tokens falls back to the prior argmax. Ties break in label_set
     order. Confidence is the normalized posterior of the argmax.
 
-    Reads lemma ids as batches of the run's `features` matrix. `predict_nested`
-    scores the nested training sets of several runs in one pass: one
-    `np.bincount` over (run, shot, label, lemma) and a `cumsum` along the
-    shots give every shot's counts, and the log table holds `math.log((count
-    + 1) / denom)`, one log per distinct ratio. Each posterior adds the
-    table's columns to the log prior one token position at a time, in the
-    order of a per-lemma loop over the sentence, so every float equals that
-    loop's. `train` and `predict` are the one-run, one-shot case.
+    Takes sentences as rows of the run's `features` and labels as indexes
+    into `label_set`. `predict_nested` scores the nested training sets of
+    several runs in one pass: one `np.bincount` over (run, shot, label,
+    lemma) and a `cumsum` along the shots give every shot's counts, and the
+    log table holds `math.log((count + 1) / denom)`, one log per distinct
+    ratio. Each posterior adds the table's columns to the log prior one token
+    position at a time, in the order of a per-lemma loop over the sentence, so
+    every float equals that loop's. `train` and `predict` are the one-run,
+    one-shot case.
     """
 
     def __init__(self, label_set: Sequence[str], features: LemmaIds):
         self.label_set = tuple(label_set)
-        self._features = features
-        self._label_index = {label: i for i, label in enumerate(self.label_set)}
+        self.features = features
         self._trained = False
 
-    def train(self, items: Sequence[TrainingItem]) -> None:
-        self._table, self._log_prior = _fit(*self._counts([(items, [0] * len(items))], 1))
+    def train(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Train on the items of the given rows and label ids."""
+        self._table, self._log_prior = _fit(*self._counts([(rows, labels, [0] * len(rows))], 1))
         self._trained = True
 
-    def predict(self, sentences: Sequence[AnnotatedSentence]) -> list[tuple[str, float]]:
-        """(label, confidence) for each sentence, in order."""
+    def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The label id and the confidence of each row's sentence."""
         if not self._trained:
             raise UntrainedClassifier("train() must run before predict()")
-        [log_post] = _log_posterior(self._table, self._log_prior, self._features.batch(sentences))
+        [log_post] = _log_posterior(self._table, self._log_prior, self.features.batch(rows))
         best = np.argmax(log_post, axis=0)  # the first maximum: ties go to label_set order
         cols = np.arange(log_post.shape[1])
         shifted = (log_post - log_post[best, cols]).ravel().tolist()
@@ -194,41 +205,36 @@ class NaiveBayesClassifier:
         total = weights[0].copy()
         for row in weights[1:]:
             total += row
-        confidence = weights[best, cols] / total
-        return [(self.label_set[b], c) for b, c in zip(best.tolist(), confidence.tolist())]
+        return best, weights[best, cols] / total
 
-    def predict_nested(self, runs: Sequence[tuple[Sequence[TrainingItem], Sequence[int]]],
-                       n_shots: int, sentences: Sequence[AnnotatedSentence]) -> list:
-        """For each run (items, first_shot) and each shot k < n_shots, the
-        label of each sentence after training on the run's items whose
-        `first_shot` is at most k: the labels `train` plus `predict` give on
-        each prefix, from one pass over every run."""
+    def predict_nested(self, runs: Sequence[Run], n_shots: int, rows: np.ndarray) -> np.ndarray:
+        """`labels[r, k, h]`: for each run r (rows, label ids, first shots) and
+        each shot k < n_shots, the label id of the sentence of `rows[h]` after
+        training on the run's items whose first shot is at most k: the labels
+        `train` plus `predict` give on each prefix, from one pass over every
+        run."""
         table, log_prior = _fit(*self._counts(runs, n_shots))
-        log_post = _log_posterior(table, log_prior, self._features.batch(sentences))
-        best = np.argmax(log_post, axis=1)  # the first maximum: ties go to label_set order
-        labels = np.array(self.label_set, dtype=object)
-        return labels[best.reshape(len(runs), n_shots, len(sentences))].tolist()
+        log_post = _log_posterior(table, log_prior, self.features.batch(rows))
+        # The first maximum: ties go to label_set order.
+        return np.argmax(log_post, axis=1).reshape(len(runs), n_shots, len(rows))
 
     def _counts(self, runs, n_shots) -> tuple[np.ndarray, np.ndarray]:
         """The (run x shot, label, lemma) and (run x shot, label) item counts
         of each run's nested training sets, each shot's including earlier ones."""
-        n_labels, width = len(self.label_set), len(self._features.vocab)
-        slots, sentences = [], []
-        for run, (items, first_shot) in enumerate(runs):
-            if not items:
+        n_labels, width = len(self.label_set), len(self.features.vocab)
+        slots, rows = [], []
+        for run, arrays in enumerate(runs):
+            run_rows, labels, first = (np.asarray(a, dtype=np.intp) for a in arrays)
+            if not len(run_rows):
                 raise EmptyTrainingSet("classifier needs at least one training item")
-            first = np.array(first_shot, dtype=np.intp)
-            if first.shape != (len(items),) or first.min() < 0 or first.max() >= n_shots:
+            if first.shape != run_rows.shape or first.min() < 0 or first.max() >= n_shots:
                 raise ValueError(f"need one first shot in 0..{n_shots - 1} per training item")
-            run_sentences, labels = zip(*items)
-            try:
-                doc_labels = list(map(self._label_index.__getitem__, labels))
-            except KeyError as exc:
-                raise ValueError(f"training label {exc.args[0]!r} not in label set") from None
-            slots.append((run * n_shots + first) * n_labels + np.array(doc_labels, dtype=np.intp))
-            sentences += run_sentences
+            if labels.shape != run_rows.shape or labels.min() < 0 or labels.max() >= n_labels:
+                raise ValueError(f"need one training label id in 0..{n_labels - 1} per item")
+            slots.append((run * n_shots + first) * n_labels + labels)
+            rows.append(run_rows)
         slots = np.concatenate(slots)
-        ids = self._features.batch(sentences)
+        ids = self.features.batch(np.concatenate(rows))
         n_rows = len(runs) * n_shots
         docs = np.bincount(slots, minlength=n_rows * n_labels).reshape(len(runs), n_shots, n_labels)
         if not docs[:, 0].any(axis=1).all():
@@ -294,27 +300,21 @@ def inertia(vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# Selection strategies
+# Selection strategies: each returns pool positions
 # ---------------------------------------------------------------------------
 
 
-def select_random(pool: Sequence[LabeledExample], seed: int) -> list[LabeledExample]:
-    """The whole pool in a uniform random order; a budget of n takes the first n."""
+def select_random(pool: Sequence, seed: int) -> np.ndarray:
+    """Every position of the pool in a uniform random order; a budget of n
+    takes the first n."""
     order = list(range(len(pool)))
     random.Random(seed).shuffle(order)
-    return [pool[i] for i in order]
+    return np.array(order, dtype=np.intp)
 
 
-def select_cluster(
-    pool: Sequence[LabeledExample],
-    k: int,
-    seed: int,
-    embed: Callable[[Sequence[AnnotatedSentence]], np.ndarray],
-) -> list[LabeledExample]:
-    """The whole pool, round-robin over k-means clusters, nearest-to-centroid
-    first; a budget of n takes its first n. `embed` maps sentences to the
-    rows of a matrix of vectors."""
-    vectors = embed([ex.sentence for ex in pool])
+def select_cluster(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Every position of the vectors, round-robin over their k-means
+    clusters, nearest-to-centroid first; a budget of n takes its first n."""
     assignments, centroids = kmeans(vectors, k, seed)
     dists = np.sum((vectors - centroids[assignments]) ** 2, axis=1)
     queues: list[list[int]] = []
@@ -322,16 +322,15 @@ def select_cluster(
         members = [int(i) for i in np.flatnonzero(assignments == j)]
         members.sort(key=lambda i: (dists[i], i))
         queues.append(members)
-    return [pool[i] for turn in itertools.zip_longest(*queues) for i in turn if i is not None]
+    return np.array([i for turn in itertools.zip_longest(*queues) for i in turn if i is not None],
+                    dtype=np.intp)
 
 
-def select_uncertainty(
-    pool: Sequence[LabeledExample], n: int, clf: NaiveBayesClassifier
-) -> list[LabeledExample]:
-    """Lowest-confidence-first selection; ties keep pool order."""
-    confidences = [conf for _, conf in clf.predict([ex.sentence for ex in pool])]
-    order = sorted(range(len(pool)), key=lambda i: (confidences[i], i))
-    return [pool[i] for i in order[:n]]
+def select_uncertainty(rows: np.ndarray, n: int, clf: NaiveBayesClassifier) -> np.ndarray:
+    """The positions in `rows` of the n sentences `clf` is least confident
+    about, lowest confidence first; ties keep row order."""
+    confidences = clf.predict(rows)[1].tolist()
+    return np.array(sorted(range(len(confidences)), key=confidences.__getitem__)[:n], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -339,33 +338,62 @@ def select_uncertainty(
 # ---------------------------------------------------------------------------
 
 
-def _uncertainty_order(pool: Sequence[LabeledExample], shots: Sequence[int],
-                       first: Sequence[LabeledExample], clf: NaiveBayesClassifier,
-                       items: Callable[[list[LabeledExample]], list[TrainingItem]]) -> list:
-    """`first`, grown at each later shot by the remaining pool examples that `clf`,
-    trained on the previous shot's `items`, is least confident about: `len(shots) - 1` trainings."""
-    labeled = list(first)
+class _ArmTable:
+    """One arm's training items, grouped by pool position: each pool
+    example's row and label id, then those of its counterfactuals in the
+    index, with -1 for a target label outside the label set."""
+
+    def __init__(self, index: SurvivorsIndex, pool: Sequence[LabeledExample],
+                 pool_rows: np.ndarray, pool_labels: np.ndarray, features: LemmaIds,
+                 label_ids: Mapping[str, int]):
+        extra = [index.get(ex.sentence.id, ()) for ex in pool]
+        self.sizes = np.array([1 + len(items) for items in extra], dtype=np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.rows = np.empty(self.sizes.sum(), dtype=np.intp)
+        self.labels = np.empty_like(self.rows)
+        self.rows[self.starts], self.labels[self.starts] = pool_rows, pool_labels
+        counterfactual = np.ones(len(self.rows), dtype=bool)
+        counterfactual[self.starts] = False
+        self.rows[counterfactual] = features.rows(s for items in extra for s, _ in items)
+        self.labels[counterfactual] = [label_ids.get(label, -1)
+                                       for items in extra for _, label in items]
+
+    def cut(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows and label ids of the groups of `positions`, in that order,
+        and the index into `positions` of each item's group."""
+        sizes = self.sizes[positions]
+        group = np.repeat(np.arange(len(positions)), sizes)
+        # An item's place in the table: its group's start plus its place in the group.
+        items = (self.starts[positions] - (np.cumsum(sizes) - sizes))[group] + np.arange(len(group))
+        return self.rows[items], self.labels[items], group
+
+
+def _uncertainty_order(arm: _ArmTable, pool_rows: np.ndarray, shots: Sequence[int],
+                       first: np.ndarray, clf: NaiveBayesClassifier) -> np.ndarray:
+    """`first`, grown at each later shot by the remaining pool positions that
+    `clf`, trained on the arm's items of the previous shot's positions, is
+    least confident about: `len(shots) - 1` trainings."""
+    labeled = first
     for shot in shots[1:]:
-        clf.train(items(labeled))
-        have = {ex.sentence.id for ex in labeled}
-        remaining = [ex for ex in pool if ex.sentence.id not in have]
-        labeled = labeled + select_uncertainty(remaining, shot - len(labeled), clf)
+        rows, labels, _ = arm.cut(labeled)
+        clf.train(rows, labels)
+        remaining = np.delete(np.arange(len(pool_rows)), labeled)
+        picked = select_uncertainty(pool_rows[remaining], shot - len(labeled), clf)
+        labeled = np.concatenate([labeled, remaining[picked]])
     return labeled
 
 
-def macro_f1s(gold: Sequence[str], predicted: Sequence[Sequence[Sequence[str]]],
-              label_set: Sequence[str]) -> list[list[float]]:
-    """`stats.macro_f1` of the labels `predicted[run][shot]` against `gold`,
-    for every run and shot, from one `np.bincount` of integer confusion
-    counts. The float steps are `macro_f1`'s: `2 * tp / denom` per label (0.0
-    where denom is 0), added in label_set order, then divided by its size."""
-    if not gold:
+def macro_f1s(gold: np.ndarray, predicted: np.ndarray, n_labels: int) -> list[list[float]]:
+    """`stats.macro_f1` of the label ids `predicted[run][shot]` against the
+    label ids `gold`, over the labels 0..n_labels - 1, for every run and shot,
+    from one `np.bincount` of integer confusion counts. The float steps are
+    `macro_f1`'s: `2 * tp / denom` per label (0.0 where denom is 0), added in
+    label order, then divided by n_labels."""
+    gold, predicted = np.asarray(gold, dtype=np.intp), np.asarray(predicted, dtype=np.intp)
+    if not len(gold):
         raise EmptyPredictions("no predictions to score")
-    n, index = len(label_set), {label: i for i, label in enumerate(label_set)}
-    rows = np.array([index[label] for run in predicted for shot in run for label in shot],
-                    dtype=np.intp).reshape(-1, len(gold))
-    gold_ids = np.array([index[label] for label in gold], dtype=np.intp)
-    cells = (np.arange(len(rows))[:, None] * n + gold_ids) * n + rows
+    n, rows = n_labels, predicted.reshape(-1, len(gold))
+    cells = (np.arange(len(rows))[:, None] * n + gold) * n + rows
     confusion = np.bincount(cells.ravel(), minlength=len(rows) * n * n).reshape(-1, n, n)
     denom = confusion.sum(axis=1) + confusion.sum(axis=2)  # 2 tp + fp + fn
     per_label = 2 * np.diagonal(confusion, axis1=1, axis2=2) / np.maximum(denom, 1)
@@ -385,53 +413,63 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, tuple[str, Survivo
     nothing. The order is `random` (the seed's one `select_random` order),
     `cluster`, or `uncertainty` (grown from that order's first shot, training
     on the arm's items); the index holds the arm's survivors (`{}` for none).
-    One classifier, from the module-level name `NaiveBayesClassifier` (the seam
-    tests patch), serves the whole grid: seed by seed, one `predict_nested`
-    call labels every condition's (items, first_shot) run at every shot.
-    A data error (`PatvarError`, `ValueError`) while building a condition's
-    order makes that condition x seed cell missing. When the seed's call
-    fails with one, each run is scored alone through `predict_nested`, and
-    only those that fail again are missing. Other exceptions propagate.
+    Every sentence is looked up in the run's `LemmaIds` and every label in
+    the label set once, when each arm's `_ArmTable` is built; a scored run is
+    a cut of that table. One classifier, from the module-level name
+    `NaiveBayesClassifier` (the seam tests patch), serves the whole grid: seed
+    by seed, one `predict_nested` call labels every condition's run at every
+    shot. A data error (`PatvarError`, `ValueError`) while building a
+    condition's order makes that condition x seed cell missing. When the
+    seed's call fails with one, each run is scored alone through
+    `predict_nested`, and only those that fail again are missing: a run
+    fails when it reaches a counterfactual whose target label is outside the
+    label set. Other exceptions propagate.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"repeated seeds in {list(seeds)}")
     unknown = {order for order, _ in conditions.values()} - {"random", "cluster", "uncertainty"}
     if unknown:
         raise ValueError(f"unknown orders {sorted(unknown)}")
     schedule.validate_against(len(dataset.examples))
+    pool, shots = dataset.examples, schedule.shots
+    examples = pool + dataset.holdout
     survivors = [sentence for _, index in conditions.values() for items in index.values()
                  for sentence, _ in items]
-    features = LemmaIds([ex.sentence for ex in dataset.examples + dataset.holdout] + survivors)
+    features = LemmaIds([ex.sentence for ex in examples] + survivors)
+    label_ids = {label: i for i, label in enumerate(dataset.label_set)}
+    rows = features.rows(ex.sentence for ex in examples)
+    labels = np.array([label_ids[ex.label] for ex in examples], dtype=np.intp)
+    pool_rows, holdout_rows, gold = rows[: len(pool)], rows[len(pool):], labels[len(pool):]
+    arms = {condition: (order, _ArmTable(index, pool, pool_rows, labels[: len(pool)], features,
+                                         label_ids))
+            for condition, (order, index) in conditions.items()}
+    n_clusters = min(len(dataset.label_set), len(pool))
     clf = NaiveBayesClassifier(dataset.label_set, features)
-    pool, shots, holdout = dataset.examples, schedule.shots, [ex.sentence for ex in dataset.holdout]
-    gold = [ex.label for ex in dataset.holdout]
     # Place p's example and its counterfactuals (outside the budget) join at shot firsts[p].
-    firsts = [bisect.bisect_right(shots, place) for place in range(shots[-1])]
-
-    def run_of(order, index) -> tuple[list[TrainingItem], list[int]]:
-        groups = [[(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
-                  for ex in order[: shots[-1]]]
-        return ([item for group in groups for item in group],
-                [shot for group, shot in zip(groups, firsts) for _ in group])
+    firsts = np.array([bisect.bisect_right(shots, place) for place in range(shots[-1])],
+                      dtype=np.intp)
 
     def score(runs) -> list[list[float]]:
-        return macro_f1s(gold, clf.predict_nested(runs, len(shots), holdout), dataset.label_set)
+        return macro_f1s(gold, clf.predict_nested(runs, len(shots), holdout_rows),
+                         len(dataset.label_set))
 
     scores = {condition: {shot: dict.fromkeys(seeds) for shot in shots} for condition in conditions}
     for seed in seeds:
         random_order = select_random(pool, seed)
         runs = {}
-        for condition, (order, index) in conditions.items():
+        for condition, (order, arm) in arms.items():
             try:
                 if order == "cluster":
-                    examples = select_cluster(pool, min(len(dataset.label_set), len(pool)), seed,
-                                              features.embeddings)
+                    positions = select_cluster(features.embeddings(pool_rows), n_clusters, seed)
                 elif order == "uncertainty":
-                    examples = _uncertainty_order(pool, shots, random_order[: shots[0]], clf,
-                                                  lambda labeled: run_of(labeled, index)[0])
+                    positions = _uncertainty_order(arm, pool_rows, shots, random_order[: shots[0]],
+                                                   clf)
                 else:
-                    examples = random_order
-                runs[condition] = run_of(examples, index)
+                    positions = random_order
+                run_rows, run_labels, group = arm.cut(positions[: shots[-1]])
+                runs[condition] = (run_rows, run_labels, firsts[group])
             except (PatvarError, ValueError):
                 logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
         try:

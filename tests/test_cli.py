@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import patvar
 from patvar import cli, filtering, gateway, learning
-from patvar.annotation import sentence_to_record
+from patvar.annotation import annotate, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -1024,7 +1024,30 @@ def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, mo
     dataset = pool_dataset(config)
     texts = {json.loads(line)["generated_text"]
              for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()}
-    assert len(features._row) == len(dataset.examples) + len(dataset.holdout) + len(texts)
+    assert len(features.sentences) == len(dataset.examples) + len(dataset.holdout) + len(texts)
+
+
+def test_cli_ablate_annotates_each_audit_line_once(tiny_walkthrough, tmp_path, monkeypatch):
+    """The five arms share their survivors: each audit line's text is
+    annotated, and validated, once, however many arms keep it."""
+    source, config = tiny_walkthrough
+    out = tmp_path / "out"
+    shutil.copytree(source / "out", out)
+    texts = []
+
+    def spy(raw, provider):
+        texts.append(raw)
+        return annotate(raw, provider)
+
+    monkeypatch.setattr(cli, "annotate", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ablate", "--config", str(config), "--out", str(out),
+                     "--cache-dir", str(source / "cache")]) == 0
+    records = [json.loads(line)
+               for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()]
+    # A line that passed every stage is in all five arms.
+    assert any(all(v["status"] == "passed" for v in r["verdicts"].values()) for r in records)
+    assert texts == [r["generated_text"] for r in records]
 
 
 CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "target_label",
@@ -1345,10 +1368,11 @@ def write_untrainable_counterfactuals(config, name, monkeypatch, **fields):
     record updated by `fields`, and make every cell that trains on one fail
     with a data error."""
     class Failing(learning.NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, sentences):
-            if any(sentence.raw == UNTRAINABLE for items, _ in runs for sentence, _ in items):
+        def predict_nested(self, runs, n_shots, rows):
+            if any(self.features.sentences[row].raw == UNTRAINABLE
+                   for run_rows, _, _ in runs for row in run_rows.tolist()):
                 raise ValueError("failing on purpose")
-            return super().predict_nested(runs, n_shots, sentences)
+            return super().predict_nested(runs, n_shots, rows)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
     dataset = pool_dataset(config)

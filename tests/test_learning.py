@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -59,16 +60,17 @@ def small_pool(provider):
 
 def test_select_random_whole_pool(small_pool):
     sel = select_random(small_pool, seed=3)
-    assert sorted(e.sentence.id for e in sel) == sorted(e.sentence.id for e in small_pool)
+    assert sorted(small_pool[i].sentence.id for i in sel) == sorted(
+        e.sentence.id for e in small_pool)
 
 
 def test_select_random_deterministic_and_nested(small_pool):
-    """A seed gives one order of the whole pool; a budget of n labels its
-    first n examples, so the budgets nest."""
-    order = select_random(small_pool, seed=11)
-    assert select_random(small_pool, seed=11) == order
-    assert len(order) == len(small_pool)
-    assert select_random(small_pool, seed=12) != order
+    """A seed gives one order of the whole pool's positions; a budget of n
+    labels its first n examples, so the budgets nest."""
+    order = select_random(small_pool, seed=11).tolist()
+    assert select_random(small_pool, seed=11).tolist() == order
+    assert sorted(order) == list(range(len(small_pool)))
+    assert select_random(small_pool, seed=12).tolist() != order
 
 
 def reference_embedding(sentence):
@@ -92,7 +94,7 @@ def test_embeddings_match_sha256_reference(texts):
     sentences = [sentence_of(words) for words in texts]
     features = LemmaIds(sentences)
     for sentence in sentences:
-        [vector] = features.embeddings([sentence])
+        [vector] = features.embeddings(features.rows([sentence]))
         assert np.array_equal(vector, reference_embedding(sentence))
 
 
@@ -101,10 +103,11 @@ def test_embeddings_match_sha256_reference(texts):
                       min_size=1, max_size=6),
        data=st.data())
 def test_lemma_ids_batches_and_embeddings_match_dict_reference(texts, data):
-    """A batch of any of the run's sentences, repeated or not, in any order,
-    as a list or a tuple, is each sentence's lemma ids padded with -1; one
-    embeddings call over sentences of mixed lengths, empty ones too, equals
-    the per-sentence reference row by row."""
+    """The rows of any of the run's sentences, repeated or not, in any order,
+    as a list or a tuple, read back as those sentences; their batch is each
+    sentence's lemma ids padded with -1; one embeddings call over sentences of
+    mixed lengths, empty ones too, equals the per-sentence reference row by
+    row."""
     distinct = [sentence_of(words, f"s{i}") for i, words in enumerate(texts)]
     repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=6))
     built = data.draw(st.permutations(distinct + repeats))
@@ -116,10 +119,11 @@ def test_lemma_ids_batches_and_embeddings_match_dict_reference(texts, data):
     width = max((len(ids[id(s)]) for s in subset), default=0)
     expected = [ids[id(s)] + [-1] * (width - len(ids[id(s)])) for s in subset]
     features = LemmaIds(built)
-    query = tuple(subset) if as_tuple else subset
+    rows = features.rows(tuple(subset) if as_tuple else subset)
     assert features.vocab == vocab
-    assert features.batch(query).tolist() == expected
-    vectors = features.embeddings(query)
+    assert all(features.sentences[row] is s for row, s in zip(rows.tolist(), subset, strict=True))
+    assert features.batch(rows).tolist() == expected
+    vectors = features.embeddings(rows)
     assert vectors.shape == (len(subset), 64)
     for vector, sentence in zip(vectors, subset):
         assert np.array_equal(vector, reference_embedding(sentence))
@@ -129,20 +133,21 @@ def test_lemma_ids_know_only_their_own_sentences():
     good = sentence_of(["good", "food", "good"])
     twin = sentence_of(["good", "food", "good"])  # equal to `good`, but another object
     features = LemmaIds([good, good])
-    assert features.batch([good, good]).tolist() == [[0, 1, 0], [0, 1, 0]]
+    assert features.rows([good, good]).tolist() == [0, 0]
+    assert features.batch(features.rows([good, good])).tolist() == [[0, 1, 0], [0, 1, 0]]
     for sentences in ([twin], [good, twin]):
         with pytest.raises(ValueError, match="outside the run's LemmaIds"):
-            features.batch(sentences)
+            features.rows(sentences)
         with pytest.raises(ValueError, match="outside the run's LemmaIds"):
-            features.batch(tuple(sentences))
+            features.rows(tuple(sentences))
         with pytest.raises(ValueError, match="outside the run's LemmaIds"):
-            features.embeddings(sentences)
+            features.rows(iter(sentences))
 
 
 def test_embedder_properties(provider):
     def embed(text):
-        sentence = provider.annotate(text)
-        [vector] = LemmaIds([sentence]).embeddings([sentence])
+        features = LemmaIds([provider.annotate(text)])
+        [vector] = features.embeddings(np.array([0]))
         return vector
 
     a = embed("good food")
@@ -203,6 +208,12 @@ def test_kmeans_deterministic():
     assert np.allclose(c1, c2)
 
 
+def pool_vectors(pool):
+    """The embeddings of the pool's sentences, one row per example."""
+    features = LemmaIds(e.sentence for e in pool)
+    return features.embeddings(features.rows(e.sentence for e in pool))
+
+
 def test_select_cluster_alternates(provider):
     pool = [
         ex(provider, "good food here", "a", "x0"),
@@ -210,24 +221,22 @@ def test_select_cluster_alternates(provider):
         ex(provider, "rude staff waited", "b", "x2"),
         ex(provider, "rude staff arrived", "b", "x3"),
     ]
-    embed = LemmaIds(e.sentence for e in pool).embeddings
-    sel = select_cluster(pool, k=2, seed=0, embed=embed)[:2]
+    vectors = pool_vectors(pool)
+    sel = select_cluster(vectors, k=2, seed=0)[:2]
     groups = {("x0", "x1"), ("x2", "x3")}
-    picked = tuple(sorted(e.sentence.id for e in sel))
+    picked = tuple(sorted(pool[i].sentence.id for i in sel))
     assert not any(set(picked) <= set(g) for g in groups), "must take one from each cluster"
 
 
 def test_select_cluster_whole_pool_and_nesting(small_pool):
-    """The order holds the whole pool once, taking each cluster's next
-    nearest member in turn; a budget of n labels its first n."""
-    embed = LemmaIds(e.sentence for e in small_pool).embeddings
-    order = select_cluster(small_pool, k=2, seed=4, embed=embed)
-    assert len({e.sentence.id for e in order}) == len(order) == len(small_pool)
-    assert select_cluster(small_pool, k=2, seed=4, embed=embed) == order
-    vectors = embed([e.sentence for e in small_pool])
+    """The order holds every position of the pool once, taking each
+    cluster's next nearest member in turn; a budget of n labels its first n."""
+    vectors = pool_vectors(small_pool)
+    order = select_cluster(vectors, k=2, seed=4).tolist()
+    assert sorted(order) == list(range(len(small_pool)))
+    assert select_cluster(vectors, k=2, seed=4).tolist() == order
     assignments, _ = kmeans(vectors, 2, seed=4)
-    cluster = {e.sentence.id: int(a) for e, a in zip(small_pool, assignments)}
-    turns = [cluster[e.sentence.id] for e in order]
+    turns = [int(assignments[i]) for i in order]
     smaller = min(collections.Counter(turns).values())
     assert turns[: 2 * smaller] == [turns[0], 1 - turns[0]] * smaller
 
@@ -237,25 +246,30 @@ def test_select_uncertainty_ordering(small_pool):
         def __init__(self, confs):
             self.confs = confs
 
-        def train(self, items):
+        def train(self, rows, labels):
             pass
 
-        def predict(self, sentences):
-            return [("products", self.confs[sentence.raw]) for sentence in sentences]
+        def predict(self, rows):
+            return np.zeros(len(rows), dtype=np.intp), np.array([self.confs[r] for r in rows])
 
-    confs = {e.sentence.raw: c for e, c in zip(small_pool, [0.9, 0.1, 0.5, 0.9, 0.2, 0.9, 0.9, 0.9])}
-    sel = select_uncertainty(small_pool, 3, Scripted(confs))
-    assert [e.sentence.id for e in sel] == ["p1", "p4", "p2"]
+    rows = np.arange(len(small_pool))
+    confs = [0.9, 0.1, 0.5, 0.9, 0.2, 0.9, 0.9, 0.9]
+    sel = select_uncertainty(rows, 3, Scripted(confs))
+    assert [small_pool[i].sentence.id for i in sel] == ["p1", "p4", "p2"]
 
-    flat = {e.sentence.raw: 0.5 for e in small_pool}
-    sel = select_uncertainty(small_pool, 3, Scripted(flat))
-    assert [e.sentence.id for e in sel] == ["p0", "p1", "p2"]
+    flat = [0.5] * len(small_pool)
+    sel = select_uncertainty(rows, 3, Scripted(flat))
+    assert [small_pool[i].sentence.id for i in sel] == ["p0", "p1", "p2"]
+    # Positions index the rows given, not the pool.
+    sel = select_uncertainty(rows[[6, 1, 4]], 2, Scripted(confs))
+    assert sel.tolist() == [1, 2]
 
 
 def test_select_uncertainty_untrained(small_pool):
-    clf = NaiveBayesClassifier(["products", "service"], LemmaIds(e.sentence for e in small_pool))
+    features = LemmaIds(e.sentence for e in small_pool)
+    clf = NaiveBayesClassifier(["products", "service"], features)
     with pytest.raises(UntrainedClassifier):
-        select_uncertainty(small_pool, 2, clf)
+        select_uncertainty(features.rows(e.sentence for e in small_pool), 2, clf)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +283,50 @@ def run_nb(label_set, items, queries):
     return NaiveBayesClassifier(label_set, LemmaIds([s for s, _ in items] + list(queries)))
 
 
+def id_run(clf, items, first_shot):
+    """A run of (sentence, label) items as `predict_nested` takes it: rows of
+    the classifier's `LemmaIds`, label ids and first shots."""
+    return (clf.features.rows(s for s, _ in items),
+            np.array([clf.label_set.index(label) for _, label in items], dtype=np.intp),
+            np.array(first_shot, dtype=np.intp))
+
+
+def train(clf, items):
+    """`clf.train` on (sentence, label) items."""
+    rows, labels, _ = id_run(clf, items, [])
+    clf.train(rows, labels)
+
+
+def predict(clf, sentences):
+    """`clf.predict` as (label, confidence) pairs, the oracle's form."""
+    labels, confidences = clf.predict(clf.features.rows(sentences))
+    return [(clf.label_set[label], c) for label, c in zip(labels.tolist(), confidences.tolist())]
+
+
+def predict_nested(clf, runs, n_shots, sentences):
+    """`clf.predict_nested` over (items, first_shot) runs, as label names:
+    the oracle's form."""
+    labels = clf.predict_nested([id_run(clf, items, first) for items, first in runs], n_shots,
+                                clf.features.rows(sentences))
+    return [[[clf.label_set[label] for label in shot] for shot in run] for run in labels.tolist()]
+
+
+def read_back(clf, run):
+    """A run's (sentence, label) items and first shots, read back through the
+    classifier's `LemmaIds`; a label id outside the label set reads as None."""
+    rows, labels, first_shot = run
+    names = [clf.label_set[label] if 0 <= label < len(clf.label_set) else None
+             for label in labels.tolist()]
+    sentences = [clf.features.sentences[row] for row in rows.tolist()]
+    return list(zip(sentences, names)), first_shot.tolist()
+
+
 def test_nb_hand_computed_posterior(provider):
     s = provider.annotate
     items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("good")
     clf = run_nb(["A", "B"], items, [query])
-    clf.train(items)
-    [(label, conf)] = clf.predict([query])
+    train(clf, items)
+    [(label, conf)] = predict(clf, [query])
     assert label == "A"
     # add-one smoothing: (2/6 * 0.5) / (2/6 * 0.5 + 1/6 * 0.5) = 2/3
     assert conf == pytest.approx(2 / 3, abs=1e-4)
@@ -284,8 +336,8 @@ def test_nb_predicts_trained_class(provider):
     s = provider.annotate
     items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("good food")
     clf = run_nb(["A", "B"], items, [query])
-    clf.train(items)
-    [(label, conf)] = clf.predict([query])
+    train(clf, items)
+    [(label, conf)] = predict(clf, [query])
     assert label == "A"
     assert conf > 0.5
 
@@ -295,27 +347,27 @@ def test_nb_unseen_tokens_fall_back_to_prior(provider):
     items = [(s("good food"), "A"), (s("rude staff"), "B"), (s("more staff"), "B")]
     query = s("xyzzy qwerty")
     clf = run_nb(["A", "B"], items, [query])
-    clf.train(items[:2])
-    [(label, conf)] = clf.predict([query])
+    train(clf, items[:2])
+    [(label, conf)] = predict(clf, [query])
     assert label == "A"  # tie broken by label order
     assert conf == pytest.approx(0.5)
-    clf.train(items)
-    [(label, _)] = clf.predict([query])
+    train(clf, items)
+    [(label, _)] = predict(clf, [query])
     assert label == "B"  # prior argmax
 
 
 def test_nb_empty_training():
     clf = NaiveBayesClassifier(["A"], LemmaIds([]))
     with pytest.raises(EmptyTrainingSet):
-        clf.train([])
+        train(clf, [])
 
 
 def test_nb_missing_label_never_predicted(provider):
     s = provider.annotate
     items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("anything here")
     clf = run_nb(["A", "B", "C"], items, [query])
-    clf.train(items)
-    [(label, _)] = clf.predict([query])
+    train(clf, items)
+    [(label, _)] = predict(clf, [query])
     assert label in ("A", "B")
 
 
@@ -388,6 +440,30 @@ class OracleNaiveBayes:
         return self.label_set[best], weights[best] / sum(weights)
 
 
+class OracleOnRows:
+    """`OracleNaiveBayes` behind `NaiveBayesClassifier`'s interface: rows and
+    label ids are read back through the run's `LemmaIds` and label set, and
+    label names mapped back to ids."""
+
+    def __init__(self, label_set, features):
+        self.label_set, self.features = tuple(label_set), features
+        self.oracle = OracleNaiveBayes(label_set)
+
+    def train(self, rows, labels):
+        self.oracle.train(read_back(self, (rows, labels, np.zeros_like(rows)))[0])
+
+    def predict(self, rows):
+        pairs = self.oracle.predict([self.features.sentences[row] for row in rows.tolist()])
+        return (np.array([self.label_set.index(label) for label, _ in pairs], dtype=np.intp),
+                np.array([c for _, c in pairs]))
+
+    def predict_nested(self, runs, n_shots, rows):
+        labels = self.oracle.predict_nested([read_back(self, run) for run in runs], n_shots,
+                                            [self.features.sentences[row] for row in rows.tolist()])
+        return np.array([[[self.label_set.index(label) for label in shot] for shot in run]
+                         for run in labels], dtype=np.intp).reshape(len(runs), n_shots, len(rows))
+
+
 NB_WORDS = ("good", "food", "rude", "staff", "cheap", "the", "was", "very")
 NB_UNSEEN = ("xyzzy", "qwerty")  # never trained on: out of vocabulary
 
@@ -419,11 +495,11 @@ def test_nb_matches_per_lemma_oracle(corpus):
     query_sentences = [sentence_of(words, f"q{i}") for i, words in enumerate(queries)]
     # Like a run's, the vocabulary holds the queries' unseen lemmas too.
     clf = run_nb(label_set, training, query_sentences)
-    clf.train(training)
+    train(clf, training)
     oracle = OracleNaiveBayes(label_set)
     oracle.train(training)
     # == on (label, confidence) tuples: the floats must be equal, not close.
-    assert clf.predict(query_sentences) == oracle.predict(query_sentences)
+    assert predict(clf, query_sentences) == oracle.predict(query_sentences)
 
 
 @st.composite
@@ -454,8 +530,8 @@ def test_nb_nested_matches_oracle_on_every_prefix(corpus):
     clf = run_nb(label_set, training, query_sentences)
     oracle = OracleNaiveBayes(label_set)
     expected = oracle.predict_nested([(training, first)], n_shots, query_sentences)
-    assert clf.predict_nested([(training, first)], n_shots, query_sentences) == expected
-    assert clf.predict_nested([(training, first)], n_shots, list(query_sentences)) == expected
+    assert predict_nested(clf, [(training, first)], n_shots, query_sentences) == expected
+    assert predict_nested(clf, [(training, first)], n_shots, list(query_sentences)) == expected
 
 
 @st.composite
@@ -482,8 +558,8 @@ def test_nb_nested_over_runs_equals_each_run_alone(batch):
     query_sentences = [sentence_of(words, f"q{i}") for i, words in enumerate(queries)]
     runs = [([training[i] for i in picked], first) for picked, first in picks]
     clf = run_nb(label_set, training, query_sentences)
-    together = clf.predict_nested(runs, n_shots, query_sentences)
-    assert together == [clf.predict_nested([run], n_shots, query_sentences)[0] for run in runs]
+    together = predict_nested(clf, runs, n_shots, query_sentences)
+    assert together == [predict_nested(clf, [run], n_shots, query_sentences)[0] for run in runs]
     assert together == OracleNaiveBayes(label_set).predict_nested(runs, n_shots, query_sentences)
 
 
@@ -509,28 +585,35 @@ def confusions(draw):
 @example(case=(("D", "A", "C", "B"), ["D", "A", "C", "B"], [[["D"] * 4]]))  # labels never predicted
 def test_macro_f1s_equal_stats_macro_f1(case):
     label_set, gold, predicted = case
+    ids = {label: i for i, label in enumerate(label_set)}
+    predicted_ids = [[[ids[label] for label in labels] for labels in shots] for shots in predicted]
     # == on floats: each must equal the oracle's, not be close to it.
-    assert learning.macro_f1s(gold, predicted, label_set) == [
+    assert learning.macro_f1s([ids[label] for label in gold], predicted_ids, len(label_set)) == [
         [macro_f1(list(zip(gold, labels)), label_set) for labels in shots] for shots in predicted
     ]
 
 
 def test_macro_f1s_need_a_holdout():
     with pytest.raises(EmptyPredictions):
-        learning.macro_f1s([], [[[], []]], ("A", "B"))
+        learning.macro_f1s([], [[[], []]], 2)
 
 
 def test_nb_nested_rejects_bad_first_shots(provider):
     s = provider.annotate
     items, query = [(s("good food"), "A"), (s("rude staff"), "B"), (s("cheap"), "C")], s("good")
     clf = run_nb(["A", "B"], items, [query])
+    rows, query_rows = clf.features.rows(s for s, _ in items), clf.features.rows([query])
     for first in ([0], [0, 2], [0, -1]):
         with pytest.raises(ValueError, match="first shot"):
-            clf.predict_nested([(items[:2], first)], 2, [query])
+            clf.predict_nested([(rows[:2], np.array([0, 1]), np.array(first))], 2, query_rows)
     with pytest.raises(EmptyTrainingSet):
-        clf.predict_nested([(items[:2], [1, 1])], 2, [query])
-    with pytest.raises(ValueError, match="'C' not in label set"):
-        clf.predict_nested([(items, [0, 0, 1])], 2, [query])
+        clf.predict_nested([(rows[:2], np.array([0, 1]), np.array([1, 1]))], 2, query_rows)
+    # C is outside the label set: no label id names it.
+    for labels in ([0, 1, 2], [0, 1, -1], [0, 1]):
+        with pytest.raises(ValueError, match=r"label id in 0\.\.1"):
+            clf.predict_nested([(rows, np.array(labels), np.array([0, 0, 1]))], 2, query_rows)
+        with pytest.raises(ValueError, match=r"label id in 0\.\.1"):
+            clf.train(rows, np.array(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +707,7 @@ def test_run_simulation_equal_under_oracle_classifier(provider, monkeypatch):
     augment = {"counterfactual": survivors, "cf_no_vt": dict(list(survivors.items())[::2])}
     conditions = {c: (order, augment.get(c, {})) for c, (order, _) in CONDITIONS.items()}
     fast = run_simulation(dataset, conditions, schedule, [0, 1, 2])
-    monkeypatch.setattr(learning, "NaiveBayesClassifier",
-                        lambda label_set, features: OracleNaiveBayes(label_set))
+    monkeypatch.setattr(learning, "NaiveBayesClassifier", OracleOnRows)
     slow = run_simulation(dataset, conditions, schedule, [0, 1, 2])
     assert fast == slow
 
@@ -659,10 +741,10 @@ def test_arm_named_conditions_equal_single_counterfactual_runs(provider):
 
 def _patch_failing(monkeypatch, error):
     class Failing(NaiveBayesClassifier):
-        def train(self, items):
+        def train(self, rows, labels):
             raise error("failing on purpose")
 
-        def predict_nested(self, runs, n_shots, sentences):
+        def predict_nested(self, runs, n_shots, rows):
             raise error("failing on purpose")
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
@@ -704,9 +786,9 @@ def test_a_data_error_in_one_run_misses_only_its_cell(provider, seeds, data):
     calls = []
 
     class Recording(NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, sentences):
-            calls.append(list(runs))
-            return super().predict_nested(runs, n_shots, sentences)
+        def predict_nested(self, runs, n_shots, rows):
+            calls.append([read_back(self, run) for run in runs])
+            return super().predict_nested(runs, n_shots, rows)
 
     with mock.patch.object(learning, "NaiveBayesClassifier", Recording):
         whole = run_simulation(dataset, conditions, schedule, seeds)
@@ -717,10 +799,10 @@ def test_a_data_error_in_one_run_misses_only_its_cell(provider, seeds, data):
     target = calls[seeds.index(seed)][list(conditions).index(condition)]
 
     class Failing(NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, sentences):
-            if any(run == target for run in runs):
+        def predict_nested(self, runs, n_shots, rows):
+            if any(read_back(self, run) == target for run in runs):
                 raise ValueError("failing on purpose")
-            return super().predict_nested(runs, n_shots, sentences)
+            return super().predict_nested(runs, n_shots, rows)
 
     with mock.patch.object(learning, "NaiveBayesClassifier", Failing):
         results = run_simulation(dataset, conditions, schedule, seeds)
@@ -740,6 +822,85 @@ def test_a_data_error_in_one_run_misses_only_its_cell(provider, seeds, data):
                     assert got.scores[shot][s] == expected.scores[shot][s]
 
 
+ARM_WORDS = ("good", "food", "rude", "staff", "the")
+
+
+@st.composite
+def random_arms(draw):
+    """A small dataset over the labels A, B and C, a shot schedule, seeds and
+    a survivors index. The pool holds A and B only, so C trains only as a
+    counterfactual target and is often absent at the first shot; Z is outside
+    the label set. Survivors of originals past the budget never train."""
+    words = st.lists(st.sampled_from(ARM_WORDS), max_size=4)
+    n_pool = draw(st.integers(2, 7))
+    pool = [LabeledExample(sentence_of(draw(words), f"p{i}"), draw(st.sampled_from("AB")))
+            for i in range(n_pool)]
+    holdout = [LabeledExample(sentence_of(draw(words), f"h{i}"), draw(st.sampled_from("ABC")))
+               for i in range(draw(st.integers(1, 4)))]
+    shots = sorted(draw(st.sets(st.integers(1, n_pool), min_size=1, max_size=3)))
+    index = {}
+    for ex in pool:
+        targets = draw(st.lists(st.sampled_from("ABCZ"), max_size=2))
+        if targets:
+            index[ex.sentence.id] = [(sentence_of(draw(words), f"c{i}"), target)
+                                     for i, target in enumerate(targets)]
+    seeds = draw(st.lists(st.integers(0, 30), min_size=1, max_size=3, unique=True))
+    return Dataset(tuple(pool), ("A", "B", "C"), tuple(holdout)), tuple(shots), index, seeds
+
+
+def reference_cell(dataset, index, shots, seed):
+    """A random-order cell the slow way: the seed's shuffle of the pool, each
+    of its first shots[-1] examples followed by its counterfactuals, a fresh
+    oracle trained on each shot's items, and `stats.macro_f1` of its holdout
+    labels; None at every shot when the run reaches a label outside the
+    label set."""
+    order = list(range(len(dataset.examples)))
+    random.Random(seed).shuffle(order)
+    groups = [[(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
+              for ex in (dataset.examples[i] for i in order[: shots[-1]])]
+    if any(label not in dataset.label_set for group in groups for _, label in group):
+        return [None] * len(shots)
+    scores = []
+    for shot in shots:
+        clf = OracleNaiveBayes(dataset.label_set)
+        clf.train([item for group in groups[:shot] for item in group])
+        predicted = [label for label, _ in clf.predict([ex.sentence for ex in dataset.holdout])]
+        scores.append(macro_f1([(ex.label, p) for ex, p in zip(dataset.holdout, predicted)],
+                               dataset.label_set))
+    return scores
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=random_arms())
+def test_random_arms_equal_the_oracle_on_every_prefix(case):
+    dataset, shots, index, seeds = case
+    conditions = {"plain": ("random", {}), "augmented": ("random", index)}
+    results = run_simulation(dataset, conditions, ShotSchedule(shots), seeds)
+    for result, (_, arm_index) in zip(results, conditions.values()):
+        for seed in seeds:
+            assert [result.scores[shot][seed] for shot in shots] == reference_cell(
+                dataset, arm_index, shots, seed)
+
+
+def test_an_unknown_target_label_misses_only_the_cells_that_reach_it():
+    """p0's counterfactual targets a label outside the label set: the seeds
+    whose first two examples hold p0 miss their cell; the others score it,
+    C included, which no original has and the first shot may lack."""
+    pool = tuple(LabeledExample(sentence_of([word], f"p{i}"), label) for i, (word, label) in
+                 enumerate([("good", "A"), ("food", "A"), ("rude", "B"), ("staff", "B")]))
+    holdout = (LabeledExample(sentence_of(["good"], "h0"), "A"),
+               LabeledExample(sentence_of(["the"], "h1"), "C"))
+    dataset = Dataset(pool, ("A", "B", "C"), holdout)
+    index = {"p0": [(sentence_of(["the"], "c0"), "Z")], "p1": [(sentence_of(["the"], "c1"), "C")],
+             "p3": [(sentence_of(["the", "good"], "c2"), "C")]}
+    seeds = list(range(8))
+    [result] = run_simulation(dataset, {"augmented": ("random", index)}, ShotSchedule((1, 2)),
+                              seeds)
+    cells = {seed: [result.scores[shot][seed] for shot in (1, 2)] for seed in seeds}
+    assert cells == {seed: reference_cell(dataset, index, (1, 2), seed) for seed in seeds}
+    assert {cell[0] is None for cell in cells.values()} == {True, False}
+
+
 def test_run_simulation_all_conditions_run(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
@@ -757,17 +918,17 @@ def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider, mon
     calls = collections.Counter()
 
     class Spy(NaiveBayesClassifier):
-        def train(self, items):
+        def train(self, rows, labels):
             calls["train"] += 1
-            super().train(items)
+            super().train(rows, labels)
 
-        def predict(self, sentences):
+        def predict(self, rows):
             calls["predict"] += 1
-            return super().predict(sentences)
+            return super().predict(rows)
 
-        def predict_nested(self, runs, n_shots, sentences):
+        def predict_nested(self, runs, n_shots, rows):
             calls["predict_nested"] += 1
-            return super().predict_nested(runs, n_shots, sentences)
+            return super().predict_nested(runs, n_shots, rows)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
     run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, schedule, [0])
@@ -818,9 +979,9 @@ def test_uncertainty_order_trains_on_its_arms_items(provider, monkeypatch):
     trained = []
 
     class Spy(NaiveBayesClassifier):
-        def train(self, items):
-            trained.append(list(items))
-            super().train(items)
+        def train(self, rows, labels):
+            trained.append(read_back(self, (rows, labels, np.zeros_like(rows)))[0])
+            super().train(rows, labels)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
     [result] = run_simulation(dataset, {"uncertainty": ("uncertainty", index)}, schedule, [0, 1])
@@ -844,7 +1005,8 @@ def test_uncertainty_arm_without_survivors_scores_as_before(provider):
     [result] = run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, schedule, seeds)
     holdout = [e.sentence for e in dataset.holdout]
     for seed in seeds:
-        labeled = select_random(dataset.examples, seed)[: schedule.shots[0]]
+        order = select_random(dataset.examples, seed)
+        labeled = [dataset.examples[i] for i in order[: schedule.shots[0]]]
         for shot in schedule.shots:
             if shot > len(labeled):
                 have = {e.sentence.id for e in labeled}
@@ -866,6 +1028,9 @@ def test_run_simulation_rejects_bad_inputs(provider):
         run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4, 999)), [0])
     with pytest.raises(ValueError):
         run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [])
+    # A repeated seed would summarize its cells twice and pair them with themselves.
+    with pytest.raises(ValueError, match=r"repeated seeds in \[0, 3, 0\]"):
+        run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [0, 3, 0])
     with pytest.raises(ValueError, match=r"unknown orders \['randm'\]"):
         run_simulation(dataset, {"random": ("randm", {})}, ShotSchedule((4,)), [0])
 
@@ -896,16 +1061,17 @@ def test_nesting_across_shots(provider, monkeypatch):
     seen = []
 
     class Spy(NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, sentences):
+        def predict_nested(self, runs, n_shots, rows):
             seen.extend([[item for item, first in zip(items, first_shot) if first <= shot]
-                         for shot in range(n_shots)] for items, first_shot in runs)
-            return super().predict_nested(runs, n_shots, sentences)
+                         for shot in range(n_shots)]
+                        for items, first_shot in (read_back(self, run) for run in runs))
+            return super().predict_nested(runs, n_shots, rows)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
     run_simulation(dataset, {"random": ("random", {}), "counterfactual": ("random", survivors)},
                    schedule, [7])
     originals, augmented = seen
-    order = select_random(dataset.examples, 7)
+    order = [dataset.examples[i] for i in select_random(dataset.examples, 7)]
     for shot, training in zip(schedule.shots, originals):
         assert training == [(ex.sentence, ex.label) for ex in order[:shot]]
     # Each original is followed by its counterfactuals, which train from the
