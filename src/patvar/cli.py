@@ -29,7 +29,7 @@ from .config import (
 )
 from .errors import ConfigError, PatvarError, in_file, read_jsonl
 from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pvalues
-from .filtering import FilterDeps, rows_from_audit, run_pipeline, survivors_by_arm
+from .filtering import rows_from_audit, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
     JSON_LINE,
@@ -53,7 +53,7 @@ from .reports import (
     write_results_csv,
     write_summary_csv,
 )
-from .synthesis import NoViablePattern, synthesize_patterns
+from .synthesis import EmptyPositives, NoViablePattern, synthesize_patterns
 
 logger = logging.getLogger(__name__)
 
@@ -176,9 +176,6 @@ def _read_candidates(ctx: Context, name: str, writer: str, reader=candidates_fro
 # ---------------------------------------------------------------------------
 
 
-RELAXED_PRECISION = 0.8
-
-
 def cmd_synth(ctx: Context) -> int:
     patterns_json, patterns_txt = ctx.output("patterns.json"), ctx.output("patterns.txt")
     cfg, lexicon, dataset = ctx.cfg, ctx.lexicon, ctx.dataset
@@ -187,24 +184,10 @@ def cmd_synth(ctx: Context) -> int:
     for label in dataset.label_set:
         positives = [ex for ex in dataset.examples if ex.label == label]
         negatives = [ex for ex in dataset.examples if ex.label != label]
-        if not positives:
-            logger.warning("label %r has no pool examples; skipping", label)
-            payload["patterns"][label] = []
-            continue
-        # A floor above RELAXED_PRECISION that no pattern reaches is retried there.
-        floors = [cfg.synthesis.min_precision]
-        if floors[0] > RELAXED_PRECISION:
-            floors.append(RELAXED_PRECISION)
-        for floor in floors:
-            try:
-                scored = synthesize_patterns(
-                    positives, negatives, dataclasses.replace(cfg.synthesis, min_precision=floor),
-                    lexicon)
-                break
-            except NoViablePattern:
-                logger.warning("label %r: no pattern at precision %.2f", label, floor)
-        else:
-            logger.warning("label %r: no viable pattern at all", label)
+        try:
+            scored = synthesize_patterns(positives, negatives, cfg.synthesis, lexicon)
+        except (EmptyPositives, NoViablePattern) as exc:
+            logger.warning("label %r: no pattern (%s)", label, exc)
             scored = []
         payload["patterns"][label] = [
             {"pattern": sp.rendered, "precision": sp.precision, "recall": sp.recall, "f1": sp.f1,
@@ -265,7 +248,7 @@ def cmd_gen(ctx: Context) -> int:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
         spans = find_matches(pattern, ex.sentence, lexicon) if pattern is not None else []
-        for target in plan_targets(ex, dataset.label_set, cfg.seeds[0]):
+        for target in plan_targets(ex, dataset.label_set, cfg.dataset.split_seed):
             if pattern is not None:
                 try:
                     task = build_task(ex.sentence, ex.label, target, pattern, spans)
@@ -288,9 +271,10 @@ def cmd_gen(ctx: Context) -> int:
     return 0
 
 
-def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
+def _filter_candidates(ctx: Context, name: str):
     candidates = _read_candidates(ctx, f"candidates_{name}.jsonl", "`patvar gen`")
-    survivors, report, rows = run_pipeline(candidates, deps)
+    survivors, report, rows = run_pipeline(candidates, ctx.dataset.label_set, ctx.lexicon,
+                                           ctx.provider, ctx.gateway)
     lines = [JSON_LINE.encode(row.record()) for row in rows]
     _write_lines(ctx.output(f"survivors_{name}.jsonl"),
                  (line for line, row in zip(lines, rows) if row.survived))
@@ -301,12 +285,9 @@ def _filter_candidates(ctx: Context, name: str, deps: FilterDeps):
 
 
 def cmd_filter(ctx: Context) -> int:
-    deps = FilterDeps(label_set=ctx.dataset.label_set, lex=ctx.lexicon, provider=ctx.provider,
-                      gateway=ctx.gateway)
-    quality = {"dataset": ctx.dataset_name,
-               "vt": dataclasses.asdict(_filter_candidates(ctx, "vt", deps))}
+    quality = {"dataset": ctx.dataset_name, "vt": dataclasses.asdict(_filter_candidates(ctx, "vt"))}
     if _wants_novt(ctx):
-        quality["no_vt"] = dataclasses.asdict(_filter_candidates(ctx, "novt", deps))
+        quality["no_vt"] = dataclasses.asdict(_filter_candidates(ctx, "novt"))
     _write_json(ctx.output("quality_report.json"), quality)
     return 0
 

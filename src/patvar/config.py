@@ -37,10 +37,6 @@ class EmptyDataset(PatvarError):
     pass
 
 
-class UnknownLabel(PatvarError):
-    pass
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     path: str
@@ -259,7 +255,8 @@ def build_gateway(cfg: ExperimentConfig) -> Gateway:
 def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
     """A row's labels: a list (JSONL, under `multi_label` only) or one value,
     which `multi_label` splits at the delimiter. After splitting they must be
-    a non-empty list of non-empty strings; ParseError naming the line if not."""
+    a non-empty list of non-empty strings, each in `labels` when the spec
+    declares them; ParseError naming the line if not."""
     if isinstance(value, list) and not spec.multi_label:
         raise ParseError(f"field {spec.label_field!r} is a list; that needs multi_label: true",
                          line=lineno)
@@ -271,6 +268,9 @@ def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
         labels = [l.strip() for l in labels[0].split(spec.label_delimiter)]
     if not labels or not all(l.strip() for l in labels):
         raise ParseError(f"field {spec.label_field!r} holds an empty label", line=lineno)
+    unknown = [l for l in labels if spec.labels and l not in spec.labels]
+    if unknown:
+        raise ParseError(f"label {unknown[0]!r} is not in dataset.labels", line=lineno)
     return labels
 
 
@@ -286,7 +286,8 @@ def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
     if spec.format == "csv":
         with open(spec.path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(utf8_lines(fh, spec.path))
-            for lineno, row in enumerate(reader, start=2):  # header is line 1
+            for row in reader:
+                lineno = reader.line_num  # the line the row ends on, past skipped blank lines
                 if spec.text_field not in row or row[spec.text_field] is None:
                     raise ParseError(f"missing field {spec.text_field!r}", line=lineno)
                 if spec.label_field not in row or not (row[spec.label_field] or "").strip():
@@ -356,14 +357,11 @@ def ingest(
     rows = _read_rows(spec)
     if not rows:
         raise EmptyDataset(f"no rows in {spec.path}")
-    declared = spec.labels
-    label_order: list[str] = list(declared) if declared else []
+    label_order = list(spec.labels or ())
     examples: list[LabeledExample] = []
     for i, (text, labels) in enumerate(rows):
         for label in labels:
-            if declared and label not in declared:
-                raise UnknownLabel(f"row {i + 1}: label {label!r} not in declared labels")
-            if not declared and label not in label_order:
+            if label not in label_order:
                 label_order.append(label)
         if len(labels) > 1:
             parts = separate_multilabel(text, [""] * len(labels), labels, gateway)

@@ -183,14 +183,6 @@ def discriminator_filter(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FilterDeps:
-    lex: SynonymLexicon
-    provider: AnnotationProvider
-    gateway: Gateway
-    label_set: Sequence[str]
-
-
 class FilterRow(NamedTuple):
     """One candidate as `run_pipeline` judged it: a verdict per stage, in
     `STAGES` order, and the label the discriminator assigned (None when it
@@ -215,10 +207,15 @@ class FilterRow(NamedTuple):
 
 
 def run_pipeline(
-    candidates: Sequence[CounterfactualCandidate], deps: FilterDeps
+    candidates: Sequence[CounterfactualCandidate],
+    label_set: Sequence[str],
+    lex: SynonymLexicon,
+    provider: AnnotationProvider,
+    gateway: Gateway,
 ) -> tuple[list[CounterfactualCandidate], QualityReport, list[FilterRow]]:
     """Apply the stages in order; return the survivors, the batch metrics,
-    and one row per candidate in input order.
+    and one row per candidate in input order. The discriminator chooses
+    from `label_set`.
 
     The symbolic and discriminator stages judge every candidate that the
     heuristic stage did not fail; after a heuristic failure they read
@@ -233,11 +230,11 @@ def run_pipeline(
         assigned = None
         if heuristic.status != "failed":
             try:
-                symbolic = symbolic_filter(cand, deps.lex, deps.provider)
+                symbolic = symbolic_filter(cand, lex, provider)
             except Exception as exc:  # provider failures become verdicts
                 symbolic = StageVerdict("failed", f"error: {exc}")
             try:
-                discriminator, assigned = discriminator_filter(cand, deps.label_set, deps.gateway)
+                discriminator, assigned = discriminator_filter(cand, label_set, gateway)
             except (ResponseFormatError, BackendError) as exc:
                 discriminator = StageVerdict("failed", f"error: {exc}")
             if symbolic.status == "failed":
@@ -264,7 +261,8 @@ def rows_from_audit(records: Sequence[tuple[int, object]], dataset: Dataset) -> 
     of an audit file, given the dataset. ParseError names the line
     of a record `candidates_from_records` rejects, with malformed verdicts or
     label, or whose heuristic passer has a stage neither passed nor failed
-    (from an older `filter`)."""
+    (from an older `filter`), but for the symbolic stage of a candidate with
+    no pattern, which reads skipped."""
     rows = []
     for (lineno, record), cand in zip(records, candidates_from_records(records, dataset)):
         raw, label = record.get("verdicts"), record.get("discriminator_label")
@@ -278,6 +276,8 @@ def rows_from_audit(records: Sequence[tuple[int, object]], dataset: Dataset) -> 
         if "discriminator_label" not in record or not isinstance(label, (str, type(None))):
             raise ParseError("discriminator_label must be a string or null", line=lineno)
         unjudged = [s for s, v in verdicts.items() if v.status not in ("passed", "failed")]
+        if cand.task.pattern is None and verdicts["symbolic"].status == "skipped":
+            unjudged.remove("symbolic")
         if unjudged and verdicts["heuristic"].status != "failed":
             raise ParseError(f"the {unjudged[0]} stage reads {verdicts[unjudged[0]].status!r}; "
                              "run `patvar filter` again", line=lineno)

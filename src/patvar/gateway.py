@@ -26,6 +26,10 @@ logger = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
 
+# Every request is sent, and keyed, at this temperature; a float, so every
+# cache key hashes the same `"temperature":0.0`.
+TEMPERATURE = 0.0
+
 
 class BackendError(PatvarError):
     def __init__(self, status: int | None, body: str):
@@ -70,22 +74,19 @@ class ChatMessage:
 class CompletionRequest:
     model: str
     messages: tuple[ChatMessage, ...]
-    temperature: float = 0.0
     max_tokens: int = 256
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     def body(self) -> dict:
         """The chat-completions request body: what a backend posts and a cache line records."""
         return {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in self.messages],
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": self.max_tokens,
         }
 
@@ -109,7 +110,7 @@ def cache_key(req: CompletionRequest) -> str:
         {
             "model": req.model,
             "messages": [[m.role, m.content] for m in req.messages],
-            "temperature": req.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": req.max_tokens,
         }
     )
@@ -333,8 +334,8 @@ class Gateway:
     _segment: BinaryIO | None = field(default=None, init=False, repr=False, compare=False)
 
     def request(self, messages: Iterable[ChatMessage], max_tokens: int) -> CompletionRequest:
-        """A request for this gateway's model, at temperature 0."""
-        return CompletionRequest(self.model, tuple(messages), 0.0, max_tokens)
+        """A request for this gateway's model."""
+        return CompletionRequest(self.model, tuple(messages), max_tokens)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         key = cache_key(req)

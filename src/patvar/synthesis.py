@@ -7,6 +7,7 @@ and negative examples, followed by a greedy set cover that picks up to
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,13 +29,18 @@ from .patterns import (
     sentence_features,
 )
 
+logger = logging.getLogger(__name__)
+
+# The floor the cover falls back to when no candidate reaches a higher `min_precision`.
+RELAXED_PRECISION = 0.8
+
 
 class EmptyPositives(PatvarError):
     pass
 
 
 class NoViablePattern(PatvarError):
-    """No candidate met the precision floor; caller may retry with a lower one."""
+    """No candidate met the precision floor, nor the relaxed one below it."""
 
 
 @dataclass(frozen=True)
@@ -204,17 +210,28 @@ def synthesize_patterns(
 ) -> list[ScoredPattern]:
     """Greedy set cover over the high-precision candidates, in the order chosen.
 
+    The cover draws on the candidates of precision `min_precision` or more;
+    when there are none and that floor is above RELAXED_PRECISION, on those
+    that reach RELAXED_PRECISION instead (logged as a warning). Either way
+    the beam search runs once. NoViablePattern when no floor is reached.
+
     Repeatedly picks the candidate covering the most not-yet-covered
     positives (ties: higher F1, then shorter, then lexicographic render)
     until the positives are covered, nothing adds coverage, or
     `max_patterns` is reached; only the chosen candidates are decoded.
     """
     candidates = enumerate_candidates(positives, negatives, cfg, lex)
-    floor = cfg.min_precision - 1e-12
-    viable = [c for c in candidates if _rates(c.tp, c.fp, len(positives))[0] >= floor]
-    if not viable:
-        raise NoViablePattern(f"no candidate reaches precision {cfg.min_precision} "
+    floors = [cfg.min_precision] + [RELAXED_PRECISION] * (cfg.min_precision > RELAXED_PRECISION)
+    for floor in floors:
+        viable = [c for c in candidates if _rates(c.tp, c.fp, len(positives))[0] >= floor - 1e-12]
+        if viable:
+            break
+    else:
+        raise NoViablePattern(f"no candidate reaches precision {floor} "
                               f"({len(candidates)} candidates considered)")
+    if floor < cfg.min_precision:
+        logger.warning("label %r: no pattern at precision %.2f; relaxed to %.2f",
+                       positives[0].label, cfg.min_precision, floor)
     chosen, uncovered = [], -1  # uncovered: the bits of examples no chosen pattern matches
     while len(chosen) < cfg.max_patterns:
         # The candidates come in tie order, and max() returns the first of the best.

@@ -18,7 +18,6 @@ import patvar.cli as cli
 from patvar.experiment import RunResult
 from patvar.filtering import (
     ARMS,
-    FilterDeps,
     FilterRow,
     StageVerdict,
     compute_metrics,
@@ -243,7 +242,6 @@ def test_criterion_05_filter_monotonicity(provider, lexicon, gateway_for):
     patterns = ["(cheap)+*+NOUN", "[staff]", None]
     labels = ["service", "price", "environment", "products"]
     gw = gateway_for(MockBackend(label_vocab=LABEL_VOCAB))
-    deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=labels)
     rng = random.Random(20240505)
     violations = 0
     for batch_no in range(200):
@@ -260,7 +258,7 @@ def test_criterion_05_filter_monotonicity(provider, lexicon, gateway_for):
                 uid=f"b{batch_no}c{i}", task=task,
                 generated_text=rng.choice(texts), used_phrase=None,
             ))
-        _, _, rows = run_pipeline(batch, deps)
+        _, _, rows = run_pipeline(batch, labels, lexicon, provider, gw)
         survivors = {arm: {c.uid for c in kept} for arm, kept in survivors_by_arm(rows).items()}
         for small in ARMS:
             for big in ARMS:

@@ -21,7 +21,6 @@ from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
     EmptyDataset,
-    UnknownLabel,
     build_gateway,
     ingest,
     load_config,
@@ -208,8 +207,12 @@ def test_ingest_label_set_order_and_validation(tmp_path, provider):
     path.write_text("text,label\ngood food,products\nrude staff,service\n", encoding="utf-8")
     ds = ingest(DatasetSpec(path=str(path), holdout_fraction=0.5), provider)
     assert ds.label_set == ("products", "service")
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ParseError, match="'service' is not in dataset.labels") as exc:
         ingest(DatasetSpec(path=str(path), holdout_fraction=0.5, labels=("products",)), provider)
+    assert exc.value.line == 3
+    declared = ingest(DatasetSpec(path=str(path), holdout_fraction=0.5,
+                                  labels=("service", "price", "products")), provider)
+    assert declared.label_set == ("service", "price", "products")
 
 
 def test_ingest_parse_errors(tmp_path, provider):
@@ -274,6 +277,24 @@ def test_blank_texts_rejected(tmp_path, capsys, monkeypatch, gateway_for, name, 
     monkeypatch.setattr(cli, "build_gateway", lambda cfg: gateway_for(separator))
     assert main(["synth", "--config", str(config)]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("data.csv", "text,label\ngood food,products\nrude staff,service\ncheap deal,price\n"),
+    ("data.csv", "text,label\n\ngood food,products\nrude staff,service\ncheap deal,price\n"),
+    ("data.jsonl", '{"text": "good food", "label": "products"}\n\n'
+                   '{"text": "rude staff", "label": "service"}\n'
+                   '{"text": "cheap deal", "label": "price"}\n'),
+], ids=["csv", "csv_blank_line", "jsonl_blank_line"])
+def test_an_undeclared_label_exits_2_naming_its_line(tmp_path, capsys, name, content):
+    """The last row's label is not declared; the message names the file's last
+    line, past any blank line."""
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    config = write_config(tmp_path, dataset={"path": name, "format": name.rpartition(".")[2],
+                                             "labels": ["products", "service"]})
+    assert main(["synth", "--config", str(config)]) == 2
+    line = content.rstrip("\n").count("\n") + 1
+    assert f"{name} line {line}: label 'price' is not in dataset.labels" in capsys.readouterr().err
 
 
 def test_ingest_multilabel_with_gateway_separates(tmp_path, provider, gateway_for):
@@ -421,7 +442,7 @@ def test_cli_outputs_and_manifest(tmp_path):
 
 def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexicon):
     tmp_path, config = pipeline_dir
-    from patvar.filtering import FilterDeps, run_pipeline
+    from patvar.filtering import run_pipeline
     from patvar.generation import candidates_from_records
 
     out = tmp_path / "out"
@@ -429,10 +450,8 @@ def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexic
     records = [json.loads(l) for l in (out / "candidates_vt.jsonl").read_text().splitlines()]
     cfg = load_config(config)
     gw = build_gateway(cfg)
-    deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw,
-                      label_set=list(LABEL_VOCAB))
     candidates = candidates_from_records(enumerate(records, 1), ingest(cfg.dataset, provider))
-    _, report, _ = run_pipeline(candidates, deps)
+    _, report, _ = run_pipeline(candidates, list(LABEL_VOCAB), lexicon, provider, gw)
     gw.close()
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
@@ -722,28 +741,28 @@ def test_cli_filter_reads_novt_only_under_cf_no_vt(tmp_path):
     assert not (out / "audit_novt.jsonl").exists()
 
 
-@pytest.mark.parametrize("min_precision, floors", [(0.5, [0.5]), (1.0, [1.0, 0.8])])
-def test_cli_synth_retries_only_a_floor_above_the_relaxed_one(tmp_path, monkeypatch,
-                                                             min_precision, floors):
-    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
-    config = write_config(tmp_path, synthesis={"min_precision": min_precision})
-    tried = collections.defaultdict(list)
-
-    def finds_nothing(positives, negatives, cfg, lex):
-        tried[positives[0].label].append(cfg.min_precision)
-        raise cli.NoViablePattern("no pattern")
-
-    monkeypatch.setattr(cli, "synthesize_patterns", finds_nothing)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["synth", "--config", str(config)]) == 0
-    assert tried and all(t == floors for t in tried.values())
-
-
 def forbid_backend_requests(monkeypatch):
     def forbidden(self, req):
         raise AssertionError("a request reached the backend")
 
     monkeypatch.setattr(gateway.MockBackend, "send", forbidden)
+
+
+def test_cli_gen_targets_do_not_depend_on_the_simulation_seeds(tmp_path):
+    """Past six labels `gen` samples three targets per row, seeded by
+    dataset.split_seed: a `--seed` run writes the same candidates."""
+    rows = [(text, f"{label}{i // 4 % 2}") for i, (text, label) in enumerate(make_rows(80, seed=3))]
+    write_csv(tmp_path / "data.csv", rows)
+    config = write_config(tmp_path, synthesis={"max_atoms": 1})
+    out = tmp_path / "out"
+    written = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(config)]) == 0
+        for seed in ([], ["--seed", "1"]):
+            assert main(["gen", "--config", str(config), *seed]) == 0
+            written.append({name: (out / name).read_bytes() for name in WRITERS["gen"]})
+    assert len(json.loads((out / "patterns.json").read_text())["label_set"]) == 8
+    assert written[0]["candidates_novt.jsonl"] and written[0] == written[1]
 
 
 def test_cli_gen_rejects_single_label(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from patvar.filtering import (
     ARMS,
     STAGES,
-    FilterDeps,
     FilterRow,
     QualityReport,
     StageVerdict,
@@ -19,6 +18,7 @@ from patvar.filtering import (
     survivors_by_arm,
     symbolic_filter,
 )
+from patvar.errors import ParseError
 from patvar.experiment import Dataset
 from patvar.gateway import MockBackend
 from patvar.generation import (
@@ -247,12 +247,13 @@ def batch(provider):
 
 
 @pytest.fixture
-def deps(provider, lexicon, label_gateway):
-    return FilterDeps(lex=lexicon, provider=provider, gateway=label_gateway, label_set=LABELS)
+def filter_args(provider, lexicon, label_gateway):
+    """`run_pipeline`'s arguments after the candidates."""
+    return LABELS, lexicon, provider, label_gateway
 
 
-def test_run_pipeline_full(provider, deps):
-    survivors, report, _ = run_pipeline(batch(provider), deps)
+def test_run_pipeline_full(provider, filter_args):
+    survivors, report, _ = run_pipeline(batch(provider), *filter_args)
     assert [c.uid for c in survivors] == ["keep"]
     assert report.n == 4
     # refused candidate never reached the symbolic or discriminator stage
@@ -263,37 +264,37 @@ def test_run_pipeline_full(provider, deps):
     assert report.slfr == pytest.approx(1 / 2)
 
 
-def test_none_arm_is_identity(provider, deps):
+def test_none_arm_is_identity(provider, filter_args):
     cands = batch(provider)
-    _, _, rows = run_pipeline(cands, deps)
+    _, _, rows = run_pipeline(cands, *filter_args)
     assert survivors_by_arm(rows)["none"] == cands
 
 
-def test_run_pipeline_pkr_formula(provider, deps):
+def test_run_pipeline_pkr_formula(provider, filter_args):
     cands = [
         make_candidate(provider, "The affordable lobster deal is unbeatable.", uid="a"),
         make_candidate(provider, "Another affordable menu item appears today.", uid="b"),
         make_candidate(provider, "A cheap deal arrived this morning.", uid="c"),
         make_candidate(provider, "Nothing relevant happened here today sadly.", uid="d"),
     ]
-    _, report, rows = run_pipeline(cands, deps)
+    _, report, rows = run_pipeline(cands, *filter_args)
     assert report.pattern_n == 4
     assert report.pkr == pytest.approx(0.75)
     assert [c.uid for c in survivors_by_arm(rows)["heuristic+symbolic"]] == ["a", "b", "c"]
 
 
-def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, deps):
+def test_run_pipeline_novt_bypasses_symbolic_and_pkr(provider, filter_args):
     cand = make_candidate(provider, "The affordable lobster deal is unbeatable.", pattern=None, uid="novt")
-    survivors, report, (row,) = run_pipeline([cand], deps)
+    survivors, report, (row,) = run_pipeline([cand], *filter_args)
     assert survivors == [cand]
     assert row.verdicts["symbolic"].status == "skipped"
     assert report.pattern_n == 0 and report.pkr is None
     assert report.label_n == 1
 
 
-def test_run_pipeline_audit_log(provider, deps):
+def test_run_pipeline_audit_log(provider, filter_args):
     cands = batch(provider)
-    survivors, _, rows = run_pipeline(cands, deps)
+    survivors, _, rows = run_pipeline(cands, *filter_args)
     assert [row.candidate for row in rows] == cands
     by_uid = {row.candidate.uid: row for row in rows}
     assert by_uid["refused"].verdicts["heuristic"].reason == "refusal"
@@ -308,25 +309,36 @@ def test_run_pipeline_audit_log(provider, deps):
     assert survivors == [row.candidate for row in rows if row.survived] == [by_uid["keep"].candidate]
 
 
-def test_rows_from_audit_inverts_record(provider, deps):
-    _, _, rows = run_pipeline(batch(provider), deps)
+def test_rows_from_audit_inverts_record(provider, filter_args):
+    unconstrained = make_candidate(provider, "The affordable lobster deal is unbeatable.",
+                                   pattern=None, uid="novt")
+    _, _, rows = run_pipeline([*batch(provider), unconstrained], *filter_args)
+    assert rows[-1].verdicts["symbolic"].status == "skipped"
     pool = {row.candidate.task.original.id: LabeledExample(row.candidate.task.original, "service")
             for row in rows}
+    dataset = Dataset(tuple(pool.values()), LABELS, ())
     records = [(i, json.loads(JSON_LINE.encode(row.record()))) for i, row in enumerate(rows, 1)]
-    assert rows_from_audit(records, Dataset(tuple(pool.values()), LABELS, ())) == rows
+    assert rows_from_audit(records, dataset) == rows
+    # Only a candidate without a pattern may skip the symbolic stage, and none may
+    # leave a stage pending after passing the heuristic one.
+    keep, novt = records[0][1], records[-1][1]
+    for record, stage, status in ((keep, "symbolic", "skipped"), (keep, "discriminator", "pending"),
+                                  (novt, "symbolic", "pending"), (novt, "discriminator", "pending")):
+        stale = {**record, "verdicts": {**record["verdicts"], stage: {"status": status, "reason": ""}}}
+        with pytest.raises(ParseError, match=f"line 7: the {stage} stage reads '{status}'"):
+            rows_from_audit([(7, stale)], dataset)
 
 
 def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon, canned, gateway_for):
     gw = gateway_for(canned({}))  # no canned replies: every call errors
-    deps = FilterDeps(lex=lexicon, provider=provider, gateway=gw, label_set=LABELS)
     cands = [make_candidate(provider, "The affordable lobster deal is unbeatable.", uid="x")]
-    survivors, report, _ = run_pipeline(cands, deps)
+    survivors, report, _ = run_pipeline(cands, LABELS, lexicon, provider, gw)
     assert survivors == []
     assert report.label_n == 0
 
 
-def test_stage_monotonicity_on_fixed_batch(provider, deps):
-    _, _, rows = run_pipeline(batch(provider), deps)
+def test_stage_monotonicity_on_fixed_batch(provider, filter_args):
+    _, _, rows = run_pipeline(batch(provider), *filter_args)
     by_arm = survivors_by_arm(rows)
     nested = ["none", "heuristic", "heuristic+symbolic", "all"]
     survivor_sets = [{c.uid for c in by_arm[arm]} for arm in nested]
@@ -343,8 +355,8 @@ def test_filter_config_arms():
     assert ARMS["all"] == STAGES
 
 
-def test_audit_record_shape(provider, deps):
-    _, _, rows = run_pipeline(batch(provider), deps)
+def test_audit_record_shape(provider, filter_args):
+    _, _, rows = run_pipeline(batch(provider), *filter_args)
     for row in rows:
         rec, made = row.record(), candidate_to_record(row.candidate)
         assert set(made) == {

@@ -40,14 +40,11 @@ def test_message_validation():
         ChatMessage("user", "")
     with pytest.raises(ValueError):
         req(max_tokens=0)
-    with pytest.raises(ValueError):
-        req(temperature=-1.0)
 
 
 def test_cache_key_sensitivity():
     base = req()
     assert cache_key(base) == cache_key(req())
-    assert cache_key(base) != cache_key(req(temperature=0.5))
     assert cache_key(base) != cache_key(req(max_tokens=65))
     assert cache_key(base) != cache_key(req(model="other", max_tokens=64))
     assert cache_key(base) != cache_key(req("hello  there"))
@@ -125,7 +122,7 @@ def new_keys(cache_dir, old):
 def entry_line(r, text, finish_reason="stop"):
     entry = {"request": {"model": r.model,
                          "messages": [{"role": m.role, "content": m.content} for m in r.messages],
-                         "temperature": r.temperature, "max_tokens": r.max_tokens},
+                         "temperature": gateway.TEMPERATURE, "max_tokens": r.max_tokens},
              "response": {"text": text, "finish_reason": finish_reason}, "timestamp": 0.0}
     return f"{cache_key(r)} {json.dumps(entry)}\n"
 
@@ -139,7 +136,7 @@ def test_cache_hit_and_miss(tmp_path, canned):
     assert (second.text, second.from_cache) == ("value", True)
     assert backend.calls == 1
 
-    other = req("cache me", temperature=0.7)
+    other = req("cache me", max_tokens=65)
     third = served(other, backend, tmp_path)
     assert third.from_cache is False
     assert backend.calls == 2
@@ -213,6 +210,14 @@ def test_cache_keys_stable_across_runs(tmp_path, canned):
     assert entry["response"] == {"text": "x", "finish_reason": "stop"}
 
 
+def test_cache_key_is_pinned():
+    # A changed key would orphan every cache directory written before the change.
+    r = CompletionRequest("mock-model", (ChatMessage("system", "s"), ChatMessage("user", "u")),
+                          max_tokens=16)
+    assert cache_key(r) == "78d9b1585cc6a2ea6d54aba3bcee9c2b265d0032c522feab073e157f9e3d4b05"
+    assert r.body()["temperature"] == 0.0 and isinstance(r.body()["temperature"], float)
+
+
 def test_per_key_files_are_not_read(tmp_path, caplog, canned):
     r = req("legacy")
     backend = canned({r.messages: "fresh"})
@@ -245,7 +250,7 @@ def test_mock_template_discriminator():
         ChatMessage("system", "The assistant labels the text with exactly one label from the list."),
         ChatMessage("user", "text: what a cheap deal today\nlabels: service, price\nanswer with one label only"),
     )
-    resp = backend.send(CompletionRequest("m", messages, 0.0, 16))
+    resp = backend.send(CompletionRequest("m", messages, 16))
     assert resp.text == "price"
     with pytest.raises(BackendError):  # no template for this prompt
         backend.send(req("an instruction the mock does not know"))

@@ -36,7 +36,6 @@ from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token, tokenize
 from patvar.filtering import (
     ARMS,
     STAGES,
-    FilterDeps,
     FilterRow,
     StageVerdict,
     compute_metrics,
@@ -82,6 +81,7 @@ from patvar.synthdata import LABEL_VOCAB
 from patvar.synthesis import (
     LabeledExample,
     NoViablePattern,
+    RELAXED_PRECISION,
     ScoredPattern,
     SynthesisConfig,
     enumerate_atoms,
@@ -393,8 +393,12 @@ def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_ato
 
 
 def reference_cover(candidates, positives, cfg):
-    """Greedy cover of decoded candidates that counts distinct positive ids."""
+    """Greedy cover of decoded candidates that counts distinct positive ids,
+    done again at RELAXED_PRECISION when no candidate reaches a higher floor."""
     viable = [sp for sp in candidates if sp.precision >= cfg.min_precision - 1e-12]
+    if not viable and cfg.min_precision > RELAXED_PRECISION:
+        relaxed = dataclasses.replace(cfg, min_precision=RELAXED_PRECISION)
+        return reference_cover(candidates, positives, relaxed)
     if not viable:
         raise NoViablePattern(f"no candidate reaches precision {cfg.min_precision}")
     uncovered = {ex.sentence.id for ex in positives}
@@ -509,16 +513,17 @@ FILTER_TEXTS = (
 
 
 @contextlib.contextmanager
-def filter_deps(lex, canned):
-    """Filter dependencies whose gateway, over a temporary cache directory,
-    asks the mock backend, except for the discriminator prompt of the last
-    text."""
+def filter_args(lex, canned):
+    """`run_pipeline`'s arguments after the candidates: the label set, the
+    lexicon, the provider and a gateway that, over a temporary cache
+    directory, asks the mock backend, except for the discriminator prompt of
+    the last text."""
     slots = {"text": FILTER_TEXTS[-1], "labels": ", ".join(FILTER_LABELS)}
     backend = canned({tuple(fill(load_template("discriminator"), slots)): "no idea"},
                      fallback=MockBackend(label_vocab=LABEL_VOCAB))
     with tempfile.TemporaryDirectory() as cache_dir, \
             contextlib.closing(Gateway(backend, "m", cache_dir)) as gateway:
-        yield FilterDeps(lex=lex, provider=ANNOTATOR, gateway=gateway, label_set=FILTER_LABELS)
+        yield FILTER_LABELS, lex, ANNOTATOR, gateway
 
 
 candidate_batches = st.lists(
@@ -545,34 +550,35 @@ def filter_candidates(batch):
     ]
 
 
-def judge(c, stage, deps):
+def judge(c, stage, args):
     """One stage's verdict on one candidate, and the label the discriminator
     assigned (None for the other stages and when the discriminator failed):
     a provider failure in the symbolic stage and a malformed or failed
     discriminator response read as failed verdicts."""
+    label_set, lex, provider, gateway = args
     if stage == "heuristic":
         return heuristic_filter(c), None
     if stage == "symbolic":
         try:
-            return symbolic_filter(c, deps.lex, deps.provider), None
+            return symbolic_filter(c, lex, provider), None
         except Exception as exc:
             return StageVerdict("failed", f"error: {exc}"), None
     try:
-        return discriminator_filter(c, deps.label_set, deps.gateway)
+        return discriminator_filter(c, label_set, gateway)
     except (ResponseFormatError, BackendError) as exc:
         return StageVerdict("failed", f"error: {exc}"), None
 
 
-def judged_survivors_by_arm(candidates, deps):
+def judged_survivors_by_arm(candidates, args):
     """The survivors of each arm of `ARMS`, judging the
     heuristic stage on every candidate and the two later stages on every
     heuristic passer: an arm keeps the candidates no stage of it failed."""
     failed = []  # per candidate, the stages that failed it
     for c in candidates:
-        if judge(c, "heuristic", deps)[0].status == "failed":
+        if judge(c, "heuristic", args)[0].status == "failed":
             failed.append({"heuristic"})
         else:
-            failed.append({s for s in STAGES[1:] if judge(c, s, deps)[0].status == "failed"})
+            failed.append({s for s in STAGES[1:] if judge(c, s, args)[0].status == "failed"})
     return {arm: [c for c, bad in zip(candidates, failed) if bad.isdisjoint(stages)]
             for arm, stages in ARMS.items()}
 
@@ -581,14 +587,14 @@ def judged_survivors_by_arm(candidates, deps):
 @given(batch=candidate_batches)
 def test_survivors_by_arm_agree_with_run_pipeline(lexicon, canned, batch):
     candidates = filter_candidates(batch)
-    with filter_deps(lexicon, canned) as deps:
-        _, _, rows = run_pipeline(candidates, deps)
+    with filter_args(lexicon, canned) as args:
+        _, _, rows = run_pipeline(candidates, *args)
         by_arm = survivors_by_arm(rows)
-        assert by_arm == judged_survivors_by_arm(candidates, deps)
+        assert by_arm == judged_survivors_by_arm(candidates, args)
     assert list(by_arm) == list(ARMS)
 
 
-def reference_pipeline(candidates, deps):
+def reference_pipeline(candidates, args):
     """`run_pipeline` spelled out: judge every stage of a candidate unless the
     heuristic stage fails it, then fill in each stage left unjudged as
     pending. The discriminator's label counts only when no earlier stage
@@ -598,7 +604,7 @@ def reference_pipeline(candidates, deps):
         judged, label = {}, None
         for stage in STAGES:
             earlier_failed = any(v.status == "failed" for v in judged.values())
-            judged[stage], assigned = judge(cand, stage, deps)
+            judged[stage], assigned = judge(cand, stage, args)
             if not earlier_failed:
                 label = label if assigned is None else assigned
             if stage == "heuristic" and judged[stage].status == "failed":
@@ -614,8 +620,8 @@ def reference_pipeline(candidates, deps):
 @given(batch=candidate_batches)
 def test_run_pipeline_agrees_with_the_reference_pipeline(lexicon, canned, batch):
     candidates = filter_candidates(batch)
-    with filter_deps(lexicon, canned) as deps:
-        assert run_pipeline(candidates, deps) == reference_pipeline(candidates, deps)
+    with filter_args(lexicon, canned) as args:
+        assert run_pipeline(candidates, *args) == reference_pipeline(candidates, args)
 
 
 # Pattern text: raw characters of the DSL, and runs of its tokens, which parse
@@ -649,7 +655,6 @@ REQUEST_FIELDS = (
         ),
         min_size=1, max_size=3,
     ).map(tuple),
-    st.sampled_from((0.0, 0.25, 1.0)),
     st.sampled_from((1, 64, 256)),
 )
 
@@ -657,7 +662,7 @@ REQUEST_FIELDS = (
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_cache_key_equal_iff_requests_equal(data):
-    # model, messages, temperature, max_tokens; each field of b is a's or a fresh draw
+    # model, messages, max_tokens; each field of b is a's or a fresh draw
     a = [data.draw(field) for field in REQUEST_FIELDS]
     b = [value if data.draw(st.booleans()) else data.draw(field)
          for value, field in zip(a, REQUEST_FIELDS)]

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from patvar import synthesis
 from patvar.patterns import (
     WILDCARD,
     PatternAst,
@@ -170,6 +171,44 @@ def test_synthesize_no_viable_pattern(provider, lexicon):
     negatives = [example(provider, "the same sentence", "b", "n0")]
     with pytest.raises(NoViablePattern):
         synthesize_patterns(positives, negatives, SynthesisConfig(max_atoms=2), lexicon)
+
+
+def test_synthesis_relaxes_only_a_floor_above_the_relaxed_one(provider, lexicon, monkeypatch,
+                                                             caplog):
+    # n0 is the positives' text, so every candidate has precision 0.8 or less.
+    positives = [example(provider, "The food was cheap.", "x", f"p{i}") for i in range(4)]
+    negatives = [example(provider, "The food was cheap.", "y", "n0"),
+                 example(provider, "The staff was rude.", "y", "n1")]
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return enumerate_candidates(*args)
+
+    monkeypatch.setattr(synthesis, "enumerate_candidates", counted)
+    cfg = SynthesisConfig(max_atoms=2, min_precision=1.0)
+    with caplog.at_level("WARNING", logger="patvar.synthesis"):
+        relaxed = synthesize_patterns(positives, negatives, cfg, lexicon)
+    assert len(searches) == 1
+    assert relaxed and all(0.8 <= sp.precision < 1.0 for sp in relaxed)
+    at_relaxed = dataclasses.replace(cfg, min_precision=0.8)
+    assert relaxed == synthesize_patterns(positives, negatives, at_relaxed, lexicon)
+    assert "label 'x': no pattern at precision 1.00; relaxed to 0.80" in caplog.text
+    # A floor at or below the relaxed one is kept: no warning, and nothing is relaxed.
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="patvar.synthesis"):
+        half = synthesize_patterns(positives, negatives, dataclasses.replace(cfg, min_precision=0.5),
+                                   lexicon)
+    assert half and not caplog.text
+    # With every candidate at precision 1/3, each floor raises after one search,
+    # 1.0 having tried 0.8 and 0.5 nothing else.
+    copies = [example(provider, "The food was cheap.", "y", f"n{i}") for i in range(8)]
+    for floor, tried in ((1.0, "0.8"), (0.5, "0.5")):
+        searches.clear()
+        with pytest.raises(NoViablePattern, match=f"reaches precision {tried} "):
+            synthesize_patterns(positives, copies, dataclasses.replace(cfg, min_precision=floor),
+                                lexicon)
+        assert len(searches) == 1
 
 
 def test_greedy_first_pick_is_coverage_maximal(provider, lexicon):
