@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import patvar
-from patvar import cli, filtering, gateway, learning
+from patvar import cli, filtering, gateway, learning, synthesis
 from patvar.annotation import annotate, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
@@ -739,6 +739,31 @@ def test_cli_filter_reads_novt_only_under_cf_no_vt(tmp_path):
     assert sorted(quality) == ["dataset", "vt"]
     assert not (out / "survivors_novt.jsonl").exists()
     assert not (out / "audit_novt.jsonl").exists()
+
+
+@pytest.mark.parametrize("min_precision, floors", [(0.5, [0.5]), (1.0, [1.0, 0.8])])
+def test_cli_synth_retries_only_a_floor_above_the_relaxed_one(tmp_path, monkeypatch, caplog,
+                                                             min_precision, floors):
+    # With no candidates, each label's one search ends at the last floor tried,
+    # and synth writes the label with no patterns.
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"min_precision": min_precision})
+    searches = collections.Counter()
+
+    def finds_nothing(positives, negatives, cfg, lex):
+        searches[positives[0].label] += 1
+        return []
+
+    monkeypatch.setattr(synthesis, "enumerate_candidates", finds_nothing)
+    with caplog.at_level("WARNING", logger="patvar"), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(config)]) == 0
+    payload = json.loads((tmp_path / "out" / "patterns.json").read_text(encoding="utf-8"))
+    assert searches and set(searches.values()) == {1}
+    assert all(payload["patterns"][label] == [] for label in searches)
+    for label in searches:
+        assert (f"label {label!r}: no pattern (no candidate reaches precision {floors[-1]} "
+                in caplog.text)
+    assert "relaxed" not in caplog.text
 
 
 def forbid_backend_requests(monkeypatch):
