@@ -2,7 +2,8 @@
 pattern language matches against.
 
 Annotations come either from a pluggable provider (see `AnnotationProvider`)
-or from a pre-annotated line-delimited file produced offline by any tagger.
+or from a pre-annotated line-delimited file produced offline by any tagger;
+an `Annotator` serves both, each distinct text once.
 """
 
 from __future__ import annotations
@@ -136,14 +137,28 @@ def load_synonyms_file(path) -> SynonymLexicon:
     return lex
 
 
-def annotate(raw: str, provider: AnnotationProvider) -> AnnotatedSentence:
-    """Run the provider on raw text; reject malformed outputs."""
-    sentence = provider.annotate(raw)
-    if not isinstance(sentence, AnnotatedSentence):
-        raise ProviderFailure(f"provider returned {type(sentence).__name__}, not an AnnotatedSentence")
-    if "".join(sentence.raw.split()) != "".join(raw.split()):
-        raise ProviderFailure("provider annotation does not correspond to the input text")
-    return sentence
+class Annotator:
+    """The one caller of a provider's `annotate`, scoped to one command. It
+    annotates each distinct text once and checks the result once: an
+    AnnotatedSentence of that text, else ProviderFailure. `sentences` (an
+    `annotations:` file's) are served as given; every later call for a text
+    returns the same object."""
+
+    def __init__(self, provider: AnnotationProvider, sentences: Iterable[AnnotatedSentence] = ()):
+        self._provider = provider
+        self._sentences = {s.raw: s for s in sentences}
+
+    def annotate(self, raw: str) -> AnnotatedSentence:
+        sentence = self._sentences.get(raw)
+        if sentence is None:
+            sentence = self._provider.annotate(raw)
+            if not isinstance(sentence, AnnotatedSentence):
+                raise ProviderFailure(
+                    f"provider returned {type(sentence).__name__}, not an AnnotatedSentence")
+            if "".join(sentence.raw.split()) != "".join(raw.split()):
+                raise ProviderFailure("provider annotation does not correspond to the input text")
+            self._sentences[raw] = sentence
+        return sentence
 
 
 _RECORD_FIELDS = {"id", "raw", "tokens"}

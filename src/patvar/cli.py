@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 
-from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
+from .annotation import Annotator, SynonymLexicon
 from .config import (
     ExperimentConfig,
     build_gateway,
@@ -74,7 +74,7 @@ class Context:
         self.outputs: list[str] = []
 
     @functools.cached_property
-    def provider(self) -> AnnotationProvider:
+    def provider(self) -> Annotator:
         return build_provider(self.cfg)
 
     @functools.cached_property
@@ -292,19 +292,16 @@ def cmd_filter(ctx: Context) -> int:
     return 0
 
 
-def _survivors_index(arms, provider: AnnotationProvider) -> dict[str, tuple[str, dict]]:
+def _survivors_index(arms, provider: Annotator) -> dict[str, tuple[str, dict]]:
     """Each arm of `arms`, a name -> (order, survivors) mapping, as (order,
     index): each survivor's annotated text and target label, indexed by its
-    original's id. A survivor in several arms (each of ablate's is in `none`)
-    is annotated once."""
-    sentences: dict[int, AnnotatedSentence] = {}  # id(survivor) -> its annotated text
+    original's id."""
     indexed = {}
     for name, (order, survivors) in arms.items():
         index: dict[str, list] = {}
         for c in survivors:
-            if id(c) not in sentences:
-                sentences[id(c)] = annotate(c.generated_text, provider)
-            index.setdefault(c.task.original.id, []).append((sentences[id(c)], c.task.target_label))
+            index.setdefault(c.task.original.id, []).append(
+                (provider.annotate(c.generated_text), c.task.target_label))
         indexed[name] = (order, index)
     return indexed
 

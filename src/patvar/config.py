@@ -14,14 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .annotation import (
-    AnnotatedSentence,
-    AnnotationProvider,
-    SynonymLexicon,
-    annotate,
-    load_annotations_file,
-    load_synonyms_file,
-)
+from .annotation import Annotator, SynonymLexicon, load_annotations_file, load_synonyms_file
 from .errors import ConfigError, ParseError, PatvarError, in_file, read_jsonl, utf8_lines
 from .experiment import CONDITIONS, Dataset, ShotSchedule
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
@@ -35,6 +28,30 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class EmptyDataset(PatvarError):
     pass
+
+
+def _config_list(key: str, value, kind: type, normalize=tuple) -> tuple:
+    """`normalize(value)` for the list `key` of the config; ConfigError
+    `bad <key>: ...` unless `value` is a list (a string or a mapping, which
+    iterate as their characters or keys, is not) of `kind` items (a whole
+    number is no bool, a string is not blank), at least one of them and
+    none repeated."""
+    try:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("need a list, got " + (
+                f"the string {value!r}" if isinstance(value, str) else repr(value)))
+        if not all(type(v) is kind and (kind is not str or v.strip()) for v in value):
+            raise TypeError(f"need {'non-empty strings' if kind is str else 'whole numbers'}, "
+                            f"got {value!r}")
+        values = normalize(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from None
+    if not values:
+        raise ConfigError(f"bad {key}: need at least one {key.rpartition('.')[2][:-1]}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"bad {key}: {repeated} listed more than once")
+    return values
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+            object.__setattr__(self, "labels", _config_list("dataset.labels", self.labels, str))
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"dataset.format must be csv or jsonl, got {self.format!r}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -97,27 +114,10 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for key, normalize in (
-            ("conditions", tuple),
-            ("shots", lambda shots: ShotSchedule(shots).shots),
-            ("seeds", tuple),
-        ):
-            value = getattr(self, key)
-            try:
-                if isinstance(value, str):  # a string is an iterable of its characters
-                    raise TypeError(f"need a list, got the string {value!r}")
-                if key != "conditions" and not all(type(v) is int for v in value):  # no bool
-                    raise TypeError(f"need whole numbers, got {value!r}")
-                object.__setattr__(self, key, normalize(value))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad {key}: {exc}") from None
-        for key in ("conditions", "seeds"):
-            values = getattr(self, key)
-            if not values:
-                raise ConfigError(f"bad {key}: need at least one {key[:-1]}")
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigError(f"bad {key}: {repeated} listed more than once")
+        object.__setattr__(self, "conditions", _config_list("conditions", self.conditions, str))
+        object.__setattr__(self, "shots", _config_list(
+            "shots", self.shots, int, lambda shots: ShotSchedule(shots).shots))
+        object.__setattr__(self, "seeds", _config_list("seeds", self.seeds, int))
         bad = [c for c in self.conditions if c not in CONDITIONS]
         if bad:
             raise ConfigError(f"unknown conditions {bad}; valid: {list(CONDITIONS)}")
@@ -202,32 +202,14 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def build_provider(cfg: ExperimentConfig) -> AnnotationProvider:
-    """The command's provider: the `annotations:` file's sentences, and the
-    fixture's annotation of any other text; each distinct text once."""
-    memo = _AnnotationMemo(FixtureAnnotationProvider())
+def build_provider(cfg: ExperimentConfig) -> Annotator:
+    """The command's annotator: the `annotations:` file's sentences, and the
+    fixture's annotation of any other text."""
+    sentences = ()
     if cfg.annotations is not None:
         with in_file(cfg.annotations):
-            memo.sentences.update((s.raw, s) for s in load_annotations_file(cfg.annotations))
-    return memo
-
-
-class _AnnotationMemo:
-    """Annotates each distinct text once; scoped to one command.
-
-    Callers still pass every result through `annotation.annotate()`, which
-    validates it.
-    """
-
-    def __init__(self, provider: AnnotationProvider):
-        self._provider = provider
-        self.sentences: dict[str, AnnotatedSentence] = {}
-
-    def annotate(self, raw: str) -> AnnotatedSentence:
-        sentence = self.sentences.get(raw)
-        if sentence is None:
-            sentence = self.sentences[raw] = self._provider.annotate(raw)
-        return sentence
+            sentences = load_annotations_file(cfg.annotations)
+    return Annotator(FixtureAnnotationProvider(), sentences)
 
 
 def build_lexicon(cfg: ExperimentConfig) -> SynonymLexicon:
@@ -343,9 +325,7 @@ def _stratified_split(
     return pool, holdout
 
 
-def ingest(
-    spec: DatasetSpec, provider: AnnotationProvider, gateway: Gateway | None = None
-) -> Dataset:
+def ingest(spec: DatasetSpec, provider: Annotator, gateway: Gateway | None = None) -> Dataset:
     """Parse, validate, annotate, and split a dataset file.
 
     A multi-label dataset needs the gateway: its multi-labeled rows are
@@ -366,10 +346,10 @@ def ingest(
         if len(labels) > 1:
             parts = separate_multilabel(text, [""] * len(labels), labels, gateway)
             for k, (part_text, _pattern, part_label) in enumerate(parts):
-                sentence = replace(annotate(part_text, provider), id=f"r{i:05d}#{k}")
+                sentence = replace(provider.annotate(part_text), id=f"r{i:05d}#{k}")
                 examples.append(LabeledExample(sentence, part_label))
         else:
-            sentence = replace(annotate(text, provider), id=f"r{i:05d}")
+            sentence = replace(provider.annotate(text), id=f"r{i:05d}")
             examples.append(LabeledExample(sentence, labels[0]))
     label_set = tuple(label_order)
     pool, holdout = _stratified_split(examples, spec.holdout_fraction, spec.split_seed, label_set)

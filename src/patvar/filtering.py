@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .annotation import AnnotationProvider, SynonymLexicon, annotate, tokenize
+from .annotation import Annotator, SynonymLexicon, tokenize
 from .gateway import BackendError, Gateway
 from .errors import ParseError
 from .experiment import Dataset
@@ -143,7 +143,7 @@ def heuristic_filter(c: CounterfactualCandidate) -> StageVerdict:
 
 
 def symbolic_filter(
-    c: CounterfactualCandidate, lex: SynonymLexicon, provider: AnnotationProvider
+    c: CounterfactualCandidate, lex: SynonymLexicon, provider: Annotator
 ) -> StageVerdict:
     """Keep only counterfactuals that still match the source pattern."""
     pattern = c.task.pattern
@@ -152,7 +152,7 @@ def symbolic_filter(
     if all(isinstance(a, WildcardAtom) for seq in pattern.alternatives for a in seq):
         logger.warning("vacuous pattern %r always passes", render_pattern(pattern))
         return StageVerdict("passed", "vacuous pattern")
-    sentence = annotate(c.generated_text, provider)
+    sentence = provider.annotate(c.generated_text)
     if match_sentence(pattern, sentence, lex):
         return StageVerdict("passed")
     return StageVerdict("failed", f"does not match pattern {render_pattern(pattern)}")
@@ -210,7 +210,7 @@ def run_pipeline(
     candidates: Sequence[CounterfactualCandidate],
     label_set: Sequence[str],
     lex: SynonymLexicon,
-    provider: AnnotationProvider,
+    provider: Annotator,
     gateway: Gateway,
 ) -> tuple[list[CounterfactualCandidate], QualityReport, list[FilterRow]]:
     """Apply the stages in order; return the survivors, the batch metrics,

@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .annotation import AnnotatedSentence, AnnotationProvider, SynonymLexicon, annotate
+from .annotation import AnnotatedSentence, Annotator, SynonymLexicon
 from .errors import ParseError, PatvarError
 from .experiment import Dataset
 from .gateway import FINISH_REASONS, Gateway
@@ -140,17 +140,23 @@ def candidates_from_records(
     need (the verdicts of a survivors or audit line) are ignored. Raises
     ParseError naming the line of a record that is not an object, lacks or
     mistypes a field, names an original the pool does not hold or gives it
-    another text or label, targets a label the dataset does not have, or
-    holds an unparsable pattern or an inconsistent task.
+    another text or label, targets a label the dataset does not have, holds
+    an unparsable pattern or an inconsistent task, or repeats an earlier uid.
     """
     examples = {ex.sentence.id: ex for ex in dataset.examples}
     patterns: dict[str, PatternAst] = {}
+    lines: dict[str, int] = {}  # uid -> the line that holds it
     candidates = []
     for lineno, record in records:
         try:
-            candidates.append(_candidate(record, examples, dataset.label_set, patterns))
+            candidate = _candidate(record, examples, dataset.label_set, patterns)
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        if candidate.uid in lines:
+            raise ParseError(f"uid {candidate.uid!r} is already on line {lines[candidate.uid]}",
+                             line=lineno)
+        lines[candidate.uid] = lineno
+        candidates.append(candidate)
     return candidates
 
 
@@ -274,7 +280,7 @@ def collect_soft_matches(
 def generate_candidate_phrases(
     task: GenerationTask,
     gateway: Gateway,
-    provider: AnnotationProvider,
+    provider: Annotator,
     lex: SynonymLexicon,
 ) -> tuple[str, ...]:
     """Ask for pattern-matching phrases, noting the synonyms allowed for each
@@ -299,7 +305,7 @@ def generate_candidate_phrases(
     raw_phrases = [p for p in raw_phrases if p]
     valid = []
     for phrase in raw_phrases:
-        if match_sentence(task.pattern, annotate(phrase, provider), lex):
+        if match_sentence(task.pattern, provider.annotate(phrase), lex):
             valid.append(phrase)
         else:
             logger.warning(

@@ -4,9 +4,9 @@ import pytest
 
 from patvar.annotation import (
     AnnotatedSentence,
+    Annotator,
     SynonymLexicon,
     Token,
-    annotate,
     load_annotations_file,
     load_synonyms_file,
     sentence_to_record,
@@ -98,42 +98,75 @@ def test_sentence_reconstruction_invariant():
 
 
 def test_annotate_running_example(provider):
-    s = annotate("The food was amazing.", provider)
+    s = Annotator(provider).annotate("The food was amazing.")
     assert [t.pos for t in s.tokens] == ["OTHER", "NOUN", "AUX", "ADJ", "OTHER"]
     assert s.tokens[2].lemma == "be"
 
 
 def test_annotate_empty(provider):
-    s = annotate("", provider)
+    s = Annotator(provider).annotate("")
     assert len(s.tokens) == 0
 
 
 def test_annotate_date_entity(provider):
-    s = annotate("see you next monday", provider)
+    s = Annotator(provider).annotate("see you next monday")
     by_surface = {t.surface: t.entity for t in s.tokens}
     assert by_surface["next"] == "DATE"
     assert by_surface["monday"] == "DATE"
 
 
 def test_annotate_location_entity(provider):
-    s = annotate("Find me a train ticket next monday to new york city", provider)
+    s = Annotator(provider).annotate("Find me a train ticket next monday to new york city")
     tags = [t.entity for t in s.tokens]
     assert tags[-3:] == ["LOCATION", "LOCATION", "LOCATION"]
 
 
 def test_annotate_is_deterministic(provider):
-    a = annotate("Good food with great variety.", provider)
-    b = annotate("Good food with great variety.", provider)
+    a = Annotator(provider).annotate("Good food with great variety.")
+    b = Annotator(provider).annotate("Good food with great variety.")
     assert a == b
 
 
-def test_annotate_rejects_malformed_provider():
+def test_annotate_rejects_malformed_provider(provider):
     class Bad:
         def annotate(self, raw):
-            return "nope"
+            return "nope" if raw == "x" else provider.annotate("some other text")
 
-    with pytest.raises(ProviderFailure):
-        annotate("x", Bad())
+    annotator = Annotator(Bad())
+    with pytest.raises(ProviderFailure, match="returned str, not an AnnotatedSentence"):
+        annotator.annotate("x")
+    with pytest.raises(ProviderFailure, match="does not correspond to the input text"):
+        annotator.annotate("the food")
+
+
+class CountingProvider:
+    def __init__(self, provider):
+        self.provider, self.calls = provider, []
+
+    def annotate(self, raw):
+        self.calls.append(raw)
+        return self.provider.annotate(raw)
+
+
+def test_annotator_calls_the_provider_once_per_distinct_text(provider):
+    counting = CountingProvider(provider)
+    annotator = Annotator(counting)
+    first = annotator.annotate("The food was amazing.")
+    assert annotator.annotate("Good food.") == provider.annotate("Good food.")
+    assert annotator.annotate("The food was amazing.") is first
+    assert counting.calls == ["The food was amazing.", "Good food."]
+
+
+def test_annotator_serves_the_given_sentences_as_given(provider):
+    counting = CountingProvider(provider)
+    given = AnnotatedSentence("s9", "cheap food", (Token("cheap", "cheap", "ADJ"),
+                                                   Token("food", "meal", "NOUN")))
+    annotator = Annotator(counting, [given])
+    assert annotator.annotate("cheap food") is given
+    assert annotator.annotate("cheap food") is given
+    assert counting.calls == []
+    annotator.annotate("cheap  food")  # another text, however alike
+    assert counting.calls == ["cheap  food"]
 
 
 def test_synonyms_fixture_groups(lexicon):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import patvar
 from patvar import cli, filtering, gateway, learning, synthesis
-from patvar.annotation import annotate, sentence_to_record
+from patvar.annotation import Annotator, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -154,6 +154,15 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"dataset": {"multi_label": True, "label_delimiter": 5}}, "dataset"),
         ({"backend": {"label_vocab": ["a"]}}, "backend"),
         ({"filters": {"heuristic": "no"}}, "unknown key(s) in config: ['filters']"),
+        ({"dataset": {"labels": ["service", "service", "price", "environment", "products"]}},
+         "bad dataset.labels: ['service'] listed more than once"),
+        ({"dataset": {"labels": ["service", "price", "environment", "products", 5]}},
+         "bad dataset.labels: need non-empty strings, got ['service', 'price', 'environment', "
+         "'products', 5]"),
+        ({"dataset": {"labels": "service"}},
+         "bad dataset.labels: need a list, got the string 'service'"),
+        ({"dataset": {"labels": {"service": "price"}}},
+         "bad dataset.labels: need a list, got {'service': 'price'}"),
     ]:
         config = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -161,6 +170,7 @@ def test_bad_values_rejected(tmp_path, capsys):
         assert section in str(exc.value), overrides
         assert main(["synth", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {exc.value}")
+        assert not (tmp_path / "out" / "patterns.json").exists(), overrides
 
 
 @pytest.mark.parametrize("vocab", [
@@ -322,15 +332,15 @@ def test_provider_output_for_other_text_fails(tmp_path, monkeypatch, capsys):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
     cfg = load_config(config)
     with pytest.raises(ProviderFailure):
-        ingest(cfg.dataset, OtherTextProvider())
+        ingest(cfg.dataset, Annotator(OtherTextProvider()))
     # Dataset rows annotate correctly; the survivor's generated text does not.
     with open(cfg.dataset.path, encoding="utf-8", newline="") as fh:
         texts = [row["text"] for row in csv.DictReader(fh)]
-    dataset = ingest(cfg.dataset, OtherTextProvider(texts))
+    dataset = ingest(cfg.dataset, Annotator(OtherTextProvider(texts)))
     (tmp_path / "out").mkdir()
     record = {**pool_candidate(dataset), "generated_text": "the waiter was friendly"}
     (tmp_path / "out" / "survivors_vt.jsonl").write_text(json.dumps(record) + "\n")
-    monkeypatch.setattr("patvar.cli.build_provider", lambda cfg: OtherTextProvider(texts))
+    monkeypatch.setattr("patvar.cli.build_provider", lambda cfg: Annotator(OtherTextProvider(texts)))
     assert main(["simulate", "--config", str(config)]) == 4
     assert "does not correspond to the input text" in capsys.readouterr().err
 
@@ -900,7 +910,8 @@ def pool_candidate(dataset) -> dict:
                                   "not_mapping", "not_json", "holdout_id", "unknown_id",
                                   "original_text_differs", "original_label_differs",
                                   "target_label_unknown", "empty_pattern", "no_matched_phrase",
-                                  "no_used_phrase", "no_finish_reason", "bad_finish_reason"])
+                                  "no_used_phrase", "no_finish_reason", "bad_finish_reason",
+                                  "repeated_uid"])
 def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
     config = write_config(tmp_path, conditions=["random", "counterfactual"])
     dataset = pool_dataset(config)
@@ -918,6 +929,7 @@ def test_cli_simulate_rejects_malformed_survivor(tmp_path, capsys, kind):
         "target_label_unknown": {**good, "target_label": "bogus"},
         "empty_pattern": {**good, "pattern": ""},
         "bad_finish_reason": {**good, "finish_reason": "bogus"},
+        "repeated_uid": {**good, "generated_text": "the waiter was friendly."},
         **{f"no_{key}": {k: v for k, v in good.items() if k != key}
            for key in ("matched_phrase", "used_phrase", "finish_reason")},
     }
@@ -963,6 +975,8 @@ def malformed_candidate(config, kind):
         record["target_label"] = "bogus"
     elif kind == "bad_finish_reason":
         record["finish_reason"] = "bogus"
+    elif kind == "repeated_uid":  # the uid of the good record on line 1
+        record["generated_text"] = "the waiter was friendly."
     return record
 
 
@@ -971,7 +985,7 @@ def malformed_candidate(config, kind):
                                   "unknown_original_id", "original_text_differs",
                                   "original_label_differs", "target_label_unknown",
                                   "empty_pattern", "no_matched_phrase", "no_used_phrase",
-                                  "no_finish_reason", "bad_finish_reason"])
+                                  "no_finish_reason", "bad_finish_reason", "repeated_uid"])
 def test_cli_rejects_malformed_candidate(tmp_path, capsys, command, kind):
     """`filter` reads the candidates file, `ablate` the audit file."""
     config = write_config(tmp_path, seeds=[0])
@@ -1072,18 +1086,20 @@ def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, mo
 
 
 def test_cli_ablate_annotates_each_audit_line_once(tiny_walkthrough, tmp_path, monkeypatch):
-    """The five arms share their survivors: each audit line's text is
-    annotated, and validated, once, however many arms keep it."""
+    """The five arms share their survivors: no text is annotated twice,
+    however many arms keep it, and every audit line's text is served."""
     source, config = tiny_walkthrough
     out = tmp_path / "out"
     shutil.copytree(source / "out", out)
-    texts = []
+    calls = count_annotations(monkeypatch)
+    served = []
+    original = Annotator.annotate
 
-    def spy(raw, provider):
-        texts.append(raw)
-        return annotate(raw, provider)
+    def serving(self, raw):
+        served.append(raw)
+        return original(self, raw)
 
-    monkeypatch.setattr(cli, "annotate", spy)
+    monkeypatch.setattr(Annotator, "annotate", serving)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["ablate", "--config", str(config), "--out", str(out),
                      "--cache-dir", str(source / "cache")]) == 0
@@ -1091,7 +1107,8 @@ def test_cli_ablate_annotates_each_audit_line_once(tiny_walkthrough, tmp_path, m
                for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()]
     # A line that passed every stage is in all five arms.
     assert any(all(v["status"] == "passed" for v in r["verdicts"].values()) for r in records)
-    assert texts == [r["generated_text"] for r in records]
+    assert calls and len(calls) == len(set(calls))
+    assert {r["generated_text"] for r in records} <= set(served)
 
 
 CANDIDATE_FIELDS = ("uid", "original_id", "original_text", "original_label", "target_label",

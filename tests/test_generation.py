@@ -265,7 +265,11 @@ def test_candidates_from_records_names_the_line(price_task):
     for key, value in (("original_id", "r99999"), ("original_text", "They have lobster"),
                        ("original_label", "environment"), ("target_label", "service")):
         with pytest.raises(ParseError, match="line 3"):
-            candidates_from_records(enumerate([good, good, {**good, key: value}], 1), dataset)
+            candidates_from_records(
+                enumerate([good, {**good, "uid": "u1"}, {**good, "uid": "u2", key: value}], 1),
+                dataset)
+    with pytest.raises(ParseError, match="line 3: uid 'u0' is already on line 1"):
+        candidates_from_records(enumerate([good, {**good, "uid": "u1"}, good], 1), dataset)
 
 
 # ---------------------------------------------------------------------------
