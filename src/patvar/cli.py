@@ -38,6 +38,7 @@ from .generation import (
     build_task,
     candidate_to_record,
     candidates_from_records,
+    collect_soft_matches,
     generate_candidate_phrases,
     generate_counterfactual,
     generate_without_vt,
@@ -239,11 +240,20 @@ def _wants_novt(ctx: Context) -> bool:
 
 
 def cmd_gen(ctx: Context) -> int:
+    """Write one phrase-anchored candidate per task and, when a condition
+    trains on them, one unconstrained rewrite per planned target.
+
+    Each distinct phrase question (pattern, matched phrase, label, target
+    label and soft matches: all that the phrase request and the phrase check
+    read) is asked and checked once per command; the tasks that share it
+    share its verified phrases or its NoValidPhrases. So a "dropping phrase"
+    warning is logged once per distinct question, not once per task."""
     patterns_by_label = _load_patterns(ctx)
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
     dataset, want_no_vt = ctx.dataset, _wants_novt(ctx)
     vt_candidates, novt_candidates = [], []
     skipped = 0
+    answers: dict[tuple, tuple[str, ...] | NoValidPhrases] = {}  # phrase question -> answer
     for ex in dataset.examples:
         patterns = patterns_by_label.get(ex.label, [])
         pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
@@ -252,11 +262,23 @@ def cmd_gen(ctx: Context) -> int:
             if pattern is not None:
                 try:
                     task = build_task(ex.sentence, ex.label, target, pattern, spans)
-                    phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
+                except NoPatternMatch as exc:
+                    phrases = exc
+                else:
+                    question = (pattern, task.matched_phrase, ex.label, target,
+                                tuple(collect_soft_matches(task, lexicon)))
+                    phrases = answers.get(question)
+                    if phrases is None:
+                        try:
+                            phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
+                        except NoValidPhrases as exc:
+                            phrases = exc
+                        answers[question] = phrases
+                if isinstance(phrases, tuple):
                     vt_candidates.append(generate_counterfactual(
                         task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"))
-                except (NoValidPhrases, NoPatternMatch) as exc:
-                    logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, exc)
+                else:
+                    logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, phrases)
                     skipped += 1
             else:
                 skipped += 1

@@ -22,11 +22,12 @@ from .errors import ParseError
 from .experiment import Dataset
 from .generation import (
     CounterfactualCandidate,
+    GenerationTask,
     ResponseFormatError,
     candidate_to_record,
     candidates_from_records,
 )
-from .patterns import WildcardAtom, match_sentence, render_pattern
+from .patterns import PatternAst, WildcardAtom, match_sentence, render_pattern
 from .prompts import DISCRIMINATOR_MAX_TOKENS, fill, load_template
 
 logger = logging.getLogger(__name__)
@@ -171,11 +172,17 @@ def discriminator_filter(
     if answer not in by_lower:
         raise ResponseFormatError(f"discriminator answered {resp.text!r}, not a known label")
     predicted = by_lower[answer]
-    if predicted == c.task.target_label:
-        return StageVerdict("passed"), predicted
-    if predicted == c.task.original_label:
-        return StageVerdict("failed", "kept original label"), predicted
-    return StageVerdict("failed", f"missed target (got {predicted!r})"), predicted
+    return _label_verdict(predicted, c.task), predicted
+
+
+def _label_verdict(predicted: str, task: GenerationTask) -> StageVerdict:
+    """The discriminator verdict of the assigned label `predicted` on `task`:
+    passed on its target label, else failed."""
+    if predicted == task.target_label:
+        return StageVerdict("passed")
+    if predicted == task.original_label:
+        return StageVerdict("failed", "kept original label")
+    return StageVerdict("failed", f"missed target (got {predicted!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +229,44 @@ def run_pipeline(
     pending. Provider failures in the symbolic stage and malformed or failed
     discriminator responses become failed verdicts instead of aborting the
     batch. The assigned label, and so each metric, counts a verdict only
-    where no earlier stage failed the candidate."""
+    where no earlier stage failed the candidate.
+
+    Each distinct question is judged once per call: the symbolic verdict per
+    (pattern, generated text), and the discriminator's answer per generated
+    text, a label or its ResponseFormatError, from which each candidate's
+    verdict follows against its own target and original label. A provider
+    failure and a BackendError are not kept, so a later candidate with the
+    same text asks again."""
+    matched: dict[tuple[PatternAst | None, str], StageVerdict] = {}
+    answers: dict[str, str | ResponseFormatError] = {}
     rows: list[FilterRow] = []
     for cand in candidates:
         heuristic = heuristic_filter(cand)
         symbolic = discriminator = StageVerdict("pending")
         assigned = None
         if heuristic.status != "failed":
-            try:
-                symbolic = symbolic_filter(cand, lex, provider)
-            except Exception as exc:  # provider failures become verdicts
-                symbolic = StageVerdict("failed", f"error: {exc}")
-            try:
-                discriminator, assigned = discriminator_filter(cand, label_set, gateway)
-            except (ResponseFormatError, BackendError) as exc:
-                discriminator = StageVerdict("failed", f"error: {exc}")
-            if symbolic.status == "failed":
-                assigned = None
+            question = (cand.task.pattern, cand.generated_text)
+            symbolic = matched.get(question)
+            if symbolic is None:
+                try:
+                    symbolic = matched[question] = symbolic_filter(cand, lex, provider)
+                except Exception as exc:  # provider failures become verdicts
+                    symbolic = StageVerdict("failed", f"error: {exc}")
+            answer = answers.get(cand.generated_text)
+            if answer is None:
+                try:
+                    answer = discriminator_filter(cand, label_set, gateway)[1]
+                    answers[cand.generated_text] = answer
+                except ResponseFormatError as exc:
+                    answer = answers[cand.generated_text] = exc
+                except BackendError as exc:  # not kept: the next candidate asks again
+                    answer = exc
+            if isinstance(answer, str):
+                discriminator = _label_verdict(answer, cand.task)
+                if symbolic.status != "failed":
+                    assigned = answer
+            else:
+                discriminator = StageVerdict("failed", f"error: {answer}")
         verdicts = {"heuristic": heuristic, "symbolic": symbolic, "discriminator": discriminator}
         rows.append(FilterRow(cand, verdicts, assigned))
     survivors = [row.candidate for row in rows if row.survived]

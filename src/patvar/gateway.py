@@ -78,8 +78,9 @@ class CompletionRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "messages", tuple(self.messages))
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
+        # A bool is an int but would be keyed and posted as `true`.
+        if type(self.max_tokens) is not int or self.max_tokens <= 0:
+            raise ValueError(f"max_tokens must be a positive int, got {self.max_tokens!r}")
 
     def body(self) -> dict:
         """The chat-completions request body: what a backend posts and a cache line records."""
@@ -101,20 +102,23 @@ class CompletionResponse:
 FINISH_REASONS = ("stop", "length")  # every finish reason a response may carry
 
 
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+_quote = json.encoder.encode_basestring_ascii
 
 
 def cache_key(req: CompletionRequest) -> str:
-    """Stable digest over the full request; any field change changes the key."""
-    payload = _KEY_ENCODER.encode(
-        {
-            "model": req.model,
-            "messages": [[m.role, m.content] for m in req.messages],
-            "temperature": TEMPERATURE,
-            "max_tokens": req.max_tokens,
-        }
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable digest over the full request; any field change changes the key.
+
+    The digest is the sha256 of the request's canonical JSON: the keys
+    `max_tokens`, `messages` (as `[[role, content], ...]`), `model` and
+    `temperature` in that order, ASCII escapes and no spaces. It is written
+    string by string, with no encoder, dict or list per request. `gen` and
+    `filter` send each distinct question once per command, so each key is
+    built once per command.
+    """
+    messages = ",".join(f"[{_quote(m.role)},{_quote(m.content)}]" for m in req.messages)
+    payload = (f'{{"max_tokens":{req.max_tokens},"messages":[{messages}],'
+               f'"model":{_quote(req.model)},"temperature":{TEMPERATURE!r}}}')
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 class Backend(Protocol):
@@ -317,8 +321,9 @@ class Gateway:
     miss, before the response is returned; a backend failure appends
     nothing. Every served response is also kept in memory by key, so a
     repeated request is answered with `from_cache=True` and each key is read
-    from disk at most once. Per-key `*.json` files of older versions are not
-    read.
+    from disk at most once. The callers ask each distinct question once per
+    command (`cli.cmd_gen`, `filtering.run_pipeline`), so a request seldom
+    repeats. Per-key `*.json` files of older versions are not read.
     """
 
     backend: Backend
@@ -403,7 +408,7 @@ class Gateway:
         try:
             if not line.endswith(b"\n"):
                 raise ValueError("torn line")
-            stored = json.loads(line[65:])["response"]
+            stored = json.loads(line[65:].decode("utf-8"))["response"]
             text, finish_reason = stored["text"], stored["finish_reason"]
             if not isinstance(text, str) or finish_reason not in FINISH_REASONS:
                 raise TypeError(f"response {stored!r} is not a string text with a stop or length finish")

@@ -657,6 +657,43 @@ def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monk
     assert set(opened) == after
 
 
+@pytest.mark.parametrize("valid", [True, False], ids=["phrases", "no_valid_phrases"])
+def test_cli_gen_asks_each_phrase_question_once(tmp_path, monkeypatch, capsys, caplog, valid):
+    """Two pool examples per label share their phrase question: one phrase
+    request per question, whose answer both tasks use. A `[staff]` answer
+    that matches nothing skips both service tasks, with one warning."""
+    (tmp_path / "data.csv").write_text(
+        "text,label\nThe staff was rude.,service\nThe staff was slow.,service\n"
+        "The cheap lobster was great.,price\nA cheap deal today.,price\n", encoding="utf-8")
+    config = write_config(tmp_path, dataset={"holdout_fraction": 0.1},
+                          conditions=["random", "counterfactual"])
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "patterns.json").write_text(json.dumps({
+        "label_set": ["service", "price"],
+        "patterns": {"service": [{"pattern": "[staff]"}], "price": [{"pattern": "[cheap]"}]},
+    }), encoding="utf-8")
+    asked = collections.Counter()  # pattern of each phrase request -> requests
+    complete = gateway.Gateway.complete
+
+    def counting(self, req):
+        if "create a list of phrases" in req.messages[0].content:
+            pattern = req.messages[2].content.partition("pattern: ")[2].partition(",")[0]
+            asked[pattern] += 1
+            if pattern == "[staff]" and not valid:
+                return gateway.CompletionResponse("nothing at all")
+        return complete(self, req)
+
+    monkeypatch.setattr(gateway.Gateway, "complete", counting)
+    with caplog.at_level("WARNING", logger="patvar"):
+        assert main(["gen", "--config", str(config)]) == 0
+    assert asked == {"[staff]": 1, "[cheap]": 1}
+    summary = "generated 4 pattern-kept candidates (+0 unconstrained, 0 skipped)" if valid else \
+        "generated 2 pattern-kept candidates (+0 unconstrained, 2 skipped)"
+    assert summary in capsys.readouterr().out
+    assert caplog.text.count("dropping phrase 'nothing at all'") == (0 if valid else 1)
+    assert caplog.text.count("skipping r0000") == (0 if valid else 2)
+
+
 STAGE_FUNCTIONS = ("heuristic_filter", "symbolic_filter", "discriminator_filter")
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from patvar import filtering
 from patvar.filtering import (
     ARMS,
     STAGES,
@@ -20,7 +21,7 @@ from patvar.filtering import (
 )
 from patvar.errors import ParseError
 from patvar.experiment import Dataset
-from patvar.gateway import MockBackend
+from patvar.gateway import GatewayTimeout, MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
@@ -29,6 +30,7 @@ from patvar.generation import (
     candidate_to_record,
 )
 from patvar.patterns import parse_pattern
+from patvar.prompts import fill, load_template
 from patvar.synthesis import LabeledExample
 
 
@@ -335,6 +337,83 @@ def test_run_pipeline_discriminator_error_fails_candidate(provider, lexicon, can
     survivors, report, _ = run_pipeline(cands, LABELS, lexicon, provider, gw)
     assert survivors == []
     assert report.label_n == 0
+
+
+def count_requests(monkeypatch, gw):
+    """The requests `gw.complete` gets from now on, recorded as they come."""
+    requests, complete = [], gw.complete
+
+    def counting(req):
+        requests.append(req)
+        return complete(req)
+
+    monkeypatch.setattr(gw, "complete", counting)
+    return requests
+
+
+class TimesOutOnce:
+    """Ends its first send in a GatewayTimeout and answers the others from `backend`."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = 0
+
+    def send(self, req):
+        self.calls += 1
+        if self.calls == 1:
+            raise GatewayTimeout("gave up after 3 retries: busy")
+        return self.backend.send(req)
+
+
+def test_run_pipeline_asks_again_after_a_backend_error(provider, lexicon, gateway_for,
+                                                       label_gateway, monkeypatch):
+    backend = TimesOutOnce(label_gateway.backend)
+    gw = gateway_for(backend)
+    requests = count_requests(monkeypatch, gw)
+    text = "The affordable lobster deal is unbeatable."
+    cands = [make_candidate(provider, text, uid="timed-out"), make_candidate(provider, text, uid="asks"),
+             make_candidate(provider, text, uid="reuses", target_label="products")]
+    _, _, rows = run_pipeline(cands, LABELS, lexicon, provider, gw)
+    assert backend.calls == len(requests) == 2
+    assert rows[0].verdicts["discriminator"] == StageVerdict(
+        "failed", "error: backend error None: gave up after 3 retries: busy")
+    assert rows[0].discriminator_label is None
+    # The label is remembered; each candidate is judged against its own target.
+    assert [row.verdicts["discriminator"] for row in rows[1:]] == [
+        StageVerdict("passed"), StageVerdict("failed", "missed target (got 'price')")]
+    assert [row.discriminator_label for row in rows[1:]] == ["price", "price"]
+
+
+def test_run_pipeline_asks_a_malformed_answer_once(provider, lexicon, canned, gateway_for,
+                                                   monkeypatch):
+    text = "The affordable lobster deal is unbeatable."
+    slots = {"text": text, "labels": ", ".join(LABELS)}
+    gw = gateway_for(canned({tuple(fill(load_template("discriminator"), slots)): "no idea"}))
+    requests = count_requests(monkeypatch, gw)
+    cands = [make_candidate(provider, text, uid="a"),
+             make_candidate(provider, text, uid="b", original_label="products")]
+    _, report, rows = run_pipeline(cands, LABELS, lexicon, provider, gw)
+    assert len(requests) == 1
+    assert [row.verdicts["discriminator"] for row in rows] == [StageVerdict(
+        "failed", "error: discriminator answered 'no idea', not a known label")] * 2
+    assert report.label_n == 0
+
+
+def test_run_pipeline_matches_each_pattern_and_text_once(provider, filter_args, monkeypatch):
+    matched = []
+    symbolic = filtering.symbolic_filter
+
+    def counting(c, *args):
+        matched.append((c.task.pattern, c.generated_text))
+        return symbolic(c, *args)
+
+    monkeypatch.setattr(filtering, "symbolic_filter", counting)
+    text = "The affordable lobster deal is unbeatable."
+    cands = [make_candidate(provider, text, uid="a"), make_candidate(provider, text, uid="b"),
+             make_candidate(provider, text, uid="other-pattern", pattern="[staff]")]
+    _, _, rows = run_pipeline(cands, *filter_args)
+    assert len(matched) == len(set(matched)) == 2
+    assert [row.verdicts["symbolic"].status for row in rows] == ["passed", "passed", "failed"]
 
 
 def test_stage_monotonicity_on_fixed_batch(provider, filter_args):

@@ -42,6 +42,13 @@ def test_message_validation():
         req(max_tokens=0)
 
 
+@pytest.mark.parametrize("max_tokens", [True, 256.0])
+def test_max_tokens_must_be_an_int(max_tokens):
+    # A bool would be keyed and posted as `true`, a float as `256.0`.
+    with pytest.raises(ValueError, match="max_tokens must be a positive int"):
+        req(max_tokens=max_tokens)
+
+
 def test_cache_key_sensitivity():
     base = req()
     assert cache_key(base) == cache_key(req())
@@ -183,6 +190,19 @@ def test_corrupted_cache_entry_is_overwritten(tmp_path, caplog, canned):
         assert (cache_dir / new).read_text(encoding="ascii").startswith(cache_key(r) + " ")
         resp = served(r, backend, cache_dir)
         assert (resp.text, resp.from_cache, backend.calls) == ("good", True, 1), line
+
+
+def test_cache_line_that_is_not_utf8_is_overwritten(tmp_path, caplog, canned):
+    r = req("bytes")
+    line = entry_line(r, "stale").encode("ascii").replace(b"stale", b"st\xffle")
+    (tmp_path / "0-old.log").write_bytes(line)
+    backend = canned({r.messages: "good"})
+    with caplog.at_level("WARNING"):
+        resp = served(r, backend, tmp_path)
+    assert (resp.text, resp.from_cache, backend.calls) == ("good", False, 1)
+    assert any("corrupted" in rec.message for rec in caplog.records)
+    resp = served(r, backend, tmp_path)
+    assert (resp.text, resp.from_cache, backend.calls) == ("good", True, 1)
 
 
 def test_cache_dir_is_created_on_write(tmp_path, canned):

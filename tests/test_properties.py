@@ -17,13 +17,16 @@ each stage once per candidate, and `run_pipeline` against
 a time; `judge` calls the stage functions itself and turns their errors
 into failed verdicts.
 Pattern parsing is checked for clean errors and render round-trips, the
-gateway's cache key for stability, and `fill` for putting each slot value
-into a prompt verbatim.
+gateway's cache key for stability and against the sha256 of the request's
+canonical JSON, and `fill` for putting each slot value into a prompt
+verbatim.
 """
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
+import json
 import re
 import tempfile
 
@@ -48,6 +51,7 @@ from patvar.filtering import (
 from patvar.fixtures import ENTITY_PHRASES, FixtureAnnotationProvider
 from patvar.gateway import (
     ROLES,
+    TEMPERATURE,
     BackendError,
     ChatMessage,
     CompletionRequest,
@@ -668,6 +672,30 @@ def test_cache_key_equal_iff_requests_equal(data):
          for value, field in zip(a, REQUEST_FIELDS)]
     same_key = cache_key(CompletionRequest(*a)) == cache_key(CompletionRequest(*b))
     assert same_key == (a == b)
+
+
+def oracle_cache_key(r):
+    """`cache_key` by its definition: sha256 of the request's canonical JSON."""
+    payload = {"model": r.model, "messages": [[m.role, m.content] for m in r.messages],
+               "temperature": TEMPERATURE, "max_tokens": r.max_tokens}
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+# Text with the characters JSON escapes or encodes as surrogate pairs.
+key_texts = st.text(
+    st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+    min_size=1,
+)
+
+
+@PROPERTY_SETTINGS
+@given(model=key_texts, messages=st.lists(st.builds(ChatMessage, st.sampled_from(ROLES), key_texts),
+                                          max_size=3),
+       max_tokens=st.integers(1, 10**6))
+def test_cache_key_is_the_sha256_of_the_canonical_json(model, messages, max_tokens):
+    r = CompletionRequest(model, tuple(messages), max_tokens)
+    assert cache_key(r) == oracle_cache_key(r)
 
 
 TEMPLATE_NAMES = ("candidate_phrases", "counterfactual_generator", "counterfactual_no_vt",
