@@ -33,7 +33,6 @@ from .filtering import rows_from_audit, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
     JSON_LINE,
-    NoPatternMatch,
     NoValidPhrases,
     build_task,
     candidate_to_record,
@@ -260,20 +259,16 @@ def cmd_gen(ctx: Context) -> int:
         spans = find_matches(pattern, ex.sentence, lexicon) if pattern is not None else []
         for target in plan_targets(ex, dataset.label_set, cfg.dataset.split_seed):
             if pattern is not None:
-                try:
-                    task = build_task(ex.sentence, ex.label, target, pattern, spans)
-                except NoPatternMatch as exc:
-                    phrases = exc
-                else:
-                    question = (pattern, task.matched_phrase, ex.label, target,
-                                tuple(collect_soft_matches(task, lexicon)))
-                    phrases = answers.get(question)
-                    if phrases is None:
-                        try:
-                            phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
-                        except NoValidPhrases as exc:
-                            phrases = exc
-                        answers[question] = phrases
+                task = build_task(ex.sentence, ex.label, target, pattern, spans)
+                question = (pattern, task.matched_phrase, ex.label, target,
+                            tuple(collect_soft_matches(task, lexicon)))
+                phrases = answers.get(question)
+                if phrases is None:
+                    try:
+                        phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
+                    except NoValidPhrases as exc:
+                        phrases = exc
+                    answers[question] = phrases
                 if isinstance(phrases, tuple):
                     vt_candidates.append(generate_counterfactual(
                         task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"))

@@ -1,7 +1,16 @@
+import contextlib
+import io
+from pathlib import Path
+from typing import NamedTuple
+
 import pytest
 
+from patvar import synthdata
+from patvar.cli import main
 from patvar.fixtures import FixtureAnnotationProvider, fixture_synonyms
 from patvar.gateway import BackendError, CompletionResponse, Gateway
+
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +62,34 @@ class Canned:
 def canned():
     """The `Canned` backend class: `canned({messages: reply}, fallback)`."""
     return Canned
+
+
+@pytest.fixture(scope="session")
+def readme_config():
+    """The README walkthrough's `exp.yaml`: the lines between the first
+    "```yaml" line after the line "`exp.yaml`:" and the next "```" line."""
+    lines = (TESTS.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("```yaml", lines.index("`exp.yaml`:")) + 1
+    return "".join(line + "\n" for line in lines[start:lines.index("```", start)])
+
+
+class Walkthrough(NamedTuple):
+    dir: Path  # holds data.csv, exp.yaml, out/ and cache/
+    config: Path
+    pins: dict  # output file name -> its pinned sha256
+
+
+@pytest.fixture(scope="session", params=[7, 11], ids=lambda seed: f"seed{seed}")
+def walkthrough(request, readme_config, tmp_path_factory):
+    """The README walkthrough on a 300-row corpus of seed 7 or 11: its six
+    commands run in-process, and the hashes that
+    `tests/data/walkthrough_seed<N>.sha256` pins for its `out/` files."""
+    work = tmp_path_factory.mktemp(f"walkthrough_seed{request.param}")
+    config = work / "exp.yaml"
+    config.write_text(readme_config, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        synthdata.main([str(work / "data.csv"), "--rows", "300", "--seed", str(request.param)])
+        for command in ("synth", "gen", "filter", "simulate", "ablate", "report"):
+            assert main([command, "--config", str(config)]) == 0, command
+    pins = (TESTS / "data" / f"walkthrough_seed{request.param}.sha256").read_text(encoding="utf-8")
+    return Walkthrough(work, config, dict(line.split("  out/")[::-1] for line in pins.splitlines()))
