@@ -196,14 +196,15 @@ def record_to_sentence(record: dict, line: int | None = None) -> AnnotatedSenten
         if pos not in ALL_POS:
             logger.warning("record %s: unknown pos %r mapped to OTHER", record["id"], pos)
             pos = POS_OTHER
-        tokens.append(Token(surface, lemma, pos, entity))
-    try:
-        return AnnotatedSentence(str(record["id"]), record["raw"], tuple(tokens))
+        tokens.append((surface, lemma, pos, entity))
+    try:  # a token rule, or tokens that do not spell raw
+        return AnnotatedSentence(str(record["id"]), record["raw"], tuple(Token(*t) for t in tokens))
     except InvariantViolation as exc:
-        raise InvariantViolation(f"record {record['id']!r}: {exc}") from exc
+        raise ParseError(f"record {record['id']!r}: {exc}", line=line) from None
 
 
 def load_annotations_file(path) -> list[AnnotatedSentence]:
     """Load pre-annotated sentences from line-delimited JSON records; a line
-    that is not UTF-8 or not JSON raises ConfigError naming the file and line."""
+    that is not UTF-8 or not JSON raises ConfigError naming the file and line,
+    and a malformed record a ParseError naming the line."""
     return [record_to_sentence(record, line=lineno) for lineno, record in read_jsonl(path)]

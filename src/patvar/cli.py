@@ -43,7 +43,7 @@ from .generation import (
     generate_without_vt,
     plan_targets,
 )
-from .patterns import find_matches, match_sentence, parse_pattern
+from .patterns import PatternSyntaxError, find_matches, match_sentence, parse_pattern
 from .reports import (
     read_quality_json,
     read_results_csv,
@@ -230,7 +230,14 @@ def _load_patterns(ctx: Context) -> dict[str, list]:
     if missing or extra:
         raise ConfigError(f"{path} misses the patterns of the labels {missing} and has extra "
                           f"ones for {extra}; run `patvar synth` again")
-    return {label: [parse_pattern(t) for t in ts] for label, ts in texts.items()}
+    patterns = {}
+    for label, ts in texts.items():
+        try:
+            patterns[label] = [parse_pattern(t) for t in ts]
+        except PatternSyntaxError as exc:
+            raise ConfigError(f"{path}: a pattern of the label {label!r} does not parse "
+                              f"({exc})") from None
+    return patterns
 
 
 def _wants_novt(ctx: Context) -> bool:

@@ -1,5 +1,8 @@
 import contextlib
+import hashlib
 import io
+import shutil
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -8,9 +11,10 @@ import pytest
 from patvar import synthdata
 from patvar.cli import main
 from patvar.fixtures import FixtureAnnotationProvider, fixture_synonyms
-from patvar.gateway import BackendError, CompletionResponse, Gateway
+from patvar.gateway import BackendError, CompletionResponse, Gateway, MockBackend
 
 TESTS = Path(__file__).resolve().parent
+PINNED_SEEDS = (7, 11)  # the corpus seeds of tests/data/walkthrough_seed<N>.sha256
 
 
 @pytest.fixture(scope="session")
@@ -77,19 +81,71 @@ class Walkthrough(NamedTuple):
     dir: Path  # holds data.csv, exp.yaml, out/ and cache/
     config: Path
     pins: dict  # output file name -> its pinned sha256
+    seconds: float  # the six commands' wall time
+
+    def moved(self):
+        """The pinned files of `out/` whose bytes differ from their pins."""
+        return [name for name, digest in self.pins.items()
+                if hashlib.sha256((self.dir / "out" / name).read_bytes()).hexdigest() != digest]
 
 
-@pytest.fixture(scope="session", params=[7, 11], ids=lambda seed: f"seed{seed}")
-def walkthrough(request, readme_config, tmp_path_factory):
-    """The README walkthrough on a 300-row corpus of seed 7 or 11: its six
-    commands run in-process, and the hashes that
-    `tests/data/walkthrough_seed<N>.sha256` pins for its `out/` files."""
-    work = tmp_path_factory.mktemp(f"walkthrough_seed{request.param}")
+def build_walkthrough(seed, config_text, work) -> Walkthrough:
     config = work / "exp.yaml"
-    config.write_text(readme_config, encoding="utf-8")
+    config.write_text(config_text, encoding="utf-8")
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
-        synthdata.main([str(work / "data.csv"), "--rows", "300", "--seed", str(request.param)])
+        synthdata.main([str(work / "data.csv"), "--rows", "300", "--seed", str(seed)])
         for command in ("synth", "gen", "filter", "simulate", "ablate", "report"):
             assert main([command, "--config", str(config)]) == 0, command
-    pins = (TESTS / "data" / f"walkthrough_seed{request.param}.sha256").read_text(encoding="utf-8")
-    return Walkthrough(work, config, dict(line.split("  out/")[::-1] for line in pins.splitlines()))
+    seconds = time.perf_counter() - start
+    pins = (TESTS / "data" / f"walkthrough_seed{seed}.sha256").read_text(encoding="utf-8")
+    return Walkthrough(work, config, dict(line.split("  out/")[::-1] for line in pins.splitlines()),
+                       seconds)
+
+
+@pytest.fixture(scope="session")
+def walkthroughs(readme_config, tmp_path_factory):
+    """Corpus seed -> the README walkthrough on a 300-row corpus of that seed,
+    for seeds 7 and 11: its six commands run in-process once per session, and
+    the hashes that `tests/data/walkthrough_seed<N>.sha256` pins for its
+    `out/` files. Tests read them; a test that writes works on `copy_walkthrough`."""
+    return {seed: build_walkthrough(seed, readme_config,
+                                    tmp_path_factory.mktemp(f"walkthrough_seed{seed}"))
+            for seed in PINNED_SEEDS}
+
+
+@pytest.fixture(params=PINNED_SEEDS, ids=lambda seed: f"seed{seed}")
+def walkthrough(request, walkthroughs):
+    """The walkthrough of each pinned corpus seed, one test per seed."""
+    return walkthroughs[request.param]
+
+
+@pytest.fixture(scope="session")
+def walkthrough_seed7(walkthroughs):
+    """The walkthrough of corpus seed 7, for a test that needs one seed."""
+    return walkthroughs[7]
+
+
+@pytest.fixture
+def copy_walkthrough(tmp_path):
+    """`copy_walkthrough(walkthrough)`: the same walkthrough in a copy of its
+    directory, for a test that writes, so that the shared one stays as it was."""
+    def copy(walkthrough):
+        work = shutil.copytree(walkthrough.dir, tmp_path / walkthrough.dir.name)
+        return walkthrough._replace(dir=work, config=work / walkthrough.config.name)
+
+    return copy
+
+
+@pytest.fixture
+def backend_sends(monkeypatch):
+    """The requests that reach the mock backend from now on."""
+    sent = []
+    send = MockBackend.send
+
+    def counting(self, req):
+        sent.append(req)
+        return send(self, req)
+
+    monkeypatch.setattr(MockBackend, "send", counting)
+    return sent

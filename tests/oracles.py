@@ -1,0 +1,110 @@
+"""Random pattern and sentence generators, and the slow reference oracles,
+that more than one test module checks the package against. Each exists
+once, here."""
+
+import itertools
+import math
+
+import numpy as np
+
+from patvar.patterns import WILDCARD, EntityAtom, PatternAst, PosAtom, SoftAtom, StemAtom
+from patvar.synthesis import enumerate_candidates, scored
+
+POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
+WORD_CHOICES = ("food", "amazing", "cheap", "pay", "staff", "monday", "play", "good", "price", "be")
+ENTITY_CHOICES = ("DATE", "LOCATION", "ORG", "PERSON")
+SENTENCE_VOCAB = (
+    "food", "amazing", "great", "good", "cheap", "affordable", "lobster",
+    "price", "staff", "monday", "new", "york", "play", "song", "5", "was",
+    "the", "xyzzy", "!",
+)
+
+
+def random_atom(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return PosAtom(rng.choice(POS_CHOICES))
+    if kind == 1:
+        return StemAtom(rng.choice(WORD_CHOICES))
+    if kind == 2:
+        return SoftAtom(rng.choice(WORD_CHOICES))
+    if kind == 3:
+        return EntityAtom(rng.choice(ENTITY_CHOICES))
+    return WILDCARD
+
+
+def random_pattern(rng, max_alts=3, max_atoms=5):
+    n_alts = rng.randint(1, max_alts)
+    alts, budget = [], max_atoms
+    for _ in range(n_alts):
+        n_atoms = rng.randint(1, max(1, budget - (n_alts - len(alts) - 1)))
+        seq = []
+        for _ in range(n_atoms):
+            atom = random_atom(rng)
+            if seq and seq[-1] == WILDCARD and atom == WILDCARD:
+                atom = StemAtom(rng.choice(WORD_CHOICES))
+            seq.append(atom)
+        budget -= len(seq)
+        alts.append(tuple(seq))
+        if budget <= 0:
+            break
+    return PatternAst(tuple(alts))
+
+
+def random_sentence(provider, rng, max_tokens=12):
+    raw = " ".join(rng.choice(SENTENCE_VOCAB) for _ in range(rng.randrange(0, max_tokens + 1)))
+    return provider.annotate(raw)
+
+
+def decoded_candidates(positives, negatives, cfg, lexicon):
+    """The beam search's candidates, each decoded into a ScoredPattern."""
+    return [scored(c, positives, negatives)
+            for c in enumerate_candidates(positives, negatives, cfg, lexicon)]
+
+
+def two_sided_p_by_quadrature(t, df, points=8001):
+    """Simpson integration of the t density over [-|t|, |t|]."""
+    hi = abs(t)
+    if hi == 0:
+        return 1.0
+    x = np.linspace(-hi, hi, points)
+    log_norm = math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0) - 0.5 * math.log(df * math.pi)
+    density = np.exp(log_norm - ((df + 1) / 2.0) * np.log1p(x * x / df))
+    weights = np.full(points, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return 1.0 - float(weights @ density) * (x[1] - x[0]) / 3.0
+
+
+def macro_f1_by_confusion(predictions, label_set):
+    """Macro-F1 counted off a full confusion matrix, with `macro_f1`'s
+    closed-form per-label F1, so that the two must be equal."""
+    idx = {label: i for i, label in enumerate(label_set)}
+    k = len(label_set)
+    conf = [[0] * k for _ in range(k)]
+    for gold, pred in predictions:
+        conf[idx[gold]][idx[pred]] += 1
+    total = 0.0
+    for i in range(k):
+        tp = conf[i][i]
+        fp = sum(conf[j][i] for j in range(k)) - tp
+        fn = sum(conf[i]) - tp
+        denom = 2 * tp + fp + fn
+        total += 2 * tp / denom if denom else 0.0
+    return total / k
+
+
+def exhaustive_best_inertia(points, k):
+    """The least inertia of any partition of `points` into `k` non-empty clusters."""
+    best = math.inf
+    n = len(points)
+    x = np.asarray(points, dtype=np.float64)
+    for assignment in itertools.product(range(k), repeat=n):
+        if len(set(assignment)) != k:
+            continue
+        total = 0.0
+        for j in range(k):
+            members = x[[i for i in range(n) if assignment[i] == j]]
+            total += float(np.sum((members - members.mean(axis=0)) ** 2))
+        best = min(best, total)
+    return best

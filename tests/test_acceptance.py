@@ -1,18 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the end-to-end criteria (8-10) share one pipeline run in a temp dir.
+lines. The end-to-end criteria (8-10) read the pinned README walkthrough of
+corpus seeds 7 and 11 (the `walkthroughs` fixture), one line per seed; 9 and
+10 rerun commands on a copy of it.
 """
 
-import hashlib
-import json
+import contextlib
+import csv
+import io
 import math
+import os
 import random
 import time
 
 import numpy as np
 import pytest
-import yaml
 
 import patvar.cli as cli
 from patvar.experiment import RunResult
@@ -31,77 +34,25 @@ from patvar.generation import (
     separate_multilabel,
 )
 from patvar.learning import inertia, kmeans
-from patvar.patterns import (
-    WILDCARD,
-    EntityAtom,
-    PatternAst,
-    PosAtom,
-    SoftAtom,
-    StemAtom,
-    brute_force_match,
-    match_sentence,
-    parse_pattern,
-    render_pattern,
-)
+from patvar.patterns import brute_force_match, match_sentence, parse_pattern, render_pattern
 from patvar.prompts import fill, load_template
 from patvar.reports import render_f1_grid, render_quality_table
 from patvar.stats import macro_f1, paired_t_test
-from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
+from patvar.synthdata import LABEL_VOCAB
 from patvar.synthesis import LabeledExample, SynthesisConfig, enumerate_candidates, synthesize_patterns
+
+from oracles import (
+    exhaustive_best_inertia,
+    macro_f1_by_confusion,
+    random_pattern,
+    random_sentence,
+    two_sided_p_by_quadrature,
+)
 
 
 def check(num: int, ok: bool, text: str) -> None:
     print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {text}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-# ---------------------------------------------------------------------------
-# Randomized structure generators (shared by criteria 1 and 2)
-# ---------------------------------------------------------------------------
-
-POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
-WORD_CHOICES = ("food", "amazing", "cheap", "pay", "staff", "monday", "play", "good", "price", "be")
-ENTITY_CHOICES = ("DATE", "LOCATION", "ORG", "PERSON")
-SENTENCE_VOCAB = [
-    "food", "amazing", "great", "good", "cheap", "affordable", "lobster", "price",
-    "staff", "monday", "new", "york", "play", "song", "5", "was", "the", "xyzzy", "!",
-]
-
-
-def random_atom(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return PosAtom(rng.choice(POS_CHOICES))
-    if kind == 1:
-        return StemAtom(rng.choice(WORD_CHOICES))
-    if kind == 2:
-        return SoftAtom(rng.choice(WORD_CHOICES))
-    if kind == 3:
-        return EntityAtom(rng.choice(ENTITY_CHOICES))
-    return WILDCARD
-
-
-def random_pattern(rng, max_alts=3, max_atoms=5):
-    n_alts = rng.randint(1, max_alts)
-    alts, budget = [], max_atoms
-    for _ in range(n_alts):
-        n_atoms = rng.randint(1, max(1, budget - (n_alts - len(alts) - 1)))
-        seq = []
-        for _ in range(n_atoms):
-            atom = random_atom(rng)
-            if seq and seq[-1] == WILDCARD and atom == WILDCARD:
-                atom = StemAtom(rng.choice(WORD_CHOICES))
-            seq.append(atom)
-        budget -= len(seq)
-        alts.append(tuple(seq))
-        if budget <= 0:
-            break
-    return PatternAst(tuple(alts))
-
-
-def random_sentence(provider, rng, max_tokens=12):
-    raw = " ".join(rng.choice(SENTENCE_VOCAB) for _ in range(rng.randrange(0, max_tokens + 1)))
-    return provider.annotate(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -316,168 +267,96 @@ def test_criterion_06_prompt_fidelity(canned, gateway_for):
 # ---------------------------------------------------------------------------
 
 
-def t_pdf(x, df):
-    return math.exp(
-        math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
-        - 0.5 * math.log(df * math.pi) - ((df + 1) / 2.0) * math.log1p(x * x / df)
-    )
-
-
-def quadrature_p(t, df, points=8001):
-    hi = abs(t)
-    if hi == 0:
-        return 1.0
-    h = 2 * hi / (points - 1)
-    total = sum(
-        (1 if i in (0, points - 1) else (4 if i % 2 else 2)) * t_pdf(-hi + i * h, df)
-        for i in range(points)
-    )
-    return 1.0 - total * h / 3.0
-
-
-def confusion_macro_f1(preds, label_set):
-    # Independent counting route (full confusion matrix); same closed-form
-    # per-label F1 so the comparison can demand exact equality.
-    idx = {l: i for i, l in enumerate(label_set)}
-    k = len(label_set)
-    conf = [[0] * k for _ in range(k)]
-    for gold, pred in preds:
-        conf[idx[gold]][idx[pred]] += 1
-    total = 0.0
-    for i in range(k):
-        tp = conf[i][i]
-        fp = sum(conf[j][i] for j in range(k)) - tp
-        fn = sum(conf[i]) - tp
-        denom = 2 * tp + fp + fn
-        total += 2 * tp / denom if denom else 0.0
-    return total / k
-
-
 def test_criterion_07_statistics_oracles():
-    rng = random.Random(20240507)
-    worst_p = 0.0
-    for _ in range(100):
-        n = rng.randint(4, 16)
-        a = [rng.uniform(0, 1) for _ in range(n)]
-        b = [x + rng.gauss(0.05, 0.25) for x in a]
-        t, p = paired_t_test(a, b)
-        if math.isinf(t):
-            continue
-        worst_p = max(worst_p, abs(p - quadrature_p(t, n - 1)))
-
     labels = ["a", "b", "c", "d"]
-    f1_mismatches = 0
-    for _ in range(500):
-        preds = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(1, 25))]
-        if macro_f1(preds, labels) != confusion_macro_f1(preds, labels):
-            f1_mismatches += 1
+    rng = random.Random(20240507)
+    pairs = []
+    for _ in range(100):
+        a = [rng.uniform(0, 1) for _ in range(rng.randint(4, 16))]
+        pairs.append((a, [x + rng.gauss(0.05, 0.25) for x in a]))
+    prediction_sets = [[(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randint(1, 25))]
+                       for _ in range(500)]
+    rng = random.Random(2718)
+    for _ in range(100):
+        base = [rng.uniform(0, 1) for _ in range(rng.randint(4, 16))]
+        shift = rng.uniform(-0.3, 0.3)
+        pairs.append(([x + shift + rng.gauss(0, 0.2) for x in base], base))
+    rng = random.Random(31337)
+    prediction_sets += [[(rng.choice(labels), rng.choice(labels))
+                         for _ in range(rng.randint(1, 30))] for _ in range(500)]
+
+    worst_p = 0.0
+    for a, b in pairs:
+        t, p = paired_t_test(a, b)
+        if not math.isinf(t):
+            worst_p = max(worst_p, abs(p - two_sided_p_by_quadrature(t, len(a) - 1)))
+    f1_mismatches = sum(macro_f1(preds, labels) != macro_f1_by_confusion(preds, labels)
+                        for preds in prediction_sets)
 
     points = np.array([[0.0], [0.1], [10.0], [10.1]])
     assignments, centroids = kmeans(points, 2, seed=0)
-    best = min(
-        sum(
-            float(np.sum((points[[i for i in range(4) if assign[i] == j]]
-                          - points[[i for i in range(4) if assign[i] == j]].mean(axis=0)) ** 2))
-            for j in set(assign)
-        )
-        for assign in [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)]
-    )
-    km_optimal = inertia(points, assignments, centroids) == pytest.approx(best, abs=1e-12)
+    km_optimal = inertia(points, assignments, centroids) == pytest.approx(
+        exhaustive_best_inertia(points, 2), abs=1e-12)
 
+    sets = len(prediction_sets)
     check(7, worst_p <= 1e-3 and f1_mismatches == 0 and km_optimal,
-          f"t-test within {worst_p:.2e} of quadrature; macro-F1 exact on 500 sets; "
+          f"t-test within {worst_p:.2e} of quadrature on {len(pairs)} paired samples; "
+          f"macro-F1 exact on {sets - f1_mismatches} of {sets} sets; "
           f"k-means hits the inertia-optimal 1-D partition")
 
 
 # ---------------------------------------------------------------------------
-# Criteria 8-10: end-to-end mock pipeline (shared run)
+# Criteria 8-10: the pinned README walkthrough of each corpus seed
 # ---------------------------------------------------------------------------
 
-
-@pytest.fixture(scope="module")
-def e2e(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("e2e")
-    write_csv(tmp / "data.csv", make_rows(300, seed=7))
-    config = {
-        "dataset": {"path": "data.csv", "holdout_fraction": 1 / 3, "split_seed": 5},
-        "synthesis": {"max_patterns": 5, "max_atoms": 2, "beam_width": 40},
-        "conditions": ["random", "cf_no_vt", "counterfactual"],
-        "shots": [10, 30, 120],
-        "seeds": [0, 1, 2, 3, 4, 5, 6, 7],
-        "backend": {"kind": "mock", "model": "mock-model",
-                    "label_vocab": LABEL_VOCAB, "flaw_rate": 0.25},
-        "cache_dir": "cache",
-        "output_dir": "out",
-    }
-    config_path = tmp / "exp.yaml"
-    config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
-    start = time.perf_counter()
-    for command in ("synth", "gen", "filter", "simulate"):
-        assert cli.main([command, "--config", str(config_path)]) == 0
-    elapsed = time.perf_counter() - start
-    return {"dir": tmp, "config": config_path, "elapsed": elapsed}
+def out_files(work):
+    return {name: (work / "out" / name).read_bytes() for name in os.listdir(work / "out")}
 
 
-def _summary_rows(e2e):
-    import csv
-
-    with open(e2e["dir"] / "out" / "summary.csv", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def test_criterion_08_cold_start_effect(e2e):
-    rows = _summary_rows(e2e)
-    mean = {(r["condition"], int(r["shot"])): float(r["mean"]) for r in rows}
-    p10 = next(float(r["p_vs_counterfactual"]) for r in rows
-               if r["condition"] == "random" and r["shot"] == "10")
-    pool_size = 300 - 100
-    first, last = 10, 120
-    gap_first = mean[("counterfactual", first)] - mean[("random", first)]
-    gap_last = mean[("counterfactual", last)] - mean[("random", last)]
-    ok = (
-        mean[("counterfactual", first)] > mean[("random", first)]
-        and p10 < 0.05
-        and gap_last < gap_first
-        and e2e["elapsed"] < 300.0
-    )
-    check(8, ok,
-          f"10-shot gap {gap_first:+.3f} (p={p10:.2g} < 0.05) over a {pool_size}/100 split; "
-          f"gap at {last} shots {gap_last:+.3f} (shrunk or reversed); "
-          f"pipeline ran in {e2e['elapsed']:.0f}s with zero network calls")
+def test_criterion_08_cold_start_effect(walkthroughs):
+    for seed, run in walkthroughs.items():
+        with open(run.dir / "out" / "summary.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        mean = {(r["condition"], int(r["shot"])): float(r["mean"]) for r in rows}
+        p10 = next(float(r["p_vs_counterfactual"]) for r in rows
+                   if r["condition"] == "random" and r["shot"] == "10")
+        first, last = 10, 120
+        gap_first = mean[("counterfactual", first)] - mean[("random", first)]
+        gap_last = mean[("counterfactual", last)] - mean[("random", last)]
+        ok = gap_first > 0 and p10 < 0.05 and gap_last < gap_first and run.seconds < 300.0
+        check(8, ok,
+              f"corpus seed {seed}: 10-shot gap {gap_first:+.3f} (p={p10:.2g} < 0.05) over a "
+              f"200/100 split; gap at {last} shots {gap_last:+.3f} (shrunk or reversed); "
+              f"pipeline ran in {run.seconds:.1f}s with zero network calls")
 
 
-def test_criterion_09_determinism(e2e):
-    out = e2e["dir"] / "out"
-    before = {n: (out / n).read_bytes() for n in ("results.csv", "summary.csv")}
-    assert cli.main(["simulate", "--config", str(e2e["config"])]) == 0
-    after = {n: (out / n).read_bytes() for n in ("results.csv", "summary.csv")}
-    check(9, before == after, "re-running the simulation reproduces byte-identical CSVs")
+def test_criterion_09_determinism(walkthroughs, copy_walkthrough):
+    """Rerunning all six commands rewrites every output byte for byte."""
+    for seed, run in walkthroughs.items():
+        work = copy_walkthrough(run)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("synth", "gen", "filter", "simulate", "ablate", "report"):
+                assert cli.main([command, "--config", str(work.config)]) == 0, command
+        moved = work.moved()
+        check(9, moved == [] and out_files(work.dir) == out_files(run.dir),
+              f"corpus seed {seed}: rerunning the six commands rewrites all "
+              f"{len(run.pins)} pinned outputs and the manifest byte for byte (moved: {moved})")
 
 
-def test_criterion_10_cache_replay(e2e):
-    out = e2e["dir"] / "out"
-    watched = ("candidates_vt.jsonl", "candidates_novt.jsonl",
-               "survivors_vt.jsonl", "audit_vt.jsonl", "quality_report.json")
-    before = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in watched}
-    captured = {}
-    original = cli.build_gateway
-
-    def spying_build(cfg):
-        gw = original(cfg)
-        captured.setdefault("backends", []).append(gw.backend)
-        return gw
-
-    cli.build_gateway = spying_build
-    try:
-        assert cli.main(["gen", "--config", str(e2e["config"])]) == 0
-        assert cli.main(["filter", "--config", str(e2e["config"])]) == 0
-    finally:
-        cli.build_gateway = original
-    total_calls = sum(b.calls for b in captured["backends"])
-    after = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in watched}
-    check(10, total_calls == 0 and before == after,
-          f"gen+filter replay against the populated cache: {total_calls} backend calls, "
-          "outputs byte-identical")
+def test_criterion_10_cache_replay(walkthroughs, copy_walkthrough, backend_sends):
+    for seed, run in walkthroughs.items():
+        work = copy_walkthrough(run)
+        segments = sorted(os.listdir(work.dir / "cache"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("gen", "filter"):
+                assert cli.main([command, "--config", str(work.config)]) == 0, command
+        added = sorted(set(os.listdir(work.dir / "cache")) - set(segments))
+        moved = work.moved()
+        same = out_files(work.dir) == out_files(run.dir)
+        check(10, backend_sends == [] and added == [] and moved == [] and same,
+              f"corpus seed {seed}: gen+filter replay against the populated cache: "
+              f"{len(backend_sends)} backend requests, {len(added)} new cache segments, "
+              f"every output byte-identical (moved: {moved})")
 
 
 # ---------------------------------------------------------------------------

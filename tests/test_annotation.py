@@ -237,9 +237,9 @@ def test_load_annotations_bad_reconstruction(tmp_path):
         path,
         [{"id": "a", "raw": "hello there", "tokens": [{"surface": "hi", "lemma": "hi", "pos": "NOUN"}]}],
     )
-    with pytest.raises(InvariantViolation) as exc:
+    with pytest.raises(ParseError) as exc:
         load_annotations_file(path)
-    assert "'a'" in str(exc.value)
+    assert exc.value.line == 1 and "record 'a'" in str(exc.value)
 
 
 def test_load_annotations_parse_errors(tmp_path):

@@ -406,15 +406,6 @@ def test_f1_grid_layout():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def pipeline_dir(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("pipeline")
-    config = write_config(tmp_path)
-    for command in ("synth", "gen", "filter", "simulate"):
-        assert main([command, "--config", str(config)]) == 0
-    return tmp_path, config
-
-
 # command -> the files it writes with this file's configs
 WRITERS = {
     "synth": {"patterns.json", "patterns.txt"},
@@ -442,63 +433,65 @@ def test_cli_outputs_and_manifest(walkthrough):
     }
 
 
-def test_cli_filter_report_matches_compute_metrics(pipeline_dir, provider, lexicon):
-    tmp_path, config = pipeline_dir
+def test_cli_filter_report_matches_compute_metrics(walkthrough_seed7, copy_walkthrough, provider,
+                                                   lexicon):
     from patvar.filtering import run_pipeline
     from patvar.generation import candidates_from_records
 
-    out = tmp_path / "out"
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     quality = json.loads((out / "quality_report.json").read_text(encoding="utf-8"))
     records = [json.loads(l) for l in (out / "candidates_vt.jsonl").read_text().splitlines()]
-    cfg = load_config(config)
+    cfg = load_config(work.config)
     gw = build_gateway(cfg)
-    candidates = candidates_from_records(enumerate(records, 1), ingest(cfg.dataset, provider))
-    _, report, _ = run_pipeline(candidates, list(LABEL_VOCAB), lexicon, provider, gw)
+    dataset = ingest(cfg.dataset, provider)
+    candidates = candidates_from_records(enumerate(records, 1), dataset)
+    _, report, _ = run_pipeline(candidates, dataset.label_set, lexicon, provider, gw)
     gw.close()
     assert quality["vt"]["pkr"] == report.pkr
     assert quality["vt"]["slfr"] == report.slfr
     assert quality["vt"]["lfr"] == report.lfr
 
 
-def test_cli_report_renders_tables(pipeline_dir):
-    tmp_path, config = pipeline_dir
-    assert main(["report", "--config", str(config)]) == 0
-    text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+def test_cli_report_renders_tables(walkthrough_seed7):
+    text = (walkthrough_seed7.dir / "out" / "report.md").read_text(encoding="utf-8")
     assert "## Counterfactual quality" in text
     assert "Pattern Keeping Rate" in text
     assert "| Method" in text
     header = next(l for l in text.splitlines() if l.startswith("| Method"))
-    assert [c.strip() for c in header.split("|")[2:-1]] == ["5", "10", "20"]
+    shots = load_config(walkthrough_seed7.config).shots
+    assert [c.strip() for c in header.split("|")[2:-1]] == [str(shot) for shot in shots]
 
 
-def test_cli_report_external_import(pipeline_dir):
-    tmp_path, config = pipeline_dir
+def test_cli_report_external_import(walkthrough_seed7, copy_walkthrough, tmp_path):
+    work = copy_walkthrough(walkthrough_seed7)
     external = tmp_path / "alps.csv"
     lines = ["condition,dataset,shot,seed,macro_f1"]
-    for shot in (5, 10, 20):
+    for shot in load_config(work.config).shots:
         for seed in (0, 1, 2):
             lines.append(f"alps-import,data,{shot},{seed},0.42")
     external.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-    assert main(["report", "--config", str(config), "--external", str(external)]) == 0
-    text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    assert main(["report", "--config", str(work.config), "--external", str(external)]) == 0
+    text = (work.dir / "out" / "report.md").read_text(encoding="utf-8")
     assert "alps-import" in text
     assert ".42 (.00)" in text
 
 
-def test_cli_report_external_other_shots(pipeline_dir):
-    tmp_path, config = pipeline_dir
+def test_cli_report_external_other_shots(walkthrough_seed7, copy_walkthrough, tmp_path):
+    work = copy_walkthrough(walkthrough_seed7)
     external = tmp_path / "other_shots.csv"
     lines = ["condition,dataset,shot,seed,macro_f1"]
-    lines += [f"alps-import,data,{shot},{seed},0.42" for shot in (5, 7) for seed in (0, 1)]
+    lines += [f"alps-import,data,{shot},{seed},0.42" for shot in (5, 10) for seed in (0, 1)]
     external.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-    assert main(["report", "--config", str(config), "--external", str(external)]) == 0
-    text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    assert main(["report", "--config", str(work.config), "--external", str(external)]) == 0
+    text = (work.dir / "out" / "report.md").read_text(encoding="utf-8")
     rows = {r.split("|")[1].strip(): [c.strip() for c in r.split("|")[2:-1]]
             for r in text.splitlines() if r.startswith("| ")}
-    assert rows["Method"] == ["5", "7", "10", "20"]
-    assert rows["alps-import"][2:] == ["n/a", "n/a"]
-    assert rows["alps-import"][1] == "**.42 (.00)**"  # the only method at 7 shots
-    assert rows["random"][1] == "n/a" and rows["random"][2] != "n/a"
+    shots = load_config(work.config).shots
+    assert rows["Method"] == ["5", *(str(shot) for shot in shots)]
+    assert rows["alps-import"][2:] == ["n/a"] * (len(shots) - 1)
+    assert rows["alps-import"][0] == "**.42 (.00)**"  # the only method at 5 shots
+    assert rows["random"][0] == "n/a" and rows["random"][1] != "n/a"
 
 
 @pytest.mark.parametrize("content, message", [
@@ -525,33 +518,34 @@ def test_cli_report_rejects_malformed_quality(tmp_path, capsys, content):
     assert "quality.json" in capsys.readouterr().err
 
 
-def test_cli_report_rejects_cells_in_two_files(pipeline_dir, capsys):
-    tmp_path, config = pipeline_dir
+def test_cli_report_rejects_cells_in_two_files(walkthrough_seed7, copy_walkthrough, tmp_path,
+                                               capsys):
+    work = copy_walkthrough(walkthrough_seed7)
     external = tmp_path / "same_cells.csv"
     lines = ["condition,dataset,shot,seed,macro_f1"]
-    lines += [f"counterfactual,data,5,{seed},0.9" for seed in (0, 1, 2)]
+    lines += [f"counterfactual,data,10,{seed},0.9" for seed in (0, 1, 2)]
     external.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-    assert main(["report", "--config", str(config), "--external", str(external)]) == 2
+    assert main(["report", "--config", str(work.config), "--external", str(external)]) == 2
     err = capsys.readouterr().err
-    assert "dataset=data condition=counterfactual shot=5 seed=0" in err
+    assert "dataset=data condition=counterfactual shot=10 seed=0" in err
     assert "same_cells.csv" in err and "results.csv" in err
 
 
-def test_cli_report_rejects_two_quality_files_for_one_dataset(pipeline_dir, capsys):
-    tmp_path, config = pipeline_dir
+def test_cli_report_rejects_two_quality_files_for_one_dataset(walkthrough_seed7, copy_walkthrough,
+                                                              tmp_path, capsys):
+    work = copy_walkthrough(walkthrough_seed7)
     other = tmp_path / "q2.json"
     other.write_text(json.dumps({"data": {"pkr": 0.12, "slfr": 0.5, "lfr": 0.4}}), encoding="utf-8")
-    first = tmp_path / "out" / "quality_report.json"
-    assert main(["report", "--config", str(config), "--quality", str(first),
+    first = work.dir / "out" / "quality_report.json"
+    assert main(["report", "--config", str(work.config), "--quality", str(first),
                  "--quality", str(other)]) == 2
     err = capsys.readouterr().err
     assert "dataset data" in err and "q2.json" in err and "quality_report.json" in err
 
 
-def test_cli_report_stars_match_summary(pipeline_dir):
-    tmp_path, config = pipeline_dir
-    assert main(["report", "--config", str(config)]) == 0
-    text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+def test_cli_report_stars_match_summary(walkthrough_seed7):
+    out = walkthrough_seed7.dir / "out"
+    text = (out / "report.md").read_text(encoding="utf-8")
     lines = text.splitlines()
     start = next(i for i, l in enumerate(lines) if l.startswith("| Method"))
     table = [l for l in lines[start:] if l.startswith("| ")]
@@ -562,23 +556,9 @@ def test_cli_report_stars_match_summary(pipeline_dir):
         for shot, cell in zip(shots, cells):
             tail = cell.rpartition(")")[2]  # "**.55 (.08)** **": bold best, then the stars
             stars[condition, shot] = (tail[2:] if cell.startswith("**") else tail).strip()
-    with open(tmp_path / "out" / "summary.csv", encoding="utf-8", newline="") as fh:
+    with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
         summary = {(r["condition"], r["shot"]): r["significance"] for r in csv.DictReader(fh)}
     assert stars == summary
-
-
-def test_cli_rerun_is_idempotent(pipeline_dir):
-    import hashlib
-
-    tmp_path, config = pipeline_dir
-    out = tmp_path / "out"
-    names = ["patterns.json", "candidates_vt.jsonl", "survivors_vt.jsonl",
-             "quality_report.json", "results.csv", "summary.csv"]
-    before = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
-    for command in ("synth", "gen", "filter", "simulate"):
-        assert main([command, "--config", str(config)]) == 0
-    after = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
-    assert before == after
 
 
 def count_annotations(monkeypatch) -> list:
@@ -594,42 +574,36 @@ def count_annotations(monkeypatch) -> list:
     return calls
 
 
-def test_cli_simulate_annotates_each_text_once(pipeline_dir, monkeypatch):
-    tmp_path, config = pipeline_dir
+def test_cli_simulate_annotates_each_text_once(walkthrough_seed7, copy_walkthrough, monkeypatch):
+    work = copy_walkthrough(walkthrough_seed7)
     calls = count_annotations(monkeypatch)
-    assert main(["simulate", "--config", str(config)]) == 0
-    out = tmp_path / "out"
-    rows = len((tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(work.config)]) == 0
+    out = work.dir / "out"
+    rows = len((work.dir / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
     survivors = sum(len((out / f"survivors_{name}.jsonl").read_text().splitlines())
                     for name in ("vt", "novt"))
     assert 0 < len(calls) <= rows + survivors
 
 
-def copy_pipeline(source, tmp_path):
-    """A copy of the outputs and cache, so the shared pipeline directory stays as it was."""
-    out, cache = tmp_path / "out", tmp_path / "cache"
-    shutil.copytree(source / "out", out)
-    shutil.copytree(source / "cache", cache)
-    return out, cache
-
-
-def test_cli_ablate_annotates_each_text_once(pipeline_dir, tmp_path, monkeypatch):
-    source, config = pipeline_dir
-    out, cache = copy_pipeline(source, tmp_path)
+def test_cli_ablate_annotates_each_text_once(walkthrough_seed7, copy_walkthrough, monkeypatch):
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     calls = count_annotations(monkeypatch)
-    assert main(["ablate", "--config", str(config), "--out", str(out),
-                 "--cache-dir", str(cache)]) == 0
-    rows = len((source / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ablate", "--config", str(work.config)]) == 0
+    rows = len((work.dir / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
     texts = {json.loads(line)["generated_text"]
              for line in (out / "candidates_vt.jsonl").read_text().splitlines()}
     assert 0 < len(calls) <= rows + len(texts)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monkeypatch, warm):
+def test_cli_gen_opens_each_cache_file_at_most_once(walkthrough_seed7, copy_walkthrough,
+                                                    monkeypatch, warm):
     """A warm gen opens each segment once and creates none; a cold gen creates one."""
-    source, config = pipeline_dir
-    out, cache = copy_pipeline(source, tmp_path)
+    work = copy_walkthrough(walkthrough_seed7)
+    cache = work.dir / "cache"
     if not warm:
         shutil.rmtree(cache)
     before = set(os.listdir(cache)) if warm else set()
@@ -640,8 +614,8 @@ def test_cli_gen_opens_each_cache_file_at_most_once(pipeline_dir, tmp_path, monk
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(gateway, "open", counting_open, raising=False)
-    assert main(["gen", "--config", str(config), "--out", str(out),
-                 "--cache-dir", str(cache)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(work.config)]) == 0
     after = set(os.listdir(cache))
     assert after >= before and len(after - before) == (0 if warm else 1)
     assert all(name.endswith(gateway.SEGMENT_SUFFIX) for name in after)
@@ -689,10 +663,10 @@ def test_cli_gen_asks_each_phrase_question_once(tmp_path, monkeypatch, capsys, c
 STAGE_FUNCTIONS = ("heuristic_filter", "symbolic_filter", "discriminator_filter")
 
 
-def test_cli_filter_judges_each_stage_at_most_once_per_candidate(pipeline_dir, tmp_path,
-                                                                 monkeypatch):
-    source, config = pipeline_dir
-    out, cache = copy_pipeline(source, tmp_path)
+def test_cli_filter_judges_each_stage_at_most_once_per_candidate(walkthrough_seed7,
+                                                                 copy_walkthrough, monkeypatch):
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     calls = {}  # stage function -> candidate uid -> calls
     for name in STAGE_FUNCTIONS:
         counts = calls[name] = collections.Counter()
@@ -702,8 +676,8 @@ def test_cli_filter_judges_each_stage_at_most_once_per_candidate(pipeline_dir, t
             return _stage(c, *args)
 
         monkeypatch.setattr(filtering, name, counting)
-    assert main(["filter", "--config", str(config), "--out", str(out),
-                 "--cache-dir", str(cache)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["filter", "--config", str(work.config)]) == 0
     uids = [json.loads(line)["uid"] for name in ("vt", "novt")
             for line in (out / f"candidates_{name}.jsonl").read_text().splitlines()]
     assert calls["heuristic_filter"] == collections.Counter(uids)
@@ -711,9 +685,10 @@ def test_cli_filter_judges_each_stage_at_most_once_per_candidate(pipeline_dir, t
         assert calls[name] and max(calls[name].values()) == 1, name
 
 
-def test_cli_ablate_judges_nothing_and_builds_no_gateway(pipeline_dir, tmp_path, monkeypatch):
-    source, config = pipeline_dir
-    out, cache = copy_pipeline(source, tmp_path)
+def test_cli_ablate_judges_nothing_and_builds_no_gateway(walkthrough_seed7, copy_walkthrough,
+                                                        monkeypatch):
+    work = copy_walkthrough(walkthrough_seed7)
+    cache = work.dir / "cache"
 
     def forbidden(*args, **kwargs):
         raise AssertionError("ablate judged a candidate or built a gateway")
@@ -722,16 +697,14 @@ def test_cli_ablate_judges_nothing_and_builds_no_gateway(pipeline_dir, tmp_path,
         monkeypatch.setattr(filtering, name, forbidden)
     monkeypatch.setattr(cli, "build_gateway", forbidden)
     before = sorted(os.listdir(cache))
-    assert main(["ablate", "--config", str(config), "--out", str(out),
-                 "--cache-dir", str(cache)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ablate", "--config", str(work.config)]) == 0
     assert sorted(os.listdir(cache)) == before
 
 
-def test_cli_ablate_arms(tmp_path):
-    config = write_config(tmp_path, shots=[5, 10], seeds=[0, 1])
-    for command in ("synth", "gen", "filter", "ablate"):
-        assert main([command, "--config", str(config)]) == 0
-    with open(tmp_path / "out" / "ablation_summary.csv", encoding="utf-8", newline="") as fh:
+def test_cli_ablate_arms(walkthrough_seed7):
+    with open(walkthrough_seed7.dir / "out" / "ablation_summary.csv", encoding="utf-8",
+              newline="") as fh:
         rows = list(csv.DictReader(fh))
     arms = {row["condition"] for row in rows}
     assert arms == {"none", "heuristic", "heuristic+symbolic", "heuristic+discriminator", "all"}
@@ -837,25 +810,25 @@ def test_cli_gen_rejects_patterns_for_other_labels(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out" / "candidates_vt.jsonl").exists()
 
 
-def test_cli_gen_compares_the_patterns_labels_as_a_set(pipeline_dir, tmp_path):
-    source, config = pipeline_dir
-    out, cache = copy_pipeline(source, tmp_path)
+def test_cli_gen_compares_the_patterns_labels_as_a_set(walkthrough_seed7, copy_walkthrough):
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     payload = json.loads((out / "patterns.json").read_text(encoding="utf-8"))
     payload["label_set"].reverse()
     (out / "patterns.json").write_text(json.dumps(payload), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["gen", "--config", str(config), "--out", str(out),
-                     "--cache-dir", str(cache)]) == 0
+        assert main(["gen", "--config", str(work.config)]) == 0
+    shared = walkthrough_seed7.dir / "out"
     for name in WRITERS["gen"]:
-        assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+        assert (out / name).read_bytes() == (shared / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("missing, extra", [(["price"], ["bogus"]), (["price"], []),
                                             ([], ["bogus"])], ids=["both", "missing", "extra"])
-def test_cli_gen_rejects_patterns_keyed_by_other_labels(pipeline_dir, tmp_path, capsys,
+def test_cli_gen_rejects_patterns_keyed_by_other_labels(walkthrough_seed7, copy_walkthrough, capsys,
                                                         monkeypatch, missing, extra):
-    source, config = pipeline_dir
-    out, cache = copy_pipeline(source, tmp_path)
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     payload = json.loads((out / "patterns.json").read_text(encoding="utf-8"))
     for label in missing:
         del payload["patterns"][label]
@@ -863,8 +836,7 @@ def test_cli_gen_rejects_patterns_keyed_by_other_labels(pipeline_dir, tmp_path, 
     (out / "patterns.json").write_text(json.dumps(payload), encoding="utf-8")
     (out / "candidates_vt.jsonl").unlink()
     forbid_backend_requests(monkeypatch)
-    assert main(["gen", "--config", str(config), "--out", str(out),
-                 "--cache-dir", str(cache)]) == 2
+    assert main(["gen", "--config", str(work.config)]) == 2
     err = capsys.readouterr().err
     assert (f"{out / 'patterns.json'} misses the patterns of the labels {missing} and has extra "
             f"ones for {extra}; run `patvar synth` again") in err
@@ -875,7 +847,11 @@ def test_cli_gen_rejects_patterns_keyed_by_other_labels(pipeline_dir, tmp_path, 
     '{"id": "a", "raw": "x", "tokens": [{"surface": "x", "lemma": 3}]}',
     '{"id": "a", "raw": "x", "tokens": 5}',
     '["a", "x", []]',
-], ids=["lemma_not_string", "tokens_not_list", "not_object"])
+    '{"id": "a", "raw": "Good", "tokens": [{"surface": "Good", "lemma": "Good"}]}',
+    '{"id": "a", "raw": "Rome", "tokens": [{"surface": "Rome", "lemma": "rome", "entity": "loc"}]}',
+    '{"id": "a", "raw": "hello there", "tokens": [{"surface": "hi", "lemma": "hi"}]}',
+], ids=["lemma_not_string", "tokens_not_list", "not_object", "lemma_not_lowercase",
+        "entity_not_uppercase", "tokens_do_not_spell_raw"])
 def test_cli_rejects_malformed_annotations(tmp_path, capsys, provider, line):
     (tmp_path / "ann.jsonl").write_text(
         json.dumps(sentence_to_record(provider.annotate("The food was cheap."))) + "\n" + line + "\n",
@@ -892,13 +868,20 @@ def test_cli_rejects_malformed_annotations(tmp_path, capsys, provider, line):
     '{"label_set": ["price", "service"]}',
     '{"label_set": ["price", "service"], "patterns": {"price": ["price"]}}',
     '{"label_set": "price", "patterns": {}}',
-], ids=["not_json", "no_label_set", "no_patterns", "entry_not_mapping", "label_set_not_list"])
+    json.dumps({"label_set": list(LABEL_VOCAB), "patterns": {
+        label: [{"pattern": "[cheap]+BOGUS" if label == "price" else "[x]"}]
+        for label in LABEL_VOCAB}}),
+], ids=["not_json", "no_label_set", "no_patterns", "entry_not_mapping", "label_set_not_list",
+        "pattern_does_not_parse"])
 def test_cli_gen_rejects_malformed_patterns(tmp_path, capsys, content):
     config = write_config(tmp_path)
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "patterns.json").write_text(content, encoding="utf-8")
     assert main(["gen", "--config", str(config)]) == 2
-    assert "patterns.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "patterns.json" in err
+    if "BOGUS" in content:
+        assert "the label 'price'" in err and "'BOGUS' is not a POS tag" in err
 
 
 def pool_dataset(config):
@@ -1061,20 +1044,9 @@ def test_cli_ablate_rejects_malformed_verdicts(tmp_path, capsys, kind):
     assert "audit_vt.jsonl line 2" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def tiny_walkthrough(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("tiny")
-    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
-    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
-    for command in ("synth", "gen", "filter", "simulate"):
-        assert main([command, "--config", str(config)]) == 0
-    return tmp_path, config
-
-
-def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, monkeypatch):
-    source, config = tiny_walkthrough
-    out = tmp_path / "out"
-    shutil.copytree(source / "out", out)
+def test_cli_ablate_featurizes_each_sentence_once(walkthrough_seed7, copy_walkthrough, monkeypatch):
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     built = []
     init = LemmaIds.__init__
 
@@ -1084,24 +1056,23 @@ def test_cli_ablate_featurizes_each_sentence_once(tiny_walkthrough, tmp_path, mo
 
     monkeypatch.setattr(LemmaIds, "__init__", spy)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["ablate", "--config", str(config), "--out", str(out),
-                     "--cache-dir", str(source / "cache")]) == 0
+        assert main(["ablate", "--config", str(work.config)]) == 0
     # One LemmaIds for the run, with one row per distinct sentence: the five
     # arms share the pool, the holdout and the annotation of each survivor
     # text (the `none` arm keeps every line of the audit).
     [features] = built
-    dataset = pool_dataset(config)
+    dataset = pool_dataset(work.config)
     texts = {json.loads(line)["generated_text"]
              for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()}
     assert len(features.sentences) == len(dataset.examples) + len(dataset.holdout) + len(texts)
 
 
-def test_cli_ablate_annotates_each_audit_line_once(tiny_walkthrough, tmp_path, monkeypatch):
+def test_cli_ablate_annotates_each_audit_line_once(walkthrough_seed7, copy_walkthrough,
+                                                   monkeypatch):
     """The five arms share their survivors: no text is annotated twice,
     however many arms keep it, and every audit line's text is served."""
-    source, config = tiny_walkthrough
-    out = tmp_path / "out"
-    shutil.copytree(source / "out", out)
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     calls = count_annotations(monkeypatch)
     served = []
     original = Annotator.annotate
@@ -1112,8 +1083,7 @@ def test_cli_ablate_annotates_each_audit_line_once(tiny_walkthrough, tmp_path, m
 
     monkeypatch.setattr(Annotator, "annotate", serving)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["ablate", "--config", str(config), "--out", str(out),
-                     "--cache-dir", str(source / "cache")]) == 0
+        assert main(["ablate", "--config", str(work.config)]) == 0
     records = [json.loads(line)
                for line in (out / "audit_vt.jsonl").read_text(encoding="utf-8").splitlines()]
     # A line that passed every stage is in all five arms.
@@ -1138,6 +1108,18 @@ ARTIFACT_READERS = {
     # macro_f1 is a field that 5, 2.5 and true each make invalid.
     "results.csv": (("report", "report --external"), ("macro_f1",)),
 }
+
+
+@pytest.fixture(scope="module")
+def tiny_walkthrough(tmp_path_factory):
+    """A 60-row run for the 100 examples below, each of which copies `out/`
+    and runs one command: on the 300-row walkthrough they take twice as long."""
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
+    for command in ("synth", "gen", "filter", "simulate"):
+        assert main([command, "--config", str(config)]) == 0
+    return tmp_path, config
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1201,17 +1183,17 @@ def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
         assert f"line {index + 1}" in err.getvalue()
 
 
-def test_cli_filter_needs_no_patterns_file(tiny_walkthrough, tmp_path):
-    source, config = tiny_walkthrough
-    out, cache = copy_pipeline(source, tmp_path)
+def test_cli_filter_needs_no_patterns_file(walkthrough_seed7, copy_walkthrough):
+    work = copy_walkthrough(walkthrough_seed7)
+    out, cache = work.dir / "out", work.dir / "cache"
     (out / "patterns.json").unlink()
     before = sorted(os.listdir(cache))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["filter", "--config", str(config), "--out", str(out),
-                     "--cache-dir", str(cache)]) == 0
+        assert main(["filter", "--config", str(work.config)]) == 0
     assert sorted(os.listdir(cache)) == before
+    shared = walkthrough_seed7.dir / "out"
     for name in WRITERS["filter"]:
-        assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+        assert (out / name).read_bytes() == (shared / name).read_bytes(), name
 
 
 def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys):
@@ -1233,10 +1215,9 @@ def test_cli_synth_checks_the_output_directory_before_the_search(tmp_path, capsy
     assert "cannot create the output directory" in capsys.readouterr().err
 
 
-def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path):
-    source, config = tiny_walkthrough
-    out = tmp_path / "out"
-    shutil.copytree(source / "out", out)
+def test_cli_filter_ignores_the_verdicts_a_line_holds(walkthrough_seed7, copy_walkthrough):
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
     for name in ("vt", "novt"):
         path = out / f"candidates_{name}.jsonl"
         records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
@@ -1245,39 +1226,36 @@ def test_cli_filter_ignores_the_verdicts_a_line_holds(tiny_walkthrough, tmp_path
             record["discriminator_label"] = record["original_label"]
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["filter", "--config", str(config), "--out", str(out),
-                     "--cache-dir", str(source / "cache")]) == 0
+        assert main(["filter", "--config", str(work.config)]) == 0
+    shared = walkthrough_seed7.dir / "out"
     for name in ("survivors_vt.jsonl", "audit_vt.jsonl", "survivors_novt.jsonl", "audit_novt.jsonl"):
-        assert (out / name).read_bytes() == (source / "out" / name).read_bytes(), name
+        assert (out / name).read_bytes() == (shared / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("skipped", [None, "heuristic", "symbolic", "discriminator"],
                          ids=["older_filter", "no_heuristic", "no_symbolic", "no_discriminator"])
-def test_cli_ablate_rejects_an_audit_with_unjudged_stages(tiny_walkthrough, tmp_path, capsys,
-                                                          skipped):
+def test_cli_ablate_rejects_an_audit_with_unjudged_stages(walkthrough_seed7, copy_walkthrough,
+                                                          capsys, skipped):
     """An audit whose heuristic passer has a stage that is neither passed nor
     failed exits 2 in `ablate`: one from a `filter` that stopped at a
     candidate's first failure, or from one whose config could disable a
     stage, which it wrote as skipped."""
-    source, _ = tiny_walkthrough
-    shutil.copy(source / "data.csv", tmp_path / "data.csv")
-    out, _ = copy_pipeline(source, tmp_path)
-    config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
-    audit = out / "audit_vt.jsonl"
+    work = copy_walkthrough(walkthrough_seed7)
+    audit = work.dir / "out" / "audit_vt.jsonl"
     records = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    line = next(i for i, r in enumerate(records, 1)
+                if i > 1 and r["verdicts"]["heuristic"]["status"] == "passed")
+    record = records[line - 1]
     if skipped:
-        records[2]["verdicts"][skipped] = {"status": "skipped", "reason": "stage disabled"}
+        record["verdicts"][skipped] = {"status": "skipped", "reason": "stage disabled"}
     else:  # a symbolic failure as a filter that stopped at the first failure wrote it
-        records[2]["discriminator_label"] = None
-        records[2]["verdicts"].update(symbolic={"status": "failed", "reason": "no match"},
-                                      discriminator={"status": "pending", "reason": ""})
+        record["discriminator_label"] = None
+        record["verdicts"].update(symbolic={"status": "failed", "reason": "no match"},
+                                  discriminator={"status": "pending", "reason": ""})
     audit.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    verdicts = [r["verdicts"] for r in records]
-    first = next(i for i, v in enumerate(verdicts, 1) if v["heuristic"]["status"] != "failed"
-                 and any(v[stage]["status"] not in ("passed", "failed") for stage in STAGES))
-    assert main(["ablate", "--config", str(config)]) == 2
+    assert main(["ablate", "--config", str(work.config)]) == 2
     err = capsys.readouterr().err
-    assert f"audit_vt.jsonl line {first}: " in err and "run `patvar filter` again" in err
+    assert f"audit_vt.jsonl line {line}: " in err and "run `patvar filter` again" in err
 
 
 def test_cli_multilabel_parts_join_and_survive(tmp_path):

@@ -162,32 +162,6 @@ def test_embedder_properties(provider):
     assert float(a @ b) == pytest.approx(1.0)
 
 
-def exhaustive_best_inertia(points, k):
-    best = math.inf
-    n = len(points)
-    x = np.asarray(points, dtype=np.float64)
-    for assignment in itertools.product(range(k), repeat=n):
-        if len(set(assignment)) != k:
-            continue
-        total = 0.0
-        for j in range(k):
-            members = x[[i for i in range(n) if assignment[i] == j]]
-            centroid = members.mean(axis=0)
-            total += float(np.sum((members - centroid) ** 2))
-        best = min(best, total)
-    return best
-
-
-def test_kmeans_one_dimensional_fixture():
-    points = np.array([[0.0], [0.1], [10.0], [10.1]])
-    assignments, centroids = kmeans(points, 2, seed=0)
-    assert assignments[0] == assignments[1]
-    assert assignments[2] == assignments[3]
-    assert assignments[0] != assignments[2]
-    got = inertia(points, assignments, centroids)
-    assert got == pytest.approx(exhaustive_best_inertia(points, 2), abs=1e-12)
-
-
 def test_kmeans_degenerate_ks():
     points = np.array([[0.0], [1.0], [5.0]])
     assignments, centroids = kmeans(points, 3, seed=1)

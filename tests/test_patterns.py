@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -18,6 +17,8 @@ from patvar.patterns import (
     parse_pattern,
     render_pattern,
 )
+
+from oracles import random_pattern, random_sentence
 
 # ---------------------------------------------------------------------------
 # Parsing / rendering
@@ -62,50 +63,6 @@ def test_render_canonical():
     assert render_pattern(PatternAst(((StemAtom("food"), WILDCARD, PosAtom("ADJ")),))) == "[food]+*+ADJ"
     assert render_pattern(PatternAst(((SoftAtom("pay"),), (SoftAtom("sale"),)))) == "(pay)|(sale)"
     assert render_pattern(PatternAst(((WILDCARD,),))) == "*"
-
-
-POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
-WORD_CHOICES = ("food", "amazing", "cheap", "pay", "staff", "monday", "play", "good", "price", "be")
-ENTITY_CHOICES = ("DATE", "LOCATION", "ORG", "PERSON")
-
-
-def random_atom(rng):
-    kind = rng.randrange(5)
-    if kind == 0:
-        return PosAtom(rng.choice(POS_CHOICES))
-    if kind == 1:
-        return StemAtom(rng.choice(WORD_CHOICES))
-    if kind == 2:
-        return SoftAtom(rng.choice(WORD_CHOICES))
-    if kind == 3:
-        return EntityAtom(rng.choice(ENTITY_CHOICES))
-    return WILDCARD
-
-
-def random_pattern(rng, max_alts=3, max_atoms=5):
-    n_alts = rng.randint(1, max_alts)
-    alts = []
-    budget = max_atoms
-    for _ in range(n_alts):
-        n_atoms = rng.randint(1, max(1, budget - (n_alts - len(alts) - 1)))
-        seq = []
-        for _ in range(n_atoms):
-            atom = random_atom(rng)
-            if seq and isinstance(seq[-1], type(WILDCARD)) and atom == WILDCARD:
-                atom = StemAtom(rng.choice(WORD_CHOICES))
-            seq.append(atom)
-        budget -= len(seq)
-        alts.append(tuple(seq))
-        if budget <= 0:
-            break
-    return PatternAst(tuple(alts))
-
-
-def test_roundtrip_random_asts():
-    rng = random.Random(20240917)
-    for _ in range(1000):
-        p = random_pattern(rng)
-        assert parse_pattern(render_pattern(p)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -204,29 +161,6 @@ def test_brute_force_input_limits(provider, lexicon):
         brute_force_match(parse_pattern("[food]"), long_sentence, lexicon)
     with pytest.raises(InputTooLarge):
         brute_force_match(parse_pattern("[a]+[b]+[c]+[d]+[e]+[f]"), annotated(provider, "x"), lexicon)
-
-
-SENTENCE_VOCAB = [
-    "food", "amazing", "great", "good", "cheap", "affordable", "lobster",
-    "price", "staff", "monday", "new", "york", "play", "song", "5", "was",
-    "the", "xyzzy", "!",
-]
-
-
-def random_sentence(provider, rng, max_tokens=12):
-    raw = " ".join(rng.choice(SENTENCE_VOCAB) for _ in range(rng.randrange(0, max_tokens + 1)))
-    return provider.annotate(raw)
-
-
-def test_matcher_agrees_with_oracle(provider, lexicon):
-    rng = random.Random(42)
-    for _ in range(1000):
-        p = random_pattern(rng)
-        s = random_sentence(provider, rng)
-        assert match_sentence(p, s, lexicon) == brute_force_match(p, s, lexicon), (
-            render_pattern(p),
-            s.raw,
-        )
 
 
 def test_wildcard_substitution_preserves_match(provider, lexicon):

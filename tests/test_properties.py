@@ -90,18 +90,10 @@ from patvar.synthesis import (
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
-    scored,
     synthesize_patterns,
 )
 
-POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
-WORD_CHOICES = ("food", "amazing", "cheap", "pay", "staff", "monday", "play", "good", "price", "be")
-ENTITY_CHOICES = ("DATE", "LOCATION", "ORG", "PERSON")
-SENTENCE_VOCAB = (
-    "food", "amazing", "great", "good", "cheap", "affordable", "lobster",
-    "price", "staff", "monday", "new", "york", "play", "song", "5", "was",
-    "the", "xyzzy", "!",
-)
+from oracles import ENTITY_CHOICES, POS_CHOICES, SENTENCE_VOCAB, WORD_CHOICES, decoded_candidates
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -370,10 +362,6 @@ def labeled(provider, corpus):
     if not positives:
         positives, negatives = negatives[:1], negatives[1:]
     return positives, negatives
-
-
-def decoded_candidates(positives, negatives, cfg, lex):
-    return [scored(c, positives, negatives) for c in enumerate_candidates(positives, negatives, cfg, lex)]
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -15,50 +15,12 @@ from patvar.stats import (
     student_t_two_sided_p,
 )
 
+from oracles import two_sided_p_by_quadrature
+
 # ---------------------------------------------------------------------------
-# Independent oracles
+# Independent oracles (acceptance criterion 07 checks paired_t_test against
+# the quadrature and macro_f1 against the confusion matrix on random inputs)
 # ---------------------------------------------------------------------------
-
-
-def t_pdf(x, df):
-    return math.exp(
-        math.lgamma((df + 1) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * math.log(df * math.pi)
-        - ((df + 1) / 2.0) * math.log1p(x * x / df)
-    )
-
-
-def two_sided_p_by_quadrature(t, df, points=8001):
-    """Simpson integration of the t density over [-|t|, |t|]."""
-    hi = abs(t)
-    if hi == 0:
-        return 1.0
-    h = 2 * hi / (points - 1)
-    total = 0.0
-    for i in range(points):
-        x = -hi + i * h
-        w = 1 if i in (0, points - 1) else (4 if i % 2 else 2)
-        total += w * t_pdf(x, df)
-    return 1.0 - total * h / 3.0
-
-
-def macro_f1_by_confusion(predictions, label_set):
-    """Brute-force confusion-matrix oracle."""
-    idx = {lab: i for i, lab in enumerate(label_set)}
-    k = len(label_set)
-    conf = [[0] * k for _ in range(k)]
-    for gold, pred in predictions:
-        conf[idx[gold]][idx[pred]] += 1
-    score = 0.0
-    for i in range(k):
-        tp = conf[i][i]
-        fp = sum(conf[j][i] for j in range(k)) - tp
-        fn = sum(conf[i]) - tp
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        score += 2 * p * r / (p + r) if p + r else 0.0
-    return score / k
 
 
 def macro_f1_three_scans(predictions, label_set):
@@ -115,19 +77,6 @@ def test_t_test_symmetry():
         assert pa == pytest.approx(pb, abs=1e-12)
 
 
-def test_t_test_matches_quadrature_oracle():
-    rng = random.Random(2718)
-    for _ in range(100):
-        n = rng.randint(4, 16)
-        base = [rng.uniform(0, 1) for _ in range(n)]
-        shift = rng.uniform(-0.3, 0.3)
-        noisy = [x + shift + rng.gauss(0, 0.2) for x in base]
-        t, p = paired_t_test(noisy, base)
-        if math.isinf(t):
-            continue
-        assert p == pytest.approx(two_sided_p_by_quadrature(t, n - 1), abs=1e-3)
-
-
 def test_incomplete_beta_reference_points():
     # I_x(1, 1) = x; I_x(1, b) = 1 - (1-x)^b
     for x in (0.0, 0.2, 0.5, 0.9, 1.0):
@@ -169,17 +118,6 @@ def test_macro_f1_absent_label_contributes_zero():
 def test_macro_f1_empty_raises():
     with pytest.raises(EmptyPredictions):
         macro_f1([], ["a"])
-
-
-def test_macro_f1_matches_confusion_oracle():
-    rng = random.Random(31337)
-    labels = ["a", "b", "c", "d"]
-    for _ in range(500):
-        n = rng.randint(1, 30)
-        preds = [(rng.choice(labels), rng.choice(labels)) for _ in range(n)]
-        assert macro_f1(preds, labels) == pytest.approx(
-            macro_f1_by_confusion(preds, labels), abs=1e-12
-        )
 
 
 # Predictions may hold labels outside the label set, and the set may repeat one.

@@ -20,9 +20,10 @@ from patvar.synthesis import (
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
-    scored,
     synthesize_patterns,
 )
+
+from oracles import decoded_candidates
 
 
 def example(provider, raw, label, id=None):
@@ -30,11 +31,6 @@ def example(provider, raw, label, id=None):
     if id is not None:
         s = dataclasses.replace(s, id=id)
     return LabeledExample(s, label)
-
-
-def decoded_candidates(positives, negatives, cfg, lexicon):
-    return [scored(c, positives, negatives)
-            for c in enumerate_candidates(positives, negatives, cfg, lexicon)]
 
 
 @pytest.fixture

@@ -1,17 +1,15 @@
 """The README walkthrough on corpus seeds 7 and 11 (the `walkthrough`
 fixture): its outputs against their pinned hashes, and the properties that
-tie its files to each other and to partial runs of the same experiment."""
+tie its files to each other and to partial runs of the same experiment.
+Acceptance criteria 08-10 read the same runs: the cold-start effect, a rerun
+of every command, and a `gen` + `filter` replay against the cache."""
 
 import contextlib
-import hashlib
 import io
 import json
 import os
 import shutil
 
-import pytest
-
-from patvar import gateway
 from patvar.cli import main
 from patvar.config import build_provider, ingest, load_config
 from patvar.errors import in_file, read_jsonl
@@ -23,38 +21,11 @@ def lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def copy_walkthrough(walkthrough, tmp_path):
-    """A copy of the walkthrough's directory, so the shared one stays as it was."""
-    return shutil.copytree(walkthrough.dir, tmp_path / "work")
-
-
-def run(work, config, *commands, out=None):
+def run(config, *commands, out=None):
     extra = ["--out", str(out)] if out else []
     with contextlib.redirect_stdout(io.StringIO()):
         for command in commands:
-            assert main([*command.split(), "--config", str(work / config), *extra]) == 0, command
-
-
-@pytest.fixture
-def backend_sends(monkeypatch):
-    """The requests that reach the mock backend from now on."""
-    sent = []
-    send = gateway.MockBackend.send
-
-    def counting(self, req):
-        sent.append(req)
-        return send(self, req)
-
-    monkeypatch.setattr(gateway.MockBackend, "send", counting)
-    return sent
-
-
-def test_outputs_match_their_pins(walkthrough):
-    out = walkthrough.dir / "out"
-    assert len(walkthrough.pins) == 15
-    moved = [name for name, digest in walkthrough.pins.items()
-             if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
-    assert moved == []
+            assert main([*command.split(), "--config", str(config), *extra]) == 0, command
 
 
 def test_audit_reads_back_and_its_survivors_are_the_survivors_file(walkthrough):
@@ -87,30 +58,19 @@ def test_audit_line_is_its_candidate_line_plus_the_verdicts(walkthrough):
             assert judged == cand, cand["uid"]
 
 
-def test_gen_filter_replay_sends_nothing_and_rewrites_the_same_outputs(walkthrough, tmp_path,
-                                                                       backend_sends):
-    work = copy_walkthrough(walkthrough, tmp_path)
-    segments = sorted(os.listdir(work / "cache"))
-    before = {name: (work / "out" / name).read_bytes() for name in os.listdir(work / "out")}
-    run(work, "exp.yaml", "gen", "filter")
-    assert backend_sends == []
-    assert sorted(os.listdir(work / "cache")) == segments
-    assert {name: (work / "out" / name).read_bytes() for name in os.listdir(work / "out")} == before
-
-
-def test_one_seed_gives_its_rows_of_the_full_run(walkthrough, tmp_path):
-    work = copy_walkthrough(walkthrough, tmp_path)
-    run(work, "exp.yaml", "simulate --seed 3", "ablate --seed 3")
+def test_one_seed_gives_its_rows_of_the_full_run(walkthrough, copy_walkthrough):
+    work = copy_walkthrough(walkthrough).dir
+    run(work / "exp.yaml", "simulate --seed 3", "ablate --seed 3")
     for name in ("results.csv", "ablation_results.csv"):
         header, *rows = lines(walkthrough.dir / "out" / name)
         assert lines(work / "out" / name) == [header, *(r for r in rows if r.split(",")[3] == "3")]
 
 
 def test_two_conditions_write_no_novt_set_and_give_their_rows_of_the_full_run(
-        walkthrough, tmp_path, backend_sends):
+        walkthrough, copy_walkthrough, backend_sends):
     """With no condition that trains on the `novt` set, `gen` writes none and
     `filter` reads none, not even a stale `candidates_novt.jsonl`."""
-    work = copy_walkthrough(walkthrough, tmp_path)
+    work = copy_walkthrough(walkthrough).dir
     full = lines(work / "exp.yaml")
     subset = ["conditions: [random, counterfactual]" if line.startswith("conditions: ") else line
               for line in full]
@@ -121,7 +81,7 @@ def test_two_conditions_write_no_novt_set_and_give_their_rows_of_the_full_run(
     shutil.copy(work / "out" / "patterns.json", out)
     shutil.copy(work / "out" / "candidates_vt.jsonl", out / "candidates_novt.jsonl")
     segments = sorted(os.listdir(work / "cache"))
-    run(work, "subset.yaml", "gen", "filter", "simulate", out=out)
+    run(work / "subset.yaml", "gen", "filter", "simulate", out=out)
     assert backend_sends == []
     assert sorted(os.listdir(work / "cache")) == segments
     vt = ["candidates_vt.jsonl", "survivors_vt.jsonl", "audit_vt.jsonl"]
@@ -136,3 +96,10 @@ def test_two_conditions_write_no_novt_set_and_give_their_rows_of_the_full_run(
     header, *rows = lines(work / "out" / "results.csv")
     assert lines(out / "results.csv") == [
         header, *(r for r in rows if r.split(",")[0] in ("random", "counterfactual"))]
+
+
+def test_outputs_match_their_pins(walkthrough):
+    """Last in the session's order, so it sees the shared walkthrough after
+    every other test has read it."""
+    assert len(walkthrough.pins) == 15
+    assert walkthrough.moved() == []
