@@ -330,12 +330,11 @@ def _survivors_index(arms, provider: Annotator) -> dict[str, tuple[str, dict]]:
     return indexed
 
 
-def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> tuple[int, list[RunResult]]:
+def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> list[RunResult]:
     """Check the shots and the holdout, which scores them, before any survivors are
     read, then simulate each arm of `read_arms()`, a name -> (order, survivors)
     mapping; pair the results against `reference`, write `<prefix>results.csv` and
-    `<prefix>summary.csv`, and print each arm's first shot with its missing cells.
-    Returns the exit code, 4 when every cell of some arm failed, and the results."""
+    `<prefix>summary.csv`, print each arm's first shot and return the results."""
     from .learning import run_simulation
 
     if not ctx.dataset.holdout:
@@ -353,14 +352,8 @@ def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> tuple[int
     write_summary_csv(ctx.output(f"{prefix}summary.csv"), results, ctx.dataset_name, reference)
     for r in results:
         first = r.shots[0]
-        missing = sum(r.scores[first][seed] is None for seed in r.seeds)
-        f1 = "n/a" if r.mean[first] is None else f"{r.mean[first]:.3f} (sd {r.sd[first]:.3f})"
-        print(f"{r.condition}: F1@{first} = {f1}"
-              + (f" ({missing} of {len(r.seeds)} cells missing)" if missing else ""))
-    failed = [r.condition for r in results if r.mean[r.shots[0]] is None]
-    if failed:
-        print(f"data error: every cell of {', '.join(failed)} failed", file=sys.stderr)
-    return (4 if failed else 0), results
+        print(f"{r.condition}: F1@{first} = {r.mean[first]:.3f} (sd {r.sd[first]:.3f})")
+    return results
 
 
 def cmd_simulate(ctx: Context) -> int:
@@ -370,7 +363,8 @@ def cmd_simulate(ctx: Context) -> int:
                                             "`patvar gen` and `patvar filter`") if file else [])
                 for c, (order, file) in arms.items()}
 
-    return _run_grid(ctx, read_arms, "counterfactual", "")[0]
+    _run_grid(ctx, read_arms, "counterfactual", "")
+    return 0
 
 
 def cmd_ablate(ctx: Context) -> int:
@@ -378,10 +372,10 @@ def cmd_ablate(ctx: Context) -> int:
         audit = _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit)
         return {arm: ("random", survivors) for arm, survivors in survivors_by_arm(audit).items()}
 
-    code, results = _run_grid(ctx, read_arms, "all", "ablation_")
+    results = _run_grid(ctx, read_arms, "all", "ablation_")
     with open(ctx.output("ablation.md"), "w", encoding="utf-8") as fh:
         fh.write(render_f1_grid(f"Filter ablation ({ctx.dataset_name})", results))
-    return code
+    return 0
 
 
 def cmd_report(ctx: Context, quality_files=(), external=()) -> int:

@@ -71,6 +71,8 @@ class DatasetSpec:
             object.__setattr__(self, "labels", _config_list("dataset.labels", self.labels, str))
         if self.format not in ("csv", "jsonl"):
             raise ConfigError(f"dataset.format must be csv or jsonl, got {self.format!r}")
+        if not self.label_delimiter:
+            raise ConfigError("dataset.label_delimiter must not be empty")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("dataset.holdout_fraction must be in (0, 1)")
 

@@ -18,7 +18,6 @@ import bisect
 import functools
 import hashlib
 import itertools
-import logging
 import math
 import random
 from typing import Iterable, Mapping, Sequence
@@ -30,8 +29,6 @@ from .errors import PatvarError
 from .experiment import Dataset, RunResult, ShotSchedule, summarize
 from .stats import EmptyPredictions
 from .synthesis import LabeledExample
-
-logger = logging.getLogger(__name__)
 
 TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
 # original example id -> [(generated sentence, target label), ...]
@@ -341,7 +338,7 @@ def select_uncertainty(rows: np.ndarray, n: int, clf: NaiveBayesClassifier) -> n
 class _ArmTable:
     """One arm's training items, grouped by pool position: each pool
     example's row and label id, then those of its counterfactuals in the
-    index, with -1 for a target label outside the label set."""
+    index."""
 
     def __init__(self, index: SurvivorsIndex, pool: Sequence[LabeledExample],
                  pool_rows: np.ndarray, pool_labels: np.ndarray, features: LemmaIds,
@@ -355,8 +352,7 @@ class _ArmTable:
         counterfactual = np.ones(len(self.rows), dtype=bool)
         counterfactual[self.starts] = False
         self.rows[counterfactual] = features.rows(s for items in extra for s, _ in items)
-        self.labels[counterfactual] = [label_ids.get(label, -1)
-                                       for items in extra for _, label in items]
+        self.labels[counterfactual] = [label_ids[label] for items in extra for _, label in items]
 
     def cut(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows and label ids of the groups of `positions`, in that order,
@@ -413,18 +409,18 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, tuple[str, Survivo
     nothing. The order is `random` (the seed's one `select_random` order),
     `cluster`, or `uncertainty` (grown from that order's first shot, training
     on the arm's items); the index holds the arm's survivors (`{}` for none).
-    Every sentence is looked up in the run's `LemmaIds` and every label in
-    the label set once, when each arm's `_ArmTable` is built; a scored run is
-    a cut of that table. One classifier, from the module-level name
-    `NaiveBayesClassifier` (the seam tests patch), serves the whole grid: seed
-    by seed, one `predict_nested` call labels every condition's run at every
-    shot. A data error (`PatvarError`, `ValueError`) while building a
-    condition's order makes that condition x seed cell missing. When the
-    seed's call fails with one, each run is scored alone through
-    `predict_nested`, and only those that fail again are missing: a run
-    fails when it reaches a counterfactual whose target label is outside the
-    label set. Other exceptions propagate.
+    A counterfactual whose target label is outside the label set raises
+    ValueError naming its original before anything trains, whether or not its
+    original lies within the budget. Every sentence is looked up in the run's
+    `LemmaIds` and every label in the label set once, when each arm's
+    `_ArmTable` is built; a scored run is a cut of that table. One classifier,
+    from the module-level name `NaiveBayesClassifier` (the seam tests patch),
+    serves the whole grid: seed by seed, one `predict_nested` call labels
+    every condition's run at every shot. Every cell is scored; any error
+    propagates.
     """
+    if not conditions:
+        raise ValueError("need at least one condition")
     if not seeds:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -432,57 +428,45 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, tuple[str, Survivo
     unknown = {order for order, _ in conditions.values()} - {"random", "cluster", "uncertainty"}
     if unknown:
         raise ValueError(f"unknown orders {sorted(unknown)}")
+    label_ids = {label: i for i, label in enumerate(dataset.label_set)}
+    for _, index in conditions.values():
+        for original, items in index.items():
+            for _, label in items:
+                if label not in label_ids:
+                    raise ValueError(f"a counterfactual of {original} targets {label!r}, "
+                                     f"outside the label set {list(dataset.label_set)}")
     schedule.validate_against(len(dataset.examples))
     pool, shots = dataset.examples, schedule.shots
     examples = pool + dataset.holdout
     survivors = [sentence for _, index in conditions.values() for items in index.values()
                  for sentence, _ in items]
     features = LemmaIds([ex.sentence for ex in examples] + survivors)
-    label_ids = {label: i for i, label in enumerate(dataset.label_set)}
     rows = features.rows(ex.sentence for ex in examples)
     labels = np.array([label_ids[ex.label] for ex in examples], dtype=np.intp)
     pool_rows, holdout_rows, gold = rows[: len(pool)], rows[len(pool):], labels[len(pool):]
-    arms = {condition: (order, _ArmTable(index, pool, pool_rows, labels[: len(pool)], features,
-                                         label_ids))
-            for condition, (order, index) in conditions.items()}
+    arms = [(order, _ArmTable(index, pool, pool_rows, labels[: len(pool)], features, label_ids))
+            for order, index in conditions.values()]
     n_clusters = min(len(dataset.label_set), len(pool))
     clf = NaiveBayesClassifier(dataset.label_set, features)
     # Place p's example and its counterfactuals (outside the budget) join at shot firsts[p].
     firsts = np.array([bisect.bisect_right(shots, place) for place in range(shots[-1])],
                       dtype=np.intp)
-
-    def score(runs) -> list[list[float]]:
-        return macro_f1s(gold, clf.predict_nested(runs, len(shots), holdout_rows),
-                         len(dataset.label_set))
-
-    scores = {condition: {shot: dict.fromkeys(seeds) for shot in shots} for condition in conditions}
+    scores = {condition: {shot: {} for shot in shots} for condition in conditions}
     for seed in seeds:
         random_order = select_random(pool, seed)
-        runs = {}
-        for condition, (order, arm) in arms.items():
-            try:
-                if order == "cluster":
-                    positions = select_cluster(features.embeddings(pool_rows), n_clusters, seed)
-                elif order == "uncertainty":
-                    positions = _uncertainty_order(arm, pool_rows, shots, random_order[: shots[0]],
-                                                   clf)
-                else:
-                    positions = random_order
-                run_rows, run_labels, group = arm.cut(positions[: shots[-1]])
-                runs[condition] = (run_rows, run_labels, firsts[group])
-            except (PatvarError, ValueError):
-                logger.exception("cell %s/seed %d failed; recording as missing", condition, seed)
-        try:
-            f1s = dict(zip(runs, score(list(runs.values())))) if runs else {}
-        except (PatvarError, ValueError):  # score each run alone
-            f1s = {}
-            for condition, run in runs.items():
-                try:
-                    [f1s[condition]] = score([run])
-                except (PatvarError, ValueError):
-                    logger.exception("cell %s/seed %d failed; recording as missing",
-                                     condition, seed)
-        for condition, f1 in f1s.items():
+        runs = []
+        for order, arm in arms:
+            if order == "cluster":
+                positions = select_cluster(features.embeddings(pool_rows), n_clusters, seed)
+            elif order == "uncertainty":
+                positions = _uncertainty_order(arm, pool_rows, shots, random_order[: shots[0]], clf)
+            else:
+                positions = random_order
+            run_rows, run_labels, group = arm.cut(positions[: shots[-1]])
+            runs.append((run_rows, run_labels, firsts[group]))
+        f1s = macro_f1s(gold, clf.predict_nested(runs, len(shots), holdout_rows),
+                        len(dataset.label_set))
+        for condition, f1 in zip(conditions, f1s):
             for shot, value in zip(shots, f1):
                 scores[condition][shot][seed] = value
     return [summarize(condition, scores[condition], shots, seeds) for condition in conditions]

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import patvar
-from patvar import cli, filtering, gateway, learning, synthesis
+from patvar import cli, filtering, gateway, synthesis
 from patvar.annotation import Annotator, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
@@ -150,6 +150,8 @@ def test_bad_values_rejected(tmp_path, capsys):
         ({"cache_dir": 5}, "cache_dir"),
         ({"dataset": {"split_seed": [1]}}, "dataset"),
         ({"dataset": {"multi_label": True, "label_delimiter": 5}}, "dataset"),
+        ({"dataset": {"multi_label": True, "label_delimiter": ""}},
+         "dataset.label_delimiter must not be empty"),
         ({"backend": {"label_vocab": ["a"]}}, "backend"),
         ({"filters": {"heuristic": "no"}}, "unknown key(s) in config: ['filters']"),
         ({"dataset": {"labels": ["service", "service", "price", "environment", "products"]}},
@@ -1394,76 +1396,6 @@ def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest) == {"synth"}
     assert "not a JSON object" in caplog.text
-
-
-UNTRAINABLE = "a counterfactual the classifier cannot train on"
-
-
-def write_untrainable_counterfactuals(config, name, monkeypatch, **fields):
-    """Write output `name` with one counterfactual of every pool example, each
-    record updated by `fields`, and make every cell that trains on one fail
-    with a data error."""
-    class Failing(learning.NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, rows):
-            if any(self.features.sentences[row].raw == UNTRAINABLE
-                   for run_rows, _, _ in runs for row in run_rows.tolist()):
-                raise ValueError("failing on purpose")
-            return super().predict_nested(runs, n_shots, rows)
-
-    monkeypatch.setattr(learning, "NaiveBayesClassifier", Failing)
-    dataset = pool_dataset(config)
-    out = config.parent / "out"
-    out.mkdir()
-    with open(out / name, "w", encoding="utf-8") as fh:
-        for i, ex in enumerate(dataset.examples):
-            target = next(label for label in dataset.label_set if label != ex.label)
-            task = GenerationTask(ex.sentence, ex.label, target)
-            record = candidate_to_record(CounterfactualCandidate(f"u{i}", task, UNTRAINABLE, None))
-            fh.write(json.dumps({**record, **fields}) + "\n")
-    return out
-
-
-def test_cli_simulate_reports_failed_condition(tmp_path, capsys, monkeypatch):
-    config = write_config(tmp_path, conditions=["random", "counterfactual"])
-    out = write_untrainable_counterfactuals(config, "survivors_vt.jsonl", monkeypatch)
-    assert main(["simulate", "--config", str(config)]) == 4
-    printed = capsys.readouterr().out
-    assert "counterfactual: F1@5 = n/a (3 of 3 cells missing)" in printed
-    assert "random: F1@5 = " in printed and "random: F1@5 = n/a" not in printed
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert set(manifest["simulate"]["outputs"]) == {"results.csv", "summary.csv"}
-
-
-def test_cli_ablate_reports_failed_arm(tmp_path, capsys, monkeypatch):
-    config = write_config(tmp_path)
-    # The heuristic stage failed every candidate: only the `none` arm trains on them.
-    verdicts = {stage: {"status": "pending", "reason": ""} for stage in STAGES}
-    verdicts["heuristic"] = {"status": "failed", "reason": "refusal"}
-    out = write_untrainable_counterfactuals(config, "audit_vt.jsonl", monkeypatch,
-                                            verdicts=verdicts, discriminator_label=None)
-    assert main(["ablate", "--config", str(config)]) == 4
-    captured = capsys.readouterr()
-    assert "none: F1@5 = n/a (3 of 3 cells missing)" in captured.out
-    for arm in ("heuristic", "heuristic+symbolic", "heuristic+discriminator", "all"):
-        assert f"{arm}: F1@5 = " in captured.out and f"{arm}: F1@5 = n/a" not in captured.out
-    assert "every cell of none failed" in captured.err
-    names = {"ablation_results.csv", "ablation_summary.csv", "ablation.md"}
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert set(manifest["ablate"]["outputs"]) == names
-    [none_row] = [line for line in (out / "ablation.md").read_text(encoding="utf-8").splitlines()
-                  if line.startswith("| none ")]
-    assert "n/a" in none_row
-
-
-def test_cli_seed_and_out_overrides(tmp_path):
-    config = write_config(tmp_path, shots=[3, 6], seeds=[0, 1])
-    alt_out = tmp_path / "alt"
-    for command in ("synth", "gen", "filter"):
-        assert main([command, "--config", str(config), "--out", str(alt_out)]) == 0
-    assert main(["simulate", "--config", str(config), "--out", str(alt_out), "--seed", "5"]) == 0
-    rows = (alt_out / "results.csv").read_text(encoding="utf-8").splitlines()
-    seeds = {line.split(",")[3] for line in rows[1:]}
-    assert seeds == {"5"}
 
 
 def test_text_commands_never_import_numpy(tmp_path):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 
@@ -9,7 +8,6 @@ from patvar.filtering import (
     ARMS,
     STAGES,
     FilterRow,
-    QualityReport,
     StageVerdict,
     compute_metrics,
     discriminator_filter,

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from patvar import generation

@@ -287,10 +287,9 @@ def predict_nested(clf, runs, n_shots, sentences):
 
 def read_back(clf, run):
     """A run's (sentence, label) items and first shots, read back through the
-    classifier's `LemmaIds`; a label id outside the label set reads as None."""
+    classifier's `LemmaIds`."""
     rows, labels, first_shot = run
-    names = [clf.label_set[label] if 0 <= label < len(clf.label_set) else None
-             for label in labels.tolist()]
+    names = [clf.label_set[label] for label in labels.tolist()]
     sentences = [clf.features.sentences[row] for row in rows.tolist()]
     return list(zip(sentences, names)), first_shot.tolist()
 
@@ -731,71 +730,6 @@ def test_run_simulation_programming_error_propagates(provider, monkeypatch):
         run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [0])
 
 
-def test_run_simulation_data_error_is_missing_cell(provider, monkeypatch):
-    dataset = tiny_dataset(provider)
-    _patch_failing(monkeypatch, ValueError)
-    [result] = run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4, 8)), [0, 1])
-    assert result.scores == {4: {0: None, 1: None}, 8: {0: None, 1: None}}
-    assert result.mean == {4: None, 8: None}
-
-
-def failure_grid(provider):
-    """A grid whose two augmented arms give every pool example a
-    counterfactual of its own."""
-    dataset = tiny_dataset(provider)
-    flip = dict(zip(dataset.label_set, reversed(dataset.label_set)))
-    augment = {
-        condition: {e.sentence.id: [(provider.annotate(f"{word} {i}"), flip[e.label])]
-                    for i, e in enumerate(dataset.examples)}
-        for condition, word in (("cf_no_vt", "menu"), ("counterfactual", "staff"))
-    }
-    conditions = {c: (order, augment.get(c, {})) for c, (order, _) in CONDITIONS.items()}
-    return dataset, conditions, ShotSchedule((2, 4, 8))
-
-
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True), data=st.data())
-def test_a_data_error_in_one_run_misses_only_its_cell(provider, seeds, data):
-    dataset, conditions, schedule = failure_grid(provider)
-    calls = []
-
-    class Recording(NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, rows):
-            calls.append([read_back(self, run) for run in runs])
-            return super().predict_nested(runs, n_shots, rows)
-
-    with mock.patch.object(learning, "NaiveBayesClassifier", Recording):
-        whole = run_simulation(dataset, conditions, schedule, seeds)
-    # One call per seed, over every condition's run in the mapping's order.
-    assert [len(runs) for runs in calls] == [len(conditions)] * len(seeds)
-    seed = data.draw(st.sampled_from(seeds))
-    condition = data.draw(st.sampled_from(list(conditions)))
-    target = calls[seeds.index(seed)][list(conditions).index(condition)]
-
-    class Failing(NaiveBayesClassifier):
-        def predict_nested(self, runs, n_shots, rows):
-            if any(read_back(self, run) == target for run in runs):
-                raise ValueError("failing on purpose")
-            return super().predict_nested(runs, n_shots, rows)
-
-    with mock.patch.object(learning, "NaiveBayesClassifier", Failing):
-        results = run_simulation(dataset, conditions, schedule, seeds)
-    # A run equal to the target fails too: on this small pool two orders of
-    # one seed may happen to agree.
-    failing = {(c, s) for s, runs in zip(seeds, calls) for c, run in zip(conditions, runs)
-               if run == target}
-    assert (condition, seed) in failing
-    for got, expected in zip(results, whole):
-        for s in seeds:
-            alone = run_simulation(dataset, {got.condition: conditions[got.condition]}, schedule,
-                                   [s])[0]
-            for shot in schedule.shots:
-                assert got.scores[shot][s] == (
-                    None if (got.condition, s) in failing else alone.scores[shot][s])
-                if (got.condition, s) not in failing:
-                    assert got.scores[shot][s] == expected.scores[shot][s]
-
-
 ARM_WORDS = ("good", "food", "rude", "staff", "the")
 
 
@@ -803,8 +737,8 @@ ARM_WORDS = ("good", "food", "rude", "staff", "the")
 def random_arms(draw):
     """A small dataset over the labels A, B and C, a shot schedule, seeds and
     a survivors index. The pool holds A and B only, so C trains only as a
-    counterfactual target and is often absent at the first shot; Z is outside
-    the label set. Survivors of originals past the budget never train."""
+    counterfactual target and is often absent at the first shot. Survivors of
+    originals past the budget never train."""
     words = st.lists(st.sampled_from(ARM_WORDS), max_size=4)
     n_pool = draw(st.integers(2, 7))
     pool = [LabeledExample(sentence_of(draw(words), f"p{i}"), draw(st.sampled_from("AB")))
@@ -814,7 +748,7 @@ def random_arms(draw):
     shots = sorted(draw(st.sets(st.integers(1, n_pool), min_size=1, max_size=3)))
     index = {}
     for ex in pool:
-        targets = draw(st.lists(st.sampled_from("ABCZ"), max_size=2))
+        targets = draw(st.lists(st.sampled_from("ABC"), max_size=2))
         if targets:
             index[ex.sentence.id] = [(sentence_of(draw(words), f"c{i}"), target)
                                      for i, target in enumerate(targets)]
@@ -826,14 +760,11 @@ def reference_cell(dataset, index, shots, seed):
     """A random-order cell the slow way: the seed's shuffle of the pool, each
     of its first shots[-1] examples followed by its counterfactuals, a fresh
     oracle trained on each shot's items, and `stats.macro_f1` of its holdout
-    labels; None at every shot when the run reaches a label outside the
-    label set."""
+    labels."""
     order = list(range(len(dataset.examples)))
     random.Random(seed).shuffle(order)
     groups = [[(ex.sentence, ex.label), *index.get(ex.sentence.id, ())]
               for ex in (dataset.examples[i] for i in order[: shots[-1]])]
-    if any(label not in dataset.label_set for group in groups for _, label in group):
-        return [None] * len(shots)
     scores = []
     for shot in shots:
         clf = OracleNaiveBayes(dataset.label_set)
@@ -856,23 +787,36 @@ def test_random_arms_equal_the_oracle_on_every_prefix(case):
                 dataset, arm_index, shots, seed)
 
 
-def test_an_unknown_target_label_misses_only_the_cells_that_reach_it():
-    """p0's counterfactual targets a label outside the label set: the seeds
-    whose first two examples hold p0 miss their cell; the others score it,
-    C included, which no original has and the first shot may lack."""
+@pytest.mark.parametrize("place", [0, -1], ids=["first", "past_the_budget"])
+def test_an_off_label_counterfactual_raises_before_anything_trains(place):
+    """A counterfactual whose target label is outside the label set raises
+    ValueError naming its original before any `train` or `predict_nested`
+    call: when its original is the first of the seed's order, and when it is
+    the last, past the budget, where it would never train."""
     pool = tuple(LabeledExample(sentence_of([word], f"p{i}"), label) for i, (word, label) in
                  enumerate([("good", "A"), ("food", "A"), ("rude", "B"), ("staff", "B")]))
-    holdout = (LabeledExample(sentence_of(["good"], "h0"), "A"),
-               LabeledExample(sentence_of(["the"], "h1"), "C"))
-    dataset = Dataset(pool, ("A", "B", "C"), holdout)
-    index = {"p0": [(sentence_of(["the"], "c0"), "Z")], "p1": [(sentence_of(["the"], "c1"), "C")],
-             "p3": [(sentence_of(["the", "good"], "c2"), "C")]}
-    seeds = list(range(8))
-    [result] = run_simulation(dataset, {"augmented": ("random", index)}, ShotSchedule((1, 2)),
-                              seeds)
-    cells = {seed: [result.scores[shot][seed] for shot in (1, 2)] for seed in seeds}
-    assert cells == {seed: reference_cell(dataset, index, (1, 2), seed) for seed in seeds}
-    assert {cell[0] is None for cell in cells.values()} == {True, False}
+    dataset = Dataset(pool, ("A", "B", "C"), (LabeledExample(sentence_of(["good"], "h0"), "A"),))
+    original = pool[select_random(pool, 0)[place]].sentence.id
+    index = {original: [(sentence_of(["the"], "c0"), "Z")]}
+    calls = []
+
+    class Recording(NaiveBayesClassifier):
+        def train(self, rows, labels):
+            calls.append("train")
+            return super().train(rows, labels)
+
+        def predict_nested(self, runs, n_shots, rows):
+            calls.append("predict_nested")
+            return super().predict_nested(runs, n_shots, rows)
+
+    conditions = {"plain": ("uncertainty", {}), "augmented": ("random", index)}
+    with mock.patch.object(learning, "NaiveBayesClassifier", Recording):
+        run_simulation(dataset, {"plain": conditions["plain"]}, ShotSchedule((1, 2)), [0])
+        assert calls == ["train", "predict_nested"]
+        calls.clear()
+        with pytest.raises(ValueError, match=f"a counterfactual of {original} targets 'Z'"):
+            run_simulation(dataset, conditions, ShotSchedule((1, 2)), [0])
+    assert calls == []
 
 
 def test_run_simulation_all_conditions_run(provider):
@@ -1002,6 +946,8 @@ def test_run_simulation_rejects_bad_inputs(provider):
         run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4, 999)), [0])
     with pytest.raises(ValueError):
         run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [])
+    with pytest.raises(ValueError, match="need at least one condition"):
+        run_simulation(dataset, {}, ShotSchedule((4,)), [0])
     # A repeated seed would summarize its cells twice and pair them with themselves.
     with pytest.raises(ValueError, match=r"repeated seeds in \[0, 3, 0\]"):
         run_simulation(dataset, {"random": ("random", {})}, ShotSchedule((4,)), [0, 3, 0])

@@ -5,6 +5,7 @@ Acceptance criteria 08-10 read the same runs: the cold-start effect, a rerun
 of every command, and a `gen` + `filter` replay against the cache."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -64,6 +65,22 @@ def test_one_seed_gives_its_rows_of_the_full_run(walkthrough, copy_walkthrough):
     for name in ("results.csv", "ablation_results.csv"):
         header, *rows = lines(walkthrough.dir / "out" / name)
         assert lines(work / "out" / name) == [header, *(r for r in rows if r.split(",")[3] == "3")]
+
+
+def test_synth_out_writes_the_pinned_patterns_and_an_unlisted_seed_only_its_rows(
+        walkthrough, copy_walkthrough):
+    """`synth --out DIR` writes `patterns.json` and `patterns.txt` to DIR with
+    their pinned bytes, and `simulate --seed 8`, a seed outside the config's
+    list, writes only seed-8 rows."""
+    work = copy_walkthrough(walkthrough).dir
+    run(work / "exp.yaml", "synth", out=work / "alt")
+    for name in ("patterns.json", "patterns.txt"):
+        digest = hashlib.sha256((work / "alt" / name).read_bytes()).hexdigest()
+        assert digest == walkthrough.pins[name], name
+    run(work / "exp.yaml", "simulate --seed 8")
+    header, *rows = lines(work / "out" / "results.csv")
+    assert header == lines(walkthrough.dir / "out" / "results.csv")[0]
+    assert rows and {r.split(",")[3] for r in rows} == {"8"}
 
 
 def test_two_conditions_write_no_novt_set_and_give_their_rows_of_the_full_run(
