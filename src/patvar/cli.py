@@ -176,7 +176,7 @@ def _read_candidates(ctx: Context, name: str, writer: str, reader=candidates_fro
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(ctx: Context) -> int:
+def cmd_synth(ctx: Context) -> None:
     patterns_json, patterns_txt = ctx.output("patterns.json"), ctx.output("patterns.txt")
     cfg, lexicon, dataset = ctx.cfg, ctx.lexicon, ctx.dataset
     payload = {"dataset": ctx.dataset_name, "label_set": list(dataset.label_set), "patterns": {}}
@@ -199,7 +199,6 @@ def cmd_synth(ctx: Context) -> int:
     with open(patterns_txt, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
     print(f"synthesized patterns for {len(payload['patterns'])} labels -> {patterns_json}")
-    return 0
 
 
 def _load_patterns(ctx: Context) -> dict[str, list]:
@@ -245,7 +244,7 @@ def _wants_novt(ctx: Context) -> bool:
     return any(CONDITIONS[c][1] == "novt" for c in ctx.cfg.conditions)
 
 
-def cmd_gen(ctx: Context) -> int:
+def cmd_gen(ctx: Context) -> None:
     """Write one phrase-anchored candidate per task and, when a condition
     trains on them, one unconstrained rewrite per planned target.
 
@@ -292,7 +291,6 @@ def cmd_gen(ctx: Context) -> int:
         _write_candidates(ctx.output("candidates_novt.jsonl"), novt_candidates)
     print(f"generated {len(vt_candidates)} pattern-kept candidates "
           f"(+{len(novt_candidates)} unconstrained, {skipped} skipped)")
-    return 0
 
 
 def _filter_candidates(ctx: Context, name: str):
@@ -308,12 +306,11 @@ def _filter_candidates(ctx: Context, name: str):
     return report
 
 
-def cmd_filter(ctx: Context) -> int:
+def cmd_filter(ctx: Context) -> None:
     quality = {"dataset": ctx.dataset_name, "vt": dataclasses.asdict(_filter_candidates(ctx, "vt"))}
     if _wants_novt(ctx):
         quality["no_vt"] = dataclasses.asdict(_filter_candidates(ctx, "novt"))
     _write_json(ctx.output("quality_report.json"), quality)
-    return 0
 
 
 def _survivors_index(arms, provider: Annotator) -> dict[str, tuple[str, dict]]:
@@ -356,7 +353,7 @@ def _run_grid(ctx: Context, read_arms, reference: str, prefix: str) -> list[RunR
     return results
 
 
-def cmd_simulate(ctx: Context) -> int:
+def cmd_simulate(ctx: Context) -> None:
     def read_arms():
         arms = {c: CONDITIONS[c] for c in ctx.cfg.conditions}
         return {c: (order, _read_candidates(ctx, f"survivors_{file}.jsonl",
@@ -364,10 +361,9 @@ def cmd_simulate(ctx: Context) -> int:
                 for c, (order, file) in arms.items()}
 
     _run_grid(ctx, read_arms, "counterfactual", "")
-    return 0
 
 
-def cmd_ablate(ctx: Context) -> int:
+def cmd_ablate(ctx: Context) -> None:
     def read_arms():
         audit = _read_candidates(ctx, "audit_vt.jsonl", "`patvar filter`", rows_from_audit)
         return {arm: ("random", survivors) for arm, survivors in survivors_by_arm(audit).items()}
@@ -375,10 +371,9 @@ def cmd_ablate(ctx: Context) -> int:
     results = _run_grid(ctx, read_arms, "all", "ablation_")
     with open(ctx.output("ablation.md"), "w", encoding="utf-8") as fh:
         fh.write(render_f1_grid(f"Filter ablation ({ctx.dataset_name})", results))
-    return 0
 
 
-def cmd_report(ctx: Context, quality_files=(), external=()) -> int:
+def cmd_report(ctx: Context, quality_files=(), external=()) -> None:
     sections = []
     quality_tables: dict[str, dict] = {}
     default_quality = ctx.path("quality_report.json")
@@ -419,7 +414,6 @@ def cmd_report(ctx: Context, quality_files=(), external=()) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("# Experiment report\n\n" + "\n".join(sections))
     print(f"report -> {report_path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +459,13 @@ def main(argv=None) -> int:
         ctx = Context(cfg, args.config)
         try:
             if args.command == "report":
-                code = cmd_report(ctx, args.quality, args.external)
+                cmd_report(ctx, args.quality, args.external)
             else:
-                code = COMMANDS[args.command](ctx)
+                COMMANDS[args.command](ctx)
         finally:
             ctx.close()
         _update_manifest(ctx, args.command)
-        return code
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -78,18 +78,14 @@ class ScoredPattern:
     rendered: str = field(default="", compare=False)
 
 
-def enumerate_atoms(s: AnnotatedSentence, lex: SynonymLexicon) -> set[Atom]:
-    """Candidate atoms derivable from one sentence, plus the wildcard."""
-    atoms: set[Atom] = {WILDCARD}
-    for token in s.tokens:
-        if token.pos != "OTHER":
-            atoms.add(PosAtom(token.pos))
-        atoms.add(StemAtom(token.lemma))
-        if token.lemma in lex:
-            atoms.add(SoftAtom(token.lemma))
-        if token.entity is not None:
-            atoms.add(EntityAtom(token.entity))
-    return atoms
+def enumerate_atoms(sentences: list[AnnotatedSentence], lex: SynonymLexicon) -> set[Atom]:
+    """Candidate atoms derivable from the sentences, plus the wildcard: each
+    distinct POS tag (but OTHER), lemma, lexicon lemma and entity tag once."""
+    tokens = [token for s in sentences for token in s.tokens]
+    lemmas = {token.lemma for token in tokens}
+    return {WILDCARD, *map(PosAtom, {token.pos for token in tokens} - {"OTHER"}),
+            *map(StemAtom, lemmas), *(SoftAtom(lemma) for lemma in lemmas if lemma in lex),
+            *map(EntityAtom, {token.entity for token in tokens} - {None})}
 
 
 def _rates(tp: int, fp: int, n_positives: int) -> tuple[float, float, float]:
@@ -143,13 +139,16 @@ def enumerate_candidates(
     is scored from its parent's end states with a few integer operations.
     Example j owns `n_j + 2` bits, its end positions then a guard bit; the
     guard bits of `(state + valid) & guard` are the examples a state matches.
+
+    A child that matches no positive is dropped before it is rendered or
+    ranked, which changes no result: a child matches only where its parent
+    does, so none of its extensions can match a positive either, and at F1 0
+    it ranks after every child that matches one, so it could only fill beam
+    slots whose own children would be dropped too.
     """
     if not positives:
         raise EmptyPositives("need at least one positive example")
-    atom_pool = set()
-    for ex in positives:
-        atom_pool |= enumerate_atoms(ex.sentence, lex)
-    atoms = sorted(atom_pool, key=render_atom)
+    atoms = sorted(enumerate_atoms([ex.sentence for ex in positives], lex), key=render_atom)
     features = Features({}, {}, {})
     ids = [ex.sentence.id for ex in positives + negatives]
     if len(set(ids)) < len(ids):
@@ -172,31 +171,32 @@ def enumerate_candidates(
     beam: list[tuple[tuple[Atom, ...], str, int]] = [((), "", valid)]
     candidates: dict[str, tuple] = {}  # render -> ((-F1, length, render), candidate)
     for length in range(1, cfg.max_atoms + 1):
-        # One entry per child: (-F1, render, generation order, parent, atom, mask, tp, fp);
-        # sorted, they are in candidate order (all are equally long), ties in generation order.
+        # One entry per child that matches a positive: (-F1, render, generation order,
+        # parent, atom, mask, hit, tp); sorted, they are in candidate order (all are
+        # equally long), ties in generation order.
         layer = []
         for parent in beam:
             seq, text, state = parent
-            if not state:
-                continue
             after_wildcard = bool(seq) and isinstance(seq[-1], WildcardAtom)
             for atom, atom_text, mask in columns:
                 if mask is None and after_wildcard:
                     continue
                 hit = (advance(state, mask, guard, valid) + valid) & guard
                 tp = (hit & positive_guard).bit_count()
-                fp = hit.bit_count() - tp
+                if not tp:
+                    continue
                 child_text = f"{text}+{atom_text}" if text else atom_text
-                neg_f1 = -_rates(tp, fp, len(positives))[2]
-                layer.append((neg_f1, child_text, len(layer), parent, atom, mask, tp, fp))
+                neg_f1 = -_rates(tp, hit.bit_count() - tp, len(positives))[2]
+                layer.append((neg_f1, child_text, len(layer), parent, atom, mask, hit, tp))
         layer.sort()
-        for neg_f1, text, _, (seq, _, state), atom, mask, tp, fp in layer:
+        for neg_f1, text, _, (seq, _, _), atom, _, hit, tp in layer:
             child = seq + (atom,)
-            if tp and text not in candidates and not all(isinstance(a, WildcardAtom) for a in child):
-                hit = (advance(state, mask, guard, valid) + valid) & guard
+            if text not in candidates and not all(isinstance(a, WildcardAtom) for a in child):
                 candidates[text] = (neg_f1, length, text), Candidate(
-                    text, child, hit & positive_guard, hit & negative_guard, tp, fp
+                    text, child, hit & positive_guard, hit & negative_guard, tp, hit.bit_count() - tp
                 )
+        if length == cfg.max_atoms:
+            break
         beam = [(seq + (atom,), text, advance(state, mask, guard, valid))
                 for _, text, _, (seq, _, state), atom, mask, _, _ in layer[: cfg.beam_width]]
     return [cand for _, cand in sorted(candidates.values())]

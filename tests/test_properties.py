@@ -3,7 +3,9 @@
 `match_sentence` is checked against `brute_force_match`, `find_matches`
 against an exhaustive span enumeration written from its documented rules,
 the packed beam search of `enumerate_candidates` against a beam search
-that scores every candidate with `match_sentence` over every example, and
+that scores every candidate with `match_sentence` over every example and
+keeps the children that match no positive in its beam, `enumerate_atoms`
+against the union of each token's atoms, and
 the packed set cover of `synthesize_patterns` against a cover that counts
 distinct example ids. The fixture provider's shared tokens and its entity
 scan are checked against a fresh provider and a scan of every span. The
@@ -316,11 +318,33 @@ def _full_score(seq, positives, negatives, lex):
     return ScoredPattern(pattern, pos_ids, neg_ids, precision, recall, f1, render_pattern(pattern))
 
 
+def token_atoms(token, lex):
+    """The atoms one token yields: its lemma, its POS tag unless OTHER, its
+    lemma as a soft atom when the lexicon has it, and its entity tag if any."""
+    atoms = {StemAtom(token.lemma)}
+    if token.pos != "OTHER":
+        atoms.add(PosAtom(token.pos))
+    if token.lemma in lex:
+        atoms.add(SoftAtom(token.lemma))
+    if token.entity is not None:
+        atoms.add(EntityAtom(token.entity))
+    return atoms
+
+
+@PROPERTY_SETTINGS
+@given(raws=st.lists(st.one_of(raw_sentences(6), st.sampled_from(
+    ("", "see 5 stars", "next monday in new york", "Good food, great price."))), max_size=5))
+@example(raws=["", "see 5 stars", "next monday in new york", "Good food, great price."])
+def test_enumerate_atoms_is_the_union_of_each_tokens_atoms(lexicon, raws):
+    sentences = [ANNOTATOR.annotate(raw) for raw in raws]
+    want = {WILDCARD}.union(*(token_atoms(t, lexicon) for s in sentences for t in s.tokens))
+    assert enumerate_atoms(sentences, lexicon) == want
+
+
 def reference_candidates(positives, negatives, cfg, lex):
-    """The beam search of enumerate_candidates, scoring every child on every example."""
-    pool = set()
-    for ex in positives:
-        pool |= enumerate_atoms(ex.sentence, lex)
+    """The beam search of enumerate_candidates, scoring every child on every
+    example and keeping children that match no positive in the beam."""
+    pool = {WILDCARD}.union(*(token_atoms(t, lex) for ex in positives for t in ex.sentence.tokens))
     pool = sorted(pool, key=lambda a: render_pattern(PatternAst(((a,),))))
 
     def key(sp):
@@ -367,9 +391,19 @@ def labeled(provider, corpus):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     corpus=st.lists(st.tuples(raw_sentences(6), st.booleans()), min_size=1, max_size=6),
-    max_atoms=st.integers(1, 3),
+    max_atoms=st.integers(1, 4),
     beam_width=st.integers(1, 6),
 )
+# Fewer children than beam_width match the positive, so a beam that keeps
+# every child carries parents that match no positive into the next length.
+@example(corpus=[("food", True), ("the staff was rude", False), ("cheap lobster", False)],
+         max_atoms=4, beam_width=6)
+@example(corpus=[("5", True), ("", True), ("next monday in new york", False)],
+         max_atoms=4, beam_width=6)
+# The bare wildcard has the best F1 of length 1, so with one slot the beam
+# grows from `*` alone.
+@example(corpus=[("lobster", True), ("was", True), ("!", True), ("xyzzy", False)],
+         max_atoms=3, beam_width=1)
 def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_atoms, beam_width):
     positives, negatives = labeled(provider, corpus)
     cfg = SynthesisConfig(max_atoms=max_atoms, beam_width=beam_width)

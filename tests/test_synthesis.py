@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
 
 from patvar import synthesis
+from patvar.config import build_lexicon, build_provider, ingest, load_config
 from patvar.patterns import (
     WILDCARD,
     PatternAst,
@@ -44,7 +46,7 @@ def running_example(provider):
 
 
 def test_enumerate_atoms_running_example(provider, lexicon):
-    atoms = enumerate_atoms(provider.annotate("The food was amazing."), lexicon)
+    atoms = enumerate_atoms([provider.annotate("The food was amazing.")], lexicon)
     assert StemAtom("food") in atoms
     assert PosAtom("NOUN") in atoms
     assert PosAtom("ADJ") in atoms
@@ -55,8 +57,8 @@ def test_enumerate_atoms_running_example(provider, lexicon):
 
 
 def test_enumerate_atoms_empty_and_num(provider, lexicon):
-    assert enumerate_atoms(provider.annotate(""), lexicon) == {WILDCARD}
-    assert PosAtom("NUM") in enumerate_atoms(provider.annotate("see 5 stars"), lexicon)
+    assert enumerate_atoms([provider.annotate("")], lexicon) == {WILDCARD}
+    assert PosAtom("NUM") in enumerate_atoms([provider.annotate("see 5 stars")], lexicon)
 
 
 def test_candidates_contain_paper_patterns(running_example, lexicon):
@@ -81,10 +83,8 @@ def test_identical_positive_and_negative_sentences(provider, lexicon):
 
 def exhaustive_best_f1(positives, negatives, lexicon, max_atoms):
     """Oracle: best F1 over every sequence of derivable atoms up to max_atoms."""
-    atoms = set()
-    for ex in positives:
-        atoms |= enumerate_atoms(ex.sentence, lexicon)
-    atoms = sorted(atoms, key=lambda a: render_pattern(PatternAst(((a,),))))
+    atoms = sorted(enumerate_atoms([ex.sentence for ex in positives], lexicon),
+                   key=lambda a: render_pattern(PatternAst(((a,),))))
     best = 0.0
     for length in range(1, max_atoms + 1):
         for seq in itertools.product(atoms, repeat=length):
@@ -243,3 +243,33 @@ def test_result_never_exceeds_max_patterns(provider, lexicon):
     for cap in (1, 2, 3):
         cfg = SynthesisConfig(max_patterns=cap, max_atoms=2)
         assert len(synthesize_patterns(positives, negatives, cfg, lexicon)) <= cap
+
+
+# The digest of `deep_beam_digest` on corpus seed 7, computed with the beam
+# search that scored, sorted and kept every child, matching a positive or not.
+DEEP_BEAM_SHA256 = "7970393805e9b849a033692a8afc17df52048a88bb4156129001615586eb62c1"
+
+
+def deep_beam_digest(config_path):
+    """sha256 over every label of the walkthrough pool at `SynthesisConfig()`:
+    each candidate's render, tp, fp and hit bits, then each chosen pattern's
+    render and covered ids."""
+    cfg = load_config(config_path)
+    dataset, lexicon = ingest(cfg.dataset, build_provider(cfg)), build_lexicon(cfg)
+    deep = SynthesisConfig()
+    digest = hashlib.sha256()
+    for label in dataset.label_set:
+        positives = [ex for ex in dataset.examples if ex.label == label]
+        negatives = [ex for ex in dataset.examples if ex.label != label]
+        for c in enumerate_candidates(positives, negatives, deep, lexicon):
+            digest.update(
+                f"{c.rendered} {c.tp} {c.fp} {c.positive_hits:x} {c.negative_hits:x}\n".encode())
+        for sp in synthesize_patterns(positives, negatives, deep, lexicon):
+            digest.update(f"{label} {sp.rendered} {sorted(sp.matched_positive_ids)}\n".encode())
+    return digest.hexdigest()
+
+
+def test_the_deep_beam_on_the_walkthrough_pool_is_pinned(walkthrough_seed7):
+    """4 atoms and a beam of 200 on the 200 examples of the pool: depths 3
+    and 4, which the walkthrough's 2-atom beam never reaches."""
+    assert deep_beam_digest(walkthrough_seed7.config) == DEEP_BEAM_SHA256
