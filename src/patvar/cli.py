@@ -53,7 +53,7 @@ from .reports import (
     write_results_csv,
     write_summary_csv,
 )
-from .synthesis import EmptyPositives, NoViablePattern, synthesize_patterns
+from .synthesis import EmptyPositives, NoViablePattern, pack, synthesize_patterns
 
 logger = logging.getLogger(__name__)
 
@@ -180,12 +180,10 @@ def cmd_synth(ctx: Context) -> None:
     patterns_json, patterns_txt = ctx.output("patterns.json"), ctx.output("patterns.txt")
     cfg, lexicon, dataset = ctx.cfg, ctx.lexicon, ctx.dataset
     payload = {"dataset": ctx.dataset_name, "label_set": list(dataset.label_set), "patterns": {}}
-    lines = []
+    lines, pool = [], pack(dataset.examples)
     for label in dataset.label_set:
-        positives = [ex for ex in dataset.examples if ex.label == label]
-        negatives = [ex for ex in dataset.examples if ex.label != label]
         try:
-            scored = synthesize_patterns(positives, negatives, cfg.synthesis, lexicon)
+            scored = synthesize_patterns(pool, label, cfg.synthesis, lexicon)
         except (EmptyPositives, NoViablePattern) as exc:
             logger.warning("label %r: no pattern (%s)", label, exc)
             scored = []

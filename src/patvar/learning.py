@@ -291,11 +291,6 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return assignments, centroids
 
 
-def inertia(vectors: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
-    x = np.asarray(vectors, dtype=np.float64)
-    return float(np.sum((x - centroids[assignments]) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Selection strategies: each returns pool positions
 # ---------------------------------------------------------------------------

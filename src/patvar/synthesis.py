@@ -1,8 +1,8 @@
 """Pattern synthesis from labeled examples.
 
-Bottom-up beam search over atom sequences scored by F1 against the positive
-and negative examples, followed by a greedy set cover that picks up to
-`max_patterns` high-precision patterns whose union covers the positives.
+Per label, a bottom-up beam search over atom sequences scored by F1 on a pool
+packed once for every label (`pack`), then a greedy set cover that picks up to
+`max_patterns` high-precision patterns whose union covers the label's examples.
 """
 
 from __future__ import annotations
@@ -97,8 +97,35 @@ def _rates(tp: int, fp: int, n_positives: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+class Pool(NamedTuple):
+    """Examples packed into one row (`patterns.advance`) in pool order: example j
+    owns `n_j + 2` bits, its end positions then its guard bit `guards[j]`."""
+    examples: list[LabeledExample]
+    features: Features
+    guards: list[int]
+    guard: int
+    valid: int
+
+
+def pack(examples: list[LabeledExample]) -> Pool:
+    """The examples packed once, for every label's search; ids must be unique."""
+    ids = [ex.sentence.id for ex in examples]
+    if len(set(ids)) < len(ids):
+        shared = next(i for i in ids if ids.count(i) > 1)
+        raise ValueError(f"two examples share the id {shared!r}")
+    features, guards, offset = Features({}, {}, {}), [], 0
+    for ex in examples:
+        for table, part in zip(features, sentence_features(ex.sentence.tokens)):
+            for key, mask in part.items():
+                table[key] = table.get(key, 0) | mask << offset
+        offset += len(ex.sentence) + 2
+        guards.append(1 << (offset - 1))
+    guard = sum(guards)
+    return Pool(examples, features, guards, guard, (1 << offset) - 1 - guard)  # valid: all but guards
+
+
 class Candidate(NamedTuple):
-    """A beam candidate; its hits are guard bits of `enumerate_candidates`' packed row."""
+    """A beam candidate; its hits are guard bits of the pool it was enumerated over."""
     rendered: str
     atoms: tuple[Atom, ...]
     positive_hits: int
@@ -107,38 +134,30 @@ class Candidate(NamedTuple):
     fp: int
 
 
-def scored(
-    cand: Candidate, positives: list[LabeledExample], negatives: list[LabeledExample]
-) -> ScoredPattern:
-    """The ScoredPattern of a candidate enumerated over these examples."""
-    matched, end = ([], []), 0
-    for j, ex in enumerate(positives + negatives):
-        end += len(ex.sentence) + 2  # one past example j's guard bit
-        if (cand.positive_hits | cand.negative_hits) >> (end - 1) & 1:
-            matched[j >= len(positives)].append(ex.sentence.id)
-    return ScoredPattern(PatternAst((cand.atoms,)), frozenset(matched[0]), frozenset(matched[1]),
-                         *_rates(cand.tp, cand.fp, len(positives)), cand.rendered)
+def scored(cand: Candidate, pool: Pool) -> ScoredPattern:
+    """The ScoredPattern of a candidate enumerated over this pool; its label is
+    that of the positives it matches."""
+    pos, neg = ([ex for ex, bit in zip(pool.examples, pool.guards) if bit & hits]
+                for hits in (cand.positive_hits, cand.negative_hits))
+    n_positives = sum(ex.label == pos[0].label for ex in pool.examples)
+    return ScoredPattern(PatternAst((cand.atoms,)), frozenset(ex.sentence.id for ex in pos),
+                         frozenset(ex.sentence.id for ex in neg),
+                         *_rates(cand.tp, cand.fp, n_positives), cand.rendered)
 
 
-def enumerate_candidates(
-    positives: list[LabeledExample],
-    negatives: list[LabeledExample],
-    cfg: SynthesisConfig,
-    lex: SynonymLexicon,
-) -> list[Candidate]:
-    """Beam-searched single-sequence candidates that match at least one positive,
-    best F1 first (ties: shorter, then lexicographic render).
+def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
+                         lex: SynonymLexicon) -> list[Candidate]:
+    """Beam-searched single-sequence candidates that match at least one positive
+    (a pool example of `label`), best F1 first (ties: shorter, then lexicographic render).
 
     Sequences grow one atom per round up to `max_atoms`; each round keeps the
     top `beam_width` in that order, ties in generation order. Consecutive
     wildcards are never generated, and a bare wildcard is kept in the beam as
-    a seed but never returned as a candidate. Example ids must be unique.
+    a seed but never returned as a candidate.
 
-    All examples, positives first, are packed into one row (`patterns.advance`):
-    one feature table and one mask per atom cover every example, so a child
-    is scored from its parent's end states with a few integer operations.
-    Example j owns `n_j + 2` bits, its end positions then a guard bit; the
-    guard bits of `(state + valid) & guard` are the examples a state matches.
+    Every label's search shares the pool's one packed row: a child is scored from
+    its parent's end states and one mask per atom with a few integer operations;
+    the guard bits of `(state + valid) & guard` are the examples a state matches.
 
     A child that matches no positive is dropped before it is rendered or
     ranked, which changes no result: a child matches only where its parent
@@ -146,26 +165,13 @@ def enumerate_candidates(
     it ranks after every child that matches one, so it could only fill beam
     slots whose own children would be dropped too.
     """
+    examples, features, guards, guard, valid = pool
+    positives = [(ex.sentence, bit) for ex, bit in zip(examples, guards) if ex.label == label]
     if not positives:
         raise EmptyPositives("need at least one positive example")
-    atoms = sorted(enumerate_atoms([ex.sentence for ex in positives], lex), key=render_atom)
-    features = Features({}, {}, {})
-    ids = [ex.sentence.id for ex in positives + negatives]
-    if len(set(ids)) < len(ids):
-        shared = next(i for i in ids if ids.count(i) > 1)
-        raise ValueError(f"two examples share the id {shared!r}")
-    guard = positive_guard = valid = offset = 0
-    for j, ex in enumerate(positives + negatives):
-        n = len(ex.sentence)
-        for table, part in zip(features, sentence_features(ex.sentence.tokens)):
-            for key, mask in part.items():
-                table[key] = table.get(key, 0) | mask << offset
-        valid |= ((1 << (n + 1)) - 1) << offset
-        guard |= 1 << (offset + n + 1)
-        if j < len(positives):
-            positive_guard = guard
-        offset += n + 2
+    positive_guard = sum(bit for _, bit in positives)
     negative_guard = guard ^ positive_guard
+    atoms = sorted(enumerate_atoms([s for s, _ in positives], lex), key=render_atom)
     columns = [(atom, render_atom(atom), atom_mask(atom, features, lex)) for atom in atoms]
 
     beam: list[tuple[tuple[Atom, ...], str, int]] = [((), "", valid)]
@@ -191,7 +197,7 @@ def enumerate_candidates(
         layer.sort()
         for neg_f1, text, _, (seq, _, _), atom, _, hit, tp in layer:
             child = seq + (atom,)
-            if text not in candidates and not all(isinstance(a, WildcardAtom) for a in child):
+            if text not in candidates and child != (WILDCARD,):  # `*` alone: no `*+*`
                 candidates[text] = (neg_f1, length, text), Candidate(
                     text, child, hit & positive_guard, hit & negative_guard, tp, hit.bit_count() - tp
                 )
@@ -202,12 +208,8 @@ def enumerate_candidates(
     return [cand for _, cand in sorted(candidates.values())]
 
 
-def synthesize_patterns(
-    positives: list[LabeledExample],
-    negatives: list[LabeledExample],
-    cfg: SynthesisConfig,
-    lex: SynonymLexicon,
-) -> list[ScoredPattern]:
+def synthesize_patterns(pool: Pool, label: str, cfg: SynthesisConfig,
+                        lex: SynonymLexicon) -> list[ScoredPattern]:
     """Greedy set cover over the high-precision candidates, in the order chosen.
 
     The cover draws on the candidates of precision `min_precision` or more;
@@ -220,10 +222,10 @@ def synthesize_patterns(
     until the positives are covered, nothing adds coverage, or
     `max_patterns` is reached; only the chosen candidates are decoded.
     """
-    candidates = enumerate_candidates(positives, negatives, cfg, lex)
+    candidates = enumerate_candidates(pool, label, cfg, lex)
     floors = [cfg.min_precision] + [RELAXED_PRECISION] * (cfg.min_precision > RELAXED_PRECISION)
     for floor in floors:
-        viable = [c for c in candidates if _rates(c.tp, c.fp, len(positives))[0] >= floor - 1e-12]
+        viable = [c for c in candidates if c.tp / (c.tp + c.fp) >= floor - 1e-12]
         if viable:
             break
     else:
@@ -231,13 +233,13 @@ def synthesize_patterns(
                               f"({len(candidates)} candidates considered)")
     if floor < cfg.min_precision:
         logger.warning("label %r: no pattern at precision %.2f; relaxed to %.2f",
-                       positives[0].label, cfg.min_precision, floor)
+                       label, cfg.min_precision, floor)
     chosen, uncovered = [], -1  # uncovered: the bits of examples no chosen pattern matches
     while len(chosen) < cfg.max_patterns:
         # The candidates come in tie order, and max() returns the first of the best.
         best = max(viable, key=lambda c: (c.positive_hits & uncovered).bit_count())
         if not best.positive_hits & uncovered:
             break
-        chosen.append(scored(best, positives, negatives))
+        chosen.append(scored(best, pool))
         uncovered &= ~best.positive_hits
     return chosen

@@ -56,10 +56,9 @@ def random_sentence(provider, rng, max_tokens=12):
     return provider.annotate(raw)
 
 
-def decoded_candidates(positives, negatives, cfg, lexicon):
-    """The beam search's candidates, each decoded into a ScoredPattern."""
-    return [scored(c, positives, negatives)
-            for c in enumerate_candidates(positives, negatives, cfg, lexicon)]
+def decoded_candidates(pool, label, cfg, lexicon):
+    """The beam search's candidates for `label`, each decoded into a ScoredPattern."""
+    return [scored(c, pool) for c in enumerate_candidates(pool, label, cfg, lexicon)]
 
 
 def two_sided_p_by_quadrature(t, df, points=8001):
@@ -92,6 +91,12 @@ def macro_f1_by_confusion(predictions, label_set):
         denom = 2 * tp + fp + fn
         total += 2 * tp / denom if denom else 0.0
     return total / k
+
+
+def inertia(vectors, assignments, centroids):
+    """The summed squared distance of each vector to its assigned centroid."""
+    x = np.asarray(vectors, dtype=np.float64)
+    return float(np.sum((x - centroids[assignments]) ** 2))
 
 
 def exhaustive_best_inertia(points, k):

@@ -33,16 +33,23 @@ from patvar.generation import (
     GenerationTask,
     separate_multilabel,
 )
-from patvar.learning import inertia, kmeans
+from patvar.learning import kmeans
 from patvar.patterns import brute_force_match, match_sentence, parse_pattern, render_pattern
 from patvar.prompts import fill, load_template
 from patvar.reports import render_f1_grid, render_quality_table
 from patvar.stats import macro_f1, paired_t_test
 from patvar.synthdata import LABEL_VOCAB
-from patvar.synthesis import LabeledExample, SynthesisConfig, enumerate_candidates, synthesize_patterns
+from patvar.synthesis import (
+    LabeledExample,
+    SynthesisConfig,
+    enumerate_candidates,
+    pack,
+    synthesize_patterns,
+)
 
 from oracles import (
     exhaustive_best_inertia,
+    inertia,
     macro_f1_by_confusion,
     random_pattern,
     random_sentence,
@@ -103,9 +110,10 @@ def test_criterion_03_running_example_synthesis(provider, lexicon):
         example("The food was amazing.", "products", "p1"),
     ]
     negatives = [example("The staff was rude.", "service", "n0")]
-    cands = enumerate_candidates(positives, negatives, SynthesisConfig(), lexicon)
+    pool = pack(positives + negatives)
+    cands = enumerate_candidates(pool, "products", SynthesisConfig(), lexicon)
     renders = {c.rendered for c in cands}
-    chosen = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    chosen = synthesize_patterns(pool, "products", SynthesisConfig(), lexicon)
     patterns = [sp.pattern for sp in chosen]
     covers_all = all(
         any(match_sentence(p, ex.sentence, lexicon) for p in patterns) for ex in positives

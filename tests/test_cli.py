@@ -746,8 +746,8 @@ def test_cli_synth_retries_only_a_floor_above_the_relaxed_one(tmp_path, monkeypa
     config = write_config(tmp_path, synthesis={"min_precision": min_precision})
     searches = collections.Counter()
 
-    def finds_nothing(positives, negatives, cfg, lex):
-        searches[positives[0].label] += 1
+    def finds_nothing(pool, label, cfg, lex):
+        searches[label] += 1
         return []
 
     monkeypatch.setattr(synthesis, "enumerate_candidates", finds_nothing)
@@ -760,6 +760,25 @@ def test_cli_synth_retries_only_a_floor_above_the_relaxed_one(tmp_path, monkeypa
         assert (f"label {label!r}: no pattern (no candidate reaches precision {floors[-1]} "
                 in caplog.text)
     assert "relaxed" not in caplog.text
+
+
+def test_cli_synth_packs_the_pool_once(walkthrough_seed7, copy_walkthrough, monkeypatch):
+    # One feature table per pool example, not one per example and label.
+    work = copy_walkthrough(walkthrough_seed7)
+    tables = []
+
+    def counted(tokens):
+        tables.append(tokens)
+        return features(tokens)
+
+    features = synthesis.sentence_features
+    monkeypatch.setattr(synthesis, "sentence_features", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--config", str(work.config)]) == 0
+    assert len(tables) == 200
+    for name in ("patterns.json", "patterns.txt"):
+        assert ((work.dir / "out" / name).read_bytes()
+                == (walkthrough_seed7.dir / "out" / name).read_bytes()), name
 
 
 def forbid_backend_requests(monkeypatch):

@@ -21,7 +21,6 @@ from patvar.learning import (
     NaiveBayesClassifier,
     ShotSchedule,
     UntrainedClassifier,
-    inertia,
     kmeans,
     run_simulation,
     select_cluster,
@@ -30,6 +29,8 @@ from patvar.learning import (
 )
 from patvar.stats import EmptyPredictions, macro_f1, mean, paired_t_test, sample_sd
 from patvar.synthesis import LabeledExample
+
+from oracles import inertia
 
 
 def ex(provider, raw, label, id):

@@ -7,7 +7,8 @@ that scores every candidate with `match_sentence` over every example and
 keeps the children that match no positive in its beam, `enumerate_atoms`
 against the union of each token's atoms, and
 the packed set cover of `synthesize_patterns` against a cover that counts
-distinct example ids. The fixture provider's shared tokens and its entity
+distinct example ids, and both on a shuffled pool against the same pool
+in drawn order. The fixture provider's shared tokens and its entity
 scan are checked against a fresh provider and a scan of every span. The
 pieces under them are checked too: `atom_mask` read from a sentence's
 feature table against the per-token `atom_matches_token`, and `advance` on
@@ -85,6 +86,7 @@ from patvar.patterns import (
 from patvar.prompts import fill, load_template
 from patvar.synthdata import LABEL_VOCAB
 from patvar.synthesis import (
+    EmptyPositives,
     LabeledExample,
     NoViablePattern,
     RELAXED_PRECISION,
@@ -92,6 +94,8 @@ from patvar.synthesis import (
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
+    pack,
+    scored,
     synthesize_patterns,
 )
 
@@ -238,7 +242,7 @@ def test_synthesis_never_tests_atoms_token_by_token(provider, lexicon, monkeypat
         for i, raw in enumerate(texts)
     ]
     cfg = SynthesisConfig(max_atoms=3)
-    assert enumerate_candidates(examples[:2], examples[2:], cfg, lexicon)
+    assert enumerate_candidates(pack(examples), "a", cfg, lexicon)
     food_adj = parse_pattern("[food]+*+ADJ|(cheap)|$DATE")
     assert match_sentence(food_adj, examples[1].sentence, lexicon)
     assert find_matches(food_adj, examples[1].sentence, lexicon)
@@ -376,16 +380,17 @@ def reference_candidates(positives, negatives, cfg, lex):
 
 
 def labeled(provider, corpus):
-    """Positives and negatives from drawn (text, is positive) pairs; at least one positive."""
+    """Examples of label "a" (positives) and "b" (negatives) from drawn (text,
+    is positive) pairs, in drawn order, with the first relabeled "a" when no
+    pair is positive; and the positives and negatives apart."""
     examples = [
-        LabeledExample(dataclasses.replace(provider.annotate(raw), id=f"s{i}"), "a" if positive else "b")
+        LabeledExample(dataclasses.replace(provider.annotate(raw), id=f"s{i}"),
+                       "a" if positive or i == 0 and not any(p for _, p in corpus) else "b")
         for i, (raw, positive) in enumerate(corpus)
     ]
     positives = [ex for ex in examples if ex.label == "a"]
     negatives = [ex for ex in examples if ex.label == "b"]
-    if not positives:
-        positives, negatives = negatives[:1], negatives[1:]
-    return positives, negatives
+    return examples, positives, negatives
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -405,9 +410,9 @@ def labeled(provider, corpus):
 @example(corpus=[("lobster", True), ("was", True), ("!", True), ("xyzzy", False)],
          max_atoms=3, beam_width=1)
 def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_atoms, beam_width):
-    positives, negatives = labeled(provider, corpus)
+    examples, positives, negatives = labeled(provider, corpus)
     cfg = SynthesisConfig(max_atoms=max_atoms, beam_width=beam_width)
-    got = decoded_candidates(positives, negatives, cfg, lexicon)
+    got = decoded_candidates(pack(examples), "a", cfg, lexicon)
     want = reference_candidates(positives, negatives, cfg, lexicon)
     assert [c.rendered for c in got] == [c.rendered for c in want]
     assert got == want
@@ -454,17 +459,50 @@ def reference_cover(candidates, positives, cfg):
     max_patterns=st.integers(1, 5),
 )
 def test_packed_cover_matches_id_set_cover(provider, lexicon, corpus, max_atoms, min_precision, max_patterns):
-    positives, negatives = labeled(provider, corpus)
+    examples, positives, _ = labeled(provider, corpus)
+    pool = pack(examples)
     cfg = SynthesisConfig(max_patterns=max_patterns, max_atoms=max_atoms, min_precision=min_precision)
     try:
-        want = reference_cover(decoded_candidates(positives, negatives, cfg, lexicon), positives, cfg)
+        want = reference_cover(decoded_candidates(pool, "a", cfg, lexicon), positives, cfg)
     except NoViablePattern:
         with pytest.raises(NoViablePattern):
-            synthesize_patterns(positives, negatives, cfg, lexicon)
+            synthesize_patterns(pool, "a", cfg, lexicon)
         return
-    got = synthesize_patterns(positives, negatives, cfg, lexicon)
+    got = synthesize_patterns(pool, "a", cfg, lexicon)
     assert [sp.rendered for sp in got] == [sp.rendered for sp in want]
     assert got == want
+
+
+def searched(pool, label, cfg, lex):
+    """Each candidate of `label` (render, tp, fp and decoded ids) and the chosen
+    cover, either one the type of the error it raised instead."""
+    try:
+        candidates = [(c.rendered, c.tp, c.fp, scored(c, pool))
+                      for c in enumerate_candidates(pool, label, cfg, lex)]
+    except EmptyPositives:
+        return EmptyPositives
+    try:
+        return candidates, [(sp.rendered, sp) for sp in synthesize_patterns(pool, label, cfg, lex)]
+    except NoViablePattern:
+        return candidates, NoViablePattern
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpus=st.lists(st.tuples(raw_sentences(6), st.booleans()), min_size=1, max_size=8),
+    max_atoms=st.integers(1, 3),
+    beam_width=st.integers(1, 6),
+    min_precision=st.sampled_from((1.0, 0.8, 0.5)),
+    data=st.data(),
+)
+def test_pool_order_never_changes_a_result(provider, lexicon, corpus, max_atoms, beam_width,
+                                           min_precision, data):
+    examples, _, _ = labeled(provider, corpus)
+    shuffled = data.draw(st.permutations(examples))
+    cfg = SynthesisConfig(max_atoms=max_atoms, beam_width=beam_width, min_precision=min_precision)
+    for label in ("a", "b"):
+        assert (searched(pack(shuffled), label, cfg, lexicon)
+                == searched(pack(examples), label, cfg, lexicon)), label
 
 
 # ---------------------------------------------------------------------------

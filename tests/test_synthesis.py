@@ -22,6 +22,7 @@ from patvar.synthesis import (
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
+    pack,
     synthesize_patterns,
 )
 
@@ -63,7 +64,7 @@ def test_enumerate_atoms_empty_and_num(provider, lexicon):
 
 def test_candidates_contain_paper_patterns(running_example, lexicon):
     positives, negatives = running_example
-    cands = decoded_candidates(positives, negatives, SynthesisConfig(), lexicon)
+    cands = decoded_candidates(pack(positives + negatives), "products", SynthesisConfig(), lexicon)
     by_render = {c.rendered: c for c in cands}
     for wanted in ("[food]+*+ADJ", "(amazing)+*"):
         assert wanted in by_render, wanted
@@ -76,7 +77,7 @@ def test_candidates_contain_paper_patterns(running_example, lexicon):
 def test_identical_positive_and_negative_sentences(provider, lexicon):
     positives = [example(provider, "the same sentence", "a", "p0")]
     negatives = [example(provider, "the same sentence", "b", "n0")]
-    cands = decoded_candidates(positives, negatives, SynthesisConfig(max_atoms=2), lexicon)
+    cands = decoded_candidates(pack(positives + negatives), "a", SynthesisConfig(max_atoms=2), lexicon)
     assert cands
     assert all(c.precision <= 0.5 for c in cands)
 
@@ -108,7 +109,7 @@ def test_beam_reaches_exhaustive_optimum(provider, lexicon):
     positives = [example(provider, "play a song", "audio", "p0")]
     negatives = [example(provider, "book a flight", "transport", "n0")]
     cfg = SynthesisConfig(max_atoms=2)
-    cands = decoded_candidates(positives, negatives, cfg, lexicon)
+    cands = decoded_candidates(pack(positives + negatives), "audio", cfg, lexicon)
     top = max(c.f1 for c in cands)
     assert top == pytest.approx(exhaustive_best_f1(positives, negatives, lexicon, 2))
     best = cands[0]
@@ -118,7 +119,7 @@ def test_beam_reaches_exhaustive_optimum(provider, lexicon):
 
 def test_empty_positives_raises(lexicon):
     with pytest.raises(EmptyPositives):
-        enumerate_candidates([], [], SynthesisConfig(), lexicon)
+        enumerate_candidates(pack([]), "a", SynthesisConfig(), lexicon)
 
 
 def test_shared_example_id_raises(provider, lexicon):
@@ -126,14 +127,12 @@ def test_shared_example_id_raises(provider, lexicon):
     positives = [example(provider, "good food", "x", "p0"), example(provider, "tasty lobster", "x", "d")]
     negatives = [example(provider, "rude staff", "y", "d")]
     with pytest.raises(ValueError, match="'d'"):
-        enumerate_candidates(positives, negatives, SynthesisConfig(max_atoms=1), lexicon)
-    with pytest.raises(ValueError, match="'d'"):
-        synthesize_patterns(positives, negatives, SynthesisConfig(max_atoms=1), lexicon)
+        pack(positives + negatives)
 
 
 def test_synthesize_running_example(running_example, lexicon):
     positives, negatives = running_example
-    chosen = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    chosen = synthesize_patterns(pack(positives + negatives), "products", SynthesisConfig(), lexicon)
     patterns = [sp.pattern for sp in chosen]
     assert 1 <= len(patterns) <= 5
     for ex in positives:
@@ -158,7 +157,7 @@ def test_synthesize_max_patterns_one(provider, lexicon):
     ]
     negatives = [example(provider, "book a flight", "y", "n0")]
     cfg = SynthesisConfig(max_patterns=1, max_atoms=2)
-    patterns = synthesize_patterns(positives, negatives, cfg, lexicon)
+    patterns = synthesize_patterns(pack(positives + negatives), "x", cfg, lexicon)
     assert len(patterns) == 1
 
 
@@ -166,7 +165,7 @@ def test_synthesize_no_viable_pattern(provider, lexicon):
     positives = [example(provider, "the same sentence", "a", "p0")]
     negatives = [example(provider, "the same sentence", "b", "n0")]
     with pytest.raises(NoViablePattern):
-        synthesize_patterns(positives, negatives, SynthesisConfig(max_atoms=2), lexicon)
+        synthesize_patterns(pack(positives + negatives), "a", SynthesisConfig(max_atoms=2), lexicon)
 
 
 def test_synthesis_relaxes_only_a_floor_above_the_relaxed_one(provider, lexicon, monkeypatch,
@@ -175,6 +174,7 @@ def test_synthesis_relaxes_only_a_floor_above_the_relaxed_one(provider, lexicon,
     positives = [example(provider, "The food was cheap.", "x", f"p{i}") for i in range(4)]
     negatives = [example(provider, "The food was cheap.", "y", "n0"),
                  example(provider, "The staff was rude.", "y", "n1")]
+    pool = pack(positives + negatives)
     searches = []
 
     def counted(*args):
@@ -184,26 +184,25 @@ def test_synthesis_relaxes_only_a_floor_above_the_relaxed_one(provider, lexicon,
     monkeypatch.setattr(synthesis, "enumerate_candidates", counted)
     cfg = SynthesisConfig(max_atoms=2, min_precision=1.0)
     with caplog.at_level("WARNING", logger="patvar.synthesis"):
-        relaxed = synthesize_patterns(positives, negatives, cfg, lexicon)
+        relaxed = synthesize_patterns(pool, "x", cfg, lexicon)
     assert len(searches) == 1
     assert relaxed and all(0.8 <= sp.precision < 1.0 for sp in relaxed)
     at_relaxed = dataclasses.replace(cfg, min_precision=0.8)
-    assert relaxed == synthesize_patterns(positives, negatives, at_relaxed, lexicon)
+    assert relaxed == synthesize_patterns(pool, "x", at_relaxed, lexicon)
     assert "label 'x': no pattern at precision 1.00; relaxed to 0.80" in caplog.text
     # A floor at or below the relaxed one is kept: no warning, and nothing is relaxed.
     caplog.clear()
     with caplog.at_level("WARNING", logger="patvar.synthesis"):
-        half = synthesize_patterns(positives, negatives, dataclasses.replace(cfg, min_precision=0.5),
-                                   lexicon)
+        half = synthesize_patterns(pool, "x", dataclasses.replace(cfg, min_precision=0.5), lexicon)
     assert half and not caplog.text
     # With every candidate at precision 1/3, each floor raises after one search,
     # 1.0 having tried 0.8 and 0.5 nothing else.
-    copies = [example(provider, "The food was cheap.", "y", f"n{i}") for i in range(8)]
+    copies = pack(positives + [example(provider, "The food was cheap.", "y", f"n{i}")
+                               for i in range(8)])
     for floor, tried in ((1.0, "0.8"), (0.5, "0.5")):
         searches.clear()
         with pytest.raises(NoViablePattern, match=f"reaches precision {tried} "):
-            synthesize_patterns(positives, copies, dataclasses.replace(cfg, min_precision=floor),
-                                lexicon)
+            synthesize_patterns(copies, "x", dataclasses.replace(cfg, min_precision=floor), lexicon)
         assert len(searches) == 1
 
 
@@ -214,22 +213,23 @@ def test_greedy_first_pick_is_coverage_maximal(provider, lexicon):
         example(provider, "play a song", "x", "p2"),
     ]
     negatives = [example(provider, "rude staff", "y", "n0")]
-    cfg = SynthesisConfig(max_atoms=2)
-    cands = decoded_candidates(positives, negatives, cfg, lexicon)
+    cfg, pool = SynthesisConfig(max_atoms=2), pack(positives + negatives)
+    cands = decoded_candidates(pool, "x", cfg, lexicon)
     viable = [c for c in cands if c.precision >= 1.0]
     best_cover = max(len(c.matched_positive_ids) for c in viable)
-    patterns = synthesize_patterns(positives, negatives, cfg, lexicon)
+    patterns = synthesize_patterns(pool, "x", cfg, lexicon)
     first = next(c for c in viable if c.pattern == patterns[0].pattern)
     assert len(first.matched_positive_ids) == best_cover
 
 
 def test_synthesis_is_deterministic(running_example, lexicon):
     positives, negatives = running_example
-    a = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
-    b = synthesize_patterns(positives, negatives, SynthesisConfig(), lexicon)
+    pool = pack(positives + negatives)
+    a = synthesize_patterns(pool, "products", SynthesisConfig(), lexicon)
+    b = synthesize_patterns(pool, "products", SynthesisConfig(), lexicon)
     assert a == b
-    ca = enumerate_candidates(positives, negatives, SynthesisConfig(), lexicon)
-    cb = enumerate_candidates(positives, negatives, SynthesisConfig(), lexicon)
+    ca = enumerate_candidates(pool, "products", SynthesisConfig(), lexicon)
+    cb = enumerate_candidates(pool, "products", SynthesisConfig(), lexicon)
     assert [c.rendered for c in ca] == [c.rendered for c in cb]
 
 
@@ -242,29 +242,29 @@ def test_result_never_exceeds_max_patterns(provider, lexicon):
     negatives = [example(provider, "completely unrelated xyzzy", "y", "n0")]
     for cap in (1, 2, 3):
         cfg = SynthesisConfig(max_patterns=cap, max_atoms=2)
-        assert len(synthesize_patterns(positives, negatives, cfg, lexicon)) <= cap
+        assert len(synthesize_patterns(pack(positives + negatives), "x", cfg, lexicon)) <= cap
 
 
-# The digest of `deep_beam_digest` on corpus seed 7, computed with the beam
-# search that scored, sorted and kept every child, matching a positive or not.
-DEEP_BEAM_SHA256 = "7970393805e9b849a033692a8afc17df52048a88bb4156129001615586eb62c1"
+# The digest of `deep_beam_digest` on corpus seed 7. The same value comes out
+# of the search that packed each label's positives ahead of its negatives,
+# since the digest reads decoded ids, not the hit bits of one layout.
+DEEP_BEAM_SHA256 = "54d14017e3e12e36255d58bc3095233d76575b1da7fd3e9b07a96a178978d6bd"
 
 
 def deep_beam_digest(config_path):
     """sha256 over every label of the walkthrough pool at `SynthesisConfig()`:
-    each candidate's render, tp, fp and hit bits, then each chosen pattern's
-    render and covered ids."""
+    each candidate's render, tp, fp and the ids it matches, then each chosen
+    pattern's render and covered ids."""
     cfg = load_config(config_path)
     dataset, lexicon = ingest(cfg.dataset, build_provider(cfg)), build_lexicon(cfg)
-    deep = SynthesisConfig()
+    deep, pool = SynthesisConfig(), pack(dataset.examples)
     digest = hashlib.sha256()
     for label in dataset.label_set:
-        positives = [ex for ex in dataset.examples if ex.label == label]
-        negatives = [ex for ex in dataset.examples if ex.label != label]
-        for c in enumerate_candidates(positives, negatives, deep, lexicon):
-            digest.update(
-                f"{c.rendered} {c.tp} {c.fp} {c.positive_hits:x} {c.negative_hits:x}\n".encode())
-        for sp in synthesize_patterns(positives, negatives, deep, lexicon):
+        for c in enumerate_candidates(pool, label, deep, lexicon):
+            sp = synthesis.scored(c, pool)
+            digest.update(f"{c.rendered} {c.tp} {c.fp} {sorted(sp.matched_positive_ids)} "
+                          f"{sorted(sp.matched_negative_ids)}\n".encode())
+        for sp in synthesize_patterns(pool, label, deep, lexicon):
             digest.update(f"{label} {sp.rendered} {sorted(sp.matched_positive_ids)}\n".encode())
     return digest.hexdigest()
 
