@@ -13,7 +13,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Protocol
 
-from .errors import InvariantViolation, ParseError, ProviderFailure, read_jsonl, utf8_lines
+from .errors import (
+    InvariantViolation,
+    ParseError,
+    PatvarError,
+    ProviderFailure,
+    read_jsonl,
+    utf8_lines,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -140,9 +147,10 @@ def load_synonyms_file(path) -> SynonymLexicon:
 class Annotator:
     """The one caller of a provider's `annotate`, scoped to one command. It
     annotates each distinct text once and checks the result once: an
-    AnnotatedSentence of that text, else ProviderFailure. `sentences` (an
-    `annotations:` file's) are served as given; every later call for a text
-    returns the same object."""
+    AnnotatedSentence of that text, else ProviderFailure. An exception of
+    the provider that is no PatvarError is chained into a ProviderFailure.
+    `sentences` (an `annotations:` file's) are served as given; every later
+    call for a text returns the same object."""
 
     def __init__(self, provider: AnnotationProvider, sentences: Iterable[AnnotatedSentence] = ()):
         self._provider = provider
@@ -151,7 +159,12 @@ class Annotator:
     def annotate(self, raw: str) -> AnnotatedSentence:
         sentence = self._sentences.get(raw)
         if sentence is None:
-            sentence = self._provider.annotate(raw)
+            try:
+                sentence = self._provider.annotate(raw)
+            except PatvarError:
+                raise
+            except Exception as exc:
+                raise ProviderFailure(f"provider raised {type(exc).__name__}: {exc}") from exc
             if not isinstance(sentence, AnnotatedSentence):
                 raise ProviderFailure(
                     f"provider returned {type(sentence).__name__}, not an AnnotatedSentence")

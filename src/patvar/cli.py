@@ -43,7 +43,7 @@ from .generation import (
     generate_without_vt,
     plan_targets,
 )
-from .patterns import PatternSyntaxError, find_matches, match_sentence, parse_pattern
+from .patterns import PatternSyntaxError, find_matches, parse_pattern
 from .reports import (
     read_quality_json,
     read_results_csv,
@@ -246,11 +246,13 @@ def cmd_gen(ctx: Context) -> None:
     """Write one phrase-anchored candidate per task and, when a condition
     trains on them, one unconstrained rewrite per planned target.
 
-    Each distinct phrase question (pattern, matched phrase, label, target
-    label and soft matches: all that the phrase request and the phrase check
-    read) is asked and checked once per command; the tasks that share it
-    share its verified phrases or its NoValidPhrases. So a "dropping phrase"
-    warning is logged once per distinct question, not once per task."""
+    An example's tasks are anchored on one span, found once: the leftmost
+    match of the first of its label's patterns that matches it. Each distinct
+    phrase question (pattern, matched phrase, label, target label and soft
+    matches: all that the phrase request and the phrase check read) is asked
+    and checked once per command; the tasks that share it share its verified
+    phrases or its NoValidPhrases. So a "dropping phrase" warning is logged
+    once per distinct question, not once per task."""
     patterns_by_label = _load_patterns(ctx)
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
     dataset, want_no_vt = ctx.dataset, _wants_novt(ctx)
@@ -258,18 +260,21 @@ def cmd_gen(ctx: Context) -> None:
     skipped = 0
     answers: dict[tuple, tuple[str, ...] | NoValidPhrases] = {}  # phrase question -> answer
     for ex in dataset.examples:
-        patterns = patterns_by_label.get(ex.label, [])
-        pattern = next((p for p in patterns if match_sentence(p, ex.sentence, lexicon)), None)
-        spans = find_matches(pattern, ex.sentence, lexicon) if pattern is not None else []
+        span = None
+        for pattern in patterns_by_label.get(ex.label, []):
+            span = find_matches(pattern, ex.sentence, lexicon)
+            if span is not None:
+                soft_matches = collect_soft_matches(pattern, span, ex.sentence, lexicon)
+                break
         for target in plan_targets(ex, dataset.label_set, cfg.dataset.split_seed):
-            if pattern is not None:
-                task = build_task(ex.sentence, ex.label, target, pattern, spans)
-                question = (pattern, task.matched_phrase, ex.label, target,
-                            tuple(collect_soft_matches(task, lexicon)))
+            if span is not None:
+                task = build_task(ex.sentence, ex.label, target, pattern, span)
+                question = (pattern, task.matched_phrase, ex.label, target, soft_matches)
                 phrases = answers.get(question)
                 if phrases is None:
                     try:
-                        phrases = generate_candidate_phrases(task, gateway, provider, lexicon)
+                        phrases = generate_candidate_phrases(task, soft_matches, gateway,
+                                                             provider, lexicon)
                     except NoValidPhrases as exc:
                         phrases = exc
                     answers[question] = phrases

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .annotation import Annotator, SynonymLexicon, tokenize
 from .gateway import BackendError, Gateway
-from .errors import ParseError
+from .errors import ParseError, PatvarError
 from .experiment import Dataset
 from .generation import (
     CounterfactualCandidate,
@@ -226,10 +226,11 @@ def run_pipeline(
 
     The symbolic and discriminator stages judge every candidate that the
     heuristic stage did not fail; after a heuristic failure they read
-    pending. Provider failures in the symbolic stage and malformed or failed
-    discriminator responses become failed verdicts instead of aborting the
-    batch. The assigned label, and so each metric, counts a verdict only
-    where no earlier stage failed the candidate.
+    pending. A PatvarError of the symbolic stage (a provider failure) and a
+    malformed or failed discriminator response become failed verdicts
+    instead of aborting the batch; any other exception is a fault of the
+    program and propagates. The assigned label, and so each metric, counts
+    a verdict only where no earlier stage failed the candidate.
 
     Each distinct question is judged once per call: the symbolic verdict per
     (pattern, generated text), and the discriminator's answer per generated
@@ -250,7 +251,7 @@ def run_pipeline(
             if symbolic is None:
                 try:
                     symbolic = matched[question] = symbolic_filter(cand, lex, provider)
-                except Exception as exc:  # provider failures become verdicts
+                except PatvarError as exc:  # provider failures become verdicts
                     symbolic = StageVerdict("failed", f"error: {exc}")
             answer = answers.get(cand.generated_text)
             if answer is None:

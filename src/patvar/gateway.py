@@ -323,7 +323,7 @@ class Gateway:
     repeated request is answered with `from_cache=True` and each key is read
     from disk at most once. The callers ask each distinct question once per
     command (`cli.cmd_gen`, `filtering.run_pipeline`), so a request seldom
-    repeats. Per-key `*.json` files of older versions are not read.
+    repeats.
     """
 
     backend: Backend
@@ -370,10 +370,6 @@ class Gateway:
             return {}
         except OSError as exc:
             raise CacheError(f"cannot list cache directory {self.cache_dir}: {exc}") from exc
-        legacy = sum(name.endswith(".json") for name in names)
-        if legacy:
-            logger.warning("%d per-key cache files (*.json) in %s are not read",
-                           legacy, self.cache_dir)
         index: dict[str, tuple[BinaryIO, int]] = {}
         for name in names:
             if not name.endswith(SEGMENT_SUFFIX):

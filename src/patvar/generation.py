@@ -13,7 +13,7 @@ import logging
 import random
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .annotation import AnnotatedSentence, Annotator, SynonymLexicon
@@ -46,18 +46,13 @@ class NoValidPhrases(PatvarError):
     pass
 
 
-class NoPatternMatch(PatvarError):
-    """The pattern assigned to a generation task does not match its original."""
-
-
 @dataclass(frozen=True)
 class GenerationTask:
     """One (original example, target label) generation job.
 
-    `pattern` is None for the no-pattern rewrite baseline; otherwise it must
-    match the original sentence and `matched_phrase` holds the text of the
-    matched span. `span` is that span with its bindings, kept by `build_task`
-    for `collect_soft_matches`; it is not serialized.
+    `pattern` is None for the no-pattern rewrite baseline; otherwise it
+    matches the original sentence and `matched_phrase` holds the text of the
+    leftmost matched span, the anchor of the counterfactual.
     """
 
     original: AnnotatedSentence
@@ -65,7 +60,6 @@ class GenerationTask:
     target_label: str
     pattern: PatternAst | None = None
     matched_phrase: str = ""
-    span: MatchSpan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.original_label == self.target_label:
@@ -77,18 +71,11 @@ def build_task(
     original_label: str,
     target_label: str,
     pattern: PatternAst,
-    spans: Sequence[MatchSpan],
+    span: MatchSpan,
 ) -> GenerationTask:
-    """Construct a pattern-constrained task from `spans`, the
-    `find_matches(pattern, original, lex)` of its original, extracting the
-    matched phrase of the first."""
-    if not spans:
-        raise NoPatternMatch(
-            f"pattern {render_pattern(pattern)!r} does not match sentence {original.id!r}"
-        )
-    return GenerationTask(
-        original, original_label, target_label, pattern, spans[0].text(original), spans[0]
-    )
+    """A pattern-constrained task anchored on `span`, the
+    `find_matches(pattern, original, lex)` of its original."""
+    return GenerationTask(original, original_label, target_label, pattern, span.text(original))
 
 
 @dataclass(frozen=True)
@@ -261,31 +248,28 @@ def separate_multilabel(
 
 
 def collect_soft_matches(
-    task: GenerationTask, lex: SynonymLexicon
-) -> list[tuple[str, tuple[str, ...]]]:
-    """(matched word, allowed synonyms) for each soft atom bound in the original
-    by the span `build_task` matched; a task without a span has none."""
-    span = task.span
-    if span is None:
-        return []
-    seq = task.pattern.alternatives[span.alternative]
-    out = []
-    for atom, (lo, hi) in zip(seq, span.bindings):
-        if isinstance(atom, SoftAtom) and hi - lo == 1:
-            word = task.original.tokens[lo].surface.lower()
-            out.append((word, tuple(sorted(lex.synonyms_of(atom.lemma)))))
-    return out
+    pattern: PatternAst, span: MatchSpan, original: AnnotatedSentence, lex: SynonymLexicon
+) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """(matched word, allowed synonyms) for each soft atom of `pattern` that
+    `span`, its `find_matches` in `original`, binds."""
+    seq = pattern.alternatives[span.alternative]
+    return tuple(
+        (original.tokens[lo].surface.lower(), tuple(sorted(lex.synonyms_of(atom.lemma))))
+        for atom, (lo, _) in zip(seq, span.bindings)
+        if isinstance(atom, SoftAtom)
+    )
 
 
 def generate_candidate_phrases(
     task: GenerationTask,
+    soft_matches: Sequence[tuple[str, Sequence[str]]],
     gateway: Gateway,
     provider: Annotator,
     lex: SynonymLexicon,
 ) -> tuple[str, ...]:
-    """Ask for pattern-matching phrases, noting the synonyms allowed for each
-    soft match of the task's span, and return the ones that verify;
-    NoValidPhrases when none does."""
+    """Ask for pattern-matching phrases, noting the allowed synonyms of each
+    of `soft_matches`, the `collect_soft_matches` of the task's span, and
+    return the ones that verify; NoValidPhrases when none does."""
     if task.pattern is None:
         raise ValueError("candidate phrases need a pattern-constrained task")
     slots = {
@@ -296,7 +280,7 @@ def generate_candidate_phrases(
     }
     messages = fill(load_template("candidate_phrases"), slots)
     note = load_template("soft_match_constraint")
-    for word, synonyms in collect_soft_matches(task, lex):
+    for word, synonyms in soft_matches:
         messages.extend(
             fill(note, {"match": word, "soft-match_words": ", ".join(synonyms)})
         )

@@ -23,8 +23,9 @@ anchored at a start. A concrete atom maps `state` to `(state & mask) << 1`;
 `*` sets every bit from the lowest set bit up to n; a sequence matches when
 its final state is non-zero. `advance` also steps many sentences packed into
 one integer, which is how synthesis scores a pattern on every example at once.
-`find_matches` takes the lowest end bit of the anchored pass from each start,
-and a backward reachability pass gives the bindings.
+`find_matches` gives the leftmost match, the span that `gen` anchors a
+counterfactual on: the first start whose anchored pass ends anywhere, and its
+lowest end bit; a backward reachability pass gives the bindings.
 """
 
 from __future__ import annotations
@@ -349,31 +350,24 @@ def _bindings(masks: list[int | None], start: int, end: int) -> tuple[tuple[int,
     return tuple(bindings)
 
 
-def find_matches(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> list[MatchSpan]:
-    """All maximal match spans, leftmost first.
+def find_matches(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> MatchSpan | None:
+    """The leftmost match span, None iff `match_sentence(p, s, lex)` is False.
 
-    Per start position the shortest match wins (ties go to the earlier
-    alternative, then to the lexicographically smallest wildcard takes);
-    spans strictly contained in another reported span are dropped, and a
-    zero-length match (possible only for all-wildcard alternatives) is
-    reported once, at position 0.
+    At that start the shortest match wins; ties go to the earlier
+    alternative, then to the lexicographically smallest wildcard takes. A
+    zero-length match (possible only for all-wildcard alternatives) is at
+    position 0.
     """
     n = len(s.tokens)
     features = sentence_features(s.tokens)
     masks = [[atom_mask(atom, features, lex) for atom in seq] for seq in p.alternatives]
-    raw: list[MatchSpan] = []
     for start in range(n + 1):
-        best: tuple[int, int] | None = None
-        for idx, seq_masks in enumerate(masks):
-            state = _forward(1 << start, seq_masks, n)
-            if state and (best is None or _lowest(state) < best[0]):
-                best = (_lowest(state), idx)
-        if best is None or (best[0] == start and start > 0):
-            continue
-        end, idx = best
-        raw.append(MatchSpan(start, end, idx, _bindings(masks[idx], start, end)))
-    # Starts are distinct, so a span lies inside another iff an earlier one ends no sooner.
-    return [span for span in raw if not any(o.start < span.start and span.end <= o.end for o in raw)]
+        ends = [_forward(1 << start, seq_masks, n) for seq_masks in masks]
+        best = min(((_lowest(state), idx) for idx, state in enumerate(ends) if state), default=None)
+        if best is not None:
+            end, idx = best
+            return MatchSpan(start, end, idx, _bindings(masks[idx], start, end))
+    return None
 
 
 def brute_force_match(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) -> bool:

@@ -139,6 +139,21 @@ def test_annotate_rejects_malformed_provider(provider):
         annotator.annotate("the food")
 
 
+def test_annotate_chains_a_provider_exception():
+    class Crashing:
+        def annotate(self, raw):
+            if raw == "bad token":
+                raise InvariantViolation("unknown pos tag 'X'")
+            raise RuntimeError("tagger crashed")
+
+    annotator = Annotator(Crashing())
+    with pytest.raises(ProviderFailure, match="^provider raised RuntimeError: tagger crashed$") as info:
+        annotator.annotate("x")
+    assert isinstance(info.value.__cause__, RuntimeError)
+    with pytest.raises(InvariantViolation, match="unknown pos tag"):  # a PatvarError as it is
+        annotator.annotate("bad token")
+
+
 class CountingProvider:
     def __init__(self, provider):
         self.provider, self.calls = provider, []

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import patvar
-from patvar import cli, filtering, gateway, synthesis
+from patvar import cli, filtering, gateway, generation, synthesis
 from patvar.annotation import Annotator, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
@@ -32,7 +32,7 @@ from patvar.filtering import STAGES
 from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
 from patvar.experiment import RunResult
 from patvar.learning import LemmaIds
-from patvar.patterns import parse_pattern
+from patvar.patterns import parse_pattern, render_pattern
 from patvar.reports import render_f1_grid, render_quality_table, significance_stars
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
 
@@ -660,6 +660,38 @@ def test_cli_gen_asks_each_phrase_question_once(tmp_path, monkeypatch, capsys, c
     assert summary in capsys.readouterr().out
     assert caplog.text.count("dropping phrase 'nothing at all'") == (0 if valid else 1)
     assert caplog.text.count("skipping r0000") == (0 if valid else 2)
+
+
+def test_cli_gen_matches_each_example_once(walkthrough_seed7, copy_walkthrough, monkeypatch):
+    """gen chooses an example's pattern by `find_matches` alone, calls it at
+    most once per (example, pattern), and collects the soft matches of each
+    of the 200 pool examples that get a task once, for all its targets."""
+    work = copy_walkthrough(walkthrough_seed7)
+    out = work.dir / "out"
+    for name in ("candidates_vt.jsonl", "candidates_novt.jsonl"):
+        (out / name).unlink()
+    found = collections.Counter()  # (example id, pattern) -> find_matches calls
+    collected = []  # the arguments of each collect_soft_matches call
+    find, collect = cli.find_matches, generation.collect_soft_matches
+
+    def counting_find(p, s, lex):
+        found[s.id, render_pattern(p)] += 1
+        return find(p, s, lex)
+
+    def counting_collect(*args):
+        collected.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(cli, "find_matches", counting_find)
+    for module in (cli, generation):
+        monkeypatch.setattr(module, "collect_soft_matches", counting_collect)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(work.config)]) == 0
+    assert not hasattr(cli, "match_sentence")
+    assert found and max(found.values()) == 1
+    assert len(collected) == 200
+    assert len({original.id for _, _, original, _ in collected}) == 200
+    assert work.moved() == []
 
 
 STAGE_FUNCTIONS = ("heuristic_filter", "symbolic_filter", "discriminator_filter")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from patvar import filtering
+from patvar.annotation import Annotator
 from patvar.filtering import (
     ARMS,
     STAGES,
@@ -412,6 +413,41 @@ def test_run_pipeline_matches_each_pattern_and_text_once(provider, filter_args, 
     _, _, rows = run_pipeline(cands, *filter_args)
     assert len(matched) == len(set(matched)) == 2
     assert [row.verdicts["symbolic"].status for row in rows] == ["passed", "passed", "failed"]
+
+
+class CrashesOn:
+    """Annotates like `provider`, but raises RuntimeError on `text`."""
+
+    def __init__(self, provider, text):
+        self.provider, self.text = provider, text
+
+    def annotate(self, raw):
+        if raw == self.text:
+            raise RuntimeError("tagger crashed")
+        return self.provider.annotate(raw)
+
+
+def test_run_pipeline_records_a_provider_failure(provider, lexicon, label_gateway):
+    crash = "The affordable lobster deal is unbeatable."
+    cands = [make_candidate(provider, crash, uid="crashed"),
+             make_candidate(provider, "The affordable lobster deal is here.", uid="after")]
+    annotator = Annotator(CrashesOn(provider, crash))
+    survivors, report, rows = run_pipeline(cands, LABELS, lexicon, annotator, label_gateway)
+    assert rows[0].verdicts["symbolic"] == StageVerdict(
+        "failed", "error: provider raised RuntimeError: tagger crashed")
+    assert rows[0].discriminator_label is None
+    assert rows[1].verdicts["symbolic"] == StageVerdict("passed")
+    assert [c.uid for c in survivors] == ["after"]
+    assert report.pattern_n == 2
+
+
+def test_run_pipeline_lets_a_fault_of_the_program_propagate(provider, filter_args, monkeypatch):
+    def broken(p, s, lex):
+        raise TypeError("a fault of the matcher")
+
+    monkeypatch.setattr(filtering, "match_sentence", broken)
+    with pytest.raises(TypeError, match="a fault of the matcher"):
+        run_pipeline(batch(provider), *filter_args)
 
 
 def test_stage_monotonicity_on_fixed_batch(provider, filter_args):

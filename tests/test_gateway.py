@@ -238,15 +238,12 @@ def test_cache_key_is_pinned():
     assert r.body()["temperature"] == 0.0 and isinstance(r.body()["temperature"], float)
 
 
-def test_per_key_files_are_not_read(tmp_path, caplog, canned):
+def test_per_key_files_are_not_read(tmp_path, canned):
     r = req("legacy")
     backend = canned({r.messages: "fresh"})
     legacy = tmp_path / (cache_key(r) + ".json")
     legacy.write_text(entry_line(r, "old").partition(" ")[2], encoding="ascii")
-    with caplog.at_level("WARNING"):
-        assert served(r, backend, tmp_path).text == "fresh"
-    assert [rec.message for rec in caplog.records if "not read" in rec.message] == [
-        f"1 per-key cache files (*.json) in {tmp_path} are not read"]
+    assert served(r, backend, tmp_path).text == "fresh"
     assert legacy.read_text(encoding="ascii") == entry_line(r, "old").partition(" ")[2]
 
 

@@ -135,66 +135,71 @@ def test_separator_template_mock_round_trips(gateway_for):
 # ---------------------------------------------------------------------------
 
 
+PRICE_PATTERN = parse_pattern("(cheap)+*+NOUN")
+
+
 @pytest.fixture
-def price_task(provider, lexicon):
+def price_span(provider, lexicon):
+    """The original of the price task and its leftmost `(cheap)+*+NOUN` span."""
     original = provider.annotate("They have affordable lobster here")
-    pattern = parse_pattern("(cheap)+*+NOUN")
-    return build_task(original, "products", "price", pattern,
-                      find_matches(pattern, original, lexicon))
+    return original, find_matches(PRICE_PATTERN, original, lexicon)
+
+
+@pytest.fixture
+def price_task(price_span):
+    original, span = price_span
+    return build_task(original, "products", "price", PRICE_PATTERN, span)
+
+
+@pytest.fixture
+def price_soft(price_span, lexicon):
+    original, span = price_span
+    return collect_soft_matches(PRICE_PATTERN, span, original, lexicon)
 
 
 def test_build_task_extracts_matched_phrase(price_task):
     assert price_task.matched_phrase == "affordable lobster"
 
 
-def test_build_task_requires_match(provider, lexicon):
-    from patvar.generation import NoPatternMatch
-
-    original, pattern = provider.annotate("Service was slow."), parse_pattern("(cheap)+*+NOUN")
-    with pytest.raises(NoPatternMatch):
-        build_task(original, "service", "price", pattern, find_matches(pattern, original, lexicon))
-
-
-def test_collect_soft_matches(price_task, lexicon):
-    # The soft matches come from the span build_task kept, not a second search.
+def test_collect_soft_matches(price_soft):
+    # The soft matches come from the span the caller found, not a second search.
     assert not hasattr(generation, "find_matches")
-    info = collect_soft_matches(price_task, lexicon)
-    assert len(info) == 1
-    word, synonyms = info[0]
+    assert len(price_soft) == 1
+    word, synonyms = price_soft[0]
     assert word == "affordable"
     assert set(synonyms) == {"cheap", "affordable", "reasonable", "budget-friendly",
                              "inexpensive", "economical"}
 
 
-def test_candidate_phrases_validated(price_task, provider, lexicon, gateway_with):
+def test_candidate_phrases_validated(price_task, price_soft, provider, lexicon, gateway_with):
     from patvar.gateway import CompletionResponse
 
     reply = "affordable lobster, reasonable price, budget-friendly menu"
     gw = gateway_with(lambda req: CompletionResponse(reply))
-    phrases = generate_candidate_phrases(price_task, gw, provider, lexicon)
+    phrases = generate_candidate_phrases(price_task, price_soft, gw, provider, lexicon)
     assert phrases == ("affordable lobster", "reasonable price", "budget-friendly menu")
 
 
-def test_candidate_phrases_drop_nonmatching(price_task, provider, lexicon, caplog, gateway_with):
+def test_candidate_phrases_drop_nonmatching(price_task, price_soft, provider, lexicon, caplog, gateway_with):
     from patvar.gateway import CompletionResponse
 
     reply = "affordable lobster, completely unrelated"
     gw = gateway_with(lambda req: CompletionResponse(reply))
     with caplog.at_level("WARNING"):
-        phrases = generate_candidate_phrases(price_task, gw, provider, lexicon)
+        phrases = generate_candidate_phrases(price_task, price_soft, gw, provider, lexicon)
     assert phrases == ("affordable lobster",)
     assert any("completely unrelated" in r.message for r in caplog.records)
 
 
-def test_candidate_phrases_all_invalid(price_task, provider, lexicon, gateway_with):
+def test_candidate_phrases_all_invalid(price_task, price_soft, provider, lexicon, gateway_with):
     from patvar.gateway import CompletionResponse
 
     gw = gateway_with(lambda req: CompletionResponse("completely unrelated"))
     with pytest.raises(NoValidPhrases):
-        generate_candidate_phrases(price_task, gw, provider, lexicon)
+        generate_candidate_phrases(price_task, price_soft, gw, provider, lexicon)
 
 
-def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexicon, gateway_with):
+def test_phrase_prompt_contains_anchor_and_soft_note(price_task, price_soft, provider, lexicon, gateway_with):
     from patvar.gateway import CompletionResponse
 
     seen = {}
@@ -204,7 +209,7 @@ def test_phrase_prompt_contains_anchor_and_soft_note(price_task, provider, lexic
         return CompletionResponse("affordable lobster")
 
     gw = gateway_with(responder)
-    generate_candidate_phrases(price_task, gw, provider, lexicon)
+    generate_candidate_phrases(price_task, price_soft, gw, provider, lexicon)
     assert "generate as many diverse example phrases" in seen["prompt"]
     assert "you can only use" in seen["prompt"]
     assert "affordable" in seen["prompt"]

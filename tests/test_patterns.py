@@ -99,39 +99,39 @@ def test_adjacency_is_required(provider, lexicon):
 
 
 def test_find_matches_running_example(provider, lexicon):
-    spans = find_matches(parse_pattern("[food]+*+ADJ"), annotated(provider, "The food was amazing."), lexicon)
-    assert [(m.start, m.end) for m in spans] == [(1, 4)]
-    assert spans[0].text(annotated(provider, "The food was amazing.")) == "food was amazing"
-    assert spans[0].bindings == ((1, 2), (2, 3), (3, 4))
+    span = find_matches(parse_pattern("[food]+*+ADJ"), annotated(provider, "The food was amazing."), lexicon)
+    assert (span.start, span.end) == (1, 4)
+    assert span.text(annotated(provider, "The food was amazing.")) == "food was amazing"
+    assert span.bindings == ((1, 2), (2, 3), (3, 4))
 
 
 def test_find_matches_binds_wildcards_shortest_first(provider, lexicon):
     # Either ADJ before "good" ends the span at 3; the first wildcard takes the fewest tokens.
     s = annotated(provider, "cheap cheap good good")
-    spans = find_matches(parse_pattern("*+ADJ+*+(good)"), s, lexicon)
-    assert [(m.start, m.end) for m in spans] == [(0, 3), (2, 4)]
-    assert spans[0].bindings == ((0, 0), (0, 1), (1, 2), (2, 3))
+    span = find_matches(parse_pattern("*+ADJ+*+(good)"), s, lexicon)
+    assert (span.start, span.end) == (0, 3)
+    assert span.bindings == ((0, 0), (0, 1), (1, 2), (2, 3))
 
 
 def test_find_matches_wildcard_only(provider, lexicon):
-    spans = find_matches(parse_pattern("*"), annotated(provider, "a b c"), lexicon)
-    assert [(m.start, m.end) for m in spans] == [(0, 0)]
-    assert spans[0].bindings == ((0, 0),)
+    span = find_matches(parse_pattern("*"), annotated(provider, "a b c"), lexicon)
+    assert (span.start, span.end) == (0, 0)
+    assert span.bindings == ((0, 0),)
 
 
 def test_find_matches_empty_sentence(provider, lexicon):
-    assert find_matches(parse_pattern("[food]"), annotated(provider, ""), lexicon) == []
+    assert find_matches(parse_pattern("[food]"), annotated(provider, ""), lexicon) is None
     assert match_sentence(parse_pattern("*"), annotated(provider, ""), lexicon)
 
 
 def test_find_matches_multiple_disjoint(provider, lexicon):
-    spans = find_matches(parse_pattern("NOUN"), annotated(provider, "food staff"), lexicon)
-    assert [(m.start, m.end) for m in spans] == [(0, 1), (1, 2)]
+    span = find_matches(parse_pattern("NOUN"), annotated(provider, "food staff"), lexicon)
+    assert (span.start, span.end) == (0, 1)
 
 
 def test_find_matches_keeps_maximal_spans(provider, lexicon):
-    spans = find_matches(parse_pattern("*+NOUN"), annotated(provider, "good food"), lexicon)
-    assert [(m.start, m.end) for m in spans] == [(0, 2)]
+    span = find_matches(parse_pattern("*+NOUN"), annotated(provider, "good food"), lexicon)
+    assert (span.start, span.end) == (0, 2)
 
 
 def test_nonempty_iff_match(provider, lexicon):
@@ -141,7 +141,7 @@ def test_nonempty_iff_match(provider, lexicon):
         raw = " ".join(rng.choice(vocab) for _ in range(rng.randrange(0, 7)))
         p = random_pattern(rng)
         s = annotated(provider, raw)
-        assert bool(find_matches(p, s, lexicon)) == match_sentence(p, s, lexicon)
+        assert (find_matches(p, s, lexicon) is not None) == match_sentence(p, s, lexicon)
 
 
 # ---------------------------------------------------------------------------

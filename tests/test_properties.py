@@ -245,7 +245,7 @@ def test_synthesis_never_tests_atoms_token_by_token(provider, lexicon, monkeypat
     assert enumerate_candidates(pack(examples), "a", cfg, lexicon)
     food_adj = parse_pattern("[food]+*+ADJ|(cheap)|$DATE")
     assert match_sentence(food_adj, examples[1].sentence, lexicon)
-    assert find_matches(food_adj, examples[1].sentence, lexicon)
+    assert find_matches(food_adj, examples[1].sentence, lexicon) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +273,11 @@ def _anchored_matches(seq, tokens, start, lex):
                 yield pos, takes, tuple(bindings)
 
 
-def reference_spans(p, s, lex):
-    """find_matches by its docstring: per start the minimal end (ties: the
-    earlier alternative, then the lexicographically smallest wildcard takes);
-    spans contained in another are dropped; zero-length only at position 0."""
-    raw = []
+def reference_span(p, s, lex):
+    """find_matches by its docstring: the leftmost start at which any
+    alternative matches, and there the minimal end (ties: the earlier
+    alternative, then the lexicographically smallest wildcard takes); None
+    when no start has a match."""
     for start in range(len(s.tokens) + 1):
         best = None
         for idx, seq in enumerate(p.alternatives):
@@ -287,23 +287,18 @@ def reference_spans(p, s, lex):
             end, _, bindings = min(found)
             if best is None or end < best.end:
                 best = MatchSpan(start, end, idx, bindings)
-        if best is None or (best.end == best.start and best.start > 0):
-            continue
-        raw.append(best)
-    return [
-        span for span in raw
-        if not any(
-            o.start <= span.start and span.end <= o.end and (o.start, o.end) != (span.start, span.end)
-            for o in raw
-        )
-    ]
+        if best is not None:
+            return best
+    return None
 
 
 @PROPERTY_SETTINGS
 @given(case=cases(8, max_atoms=6))
 def test_find_matches_agrees_with_span_enumeration(lexicon, case):
     p, s = case
-    assert find_matches(p, s, lexicon) == reference_spans(p, s, lexicon), render_pattern(p)
+    span = find_matches(p, s, lexicon)
+    assert span == reference_span(p, s, lexicon), render_pattern(p)
+    assert (span is None) == (not match_sentence(p, s, lexicon)), render_pattern(p)
 
 
 # ---------------------------------------------------------------------------
