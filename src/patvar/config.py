@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .annotation import Annotator, SynonymLexicon, load_annotations_file, load_synonyms_file
-from .errors import ConfigError, ParseError, PatvarError, in_file, read_jsonl, utf8_lines
+from .errors import ConfigError, ParseError, in_file, read_jsonl, utf8_lines
 from .experiment import CONDITIONS, Dataset, ShotSchedule
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
 from .gateway import Gateway, HttpBackend, MockBackend
@@ -24,10 +24,6 @@ from .synthesis import LabeledExample, SynthesisConfig
 
 # libyaml's loader when PyYAML was built with it; it gives the same objects.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class EmptyDataset(PatvarError):
-    pass
 
 
 def _config_list(key: str, value, kind: type, normalize=tuple) -> tuple:
@@ -338,7 +334,7 @@ def ingest(spec: DatasetSpec, provider: Annotator, gateway: Gateway | None = Non
         raise ValueError("a multi-label dataset needs a gateway to separate its rows")
     rows = _read_rows(spec)
     if not rows:
-        raise EmptyDataset(f"no rows in {spec.path}")
+        raise ConfigError(f"no rows in {spec.path}")
     label_order = list(spec.labels or ())
     examples: list[LabeledExample] = []
     for i, (text, labels) in enumerate(rows):

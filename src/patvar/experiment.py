@@ -63,28 +63,30 @@ class RunResult:
     condition: str
     shots: tuple[int, ...]
     seeds: tuple[int, ...]
-    scores: Mapping[int, Mapping[int, float | None]]  # shot -> seed -> macro F1
-    mean: Mapping[int, float | None]
-    sd: Mapping[int, float | None]
+    scores: Mapping[int, Mapping[int, float]]  # shot -> seed -> macro F1
+    mean: Mapping[int, float]
+    sd: Mapping[int, float]
     p_vs_reference: Mapping[int, float | None]
 
 
 def summarize(
     condition: str,
-    scores: Mapping[int, Mapping[int, float | None]],
+    scores: Mapping[int, Mapping[int, float]],
     shots: Sequence[int],
     seeds: Sequence[int],
 ) -> RunResult:
-    """Per-shot mean and SD over the cells present, in seed order; no p-values.
+    """Per-shot mean and SD over the seeds that have a cell, in seed order; no
+    p-values.
 
-    `scores` maps shot -> seed -> macro F1; an absent or None cell is missing.
+    `scores` maps shot -> seed -> macro F1, with at least one cell per shot;
+    a seed absent from a shot (a ragged external grid) is skipped there.
     """
-    means: dict[int, float | None] = {}
-    sds: dict[int, float | None] = {}
+    means: dict[int, float] = {}
+    sds: dict[int, float] = {}
     for shot in shots:
-        present = [v for seed in seeds if (v := scores[shot].get(seed)) is not None]
-        means[shot] = mean(present) if present else None
-        sds[shot] = sample_sd(present) if present else None
+        present = [scores[shot][seed] for seed in seeds if seed in scores[shot]]
+        means[shot] = mean(present)
+        sds[shot] = sample_sd(present)
     return RunResult(
         condition=condition,
         shots=tuple(shots),
@@ -99,7 +101,7 @@ def summarize(
 def paired_pvalues(results: Sequence[RunResult], reference: str) -> list[RunResult]:
     """Paired t-test of every other result against the `reference` condition.
 
-    Each shot pairs the seeds where both cells are present; with fewer than
+    Each shot pairs the seeds that have a cell on both sides; with fewer than
     two pairs its p-value is None. The reference's own row is returned as is.
     Without a `reference` row the results come back unchanged.
     """
@@ -115,10 +117,9 @@ def paired_pvalues(results: Sequence[RunResult], reference: str) -> list[RunResu
         for shot in r.shots:
             ref_cells = ref.scores.get(shot, {})
             pairs = [
-                (a, b)
+                (r.scores[shot][seed], ref_cells[seed])
                 for seed in r.seeds
-                if (a := r.scores[shot].get(seed)) is not None
-                and (b := ref_cells.get(seed)) is not None
+                if seed in r.scores[shot] and seed in ref_cells
             ]
             pvals[shot] = (
                 paired_t_test([a for a, _ in pairs], [b for _, b in pairs])[1]

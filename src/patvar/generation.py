@@ -38,10 +38,6 @@ class ResponseFormatError(PatvarError):
     pass
 
 
-class LabelMismatch(PatvarError):
-    pass
-
-
 class NoValidPhrases(PatvarError):
     pass
 
@@ -233,7 +229,7 @@ def separate_multilabel(
             )
         text, pattern, label = m.group(1), m.group(2), m.group(3)
         if label not in labels:
-            raise LabelMismatch(f"separator returned unknown label {label!r}")
+            raise ResponseFormatError(f"separator returned unknown label {label!r}")
         if not text.strip():
             raise ResponseFormatError(f"separator returned a blank text for label {label!r}")
         parts.append((text, pattern, label))

@@ -25,9 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .annotation import AnnotatedSentence
-from .errors import PatvarError
 from .experiment import Dataset, RunResult, ShotSchedule, summarize
-from .stats import EmptyPredictions
 from .synthesis import LabeledExample
 
 TrainingItem = tuple[AnnotatedSentence, str]  # (sentence, label)
@@ -36,18 +34,6 @@ SurvivorsIndex = Mapping[str, Sequence[TrainingItem]]
 # A run's training items, in order: their `LemmaIds` rows, their label ids
 # and the first shot (an index into the schedule) each item trains at.
 Run = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-class KOverN(PatvarError):
-    pass
-
-
-class UntrainedClassifier(PatvarError):
-    pass
-
-
-class EmptyTrainingSet(PatvarError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +179,7 @@ class NaiveBayesClassifier:
     def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The label id and the confidence of each row's sentence."""
         if not self._trained:
-            raise UntrainedClassifier("train() must run before predict()")
+            raise RuntimeError("train() must run before predict()")
         [log_post] = _log_posterior(self._table, self._log_prior, self.features.batch(rows))
         best = np.argmax(log_post, axis=0)  # the first maximum: ties go to label_set order
         cols = np.arange(log_post.shape[1])
@@ -223,7 +209,7 @@ class NaiveBayesClassifier:
         for run, arrays in enumerate(runs):
             run_rows, labels, first = (np.asarray(a, dtype=np.intp) for a in arrays)
             if not len(run_rows):
-                raise EmptyTrainingSet("classifier needs at least one training item")
+                raise ValueError("classifier needs at least one training item")
             if first.shape != run_rows.shape or first.min() < 0 or first.max() >= n_shots:
                 raise ValueError(f"need one first shot in 0..{n_shots - 1} per training item")
             if labels.shape != run_rows.shape or labels.min() < 0 or labels.max() >= n_labels:
@@ -235,7 +221,7 @@ class NaiveBayesClassifier:
         n_rows = len(runs) * n_shots
         docs = np.bincount(slots, minlength=n_rows * n_labels).reshape(len(runs), n_shots, n_labels)
         if not docs[:, 0].any(axis=1).all():
-            raise EmptyTrainingSet("the first shot has no training item")
+            raise ValueError("the first shot has no training item")
         # Row-major over the padded batch: each item's tokens, in token order.
         counts = np.bincount(
             (slots[:, None] * width + ids)[ids >= 0], minlength=n_rows * n_labels * width
@@ -260,7 +246,7 @@ def kmeans(vectors: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
     """
     n = len(vectors)
     if not 1 <= k <= n:
-        raise KOverN(f"k={k} outside 1..{n}")
+        raise ValueError(f"k={k} outside 1..{n}")
     x = np.asarray(vectors, dtype=np.float64)
     rng = random.Random(seed)
     centroids = np.empty((k, x.shape[1]))
@@ -382,7 +368,7 @@ def macro_f1s(gold: np.ndarray, predicted: np.ndarray, n_labels: int) -> list[li
     label order, then divided by n_labels."""
     gold, predicted = np.asarray(gold, dtype=np.intp), np.asarray(predicted, dtype=np.intp)
     if not len(gold):
-        raise EmptyPredictions("no predictions to score")
+        raise ValueError("no predictions to score")
     n, rows = n_labels, predicted.reshape(-1, len(gold))
     cells = (np.arange(len(rows))[:, None] * n + gold) * n + rows
     confusion = np.bincount(cells.ravel(), minlength=len(rows) * n * n).reshape(-1, n, n)

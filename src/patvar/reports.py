@@ -88,21 +88,18 @@ def render_f1_grid(title: str, results: Sequence[RunResult]) -> str:
     if not results:
         return f"**{title}**\n\n(no results)\n"
     shots = sorted({shot for r in results for shot in r.shots})
-    best_per_shot = {}
-    for shot in shots:
-        means = [m for r in results if (m := r.mean.get(shot)) is not None]
-        best_per_shot[shot] = max(means) if means else None
+    best_per_shot = {shot: max(r.mean[shot] for r in results if shot in r.mean) for shot in shots}
     header = ["Method", *[str(s) for s in shots]]
     rows = []
     for r in results:
         cells = [r.condition]
         for shot in shots:
-            m = r.mean.get(shot)
-            if m is None:
+            if shot not in r.mean:
                 cells.append("n/a")
                 continue
-            body = f"{_fmt_mean(m)} ({_fmt_mean(r.sd[shot] or 0.0)})"
-            if best_per_shot[shot] is not None and m == best_per_shot[shot]:
+            m = r.mean[shot]
+            body = f"{_fmt_mean(m)} ({_fmt_mean(r.sd[shot])})"
+            if m == best_per_shot[shot]:
                 body = f"**{body}**"
             stars = significance_stars(r.p_vs_reference.get(shot))
             cells.append(f"{body} {stars}".rstrip())
@@ -124,10 +121,8 @@ def write_results_csv(path, results: Sequence[RunResult], dataset_name: str) -> 
         for r in results:
             for shot in r.shots:
                 for seed in r.seeds:
-                    value = r.scores[shot][seed]
                     writer.writerow([
-                        r.condition, dataset_name, shot, seed,
-                        "" if value is None else f"{value:.6f}",
+                        r.condition, dataset_name, shot, seed, f"{r.scores[shot][seed]:.6f}",
                     ])
 
 
@@ -140,12 +135,11 @@ def write_summary_csv(path, results: Sequence[RunResult], dataset_name: str, ref
                          "significance"))
         for r in results:
             for shot in r.shots:
-                mean_v, sd_v = r.mean[shot], r.sd[shot]
                 p = r.p_vs_reference.get(shot)
                 writer.writerow([
                     r.condition, dataset_name, shot,
-                    "" if mean_v is None else f"{mean_v:.6f}",
-                    "" if sd_v is None else f"{sd_v:.6f}",
+                    f"{r.mean[shot]:.6f}",
+                    f"{r.sd[shot]:.6f}",
                     "" if p is None else f"{p:.6g}",
                     significance_stars(p),
                 ])
@@ -154,10 +148,10 @@ def write_summary_csv(path, results: Sequence[RunResult], dataset_name: str, ref
 def read_results_csv(path) -> list[dict]:
     """Rows of the per-seed results schema; also used for external imports.
 
-    `shot` and `seed` come back as int and `macro_f1` as a float in [0, 1], or
-    None when empty. A file that cannot be read, a byte that is not UTF-8, a
-    missing column or a bad value raises ConfigError naming the file (and the
-    line, where there is one).
+    `shot` and `seed` come back as int and `macro_f1` as a float in [0, 1].
+    A file that cannot be read, a byte that is not UTF-8, a missing column or
+    a bad value, an empty score among them, raises ConfigError naming the
+    file (and the line, where there is one).
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
@@ -175,10 +169,10 @@ def read_results_csv(path) -> list[dict]:
                 raise ConfigError(f"{where}: fewer fields than the header")
             try:
                 row["shot"], row["seed"] = int(row["shot"]), int(row["seed"])
-                row["macro_f1"] = float(row["macro_f1"]) if row["macro_f1"] else None
+                row["macro_f1"] = float(row["macro_f1"])
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            if row["macro_f1"] is not None and not 0.0 <= row["macro_f1"] <= 1.0:
+            if not 0.0 <= row["macro_f1"] <= 1.0:
                 raise ConfigError(f"{where}: macro_f1 {row['macro_f1']} is outside [0, 1]")
             rows.append(row)
         return rows
@@ -186,7 +180,7 @@ def read_results_csv(path) -> list[dict]:
 
 def results_from_rows(rows: Iterable[dict]) -> list[RunResult]:
     """Aggregate rows of `read_results_csv` back into RunResult grids (no p-values)."""
-    by_condition: dict[str, dict[int, dict[int, float | None]]] = {}
+    by_condition: dict[str, dict[int, dict[int, float]]] = {}
     for row in rows:
         cells = by_condition.setdefault(row["condition"], {}).setdefault(row["shot"], {})
         cells[row["seed"]] = row["macro_f1"]

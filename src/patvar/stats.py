@@ -7,20 +7,6 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from .errors import PatvarError
-
-
-class EmptyPredictions(PatvarError):
-    pass
-
-
-class LengthMismatch(PatvarError):
-    pass
-
-
-class TooFewPairs(PatvarError):
-    pass
-
 
 def mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
@@ -110,10 +96,10 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     variance with a nonzero mean gives (+/-inf, 0.0).
     """
     if len(a) != len(b):
-        raise LengthMismatch(f"{len(a)} vs {len(b)} samples")
+        raise ValueError(f"{len(a)} vs {len(b)} samples")
     n = len(a)
     if n < 2:
-        raise TooFewPairs("need at least two pairs")
+        raise ValueError("need at least two pairs")
     d = [x - y for x, y in zip(a, b)]
     md = mean(d)
     sd = sample_sd(d)
@@ -133,7 +119,7 @@ def macro_f1(predictions: Sequence[tuple[str, str]], label_set: Sequence[str]) -
     appear in the predictions at all.
     """
     if not predictions:
-        raise EmptyPredictions("no predictions to score")
+        raise ValueError("no predictions to score")
     tp, fp, fn = Counter(), Counter(), Counter()
     for (gold, pred), count in Counter(predictions).items():
         if gold == pred:

@@ -20,7 +20,6 @@ from patvar.annotation import Annotator, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
-    EmptyDataset,
     build_gateway,
     ingest,
     load_config,
@@ -233,8 +232,9 @@ def test_ingest_parse_errors(tmp_path, provider):
     assert exc.value.line == 2
     empty = tmp_path / "empty.csv"
     empty.write_text("text,label\n", encoding="utf-8")
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(ConfigError, match="no rows") as exc:
         ingest(DatasetSpec(path=str(empty)), provider)
+    assert str(exc.value) == f"no rows in {empty}"
 
 
 def test_ingest_jsonl(tmp_path, provider):
@@ -501,7 +501,9 @@ def test_cli_report_external_other_shots(walkthrough_seed7, copy_walkthrough, tm
     ("condition,dataset,shot\nrandom,data,5\n", "lacks columns ['macro_f1', 'seed']"),
     ("condition,dataset,shot,seed,macro_f1\nrandom,data,5,0,0.4\nrandom,data,5,1,nan\n",
      "line 3: macro_f1 nan is outside [0, 1]"),
-], ids=["bad_value", "missing_columns", "nan_score"])
+    ("condition,dataset,shot,seed,macro_f1\nalps,data,10,0,0.9\nalps,data,10,1,\n"
+     "alps,data,10,2,0.1\n", "line 3: could not convert string to float: ''"),
+], ids=["bad_value", "missing_columns", "nan_score", "empty_score"])
 def test_cli_report_rejects_malformed_external(tmp_path, capsys, content, message):
     config = write_config(tmp_path)
     external = tmp_path / "bad.csv"
@@ -757,7 +759,7 @@ def test_cli_exit_codes(tmp_path):
 
     empty_csv = tmp_path / "data.csv"
     empty_csv.write_text("text,label\n", encoding="utf-8")
-    assert main(["synth", "--config", str(config)]) == 4  # empty dataset
+    assert main(["synth", "--config", str(config)]) == 2  # empty dataset
 
 
 def test_cli_filter_without_candidates_exits_2(tmp_path, capsys):

@@ -7,7 +7,6 @@ from patvar.gateway import MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
-    LabelMismatch,
     NoValidPhrases,
     ResponseFormatError,
     build_task,
@@ -119,7 +118,7 @@ def test_separator_format_and_label_errors(gateway_with):
         separate_multilabel("text", [""], ["price"], gw)
 
     gw2 = gateway_with(lambda req: CompletionResponse("'t' + '' + 'bogus'"))
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(ResponseFormatError, match="unknown label 'bogus'"):
         separate_multilabel("text", [""], ["price"], gw2)
 
 

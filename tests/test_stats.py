@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patvar.stats import (
-    EmptyPredictions,
-    LengthMismatch,
-    TooFewPairs,
     macro_f1,
     paired_t_test,
     regularized_incomplete_beta,
@@ -59,9 +56,9 @@ def test_t_test_conventions():
 
 
 def test_t_test_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="1 vs 2 samples"):
         paired_t_test([1.0], [1.0, 2.0])
-    with pytest.raises(TooFewPairs):
+    with pytest.raises(ValueError, match="need at least two pairs"):
         paired_t_test([1.0], [2.0])
 
 
@@ -116,7 +113,7 @@ def test_macro_f1_absent_label_contributes_zero():
 
 
 def test_macro_f1_empty_raises():
-    with pytest.raises(EmptyPredictions):
+    with pytest.raises(ValueError, match="no predictions to score"):
         macro_f1([], ["a"])
 
 
