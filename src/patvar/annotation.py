@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from .errors import (
-    InvariantViolation,
     ParseError,
     PatvarError,
     ProviderFailure,
@@ -61,13 +60,13 @@ class Token:
 
     def __post_init__(self):
         if self.pos not in ALL_POS:
-            raise InvariantViolation(f"unknown pos tag {self.pos!r}")
+            raise ValueError(f"unknown pos tag {self.pos!r}")
         if not self.lemma and any(ch.isalnum() for ch in self.surface):
-            raise InvariantViolation(f"empty lemma for surface {self.surface!r}")
+            raise ValueError(f"empty lemma for surface {self.surface!r}")
         if self.lemma != self.lemma.lower():
-            raise InvariantViolation(f"lemma must be lowercase: {self.lemma!r}")
+            raise ValueError(f"lemma must be lowercase: {self.lemma!r}")
         if self.entity is not None and not _ENTITY_TAG_RE.match(self.entity):
-            raise InvariantViolation(
+            raise ValueError(
                 f"entity tag must be an uppercase identifier: {self.entity!r}"
             )
 
@@ -82,7 +81,7 @@ class AnnotatedSentence:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         # Token surfaces must reconstruct the raw text once whitespace is ignored.
         if "".join(t.surface for t in self.tokens) != "".join(self.raw.split()):
-            raise InvariantViolation(
+            raise ValueError(
                 f"tokens do not reconstruct raw text (sentence {self.id!r})"
             )
 
@@ -119,9 +118,6 @@ class SynonymLexicon:
 
     def __contains__(self, lemma: str) -> bool:
         return lemma.lower() in self._sets
-
-    def __len__(self) -> int:
-        return len(self._sets)
 
     def synonyms_of(self, lemma: str) -> frozenset[str]:
         """Synonym set of `lemma`, always containing the lemma itself."""
@@ -212,7 +208,7 @@ def record_to_sentence(record: dict, line: int | None = None) -> AnnotatedSenten
         tokens.append((surface, lemma, pos, entity))
     try:  # a token rule, or tokens that do not spell raw
         return AnnotatedSentence(str(record["id"]), record["raw"], tuple(Token(*t) for t in tokens))
-    except InvariantViolation as exc:
+    except ValueError as exc:
         raise ParseError(f"record {record['id']!r}: {exc}", line=line) from None
 
 

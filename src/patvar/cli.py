@@ -33,7 +33,6 @@ from .filtering import rows_from_audit, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
     JSON_LINE,
-    NoValidPhrases,
     build_task,
     candidate_to_record,
     candidates_from_records,
@@ -43,7 +42,7 @@ from .generation import (
     generate_without_vt,
     plan_targets,
 )
-from .patterns import PatternSyntaxError, find_matches, parse_pattern
+from .patterns import PatternSyntaxError, find_matches, parse_pattern, render_pattern
 from .reports import (
     read_quality_json,
     read_results_csv,
@@ -53,7 +52,7 @@ from .reports import (
     write_results_csv,
     write_summary_csv,
 )
-from .synthesis import EmptyPositives, NoViablePattern, pack, synthesize_patterns
+from .synthesis import pack, synthesize_patterns
 
 logger = logging.getLogger(__name__)
 
@@ -182,11 +181,7 @@ def cmd_synth(ctx: Context) -> None:
     payload = {"dataset": ctx.dataset_name, "label_set": list(dataset.label_set), "patterns": {}}
     lines, pool = [], pack(dataset.examples)
     for label in dataset.label_set:
-        try:
-            scored = synthesize_patterns(pool, label, cfg.synthesis, lexicon)
-        except (EmptyPositives, NoViablePattern) as exc:
-            logger.warning("label %r: no pattern (%s)", label, exc)
-            scored = []
+        scored = synthesize_patterns(pool, label, cfg.synthesis, lexicon)
         payload["patterns"][label] = [
             {"pattern": sp.rendered, "precision": sp.precision, "recall": sp.recall, "f1": sp.f1,
              "covered": sorted(sp.matched_positive_ids)}
@@ -251,14 +246,15 @@ def cmd_gen(ctx: Context) -> None:
     phrase question (pattern, matched phrase, label, target label and soft
     matches: all that the phrase request and the phrase check read) is asked
     and checked once per command; the tasks that share it share its verified
-    phrases or its NoValidPhrases. So a "dropping phrase" warning is logged
-    once per distinct question, not once per task."""
+    phrases, none if no phrase verified. So a "dropping phrase" warning is
+    logged once per distinct question, not once per task; a task whose
+    question has no phrase is skipped with a warning."""
     patterns_by_label = _load_patterns(ctx)
     cfg, provider, lexicon, gateway = ctx.cfg, ctx.provider, ctx.lexicon, ctx.gateway
     dataset, want_no_vt = ctx.dataset, _wants_novt(ctx)
     vt_candidates, novt_candidates = [], []
     skipped = 0
-    answers: dict[tuple, tuple[str, ...] | NoValidPhrases] = {}  # phrase question -> answer
+    answers: dict[tuple, tuple[str, ...]] = {}  # phrase question -> verified phrases
     for ex in dataset.examples:
         span = None
         for pattern in patterns_by_label.get(ex.label, []):
@@ -272,17 +268,14 @@ def cmd_gen(ctx: Context) -> None:
                 question = (pattern, task.matched_phrase, ex.label, target, soft_matches)
                 phrases = answers.get(question)
                 if phrases is None:
-                    try:
-                        phrases = generate_candidate_phrases(task, soft_matches, gateway,
-                                                             provider, lexicon)
-                    except NoValidPhrases as exc:
-                        phrases = exc
-                    answers[question] = phrases
-                if isinstance(phrases, tuple):
+                    phrases = answers[question] = generate_candidate_phrases(
+                        task, soft_matches, gateway, provider, lexicon)
+                if phrases:
                     vt_candidates.append(generate_counterfactual(
                         task, phrases, gateway, uid=f"{ex.sentence.id}:{target}:0"))
                 else:
-                    logger.warning("skipping %s -> %s: %s", ex.sentence.id, target, phrases)
+                    logger.warning("skipping %s -> %s: no returned phrase matches %r",
+                                   ex.sentence.id, target, render_pattern(pattern))
                     skipped += 1
             else:
                 skipped += 1

@@ -23,10 +23,6 @@ class ParseError(PatvarError):
         super().__init__(message)
 
 
-class InvariantViolation(PatvarError):
-    """A domain object failed one of its structural invariants."""
-
-
 class ProviderFailure(PatvarError):
     """An annotation provider returned malformed output or failed outright."""
 

@@ -49,11 +49,6 @@ class TransientBackendError(BackendError):
         self.retry_after = retry_after
 
 
-class GatewayTimeout(BackendError):
-    def __init__(self, body: str):
-        super().__init__(None, body)
-
-
 class CacheError(PatvarError):
     pass
 
@@ -290,7 +285,7 @@ def complete(req: CompletionRequest, backend: Backend) -> CompletionResponse:
         except TransientBackendError as exc:
             attempt += 1
             if attempt > RETRIES:
-                raise GatewayTimeout(f"gave up after {RETRIES} retries: {exc.body}") from exc
+                raise BackendError(None, f"gave up after {RETRIES} retries: {exc.body}") from exc
             if exc.retry_after is None:
                 delay = BACKOFF_S * (2 ** (attempt - 1))
             else:

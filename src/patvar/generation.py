@@ -38,10 +38,6 @@ class ResponseFormatError(PatvarError):
     pass
 
 
-class NoValidPhrases(PatvarError):
-    pass
-
-
 @dataclass(frozen=True)
 class GenerationTask:
     """One (original example, target label) generation job.
@@ -265,7 +261,7 @@ def generate_candidate_phrases(
 ) -> tuple[str, ...]:
     """Ask for pattern-matching phrases, noting the allowed synonyms of each
     of `soft_matches`, the `collect_soft_matches` of the task's span, and
-    return the ones that verify; NoValidPhrases when none does."""
+    return the ones that verify, () when none does."""
     if task.pattern is None:
         raise ValueError("candidate phrases need a pattern-constrained task")
     slots = {
@@ -281,10 +277,8 @@ def generate_candidate_phrases(
             fill(note, {"match": word, "soft-match_words": ", ".join(synonyms)})
         )
     resp = gateway.complete(gateway.request(messages, GENERATION_MAX_TOKENS))
-    raw_phrases = [p.strip() for p in resp.text.split(",")]
-    raw_phrases = [p for p in raw_phrases if p]
     valid = []
-    for phrase in raw_phrases:
+    for phrase in filter(None, (p.strip() for p in resp.text.split(","))):
         if match_sentence(task.pattern, provider.annotate(phrase), lex):
             valid.append(phrase)
         else:
@@ -293,11 +287,6 @@ def generate_candidate_phrases(
                 phrase,
                 render_pattern(task.pattern),
             )
-    if not valid:
-        raise NoValidPhrases(
-            f"no returned phrase matches {render_pattern(task.pattern)!r} "
-            f"(got {len(raw_phrases)} phrases)"
-        )
     return tuple(valid)
 
 

@@ -49,10 +49,6 @@ class PatternSyntaxError(PatvarError):
         super().__init__(f"column {column}: {message}")
 
 
-class InputTooLarge(PatvarError):
-    """Input exceeds the brute-force matcher's precondition."""
-
-
 @dataclass(frozen=True)
 class PosAtom:
     tag: str
@@ -377,9 +373,9 @@ def brute_force_match(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) 
     check each other. Only valid for small inputs.
     """
     if len(s.tokens) > 12:
-        raise InputTooLarge(f"sentence has {len(s.tokens)} tokens (limit 12)")
+        raise ValueError(f"sentence has {len(s.tokens)} tokens (limit 12)")
     if p.atom_count() > 5:
-        raise InputTooLarge(f"pattern has {p.atom_count()} atoms (limit 5)")
+        raise ValueError(f"pattern has {p.atom_count()} atoms (limit 5)")
     tokens = s.tokens
     n = len(tokens)
     for seq in p.alternatives:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .annotation import AnnotatedSentence, SynonymLexicon
-from .errors import PatvarError
 from .patterns import (
     WILDCARD,
     Atom,
@@ -33,14 +32,6 @@ logger = logging.getLogger(__name__)
 
 # The floor the cover falls back to when no candidate reaches a higher `min_precision`.
 RELAXED_PRECISION = 0.8
-
-
-class EmptyPositives(PatvarError):
-    pass
-
-
-class NoViablePattern(PatvarError):
-    """No candidate met the precision floor, nor the relaxed one below it."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,8 @@ def scored(cand: Candidate, pool: Pool) -> ScoredPattern:
 def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
                          lex: SynonymLexicon) -> list[Candidate]:
     """Beam-searched single-sequence candidates that match at least one positive
-    (a pool example of `label`), best F1 first (ties: shorter, then lexicographic render).
+    (a pool example of `label`), best F1 first (ties: shorter, then lexicographic render);
+    none when the pool holds no positive.
 
     Sequences grow one atom per round up to `max_atoms`; each round keeps the
     top `beam_width` in that order, ties in generation order. Consecutive
@@ -167,8 +159,6 @@ def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
     """
     examples, features, guards, guard, valid = pool
     positives = [(ex.sentence, bit) for ex, bit in zip(examples, guards) if ex.label == label]
-    if not positives:
-        raise EmptyPositives("need at least one positive example")
     positive_guard = sum(bit for _, bit in positives)
     negative_guard = guard ^ positive_guard
     atoms = sorted(enumerate_atoms([s for s, _ in positives], lex), key=render_atom)
@@ -215,7 +205,8 @@ def synthesize_patterns(pool: Pool, label: str, cfg: SynthesisConfig,
     The cover draws on the candidates of precision `min_precision` or more;
     when there are none and that floor is above RELAXED_PRECISION, on those
     that reach RELAXED_PRECISION instead (logged as a warning). Either way
-    the beam search runs once. NoViablePattern when no floor is reached.
+    the beam search runs once. When no floor is reached, it returns [] and
+    logs a warning.
 
     Repeatedly picks the candidate covering the most not-yet-covered
     positives (ties: higher F1, then shorter, then lexicographic render)
@@ -229,8 +220,9 @@ def synthesize_patterns(pool: Pool, label: str, cfg: SynthesisConfig,
         if viable:
             break
     else:
-        raise NoViablePattern(f"no candidate reaches precision {floor} "
-                              f"({len(candidates)} candidates considered)")
+        logger.warning("label %r: no pattern (no candidate reaches precision %s "
+                       "(%d candidates considered))", label, floor, len(candidates))
+        return []
     if floor < cfg.min_precision:
         logger.warning("label %r: no pattern at precision %.2f; relaxed to %.2f",
                        label, cfg.min_precision, floor)

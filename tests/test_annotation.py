@@ -12,7 +12,7 @@ from patvar.annotation import (
     sentence_to_record,
     tokenize,
 )
-from patvar.errors import ConfigError, InvariantViolation, ParseError, ProviderFailure
+from patvar.errors import ConfigError, ParseError, ProviderFailure
 
 TERMINAL = ".,!?;:"
 
@@ -78,13 +78,13 @@ def test_tokenize_never_yields_empty_tokens():
 
 
 def test_token_invariants():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match="empty lemma for surface 'food'"):
         Token(surface="food", lemma="")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match="unknown pos tag 'XYZ'"):
         Token(surface="x", lemma="x", pos="XYZ")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match="lemma must be lowercase: 'X'"):
         Token(surface="x", lemma="X")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match="entity tag must be an uppercase identifier: 'loc'"):
         Token(surface="x", lemma="x", entity="loc")
     # punctuation-only surfaces may carry their surface as lemma
     Token(surface=".", lemma=".")
@@ -93,7 +93,7 @@ def test_token_invariants():
 def test_sentence_reconstruction_invariant():
     toks = (Token("The", "the"), Token("food", "food"))
     AnnotatedSentence("s1", "The food", toks)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ValueError, match=r"tokens do not reconstruct raw text \(sentence 's1'\)"):
         AnnotatedSentence("s1", "The drink", toks)
 
 
@@ -143,15 +143,20 @@ def test_annotate_chains_a_provider_exception():
     class Crashing:
         def annotate(self, raw):
             if raw == "bad token":
-                raise InvariantViolation("unknown pos tag 'X'")
+                return AnnotatedSentence("s", raw, (Token("bad", "bad", "X"), Token("token", "token")))
+            if raw == "offline":
+                raise ProviderFailure("tagger offline")
             raise RuntimeError("tagger crashed")
 
     annotator = Annotator(Crashing())
     with pytest.raises(ProviderFailure, match="^provider raised RuntimeError: tagger crashed$") as info:
         annotator.annotate("x")
     assert isinstance(info.value.__cause__, RuntimeError)
-    with pytest.raises(InvariantViolation, match="unknown pos tag"):  # a PatvarError as it is
+    with pytest.raises(ProviderFailure, match="^provider raised ValueError: unknown pos tag 'X'$") as info:
         annotator.annotate("bad token")
+    assert isinstance(info.value.__cause__, ValueError)
+    with pytest.raises(ProviderFailure, match="^tagger offline$"):  # a PatvarError as it is
+        annotator.annotate("offline")
 
 
 class CountingProvider:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import patvar
 from patvar import cli, filtering, gateway, generation, synthesis
-from patvar.annotation import Annotator, sentence_to_record
+from patvar.annotation import Annotator, Token, sentence_to_record
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -343,6 +343,17 @@ def test_provider_output_for_other_text_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("patvar.cli.build_provider", lambda cfg: Annotator(OtherTextProvider(texts)))
     assert main(["simulate", "--config", str(config)]) == 4
     assert "does not correspond to the input text" in capsys.readouterr().err
+
+
+def test_provider_token_with_an_unknown_tag_exits_4(tmp_path, monkeypatch, capsys):
+    class UnknownTagProvider:
+        def annotate(self, raw):
+            return Token(raw, raw.lower(), "X")  # raises before any sentence is built
+
+    config = write_config(tmp_path)
+    monkeypatch.setattr("patvar.cli.build_provider", lambda cfg: Annotator(UnknownTagProvider()))
+    assert main(["synth", "--config", str(config)]) == 4
+    assert "data error: provider raised ValueError: unknown pos tag 'X'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +760,25 @@ def test_cli_ablate_arms(walkthrough_seed7):
         assert (row["p_vs_all"] == "") == (row["condition"] == "all")
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.yaml"
     bad_cfg.write_text("dataset: {path: missing.csv}\n", encoding="utf-8")
     assert main(["synth", "--config", str(bad_cfg)]) == 2
+    assert main(["synth", "--config", str(tmp_path / "absent.yaml")]) == 2
+    assert "config file not found" in capsys.readouterr().err
 
     config = write_config(tmp_path)
     assert main(["simulate", "--config", str(config)]) == 2  # survivors missing
+    assert main(["gen", "--config", str(config)]) == 2
+    assert "patterns.json not found; run `patvar synth` first" in capsys.readouterr().err
+    assert main(["report", "--config", str(config)]) == 2
+    assert "nothing to report" in capsys.readouterr().err
+
+    assert main(["synth", "--config", str(config)]) == 0
+    not_a_dir = tmp_path / "cache_file"
+    not_a_dir.write_text("", encoding="utf-8")
+    assert main(["gen", "--config", str(config), "--cache-dir", str(not_a_dir)]) == 3
+    assert "backend error: cannot write cache entry" in capsys.readouterr().err
 
     empty_csv = tmp_path / "data.csv"
     empty_csv.write_text("text,label\n", encoding="utf-8")
@@ -1079,24 +1102,27 @@ def test_cli_ablate_needs_the_audit(tmp_path, capsys):
 def test_cli_ablate_rejects_malformed_verdicts(tmp_path, capsys, kind):
     config = write_config(tmp_path, seeds=[0])
     good = {**malformed_candidate(config, "good"), **audit_fields()}
+    other = {**good, "uid": "u1"}  # a uid of its own, so the line reaches the verdict checks
     verdicts = good["verdicts"]
     bad = {
-        "verdicts_not_object": {**good, "verdicts": ["passed", "passed", "passed"]},
-        "stage_missing": {**good, "verdicts": {s: verdicts[s] for s in STAGES[:2]}},
-        "unknown_status": {**good, "verdicts": {**verdicts, "symbolic": {"status": "kept",
-                                                                         "reason": ""}}},
-        "reason_missing": {**good, "verdicts": {**verdicts, "heuristic": {"status": "passed"}}},
-        "reason_not_string": {**good, "verdicts": {**verdicts, "heuristic": {"status": "passed",
-                                                                             "reason": None}}},
-        "label_missing": {k: v for k, v in good.items() if k != "discriminator_label"},
-        "label_not_string": {**good, "discriminator_label": 5},
+        "verdicts_not_object": {**other, "verdicts": ["passed", "passed", "passed"]},
+        "stage_missing": {**other, "verdicts": {s: verdicts[s] for s in STAGES[:2]}},
+        "unknown_status": {**other, "verdicts": {**verdicts, "symbolic": {"status": "kept",
+                                                                          "reason": ""}}},
+        "reason_missing": {**other, "verdicts": {**verdicts, "heuristic": {"status": "passed"}}},
+        "reason_not_string": {**other, "verdicts": {**verdicts, "heuristic": {"status": "passed",
+                                                                              "reason": None}}},
+        "label_missing": {k: v for k, v in other.items() if k != "discriminator_label"},
+        "label_not_string": {**other, "discriminator_label": 5},
     }[kind]
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "audit_vt.jsonl").write_text(
         json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8"
     )
     assert main(["ablate", "--config", str(config)]) == 2
-    assert "audit_vt.jsonl line 2" in capsys.readouterr().err
+    message = ("discriminator_label must be a string or null" if kind.startswith("label_")
+               else "verdicts must be an object over the stages")
+    assert f"audit_vt.jsonl line 2: {message}" in capsys.readouterr().err
 
 
 def test_cli_ablate_featurizes_each_sentence_once(walkthrough_seed7, copy_walkthrough, monkeypatch):
@@ -1440,15 +1466,18 @@ def test_cli_checks_shots_before_reading_survivors(tmp_path, capsys, command):
     assert "not found" not in err
 
 
-def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog):
+@pytest.mark.parametrize("content, warning", [("[]", "manifest was not a JSON object"),
+                                              ("{not json", "manifest was unreadable")],
+                         ids=["not_object", "not_json"])
+def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog, content, warning):
     config = write_config(tmp_path)
     write_two_label_patterns(tmp_path)
-    (tmp_path / "out" / "manifest.json").write_text("[]", encoding="utf-8")
+    (tmp_path / "out" / "manifest.json").write_text(content, encoding="utf-8")
     with caplog.at_level("WARNING"):
         assert main(["synth", "--config", str(config)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest) == {"synth"}
-    assert "not a JSON object" in caplog.text
+    assert warning in caplog.text
 
 
 def test_text_commands_never_import_numpy(tmp_path):

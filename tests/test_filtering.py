@@ -20,7 +20,7 @@ from patvar.filtering import (
 )
 from patvar.errors import ParseError
 from patvar.experiment import Dataset
-from patvar.gateway import GatewayTimeout, MockBackend
+from patvar.gateway import BackendError, MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
@@ -351,7 +351,7 @@ def count_requests(monkeypatch, gw):
 
 
 class TimesOutOnce:
-    """Ends its first send in a GatewayTimeout and answers the others from `backend`."""
+    """Ends its first send in retries given up on and answers the others from `backend`."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -360,7 +360,7 @@ class TimesOutOnce:
     def send(self, req):
         self.calls += 1
         if self.calls == 1:
-            raise GatewayTimeout("gave up after 3 retries: busy")
+            raise BackendError(None, "gave up after 3 retries: busy")
         return self.backend.send(req)
 
 

@@ -19,7 +19,6 @@ from patvar.gateway import (
     CompletionRequest,
     CompletionResponse,
     Gateway,
-    GatewayTimeout,
     MockBackend,
     TransientBackendError,
     cache_key,
@@ -76,7 +75,8 @@ def test_transient_errors_retry_then_timeout():
     assert flaky.calls == 3
 
     dead = Flaky(failures=99)
-    with mock.patch.object(gateway.time, "sleep") as sleep, pytest.raises(GatewayTimeout):
+    with mock.patch.object(gateway.time, "sleep") as sleep, \
+            pytest.raises(BackendError, match="gave up after 3 retries"):
         complete(req(), dead)
     assert [c.args[0] for c in sleep.call_args_list] == [0.5, 1.0, 2.0]
     assert dead.calls == 1 + gateway.RETRIES == 4
@@ -467,7 +467,8 @@ def test_http_429_sleeps_its_capped_retry_after(monkeypatch, tmp_path, retry_aft
 def test_http_429_forever_times_out_uncached(monkeypatch, tmp_path):
     replying(monkeypatch, _FakeReply(429, "slow down", {"Retry-After": "3"}))
     gw = Gateway(gateway.HttpBackend("http://llm.invalid/v1"), "test-model", str(tmp_path))
-    with mock.patch.object(gateway.time, "sleep") as sleep, pytest.raises(GatewayTimeout):
+    with mock.patch.object(gateway.time, "sleep") as sleep, \
+            pytest.raises(BackendError, match="gave up after 3 retries"):
         gw.complete(req())
     gw.close()
     assert [c.args[0] for c in sleep.call_args_list] == [3.0, 3.0, 3.0]

@@ -16,9 +16,7 @@ from patvar.patterns import (
     render_pattern,
 )
 from patvar.synthesis import (
-    EmptyPositives,
     LabeledExample,
-    NoViablePattern,
     SynthesisConfig,
     enumerate_atoms,
     enumerate_candidates,
@@ -117,9 +115,8 @@ def test_beam_reaches_exhaustive_optimum(provider, lexicon):
     assert not best.matched_negative_ids
 
 
-def test_empty_positives_raises(lexicon):
-    with pytest.raises(EmptyPositives):
-        enumerate_candidates(pack([]), "a", SynthesisConfig(), lexicon)
+def test_empty_positives_give_no_candidate(lexicon):
+    assert enumerate_candidates(pack([]), "a", SynthesisConfig(), lexicon) == []
 
 
 def test_shared_example_id_raises(provider, lexicon):
@@ -164,8 +161,8 @@ def test_synthesize_max_patterns_one(provider, lexicon):
 def test_synthesize_no_viable_pattern(provider, lexicon):
     positives = [example(provider, "the same sentence", "a", "p0")]
     negatives = [example(provider, "the same sentence", "b", "n0")]
-    with pytest.raises(NoViablePattern):
-        synthesize_patterns(pack(positives + negatives), "a", SynthesisConfig(max_atoms=2), lexicon)
+    pool = pack(positives + negatives)
+    assert synthesize_patterns(pool, "a", SynthesisConfig(max_atoms=2), lexicon) == []
 
 
 def test_synthesis_relaxes_only_a_floor_above_the_relaxed_one(provider, lexicon, monkeypatch,
@@ -195,14 +192,18 @@ def test_synthesis_relaxes_only_a_floor_above_the_relaxed_one(provider, lexicon,
     with caplog.at_level("WARNING", logger="patvar.synthesis"):
         half = synthesize_patterns(pool, "x", dataclasses.replace(cfg, min_precision=0.5), lexicon)
     assert half and not caplog.text
-    # With every candidate at precision 1/3, each floor raises after one search,
-    # 1.0 having tried 0.8 and 0.5 nothing else.
+    # With every candidate at precision 1/3, each floor gives no pattern after one
+    # search, 1.0 having tried 0.8 and 0.5 nothing else.
     copies = pack(positives + [example(provider, "The food was cheap.", "y", f"n{i}")
                                for i in range(8)])
     for floor, tried in ((1.0, "0.8"), (0.5, "0.5")):
         searches.clear()
-        with pytest.raises(NoViablePattern, match=f"reaches precision {tried} "):
-            synthesize_patterns(copies, "x", dataclasses.replace(cfg, min_precision=floor), lexicon)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="patvar.synthesis"):
+            none = synthesize_patterns(copies, "x", dataclasses.replace(cfg, min_precision=floor),
+                                       lexicon)
+        assert none == []
+        assert f"label 'x': no pattern (no candidate reaches precision {tried} " in caplog.text
         assert len(searches) == 1
 
 
