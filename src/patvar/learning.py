@@ -8,8 +8,10 @@ positions.
 The whole simulation is a pure function of (dataset, config, seeds): every
 random choice is seeded, selection orders are prefix-stable so shot levels
 nest, and every shot level is scored as a classifier trained afresh on that
-level's items would score it. Each seed scores every condition at every shot
-with one `predict_nested` call and one integer-confusion `macro_f1s`.
+level's items would score it. The uncertainty orders of every seed and
+every `uncertainty` arm grow together: one naive-Bayes fit and one posterior
+per later shot serve them all. Each seed then scores every condition at every
+shot with one `predict_nested` call and one integer-confusion `macro_f1s`.
 """
 
 from __future__ import annotations
@@ -59,20 +61,17 @@ class LemmaIds:
     """
 
     def __init__(self, sentences: Iterable[AnnotatedSentence]):
-        self.vocab: dict[str, int] = {}
-        self.sentences: list[AnnotatedSentence] = []  # by row
-        self._row: dict[int, int] = {}  # id(sentence) -> row of the matrix
-        rows = []
-        for sentence in sentences:
-            if id(sentence) not in self._row:
-                self._row[id(sentence)] = len(self.sentences)
-                self.sentences.append(sentence)
-                rows.append([self.vocab.setdefault(lemma, len(self.vocab))
-                             for lemma in sentence.lemmas()])
-        self._lengths = np.array(list(map(len, rows)), dtype=np.intp)
-        self._matrix = np.full((len(rows), self._lengths.max(initial=0)), -1, dtype=np.intp)
+        by_id = {id(sentence): sentence for sentence in sentences}
+        self.sentences: list[AnnotatedSentence] = list(by_id.values())  # by row
+        self._row = dict(zip(by_id, itertools.count()))  # id(sentence) -> row of the matrix
+        lemmas = [sentence.lemmas() for sentence in self.sentences]
+        flat = list(itertools.chain.from_iterable(lemmas))
+        # Lemma ids in first-seen order.
+        self.vocab: dict[str, int] = dict(zip(dict.fromkeys(flat), itertools.count()))
+        self._lengths = np.array(list(map(len, lemmas)), dtype=np.intp)
+        self._matrix = np.full((len(lemmas), self._lengths.max(initial=0)), -1, dtype=np.intp)
         self._matrix[np.arange(self._matrix.shape[1]) < self._lengths[:, None]] = list(
-            itertools.chain.from_iterable(rows))
+            map(self.vocab.__getitem__, flat))
 
     def rows(self, sentences: Iterable[AnnotatedSentence]) -> np.ndarray:
         """The sentences' rows; ValueError for a sentence the instance was not
@@ -113,22 +112,23 @@ class LemmaIds:
 
 
 def _fit(counts: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log tables and log priors of the nested training sets of a schedule.
+    """Log tables and log priors of several models' training sets.
 
-    `counts[s, l, v]` counts lemma v in the items of label l that train shot
-    s, and `docs[s, l]` counts those items. `table[s, l, v]` is
-    `math.log((count + 1) / denom)` for the lemmas that shot s has seen and
-    0.0 elsewhere, with one more 0.0 column at the end; each distinct ratio
-    is logged once. `log_prior[s, l]` is -inf for a label shot s has no
-    item of.
+    `counts[m, l, v]` counts lemma v in model m's items of label l, and
+    `docs[m, l]` counts those items. `table[l, m, v]` is
+    `math.log((count + 1) / denom)` for the lemmas that model m has seen and
+    0.0 elsewhere, with one more 0.0 column at the end of each model's; each
+    distinct ratio is logged once. `log_prior[m, l]` is -inf for a label
+    model m has no item of. Every entry depends on its own model's counts.
     """
-    n_shots, n_labels, width = counts.shape
+    n_models, n_labels, width = counts.shape
     seen = np.broadcast_to(counts.any(axis=1, keepdims=True), counts.shape)
     denom = counts.sum(axis=2, keepdims=True) + seen[:, :1].sum(axis=2, keepdims=True)
     ratios = (counts[seen] + 1) / np.broadcast_to(denom, counts.shape)[seen]
     distinct, inverse = np.unique(ratios, return_inverse=True)
-    table = np.zeros((n_shots, n_labels, width + 1))
-    table[:, :, :width][seen] = np.array([math.log(r) for r in distinct.tolist()])[inverse]
+    table = np.zeros((n_labels, n_models, width + 1))
+    table[:, :, :width].transpose(1, 0, 2)[seen] = np.array(
+        [math.log(r) for r in distinct.tolist()])[inverse]
     log_prior = np.array([
         [math.log(c / total) if c else -math.inf for c in row]
         for row, total in zip(docs.tolist(), docs.sum(axis=1).tolist())
@@ -137,14 +137,24 @@ def _fit(counts: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_posterior(table: np.ndarray, log_prior: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """`log_post[s, l, h]`: the log prior plus the table entries of sentence
-    h's lemma ids, added one token position at a time.
+    """`log_post[l, m * n + h]`: model m's log prior of label l plus its table
+    entries of query h's lemma ids, added one token position at a time. The
+    n queries are `ids[h]`, the same for every model, or `ids[m, h]`, each
+    model's own.
 
-    Padding (-1) reads the table's last column, 0.0.
+    Padding (-1) reads the model's last column, 0.0, so a query padded
+    further than its own length keeps every float.
     """
-    log_post = np.repeat(log_prior[:, :, None], len(ids), axis=2)
-    for column in ids.T:
-        log_post += table[:, :, column]
+    n_labels, n_models, height = table.shape
+    offsets = 0
+    if ids.ndim == 3:  # each model's own queries: columns of the (model, lemma) axis
+        offsets = np.arange(n_models)[:, None] * height
+        table = table.reshape(n_labels, 1, -1)
+    log_post = np.repeat(log_prior.T, ids.shape[-2], axis=1)
+    for position in range(ids.shape[-1]):
+        column = ids[..., position]
+        column = np.where(column >= 0, column, height - 1) + offsets
+        log_post += table.take(column.ravel(), axis=2).reshape(n_labels, -1)
     return log_post
 
 
@@ -156,14 +166,17 @@ class NaiveBayesClassifier:
     order. Confidence is the normalized posterior of the argmax.
 
     Takes sentences as rows of the run's `features` and labels as indexes
-    into `label_set`. `predict_nested` scores the nested training sets of
-    several runs in one pass: one `np.bincount` over (run, shot, label,
-    lemma) and a `cumsum` along the shots give every shot's counts, and the
-    log table holds `math.log((count + 1) / denom)`, one log per distinct
-    ratio. Each posterior adds the table's columns to the log prior one token
-    position at a time, in the order of a per-lemma loop over the sentence, so
-    every float equals that loop's. `train` and `predict` are the one-run,
-    one-shot case.
+    into `label_set`. Both paths fit many models at once: one `np.bincount`
+    over (model, label, lemma) gives every model's counts, and the log table
+    holds `math.log((count + 1) / denom)`, one log per distinct ratio. Each
+    posterior adds the table's columns to the log prior one token position at a
+    time, in the order of a per-lemma loop over the sentence, so every float
+    equals that loop's, whatever else shares the batch.
+    - `train` fits one model per run and `predict` scores a (run x query)
+      matrix of rows, each run's queries under its own model. One run is the
+      case of one row.
+    - `predict_nested` scores the nested training sets of several runs, with
+      a `cumsum` along the shots, on one shared set of queries.
     """
 
     def __init__(self, label_set: Sequence[str], features: LemmaIds):
@@ -171,24 +184,36 @@ class NaiveBayesClassifier:
         self.features = features
         self._trained = False
 
-    def train(self, rows: np.ndarray, labels: np.ndarray) -> None:
-        """Train on the items of the given rows and label ids."""
-        self._table, self._log_prior = _fit(*self._counts([(rows, labels, [0] * len(rows))], 1))
+    def train(self, runs: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Fit one model per run, on the items of its rows and label ids."""
+        self._table, self._log_prior = _fit(*self._counts(
+            [(rows, labels, [0] * len(rows)) for rows, labels in runs], 1))
         self._trained = True
 
     def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The label id and the confidence of each row's sentence."""
+        """The label ids and the confidences of `rows[r, h]`'s sentences under
+        run r's model: two (run x query) matrices."""
         if not self._trained:
             raise RuntimeError("train() must run before predict()")
-        [log_post] = _log_posterior(self._table, self._log_prior, self.features.batch(rows))
+        if rows.ndim != 2 or len(rows) != len(self._log_prior):
+            raise ValueError(f"need one row of queries per trained run ({len(self._log_prior)}), "
+                             f"got shape {rows.shape}")
+        ids = self.features.batch(rows.ravel())
+        log_post = _log_posterior(self._table, self._log_prior,
+                                  ids.reshape(*rows.shape, ids.shape[1]))
         best = np.argmax(log_post, axis=0)  # the first maximum: ties go to label_set order
         cols = np.arange(log_post.shape[1])
-        shifted = (log_post - log_post[best, cols]).ravel().tolist()
-        weights = np.array(list(map(math.exp, shifted))).reshape(log_post.shape)
+        weights = log_post - log_post[best, cols]
+        # math.exp over one run's queries at a time, in place: no more Python
+        # floats live at once than a one-run predict needs.
+        n = rows.shape[1]
+        for run in range(len(rows)):
+            block = weights[:, run * n:(run + 1) * n]
+            block[...] = np.array(list(map(math.exp, block.ravel().tolist()))).reshape(block.shape)
         total = weights[0].copy()
         for row in weights[1:]:
             total += row
-        return best, weights[best, cols] / total
+        return best.reshape(rows.shape), (weights[best, cols] / total).reshape(rows.shape)
 
     def predict_nested(self, runs: Sequence[Run], n_shots: int, rows: np.ndarray) -> np.ndarray:
         """`labels[r, k, h]`: for each run r (rows, label ids, first shots) and
@@ -199,7 +224,7 @@ class NaiveBayesClassifier:
         table, log_prior = _fit(*self._counts(runs, n_shots))
         log_post = _log_posterior(table, log_prior, self.features.batch(rows))
         # The first maximum: ties go to label_set order.
-        return np.argmax(log_post, axis=1).reshape(len(runs), n_shots, len(rows))
+        return np.argmax(log_post, axis=0).reshape(len(runs), n_shots, len(rows))
 
     def _counts(self, runs, n_shots) -> tuple[np.ndarray, np.ndarray]:
         """The (run x shot, label, lemma) and (run x shot, label) item counts
@@ -305,10 +330,12 @@ def select_cluster(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def select_uncertainty(rows: np.ndarray, n: int, clf: NaiveBayesClassifier) -> np.ndarray:
-    """The positions in `rows` of the n sentences `clf` is least confident
-    about, lowest confidence first; ties keep row order."""
-    confidences = clf.predict(rows)[1].tolist()
-    return np.array(sorted(range(len(confidences)), key=confidences.__getitem__)[:n], dtype=np.intp)
+    """`picked[r]`: the positions in `rows[r]` of the n sentences that `clf`'s
+    model of run r is least confident about, lowest confidence first; ties keep
+    row order."""
+    return np.array([sorted(range(len(confidences)), key=confidences.__getitem__)[:n]
+                     for confidences in map(np.ndarray.tolist, clf.predict(rows)[1])],
+                    dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +372,21 @@ class _ArmTable:
         return self.rows[items], self.labels[items], group
 
 
-def _uncertainty_order(arm: _ArmTable, pool_rows: np.ndarray, shots: Sequence[int],
-                       first: np.ndarray, clf: NaiveBayesClassifier) -> np.ndarray:
-    """`first`, grown at each later shot by the remaining pool positions that
-    `clf`, trained on the arm's items of the previous shot's positions, is
-    least confident about: `len(shots) - 1` trainings."""
-    labeled = first
+def _uncertainty_orders(arms: Sequence[_ArmTable], pool_rows: np.ndarray, shots: Sequence[int],
+                        initial: np.ndarray, clf: NaiveBayesClassifier) -> np.ndarray:
+    """`orders[i]`: `initial[i]`, grown at each later shot by the remaining pool
+    positions that a model trained on `arms[i]`'s items of the previous shot's
+    positions is least confident about. Every order grows in lock-step: one
+    `train` and one `predict` per later shot serve them all."""
+    runs = np.arange(len(arms))[:, None]
+    unlabeled = np.ones((len(arms), len(pool_rows)), dtype=bool)
+    labeled = initial
     for shot in shots[1:]:
-        rows, labels, _ = arm.cut(labeled)
-        clf.train(rows, labels)
-        remaining = np.delete(np.arange(len(pool_rows)), labeled)
-        picked = select_uncertainty(pool_rows[remaining], shot - len(labeled), clf)
-        labeled = np.concatenate([labeled, remaining[picked]])
+        clf.train([arm.cut(positions)[:2] for arm, positions in zip(arms, labeled)])
+        unlabeled[runs, labeled] = False
+        remaining = np.nonzero(unlabeled)[1].reshape(len(arms), -1)  # each run's, in pool order
+        picked = select_uncertainty(pool_rows[remaining], shot - labeled.shape[1], clf)
+        labeled = np.concatenate([labeled, remaining[runs, picked]], axis=1)
     return labeled
 
 
@@ -394,11 +424,16 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, tuple[str, Survivo
     ValueError naming its original before anything trains, whether or not its
     original lies within the budget. Every sentence is looked up in the run's
     `LemmaIds` and every label in the label set once, when each arm's
-    `_ArmTable` is built; a scored run is a cut of that table. One classifier,
-    from the module-level name `NaiveBayesClassifier` (the seam tests patch),
-    serves the whole grid: seed by seed, one `predict_nested` call labels
-    every condition's run at every shot. Every cell is scored; any error
-    propagates.
+    `_ArmTable` is built; a scored run is a cut of that table. The pool is
+    embedded once, for every seed's `cluster` order. One classifier, from the
+    module-level name `NaiveBayesClassifier` (the seam tests patch), serves
+    the whole grid:
+    - the uncertainty orders of every seed and every `uncertainty` arm grow in
+      lock-step, with one `train` and one `predict` per later shot for them
+      all (`_uncertainty_orders`);
+    - then, seed by seed, one `predict_nested` call labels every condition's
+      run at every shot.
+    Every cell is scored; any error propagates.
     """
     if not conditions:
         raise ValueError("need at least one condition")
@@ -429,18 +464,27 @@ def run_simulation(dataset: Dataset, conditions: Mapping[str, tuple[str, Survivo
             for order, index in conditions.values()]
     n_clusters = min(len(dataset.label_set), len(pool))
     clf = NaiveBayesClassifier(dataset.label_set, features)
+    randoms = [select_random(pool, seed) for seed in seeds]
+    if any(order == "cluster" for order, _ in arms):
+        vectors = features.embeddings(pool_rows)
+    # Seed by seed, each uncertainty arm's order, grown together and read in
+    # the same order by the loop below.
+    growing = [(arm, random_order[: shots[0]]) for random_order in randoms
+               for order, arm in arms if order == "uncertainty"]
+    grown = iter(_uncertainty_orders([arm for arm, _ in growing], pool_rows, shots,
+                                     np.array([first for _, first in growing]), clf)
+                 if growing else ())
     # Place p's example and its counterfactuals (outside the budget) join at shot firsts[p].
     firsts = np.array([bisect.bisect_right(shots, place) for place in range(shots[-1])],
                       dtype=np.intp)
     scores = {condition: {shot: {} for shot in shots} for condition in conditions}
-    for seed in seeds:
-        random_order = select_random(pool, seed)
+    for seed, random_order in zip(seeds, randoms):
         runs = []
         for order, arm in arms:
             if order == "cluster":
-                positions = select_cluster(features.embeddings(pool_rows), n_clusters, seed)
+                positions = select_cluster(vectors, n_clusters, seed)
             elif order == "uncertainty":
-                positions = _uncertainty_order(arm, pool_rows, shots, random_order[: shots[0]], clf)
+                positions = next(grown)
             else:
                 positions = random_order
             run_rows, run_labels, group = arm.cut(positions[: shots[-1]])

@@ -215,33 +215,39 @@ def test_select_cluster_whole_pool_and_nesting(small_pool):
 
 def test_select_uncertainty_ordering(small_pool):
     class Scripted:
+        """One run's confidences by row, for every run's queries."""
+
         def __init__(self, confs):
             self.confs = confs
 
-        def train(self, rows, labels):
+        def train(self, runs):
             pass
 
         def predict(self, rows):
-            return np.zeros(len(rows), dtype=np.intp), np.array([self.confs[r] for r in rows])
+            return (np.zeros(rows.shape, dtype=np.intp),
+                    np.array([[self.confs[r] for r in run] for run in rows.tolist()]))
 
     rows = np.arange(len(small_pool))
     confs = [0.9, 0.1, 0.5, 0.9, 0.2, 0.9, 0.9, 0.9]
-    sel = select_uncertainty(rows, 3, Scripted(confs))
+    [sel] = select_uncertainty(rows[None], 3, Scripted(confs))
     assert [small_pool[i].sentence.id for i in sel] == ["p1", "p4", "p2"]
 
     flat = [0.5] * len(small_pool)
-    sel = select_uncertainty(rows, 3, Scripted(flat))
+    [sel] = select_uncertainty(rows[None], 3, Scripted(flat))
     assert [small_pool[i].sentence.id for i in sel] == ["p0", "p1", "p2"]
     # Positions index the rows given, not the pool.
-    sel = select_uncertainty(rows[[6, 1, 4]], 2, Scripted(confs))
+    [sel] = select_uncertainty(rows[None, [6, 1, 4]], 2, Scripted(confs))
     assert sel.tolist() == [1, 2]
+    # Each run picks from its own row of queries.
+    sel = select_uncertainty(np.array([[6, 1, 4], [0, 2, 3], [1, 4, 2]]), 2, Scripted(confs))
+    assert sel.tolist() == [[1, 2], [1, 0], [0, 1]]
 
 
 def test_select_uncertainty_untrained(small_pool):
     features = LemmaIds(e.sentence for e in small_pool)
     clf = NaiveBayesClassifier(["products", "service"], features)
     with pytest.raises(RuntimeError, match=r"train\(\) must run before predict\(\)"):
-        select_uncertainty(features.rows(e.sentence for e in small_pool), 2, clf)
+        select_uncertainty(features.rows(e.sentence for e in small_pool)[None], 2, clf)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +270,15 @@ def id_run(clf, items, first_shot):
 
 
 def train(clf, items):
-    """`clf.train` on (sentence, label) items."""
+    """`clf.train` on one run of (sentence, label) items."""
     rows, labels, _ = id_run(clf, items, [])
-    clf.train(rows, labels)
+    clf.train([(rows, labels)])
 
 
 def predict(clf, sentences):
-    """`clf.predict` as (label, confidence) pairs, the oracle's form."""
-    labels, confidences = clf.predict(clf.features.rows(sentences))
+    """`clf.predict` of one run's queries as (label, confidence) pairs, the
+    oracle's form."""
+    [labels], [confidences] = clf.predict(clf.features.rows(sentences)[None])
     return [(clf.label_set[label], c) for label, c in zip(labels.tolist(), confidences.tolist())]
 
 
@@ -412,25 +419,30 @@ class OracleNaiveBayes:
 
 
 class OracleOnRows:
-    """`OracleNaiveBayes` behind `NaiveBayesClassifier`'s interface: rows and
-    label ids are read back through the run's `LemmaIds` and label set, and
-    label names mapped back to ids."""
+    """`OracleNaiveBayes` behind `NaiveBayesClassifier`'s interface, one
+    oracle per run: rows and label ids are read back through the run's
+    `LemmaIds` and label set, and label names mapped back to ids."""
 
     def __init__(self, label_set, features):
         self.label_set, self.features = tuple(label_set), features
-        self.oracle = OracleNaiveBayes(label_set)
 
-    def train(self, rows, labels):
-        self.oracle.train(read_back(self, (rows, labels, np.zeros_like(rows)))[0])
+    def train(self, runs):
+        self.oracles = []
+        for rows, labels in runs:
+            self.oracles.append(OracleNaiveBayes(self.label_set))
+            self.oracles[-1].train(read_back(self, (rows, labels, np.zeros_like(rows)))[0])
 
     def predict(self, rows):
-        pairs = self.oracle.predict([self.features.sentences[row] for row in rows.tolist()])
-        return (np.array([self.label_set.index(label) for label, _ in pairs], dtype=np.intp),
-                np.array([c for _, c in pairs]))
+        pairs = [oracle.predict([self.features.sentences[row] for row in run])
+                 for oracle, run in zip(self.oracles, rows.tolist(), strict=True)]
+        return (np.array([[self.label_set.index(label) for label, _ in run] for run in pairs],
+                         dtype=np.intp).reshape(rows.shape),
+                np.array([[c for _, c in run] for run in pairs]).reshape(rows.shape))
 
     def predict_nested(self, runs, n_shots, rows):
-        labels = self.oracle.predict_nested([read_back(self, run) for run in runs], n_shots,
-                                            [self.features.sentences[row] for row in rows.tolist()])
+        labels = OracleNaiveBayes(self.label_set).predict_nested(
+            [read_back(self, run) for run in runs], n_shots,
+            [self.features.sentences[row] for row in rows.tolist()])
         return np.array([[[self.label_set.index(label) for label in shot] for shot in run]
                          for run in labels], dtype=np.intp).reshape(len(runs), n_shots, len(rows))
 
@@ -535,6 +547,66 @@ def test_nb_nested_over_runs_equals_each_run_alone(batch):
 
 
 @st.composite
+def batched_runs(draw):
+    """`nb_corpora`'s label set and items, and one to four runs: each a
+    non-empty subset of the items and n queries of its own, so that the runs'
+    queries pad to different lengths."""
+    label_set, items, _ = draw(nb_corpora())
+    n = draw(st.integers(0, 5))
+    queries = st.lists(st.lists(st.sampled_from(NB_WORDS + NB_UNSEEN), max_size=8),
+                       min_size=n, max_size=n)
+    picks = st.lists(st.integers(0, len(items) - 1), min_size=1, max_size=len(items))
+    return label_set, items, draw(st.lists(st.tuples(picks, queries), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=batched_runs())
+# C has no item (a -inf prior), an empty sentence trains, and the first run's
+# queries pad to 3 tokens, the second's to 1; both hold an empty query.
+@example(batch=(("A", "B", "C"), [(["good", "food"], "A"), ([], "B"), (["good"], "B")],
+                [([0, 1], [["good", "good", "the"], []]), ([1, 2, 0, 2], [[], ["xyzzy"]])]))
+# an exact tie in the first run: the same items, each run with its own queries
+@example(batch=(("A", "B"), [(["good"], "A"), (["good"], "B")],
+                [([0, 1], [["good"]]), ([0, 1], [["rude", "rude"]])]))
+def test_batched_train_and_predict_equal_one_oracle_per_run(batch):
+    """One `train` over R runs and one `predict` over their (run x query)
+    matrix equal R one-run `OracleNaiveBayes` fits, each predicting its own
+    queries: (label, confidence) pairs compared with ==."""
+    label_set, items, runs = batch
+    training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
+    queries = [[sentence_of(words, f"q{r}.{h}") for h, words in enumerate(texts)]
+               for r, (_, texts) in enumerate(runs)]
+    clf = run_nb(label_set, training, [q for run in queries for q in run])
+    clf.train([id_run(clf, [training[i] for i in picked], [])[:2] for picked, _ in runs])
+    rows = np.array([clf.features.rows(run) for run in queries], dtype=np.intp).reshape(
+        len(runs), len(runs[0][1]))
+    labels, confidences = clf.predict(rows)
+    assert labels.shape == confidences.shape == rows.shape
+    expected = []
+    for (picked, _), run in zip(runs, queries):
+        oracle = OracleNaiveBayes(label_set)
+        oracle.train([training[i] for i in picked])
+        expected.append(oracle.predict(run))
+    assert [[(label_set[label], c) for label, c in zip(*pair)]
+            for pair in zip(labels.tolist(), confidences.tolist())] == expected
+
+
+def test_predict_takes_one_row_of_queries_per_trained_run(provider):
+    s = provider.annotate
+    items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("good")
+    clf = run_nb(["A", "B"], items, [query])
+    rows, labels, _ = id_run(clf, items, [])
+    clf.train([(rows, labels), (rows[:1], labels[:1])])
+    query_rows = clf.features.rows([query, query])
+    for bad in (query_rows, query_rows[None], np.stack([query_rows] * 3)):
+        with pytest.raises(ValueError, match=r"need one row of queries per trained run \(2\)"):
+            clf.predict(bad)
+    best, confidences = clf.predict(np.stack([query_rows] * 2))
+    assert best.tolist() == [[0, 0], [0, 0]]
+    assert confidences[1].tolist() == [1.0, 1.0]  # the second run knows no B
+
+
+@st.composite
 def confusions(draw):
     """A label set, gold labels and a (run, shot) grid of predicted labels;
     small holdouts often leave labels out of the gold labels or the
@@ -584,7 +656,7 @@ def test_nb_nested_rejects_bad_first_shots(provider):
         with pytest.raises(ValueError, match=r"label id in 0\.\.1"):
             clf.predict_nested([(rows, np.array(labels), np.array([0, 0, 1]))], 2, query_rows)
         with pytest.raises(ValueError, match=r"label id in 0\.\.1"):
-            clf.train(rows, np.array(labels))
+            clf.train([(rows, np.array(labels))])
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +784,7 @@ def test_arm_named_conditions_equal_single_counterfactual_runs(provider):
 
 def _patch_failing(monkeypatch, error):
     class Failing(NaiveBayesClassifier):
-        def train(self, rows, labels):
+        def train(self, runs):
             raise error("failing on purpose")
 
         def predict_nested(self, runs, n_shots, rows):
@@ -799,9 +871,9 @@ def test_an_off_label_counterfactual_raises_before_anything_trains(place):
     calls = []
 
     class Recording(NaiveBayesClassifier):
-        def train(self, rows, labels):
+        def train(self, runs):
             calls.append("train")
-            return super().train(rows, labels)
+            return super().train(runs)
 
         def predict_nested(self, runs, n_shots, rows):
             calls.append("predict_nested")
@@ -831,25 +903,34 @@ def test_run_simulation_all_conditions_run(provider):
 def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider, monkeypatch):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((2, 4, 8))
-    calls = collections.Counter()
+    n_pool = len(dataset.examples)
+    for seeds in ([0], [0, 1, 2]):
+        calls = collections.Counter()
+        shapes = []
 
-    class Spy(NaiveBayesClassifier):
-        def train(self, rows, labels):
-            calls["train"] += 1
-            super().train(rows, labels)
+        class Spy(NaiveBayesClassifier):
+            def train(self, runs):
+                calls["train"] += 1
+                shapes.append(("train", len(runs)))
+                super().train(runs)
 
-        def predict(self, rows):
-            calls["predict"] += 1
-            return super().predict(rows)
+            def predict(self, rows):
+                calls["predict"] += 1
+                shapes.append(("predict", rows.shape))
+                return super().predict(rows)
 
-        def predict_nested(self, runs, n_shots, rows):
-            calls["predict_nested"] += 1
-            return super().predict_nested(runs, n_shots, rows)
+            def predict_nested(self, runs, n_shots, rows):
+                calls["predict_nested"] += 1
+                return super().predict_nested(runs, n_shots, rows)
 
-    monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
-    run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, schedule, [0])
-    # One training per shot but the last picks the next shot's examples.
-    assert calls == {"train": 2, "predict": 2, "predict_nested": 1}
+        monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
+        run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, schedule, seeds)
+        # One training per shot but the last picks the next shot's examples,
+        # for every seed at once; each seed scores its cells with one
+        # predict_nested.
+        assert calls == {"train": 2, "predict": 2, "predict_nested": len(seeds)}
+        assert shapes == [("train", len(seeds)), ("predict", (len(seeds), n_pool - 2)),
+                          ("train", len(seeds)), ("predict", (len(seeds), n_pool - 4))]
 
 
 def test_run_simulation_builds_one_classifier_per_run(provider, monkeypatch):
@@ -892,17 +973,21 @@ def test_uncertainty_order_trains_on_its_arms_items(provider, monkeypatch):
     index = {e.sentence.id: [(provider.annotate(f"the staff spoke {i}."), flip[e.label])]
              for i, e in enumerate(dataset.examples) if i % 3}
     pool = {id(e.sentence) for e in dataset.examples}
-    trained = []
+    calls = []
 
     class Spy(NaiveBayesClassifier):
-        def train(self, rows, labels):
-            trained.append(read_back(self, (rows, labels, np.zeros_like(rows)))[0])
-            super().train(rows, labels)
+        def train(self, runs):
+            calls.append([read_back(self, (rows, labels, np.zeros_like(rows)))[0]
+                          for rows, labels in runs])
+            super().train(runs)
 
     monkeypatch.setattr(learning, "NaiveBayesClassifier", Spy)
     [result] = run_simulation(dataset, {"uncertainty": ("uncertainty", index)}, schedule, [0, 1])
-    assert len(trained) == 2 * (len(schedule.shots) - 1)
-    for items, shot in zip(trained, itertools.cycle(schedule.shots[:-1])):
+    # One training per shot but the last, of both seeds' orders at once.
+    assert [len(runs) for runs in calls] == [2] * (len(schedule.shots) - 1)
+    trained = [items for runs in calls for items in runs]
+    for items, shot in zip(trained, [shot for shot in schedule.shots[:-1] for _ in range(2)],
+                           strict=True):
         labeled = [(sentence, label) for sentence, label in items if id(sentence) in pool]
         assert len(labeled) == shot
         assert items == [item for sentence, label in labeled
@@ -936,6 +1021,44 @@ def test_uncertainty_arm_without_survivors_scores_as_before(provider):
             expected = macro_f1([(e.label, p) for e, p in zip(dataset.holdout, predicted)],
                                 dataset.label_set)
             assert result.scores[shot][seed] == expected
+
+
+def test_uncertainty_arms_grown_together_equal_each_arm_alone(provider):
+    """A grid whose uncertainty arms grow their orders together, with and
+    without counterfactuals and with a random arm between them, equals each
+    arm run alone, float for float."""
+    dataset = tiny_dataset(provider)
+    schedule = ShotSchedule((2, 4, 8))
+    flip = dict(zip(dataset.label_set, reversed(dataset.label_set)))
+    index = {e.sentence.id: [(provider.annotate(f"the staff spoke {i}."), flip[e.label])]
+             for i, e in enumerate(dataset.examples) if i % 3}
+    conditions = {"uncertainty": ("uncertainty", {}), "random": ("random", index),
+                  "cf_uncertainty": ("uncertainty", index)}
+    together = run_simulation(dataset, conditions, schedule, [0, 1, 2])
+    alone = [run_simulation(dataset, {name: arm}, schedule, [0, 1, 2])[0]
+             for name, arm in conditions.items()]
+    assert together == alone
+    assert together[0].scores != together[2].scores  # the two uncertainty arms do differ
+
+
+def test_run_simulation_embeds_the_pool_once(provider, monkeypatch):
+    """The cluster order embeds the pool once per run, not once per seed, and
+    a grid without a cluster arm embeds nothing."""
+    dataset = tiny_dataset(provider)
+    calls = []
+    embeddings = LemmaIds.embeddings
+
+    def spy(self, rows):
+        calls.append(len(rows))
+        return embeddings(self, rows)
+
+    monkeypatch.setattr(LemmaIds, "embeddings", spy)
+    run_simulation(dataset, {"cluster": ("cluster", {}), "random": ("random", {})},
+                   ShotSchedule((2, 4)), [0, 1, 2])
+    assert calls == [len(dataset.examples)]
+    calls.clear()
+    run_simulation(dataset, {"uncertainty": ("uncertainty", {})}, ShotSchedule((2, 4)), [0, 1])
+    assert calls == []
 
 
 def test_run_simulation_rejects_bad_inputs(provider):
