@@ -174,16 +174,6 @@ _RECORD_FIELDS = {"id", "raw", "tokens"}
 _TOKEN_FIELDS = {"surface", "lemma", "pos", "entity"}
 
 
-def sentence_to_record(sentence: AnnotatedSentence) -> dict:
-    tokens = []
-    for t in sentence.tokens:
-        rec = {"surface": t.surface, "lemma": t.lemma, "pos": t.pos}
-        if t.entity is not None:
-            rec["entity"] = t.entity
-        tokens.append(rec)
-    return {"id": sentence.id, "raw": sentence.raw, "tokens": tokens}
-
-
 def record_to_sentence(record: dict, line: int | None = None) -> AnnotatedSentence:
     if not isinstance(record, dict):
         raise ParseError(f"a record must be an object, got {type(record).__name__}", line=line)

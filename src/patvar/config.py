@@ -10,6 +10,7 @@ import os
 import random
 import types
 import typing
+import urllib.parse
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -166,7 +167,8 @@ def _section(cls, name: str, raw):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate the experiment YAML; env vars override credentials.
+    """Parse and validate the experiment YAML. `LLM_MODEL` replaces `backend.model`;
+    `LLM_API_BASE` and `LLM_API_KEY` only fill in a missing `api_base` or `api_key`.
     Relative paths are taken from the config file's directory."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -221,8 +223,14 @@ def build_gateway(cfg: ExperimentConfig) -> Gateway:
     if cfg.backend.kind == "mock":
         backend = MockBackend(label_vocab=cfg.backend.label_vocab, flaw_rate=cfg.backend.flaw_rate)
     else:
-        if not cfg.backend.api_base:
-            raise ConfigError("backend.kind=http requires api_base (or LLM_API_BASE)")
+        try:
+            url = urllib.parse.urlsplit(cfg.backend.api_base or "")
+            valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+        except ValueError:  # a malformed IPv6 host, or a port that is no number in 0-65535
+            valid = False
+        if not valid:
+            raise ConfigError("backend.kind=http requires backend.api_base (or LLM_API_BASE), "
+                              f"an http or https URL with a host; got {cfg.backend.api_base!r}")
         backend = HttpBackend(cfg.backend.api_base, cfg.backend.api_key)
     return Gateway(backend=backend, model=cfg.backend.model, cache_dir=cfg.cache_dir)
 

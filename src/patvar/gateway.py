@@ -221,7 +221,8 @@ class HttpBackend:
     The completion is the first choice's `message.content`, which must be a
     string; any other reply body is a malformed-body BackendError, and so is
     a `finish_reason` other than `stop`, `length` or null. A 429 or 5xx reply
-    is transient and carries its `Retry-After` when that is given in seconds.
+    is transient and carries its `Retry-After` when that is given in seconds;
+    a timeout, a refused connection and a body cut short are transient too.
     """
 
     TIMEOUT_S = 60.0
@@ -231,39 +232,39 @@ class HttpBackend:
         self.api_key = api_key
 
     def send(self, req: CompletionRequest) -> CompletionResponse:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request  # imported here: it loads ssl, which no mock run needs
 
-        headers = {"Content-Type": "application/json"}
+        post = urllib.request.Request(f"{self.base_url}/chat/completions",
+                                      headers={"Content-Type": "application/json"})
         if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+            post.add_header("Authorization", f"Bearer {self.api_key}")
         try:
-            resp = requests.post(
-                f"{self.base_url}/chat/completions", json=req.body(), headers=headers,
-                timeout=self.TIMEOUT_S,
-            )
-        except requests.Timeout as exc:
-            raise TransientBackendError(None, f"timeout: {exc}") from exc
-        except requests.ConnectionError as exc:
-            raise TransientBackendError(None, f"connection error: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            retry_after = resp.headers.get("Retry-After", "").strip()
+            try:
+                reply = urllib.request.urlopen(post, json.dumps(req.body()).encode(), self.TIMEOUT_S)
+            except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply; its body is read below
+                reply = exc
+            with reply:
+                status, body = reply.status, reply.read().decode("utf-8", errors="replace")
+                retry_after = reply.headers.get("Retry-After", "").strip()
+        except (OSError, http.client.HTTPException) as exc:  # a timeout, no connection, a cut body
+            raise TransientBackendError(None, f"no complete reply: {exc!r}") from exc
+        if status == 429 or status >= 500:
             raise TransientBackendError(
-                resp.status_code, resp.text, float(retry_after) if retry_after.isdecimal() else None
-            )
-        if resp.status_code >= 400:
-            raise BackendError(resp.status_code, resp.text)
+                status, body, float(retry_after) if retry_after.isdecimal() else None)
+        if status >= 400:
+            raise BackendError(status, body)
         try:
-            choice = resp.json()["choices"][0]
+            choice = json.loads(body)["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError(resp.status_code, f"malformed response body: {exc!r}") from exc
+            raise BackendError(status, f"malformed response body: {exc!r}") from exc
         if not isinstance(text, str):
-            raise BackendError(
-                resp.status_code, f"malformed response body: content is {type(text).__name__}"
-            )
+            raise BackendError(status, f"malformed response body: content is {type(text).__name__}")
         finish = choice.get("finish_reason")
         if finish not in (*FINISH_REASONS, None):
-            raise BackendError(resp.status_code, f"malformed response body: finish_reason {finish!r}")
+            raise BackendError(status, f"malformed response body: finish_reason {finish!r}")
         return CompletionResponse(text, finish or "stop")
 
 

@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
+import http.server
 import io
 import shutil
+import threading
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -9,6 +11,7 @@ from typing import NamedTuple
 import pytest
 
 from patvar import synthdata
+from patvar.annotation import AnnotatedSentence
 from patvar.cli import main
 from patvar.fixtures import FixtureAnnotationProvider, fixture_synonyms
 from patvar.gateway import BackendError, CompletionResponse, Gateway, MockBackend
@@ -149,3 +152,80 @@ def backend_sends(monkeypatch):
 
     monkeypatch.setattr(MockBackend, "send", counting)
     return sent
+
+
+def sentence_to_record(sentence: AnnotatedSentence) -> dict:
+    """The line of an `annotations:` file that `load_annotations_file` reads
+    back as `sentence`."""
+    tokens = []
+    for t in sentence.tokens:
+        rec = {"surface": t.surface, "lemma": t.lemma, "pos": t.pos}
+        if t.entity is not None:
+            rec["entity"] = t.entity
+        tokens.append(rec)
+    return {"id": sentence.id, "raw": sentence.raw, "tokens": tokens}
+
+
+class Reply(NamedTuple):
+    """What a loopback server answers to one POST."""
+
+    status: int
+    body: bytes
+    headers: dict = {}
+    length: int | None = None  # the Content-Length sent; one above len(body) cuts the body short
+
+
+class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        reply = self.server.answer(self.path, self.headers, body)
+        if reply is None:
+            return  # the connection closes with no reply
+        self.send_response(reply.status)
+        self.send_header("Content-Length", str(len(reply.body) if reply.length is None else reply.length))
+        for name, value in reply.headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(reply.body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class Loopback:
+    """HTTP servers on 127.0.0.1, each serving from a daemon thread until the
+    test ends."""
+
+    def __init__(self):
+        self.ended = threading.Event()  # set when the test ends; a stalled answer waits for it
+        self._servers = []
+
+    def serve(self, answer) -> str:
+        """Starts a server on a free port and returns its base URL. It calls
+        `answer(path, headers, body)` with each POST's path, headers and body
+        bytes, and sends the `Reply` it returns, or closes the connection
+        with no reply when it returns None."""
+        server = http.server.HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+        server.answer = answer
+        # A short poll interval, so that shutting the server down takes no half second.
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+        thread.start()
+        self._servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}"
+
+    def close(self):
+        self.ended.set()
+        for server, thread in self._servers:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A `Loopback`; no proxy stands between it and the HTTP backend."""
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    servers = Loopback()
+    yield servers
+    servers.close()

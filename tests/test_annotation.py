@@ -9,10 +9,11 @@ from patvar.annotation import (
     Token,
     load_annotations_file,
     load_synonyms_file,
-    sentence_to_record,
     tokenize,
 )
 from patvar.errors import ConfigError, ParseError, ProviderFailure
+
+from conftest import sentence_to_record
 
 TERMINAL = ".,!?;:"
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import patvar
 from patvar import cli, filtering, gateway, generation, synthesis
-from patvar.annotation import Annotator, Token, sentence_to_record
+from patvar.annotation import Annotator, Token
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -34,6 +34,8 @@ from patvar.learning import LemmaIds
 from patvar.patterns import parse_pattern, render_pattern
 from patvar.reports import render_f1_grid, render_quality_table, significance_stars
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
+
+from conftest import Reply, sentence_to_record
 
 
 def write_config(tmp_path, **overrides):
@@ -187,10 +189,87 @@ def test_bad_label_vocab_rejected(tmp_path, capsys, vocab):
 def test_env_overrides_backend_only(tmp_path, monkeypatch):
     monkeypatch.setenv("LLM_MODEL", "env-model")
     monkeypatch.setenv("LLM_API_BASE", "http://example.invalid")
+    monkeypatch.setenv("LLM_API_KEY", "env-key")
     cfg = load_config(write_config(tmp_path))
     assert cfg.backend.model == "env-model"
     assert cfg.backend.api_base == "http://example.invalid"
+    assert cfg.backend.api_key == "env-key"
     assert cfg.dataset.text_field == "text"
+    # LLM_MODEL replaces the config's model; the config's api_base and api_key
+    # win over LLM_API_BASE and LLM_API_KEY, which only fill in a missing one.
+    cfg = load_config(write_config(tmp_path, backend={
+        "model": "config-model", "api_base": "http://config.invalid/v1", "api_key": "config-key"}))
+    assert cfg.backend.model == "env-model"
+    assert cfg.backend.api_base == "http://config.invalid/v1"
+    assert cfg.backend.api_key == "config-key"
+
+
+@pytest.mark.parametrize("api_base", ["llm.local/v1", "ftp://x/v1", "http://", "http://[::1/v1",
+                                      "http://llm.local:port/v1", None])
+def test_malformed_api_base_is_a_config_error(tmp_path, monkeypatch, capsys, api_base):
+    monkeypatch.delenv("LLM_API_BASE", raising=False)
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1},
+                          backend={"kind": "http", "api_base": api_base})
+    with pytest.raises(ConfigError, match="backend.api_base"):
+        build_gateway(load_config(config))
+    assert main(["synth", "--config", str(config)]) == 0
+    assert main(["gen", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: backend.kind=http requires backend.api_base "
+                          "(or LLM_API_BASE), an http or https URL with a host; got "
+                          f"{api_base!r}")
+
+
+def test_gen_gives_up_on_replies_cut_short(tmp_path, monkeypatch, capsys, loopback):
+    """A reply whose body ends before its Content-Length is transient: `gen`
+    retries it, then exits 3."""
+    url = loopback.serve(lambda path, headers, body: Reply(200, b'{"choices": [', length=100))
+    write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
+    config = write_config(tmp_path, synthesis={"max_atoms": 1},
+                          backend={"kind": "http", "api_base": url + "/v1"})
+    assert main(["synth", "--config", str(config)]) == 0
+    slept = []
+    monkeypatch.setattr(gateway.time, "sleep", slept.append)
+    assert main(["gen", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "backend error: backend error None: gave up after 3 retries" in err
+    assert "IncompleteRead" in err
+    assert slept == [0.5, 1.0, 2.0]
+
+
+def test_http_backend_writes_what_the_mock_writes(tmp_path, loopback):
+    """`gen` + `filter` against a loopback chat-completions server that
+    answers as the mock backend would write byte for byte what they write
+    with the mock backend itself."""
+    settings = {"label_vocab": LABEL_VOCAB, "flaw_rate": 0.25}
+    answering = MockBackend(**settings)
+
+    def answer(path, headers, body):
+        posted = json.loads(body)
+        messages = tuple(gateway.ChatMessage(m["role"], m["content"]) for m in posted["messages"])
+        resp = answering.send(gateway.CompletionRequest(posted["model"], messages,
+                                                        posted["max_tokens"]))
+        choice = {"message": {"role": "assistant", "content": resp.text},
+                  "finish_reason": resp.finish_reason}
+        return Reply(200, json.dumps({"choices": [choice]}).encode())
+
+    written = {}
+    for kind, api_base in (("mock", None), ("http", loopback.serve(answer) + "/v1")):
+        work = tmp_path / kind  # its own data, config, cache and output
+        work.mkdir()
+        write_csv(work / "data.csv", make_rows(60, seed=3))
+        config = write_config(work, backend={"kind": kind, "api_base": api_base, **settings})
+        for command in ("synth", "gen", "filter"):
+            assert main([command, "--config", str(config)]) == 0, (kind, command)
+        written[kind] = {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())
+                         if p.name.startswith(("candidates_", "survivors_", "audit_"))
+                         or p.name == "quality_report.json"}
+    assert sorted(written["mock"]) == [
+        "audit_novt.jsonl", "audit_vt.jsonl", "candidates_novt.jsonl", "candidates_vt.jsonl",
+        "quality_report.json", "survivors_novt.jsonl", "survivors_vt.jsonl"]
+    assert written["http"] == written["mock"]
+    assert answering.calls > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1481,8 +1560,9 @@ def test_cli_rebuilds_manifest_that_is_not_an_object(tmp_path, caplog, content, 
 
 
 def test_text_commands_never_import_numpy(tmp_path):
-    """`synth`, `gen`, `filter` and `report` run in a fresh interpreter
-    without importing numpy, and `import patvar` exposes only its version."""
+    """`synth`, `gen`, `filter` and `report` run in a fresh interpreter on
+    the mock backend without importing numpy, ssl or urllib.request, and
+    `import patvar` exposes only its version."""
     write_csv(tmp_path / "data.csv", make_rows(60, seed=3))
     config = write_config(tmp_path, synthesis={"max_atoms": 1}, shots=[3, 6], seeds=[0])
     script = "\n".join([
@@ -1492,7 +1572,8 @@ def test_text_commands_never_import_numpy(tmp_path):
         "from patvar.cli import main",
         "commands = ('synth', 'gen', 'filter', 'report')",
         "codes = [main([command, '--config', sys.argv[1]]) for command in commands]",
-        "print(json.dumps([exposed, patvar.__version__, codes, 'numpy' in sys.modules]))",
+        "loaded = [name in sys.modules for name in ('numpy', 'ssl', 'urllib.request')]",
+        "print(json.dumps([exposed, patvar.__version__, codes, loaded]))",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(patvar.__file__)))
     done = subprocess.run(
@@ -1500,10 +1581,11 @@ def test_text_commands_never_import_numpy(tmp_path):
         text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    exposed, version, codes, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    exposed, version, codes, loaded = json.loads(done.stdout.splitlines()[-1])
     assert exposed == [] and version == patvar.__version__
     assert codes == [0, 0, 0, 0]
-    assert not numpy_loaded
+    # numpy, and the ssl that the HTTP backend's client loads, stay unloaded
+    assert loaded == [False, False, False]
 
 
 def test_cluster_simulation_never_imports_numpy_random(tmp_path):

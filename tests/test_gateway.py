@@ -2,12 +2,13 @@ import collections
 import contextlib
 import json
 import os
+import socket
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from patvar.gateway import (
     cache_key,
     complete,
 )
+
+from conftest import Reply
 
 
 def req(content="hello there", **kw):
@@ -365,19 +368,36 @@ def outcome(call, *args):
     return (resp.text, resp.finish_reason, resp.from_cache)
 
 
-class _FakeReply:
-    def __init__(self, status, body, headers=None):
-        self.status_code = status
-        self.text = body if isinstance(body, str) else json.dumps(body)
-        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
-
-    def json(self):
-        return json.loads(self.text)
-
-
 def _choice(content, finish="stop"):
     return {"choices": [{"message": {"role": "assistant", "content": content},
                          "finish_reason": finish}]}
+
+
+def _reply(status, body, headers=None):
+    """The loopback reply of `body`, which is JSON-encoded unless it is a string."""
+    return Reply(status, (body if isinstance(body, str) else json.dumps(body)).encode(), headers or {})
+
+
+# Bodies of a send that gets no complete reply: the server holds its reply
+# past TIMEOUT_S, no server listens on the port, or the server announces a
+# longer body than it sends before it closes the connection.
+STALLED, REFUSED, CUT = object(), object(), object()
+
+
+def serving(loopback, *replies):
+    """The URL of a loopback server that answers with `replies`, the last one
+    forever, and the (path, headers, JSON body) of each POST it gets."""
+    queue, received = list(replies), []
+
+    def answer(path, headers, body):
+        received.append((path, headers, json.loads(body)))
+        reply = queue.pop(0) if len(queue) > 1 else queue[0]
+        if reply is STALLED:
+            loopback.ended.wait(30)
+            return None
+        return reply
+
+    return loopback.serve(answer), received
 
 
 @pytest.mark.parametrize("status, body, expected", [
@@ -394,35 +414,41 @@ def _choice(content, finish="stop"):
     (404, "no such model", BackendError),
     (500, "oops", TransientBackendError),
     (503, _choice("hi"), TransientBackendError),
-    (None, requests.Timeout("read timed out"), TransientBackendError),
-    (None, requests.ConnectionError("refused"), TransientBackendError),
+    (None, STALLED, TransientBackendError),
+    (None, REFUSED, TransientBackendError),
     (200, _choice("hi", None), CompletionResponse("hi", "stop")),
     (200, _choice("hi", "content_filter"), BackendError),
     (429, "slow down", TransientBackendError),
+    (None, CUT, TransientBackendError),
 ])
-def test_http_backend_reply_to_response(monkeypatch, tmp_path, status, body, expected):
-    sent = []
-
-    def post(url, **kwargs):
-        sent.append((url, kwargs))
-        if isinstance(body, Exception):
-            raise body
-        return _FakeReply(status, body)
-
-    monkeypatch.setattr(requests, "post", post)
-    backend = gateway.HttpBackend("http://llm.invalid/v1/", api_key="k")
-    if isinstance(expected, CompletionResponse):
-        assert backend.send(req()) == expected
-    else:
-        with pytest.raises(expected) as exc:
-            backend.send(req())
-        assert type(exc.value) is expected
-        assert exc.value.status == status
-    [(url, kwargs)] = sent
-    assert url == "http://llm.invalid/v1/chat/completions"
-    assert kwargs["json"]["messages"] == [{"role": "user", "content": "hello there"}]
-    assert kwargs["headers"]["Authorization"] == "Bearer k"
-    assert kwargs["timeout"] == gateway.HttpBackend.TIMEOUT_S
+def test_http_backend_reply_to_response(loopback, monkeypatch, tmp_path, status, body, expected):
+    if body is STALLED:
+        monkeypatch.setattr(gateway.HttpBackend, "TIMEOUT_S", 0.2)
+    whole = json.dumps(_choice("hi")).encode()
+    reply = (Reply(200, whole[:13], length=len(whole)) if body is CUT
+             else body if body in (STALLED, REFUSED) else _reply(status, body))
+    url, received = serving(loopback, reply)
+    with socket.socket() as unheard:  # bound, but nothing listens on it
+        unheard.bind(("127.0.0.1", 0))
+        if body is REFUSED:
+            url = f"http://127.0.0.1:{unheard.getsockname()[1]}"
+        backend = gateway.HttpBackend(url + "/v1/", api_key="k")
+        start = time.monotonic()
+        if isinstance(expected, CompletionResponse):
+            assert backend.send(req()) == expected
+        else:
+            with pytest.raises(expected) as exc:
+                backend.send(req())
+            assert type(exc.value) is expected
+            assert exc.value.status == status
+    # The shortened TIMEOUT_S, not the server, ended the wait for a stalled reply.
+    assert time.monotonic() - start < 10
+    assert len(received) == (0 if body is REFUSED else 1)
+    for path, headers, posted in received:
+        assert path == "/v1/chat/completions"
+        assert posted["messages"] == [{"role": "user", "content": "hello there"}]
+        assert headers["Authorization"] == "Bearer k"
+        assert headers["Content-Type"] == "application/json"
     if isinstance(expected, CompletionResponse):
         # The body the backend posts is the request its cache line records.
         gw = Gateway(backend, "test-model", str(tmp_path))
@@ -430,17 +456,7 @@ def test_http_backend_reply_to_response(monkeypatch, tmp_path, status, body, exp
         gw.close()
         [(key, entry)] = cache_lines(tmp_path)
         assert key == cache_key(req())
-        assert entry["request"] == sent[-1][1]["json"] == req().body()
-
-
-def replying(monkeypatch, *replies):
-    """Makes `requests.post` answer with `replies`, the last one forever."""
-    queue = list(replies)
-
-    def post(url, **kwargs):
-        return queue.pop(0) if len(queue) > 1 else queue[0]
-
-    monkeypatch.setattr(requests, "post", post)
+        assert entry["request"] == received[-1][2] == req().body()
 
 
 @pytest.mark.parametrize("retry_after, slept", [
@@ -451,26 +467,28 @@ def replying(monkeypatch, *replies):
     ("1.5", [0.5]),
     (None, [0.5]),
 ])
-def test_http_429_sleeps_its_capped_retry_after(monkeypatch, tmp_path, retry_after, slept):
+def test_http_429_sleeps_its_capped_retry_after(loopback, tmp_path, retry_after, slept):
     headers = {} if retry_after is None else {"retry-after": retry_after}
-    replying(monkeypatch, _FakeReply(429, "slow down", headers), _FakeReply(200, _choice("hi")))
-    gw = Gateway(gateway.HttpBackend("http://llm.invalid/v1"), "test-model", str(tmp_path))
+    url, received = serving(loopback, _reply(429, "slow down", headers), _reply(200, _choice("hi")))
+    gw = Gateway(gateway.HttpBackend(url + "/v1"), "test-model", str(tmp_path))
     with mock.patch.object(gateway.time, "sleep") as sleep:
         resp = gw.complete(req())
     gw.close()
     assert resp == CompletionResponse("hi", "stop")
     assert [c.args[0] for c in sleep.call_args_list] == slept
+    assert len(received) == 2
     [(key, entry)] = cache_lines(tmp_path)
     assert (key, entry["response"]["text"]) == (cache_key(req()), "hi")
 
 
-def test_http_429_forever_times_out_uncached(monkeypatch, tmp_path):
-    replying(monkeypatch, _FakeReply(429, "slow down", {"Retry-After": "3"}))
-    gw = Gateway(gateway.HttpBackend("http://llm.invalid/v1"), "test-model", str(tmp_path))
+def test_http_429_forever_times_out_uncached(loopback, tmp_path):
+    url, received = serving(loopback, _reply(429, "slow down", {"Retry-After": "3"}))
+    gw = Gateway(gateway.HttpBackend(url + "/v1"), "test-model", str(tmp_path))
     with mock.patch.object(gateway.time, "sleep") as sleep, \
             pytest.raises(BackendError, match="gave up after 3 retries"):
         gw.complete(req())
     gw.close()
     assert [c.args[0] for c in sleep.call_args_list] == [3.0, 3.0, 3.0]
+    assert len(received) == 1 + gateway.RETRIES
     assert list(tmp_path.iterdir()) == []
     assert gw._served == {}
