@@ -78,8 +78,8 @@ class DatasetSpec:
 class BackendSettings:
     kind: str = "mock"  # mock | http
     model: str = "mock-model"
-    api_base: str | None = field(default_factory=lambda: os.environ.get("LLM_API_BASE"))
-    api_key: str | None = field(default_factory=lambda: os.environ.get("LLM_API_KEY"))
+    api_base: str | None = None
+    api_key: str | None = None
     label_vocab: dict | None = None
     flaw_rate: float = 0.0  # mock only: fraction of template generations made faulty
 
@@ -168,7 +168,8 @@ def _section(cls, name: str, raw):
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate the experiment YAML. `LLM_MODEL` replaces `backend.model`;
-    `LLM_API_BASE` and `LLM_API_KEY` only fill in a missing `api_base` or `api_key`.
+    `LLM_API_BASE` and `LLM_API_KEY` only fill in an `api_base` or `api_key` that
+    is missing or null.
     Relative paths are taken from the config file's directory."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -184,12 +185,17 @@ def load_config(path) -> ExperimentConfig:
     def resolve(p):
         return p if p is None or os.path.isabs(p) else os.path.join(base, p)
 
+    def or_env(value, name):
+        return os.environ.get(name) if value is None else value
+
     cfg = replace(
         cfg,
         dataset=replace(cfg.dataset, path=resolve(cfg.dataset.path)),
         annotations=resolve(cfg.annotations),
         lexicon=resolve(cfg.lexicon),
-        backend=replace(cfg.backend, model=os.environ.get("LLM_MODEL") or cfg.backend.model),
+        backend=replace(cfg.backend, model=os.environ.get("LLM_MODEL") or cfg.backend.model,
+                        api_base=or_env(cfg.backend.api_base, "LLM_API_BASE"),
+                        api_key=or_env(cfg.backend.api_key, "LLM_API_KEY")),
         cache_dir=resolve(cfg.cache_dir),
         output_dir=resolve(cfg.output_dir),
     )

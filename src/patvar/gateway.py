@@ -317,9 +317,11 @@ class Gateway:
     miss, before the response is returned; a backend failure appends
     nothing. Every served response is also kept in memory by key, so a
     repeated request is answered with `from_cache=True` and each key is read
-    from disk at most once. The callers ask each distinct question once per
-    command (`cli.cmd_gen`, `filtering.run_pipeline`), so a request seldom
-    repeats.
+    from disk at most once. Requests do repeat within a command: a pool row
+    that repeats another's text and label sends its rewrite and its
+    counterfactual prompts again for each target. On the walkthrough corpus
+    (seed 7: 200 pool rows, 179 distinct), a cold `gen` makes 1,257 calls for
+    1,131 keys, and `_served` answers the 126 repeats.
     """
 
     backend: Backend

@@ -138,23 +138,15 @@ def _fit(counts: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _log_posterior(table: np.ndarray, log_prior: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """`log_post[l, m * n + h]`: model m's log prior of label l plus its table
-    entries of query h's lemma ids, added one token position at a time. The
-    n queries are `ids[h]`, the same for every model, or `ids[m, h]`, each
-    model's own.
+    entries of the lemma ids `ids[h]`, added one token position at a time.
+    Every model scores the same n queries.
 
-    Padding (-1) reads the model's last column, 0.0, so a query padded
+    Padding (-1) reads each model's last column, 0.0, so a query padded
     further than its own length keeps every float.
     """
-    n_labels, n_models, height = table.shape
-    offsets = 0
-    if ids.ndim == 3:  # each model's own queries: columns of the (model, lemma) axis
-        offsets = np.arange(n_models)[:, None] * height
-        table = table.reshape(n_labels, 1, -1)
-    log_post = np.repeat(log_prior.T, ids.shape[-2], axis=1)
-    for position in range(ids.shape[-1]):
-        column = ids[..., position]
-        column = np.where(column >= 0, column, height - 1) + offsets
-        log_post += table.take(column.ravel(), axis=2).reshape(n_labels, -1)
+    log_post = np.repeat(log_prior.T, len(ids), axis=1)
+    for column in ids.T:
+        log_post += table[:, :, column].reshape(len(table), -1)
     return log_post
 
 
@@ -172,9 +164,8 @@ class NaiveBayesClassifier:
     posterior adds the table's columns to the log prior one token position at a
     time, in the order of a per-lemma loop over the sentence, so every float
     equals that loop's, whatever else shares the batch.
-    - `train` fits one model per run and `predict` scores a (run x query)
-      matrix of rows, each run's queries under its own model. One run is the
-      case of one row.
+    - `train` fits one model per run and `predict` scores one set of shared
+      queries under each run's model.
     - `predict_nested` scores the nested training sets of several runs, with
       a `cumsum` along the shots, on one shared set of queries.
     """
@@ -191,29 +182,25 @@ class NaiveBayesClassifier:
         self._trained = True
 
     def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The label ids and the confidences of `rows[r, h]`'s sentences under
-        run r's model: two (run x query) matrices."""
+        """The label ids and the confidences of the sentences of `rows` under
+        each trained run's model: two (run x query) matrices."""
         if not self._trained:
             raise RuntimeError("train() must run before predict()")
-        if rows.ndim != 2 or len(rows) != len(self._log_prior):
-            raise ValueError(f"need one row of queries per trained run ({len(self._log_prior)}), "
-                             f"got shape {rows.shape}")
-        ids = self.features.batch(rows.ravel())
-        log_post = _log_posterior(self._table, self._log_prior,
-                                  ids.reshape(*rows.shape, ids.shape[1]))
+        log_post = _log_posterior(self._table, self._log_prior, self.features.batch(rows))
         best = np.argmax(log_post, axis=0)  # the first maximum: ties go to label_set order
         cols = np.arange(log_post.shape[1])
         weights = log_post - log_post[best, cols]
         # math.exp over one run's queries at a time, in place: no more Python
         # floats live at once than a one-run predict needs.
-        n = rows.shape[1]
-        for run in range(len(rows)):
+        n_runs, n = len(self._log_prior), len(rows)
+        for run in range(n_runs):
             block = weights[:, run * n:(run + 1) * n]
-            block[...] = np.array(list(map(math.exp, block.ravel().tolist()))).reshape(block.shape)
+            block[...] = np.fromiter(map(math.exp, block.ravel().tolist()), float,
+                                     block.size).reshape(block.shape)
         total = weights[0].copy()
         for row in weights[1:]:
             total += row
-        return best.reshape(rows.shape), (weights[best, cols] / total).reshape(rows.shape)
+        return best.reshape(n_runs, n), (weights[best, cols] / total).reshape(n_runs, n)
 
     def predict_nested(self, runs: Sequence[Run], n_shots: int, rows: np.ndarray) -> np.ndarray:
         """`labels[r, k, h]`: for each run r (rows, label ids, first shots) and
@@ -329,13 +316,15 @@ def select_cluster(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
                     dtype=np.intp)
 
 
-def select_uncertainty(rows: np.ndarray, n: int, clf: NaiveBayesClassifier) -> np.ndarray:
-    """`picked[r]`: the positions in `rows[r]` of the n sentences that `clf`'s
-    model of run r is least confident about, lowest confidence first; ties keep
-    row order."""
-    return np.array([sorted(range(len(confidences)), key=confidences.__getitem__)[:n]
-                     for confidences in map(np.ndarray.tolist, clf.predict(rows)[1])],
-                    dtype=np.intp)
+def select_uncertainty(rows: np.ndarray, labeled: np.ndarray, n: int,
+                       clf: NaiveBayesClassifier) -> np.ndarray:
+    """`picked[r]`: the n positions in `rows`, outside `labeled[r]`, of the
+    sentences that `clf`'s model of run r is least confident about, lowest
+    confidence first; ties keep row order."""
+    confidences = clf.predict(rows)[1]
+    confidences[np.arange(len(labeled))[:, None], labeled] = math.inf
+    return np.array([sorted(range(len(run)), key=run.__getitem__)[:n]
+                     for run in confidences.tolist()], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +367,11 @@ def _uncertainty_orders(arms: Sequence[_ArmTable], pool_rows: np.ndarray, shots:
     positions that a model trained on `arms[i]`'s items of the previous shot's
     positions is least confident about. Every order grows in lock-step: one
     `train` and one `predict` per later shot serve them all."""
-    runs = np.arange(len(arms))[:, None]
-    unlabeled = np.ones((len(arms), len(pool_rows)), dtype=bool)
     labeled = initial
     for shot in shots[1:]:
         clf.train([arm.cut(positions)[:2] for arm, positions in zip(arms, labeled)])
-        unlabeled[runs, labeled] = False
-        remaining = np.nonzero(unlabeled)[1].reshape(len(arms), -1)  # each run's, in pool order
-        picked = select_uncertainty(pool_rows[remaining], shot - labeled.shape[1], clf)
-        labeled = np.concatenate([labeled, remaining[runs, picked]], axis=1)
+        picked = select_uncertainty(pool_rows, labeled, shot - labeled.shape[1], clf)
+        labeled = np.concatenate([labeled, picked], axis=1)
     return labeled
 
 

@@ -99,6 +99,18 @@ def inertia(vectors, assignments, centroids):
     return float(np.sum((x - centroids[assignments]) ** 2))
 
 
+def gather_then_sort(confidences, labeled, n):
+    """Uncertainty picks the gathering way: each run's unlabeled positions in
+    pool order, sorted by the run's confidence with Python's stable sort, the
+    first n taken. `confidences[r][p]` is run r's confidence at position p."""
+    picks = []
+    for run, taken in zip(confidences, labeled):
+        remaining = [p for p in range(len(run)) if p not in set(taken)]
+        ranked = sorted(range(len(remaining)), key=lambda i: run[remaining[i]])
+        picks.append([remaining[i] for i in ranked[:n]])
+    return picks
+
+
 def exhaustive_best_inertia(points, k):
     """The least inertia of any partition of `points` into `k` non-empty clusters."""
     best = math.inf

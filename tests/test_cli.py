@@ -202,6 +202,12 @@ def test_env_overrides_backend_only(tmp_path, monkeypatch):
     assert cfg.backend.model == "env-model"
     assert cfg.backend.api_base == "http://config.invalid/v1"
     assert cfg.backend.api_key == "config-key"
+    # A null api_base or api_key is a missing one: the env var fills it in.
+    cfg = load_config(write_config(tmp_path, backend={
+        "kind": "http", "api_base": None, "api_key": None}))
+    assert cfg.backend.api_base == "http://example.invalid"
+    assert cfg.backend.api_key == "env-key"
+    assert build_gateway(cfg).backend.base_url == "http://example.invalid"
 
 
 @pytest.mark.parametrize("api_base", ["llm.local/v1", "ftp://x/v1", "http://", "http://[::1/v1",

@@ -27,7 +27,7 @@ from patvar.learning import (
 from patvar.stats import macro_f1, mean, paired_t_test, sample_sd
 from patvar.synthesis import LabeledExample
 
-from oracles import inertia
+from oracles import gather_then_sort, inertia
 
 
 def ex(provider, raw, label, id):
@@ -213,41 +213,76 @@ def test_select_cluster_whole_pool_and_nesting(small_pool):
     assert turns[: 2 * smaller] == [turns[0], 1 - turns[0]] * smaller
 
 
+class Scripted:
+    """A classifier whose model of run r is `confs[r][row]` confident about
+    the sentence of each row, whatever it trained on."""
+
+    def __init__(self, confs):
+        self.confs = np.array(confs, dtype=np.float64)
+
+    def train(self, runs):
+        pass
+
+    def predict(self, rows):
+        return np.zeros((len(self.confs), len(rows)), dtype=np.intp), self.confs[:, rows]
+
+
+NOTHING_LABELED = np.empty((1, 0), dtype=np.intp)  # one run, no labeled position
+
+
 def test_select_uncertainty_ordering(small_pool):
-    class Scripted:
-        """One run's confidences by row, for every run's queries."""
-
-        def __init__(self, confs):
-            self.confs = confs
-
-        def train(self, runs):
-            pass
-
-        def predict(self, rows):
-            return (np.zeros(rows.shape, dtype=np.intp),
-                    np.array([[self.confs[r] for r in run] for run in rows.tolist()]))
-
     rows = np.arange(len(small_pool))
     confs = [0.9, 0.1, 0.5, 0.9, 0.2, 0.9, 0.9, 0.9]
-    [sel] = select_uncertainty(rows[None], 3, Scripted(confs))
+    [sel] = select_uncertainty(rows, NOTHING_LABELED, 3, Scripted([confs]))
     assert [small_pool[i].sentence.id for i in sel] == ["p1", "p4", "p2"]
 
     flat = [0.5] * len(small_pool)
-    [sel] = select_uncertainty(rows[None], 3, Scripted(flat))
+    [sel] = select_uncertainty(rows, NOTHING_LABELED, 3, Scripted([flat]))
     assert [small_pool[i].sentence.id for i in sel] == ["p0", "p1", "p2"]
     # Positions index the rows given, not the pool.
-    [sel] = select_uncertainty(rows[None, [6, 1, 4]], 2, Scripted(confs))
+    [sel] = select_uncertainty(rows[[6, 1, 4]], NOTHING_LABELED, 2, Scripted([confs]))
     assert sel.tolist() == [1, 2]
-    # Each run picks from its own row of queries.
-    sel = select_uncertainty(np.array([[6, 1, 4], [0, 2, 3], [1, 4, 2]]), 2, Scripted(confs))
-    assert sel.tolist() == [[1, 2], [1, 0], [0, 1]]
+    # Each run skips its own labeled positions; ties keep row order.
+    sel = select_uncertainty(rows, np.array([[1, 4], [0, 2], [2, 1]]), 2, Scripted([confs] * 3))
+    assert sel.tolist() == [[2, 0], [1, 4], [4, 0]]
+
+
+@st.composite
+def uncertainty_picks(draw):
+    """Each run's confidences by row, drawn from three values so that exact
+    ties are common; the pool's rows in some order; each run's labeled
+    positions, as many for every run; and a budget that the unlabeled
+    positions can fill."""
+    n_pool, n_runs = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    confs = draw(st.lists(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=n_pool,
+                                   max_size=n_pool), min_size=n_runs, max_size=n_runs))
+    rows = draw(st.permutations(range(n_pool)))
+    k = draw(st.integers(0, n_pool - 1))
+    labeled = [draw(st.permutations(range(n_pool)))[:k] for _ in range(n_runs)]
+    return confs, rows, labeled, draw(st.integers(0, n_pool - k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=uncertainty_picks())
+# every confidence alike: each run takes its first unlabeled positions
+@example(case=([[0.5] * 4, [0.5] * 4], [3, 1, 0, 2], [[2, 0], [1, 3]], 2))
+def test_whole_pool_selection_equals_gather_then_sort(case):
+    """Predicting the whole pool and passing over each run's labeled
+    positions picks what gathering each run's unlabeled positions and
+    sorting their confidences picks."""
+    confs, rows, labeled, n = case
+    picked = select_uncertainty(np.array(rows, dtype=np.intp),
+                                np.array(labeled, dtype=np.intp).reshape(len(confs), -1), n,
+                                Scripted(confs))
+    by_position = [[run[row] for row in rows] for run in confs]
+    assert picked.tolist() == gather_then_sort(by_position, labeled, n)
 
 
 def test_select_uncertainty_untrained(small_pool):
     features = LemmaIds(e.sentence for e in small_pool)
     clf = NaiveBayesClassifier(["products", "service"], features)
     with pytest.raises(RuntimeError, match=r"train\(\) must run before predict\(\)"):
-        select_uncertainty(features.rows(e.sentence for e in small_pool)[None], 2, clf)
+        select_uncertainty(features.rows(e.sentence for e in small_pool), NOTHING_LABELED, 2, clf)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +311,9 @@ def train(clf, items):
 
 
 def predict(clf, sentences):
-    """`clf.predict` of one run's queries as (label, confidence) pairs, the
-    oracle's form."""
-    [labels], [confidences] = clf.predict(clf.features.rows(sentences)[None])
+    """`clf.predict` of queries under one trained run's model as (label,
+    confidence) pairs, the oracle's form."""
+    [labels], [confidences] = clf.predict(clf.features.rows(sentences))
     return [(clf.label_set[label], c) for label, c in zip(labels.tolist(), confidences.tolist())]
 
 
@@ -433,11 +468,12 @@ class OracleOnRows:
             self.oracles[-1].train(read_back(self, (rows, labels, np.zeros_like(rows)))[0])
 
     def predict(self, rows):
-        pairs = [oracle.predict([self.features.sentences[row] for row in run])
-                 for oracle, run in zip(self.oracles, rows.tolist(), strict=True)]
+        sentences = [self.features.sentences[row] for row in rows.tolist()]
+        pairs = [oracle.predict(sentences) for oracle in self.oracles]
+        shape = len(self.oracles), len(rows)
         return (np.array([[self.label_set.index(label) for label, _ in run] for run in pairs],
-                         dtype=np.intp).reshape(rows.shape),
-                np.array([[c for _, c in run] for run in pairs]).reshape(rows.shape))
+                         dtype=np.intp).reshape(shape),
+                np.array([[c for _, c in run] for run in pairs]).reshape(shape))
 
     def predict_nested(self, runs, n_shots, rows):
         labels = OracleNaiveBayes(self.label_set).predict_nested(
@@ -548,62 +584,47 @@ def test_nb_nested_over_runs_equals_each_run_alone(batch):
 
 @st.composite
 def batched_runs(draw):
-    """`nb_corpora`'s label set and items, and one to four runs: each a
-    non-empty subset of the items and n queries of its own, so that the runs'
-    queries pad to different lengths."""
-    label_set, items, _ = draw(nb_corpora())
-    n = draw(st.integers(0, 5))
-    queries = st.lists(st.lists(st.sampled_from(NB_WORDS + NB_UNSEEN), max_size=8),
-                       min_size=n, max_size=n)
+    """`nb_corpora` and one to four runs, each a non-empty subset of the
+    items."""
+    label_set, items, queries = draw(nb_corpora())
     picks = st.lists(st.integers(0, len(items) - 1), min_size=1, max_size=len(items))
-    return label_set, items, draw(st.lists(st.tuples(picks, queries), min_size=1, max_size=4))
+    return label_set, items, draw(st.lists(picks, min_size=1, max_size=4)), queries
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(batch=batched_runs())
-# C has no item (a -inf prior), an empty sentence trains, and the first run's
-# queries pad to 3 tokens, the second's to 1; both hold an empty query.
+# C has no item (a -inf prior), an empty sentence trains, and the queries pad
+# to 3 tokens, one of them empty.
 @example(batch=(("A", "B", "C"), [(["good", "food"], "A"), ([], "B"), (["good"], "B")],
-                [([0, 1], [["good", "good", "the"], []]), ([1, 2, 0, 2], [[], ["xyzzy"]])]))
-# an exact tie in the first run: the same items, each run with its own queries
-@example(batch=(("A", "B"), [(["good"], "A"), (["good"], "B")],
-                [([0, 1], [["good"]]), ([0, 1], [["rude", "rude"]])]))
+                [[0, 1], [1, 2, 0, 2]], [["good", "good", "the"], [], ["xyzzy"]]))
+# an exact tie in the first run; the second knows one label only
+@example(batch=(("A", "B"), [(["good"], "A"), (["good"], "B")], [[0, 1], [0]],
+                [["good"], ["rude", "rude"]]))
+# the second run saw no B
+@example(batch=(("A", "B"), [(["good", "food"], "A"), (["rude", "staff"], "B")], [[0, 1], [0]],
+                [["good"], ["good"]]))
 def test_batched_train_and_predict_equal_one_oracle_per_run(batch):
-    """One `train` over R runs and one `predict` over their (run x query)
-    matrix equal R one-run `OracleNaiveBayes` fits, each predicting its own
-    queries: (label, confidence) pairs compared with ==."""
-    label_set, items, runs = batch
+    """One `train` over R runs and one `predict` of shared queries equal R
+    one-run `OracleNaiveBayes` fits, each predicting those queries: (label,
+    confidence) pairs compared with ==."""
+    label_set, items, runs, queries = batch
     training = [(sentence_of(words, f"t{i}"), label) for i, (words, label) in enumerate(items)]
-    queries = [[sentence_of(words, f"q{r}.{h}") for h, words in enumerate(texts)]
-               for r, (_, texts) in enumerate(runs)]
-    clf = run_nb(label_set, training, [q for run in queries for q in run])
-    clf.train([id_run(clf, [training[i] for i in picked], [])[:2] for picked, _ in runs])
-    rows = np.array([clf.features.rows(run) for run in queries], dtype=np.intp).reshape(
-        len(runs), len(runs[0][1]))
-    labels, confidences = clf.predict(rows)
-    assert labels.shape == confidences.shape == rows.shape
+    query_sentences = [sentence_of(words, f"q{h}") for h, words in enumerate(queries)]
+    clf = run_nb(label_set, training, query_sentences)
+    clf.train([id_run(clf, [training[i] for i in picked], [])[:2] for picked in runs])
+    labels, confidences = clf.predict(clf.features.rows(query_sentences))
+    assert labels.shape == confidences.shape == (len(runs), len(queries))
     expected = []
-    for (picked, _), run in zip(runs, queries):
+    for picked in runs:
         oracle = OracleNaiveBayes(label_set)
         oracle.train([training[i] for i in picked])
-        expected.append(oracle.predict(run))
+        expected.append(oracle.predict(query_sentences))
     assert [[(label_set[label], c) for label, c in zip(*pair)]
             for pair in zip(labels.tolist(), confidences.tolist())] == expected
-
-
-def test_predict_takes_one_row_of_queries_per_trained_run(provider):
-    s = provider.annotate
-    items, query = [(s("good food"), "A"), (s("rude staff"), "B")], s("good")
-    clf = run_nb(["A", "B"], items, [query])
-    rows, labels, _ = id_run(clf, items, [])
-    clf.train([(rows, labels), (rows[:1], labels[:1])])
-    query_rows = clf.features.rows([query, query])
-    for bad in (query_rows, query_rows[None], np.stack([query_rows] * 3)):
-        with pytest.raises(ValueError, match=r"need one row of queries per trained run \(2\)"):
-            clf.predict(bad)
-    best, confidences = clf.predict(np.stack([query_rows] * 2))
-    assert best.tolist() == [[0, 0], [0, 0]]
-    assert confidences[1].tolist() == [1.0, 1.0]  # the second run knows no B
+    # A run that trained on one label knows no other: it is sure of every query.
+    for picked, run in zip(runs, confidences.tolist()):
+        if len({items[i][1] for i in picked}) == 1:
+            assert run == [1.0] * len(queries)
 
 
 @st.composite
@@ -929,8 +950,9 @@ def test_uncertainty_cell_scores_its_order_with_one_predict_nested(provider, mon
         # for every seed at once; each seed scores its cells with one
         # predict_nested.
         assert calls == {"train": 2, "predict": 2, "predict_nested": len(seeds)}
-        assert shapes == [("train", len(seeds)), ("predict", (len(seeds), n_pool - 2)),
-                          ("train", len(seeds)), ("predict", (len(seeds), n_pool - 4))]
+        # Each prediction scores the whole pool.
+        assert shapes == [("train", len(seeds)), ("predict", (n_pool,)),
+                          ("train", len(seeds)), ("predict", (n_pool,))]
 
 
 def test_run_simulation_builds_one_classifier_per_run(provider, monkeypatch):
