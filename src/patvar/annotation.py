@@ -41,13 +41,10 @@ def tokenize(raw: str) -> list[str]:
     """
     out: list[str] = []
     for chunk in raw.split():
-        tail: list[str] = []
-        while chunk and chunk[-1] in TERMINAL_PUNCTUATION:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        if chunk:
-            out.append(chunk)
-        out.extend(reversed(tail))
+        core = chunk.rstrip(TERMINAL_PUNCTUATION)
+        if core:
+            out.append(core)
+        out.extend(chunk[len(core):])
     return out
 
 
@@ -164,7 +161,7 @@ class Annotator:
             if not isinstance(sentence, AnnotatedSentence):
                 raise ProviderFailure(
                     f"provider returned {type(sentence).__name__}, not an AnnotatedSentence")
-            if "".join(sentence.raw.split()) != "".join(raw.split()):
+            if sentence.raw != raw and "".join(sentence.raw.split()) != "".join(raw.split()):
                 raise ProviderFailure("provider annotation does not correspond to the input text")
             self._sentences[raw] = sentence
         return sentence

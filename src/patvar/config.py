@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .annotation import Annotator, SynonymLexicon, load_annotations_file, load_synonyms_file
+from .annotation import (AnnotatedSentence, Annotator, SynonymLexicon, load_annotations_file,
+                         load_synonyms_file)
 from .errors import ConfigError, ParseError, in_file, read_jsonl, utf8_lines
 from .experiment import CONDITIONS, Dataset, ShotSchedule
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
@@ -357,12 +358,14 @@ def ingest(spec: DatasetSpec, provider: Annotator, gateway: Gateway | None = Non
                 label_order.append(label)
         if len(labels) > 1:
             parts = separate_multilabel(text, [""] * len(labels), labels, gateway)
-            for k, (part_text, _pattern, part_label) in enumerate(parts):
-                sentence = replace(provider.annotate(part_text), id=f"r{i:05d}#{k}")
-                examples.append(LabeledExample(sentence, part_label))
+            rows_of = [(f"r{i:05d}#{k}", part_text, part_label)
+                       for k, (part_text, _pattern, part_label) in enumerate(parts)]
         else:
-            sentence = replace(provider.annotate(text), id=f"r{i:05d}")
-            examples.append(LabeledExample(sentence, labels[0]))
+            rows_of = [(f"r{i:05d}", text, labels[0])]
+        for row_id, row_text, label in rows_of:
+            annotated = provider.annotate(row_text)
+            sentence = AnnotatedSentence(row_id, annotated.raw, annotated.tokens)
+            examples.append(LabeledExample(sentence, label))
     label_set = tuple(label_order)
     pool, holdout = _stratified_split(examples, spec.holdout_fraction, spec.split_seed, label_set)
     return Dataset(tuple(pool), label_set, tuple(holdout))

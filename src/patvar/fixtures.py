@@ -210,7 +210,7 @@ class FixtureAnnotationProvider:
         surfaces = tokenize(raw)
         lowered = [s.lower() for s in surfaces]
         entities: list[str | None] = [None] * len(surfaces)
-        i = 0
+        i = len(surfaces) if _PHRASE_STARTS.isdisjoint(lowered) else 0  # no word starts a phrase
         while i < len(surfaces):
             step = 1
             if lowered[i] in _PHRASE_STARTS:
@@ -221,12 +221,15 @@ class FixtureAnnotationProvider:
                         step = span
                         break
             i += step
-        tokens = []
-        for key in zip(surfaces, entities):
-            token = self._tokens.get(key)
-            if token is None:
-                lemma = lemmatize(key[0])
-                token = self._tokens[key] = Token(key[0], lemma, pos_of(lemma), key[1])
-            tokens.append(token)
+        known = self._tokens
+        # A list, not a generator: a tuple grown from a generator is resized as it
+        # fills, and the process keeps more memory after each command.
+        tokens = [known.get(key) or self._new_token(key) for key in zip(surfaces, entities)]
         sid = "fx-" + hashlib.sha1(raw.encode("utf-8")).hexdigest()[:12]
-        return AnnotatedSentence(sid, raw, tuple(tokens))
+        return AnnotatedSentence(sid, raw, tokens)
+
+    def _new_token(self, key: tuple[str, str | None]) -> Token:
+        surface, entity = key
+        lemma = lemmatize(surface)
+        token = self._tokens[key] = Token(surface, lemma, pos_of(lemma), entity)
+        return token

@@ -17,7 +17,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Mapping, Protocol
 
 from .errors import PatvarError
@@ -140,9 +140,16 @@ class MockBackend:
     @staticmethod
     def _field(text: str, name: str, *, stop: str = ",") -> str:
         marker = name + ":"
-        i = text.lower().find(marker)
+        lowered = text.lower()
+        i = lowered.find(marker)
         if i < 0:
             return ""
+        if len(lowered) != len(text):  # a character lowercased to several: i indexes `lowered`
+            k = n = 0
+            while n < i:
+                n += len(text[k].lower())
+                k += 1
+            i = k
         rest = text[i + len(marker):]
         j = rest.find(stop)
         return (rest if j < 0 else rest[:j]).strip()
@@ -308,7 +315,10 @@ class Gateway:
     The cache is a set of append-only segment files (`*.log`), one per
     gateway that missed, so one per command. Each line is
     `<cache_key> <entry JSON>`, and a later line for a key, in segment-name
-    order, supersedes an earlier one. On its first request the gateway
+    order, supersedes an earlier one. The entry is `{"request": <request
+    body>, "response": {"text", "finish_reason"}, "timestamp": <seconds>}`,
+    written field by field, with the bytes of `json.dumps(entry,
+    ensure_ascii=True)`. On its first request the gateway
     indexes every segment (key -> file and byte offset), and on a hit it
     reads and validates that one line. A line that is torn or not JSON, or
     whose response lacks a string `text` or a `stop`/`length` finish, is
@@ -348,7 +358,7 @@ class Gateway:
             if resp is None:
                 resp = complete(req, self.backend)
                 self._append(key, req, resp)
-                self._served[key] = replace(resp, from_cache=True)
+                self._served[key] = CompletionResponse(resp.text, resp.finish_reason, from_cache=True)
             else:
                 self._served[key] = resp
         return resp
@@ -413,12 +423,13 @@ class Gateway:
         return CompletionResponse(text, finish_reason, from_cache=True)
 
     def _append(self, key: str, req: CompletionRequest, resp: CompletionResponse) -> None:
-        entry = {
-            "request": req.body(),
-            "response": {"text": resp.text, "finish_reason": resp.finish_reason},
-            "timestamp": time.time(),
-        }
-        line = f"{key} {json.dumps(entry, ensure_ascii=True)}\n".encode("ascii")
+        messages = ", ".join(f'{{"role": {_quote(m.role)}, "content": {_quote(m.content)}}}'
+                             for m in req.messages)
+        line = (f'{key} {{"request": {{"model": {_quote(req.model)}, "messages": [{messages}], '
+                f'"temperature": {TEMPERATURE!r}, "max_tokens": {req.max_tokens}}}, '
+                f'"response": {{"text": {_quote(resp.text)}, '
+                f'"finish_reason": {_quote(resp.finish_reason)}}}, '
+                f'"timestamp": {time.time()!r}}}\n').encode("ascii")
         try:
             if self._segment is None:
                 os.makedirs(self.cache_dir, exist_ok=True)

@@ -155,12 +155,20 @@ def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
     ranked, which changes no result: a child matches only where its parent
     does, so none of its extensions can match a positive either, and at F1 0
     it ranks after every child that matches one, so it could only fill beam
-    slots whose own children would be dropped too.
+    slots whose own children would be dropped too. A concrete atom's child
+    matches a positive iff its mask meets its parent's end states inside a
+    positive's segment (`positive_bits`), so one AND rejects it before its
+    hits are counted; a wildcard child matches the examples its parent
+    matches, at least one positive.
     """
     examples, features, guards, guard, valid = pool
     positives = [(ex.sentence, bit) for ex, bit in zip(examples, guards) if ex.label == label]
+    if not positives:
+        return []
     positive_guard = sum(bit for _, bit in positives)
     negative_guard = guard ^ positive_guard
+    # Every bit of the positives' segments: the n + 2 bits that end at guard bit g.
+    positive_bits = sum((g << 1) - (g >> (len(s) + 1)) for s, g in positives)
     atoms = sorted(enumerate_atoms([s for s, _ in positives], lex), key=render_atom)
     columns = [(atom, render_atom(atom), atom_mask(atom, features, lex)) for atom in atoms]
 
@@ -168,33 +176,34 @@ def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
     candidates: dict[str, tuple] = {}  # render -> ((-F1, length, render), candidate)
     for length in range(1, cfg.max_atoms + 1):
         # One entry per child that matches a positive: (-F1, render, generation order,
-        # parent, atom, mask, hit, tp); sorted, they are in candidate order (all are
-        # equally long), ties in generation order.
+        # parent, atom, mask, hit, tp, fp); sorted, they are in candidate order (all
+        # are equally long), ties in generation order.
         layer = []
         for parent in beam:
             seq, text, state = parent
             after_wildcard = bool(seq) and isinstance(seq[-1], WildcardAtom)
+            live = state & positive_bits
             for atom, atom_text, mask in columns:
-                if mask is None and after_wildcard:
+                if mask is None:
+                    if after_wildcard:
+                        continue
+                elif not live & mask:
                     continue
                 hit = (advance(state, mask, guard, valid) + valid) & guard
                 tp = (hit & positive_guard).bit_count()
-                if not tp:
-                    continue
+                fp = hit.bit_count() - tp
                 child_text = f"{text}+{atom_text}" if text else atom_text
-                neg_f1 = -_rates(tp, hit.bit_count() - tp, len(positives))[2]
-                layer.append((neg_f1, child_text, len(layer), parent, atom, mask, hit, tp))
+                layer.append((-_rates(tp, fp, len(positives))[2], child_text, len(layer),
+                              parent, atom, mask, hit, tp, fp))
         layer.sort()
-        for neg_f1, text, _, (seq, _, _), atom, _, hit, tp in layer:
-            child = seq + (atom,)
-            if text not in candidates and child != (WILDCARD,):  # `*` alone: no `*+*`
+        for neg_f1, text, _, (seq, _, _), atom, mask, hit, tp, fp in layer:
+            if text not in candidates and (seq or mask is not None):  # `*` alone: no `*+*`
                 candidates[text] = (neg_f1, length, text), Candidate(
-                    text, child, hit & positive_guard, hit & negative_guard, tp, hit.bit_count() - tp
-                )
+                    text, seq + (atom,), hit & positive_guard, hit & negative_guard, tp, fp)
         if length == cfg.max_atoms:
             break
         beam = [(seq + (atom,), text, advance(state, mask, guard, valid))
-                for _, text, _, (seq, _, state), atom, mask, _, _ in layer[: cfg.beam_width]]
+                for _, text, _, (seq, _, state), atom, mask, _, _, _ in layer[: cfg.beam_width]]
     return [cand for _, cand in sorted(candidates.values())]
 
 

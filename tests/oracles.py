@@ -3,10 +3,12 @@ that more than one test module checks the package against. Each exists
 once, here."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 
+from patvar.gateway import TEMPERATURE
 from patvar.patterns import WILDCARD, EntityAtom, PatternAst, PosAtom, SoftAtom, StemAtom
 from patvar.synthesis import enumerate_candidates, scored
 
@@ -59,6 +61,16 @@ def random_sentence(provider, rng, max_tokens=12):
 def decoded_candidates(pool, label, cfg, lexicon):
     """The beam search's candidates for `label`, each decoded into a ScoredPattern."""
     return [scored(c, pool) for c in enumerate_candidates(pool, label, cfg, lexicon)]
+
+
+def cache_line(key, req, text, finish_reason, timestamp):
+    """The cache line of `key` for `req` and its response, with its entry
+    written by `json.dumps`: the reference for the line a Gateway appends."""
+    entry = {"request": {"model": req.model,
+                         "messages": [{"role": m.role, "content": m.content} for m in req.messages],
+                         "temperature": TEMPERATURE, "max_tokens": req.max_tokens},
+             "response": {"text": text, "finish_reason": finish_reason}, "timestamp": timestamp}
+    return f"{key} {json.dumps(entry, ensure_ascii=True)}\n"
 
 
 def two_sided_p_by_quadrature(t, df, points=8001):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from patvar.annotation import (
     AnnotatedSentence,
@@ -64,6 +66,15 @@ def test_tokenize_matches_reference_splitter():
     ]
     for raw in cases:
         assert tokenize(raw) == reference_split(raw), raw
+
+
+# Unicode words, whitespace that `str.split` splits on (tab, ideographic space,
+# the file separator \x1c) and runs of terminal punctuation.
+@given(st.lists(st.one_of(st.text(max_size=4), st.sampled_from(["\t", "\u3000", "\x1c", " ", "\n"]),
+                          st.text(TERMINAL, min_size=1, max_size=4)), max_size=12).map("".join))
+@example("déjà vu!?\u3000ok.\x1c..;\tnaïve:")
+def test_tokenize_matches_reference_splitter_on_unicode(raw):
+    assert tokenize(raw) == reference_split(raw)
 
 
 def test_tokenize_never_yields_empty_tokens():

@@ -5,6 +5,7 @@ import os
 import socket
 import tempfile
 import time
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from patvar import gateway
 from patvar.gateway import (
+    FINISH_REASONS,
+    ROLES,
     BackendError,
     CacheError,
     ChatMessage,
@@ -27,6 +30,7 @@ from patvar.gateway import (
 )
 
 from conftest import Reply
+from oracles import cache_line
 
 
 def req(content="hello there", **kw):
@@ -130,11 +134,7 @@ def new_keys(cache_dir, old):
 
 
 def entry_line(r, text, finish_reason="stop"):
-    entry = {"request": {"model": r.model,
-                         "messages": [{"role": m.role, "content": m.content} for m in r.messages],
-                         "temperature": gateway.TEMPERATURE, "max_tokens": r.max_tokens},
-             "response": {"text": text, "finish_reason": finish_reason}, "timestamp": 0.0}
-    return f"{cache_key(r)} {json.dumps(entry)}\n"
+    return cache_line(cache_key(r), r, text, finish_reason, 0.0)
 
 
 def test_cache_hit_and_miss(tmp_path, canned):
@@ -262,6 +262,56 @@ def test_error_responses_not_cached(tmp_path):
         gw.complete(req("boom"))
     assert list(tmp_path.iterdir()) == []
     assert gw._served == {}
+
+
+# Field names as the mock reads them, each with the text that ends its value.
+MOCK_FIELDS = [("conversation", " Pattern:"), ("text", ","), ("text", "\n"),
+               ("modified label", ","), ("original label", ","),
+               ("generated phrases", ", modified text:"), ("target label", "\n"),
+               ("sentence", "\n"), ("labels", "\n")]
+
+
+@pytest.mark.parametrize("name, stop", MOCK_FIELDS)
+def test_mock_field_after_text_that_lowercases_longer(name, stop):
+    # "İ".lower() is two characters, so an index into the lowercased prompt
+    # lies past the field in the prompt itself.
+    prompt = f"İİİ {name.upper()}: Great Food{stop} İ tail: x"
+    assert MockBackend._field(prompt, name, stop=stop) == "Great Food"
+    assert MockBackend._field(prompt.replace("İ", "I"), name, stop=stop) == "Great Food"
+
+
+def test_mock_discriminator_reads_labels_after_non_ascii_text():
+    backend = MockBackend(label_vocab={"price": ["cheap"], "service": ["staff"]})
+    messages = (
+        ChatMessage("system", "The assistant labels the text with exactly one label from the list."),
+        ChatMessage("user", "text: İİİİ the staff\nlabels: service, price\nanswer with one label only"),
+    )
+    assert backend.send(CompletionRequest("m", messages, 16)).text == "service"
+
+
+# Text a JSON encoder must escape: non-ASCII, quotes, backslashes and control characters.
+escaped_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\té☃\u2028\U0001f600')),
+                       max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=escaped_text,
+       messages=st.lists(st.tuples(st.sampled_from(ROLES), escaped_text.filter(bool)),
+                         min_size=1, max_size=5),
+       max_tokens=st.integers(1, 10**9), text=escaped_text,
+       finish_reason=st.sampled_from(FINISH_REASONS),
+       now=st.floats(0, 4e9) | st.sampled_from([0.0, 1e-7, 1.7e9, 1e16]))
+def test_miss_appends_the_json_line_of_its_entry(model, messages, max_tokens, text, finish_reason, now):
+    r = CompletionRequest(model, tuple(ChatMessage(*m) for m in messages), max_tokens)
+    backend = types.SimpleNamespace(send=lambda _: CompletionResponse(text, finish_reason))
+    with tempfile.TemporaryDirectory() as cache_dir, mock.patch.object(gateway.time, "time", return_value=now):
+        gw = Gateway(backend, model, cache_dir)
+        gw.complete(r)
+        gw.close()
+        (segment,) = os.listdir(cache_dir)
+        with open(os.path.join(cache_dir, segment), "rb") as fh:
+            line = fh.read().decode("ascii")
+    assert line == cache_line(cache_key(r), r, text, finish_reason, now)
 
 
 def test_mock_template_discriminator():

@@ -401,6 +401,13 @@ def labeled(provider, corpus):
 # grows from `*` alone.
 @example(corpus=[("lobster", True), ("was", True), ("!", True), ("xyzzy", False)],
          max_atoms=3, beam_width=1)
+# The bounds of `positive_bits`, the bits of the positives' segments: a positive
+# whose only match of `lobster` is its last token, a positive that is the last
+# example of the pool, and an empty positive ahead of a negative.
+@example(corpus=[("the food lobster", True), ("the food", False)], max_atoms=2, beam_width=6)
+@example(corpus=[("cheap lobster", False), ("the staff", False), ("good food", True)],
+         max_atoms=2, beam_width=6)
+@example(corpus=[("", True), ("xyzzy food", False), ("food", True)], max_atoms=2, beam_width=6)
 def test_pruned_candidates_match_full_scoring(provider, lexicon, corpus, max_atoms, beam_width):
     examples, positives, negatives = labeled(provider, corpus)
     cfg = SynthesisConfig(max_atoms=max_atoms, beam_width=beam_width)
