@@ -77,14 +77,14 @@ class CompletionRequest:
         if type(self.max_tokens) is not int or self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be a positive int, got {self.max_tokens!r}")
 
-    def body(self) -> dict:
-        """The chat-completions request body: what a backend posts and a cache line records."""
-        return {
-            "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in self.messages],
-            "temperature": TEMPERATURE,
-            "max_tokens": self.max_tokens,
-        }
+    def to_json(self) -> str:
+        """The chat-completions request body, what a backend posts and a cache line
+        records: the text of `json.dumps` of `{"model", "messages": [{"role",
+        "content"}...], "temperature", "max_tokens"}`, written field by field."""
+        messages = ", ".join(f'{{"role": {_quote(m.role)}, "content": {_quote(m.content)}}}'
+                             for m in self.messages)
+        return (f'{{"model": {_quote(self.model)}, "messages": [{messages}], '
+                f'"temperature": {TEMPERATURE!r}, "max_tokens": {self.max_tokens}}}')
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,11 @@ class MockBackend:
 
     @staticmethod
     def _field(text: str, name: str, *, stop: str = ",") -> str:
+        # Case-sensitive: the templates write every marker in lowercase, as `name` is.
         marker = name + ":"
-        lowered = text.lower()
-        i = lowered.find(marker)
+        i = text.find(marker)
         if i < 0:
             return ""
-        if len(lowered) != len(text):  # a character lowercased to several: i indexes `lowered`
-            k = n = 0
-            while n < i:
-                n += len(text[k].lower())
-                k += 1
-            i = k
         rest = text[i + len(marker):]
         j = rest.find(stop)
         return (rest if j < 0 else rest[:j]).strip()
@@ -249,7 +243,7 @@ class HttpBackend:
             post.add_header("Authorization", f"Bearer {self.api_key}")
         try:
             try:
-                reply = urllib.request.urlopen(post, json.dumps(req.body()).encode(), self.TIMEOUT_S)
+                reply = urllib.request.urlopen(post, req.to_json().encode("ascii"), self.TIMEOUT_S)
             except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply; its body is read below
                 reply = exc
             with reply:
@@ -316,7 +310,7 @@ class Gateway:
     gateway that missed, so one per command. Each line is
     `<cache_key> <entry JSON>`, and a later line for a key, in segment-name
     order, supersedes an earlier one. The entry is `{"request": <request
-    body>, "response": {"text", "finish_reason"}, "timestamp": <seconds>}`,
+    JSON>, "response": {"text", "finish_reason"}, "timestamp": <seconds>}`,
     written field by field, with the bytes of `json.dumps(entry,
     ensure_ascii=True)`. On its first request the gateway
     indexes every segment (key -> file and byte offset), and on a hit it
@@ -423,11 +417,7 @@ class Gateway:
         return CompletionResponse(text, finish_reason, from_cache=True)
 
     def _append(self, key: str, req: CompletionRequest, resp: CompletionResponse) -> None:
-        messages = ", ".join(f'{{"role": {_quote(m.role)}, "content": {_quote(m.content)}}}'
-                             for m in req.messages)
-        line = (f'{key} {{"request": {{"model": {_quote(req.model)}, "messages": [{messages}], '
-                f'"temperature": {TEMPERATURE!r}, "max_tokens": {req.max_tokens}}}, '
-                f'"response": {{"text": {_quote(resp.text)}, '
+        line = (f'{key} {{"request": {req.to_json()}, "response": {{"text": {_quote(resp.text)}, '
                 f'"finish_reason": {_quote(resp.finish_reason)}}}, '
                 f'"timestamp": {time.time()!r}}}\n').encode("ascii")
         try:

@@ -60,9 +60,9 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class ScoredPattern:
+    """A pattern, the ids of the positives it matches, and its rates on their label."""
     pattern: PatternAst
     matched_positive_ids: frozenset[str]
-    matched_negative_ids: frozenset[str]
     precision: float
     recall: float
     f1: float
@@ -116,24 +116,23 @@ def pack(examples: list[LabeledExample]) -> Pool:
 
 
 class Candidate(NamedTuple):
-    """A beam candidate; its hits are guard bits of the pool it was enumerated over."""
+    """A beam candidate: the guard bits of the positives it matches in its pool, the
+    positives (tp) and negatives (fp) it matches, and the `_rates` the beam ranked it by."""
     rendered: str
     atoms: tuple[Atom, ...]
     positive_hits: int
-    negative_hits: int
     tp: int
     fp: int
+    precision: float
+    recall: float
+    f1: float
 
 
 def scored(cand: Candidate, pool: Pool) -> ScoredPattern:
-    """The ScoredPattern of a candidate enumerated over this pool; its label is
-    that of the positives it matches."""
-    pos, neg = ([ex for ex, bit in zip(pool.examples, pool.guards) if bit & hits]
-                for hits in (cand.positive_hits, cand.negative_hits))
-    n_positives = sum(ex.label == pos[0].label for ex in pool.examples)
-    return ScoredPattern(PatternAst((cand.atoms,)), frozenset(ex.sentence.id for ex in pos),
-                         frozenset(ex.sentence.id for ex in neg),
-                         *_rates(cand.tp, cand.fp, n_positives), cand.rendered)
+    """The ScoredPattern of a candidate enumerated over this pool."""
+    ids = (ex.sentence.id for ex, g in zip(pool.examples, pool.guards) if g & cand.positive_hits)
+    return ScoredPattern(PatternAst((cand.atoms,)), frozenset(ids), cand.precision, cand.recall,
+                         cand.f1, cand.rendered)
 
 
 def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
@@ -166,18 +165,17 @@ def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
     if not positives:
         return []
     positive_guard = sum(bit for _, bit in positives)
-    negative_guard = guard ^ positive_guard
     # Every bit of the positives' segments: the n + 2 bits that end at guard bit g.
     positive_bits = sum((g << 1) - (g >> (len(s) + 1)) for s, g in positives)
     atoms = sorted(enumerate_atoms([s for s, _ in positives], lex), key=render_atom)
     columns = [(atom, render_atom(atom), atom_mask(atom, features, lex)) for atom in atoms]
 
     beam: list[tuple[tuple[Atom, ...], str, int]] = [((), "", valid)]
-    candidates: dict[str, tuple] = {}  # render -> ((-F1, length, render), candidate)
+    candidates: dict[str, Candidate] = {}  # render -> candidate
     for length in range(1, cfg.max_atoms + 1):
         # One entry per child that matches a positive: (-F1, render, generation order,
-        # parent, atom, mask, hit, tp, fp); sorted, they are in candidate order (all
-        # are equally long), ties in generation order.
+        # parent, atom, mask, hit, tp, fp, (precision, recall, F1)); sorted, they are in
+        # candidate order (all are equally long), ties in generation order.
         layer = []
         for parent in beam:
             seq, text, state = parent
@@ -193,18 +191,17 @@ def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
                 tp = (hit & positive_guard).bit_count()
                 fp = hit.bit_count() - tp
                 child_text = f"{text}+{atom_text}" if text else atom_text
-                layer.append((-_rates(tp, fp, len(positives))[2], child_text, len(layer),
-                              parent, atom, mask, hit, tp, fp))
+                rates = _rates(tp, fp, len(positives))
+                layer.append((-rates[2], child_text, len(layer), parent, atom, mask, hit, tp, fp, rates))
         layer.sort()
-        for neg_f1, text, _, (seq, _, _), atom, mask, hit, tp, fp in layer:
+        for _, text, _, (seq, _, _), atom, mask, hit, tp, fp, rates in layer:
             if text not in candidates and (seq or mask is not None):  # `*` alone: no `*+*`
-                candidates[text] = (neg_f1, length, text), Candidate(
-                    text, seq + (atom,), hit & positive_guard, hit & negative_guard, tp, fp)
+                candidates[text] = Candidate(text, seq + (atom,), hit & positive_guard, tp, fp, *rates)
         if length == cfg.max_atoms:
             break
         beam = [(seq + (atom,), text, advance(state, mask, guard, valid))
-                for _, text, _, (seq, _, state), atom, mask, _, _, _ in layer[: cfg.beam_width]]
-    return [cand for _, cand in sorted(candidates.values())]
+                for _, text, _, (seq, _, state), atom, mask, *_ in layer[: cfg.beam_width]]
+    return sorted(candidates.values(), key=lambda c: (-c.f1, len(c.atoms), c.rendered))
 
 
 def synthesize_patterns(pool: Pool, label: str, cfg: SynthesisConfig,
@@ -217,15 +214,14 @@ def synthesize_patterns(pool: Pool, label: str, cfg: SynthesisConfig,
     the beam search runs once. When no floor is reached, it returns [] and
     logs a warning.
 
-    Repeatedly picks the candidate covering the most not-yet-covered
-    positives (ties: higher F1, then shorter, then lexicographic render)
-    until the positives are covered, nothing adds coverage, or
-    `max_patterns` is reached; only the chosen candidates are decoded.
+    Repeatedly picks the candidate covering the most not-yet-covered positives
+    (ties: higher F1, then shorter, then lexicographic render) until no
+    candidate adds coverage or `max_patterns` are chosen; only those are decoded.
     """
     candidates = enumerate_candidates(pool, label, cfg, lex)
     floors = [cfg.min_precision] + [RELAXED_PRECISION] * (cfg.min_precision > RELAXED_PRECISION)
     for floor in floors:
-        viable = [c for c in candidates if c.tp / (c.tp + c.fp) >= floor - 1e-12]
+        viable = [c for c in candidates if c.precision >= floor - 1e-12]
         if viable:
             break
     else:
@@ -236,11 +232,10 @@ def synthesize_patterns(pool: Pool, label: str, cfg: SynthesisConfig,
         logger.warning("label %r: no pattern at precision %.2f; relaxed to %.2f",
                        label, cfg.min_precision, floor)
     chosen, uncovered = [], -1  # uncovered: the bits of examples no chosen pattern matches
-    while len(chosen) < cfg.max_patterns:
+    while viable and len(chosen) < cfg.max_patterns:
         # The candidates come in tie order, and max() returns the first of the best.
         best = max(viable, key=lambda c: (c.positive_hits & uncovered).bit_count())
-        if not best.positive_hits & uncovered:
-            break
         chosen.append(scored(best, pool))
         uncovered &= ~best.positive_hits
+        viable = [c for c in viable if c.positive_hits & uncovered]  # those that add coverage
     return chosen

@@ -28,6 +28,7 @@ from patvar.gateway import (
     cache_key,
     complete,
 )
+from patvar.prompts import fill, load_template
 
 from conftest import Reply
 from oracles import cache_line
@@ -238,7 +239,7 @@ def test_cache_key_is_pinned():
     r = CompletionRequest("mock-model", (ChatMessage("system", "s"), ChatMessage("user", "u")),
                           max_tokens=16)
     assert cache_key(r) == "78d9b1585cc6a2ea6d54aba3bcee9c2b265d0032c522feab073e157f9e3d4b05"
-    assert r.body()["temperature"] == 0.0 and isinstance(r.body()["temperature"], float)
+    assert '"temperature": 0.0' in r.to_json()
 
 
 def test_per_key_files_are_not_read(tmp_path, canned):
@@ -273,9 +274,9 @@ MOCK_FIELDS = [("conversation", " Pattern:"), ("text", ","), ("text", "\n"),
 
 @pytest.mark.parametrize("name, stop", MOCK_FIELDS)
 def test_mock_field_after_text_that_lowercases_longer(name, stop):
-    # "İ".lower() is two characters, so an index into the lowercased prompt
-    # lies past the field in the prompt itself.
-    prompt = f"İİİ {name.upper()}: Great Food{stop} İ tail: x"
+    # "İ".lower() is two characters, so an index into a lowercased prompt
+    # would lie past the field in the prompt itself.
+    prompt = f"İİİ {name}: Great Food{stop} İ tail: x"
     assert MockBackend._field(prompt, name, stop=stop) == "Great Food"
     assert MockBackend._field(prompt.replace("İ", "I"), name, stop=stop) == "Great Food"
 
@@ -287,6 +288,19 @@ def test_mock_discriminator_reads_labels_after_non_ascii_text():
         ChatMessage("user", "text: İİİİ the staff\nlabels: service, price\nanswer with one label only"),
     )
     assert backend.send(CompletionRequest("m", messages, 16)).text == "service"
+
+
+@pytest.mark.parametrize("template, slots, answer", [
+    ("discriminator", {"text": "ASK THE STAFF. LABELS: none", "labels": "service, price"},
+     "service"),
+    ("counterfactual_no_vt", {"text": "Target Label: oops. the staff was rude.", "label": "service",
+                              "target_label": "price"},
+     "Target Label: oops. the staff but cheap deal overall."),
+], ids=["discriminator_labels", "rewrite_target_label"])
+def test_mock_skips_a_marker_in_another_case_in_slot_text(template, slots, answer):
+    backend = MockBackend(label_vocab={"price": ["cheap", "deal"], "service": ["staff"]})
+    messages = fill(load_template(template), slots)
+    assert backend.send(CompletionRequest("m", messages, 16)).text == answer
 
 
 # Text a JSON encoder must escape: non-ASCII, quotes, backslashes and control characters.
@@ -436,11 +450,11 @@ STALLED, REFUSED, CUT = object(), object(), object()
 
 def serving(loopback, *replies):
     """The URL of a loopback server that answers with `replies`, the last one
-    forever, and the (path, headers, JSON body) of each POST it gets."""
+    forever, and the (path, headers, raw body) of each POST it gets."""
     queue, received = list(replies), []
 
     def answer(path, headers, body):
-        received.append((path, headers, json.loads(body)))
+        received.append((path, headers, body))
         reply = queue.pop(0) if len(queue) > 1 else queue[0]
         if reply is STALLED:
             loopback.ended.wait(30)
@@ -496,17 +510,19 @@ def test_http_backend_reply_to_response(loopback, monkeypatch, tmp_path, status,
     assert len(received) == (0 if body is REFUSED else 1)
     for path, headers, posted in received:
         assert path == "/v1/chat/completions"
-        assert posted["messages"] == [{"role": "user", "content": "hello there"}]
+        assert json.loads(posted)["messages"] == [{"role": "user", "content": "hello there"}]
         assert headers["Authorization"] == "Bearer k"
         assert headers["Content-Type"] == "application/json"
     if isinstance(expected, CompletionResponse):
-        # The body the backend posts is the request its cache line records.
+        # The bytes the backend posts are the request text its cache line records.
         gw = Gateway(backend, "test-model", str(tmp_path))
         assert gw.complete(req()) == expected
         gw.close()
-        [(key, entry)] = cache_lines(tmp_path)
-        assert key == cache_key(req())
-        assert entry["request"] == received[-1][2] == req().body()
+        [segment] = tmp_path.iterdir()
+        key, _, entry = segment.read_bytes().partition(b" ")
+        assert key.decode() == cache_key(req())
+        assert entry.startswith(b'{"request": ' + received[-1][2] + b', "response": ')
+        assert received[-1][2] == req().to_json().encode()
 
 
 @pytest.mark.parametrize("retry_after, slept", [

@@ -306,12 +306,11 @@ def test_find_matches_agrees_with_span_enumeration(lexicon, case):
 def _full_score(seq, positives, negatives, lex):
     pattern = PatternAst((seq,))
     pos_ids = frozenset(ex.sentence.id for ex in positives if match_sentence(pattern, ex.sentence, lex))
-    neg_ids = frozenset(ex.sentence.id for ex in negatives if match_sentence(pattern, ex.sentence, lex))
-    hits = len(pos_ids) + len(neg_ids)
+    hits = len(pos_ids) + sum(match_sentence(pattern, ex.sentence, lex) for ex in negatives)
     precision = len(pos_ids) / hits if hits else 0.0
     recall = len(pos_ids) / len(positives)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ScoredPattern(pattern, pos_ids, neg_ids, precision, recall, f1, render_pattern(pattern))
+    return ScoredPattern(pattern, pos_ids, precision, recall, f1, render_pattern(pattern))
 
 
 def token_atoms(token, lex):
