@@ -27,7 +27,7 @@ from .generation import (
     candidate_to_record,
     candidates_from_records,
 )
-from .patterns import PatternAst, WildcardAtom, match_sentence, render_pattern
+from .patterns import WILDCARD, PatternAst, match_sentence, render_pattern
 from .prompts import DISCRIMINATOR_MAX_TOKENS, fill, load_template
 
 logger = logging.getLogger(__name__)
@@ -150,7 +150,7 @@ def symbolic_filter(
     pattern = c.task.pattern
     if pattern is None:
         return StageVerdict("skipped", "no pattern (unconstrained baseline)")
-    if all(isinstance(a, WildcardAtom) for seq in pattern.alternatives for a in seq):
+    if all(a == WILDCARD for seq in pattern.alternatives for a in seq):
         logger.warning("vacuous pattern %r always passes", render_pattern(pattern))
         return StageVerdict("passed", "vacuous pattern")
     sentence = provider.annotate(c.generated_text)

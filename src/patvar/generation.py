@@ -24,7 +24,6 @@ from .patterns import (
     MatchSpan,
     PatternAst,
     PatternSyntaxError,
-    SoftAtom,
     match_sentence,
     parse_pattern,
     render_pattern,
@@ -246,9 +245,9 @@ def collect_soft_matches(
     `span`, its `find_matches` in `original`, binds."""
     seq = pattern.alternatives[span.alternative]
     return tuple(
-        (original.tokens[lo].surface.lower(), tuple(sorted(lex.synonyms_of(atom.lemma))))
+        (original.tokens[lo].surface.lower(), tuple(sorted(lex.synonyms_of(atom.word))))
         for atom, (lo, _) in zip(seq, span.bindings)
-        if isinstance(atom, SoftAtom)
+        if atom.kind == "soft"
     )
 
 

@@ -6,12 +6,14 @@ Grammar (flat, no grouping):
     seq     := atom ('+' atom)*
     atom    := POSTAG | '[' word ']' | '(' word ')' | '$' TAG | '*'
 
-`[word]` matches a token by lemma, `(word)` matches any token whose lemma is
-in the word's synonym set, `$TAG` matches a token carrying that entity tag,
-a bare POS tag matches by part of speech, and `*` matches any span of zero
-or more tokens. `+` joins atoms into an adjacent sequence; `|` separates
-alternatives. Matching is unanchored: a pattern matches a sentence when some
-alternative matches a contiguous token span anywhere in it.
+Every atom is one `Atom(kind, word)`. `[word]` (kind "lemma") matches a
+token by lemma, `(word)` ("soft") matches any token whose lemma is in the
+word's synonym set, `$TAG` ("entity") matches a token carrying that entity
+tag, a bare POS tag ("pos") matches by part of speech, and `*` (`WILDCARD`,
+kind "*") matches any span of zero or more tokens. `+` joins atoms into an
+adjacent sequence; `|` separates alternatives. Matching is unanchored: a
+pattern matches a sentence when some alternative matches a contiguous token
+span anywhere in it.
 
 Matching is bit-parallel (shift-and; Baeza-Yates & Gonnet, CACM 1992). A
 sentence's feature table (`sentence_features`, one pass over its tokens)
@@ -49,33 +51,19 @@ class PatternSyntaxError(PatvarError):
         super().__init__(f"column {column}: {message}")
 
 
-@dataclass(frozen=True)
-class PosAtom:
-    tag: str
+class Atom(NamedTuple):
+    """One pattern atom. `kind` is the token field a concrete atom tests
+    ("pos", "lemma" or "entity"), "soft" for a lemma's synonym set, or "*"
+    for the wildcard; `word` is the tag or lemma it tests ("" for "*")."""
+
+    kind: str
+    word: str = ""
 
 
-@dataclass(frozen=True)
-class StemAtom:
-    lemma: str
+WILDCARD = Atom("*")
 
-
-@dataclass(frozen=True)
-class SoftAtom:
-    lemma: str
-
-
-@dataclass(frozen=True)
-class EntityAtom:
-    tag: str
-
-
-@dataclass(frozen=True)
-class WildcardAtom:
-    pass
-
-
-Atom = PosAtom | StemAtom | SoftAtom | EntityAtom | WildcardAtom
-WILDCARD = WildcardAtom()
+# Each atom kind's text form; `word` fills the braces.
+_FORMS = {"pos": "{}", "lemma": "[{}]", "soft": "({})", "entity": "${}", "*": "*"}
 
 Sequence = tuple[Atom, ...]
 
@@ -93,9 +81,11 @@ class PatternAst:
         for seq in self.alternatives:
             if not seq:
                 raise ValueError("pattern sequence must have at least one atom")
-            for a, b in zip(seq, seq[1:]):
-                if isinstance(a, WildcardAtom) and isinstance(b, WildcardAtom):
-                    raise ValueError("consecutive wildcards must be collapsed")
+            for atom in seq:
+                if atom.kind not in _FORMS:
+                    raise ValueError(f"unknown atom kind: {atom.kind!r}")
+            if any(a == b == WILDCARD for a, b in zip(seq, seq[1:])):
+                raise ValueError("consecutive wildcards must be collapsed")
 
     def atom_count(self) -> int:
         return sum(len(seq) for seq in self.alternatives)
@@ -157,10 +147,10 @@ def parse_pattern(text: str) -> PatternAst:
         if expect_atom:
             if ch == "[":
                 word, i = _read_word(text, i, "]")
-                atom: Atom = StemAtom(word)
+                atom = Atom("lemma", word)
             elif ch == "(":
                 word, i = _read_word(text, i, ")")
-                atom = SoftAtom(word)
+                atom = Atom("soft", word)
             elif ch == "$":
                 j = i + 1
                 while j < n and (text[j].isalnum() or text[j] in "_-"):
@@ -168,7 +158,7 @@ def parse_pattern(text: str) -> PatternAst:
                 tag = text[i + 1 : j]
                 if not tag:
                     raise PatternSyntaxError("empty entity tag", col)
-                atom = EntityAtom(tag.upper())
+                atom = Atom("entity", tag.upper())
                 i = j
             elif ch == "*":
                 atom = WILDCARD
@@ -181,14 +171,14 @@ def parse_pattern(text: str) -> PatternAst:
                     j += 1
                 name = text[i:j]
                 if name in POS_TAGS:
-                    atom = PosAtom(name)
+                    atom = Atom("pos", name)
                 else:
                     raise PatternSyntaxError(
                         f"{name!r} is not a POS tag; write [word] or (word) for lemmas", col
                     )
                 i = j
             # Adjacent wildcards collapse to one at parse time.
-            if not (isinstance(atom, WildcardAtom) and seq and isinstance(seq[-1], WildcardAtom)):
+            if not (atom == WILDCARD and seq and seq[-1] == WILDCARD):
                 seq.append(atom)
             expect_atom = False
         else:
@@ -211,15 +201,7 @@ def parse_pattern(text: str) -> PatternAst:
 
 
 def render_atom(atom: Atom) -> str:
-    if isinstance(atom, PosAtom):
-        return atom.tag
-    if isinstance(atom, StemAtom):
-        return f"[{atom.lemma}]"
-    if isinstance(atom, SoftAtom):
-        return f"({atom.lemma})"
-    if isinstance(atom, EntityAtom):
-        return f"${atom.tag}"
-    return "*"
+    return _FORMS[atom.kind].format(atom.word)
 
 
 def render_pattern(p: PatternAst) -> str:
@@ -233,15 +215,11 @@ def render_pattern(p: PatternAst) -> str:
 
 
 def atom_matches_token(atom: Atom, token: Token, lex: SynonymLexicon) -> bool:
-    if isinstance(atom, PosAtom):
-        return token.pos == atom.tag
-    if isinstance(atom, StemAtom):
-        return token.lemma == atom.lemma
-    if isinstance(atom, SoftAtom):
-        return token.lemma in lex.synonyms_of(atom.lemma)
-    if isinstance(atom, EntityAtom):
-        return token.entity == atom.tag
-    raise TypeError(f"wildcards have no single-token semantics: {atom!r}")
+    if atom.kind == "soft":
+        return token.lemma in lex.synonyms_of(atom.word)
+    if atom == WILDCARD:
+        raise TypeError(f"wildcards have no single-token semantics: {atom!r}")
+    return getattr(token, atom.kind) == atom.word
 
 
 class Features(NamedTuple):
@@ -272,20 +250,14 @@ def atom_mask(atom: Atom, features: Features, lex: SynonymLexicon) -> int | None
     """Position bitmask of `atom` over the sentence (or packed row) whose
     feature table is `features`: bit t is set iff the atom accepts token t.
     None for the wildcard, which has no per-token test."""
-    if isinstance(atom, PosAtom):
-        return features.pos.get(atom.tag, 0)
-    if isinstance(atom, StemAtom):
-        return features.lemma.get(atom.lemma, 0)
-    if isinstance(atom, SoftAtom):
+    if atom.kind == "soft":
         mask = 0
-        for lemma in lex.synonyms_of(atom.lemma):
+        for lemma in lex.synonyms_of(atom.word):
             mask |= features.lemma.get(lemma, 0)
         return mask
-    if isinstance(atom, EntityAtom):
-        return features.entity.get(atom.tag, 0)
-    if isinstance(atom, WildcardAtom):
+    if atom == WILDCARD:
         return None
-    raise TypeError(f"not a pattern atom: {atom!r}")
+    return getattr(features, atom.kind).get(atom.word, 0)
 
 
 def advance(state: int, mask: int | None, guard: int, valid: int) -> int:
@@ -382,7 +354,7 @@ def brute_force_match(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) 
         k = len(seq)
         # can_match[i][t]: atom i accepts token t (wildcards accept anything)
         can_match = [
-            [True] * n if isinstance(atom, WildcardAtom) else [atom_matches_token(atom, t, lex) for t in tokens]
+            [True] * n if atom == WILDCARD else [atom_matches_token(atom, t, lex) for t in tokens]
             for atom in seq
         ]
         for start in range(n + 1):
@@ -393,7 +365,7 @@ def brute_force_match(p: PatternAst, s: AnnotatedSentence, lex: SynonymLexicon) 
                     ok = True
                     for ai, atom in enumerate(seq):
                         lo, hi = bounds[ai], bounds[ai + 1]
-                        if isinstance(atom, WildcardAtom):
+                        if atom == WILDCARD:
                             continue
                         if hi - lo != 1 or not can_match[ai][lo]:
                             ok = False

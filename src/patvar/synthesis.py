@@ -15,13 +15,8 @@ from .annotation import AnnotatedSentence, SynonymLexicon
 from .patterns import (
     WILDCARD,
     Atom,
-    EntityAtom,
     Features,
     PatternAst,
-    PosAtom,
-    SoftAtom,
-    StemAtom,
-    WildcardAtom,
     advance,
     atom_mask,
     render_atom,
@@ -74,9 +69,10 @@ def enumerate_atoms(sentences: list[AnnotatedSentence], lex: SynonymLexicon) -> 
     distinct POS tag (but OTHER), lemma, lexicon lemma and entity tag once."""
     tokens = [token for s in sentences for token in s.tokens]
     lemmas = {token.lemma for token in tokens}
-    return {WILDCARD, *map(PosAtom, {token.pos for token in tokens} - {"OTHER"}),
-            *map(StemAtom, lemmas), *(SoftAtom(lemma) for lemma in lemmas if lemma in lex),
-            *map(EntityAtom, {token.entity for token in tokens} - {None})}
+    return {WILDCARD, *(Atom("pos", tag) for tag in {token.pos for token in tokens} - {"OTHER"}),
+            *(Atom("lemma", lemma) for lemma in lemmas),
+            *(Atom("soft", lemma) for lemma in lemmas if lemma in lex),
+            *(Atom("entity", tag) for tag in {token.entity for token in tokens} - {None})}
 
 
 def _rates(tp: int, fp: int, n_positives: int) -> tuple[float, float, float]:
@@ -179,7 +175,7 @@ def enumerate_candidates(pool: Pool, label: str, cfg: SynthesisConfig,
         layer = []
         for parent in beam:
             seq, text, state = parent
-            after_wildcard = bool(seq) and isinstance(seq[-1], WildcardAtom)
+            after_wildcard = bool(seq) and seq[-1] == WILDCARD
             live = state & positive_bits
             for atom, atom_text, mask in columns:
                 if mask is None:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from patvar.gateway import TEMPERATURE
-from patvar.patterns import WILDCARD, EntityAtom, PatternAst, PosAtom, SoftAtom, StemAtom
+from patvar.patterns import WILDCARD, Atom, PatternAst
 from patvar.synthesis import enumerate_candidates, scored
 
 POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
@@ -25,13 +25,13 @@ SENTENCE_VOCAB = (
 def random_atom(rng):
     kind = rng.randrange(5)
     if kind == 0:
-        return PosAtom(rng.choice(POS_CHOICES))
+        return Atom("pos", rng.choice(POS_CHOICES))
     if kind == 1:
-        return StemAtom(rng.choice(WORD_CHOICES))
+        return Atom("lemma", rng.choice(WORD_CHOICES))
     if kind == 2:
-        return SoftAtom(rng.choice(WORD_CHOICES))
+        return Atom("soft", rng.choice(WORD_CHOICES))
     if kind == 3:
-        return EntityAtom(rng.choice(ENTITY_CHOICES))
+        return Atom("entity", rng.choice(ENTITY_CHOICES))
     return WILDCARD
 
 
@@ -44,7 +44,7 @@ def random_pattern(rng, max_alts=3, max_atoms=5):
         for _ in range(n_atoms):
             atom = random_atom(rng)
             if seq and seq[-1] == WILDCARD and atom == WILDCARD:
-                atom = StemAtom(rng.choice(WORD_CHOICES))
+                atom = Atom("lemma", rng.choice(WORD_CHOICES))
             seq.append(atom)
         budget -= len(seq)
         alts.append(tuple(seq))

@@ -4,12 +4,9 @@ import pytest
 
 from patvar.patterns import (
     WILDCARD,
-    EntityAtom,
+    Atom,
     PatternAst,
     PatternSyntaxError,
-    PosAtom,
-    SoftAtom,
-    StemAtom,
     brute_force_match,
     find_matches,
     match_sentence,
@@ -26,23 +23,23 @@ from oracles import random_pattern, random_sentence
 
 def test_parse_stem_wildcard_pos():
     p = parse_pattern("[food]+*+ADJ")
-    assert p.alternatives == ((StemAtom("food"), WILDCARD, PosAtom("ADJ")),)
+    assert p.alternatives == ((Atom("lemma", "food"), WILDCARD, Atom("pos", "ADJ")),)
 
 
 def test_parse_alternation():
     p = parse_pattern("(pay)|(sale)")
-    assert p.alternatives == ((SoftAtom("pay"),), (SoftAtom("sale"),))
+    assert p.alternatives == ((Atom("soft", "pay"),), (Atom("soft", "sale"),))
 
 
 def test_parse_collapses_wildcards():
     assert parse_pattern("*+*").alternatives == ((WILDCARD,),)
-    assert parse_pattern("*+*+[a]+*+*").alternatives == ((WILDCARD, StemAtom("a"), WILDCARD),)
+    assert parse_pattern("*+*+[a]+*+*").alternatives == ((WILDCARD, Atom("lemma", "a"), WILDCARD),)
 
 
 def test_parse_entity_and_whitespace():
     p = parse_pattern("  $DATE + [food] ")
-    assert p.alternatives == ((EntityAtom("DATE"), StemAtom("food")),)
-    assert parse_pattern("$date").alternatives == ((EntityAtom("DATE"),),)
+    assert p.alternatives == ((Atom("entity", "DATE"), Atom("lemma", "food")),)
+    assert parse_pattern("$date").alternatives == ((Atom("entity", "DATE"),),)
 
 
 def test_parse_errors_with_position():
@@ -59,9 +56,16 @@ def test_parse_errors_with_position():
 
 
 def test_render_canonical():
-    assert render_pattern(PatternAst(((StemAtom("food"), WILDCARD, PosAtom("ADJ")),))) == "[food]+*+ADJ"
-    assert render_pattern(PatternAst(((SoftAtom("pay"),), (SoftAtom("sale"),)))) == "(pay)|(sale)"
+    assert render_pattern(PatternAst(((Atom("lemma", "food"), WILDCARD, Atom("pos", "ADJ")),))) == "[food]+*+ADJ"
+    assert render_pattern(PatternAst(((Atom("soft", "pay"),), (Atom("soft", "sale"),)))) == "(pay)|(sale)"
     assert render_pattern(PatternAst(((WILDCARD,),))) == "*"
+
+
+def test_pattern_rejects_unknown_atom_kind_and_uncollapsed_wildcards():
+    with pytest.raises(ValueError, match="unknown atom kind: 'stem'"):
+        PatternAst(((Atom("lemma", "food"), Atom("stem", "food")),))
+    with pytest.raises(ValueError, match="consecutive wildcards must be collapsed"):
+        PatternAst(((Atom("lemma", "food"), WILDCARD, WILDCARD),))
 
 
 # ---------------------------------------------------------------------------

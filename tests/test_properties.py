@@ -64,14 +64,10 @@ from patvar.gateway import (
 from patvar.generation import CounterfactualCandidate, GenerationTask, ResponseFormatError
 from patvar.patterns import (
     WILDCARD,
-    EntityAtom,
+    Atom,
     MatchSpan,
     PatternAst,
     PatternSyntaxError,
-    PosAtom,
-    SoftAtom,
-    StemAtom,
-    WildcardAtom,
     advance,
     atom_mask,
     atom_matches_token,
@@ -105,10 +101,10 @@ PROPERTY_SETTINGS = settings(
 ANNOTATOR = FixtureAnnotationProvider()
 
 any_atom = st.one_of(
-    st.sampled_from(POS_CHOICES).map(PosAtom),
-    st.sampled_from(WORD_CHOICES).map(StemAtom),
-    st.sampled_from(WORD_CHOICES).map(SoftAtom),
-    st.sampled_from(ENTITY_CHOICES).map(EntityAtom),
+    st.sampled_from(POS_CHOICES).map(lambda word: Atom("pos", word)),
+    st.sampled_from(WORD_CHOICES).map(lambda word: Atom("lemma", word)),
+    st.sampled_from(WORD_CHOICES).map(lambda word: Atom("soft", word)),
+    st.sampled_from(ENTITY_CHOICES).map(lambda word: Atom("entity", word)),
     st.just(WILDCARD),
 )
 
@@ -116,7 +112,7 @@ any_atom = st.one_of(
 def _collapse(seq):
     return tuple(
         a for i, a in enumerate(seq)
-        if not (i > 0 and isinstance(a, WildcardAtom) and isinstance(seq[i - 1], WildcardAtom))
+        if not (i > 0 and a == WILDCARD and seq[i - 1] == WILDCARD)
     )
 
 
@@ -133,9 +129,9 @@ def cases(draw, max_words, max_atoms=5):
     `max_atoms` atoms, drawn mostly from the sentence's own tokens so that
     matches, repeated placements and several spans are common."""
     s = ANNOTATOR.annotate(draw(raw_sentences(max_words)))
-    own = [PosAtom(t.pos) for t in s.tokens if t.pos != "OTHER"]
-    own += [StemAtom(t.lemma) for t in s.tokens] + [SoftAtom(t.lemma) for t in s.tokens]
-    own += [EntityAtom(t.entity) for t in s.tokens if t.entity]
+    own = [Atom("pos", t.pos) for t in s.tokens if t.pos != "OTHER"]
+    own += [Atom("lemma", t.lemma) for t in s.tokens] + [Atom("soft", t.lemma) for t in s.tokens]
+    own += [Atom("entity", t.entity) for t in s.tokens if t.entity]
     atoms = st.one_of(st.sampled_from(own), any_atom) if own else any_atom
     alternatives, budget = [], max_atoms
     while budget > 0 and len(alternatives) < 3:
@@ -178,10 +174,10 @@ token_lists = st.lists(
     max_size=10,
 )
 table_atoms = st.one_of(
-    st.sampled_from((*POS_CHOICES, "OTHER")).map(PosAtom),
-    st.sampled_from(TOKEN_LEMMAS).map(StemAtom),
-    st.sampled_from(TOKEN_LEMMAS).map(SoftAtom),
-    st.sampled_from(TOKEN_ENTITIES[1:]).map(EntityAtom),
+    st.sampled_from((*POS_CHOICES, "OTHER")).map(lambda word: Atom("pos", word)),
+    st.sampled_from(TOKEN_LEMMAS).map(lambda word: Atom("lemma", word)),
+    st.sampled_from(TOKEN_LEMMAS).map(lambda word: Atom("soft", word)),
+    st.sampled_from(TOKEN_ENTITIES[1:]).map(lambda word: Atom("entity", word)),
 )
 
 
@@ -253,11 +249,11 @@ def test_synthesis_never_tests_atoms_token_by_token(provider, lexicon, monkeypat
 def _anchored_matches(seq, tokens, start, lex):
     """Every way `seq` matches from `start`: (end, wildcard takes, bindings)."""
     n = len(tokens)
-    n_wild = sum(isinstance(a, WildcardAtom) for a in seq)
+    n_wild = sum(a == WILDCARD for a in seq)
     for takes in itertools.product(range(n - start + 1), repeat=n_wild):
         pos, bindings, pending = start, [], iter(takes)
         for atom in seq:
-            if isinstance(atom, WildcardAtom):
+            if atom == WILDCARD:
                 step = next(pending)
             elif pos < n and atom_matches_token(atom, tokens[pos], lex):
                 step = 1
@@ -316,13 +312,13 @@ def _full_score(seq, positives, negatives, lex):
 def token_atoms(token, lex):
     """The atoms one token yields: its lemma, its POS tag unless OTHER, its
     lemma as a soft atom when the lexicon has it, and its entity tag if any."""
-    atoms = {StemAtom(token.lemma)}
+    atoms = {Atom("lemma", token.lemma)}
     if token.pos != "OTHER":
-        atoms.add(PosAtom(token.pos))
+        atoms.add(Atom("pos", token.pos))
     if token.lemma in lex:
-        atoms.add(SoftAtom(token.lemma))
+        atoms.add(Atom("soft", token.lemma))
     if token.entity is not None:
-        atoms.add(EntityAtom(token.entity))
+        atoms.add(Atom("entity", token.entity))
     return atoms
 
 
@@ -347,7 +343,7 @@ def reference_candidates(positives, negatives, cfg, lex):
 
     def keep(sp):
         seq = sp.pattern.alternatives[0]
-        if sp.matched_positive_ids and not all(isinstance(a, WildcardAtom) for a in seq):
+        if sp.matched_positive_ids and not all(a == WILDCARD for a in seq):
             candidates.setdefault(sp.rendered, sp)
 
     candidates = {}
@@ -359,7 +355,7 @@ def reference_candidates(positives, negatives, cfg, lex):
         for sp in beam[: cfg.beam_width]:
             seq = sp.pattern.alternatives[0]
             for atom in pool:
-                if isinstance(atom, WildcardAtom) and isinstance(seq[-1], WildcardAtom):
+                if atom == WILDCARD and seq[-1] == WILDCARD:
                     continue
                 child = _full_score(seq + (atom,), positives, negatives, lex)
                 extended.append(child)

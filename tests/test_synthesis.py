@@ -8,10 +8,8 @@ from patvar import synthesis
 from patvar.config import build_lexicon, build_provider, ingest, load_config
 from patvar.patterns import (
     WILDCARD,
+    Atom,
     PatternAst,
-    PosAtom,
-    SoftAtom,
-    StemAtom,
     match_sentence,
     render_pattern,
 )
@@ -46,18 +44,18 @@ def running_example(provider):
 
 def test_enumerate_atoms_running_example(provider, lexicon):
     atoms = enumerate_atoms([provider.annotate("The food was amazing.")], lexicon)
-    assert StemAtom("food") in atoms
-    assert PosAtom("NOUN") in atoms
-    assert PosAtom("ADJ") in atoms
-    assert SoftAtom("amazing") in atoms
+    assert Atom("lemma", "food") in atoms
+    assert Atom("pos", "NOUN") in atoms
+    assert Atom("pos", "ADJ") in atoms
+    assert Atom("soft", "amazing") in atoms
     assert WILDCARD in atoms
     # OTHER never becomes a POS atom
-    assert PosAtom("OTHER") not in {a for a in atoms if isinstance(a, PosAtom)}
+    assert Atom("pos", "OTHER") not in {a for a in atoms if a.kind == "pos"}
 
 
 def test_enumerate_atoms_empty_and_num(provider, lexicon):
     assert enumerate_atoms([provider.annotate("")], lexicon) == {WILDCARD}
-    assert PosAtom("NUM") in enumerate_atoms([provider.annotate("see 5 stars")], lexicon)
+    assert Atom("pos", "NUM") in enumerate_atoms([provider.annotate("see 5 stars")], lexicon)
 
 
 def test_candidates_contain_paper_patterns(running_example, lexicon):
