@@ -350,12 +350,14 @@ def ingest(spec: DatasetSpec, provider: Annotator, gateway: Gateway | None = Non
     rows = _read_rows(spec)
     if not rows:
         raise ConfigError(f"no rows in {spec.path}")
-    label_order = list(spec.labels or ())
+    label_set = tuple(dict.fromkeys([*(spec.labels or ()), *(l for _, ls in rows for l in ls)]))
+    by_lower: dict[str, str] = {}
+    for label in label_set:
+        if by_lower.setdefault(label.lower(), label) != label:
+            raise ConfigError(f"{spec.path}: the labels {by_lower[label.lower()]!r} and {label!r} "
+                              "differ only in case")
     examples: list[LabeledExample] = []
     for i, (text, labels) in enumerate(rows):
-        for label in labels:
-            if label not in label_order:
-                label_order.append(label)
         if len(labels) > 1:
             parts = separate_multilabel(text, [""] * len(labels), labels, gateway)
             rows_of = [(f"r{i:05d}#{k}", part_text, part_label)
@@ -366,6 +368,5 @@ def ingest(spec: DatasetSpec, provider: Annotator, gateway: Gateway | None = Non
             annotated = provider.annotate(row_text)
             sentence = AnnotatedSentence(row_id, annotated.raw, annotated.tokens)
             examples.append(LabeledExample(sentence, label))
-    label_set = tuple(label_order)
     pool, holdout = _stratified_split(examples, spec.holdout_fraction, spec.split_seed, label_set)
     return Dataset(tuple(pool), label_set, tuple(holdout))

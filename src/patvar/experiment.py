@@ -19,6 +19,7 @@ CONDITIONS: dict[str, tuple[str, str | None]] = {
     "uncertainty": ("uncertainty", None),
     "cf_no_vt": ("random", "novt"),
     "counterfactual": ("random", "vt"),
+    "cf_uncertainty": ("uncertainty", "vt"),
 }
 
 

@@ -392,6 +392,16 @@ def test_an_undeclared_label_exits_2_naming_its_line(tmp_path, capsys, name, con
     assert f"{name} line {line}: label 'price' is not in dataset.labels" in capsys.readouterr().err
 
 
+def test_labels_that_differ_only_in_case_exit_2_naming_both(tmp_path, capsys):
+    """The discriminator's answers are matched without case, so `Price` and
+    `price` could not be told apart; ingest refuses them."""
+    (tmp_path / "data.csv").write_text(
+        "text,label\ngood food,products\ncheap deal,Price\nlow cost,price\n", encoding="utf-8")
+    config = write_config(tmp_path)
+    assert main(["synth", "--config", str(config)]) == 2
+    assert "data.csv: the labels 'Price' and 'price' differ only in case" in capsys.readouterr().err
+
+
 def test_ingest_multilabel_with_gateway_separates(tmp_path, provider, gateway_for):
     path = tmp_path / "d.csv"
     path.write_text(
@@ -843,6 +853,25 @@ def test_cli_ablate_arms(walkthrough_seed7):
     # every arm is paired against the full pipeline, which has no p-value itself
     for row in rows:
         assert (row["p_vs_all"] == "") == (row["condition"] == "all")
+
+
+def test_cli_cf_uncertainty_is_uncertainty_plus_the_vt_survivors(walkthrough_seed7,
+                                                                 copy_walkthrough):
+    """`cf_uncertainty` grows an uncertainty order on the originals plus
+    `survivors_vt.jsonl`: with that file empty, its rows are `uncertainty`'s."""
+    def rows_of(results, condition):
+        return [row[1:] for row in results if row[0] == condition]
+
+    with open(walkthrough_seed7.dir / "out" / "results.csv", encoding="utf-8", newline="") as fh:
+        results = list(csv.reader(fh))
+    assert rows_of(results, "cf_uncertainty") != rows_of(results, "uncertainty")
+    work = copy_walkthrough(walkthrough_seed7)
+    (work.dir / "out" / "survivors_vt.jsonl").write_text("", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(work.config)]) == 0
+    with open(work.dir / "out" / "results.csv", encoding="utf-8", newline="") as fh:
+        results = list(csv.reader(fh))
+    assert rows_of(results, "cf_uncertainty") == rows_of(results, "uncertainty") != []
 
 
 def test_cli_exit_codes(tmp_path, capsys):

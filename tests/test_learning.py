@@ -914,7 +914,8 @@ def test_run_simulation_all_conditions_run(provider):
     dataset = tiny_dataset(provider)
     schedule = ShotSchedule((4, 8))
     conditions = {c: (order, {}) for c, (order, _) in CONDITIONS.items()}
-    assert list(conditions) == ["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual"]
+    assert list(conditions) == ["random", "cluster", "uncertainty", "cf_no_vt", "counterfactual",
+                                "cf_uncertainty"]
     results = run_simulation(dataset, conditions, schedule, [0, 1, 2])
     for r in results:
         for shot in r.shots:

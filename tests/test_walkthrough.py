@@ -9,7 +9,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
+
+import yaml
 
 from patvar.cli import main
 from patvar.config import build_provider, ingest, load_config
@@ -113,6 +116,42 @@ def test_two_conditions_write_no_novt_set_and_give_their_rows_of_the_full_run(
     header, *rows = lines(work / "out" / "results.csv")
     assert lines(out / "results.csv") == [
         header, *(r for r in rows if r.split(",")[0] in ("random", "counterfactual"))]
+
+
+# Six words per label that no row of the synthetic corpus contains. The mock
+# writes a label's first three words into every rewrite toward it.
+DISJOINT_VOCAB = {
+    "service": ["server", "host", "courteous", "polite", "slow", "welcoming"],
+    "price": ["bill", "cost", "pricey", "bargain", "value", "steep"],
+    "environment": ["ambience", "lighting", "music", "crowded", "calm", "spacious"],
+    "products": ["dish", "pasta", "dessert", "flavorful", "stale", "portion"],
+}
+
+
+def gap_at_10(out):
+    """`counterfactual` - `random` mean macro-F1 at 10 shots in `out/summary.csv`."""
+    mean = {row.split(",")[0]: float(row.split(",")[3])
+            for row in lines(out / "summary.csv")[1:] if row.split(",")[2] == "10"}
+    return mean["counterfactual"] - mean["random"]
+
+
+def test_cold_start_gain_needs_the_mocks_words_in_the_corpus(walkthrough_seed7, tmp_path):
+    """The README's `label_vocab` is the corpus generator's own cue words; with
+    words that no row contains, the 10-shot gain of `counterfactual` over
+    `random` falls from +.181 to -.028 on seed 7. The gain measures how much of
+    the corpus's vocabulary the mock writes, so assert the drop, not a sign."""
+    data = (walkthrough_seed7.dir / "data.csv").read_text(encoding="utf-8")
+    assert not set(re.findall(r"[a-z]+", data)) & {w for ws in DISJOINT_VOCAB.values() for w in ws}
+    cfg = yaml.safe_load(walkthrough_seed7.config.read_text(encoding="utf-8"))
+    cfg["backend"]["label_vocab"] = DISJOINT_VOCAB
+    cfg["conditions"] = ["random", "counterfactual"]
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    (tmp_path / "data.csv").write_text(data, encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    shutil.copy(walkthrough_seed7.dir / "out" / "patterns.json", tmp_path / "out")
+    run(tmp_path / "exp.yaml", "gen", "filter", "simulate")
+    pinned, disjoint = gap_at_10(walkthrough_seed7.dir / "out"), gap_at_10(tmp_path / "out")
+    assert disjoint < pinned - 0.1, f"10-shot gap {pinned:+.3f} pinned, {disjoint:+.3f} disjoint"
 
 
 def test_outputs_match_their_pins(walkthrough):
