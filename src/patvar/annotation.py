@@ -82,6 +82,14 @@ class AnnotatedSentence:
                 f"tokens do not reconstruct raw text (sentence {self.id!r})"
             )
 
+    def with_id(self, id: str) -> AnnotatedSentence:
+        """This sentence under `id`; its tokens, checked when it was made, are not checked again."""
+        sentence = object.__new__(AnnotatedSentence)
+        # Set as __init__ sets them: filling `__dict__` makes each sentence 64 bytes larger.
+        for name, value in (("id", id), ("raw", self.raw), ("tokens", self.tokens)):
+            object.__setattr__(sentence, name, value)
+        return sentence
+
     def __len__(self) -> int:
         return len(self.tokens)
 

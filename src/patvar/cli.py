@@ -32,9 +32,8 @@ from .experiment import CONDITIONS, Dataset, RunResult, ShotSchedule, paired_pva
 from .filtering import rows_from_audit, run_pipeline, survivors_by_arm
 from .gateway import BackendError, CacheError, Gateway
 from .generation import (
-    JSON_LINE,
     build_task,
-    candidate_to_record,
+    candidate_fields,
     candidates_from_records,
     collect_soft_matches,
     generate_candidate_phrases,
@@ -155,7 +154,8 @@ def _write_lines(path, lines) -> None:
 
 
 def _write_candidates(path, candidates) -> None:
-    _write_lines(path, (JSON_LINE.encode(candidate_to_record(c)) for c in candidates))
+    encoded: dict = {}
+    _write_lines(path, ("{" + candidate_fields(c, encoded) + "}" for c in candidates))
 
 
 def _read_candidates(ctx: Context, name: str, writer: str, reader=candidates_from_records) -> list:
@@ -292,7 +292,8 @@ def _filter_candidates(ctx: Context, name: str):
     candidates = _read_candidates(ctx, f"candidates_{name}.jsonl", "`patvar gen`")
     survivors, report, rows = run_pipeline(candidates, ctx.dataset.label_set, ctx.lexicon,
                                            ctx.provider, ctx.gateway)
-    lines = [JSON_LINE.encode(row.record()) for row in rows]
+    encoded: dict = {}
+    lines = [row.line(encoded) for row in rows]
     _write_lines(ctx.output(f"survivors_{name}.jsonl"),
                  (line for line, row in zip(lines, rows) if row.survived))
     _write_lines(ctx.output(f"audit_{name}.jsonl"), lines)

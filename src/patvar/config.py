@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .annotation import (AnnotatedSentence, Annotator, SynonymLexicon, load_annotations_file,
-                         load_synonyms_file)
+from .annotation import Annotator, SynonymLexicon, load_annotations_file, load_synonyms_file
 from .errors import ConfigError, ParseError, in_file, read_jsonl, utf8_lines
 from .experiment import CONDITIONS, Dataset, ShotSchedule
 from .fixtures import FixtureAnnotationProvider, fixture_synonyms
@@ -365,8 +364,6 @@ def ingest(spec: DatasetSpec, provider: Annotator, gateway: Gateway | None = Non
         else:
             rows_of = [(f"r{i:05d}", text, labels[0])]
         for row_id, row_text, label in rows_of:
-            annotated = provider.annotate(row_text)
-            sentence = AnnotatedSentence(row_id, annotated.raw, annotated.tokens)
-            examples.append(LabeledExample(sentence, label))
+            examples.append(LabeledExample(provider.annotate(row_text).with_id(row_id), label))
     pool, holdout = _stratified_split(examples, spec.holdout_fraction, spec.split_seed, label_set)
     return Dataset(tuple(pool), label_set, tuple(holdout))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Sequence
 
 from .annotation import Annotator, SynonymLexicon, tokenize
@@ -24,7 +25,7 @@ from .generation import (
     CounterfactualCandidate,
     GenerationTask,
     ResponseFormatError,
-    candidate_to_record,
+    candidate_fields,
     candidates_from_records,
 )
 from .patterns import WILDCARD, PatternAst, match_sentence, render_pattern
@@ -203,14 +204,20 @@ class FilterRow(NamedTuple):
     def survived(self) -> bool:
         return all(v.status != "failed" for v in self.verdicts.values())
 
-    def record(self) -> dict:
-        """The row's line in a survivors or audit file: the candidate's
-        record plus its verdicts and assigned label."""
-        return {
-            **candidate_to_record(self.candidate),
-            "discriminator_label": self.discriminator_label,
-            "verdicts": {s: {"status": v.status, "reason": v.reason} for s, v in self.verdicts.items()},
-        }
+    def line(self, encoded: dict) -> str:
+        """The row's line in a survivors or audit file: its candidate's
+        `candidate_fields` plus its assigned label and verdicts, with the bytes
+        of `json.dumps(record, ensure_ascii=True, sort_keys=True)`. `encoded`
+        (pattern or verdict -> JSON text) holds those that earlier lines of the
+        file wrote."""
+        for v in self.verdicts.values():
+            if v not in encoded:
+                encoded[v] = f'{{"reason": {_quote(v.reason)}, "status": {_quote(v.status)}}}'
+        text = {stage: encoded[v] for stage, v in self.verdicts.items()}
+        label = "null" if self.discriminator_label is None else _quote(self.discriminator_label)
+        return (f'{{"discriminator_label": {label}, {candidate_fields(self.candidate, encoded)}, '
+                f'"verdicts": {{"discriminator": {text["discriminator"]}, '
+                f'"heuristic": {text["heuristic"]}, "symbolic": {text["symbolic"]}}}}}')
 
 
 def run_pipeline(
@@ -286,17 +293,19 @@ def survivors_by_arm(rows: Sequence[FilterRow]) -> dict[str, list[Counterfactual
 
 
 def rows_from_audit(records: Sequence[tuple[int, object]], dataset: Dataset) -> list[FilterRow]:
-    """The inverse of `FilterRow.record()` for the (line number, record) pairs
+    """The inverse of `FilterRow.line` for the (line number, record) pairs
     of an audit file, given the dataset. ParseError names the line
     of a record `candidates_from_records` rejects, with malformed verdicts or
     label, or whose heuristic passer has a stage neither passed nor failed
     (from an older `filter`), but for the symbolic stage of a candidate with
-    no pattern, which reads skipped."""
-    rows = []
+    no pattern, which reads skipped. Each distinct (status, reason) is one
+    StageVerdict."""
+    rows, known = [], {}  # (status, reason) -> its StageVerdict
     for (lineno, record), cand in zip(records, candidates_from_records(records, dataset)):
         raw, label = record.get("verdicts"), record.get("discriminator_label")
         try:
-            verdicts = {s: StageVerdict(raw[s]["status"], raw[s]["reason"]) for s in STAGES}
+            keys = {s: (raw[s]["status"], raw[s]["reason"]) for s in STAGES}
+            verdicts = {s: known.get(k) or known.setdefault(k, StageVerdict(*k)) for s, k in keys.items()}
             if set(raw) != set(STAGES) or not all(isinstance(v.reason, str) for v in verdicts.values()):
                 raise ValueError
         except (TypeError, KeyError, ValueError):

@@ -225,7 +225,7 @@ class FixtureAnnotationProvider:
         # A list, not a generator: a tuple grown from a generator is resized as it
         # fills, and the process keeps more memory after each command.
         tokens = [known.get(key) or self._new_token(key) for key in zip(surfaces, entities)]
-        sid = "fx-" + hashlib.sha1(raw.encode("utf-8")).hexdigest()[:12]
+        sid = "fx-" + hashlib.sha1(raw.encode("utf-8", "surrogatepass")).hexdigest()[:12]
         return AnnotatedSentence(sid, raw, tokens)
 
     def _new_token(self, key: tuple[str, str | None]) -> Token:

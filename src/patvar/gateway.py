@@ -157,7 +157,7 @@ class MockBackend:
         # Deterministic per prompt: the same request always gets the same flaw.
         if self.flaw_rate <= 0:
             return None
-        bucket = int.from_bytes(hashlib.sha256(prompt.encode("utf-8")).digest()[:4], "big")
+        bucket = int.from_bytes(hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).digest()[:4], "big")
         draw = (bucket % 10_000) / 10_000.0
         if draw >= self.flaw_rate:
             return None

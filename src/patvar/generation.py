@@ -8,12 +8,12 @@ against the task pattern before it may constrain a counterfactual.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Sequence
 
 from .annotation import AnnotatedSentence, Annotator, SynonymLexicon
@@ -85,32 +85,28 @@ class CounterfactualCandidate:
 # ---------------------------------------------------------------------------
 
 
-# The encoder of every line of the candidates, survivors and audit files.
-JSON_LINE = json.JSONEncoder(ensure_ascii=True, sort_keys=True)
-
-
-def candidate_to_record(c: CounterfactualCandidate) -> dict:
-    """The record of a candidate's line in a candidates file, to which a
-    survivors or audit line adds the filter's verdicts. It names the original
-    by id and text; the dataset holds its annotation."""
-    return {
-        "finish_reason": c.finish_reason,
-        "generated_text": c.generated_text,
-        "matched_phrase": c.task.matched_phrase,
-        "original_id": c.task.original.id,
-        "original_label": c.task.original_label,
-        "original_text": c.task.original.raw,
-        "pattern": render_pattern(c.task.pattern) if c.task.pattern else None,
-        "target_label": c.task.target_label,
-        "uid": c.uid,
-        "used_phrase": c.used_phrase,
-    }
+def candidate_fields(c: CounterfactualCandidate, encoded: dict) -> str:
+    """The fields of a candidate's line in a candidates file, to which a
+    survivors or audit line adds the filter's verdicts: the text between the
+    braces of `json.dumps(record, ensure_ascii=True, sort_keys=True)`, written
+    field by field. It names the original by id and text; the dataset holds
+    its annotation. `encoded` (pattern -> JSON text) holds the patterns that
+    earlier lines of the file wrote."""
+    task = c.task
+    pattern = encoded.get(task.pattern) or encoded.setdefault(
+        task.pattern, "null" if task.pattern is None else _quote(render_pattern(task.pattern)))
+    used_phrase = "null" if c.used_phrase is None else _quote(c.used_phrase)
+    return (f'"finish_reason": {_quote(c.finish_reason)}, "generated_text": {_quote(c.generated_text)}, '
+            f'"matched_phrase": {_quote(task.matched_phrase)}, '
+            f'"original_id": {_quote(task.original.id)}, "original_label": {_quote(task.original_label)}, '
+            f'"original_text": {_quote(task.original.raw)}, "pattern": {pattern}, '
+            f'"target_label": {_quote(task.target_label)}, "uid": {_quote(c.uid)}, "used_phrase": {used_phrase}')
 
 
 def candidates_from_records(
     records: Iterable[tuple[int, object]], dataset: Dataset
 ) -> list[CounterfactualCandidate]:
-    """Rebuild the candidates of one file written by `candidate_to_record`,
+    """Rebuild the candidates of one file written by `candidate_fields`,
     given its (line number, record) pairs and the dataset, whose pool example
     each record's `original_id` names.
 
@@ -138,56 +134,45 @@ def candidates_from_records(
     return candidates
 
 
+# The fields of a candidate record and their types, in the order they are checked.
+_FIELDS = (("original_id", str), ("original_text", str), ("original_label", str),
+           ("target_label", str), ("pattern", (str, type(None))), ("matched_phrase", str),
+           ("finish_reason", str), ("uid", str), ("generated_text", str),
+           ("used_phrase", (str, type(None))))
+
+
 def _candidate(record, examples: Mapping, labels, patterns: dict) -> CounterfactualCandidate:
     """One candidate; `patterns` (text -> AST) holds the patterns that
     earlier records of the file parsed."""
     if not isinstance(record, dict):
         raise ParseError(f"a candidate record must be an object, got {type(record).__name__}")
-
-    def get(key, types):
+    for key, types in _FIELDS:
         if key not in record:
             raise ParseError(f"candidate record lacks {key!r}")
-        value = record[key]
-        if not isinstance(value, types):
-            raise ParseError(f"candidate field {key!r} has type {type(value).__name__}")
-        return value
-
-    original_id = get("original_id", str)
+        if not isinstance(record[key], types):
+            raise ParseError(f"candidate field {key!r} has type {type(record[key]).__name__}")
+    (original_id, original_text, original_label, target_label, pattern_text, matched_phrase,
+     finish_reason, uid, generated_text, used_phrase) = (record[key] for key, _ in _FIELDS)
     example = examples.get(original_id)
     if example is None:
         raise ParseError(f"original_id {original_id!r} is no example of the dataset's pool")
-    if get("original_text", str) != example.sentence.raw:
+    if original_text != example.sentence.raw:
         raise ParseError(f"original_text differs from the text of dataset example {original_id!r}")
-    original_label = get("original_label", str)
     if original_label != example.label:
         raise ParseError(f"original_label {original_label!r} differs from the label "
                          f"{example.label!r} of dataset example {original_id!r}")
-    target_label = get("target_label", str)
     if target_label not in labels:
         raise ParseError(f"target_label {target_label!r} is no label of the dataset")
-    pattern_text = get("pattern", (str, type(None)))
     try:
         if pattern_text is not None and pattern_text not in patterns:
             patterns[pattern_text] = parse_pattern(pattern_text)
-        task = GenerationTask(
-            original=example.sentence,
-            original_label=original_label,
-            target_label=target_label,
-            pattern=None if pattern_text is None else patterns[pattern_text],
-            matched_phrase=get("matched_phrase", str),
-        )
+        pattern = None if pattern_text is None else patterns[pattern_text]
+        task = GenerationTask(example.sentence, original_label, target_label, pattern, matched_phrase)
     except (ValueError, PatternSyntaxError) as exc:
         raise ParseError(f"not a candidate record: {exc}") from None
-    finish_reason = get("finish_reason", str)
     if finish_reason not in FINISH_REASONS:
         raise ParseError(f"finish_reason {finish_reason!r} is neither 'stop' nor 'length'")
-    return CounterfactualCandidate(
-        uid=get("uid", str),
-        task=task,
-        generated_text=get("generated_text", str),
-        used_phrase=get("used_phrase", (str, type(None))),
-        finish_reason=finish_reason,
-    )
+    return CounterfactualCandidate(uid, task, generated_text, used_phrase, finish_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ EMBEDDING_DIM = 64
 
 
 def _bucket(lemma: str) -> int:
-    digest = hashlib.sha256(lemma.encode("utf-8")).digest()
+    digest = hashlib.sha256(lemma.encode("utf-8", "surrogatepass")).digest()
     return int.from_bytes(digest[:4], "big") % EMBEDDING_DIM
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from patvar.gateway import TEMPERATURE
-from patvar.patterns import WILDCARD, Atom, PatternAst
+from patvar.patterns import WILDCARD, Atom, PatternAst, render_pattern
 from patvar.synthesis import enumerate_candidates, scored
 
 POS_CHOICES = ("VERB", "PROPN", "NOUN", "ADJ", "ADV", "AUX", "PRON", "NUM")
@@ -71,6 +71,38 @@ def cache_line(key, req, text, finish_reason, timestamp):
                          "temperature": TEMPERATURE, "max_tokens": req.max_tokens},
              "response": {"text": text, "finish_reason": finish_reason}, "timestamp": timestamp}
     return f"{key} {json.dumps(entry, ensure_ascii=True)}\n"
+
+
+def candidate_record(c):
+    """The record of a candidate's line in a candidates file, as a dict: the
+    reference for the fields that `generation.candidate_fields` writes."""
+    return {
+        "finish_reason": c.finish_reason,
+        "generated_text": c.generated_text,
+        "matched_phrase": c.task.matched_phrase,
+        "original_id": c.task.original.id,
+        "original_label": c.task.original_label,
+        "original_text": c.task.original.raw,
+        "pattern": render_pattern(c.task.pattern) if c.task.pattern else None,
+        "target_label": c.task.target_label,
+        "uid": c.uid,
+        "used_phrase": c.used_phrase,
+    }
+
+
+def audit_record(row):
+    """The record of a `FilterRow`'s line in a survivors or audit file, as a
+    dict: the reference for `FilterRow.line`."""
+    return {
+        **candidate_record(row.candidate),
+        "discriminator_label": row.discriminator_label,
+        "verdicts": {s: {"status": v.status, "reason": v.reason} for s, v in row.verdicts.items()},
+    }
+
+
+def json_line(record):
+    """The line of `record` in a candidates, survivors or audit file."""
+    return json.dumps(record, ensure_ascii=True, sort_keys=True)
 
 
 def two_sided_p_by_quadrature(t, df, points=8001):

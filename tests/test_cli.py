@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import pathlib
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -15,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import patvar
-from patvar import cli, filtering, gateway, generation, synthesis
-from patvar.annotation import Annotator, Token
+from patvar import cli, errors, filtering, gateway, generation, synthesis
+from patvar.annotation import AnnotatedSentence, Annotator, Token
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -28,7 +31,7 @@ from patvar.errors import ConfigError, ParseError, ProviderFailure
 from patvar.fixtures import FixtureAnnotationProvider
 from patvar.gateway import MockBackend
 from patvar.filtering import STAGES
-from patvar.generation import CounterfactualCandidate, GenerationTask, candidate_to_record
+from patvar.generation import CounterfactualCandidate, GenerationTask
 from patvar.experiment import RunResult
 from patvar.learning import LemmaIds
 from patvar.patterns import parse_pattern, render_pattern
@@ -36,6 +39,7 @@ from patvar.reports import render_f1_grid, render_quality_table, significance_st
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
 
 from conftest import Reply, sentence_to_record
+from oracles import candidate_record
 
 
 def write_config(tmp_path, **overrides):
@@ -294,6 +298,29 @@ def test_ingest_balanced_split(tmp_path, provider):
         pool_n = sum(1 for e in ds.examples if e.label == label)
         hold_n = sum(1 for e in ds.holdout if e.label == label)
         assert abs(hold_n - 0.3 * (pool_n + hold_n)) <= 1
+
+
+def test_ingest_checks_each_distinct_text_once(tmp_path, monkeypatch):
+    """A row's tokens are checked against its text once per distinct text, when
+    the provider annotates it, and not again under the row's id: on seed 7,
+    249 checks for 300 rows. Tokens that do not spell their text are refused."""
+    path = tmp_path / "d.csv"
+    write_csv(path, make_rows(300, seed=7))
+    checks, check = collections.Counter(), AnnotatedSentence.__post_init__
+    monkeypatch.setattr(AnnotatedSentence, "__post_init__",
+                        lambda self: (checks.update([self.raw]), check(self)))
+    ds = ingest(DatasetSpec(path=str(path)), Annotator(FixtureAnnotationProvider()))
+    texts = {ex.sentence.raw for ex in (*ds.examples, *ds.holdout)}
+    assert len(ds.examples) + len(ds.holdout) == 300 and len(texts) == 249
+    assert checks == dict.fromkeys(texts, 1)
+    assert {ex.sentence.id for ex in ds.examples} <= {f"r{i:05d}" for i in range(300)}
+
+    class Misspelling:
+        def annotate(self, raw):
+            return AnnotatedSentence("x", raw, (Token("no", "no"),))
+
+    with pytest.raises(ProviderFailure, match="tokens do not reconstruct raw text"):
+        ingest(DatasetSpec(path=str(path)), Annotator(Misspelling()))
 
 
 def test_ingest_label_set_order_and_validation(tmp_path, provider):
@@ -1089,7 +1116,7 @@ def pool_candidate(dataset) -> dict:
     """The record of a candidate of the first `price` example of the pool."""
     ex = next(ex for ex in dataset.examples if ex.label == "price")
     task = GenerationTask(ex.sentence, "price", "service", parse_pattern("[cheap]"), "cheap")
-    return candidate_to_record(CounterfactualCandidate("u0", task, "the staff was rude.", "rude"))
+    return candidate_record(CounterfactualCandidate("u0", task, "the staff was rude.", "rude"))
 
 
 @pytest.mark.parametrize("kind", ["missing_keys", "id_not_string", "text_not_string",
@@ -1376,6 +1403,88 @@ def test_cli_corrupted_artifact_exits_cleanly(tiny_walkthrough, data):
     assert os.path.basename(path) in err.getvalue()
     if name.endswith(".jsonl") or (kind == "not_utf8" and name.endswith(".csv")):
         assert f"line {index + 1}" in err.getvalue()
+
+
+# Replies that a provider may send instead of an answer: blank ones, control,
+# replacement and zero-width characters, lone surrogates, quotes and
+# backslashes, 5,000 characters, bare prompt markers and refusals, label lists
+# and the separator's fragments.
+PROBE_TEXTS = (
+    "", " ", "\n\t\n", "\x00", "before\x00after.", "\ufffd", "\ufffd \ufffd \ufffd.", "\ud800",
+    "a cheap deal on the food \udfff here.", '"', "\\", 'She said "it was \\"fine\\"".', "x" * 5000,
+    "The food was great. " * 250, ";", "'a' + 'b' + 'c'", "'text' + '(pattern)' + 'price'; 'more'",
+    "+ +", "','", "service", "price, service, environment, products", "PRICE.",
+    "cannot generate counterfactual", "Modified text:", "Original text: the staff was rude.",
+    "Generated phrases:", '{"role": "system"}', "assistant:", ".", "!!!", "cheap, cheap, cheap",
+    "\u202e reversed \u200b zero width.", "an emoji \U0001f600 and \U0001d518 here.",
+)
+
+
+class Adversarial:
+    """A backend that replaces a `rate` share of `backend`'s replies, drawn by
+    `rng`, with one of `texts` and a drawn finish reason."""
+
+    def __init__(self, backend, rng, rate, texts):
+        self.backend, self.rng, self.rate, self.texts = backend, rng, rate, texts
+        self.replaced = 0
+
+    def send(self, req):
+        resp = self.backend.send(req)
+        if self.rng.random() >= self.rate:
+            return resp
+        self.replaced += 1
+        return gateway.CompletionResponse(self.rng.choice(self.texts),
+                                          self.rng.choice(gateway.FINISH_REASONS))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rate=st.sampled_from([0.05, 0.3, 1.0]) | st.floats(0.05, 1), seed=st.integers(0, 2**32),
+       extra=st.lists(st.text(st.characters(exclude_categories=())), max_size=3))
+def test_cli_survives_adversarial_replies(tiny_walkthrough, rate, seed, extra):
+    """`gen`, `filter`, `simulate` and `report` on replies that are partly
+    drawn texts: each exits 0, every candidate has one audit line, every
+    task is a candidate or a counted skip, every failed verdict has a reason,
+    and each audit line reads back and is written again as itself."""
+    source = tiny_walkthrough[0]  # its data.csv and patterns.json
+    assert len(PROBE_TEXTS) == 33
+    backends = []
+
+    def adversarial_gateway(cfg):
+        gw = build_gateway(cfg)
+        gw.backend = Adversarial(gw.backend, random.Random(seed), rate, PROBE_TEXTS + tuple(extra))
+        backends.append(gw.backend)
+        return gw
+
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_gateway", adversarial_gateway)
+        out = os.path.join(work, "out")
+        os.makedirs(out)
+        shutil.copy(source / "out" / "patterns.json", out)
+        shutil.copy(source / "data.csv", work)
+        config = write_config(pathlib.Path(work), synthesis={"max_atoms": 1}, shots=[3, 6],
+                              seeds=[0], backend={"flaw_rate": 0.25},
+                              conditions=["random", "cluster", "cf_no_vt", "counterfactual"])
+        printed, err = io.StringIO(), io.StringIO()
+        for command in ("gen", "filter", "simulate", "report"):
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(config)])
+            assert code == 0, (command, err.getvalue()[-300:])
+        dataset = pool_dataset(config)
+        made, skipped = map(int, re.search(r"generated (\d+) pattern-kept candidates "
+                                           r"\(\+\d+ unconstrained, (\d+) skipped\)",
+                                           printed.getvalue()).groups())
+        assert made + skipped == 3 * len(dataset.examples)  # three targets per example
+        for name in ("vt", "novt"):
+            path = os.path.join(out, f"audit_{name}.jsonl")
+            audit, candidates = (pathlib.Path(out, f"{kind}_{name}.jsonl").read_text(
+                encoding="utf-8").splitlines() for kind in ("audit", "candidates"))
+            assert [json.loads(line)["uid"] for line in audit] == [
+                json.loads(line)["uid"] for line in candidates]
+            rows = filtering.rows_from_audit(errors.read_jsonl(path), dataset)
+            encoded = {}
+            assert [row.line(encoded) for row in rows] == audit
+            assert all(v.reason for row in rows for v in row.verdicts.values() if v.status == "failed")
+    assert sum(b.replaced for b in backends) > 0
 
 
 def test_cli_filter_needs_no_patterns_file(walkthrough_seed7, copy_walkthrough):

@@ -24,13 +24,13 @@ from patvar.gateway import BackendError, MockBackend
 from patvar.generation import (
     CounterfactualCandidate,
     GenerationTask,
-    JSON_LINE,
     ResponseFormatError,
-    candidate_to_record,
 )
 from patvar.patterns import parse_pattern
 from patvar.prompts import fill, load_template
 from patvar.synthesis import LabeledExample
+
+from oracles import audit_record, candidate_record, json_line
 
 
 def make_candidate(provider, text, *, original="The staff was rude.", pattern="(cheap)+*+NOUN",
@@ -318,7 +318,7 @@ def test_rows_from_audit_inverts_record(provider, filter_args):
     pool = {row.candidate.task.original.id: LabeledExample(row.candidate.task.original, "service")
             for row in rows}
     dataset = Dataset(tuple(pool.values()), LABELS, ())
-    records = [(i, json.loads(JSON_LINE.encode(row.record()))) for i, row in enumerate(rows, 1)]
+    records = [(i, json.loads(row.line({}))) for i, row in enumerate(rows, 1)]
     assert rows_from_audit(records, dataset) == rows
     # Only a candidate without a pattern may skip the symbolic stage, and none may
     # leave a stage pending after passing the heuristic one.
@@ -470,8 +470,10 @@ def test_filter_config_arms():
 
 def test_audit_record_shape(provider, filter_args):
     _, _, rows = run_pipeline(batch(provider), *filter_args)
+    encoded = {}
     for row in rows:
-        rec, made = row.record(), candidate_to_record(row.candidate)
+        rec, made = json.loads(row.line(encoded)), candidate_record(row.candidate)
+        assert row.line(encoded) == json_line(audit_record(row))
         assert set(made) == {
             "finish_reason", "generated_text", "matched_phrase", "original_id", "original_label",
             "original_text", "pattern", "target_label", "uid", "used_phrase",
@@ -480,5 +482,5 @@ def test_audit_record_shape(provider, filter_args):
         assert rec["original_id"] == row.candidate.task.original.id
         assert rec["original_text"] == "The staff was rude."
         assert rec["pattern"] == "(cheap)+*+NOUN"
-        assert list(rec["verdicts"]) == list(STAGES)
+        assert list(rec["verdicts"]) == sorted(STAGES)  # in key order, as every line
         assert all(set(v) == {"status", "reason"} for v in rec["verdicts"].values())

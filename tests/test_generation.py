@@ -9,7 +9,6 @@ from patvar.generation import (
     GenerationTask,
     ResponseFormatError,
     build_task,
-    candidate_to_record,
     candidates_from_records,
     collect_soft_matches,
     generate_candidate_phrases,
@@ -21,6 +20,8 @@ from patvar.generation import (
 from patvar.patterns import find_matches, parse_pattern
 from patvar.prompts import fill, load_template
 from patvar.synthesis import LabeledExample
+
+from oracles import candidate_record
 
 WORKED_SEPARATOR_REPLY = (
     " 'Great customer service, ' + '(customer)+*+[service]' + 'service'; "
@@ -256,7 +257,7 @@ def test_candidates_from_records_names_the_line(price_task):
     dataset = Dataset((LabeledExample(price_task.original, price_task.original_label),),
                       ("products", "price", "environment"), ())
     cand = CounterfactualCandidate("u0", price_task, "text", None, "length")
-    good = candidate_to_record(cand)
+    good = candidate_record(cand)
     (back,) = candidates_from_records([(1, good)], dataset)
     assert back == cand and back.task.original is price_task.original
     # The verdicts of a survivors or audit line are not the candidate's.

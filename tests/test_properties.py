@@ -21,8 +21,9 @@ a time; `judge` calls the stage functions itself and turns their errors
 into failed verdicts.
 Pattern parsing is checked for clean errors and render round-trips, the
 gateway's cache key for stability and against the sha256 of the request's
-canonical JSON, and `fill` for putting each slot value into a prompt
-verbatim.
+canonical JSON, the candidate and audit line writers against `json.dumps`
+of the oracle's records and against their readers, and `fill` for putting
+each slot value into a prompt verbatim.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ from hypothesis import strategies as st
 
 from patvar import patterns
 from patvar.annotation import AnnotatedSentence, SynonymLexicon, Token, tokenize
+from patvar.experiment import Dataset
 from patvar.filtering import (
     ARMS,
     STAGES,
@@ -46,12 +48,14 @@ from patvar.filtering import (
     compute_metrics,
     discriminator_filter,
     heuristic_filter,
+    rows_from_audit,
     run_pipeline,
     survivors_by_arm,
     symbolic_filter,
 )
 from patvar.fixtures import ENTITY_PHRASES, FixtureAnnotationProvider
 from patvar.gateway import (
+    FINISH_REASONS,
     ROLES,
     TEMPERATURE,
     BackendError,
@@ -61,7 +65,13 @@ from patvar.gateway import (
     MockBackend,
     cache_key,
 )
-from patvar.generation import CounterfactualCandidate, GenerationTask, ResponseFormatError
+from patvar.generation import (
+    CounterfactualCandidate,
+    GenerationTask,
+    ResponseFormatError,
+    candidate_fields,
+    candidates_from_records,
+)
 from patvar.patterns import (
     WILDCARD,
     Atom,
@@ -92,7 +102,17 @@ from patvar.synthesis import (
     synthesize_patterns,
 )
 
-from oracles import ENTITY_CHOICES, POS_CHOICES, SENTENCE_VOCAB, WORD_CHOICES, decoded_candidates
+from oracles import (
+    ENTITY_CHOICES,
+    POS_CHOICES,
+    SENTENCE_VOCAB,
+    WORD_CHOICES,
+    audit_record,
+    candidate_record,
+    decoded_candidates,
+    json_line,
+    random_pattern,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -739,6 +759,74 @@ key_texts = st.text(
 def test_cache_key_is_the_sha256_of_the_canonical_json(model, messages, max_tokens):
     r = CompletionRequest(model, tuple(messages), max_tokens)
     assert cache_key(r) == oracle_cache_key(r)
+
+
+# Any text, lone surrogates too, but for a high surrogate right before a low
+# one: any JSON reader reads that pair back as the one character it encodes.
+line_texts = st.text(st.characters(exclude_categories=())).filter(
+    lambda text: json.loads(json.dumps(text)) == text)
+# Characters that JSON escapes, lone surrogates, and one it writes as a pair.
+ESCAPED = '"\\\x00\x1f\x7f\u2028\udfff\ud800\U0001f600'
+
+
+@st.composite
+def audit_rows(draw):
+    """A FilterRow that `rows_from_audit` accepts: a heuristic passer's later
+    stages are judged, or skipped for the symbolic stage of a candidate with
+    no pattern. Its original is the one example of `row_dataset(row)`."""
+    labels = st.lists(line_texts.filter(bool), min_size=2, max_size=2, unique=True)
+    original_label, target_label = draw(labels)
+    raw = draw(line_texts)
+    original = AnnotatedSentence(draw(line_texts), raw, tuple(Token(w, "x") for w in raw.split()))
+    pattern = draw(st.none() | st.randoms(use_true_random=False).map(random_pattern))
+    task = GenerationTask(original, original_label, target_label, pattern, draw(line_texts))
+    candidate = CounterfactualCandidate(draw(line_texts), task, draw(line_texts),
+                                        draw(st.none() | line_texts),
+                                        draw(st.sampled_from(FINISH_REASONS)))
+    judged = ("passed", "failed")
+    heuristic = draw(st.sampled_from(judged))
+    later = {  # stage -> the statuses it may read after this heuristic verdict
+        "symbolic": judged + (("skipped",) if pattern is None else ()),
+        "discriminator": judged,
+    } if heuristic == "passed" else dict.fromkeys(STAGES[1:], ("pending", *judged, "skipped"))
+    verdicts = {"heuristic": StageVerdict(heuristic, draw(line_texts))}
+    for stage, statuses in later.items():
+        verdicts[stage] = StageVerdict(draw(st.sampled_from(statuses)), draw(line_texts))
+    return FilterRow(candidate, verdicts, draw(st.none() | line_texts))
+
+
+def row_dataset(row):
+    task = row.candidate.task
+    return Dataset((LabeledExample(task.original, task.original_label),),
+                   (task.original_label, task.target_label), ())
+
+
+def escaped_row(pattern, heuristic, label):
+    """A row whose every text holds ESCAPED."""
+    text = f"a {ESCAPED} b"
+    original = AnnotatedSentence(text, text, tuple(Token(w, "x") for w in text.split()))
+    task = GenerationTask(original, text, text + "!", pattern, text)
+    verdicts = {"heuristic": StageVerdict(heuristic, text),
+                **dict.fromkeys(STAGES[1:], StageVerdict("failed", text))}
+    return FilterRow(CounterfactualCandidate(text, task, text, label), verdicts, label)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(audit_rows(), min_size=1, max_size=3))
+@example(rows=[escaped_row(parse_pattern("[cheap]"), "passed", f"a {ESCAPED} b"),
+               escaped_row(None, "failed", None)])
+def test_lines_are_the_json_of_their_records_and_read_back(rows):
+    """The candidate and audit lines, written field by field with the patterns
+    and verdicts that earlier lines encoded, have the bytes of `json.dumps` of
+    the oracle's records, and read back to the candidate and the row."""
+    encoded = {}
+    for row in rows:
+        candidate_line = "{" + candidate_fields(row.candidate, encoded) + "}"
+        assert candidate_line == json_line(candidate_record(row.candidate))
+        assert row.line(encoded) == json_line(audit_record(row))
+        dataset = row_dataset(row)
+        assert candidates_from_records([(1, json.loads(candidate_line))], dataset) == [row.candidate]
+        assert rows_from_audit([(1, json.loads(row.line(encoded)))], dataset) == [row]
 
 
 TEMPLATE_NAMES = ("candidate_phrases", "counterfactual_generator", "counterfactual_no_vt",
