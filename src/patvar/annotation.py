@@ -133,7 +133,7 @@ class SynonymLexicon:
 def load_synonyms_file(path) -> SynonymLexicon:
     """Load a lexicon from `lemma<TAB>syn1,syn2,...` lines (symmetric closure applied)."""
     lex = SynonymLexicon()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             line = line.strip()
             if not line or line.startswith("#"):

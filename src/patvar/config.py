@@ -249,8 +249,8 @@ def build_gateway(cfg: ExperimentConfig) -> Gateway:
 def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
     """A row's labels: a list (JSONL, under `multi_label` only) or one value,
     which `multi_label` splits at the delimiter. After splitting they must be
-    a non-empty list of non-empty strings, each in `labels` when the spec
-    declares them; ParseError naming the line if not."""
+    a non-empty list of non-empty strings with no lone surrogate, each in
+    `labels` when the spec declares them; ParseError naming the line if not."""
     if isinstance(value, list) and not spec.multi_label:
         raise ParseError(f"field {spec.label_field!r} is a list; that needs multi_label: true",
                          line=lineno)
@@ -262,6 +262,8 @@ def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
         labels = [l.strip() for l in labels[0].split(spec.label_delimiter)]
     if not labels or not all(l.strip() for l in labels):
         raise ParseError(f"field {spec.label_field!r} holds an empty label", line=lineno)
+    for label in labels:
+        _encodable(label, spec.label_field, lineno)
     unknown = [l for l in labels if spec.labels and l not in spec.labels]
     if unknown:
         raise ParseError(f"label {unknown[0]!r} is not in dataset.labels", line=lineno)
@@ -269,16 +271,28 @@ def _labels(value, spec: DatasetSpec, lineno: int) -> list[str]:
 
 
 def _text(value: str, spec: DatasetSpec, lineno: int) -> str:
-    """A row's text; ParseError naming the line if it is empty or blank."""
+    """A row's text; ParseError naming the line if it is empty or blank or
+    holds a lone surrogate."""
     if not value.strip():
         raise ParseError(f"field {spec.text_field!r} is blank", line=lineno)
+    _encodable(value, spec.text_field, lineno)
     return value
+
+
+def _encodable(value: str, name: str, lineno: int) -> None:
+    """ParseError naming the line if `value` holds a lone surrogate, which a
+    JSON escape can give but no UTF-8 output file can hold."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"field {name!r} holds a lone surrogate, {value[exc.start]!r}",
+                         line=lineno) from None
 
 
 def _read_rows(spec: DatasetSpec) -> list[tuple[str, list[str]]]:
     rows: list[tuple[str, list[str]]] = []
     if spec.format == "csv":
-        with open(spec.path, encoding="utf-8", newline="") as fh:
+        with open(spec.path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(utf8_lines(fh, spec.path))
             for row in reader:
                 lineno = reader.line_num  # the line the row ends on, past skipped blank lines

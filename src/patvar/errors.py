@@ -53,7 +53,7 @@ def read_jsonl(path) -> list[tuple[int, object]]:
     """(line number, record) for each non-blank line; ConfigError naming
     `path` and the line for a line that is not UTF-8 or not JSON."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(utf8_lines(fh, path), start=1):
             if line.strip():
                 try:

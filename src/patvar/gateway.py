@@ -106,9 +106,9 @@ def cache_key(req: CompletionRequest) -> str:
     The digest is the sha256 of the request's canonical JSON: the keys
     `max_tokens`, `messages` (as `[[role, content], ...]`), `model` and
     `temperature` in that order, ASCII escapes and no spaces. It is written
-    string by string, with no encoder, dict or list per request. `gen` and
-    `filter` send each distinct question once per command, so each key is
-    built once per command.
+    string by string, with no encoder, dict or list per request. A key is
+    built for every request, a repeated one too: a cold seed-7 `gen` builds
+    1,257 keys for 1,131 distinct ones.
     """
     messages = ",".join(f"[{_quote(m.role)},{_quote(m.content)}]" for m in req.messages)
     payload = (f'{{"max_tokens":{req.max_tokens},"messages":[{messages}],'
@@ -312,29 +312,26 @@ class Gateway:
     order, supersedes an earlier one. The entry is `{"request": <request
     JSON>, "response": {"text", "finish_reason"}, "timestamp": <seconds>}`,
     written field by field, with the bytes of `json.dumps(entry,
-    ensure_ascii=True)`. On its first request the gateway
-    indexes every segment (key -> file and byte offset), and on a hit it
-    reads and validates that one line. A line that is torn or not JSON, or
-    whose response lacks a string `text` or a `stop`/`length` finish, is
-    corrupted: a warned miss whose fresh response supersedes it. A miss
-    appends its entry to this gateway's own segment, created on the first
-    miss, before the response is returned; a backend failure appends
-    nothing. Every served response is also kept in memory by key, so a
-    repeated request is answered with `from_cache=True` and each key is read
-    from disk at most once. Requests do repeat within a command: a pool row
-    that repeats another's text and label sends its rewrite and its
+    ensure_ascii=True)`. On its first request the gateway indexes every
+    segment in one map (key -> file and byte offset of its last line). On a
+    hit it reads and validates that one line, and the map then holds its
+    response, so a hit's line is read from disk once. A line that is
+    torn or not JSON, or whose response lacks a string `text` or a
+    `stop`/`length` finish, is corrupted: a warned miss whose fresh response
+    supersedes it. A miss appends its entry to this gateway's own segment,
+    created on the first miss, before the response is returned, and the map
+    holds the response as `from_cache=True`; a backend failure appends and
+    holds nothing. Requests do repeat within a command: a pool row that
+    repeats another's text and label sends its rewrite and its
     counterfactual prompts again for each target. On the walkthrough corpus
-    (seed 7: 200 pool rows, 179 distinct), a cold `gen` makes 1,257 calls for
-    1,131 keys, and `_served` answers the 126 repeats.
+    (seed 7: 200 pool rows, 179 distinct), a cold `gen` makes 1,257 calls
+    for 1,131 keys, and the map answers the 126 repeats. `close` drops it.
     """
 
     backend: Backend
     model: str
     cache_dir: str
-    _served: dict[str, CompletionResponse] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _index: dict[str, tuple[BinaryIO, int]] | None = field(
+    _index: dict[str, CompletionResponse | tuple[BinaryIO, int]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _readers: list[BinaryIO] = field(default_factory=list, init=False, repr=False, compare=False)
@@ -346,33 +343,35 @@ class Gateway:
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         key = cache_key(req)
-        resp = self._served.get(key)
+        if self._index is None:
+            self._index = self._build_index()
+        resp = self._index.get(key)
+        if type(resp) is tuple:
+            resp = self._read(*resp)  # a disk hit is already from_cache
+            if resp is not None:
+                self._index[key] = resp
         if resp is None:
-            resp = self._read(key)  # a disk hit is already from_cache
-            if resp is None:
-                resp = complete(req, self.backend)
-                self._append(key, req, resp)
-                self._served[key] = CompletionResponse(resp.text, resp.finish_reason, from_cache=True)
-            else:
-                self._served[key] = resp
+            resp = complete(req, self.backend)
+            self._append(key, req, resp)
+            self._index[key] = CompletionResponse(resp.text, resp.finish_reason, from_cache=True)
         return resp
 
     def close(self) -> None:
-        """Close the segment files; a later request indexes the cache again."""
+        """Close the segment files and drop the map; a later request indexes the cache again."""
         for fh in self._readers:
             fh.close()
         if self._segment is not None:
             self._segment.close()
         self._index, self._readers, self._segment = None, [], None
 
-    def _build_index(self) -> dict[str, tuple[BinaryIO, int]]:
+    def _build_index(self) -> dict[str, CompletionResponse | tuple[BinaryIO, int]]:
         try:
             names = sorted(os.listdir(self.cache_dir))
         except (FileNotFoundError, NotADirectoryError):
             return {}
         except OSError as exc:
             raise CacheError(f"cannot list cache directory {self.cache_dir}: {exc}") from exc
-        index: dict[str, tuple[BinaryIO, int]] = {}
+        index: dict[str, CompletionResponse | tuple[BinaryIO, int]] = {}
         for name in names:
             if not name.endswith(SEGMENT_SUFFIX):
                 continue
@@ -391,13 +390,9 @@ class Gateway:
                 raise CacheError(f"cannot read cache segment {path}: {exc}") from exc
         return index
 
-    def _read(self, key: str) -> CompletionResponse | None:
-        """The response of `key`'s last cache line, or None for a miss."""
-        if self._index is None:
-            self._index = self._build_index()
-        if key not in self._index:
-            return None
-        reader, offset = self._index[key]
+    @staticmethod
+    def _read(reader: BinaryIO, offset: int) -> CompletionResponse | None:
+        """The response of the cache line at `offset`, or None if it is corrupted."""
         try:
             reader.seek(offset)
             line = reader.readline()

@@ -212,6 +212,11 @@ def separate_multilabel(
             raise ResponseFormatError(f"separator returned unknown label {label!r}")
         if not text.strip():
             raise ResponseFormatError(f"separator returned a blank text for label {label!r}")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ResponseFormatError(
+                f"separator returned a lone surrogate in the text for label {label!r}") from None
         parts.append((text, pattern, label))
     if not parts:
         raise ResponseFormatError("separator returned no parts")

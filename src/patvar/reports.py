@@ -57,7 +57,7 @@ def read_quality_json(path) -> dict[str, Mapping[str, float | None]]:
     """Rates by dataset from `filter`'s quality_report.json or a plain
     `{dataset: {pkr, slfr, lfr}}` file; ConfigError names a malformed file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"quality file {path}: {exc}") from None
@@ -154,7 +154,7 @@ def read_results_csv(path) -> list[dict]:
     file (and the line, where there is one).
     """
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ConfigError(f"results file {path}: {exc.strerror}") from None
     with fh:

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 import patvar
 from patvar import cli, errors, filtering, gateway, generation, synthesis
-from patvar.annotation import AnnotatedSentence, Annotator, Token
+from patvar.annotation import (
+    AnnotatedSentence,
+    Annotator,
+    Token,
+    load_annotations_file,
+    load_synonyms_file,
+)
 from patvar.cli import main
 from patvar.config import (
     DatasetSpec,
@@ -35,7 +41,13 @@ from patvar.generation import CounterfactualCandidate, GenerationTask
 from patvar.experiment import RunResult
 from patvar.learning import LemmaIds
 from patvar.patterns import parse_pattern, render_pattern
-from patvar.reports import render_f1_grid, render_quality_table, significance_stars
+from patvar.reports import (
+    read_quality_json,
+    read_results_csv,
+    render_f1_grid,
+    render_quality_table,
+    significance_stars,
+)
 from patvar.synthdata import LABEL_VOCAB, make_rows, write_csv
 
 from conftest import Reply, sentence_to_record
@@ -1642,6 +1654,41 @@ def test_cli_corrupted_input_exits_2(tmp_path, capsys, name, kind, message):
     assert f"{name} line {index + 1}: {message}" in capsys.readouterr().err
 
 
+def _lexicon_groups(path):
+    lex = load_synonyms_file(path)
+    return {lemma: (lemma in lex, lex.synonyms_of(lemma)) for lemma in ("cheap", "pricey", "tasty")}
+
+
+# user file -> (its text, what its reader makes of it)
+BOM_READERS = {
+    "data.csv": ("text,label\ngood food,products\nrude staff,service\n",
+                 lambda path: ingest(DatasetSpec(path=str(path), holdout_fraction=0.5),
+                                     Annotator(FixtureAnnotationProvider()))),
+    "data.jsonl": ('{"text": "good food", "label": "products"}\n'
+                   '{"text": "rude staff", "label": "service"}\n',
+                   lambda path: ingest(DatasetSpec(path=str(path), format="jsonl", holdout_fraction=0.5),
+                                       Annotator(FixtureAnnotationProvider()))),
+    "annotations.jsonl": (json.dumps(sentence_to_record(FixtureAnnotationProvider().annotate(
+        "The cheap food."))) + "\n", load_annotations_file),
+    "lexicon.tsv": ("cheap\tpricey\ntasty\tdelicious\n", _lexicon_groups),
+    "external.csv": ("condition,dataset,shot,seed,macro_f1\nalps,data,10,0,0.42\n", read_results_csv),
+    "quality.json": ('{"data": {"pkr": 0.12, "slfr": 0.5, "lfr": 0.4}}', read_quality_json),
+}
+
+
+@pytest.mark.parametrize("name", BOM_READERS)
+def test_a_byte_order_mark_reads_as_none(tmp_path, name):
+    """An editor may save a user file with a UTF-8 byte-order mark; each
+    reader gives what it gives for the file without one."""
+    text, read = BOM_READERS[name]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    (tmp_path / "plain" / name).write_text(text, encoding="utf-8")
+    (tmp_path / "bom" / name).write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom" / name).read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(tmp_path / "bom" / name) == read(tmp_path / "plain" / name)
+
+
 @pytest.mark.parametrize("name, multi_label, line, message", [
     ("data.jsonl", False, b'{"text": "good food", "label": ""}', "field 'label' holds an empty label"),
     ("data.jsonl", True, b'{"text": "good food", "label": []}', "field 'label' holds an empty label"),
@@ -1652,11 +1699,20 @@ def test_cli_corrupted_input_exits_2(tmp_path, capsys, name, kind, message):
     ("data.jsonl", False, b'{"text": null, "label": "products"}', "field 'text' is null"),
     ("data.csv", True, b"good food,|", "field 'label' holds an empty label"),
     ("data.csv", True, b"good food,products|", "field 'label' holds an empty label"),
+    ("data.jsonl", False, rb'{"text": "zz\ud800 good food", "label": "products"}',
+     r"field 'text' holds a lone surrogate, '\ud800'"),
+    ("data.jsonl", False, rb'{"text": "good food", "label": "prod\udfffucts"}',
+     r"field 'label' holds a lone surrogate, '\udfff'"),
+    ("data.jsonl", True, rb'{"text": "good food", "label": ["products", "\ud800"]}',
+     r"field 'label' holds a lone surrogate, '\ud800'"),
 ], ids=["empty", "empty_list", "null", "null_in_list", "list_without_multi_label", "null_text",
-        "csv_only_delimiter", "csv_empty_part"])
+        "csv_only_delimiter", "csv_empty_part", "text_lone_surrogate", "lone_surrogate",
+        "lone_surrogate_in_list"])
 def test_cli_malformed_labels_exit_2(tmp_path, capsys, name, multi_label, line, message):
     """A row's labels must be a non-empty list of non-empty strings after
-    splitting; the text and labels of a JSONL row may not be null."""
+    splitting; the text and labels of a JSONL row may not be null, and may
+    not hold a lone surrogate (a JSON escape), which no output file could
+    hold."""
     rows = make_rows(40, seed=3)
     write_csv(tmp_path / "data.csv", rows)
     with open(tmp_path / "data.jsonl", "w", encoding="utf-8") as fh:

@@ -154,6 +154,21 @@ def test_cache_hit_and_miss(tmp_path, canned):
     assert [key for key, _ in cache_lines(tmp_path)] == [cache_key(r), cache_key(other)]
 
 
+def test_close_lets_go_of_served_responses(tmp_path, canned):
+    # A closed gateway indexes the cache again, so it serves the line on disk
+    # now, not the response it served before close.
+    r = req("rewritten")
+    (tmp_path / "0-old.log").write_text(entry_line(r, "old"), encoding="ascii")
+    backend = canned({r.messages: "fresh"})
+    gw = Gateway(backend, r.model, str(tmp_path))
+    assert gw.complete(r) == CompletionResponse("old", from_cache=True)
+    gw.close()
+    (tmp_path / "0-old.log").write_text(entry_line(r, "new"), encoding="ascii")
+    assert gw.complete(r) == CompletionResponse("new", from_cache=True)
+    gw.close()
+    assert backend.calls == 0
+
+
 def test_cache_transparency(tmp_path, canned):
     r = req("transparent")
     backend = canned({r.messages: "same answer"})
@@ -262,7 +277,7 @@ def test_error_responses_not_cached(tmp_path):
     with pytest.raises(BackendError):
         gw.complete(req("boom"))
     assert list(tmp_path.iterdir()) == []
-    assert gw._served == {}
+    assert gw._index == {}
 
 
 # Field names as the mock reads them, each with the text that ends its value.
@@ -417,9 +432,11 @@ def test_gateway_serves_what_fresh_gateways_serve(drawn, sequence):
         # read before close: each entry was flushed before its response was returned
         assert new_keys(gateway_dir, old) == new_keys(fresh_dir, old) == collections.Counter(
             cache_key(req(c)) for c in appended)
-        gw.close()
+        # A failed request holds no response; a corrupted line's key keeps its location.
         error_keys = {cache_key(req(c)) for c in sequence if c.startswith("error") and c not in stored}
-        assert not error_keys & set(gw._served)
+        assert not any(isinstance(gw._index.get(key), CompletionResponse) for key in error_keys)
+        gw.close()
+        assert gw._index is None
 
 
 def outcome(call, *args):
@@ -553,8 +570,8 @@ def test_http_429_forever_times_out_uncached(loopback, tmp_path):
     with mock.patch.object(gateway.time, "sleep") as sleep, \
             pytest.raises(BackendError, match="gave up after 3 retries"):
         gw.complete(req())
+    assert gw._index == {}
     gw.close()
     assert [c.args[0] for c in sleep.call_args_list] == [3.0, 3.0, 3.0]
     assert len(received) == 1 + gateway.RETRIES
     assert list(tmp_path.iterdir()) == []
-    assert gw._served == {}

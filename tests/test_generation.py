@@ -121,6 +121,10 @@ def test_separator_format_and_label_errors(gateway_with):
     with pytest.raises(ResponseFormatError, match="unknown label 'bogus'"):
         separate_multilabel("text", [""], ["price"], gw2)
 
+    gw3 = gateway_with(lambda req: CompletionResponse("'t\ud800' + '' + 'price'"))
+    with pytest.raises(ResponseFormatError, match="lone surrogate in the text for label 'price'"):
+        separate_multilabel("text", [""], ["price"], gw3)
+
 
 def test_separator_template_mock_round_trips(gateway_for):
     gw = gateway_for(MockBackend(label_vocab={}))
